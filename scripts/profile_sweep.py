@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from cotangent_kahler import (
-    AdaptedVector,
     CotangentPoint,
     ModelParams,
     assemble_complex_structure,
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
     q = rng.uniform(-1.0, 1.0, size=args.dim)
     direction = rng.normal(size=args.dim)
     direction /= np.linalg.norm(direction)
-    section = AdaptedVector(rng.normal(size=args.dim), rng.normal(size=args.dim))
+    section = rng.normal(size=2 * args.dim)
 
     print(
         f"n={args.dim}  c={args.curvature:g}  a={params.a_metric:.6g}  "
@@ -103,14 +102,14 @@ def main(argv=None) -> int:
         p = direction * math.sqrt(t / base.t)
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
-        blocks = curvature_blocks(pt, params, jets)
-        ricci = ricci_from_blocks(blocks)
+        curv = curvature_blocks(pt, params, jets)
+        ricci = ricci_from_blocks(curv)
         defect = max(
             float(np.max(np.abs(ricci.hh - lam * jets.gh))),
             float(np.max(np.abs(ricci.vv - lam * jets.gv))),
         )
         hsc = holomorphic_sectional_curvature(
-            blocks, assemble_metric(jets), assemble_complex_structure(jets), section
+            curv, assemble_metric(jets), assemble_complex_structure(jets), section
         )
         v = float(profile.v(np.asarray(t)))
         admissibility = params.a_metric * math.sqrt(t) + 2.0 * t * v

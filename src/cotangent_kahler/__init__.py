@@ -10,6 +10,15 @@ together with the compatible almost-complex structure, and verifies
 numerically that the pair is almost Kahler for every admissible profile,
 Kahler exactly at the coupling ``a = sqrt(2c)``, and Einstein exactly on a
 two-parameter family of profiles solving a radial Euler equation.
+
+Index convention.  The adapted frame is indexed ``0..2n-1``: ``0..n-1``
+are the horizontal fields ``delta_i = d/dq^i + p_k Gamma^k_{ih} d/dp_h``,
+``n..2n-1`` the vertical fields ``d/dp_i``.  Each frame object is one
+array: the metric ``G`` and ``J`` are ``(2n, 2n)`` (``J e_b = J[a, b]
+e_a``), the connection is ``Gamma[a, b, c]`` (``nabla_{e_a} e_b =
+Gamma[a, b, c] e_c``), the brackets are ``C[a, b, c]`` (``[e_a, e_b] =
+C[a, b, c] e_c``) and the curvature is ``K[a, b, c, d]`` (``K(e_a, e_b)
+e_c = K[a, b, c, d] e_d``): the output index is always last.
 """
 
 from .base import (
@@ -25,27 +34,24 @@ from .base import (
     space_form_metric,
 )
 from .connection import (
-    ConnectionCoeffs,
-    ConnectionFiberDerivs,
     connection_coefficients,
     connection_fiber_derivatives,
-    connection_on_frame,
     covariant_field_derivative,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    parallel_j_residual,
     torsion_residual,
 )
 from .curvature import (
-    CurvatureBlocks,
     RicciBlocks,
-    apply_curvature,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
     mixed_ricci_fd,
     nabla_curvature,
     nabla_curvature_probe,
+    odd_slots,
     pair_symmetry_residual,
     ricci_closed_form,
     ricci_from_blocks,
@@ -68,20 +74,15 @@ from .errors import (
     StencilError,
     ZeroSectionError,
 )
-from .fd import FDConfig, fd_gradient, fd_partial, fd_second, frame_derivative, frame_gradient
+from .fd import FDConfig, fd_gradient, fd_partial, frame_gradient
 from .mtensor import (
-    AdaptedVector,
-    BlockBilinear,
-    BlockOperator,
     CotangentPoint,
     FiberJets,
-    MTensor,
     assemble_metric,
-    bundle_metric_fields,
+    chart_frame,
     energy_density,
     fiber_jets,
-    frame_bracket,
-    horizontal_corrections,
+    frame_brackets,
     horizontal_metric,
     vertical_metric,
 )
@@ -91,11 +92,9 @@ from .profiles import (
     einstein_profile,
     profile_from_name,
     rational_profile,
-    v_einstein,
     zero_profile,
 )
 from .structure import (
-    NijenhuisBlocks,
     assemble_complex_structure,
     canonical_coordinate_form,
     complex_structure_squared_residual,

@@ -1,80 +1,57 @@
 """Levi-Civita connection of the bundle metric in the adapted frame.
 
-Coefficients are stored in math layout: ``vv[i, j, h]`` is the vertical
-output of a vertical/vertical pair, ``vh[h, i, j]`` the horizontal output
-of vertical direction ``i`` on horizontal argument ``j``, and ``hh[h, i, j]``
-the vertical correction of a horizontal/horizontal pair on top of the base
-Christoffel row.  Two independent routes produce the same coefficients: the
-general fiber-jet formulas here, and a finite-difference Koszul evaluation
-that never sees them.
+The connection is one array ``Gamma[a, b, c]``, the ``c``-th component of
+``nabla_{e_a} e_b`` over the frame ``0..2n-1`` (horizontal first).  Besides
+the base Christoffel symbols it has three fiber blocks, written in math
+layout by the formulas here: ``vv[i, j, h] = Gamma[n+i, n+j, n+h]``, the
+vertical output of a vertical pair; ``vh[h, i, j] = Gamma[n+i, j, h] =
+Gamma[j, n+i, h]``, the horizontal output of a mixed pair; and ``hh[h, i, j]
+= Gamma[i, j, n+h]``, the vertical correction of a horizontal pair.  Two
+independent routes produce the same coefficients: the general fiber-jet
+formulas here, and a finite-difference Koszul evaluation that never sees
+them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ModelParams
 from .errors import GeometryError
 from .fd import FDConfig, frame_gradient
-from .mtensor import (
-    AdaptedVector,
-    CotangentPoint,
-    FiberJets,
-    assemble_metric,
-    fiber_jets,
-    frame_bracket,
-)
+from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
+from .structure import assemble_complex_structure
 
 __all__ = [
-    "ConnectionCoeffs",
-    "ConnectionFiberDerivs",
     "connection_coefficients",
     "kahler_connection_coefficients",
     "connection_fiber_derivatives",
-    "connection_on_frame",
     "covariant_field_derivative",
     "koszul_nabla",
     "torsion_residual",
     "metric_compatibility_residual",
+    "parallel_j_residual",
     "frame_metric_field",
-    "frame_index",
 ]
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Frame coefficients of the Levi-Civita connection.
-
-    ``vv[i, j, h]``: coefficient of the h-th vertical frame vector in the
-    derivative of vertical ``j`` along vertical ``i`` (symmetric in ``i, j``).
-    ``vh[h, i, j]``: horizontal output of vertical direction ``i`` acting on
-    horizontal ``j``; the same array governs the horizontal output of
-    horizontal ``j`` acting on vertical ``i``.
-    ``hh[h, i, j]``: vertical output of horizontal ``i`` on horizontal ``j``.
-    ``gamma``: base Christoffel symbols, the purely horizontal output.
-    """
-
-    vv: np.ndarray
-    vh: np.ndarray
-    hh: np.ndarray
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConnectionFiberDerivs:
-    """Fiber derivatives ``d/dp_m`` of the connection coefficients, leading
-    axis ``m``; layouts follow the parent arrays."""
-
-    dvv: np.ndarray
-    dvh: np.ndarray
-    dhh: np.ndarray
+def _assemble(gamma: np.ndarray, vv: np.ndarray, vh: np.ndarray, hh: np.ndarray) -> np.ndarray:
+    """``Gamma[..., a, b, c]`` from the base Christoffel symbols and the three
+    fiber blocks; leading axes are carried through."""
+    n = vv.shape[-1]
+    out = np.zeros(vv.shape[:-3] + (2 * n, 2 * n, 2 * n))
+    out[..., :n, :n, :n] = np.einsum("...hij->...ijh", gamma)
+    out[..., :n, :n, n:] = np.einsum("...hij->...ijh", hh)
+    out[..., :n, n:, :n] = np.einsum("...hji->...ijh", vh)
+    out[..., :n, n:, n:] = -np.einsum("...jih->...ijh", gamma)
+    out[..., n:, :n, :n] = np.einsum("...hij->...ijh", vh)
+    out[..., n:, n:, n:] = vv
+    return out
 
 
 def connection_coefficients(
     pt: CotangentPoint, params: ModelParams, jets: FiberJets
-) -> ConnectionCoeffs:
+) -> np.ndarray:
     """General-profile coefficients from the metric fiber jets.
 
     These are the Koszul formula specialized to the adapted frame, with the
@@ -92,12 +69,12 @@ def connection_coefficients(
 
     hh = -0.5 * np.einsum("hk,kij->hij", gh, dgh) + 0.5 * pr
 
-    return ConnectionCoeffs(vv=vv, vh=vh, hh=hh, gamma=pt.gamma)
+    return _assemble(pt.gamma, vv, vh, hh)
 
 
 def kahler_connection_coefficients(
     pt: CotangentPoint, params: ModelParams, profile
-) -> ConnectionCoeffs:
+) -> np.ndarray:
     """Closed-form coefficients at the integrable coupling ``a = sqrt(2c)``.
 
     Written directly in terms of ``(c, t, v, v')``; independent of the
@@ -128,16 +105,18 @@ def kahler_connection_coefficients(
         - ((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0) * np.einsum("h,i,j->hij", p, p, p)
     )
 
-    return ConnectionCoeffs(vv=vv, vh=vh, hh=hh, gamma=pt.gamma)
+    return _assemble(pt.gamma, vv, vh, hh)
 
 
 def connection_fiber_derivatives(
     pt: CotangentPoint, params: ModelParams, jets: FiberJets
-) -> ConnectionFiberDerivs:
-    """Fiber 1-jet of the coefficients, used by the curvature assembly.
+) -> np.ndarray:
+    """Fiber 1-jet ``dGamma[m, a, b, c] = d Gamma[a, b, c] / dp_m``, used by
+    the curvature assembly.
 
     Differentiates the general formulas termwise; the only genuinely new
-    ingredient is ``d(p . R)/dp_m``, which returns the bare curvature.
+    ingredient is ``d(p . R)/dp_m``, which returns the bare curvature.  The
+    base Christoffel block does not depend on ``p``.
     """
     gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
     ddgh, ddgv = jets.ddgh, jets.ddgv
@@ -161,174 +140,98 @@ def connection_fiber_derivatives(
         + 0.5 * riem
     )
 
-    return ConnectionFiberDerivs(dvv=dvv, dvh=dvh, dhh=dhh)
+    return _assemble(np.zeros_like(dhh), dvv, dvh, dhh)
 
 
-# ---- applying the connection ----
-
-
-def connection_on_frame(
-    conn: ConnectionCoeffs, kind_a: str, i: int, kind_b: str, j: int
-) -> AdaptedVector:
-    """``nabla_{e_a} e_b`` for adapted frame fields."""
-    n = conn.gamma.shape[0]
-    if kind_a == "h" and kind_b == "h":
-        return AdaptedVector(h=conn.gamma[:, i, j].copy(), v=conn.hh[:, i, j].copy())
-    if kind_a == "h" and kind_b == "v":
-        return AdaptedVector(h=conn.vh[:, j, i].copy(), v=-conn.gamma[j, i, :].copy())
-    if kind_a == "v" and kind_b == "h":
-        return AdaptedVector(h=conn.vh[:, i, j].copy(), v=np.zeros(n))
-    return AdaptedVector(h=np.zeros(n), v=conn.vv[i, j, :].copy())
-
-
-def frame_index(kind: str, i: int, n: int) -> int:
-    """Position of frame vector ``(kind, i)`` in flattened ``(2n,)`` storage."""
-    return i if kind == "h" else n + i
+# ---- covariant derivatives of fields ----
 
 
 def covariant_field_derivative(
-    pt: CotangentPoint,
-    conn: ConnectionCoeffs,
-    kind_a: str,
-    i: int,
-    field,
-    cfg: FDConfig,
+    pt: CotangentPoint, conn: np.ndarray, field, cfg: FDConfig
 ) -> np.ndarray:
-    """``nabla_{e_a}`` of a vector field given by frame components.
+    """``nabla_{e_a}`` of a field of frame vectors, along every direction.
 
-    ``field(q, p)`` returns a ``(2n,)`` array of frame components
-    ``[horizontal..., vertical...]``; the derivative of the components is
-    taken by finite differences and the frame's own rotation enters through
-    the coefficient arrays.
+    ``field(q, p)`` returns an array whose axis 0 holds frame components;
+    further axes label independent vector fields.  The result is ``out[a,
+    c, ...]``, the ``c``-th component of ``nabla_{e_a} V``: one frame
+    gradient differentiates the components, and the frame's own rotation
+    enters through ``conn``.
     """
-    n = pt.n
     grad = frame_gradient(field, pt.q, pt.p, pt.gamma, cfg)
-    deriv = grad[frame_index(kind_a, i, n)]
-    val = field(pt.q, pt.p)
-    vh_, vv_ = val[:n], val[n:]
+    grad += np.einsum("abc,b...->ac...", conn, field(pt.q, pt.p))
+    return grad
 
-    if kind_a == "h":
-        corr_h = np.einsum("kj,j->k", conn.gamma[:, i, :], vh_) + np.einsum(
-            "kj,j->k", conn.vh[:, :, i], vv_
-        )
-        corr_v = np.einsum("kj,j->k", conn.hh[:, i, :], vh_) - np.einsum(
-            "jk,j->k", conn.gamma[:, i, :], vv_
-        )
-    else:
-        corr_h = np.einsum("kj,j->k", conn.vh[:, i, :], vh_)
-        corr_v = np.einsum("jk,j->k", conn.vv[i, :, :], vv_)
 
-    out = deriv.copy()
-    out[:n] += corr_h
-    out[n:] += corr_v
-    return out
+def parallel_j_residual(
+    params: ModelParams, profile, pt: CotangentPoint, conn: np.ndarray, cfg: FDConfig
+) -> float:
+    """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, from
+    one frame gradient of the ``J`` field."""
+
+    def j_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        point = CotangentPoint.at(q, p, params)
+        return assemble_complex_structure(fiber_jets(point, params, profile))
+
+    nabla_j = covariant_field_derivative(pt, conn, j_field, cfg)
+    expected = np.einsum("cd,abd->acb", j_field(pt.q, pt.p), conn)
+    return float(np.max(np.abs(nabla_j - expected)))
 
 
 # ---- independent Koszul route ----
 
 
 def frame_metric_field(params: ModelParams, profile):
-    """Closure ``(q, p) -> (2n, 2n)`` block metric in the adapted frame."""
+    """Closure ``(q, p) -> G``, the ``(2n, 2n)`` metric in the adapted frame."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(point, params, profile)
-        n = point.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = jets.gh
-        out[n:, n:] = jets.gv
-        return out
+        return assemble_metric(fiber_jets(point, params, profile))
 
     return field
 
 
 def koszul_nabla(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    kind_a: str,
-    i: int,
-    kind_b: str,
-    j: int,
-    cfg: FDConfig,
-    metric_grad: np.ndarray | None = None,
-) -> AdaptedVector:
-    """``nabla_{e_a} e_b`` from the Koszul formula with finite differences.
+    params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig
+) -> np.ndarray:
+    """``Gamma[a, b, c]`` from the Koszul formula with finite differences.
 
     ``2 G(nabla_a b, c) = a<b,c> + b<a,c> - c<a,b> + <[a,b],c> - <[a,c],b>
-    - <[b,c],a>``; derivative terms come from a frame gradient of the block
-    metric, bracket terms from the closed-form frame brackets.  Pass
-    ``metric_grad`` to reuse one frame gradient across many frame pairs.
+    - <[b,c],a>``; derivative terms come from one frame gradient of the
+    metric, bracket terms from the closed-form structure constants.
     """
     n = pt.n
-    if metric_grad is None:
-        metric_grad = frame_gradient(frame_metric_field(params, profile), pt.q, pt.p, pt.gamma, cfg)
+    metric_grad = frame_gradient(frame_metric_field(params, profile), pt.q, pt.p, pt.gamma, cfg)
     jets = fiber_jets(pt, params, profile)
-    metric = assemble_metric(jets)
-
-    fa, fb = frame_index(kind_a, i, n), frame_index(kind_b, j, n)
-    frames = [("h", k) for k in range(n)] + [("v", k) for k in range(n)]
-
-    def pair_with(vec: AdaptedVector, kind_c: str, k: int) -> float:
-        basis = AdaptedVector.basis(n, kind_c, k)
-        return metric.pair(vec, basis)
-
-    br_ab = frame_bracket(pt, kind_a, i, kind_b, j)
-    rhs = np.zeros(2 * n)
-    for fc, (kind_c, k) in enumerate(frames):
-        br_ac = frame_bracket(pt, kind_a, i, kind_c, k)
-        br_bc = frame_bracket(pt, kind_b, j, kind_c, k)
-        rhs[fc] = (
-            metric_grad[fa][fb, fc]
-            + metric_grad[fb][fa, fc]
-            - metric_grad[fc][fa, fb]
-            + pair_with(br_ab, kind_c, k)
-            - pair_with(br_ac, kind_b, j)
-            - pair_with(br_bc, kind_a, i)
-        )
-    rhs *= 0.5
-    return AdaptedVector(h=jets.gv @ rhs[:n], v=jets.gh @ rhs[n:])
+    lowered = frame_brackets(pt) @ assemble_metric(jets)
+    rhs = (
+        metric_grad
+        + np.einsum("bac->abc", metric_grad)
+        - np.einsum("cab->abc", metric_grad)
+        + lowered
+        - np.einsum("acb->abc", lowered)
+        - np.einsum("bca->abc", lowered)
+    )
+    zero = np.zeros((n, n))
+    inverse = np.block([[jets.gv, zero], [zero, jets.gh]])
+    return 0.5 * rhs @ inverse
 
 
 # ---- residuals ----
 
 
-def torsion_residual(pt: CotangentPoint, conn: ConnectionCoeffs) -> float:
+def torsion_residual(pt: CotangentPoint, conn: np.ndarray) -> float:
     """``max |nabla_a b - nabla_b a - [a, b]|`` over all frame pairs."""
-    n = pt.n
-    worst = 0.0
-    frames = [("h", k) for k in range(n)] + [("v", k) for k in range(n)]
-    for kind_a, i in frames:
-        for kind_b, j in frames:
-            tors = (
-                connection_on_frame(conn, kind_a, i, kind_b, j)
-                - connection_on_frame(conn, kind_b, j, kind_a, i)
-                - frame_bracket(pt, kind_a, i, kind_b, j)
-            )
-            worst = max(worst, float(np.max(np.abs(tors.h))), float(np.max(np.abs(tors.v))))
-    return worst
+    return float(np.max(np.abs(conn - np.swapaxes(conn, 0, 1) - frame_brackets(pt))))
 
 
 def metric_compatibility_residual(
     params: ModelParams,
     profile,
     pt: CotangentPoint,
-    conn: ConnectionCoeffs,
+    conn: np.ndarray,
     cfg: FDConfig,
 ) -> float:
     """``max |e_a<b,c> - <nabla_a b, c> - <b, nabla_a c>|`` over frame triples."""
-    n = pt.n
     metric_grad = frame_gradient(frame_metric_field(params, profile), pt.q, pt.p, pt.gamma, cfg)
-    metric = assemble_metric(fiber_jets(pt, params, profile))
-    frames = [("h", k) for k in range(n)] + [("v", k) for k in range(n)]
-    worst = 0.0
-    for fa, (kind_a, i) in enumerate(frames):
-        for fb, (kind_b, j) in enumerate(frames):
-            eb = AdaptedVector.basis(n, kind_b, j)
-            nab = connection_on_frame(conn, kind_a, i, kind_b, j)
-            for fc, (kind_c, k) in enumerate(frames):
-                ec = AdaptedVector.basis(n, kind_c, k)
-                nac = connection_on_frame(conn, kind_a, i, kind_c, k)
-                resid = metric_grad[fa][fb, fc] - metric.pair(nab, ec) - metric.pair(eb, nac)
-                worst = max(worst, abs(resid))
-    return worst
+    lowered = conn @ assemble_metric(fiber_jets(pt, params, profile))
+    return float(np.max(np.abs(metric_grad - lowered - np.swapaxes(lowered, 1, 2))))

@@ -1,12 +1,16 @@
-"""Curvature tensor of the bundle metric: frame blocks, Ricci, probes.
+"""Curvature tensor of the bundle metric: assembly, Ricci, probes.
 
-Six arrays determine the full (1,3) curvature in the adapted frame; the
-missing kind combinations follow from antisymmetry in the first two slots,
-and the complementary output parts of each displayed block vanish (a fact
-the finite-difference oracle checks rather than assumes).  Index order is
-``[output, in1, in2, in3]`` throughout.
+The curvature is one ``(2n)^4`` array ``K[a, b, c, d]``, the ``d``-th
+component of ``K(e_a, e_b) e_c`` over the frame ``0..2n-1`` (horizontal
+first).  It is assembled from six closed-form blocks, written in math
+layout ``[output, in1, in2, in3]`` and named by their input kinds: ``hhh``,
+``vvh`` and ``vhv`` have horizontal outputs, ``hhv``, ``vvv`` and ``vhh``
+vertical ones, and antisymmetry in the first two slots supplies the
+horizontal/vertical inputs.  Every entry with an odd number of vertical
+slots vanishes (a fact the finite-difference oracle checks rather than
+assumes).
 
-The Ricci tensor is produced twice: by tracing the blocks, and from closed
+The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.
 """
@@ -18,30 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelParams
-from .errors import GeometryError
-from .fd import FDConfig
-from .mtensor import (
-    AdaptedVector,
-    BlockBilinear,
-    BlockOperator,
-    CotangentPoint,
-    FiberJets,
-    fiber_jets,
-    frame_bracket,
-)
 from .connection import (
-    ConnectionCoeffs,
     connection_coefficients,
     connection_fiber_derivatives,
-    connection_on_frame,
     covariant_field_derivative,
 )
+from .errors import GeometryError
+from .fd import FDConfig
+from .mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
 
 __all__ = [
-    "CurvatureBlocks",
     "RicciBlocks",
+    "odd_slots",
     "curvature_blocks",
-    "apply_curvature",
     "ricci_from_blocks",
     "ricci_closed_form",
     "ricci_trace_coefficient",
@@ -56,31 +49,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CurvatureBlocks:
-    """Frame blocks of ``K(X, Y)Z``; field names give the input kinds.
-
-    Output kinds alternate: ``hhh`` and ``vvh`` produce horizontal vectors,
-    ``hhv`` and ``vvv`` vertical ones, ``vhh`` vertical, ``vhv`` horizontal.
-    """
-
-    hhh: np.ndarray
-    hhv: np.ndarray
-    vvh: np.ndarray
-    vvv: np.ndarray
-    vhh: np.ndarray
-    vhv: np.ndarray
-
-    OUTPUT_KIND = {
-        "hhh": "h",
-        "hhv": "v",
-        "vvh": "h",
-        "vvv": "v",
-        "vhh": "v",
-        "vhv": "h",
-    }
-
-
-@dataclass(frozen=True)
 class RicciBlocks:
     """Ricci tensor blocks on (horizontal, horizontal) and (vertical,
     vertical) frame pairs; the mixed blocks vanish."""
@@ -89,20 +57,30 @@ class RicciBlocks:
     vv: np.ndarray
 
 
-def curvature_blocks(
-    pt: CotangentPoint, params: ModelParams, jets: FiberJets
-) -> CurvatureBlocks:
-    """Assemble all six blocks from the connection and its fiber 1-jet.
+def odd_slots(n: int) -> np.ndarray:
+    """Mask of the ``(2n)^4`` curvature entries with an odd number of
+    vertical slots, which vanish for the block-diagonal metric."""
+    vertical = (np.arange(2 * n) >= n).astype(int)
+    return sum(np.ix_(vertical, vertical, vertical, vertical)) % 2 == 1
+
+
+def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """Assemble ``K[a, b, c, d]`` from the connection and its fiber 1-jet.
 
     Horizontal derivatives of the coefficient arrays never appear: every
     coefficient is an M-tensor, so its horizontal frame derivative is
     Christoffel bookkeeping that cancels inside the commutators, leaving
     base curvature terms and fiber derivatives only.
     """
+    n = pt.n
     conn = connection_coefficients(pt, params, jets)
     der = connection_fiber_derivatives(pt, params, jets)
-    vv, vh, hh = conn.vv, conn.vh, conn.hh
-    dvv, dvh, dhh = der.dvv, der.dvh, der.dhh
+    vv = conn[n:, n:, n:]
+    vh = np.einsum("ijh->hij", conn[n:, :n, :n])
+    hh = np.einsum("ijh->hij", conn[:n, :n, n:])
+    dvv = der[:, n:, n:, n:]
+    dvh = np.einsum("mijh->mhij", der[:, n:, :n, :n])
+    dhh = np.einsum("mijh->mhij", der[:, :n, :n, n:])
     riem, pr = pt.riemann, pt.p_riemann
 
     hhh = (
@@ -139,42 +117,27 @@ def curvature_blocks(
         + np.einsum("hil,lkj->hijk", vh, vh)
         - np.einsum("hlj,ikl->hijk", vh, vv)
     )
-    return CurvatureBlocks(hhh=hhh, hhv=hhv, vvh=vvh, vvv=vvv, vhh=vhh, vhv=vhv)
-
-
-def apply_curvature(
-    blocks: CurvatureBlocks, x: AdaptedVector, y: AdaptedVector, z: AdaptedVector
-) -> AdaptedVector:
-    """``K(X, Y)Z`` for arbitrary adapted vectors.
-
-    The two kind combinations without a stored block come from antisymmetry
-    in the first pair of arguments.
-    """
-    n = x.h.shape[0]
-    out_h = np.zeros(n)
-    out_v = np.zeros(n)
-
-    out_h += np.einsum("hijk,i,j,k->h", blocks.hhh, x.h, y.h, z.h)
-    out_v += np.einsum("hijk,i,j,k->h", blocks.hhv, x.h, y.h, z.v)
-    out_h += np.einsum("hijk,i,j,k->h", blocks.vvh, x.v, y.v, z.h)
-    out_v += np.einsum("hijk,i,j,k->h", blocks.vvv, x.v, y.v, z.v)
-    out_v += np.einsum("hijk,i,j,k->h", blocks.vhh, x.v, y.h, z.h)
-    out_v -= np.einsum("hijk,i,j,k->h", blocks.vhh, y.v, x.h, z.h)
-    out_h += np.einsum("hijk,i,j,k->h", blocks.vhv, x.v, y.h, z.v)
-    out_h -= np.einsum("hijk,i,j,k->h", blocks.vhv, y.v, x.h, z.v)
-    return AdaptedVector(h=out_h, v=out_v)
+    h, v = slice(None, n), slice(n, None)
+    out = np.zeros((2 * n,) * 4)
+    out[h, h, h, h] = np.einsum("hijk->ijkh", hhh)
+    out[h, h, v, v] = np.einsum("hijk->ijkh", hhv)
+    out[v, v, h, h] = np.einsum("hijk->ijkh", vvh)
+    out[v, v, v, v] = np.einsum("hijk->ijkh", vvv)
+    out[v, h, h, v] = np.einsum("hijk->ijkh", vhh)
+    out[h, v, h, v] = -np.einsum("hijk->jikh", vhh)
+    out[v, h, v, h] = np.einsum("hijk->ijkh", vhv)
+    out[h, v, v, h] = -np.einsum("hijk->jikh", vhv)
+    return out
 
 
 # ---- Ricci, two routes ----
 
 
-def ricci_from_blocks(blocks: CurvatureBlocks) -> RicciBlocks:
-    """Trace over the frame: horizontal directions feed the purely
-    horizontal block, vertical ones the mixed blocks, with a sign from
-    antisymmetry on the vertical/vertical trace."""
-    hh = np.einsum("hhjk->jk", blocks.hhh) + np.einsum("hhjk->jk", blocks.vhh)
-    vv = np.einsum("hhjk->jk", blocks.vvv) - np.einsum("hjhk->jk", blocks.vhv)
-    return RicciBlocks(hh=hh, vv=vv)
+def ricci_from_blocks(curvature: np.ndarray) -> RicciBlocks:
+    """``Ric(e_b, e_c) = K[a, b, c, a]``, traced over the whole frame."""
+    n = curvature.shape[0] // 2
+    ricci = np.einsum("abca->bc", curvature)
+    return RicciBlocks(hh=ricci[:n, :n], vv=ricci[n:, n:])
 
 
 def ricci_trace_coefficient(params: ModelParams, profile, t: float) -> float:
@@ -235,206 +198,91 @@ def ricci_closed_form(pt: CotangentPoint, params: ModelParams, profile) -> Ricci
 # ---- pointwise probes ----
 
 
-def pair_symmetry_residual(
-    blocks: CurvatureBlocks, metric: BlockBilinear, vectors
-) -> float:
-    """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over the given vector tuples."""
-    worst = 0.0
-    for x, y, z, w in vectors:
-        lhs = metric.pair(apply_curvature(blocks, x, y, z), w)
-        rhs = metric.pair(apply_curvature(blocks, z, w, x), y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors) -> float:
+    """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over ``vectors[m] = (X, Y, Z, W)``,
+    an array of shape ``(m, 4, 2n)``."""
+    lowered = curvature @ metric
+    x, y, z, w = np.moveaxis(np.asarray(vectors, dtype=float), 1, 0)
+    lhs = np.einsum("abcd,ma,mb,mc,md->m", lowered, x, y, z, w)
+    rhs = np.einsum("abcd,ma,mb,mc,md->m", lowered, z, w, x, y)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def holomorphic_sectional_curvature(
-    blocks: CurvatureBlocks,
-    metric: BlockBilinear,
-    j_op: BlockOperator,
-    x: AdaptedVector,
+    curvature: np.ndarray, metric: np.ndarray, j_op: np.ndarray, x: np.ndarray
 ) -> float:
     """``G(K(X, JX)JX, X) / G(X, X)^2``, invariant under rescaling of X."""
-    jx = j_op.apply(x)
-    norm_sq = metric.pair(x, x)
+    jx = j_op @ x
+    norm_sq = float(x @ metric @ x)
     if norm_sq <= 0.0:
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
-    return metric.pair(apply_curvature(blocks, x, jx, jx), x) / norm_sq**2
+    return float(x @ (curvature @ (metric @ x) @ jx @ jx)) / norm_sq**2
 
 
 # ---- finite-difference oracles ----
 
 
-def _nabla_frame_field(params: ModelParams, profile, kind_b: str, j: int, kind_c: str, k: int):
-    """Field ``z -> nabla_{e_b} e_c`` in flattened frame components."""
+def _vector_field(build, params: ModelParams, profile):
+    """Field ``(q, p) -> build(point, params, jets)`` with the output index
+    (last) moved to the front, as ``covariant_field_derivative`` expects."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        ptz = CotangentPoint.at(q, p, params)
-        connz = connection_coefficients(ptz, params, fiber_jets(ptz, params, profile))
-        vec = connection_on_frame(connz, kind_b, j, kind_c, k)
-        return np.concatenate([vec.h, vec.v])
+        point = CotangentPoint.at(q, p, params)
+        return np.moveaxis(build(point, params, fiber_jets(point, params, profile)), -1, 0)
 
     return field
 
 
-def curvature_fd(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    a: tuple[str, int],
-    b: tuple[str, int],
-    c: tuple[str, int],
-    cfg: FDConfig,
-) -> AdaptedVector:
-    """``K(e_a, e_b)e_c`` from the definition, differencing the connection.
-
-    Every covariant derivative here is finite-difference plus coefficient
-    corrections; the curvature block formulas are never consulted.
-    """
-    n = pt.n
-    conn0 = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-
-    term_ab = covariant_field_derivative(
-        pt, conn0, a[0], a[1], _nabla_frame_field(params, profile, *b, *c), cfg
-    )
-    term_ba = covariant_field_derivative(
-        pt, conn0, b[0], b[1], _nabla_frame_field(params, profile, *a, *c), cfg
-    )
-    bracket = frame_bracket(pt, a[0], a[1], b[0], b[1])
-    corr = AdaptedVector.zero(n)
-    for l in range(n):
-        if bracket.v[l] != 0.0:
-            corr = corr + bracket.v[l] * connection_on_frame(conn0, "v", l, c[0], c[1])
-    diff = term_ab - term_ba
-    return AdaptedVector(h=diff[:n] - corr.h, v=diff[n:] - corr.v)
+def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+    """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
+    nabla_[a,b] e_c`` from the definition, by one frame gradient of the
+    connection field; the curvature block formulas are never consulted."""
+    conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
+    field = _vector_field(connection_coefficients, params, profile)
+    second = np.moveaxis(covariant_field_derivative(pt, conn, field, cfg), 1, -1)
+    bracket_term = np.einsum("abf,fcd->abcd", frame_brackets(pt), conn)
+    return second - np.swapaxes(second, 0, 1) - bracket_term
 
 
-def mixed_ricci_fd(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    j: int,
-    k: int,
-    cfg: FDConfig,
-) -> float:
-    """Mixed Ricci entry ``Ric(delta_j, vertical_k)`` by tracing the
+def mixed_ricci_fd(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+    """Mixed Ricci block ``Ric(delta_j, d/dp_k)`` by tracing the
     finite-difference curvature; vanishes for the block-diagonal metric."""
     n = pt.n
-    total = 0.0
-    for h in range(n):
-        total += curvature_fd(params, profile, pt, ("h", h), ("h", j), ("v", k), cfg).h[h]
-        total += curvature_fd(params, profile, pt, ("v", h), ("h", j), ("v", k), cfg).v[h]
-    return total
+    return np.einsum("abca->bc", curvature_fd(params, profile, pt, cfg))[:n, n:]
 
 
 # ---- covariant derivative of the curvature ----
 
 
-def _curvature_value_field(
-    params: ModelParams, profile, x: AdaptedVector, y: AdaptedVector, z: AdaptedVector
-):
-    """Field ``z -> K(X, Y)Z`` for constant frame components X, Y, Z."""
+def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+    """``(nabla_{e_w} K)[w, a, b, c, d]`` by the Leibniz rule.
 
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        ptz = CotangentPoint.at(q, p, params)
-        blocksz = curvature_blocks(ptz, params, fiber_jets(ptz, params, profile))
-        vec = apply_curvature(blocksz, x, y, z)
-        return np.concatenate([vec.h, vec.v])
-
-    return field
-
-
-def nabla_curvature(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    w: tuple[str, int],
-    x: AdaptedVector,
-    y: AdaptedVector,
-    z: AdaptedVector,
-    cfg: FDConfig,
-) -> AdaptedVector:
-    """``(nabla_W K)(X, Y)Z`` by the Leibniz rule along frame direction W.
-
-    The value term differentiates the block assembly as a field; the three
-    correction terms evaluate the blocks once at the center point.
+    The value term is one frame gradient of the assembled ``K`` field; the
+    three correction terms use ``K`` and the connection at the center point.
     """
-    n = pt.n
     jets = fiber_jets(pt, params, profile)
     conn = connection_coefficients(pt, params, jets)
-    blocks = curvature_blocks(pt, params, jets)
-
-    value = covariant_field_derivative(
-        pt, conn, w[0], w[1], _curvature_value_field(params, profile, x, y, z), cfg
-    )
-    out = AdaptedVector(h=value[:n], v=value[n:])
-
-    def nabla_of(vec: AdaptedVector) -> AdaptedVector:
-        acc = AdaptedVector.zero(n)
-        for l in range(n):
-            if vec.h[l] != 0.0:
-                acc = acc + vec.h[l] * connection_on_frame(conn, w[0], w[1], "h", l)
-            if vec.v[l] != 0.0:
-                acc = acc + vec.v[l] * connection_on_frame(conn, w[0], w[1], "v", l)
-        return acc
-
-    out = out - apply_curvature(blocks, nabla_of(x), y, z)
-    out = out - apply_curvature(blocks, x, nabla_of(y), z)
-    out = out - apply_curvature(blocks, x, y, nabla_of(z))
-    return out
+    curv = curvature_blocks(pt, params, jets)
+    field = _vector_field(curvature_blocks, params, profile)
+    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, cfg), 1, -1)
+    nabla -= np.einsum("waf,fbcd->wabcd", conn, curv)
+    nabla -= np.einsum("wbf,afcd->wabcd", conn, curv)
+    nabla -= np.einsum("wcf,abfd->wabcd", conn, curv)
+    return nabla
 
 
-def nabla_curvature_probe(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    cfg: FDConfig,
-    probes=None,
-) -> float:
-    """Largest component of ``(nabla_W K)(X, Y)Z`` over a set of frame probes.
+def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> float:
+    """Largest component of ``nabla K`` at one point.
 
-    A value above a small floor at one point witnesses the failure of local
-    symmetry; the default probe set mixes horizontal and vertical slots.
+    A value above a small floor witnesses the failure of local symmetry.
     """
-    n = pt.n
-    if probes is None:
-        probes = [
-            (("h", 0), ("h", n - 1), ("v", 0), ("h", 0)),
-            (("v", 0), ("h", 0), ("h", n - 1), ("h", n - 1)),
-            (("h", 0), ("h", n - 1), ("h", 0), ("h", n - 1)),
-        ]
-    worst = 0.0
-    for w, xs, ys, zs in probes:
-        out = nabla_curvature(
-            params,
-            profile,
-            pt,
-            w,
-            AdaptedVector.basis(n, *xs),
-            AdaptedVector.basis(n, *ys),
-            AdaptedVector.basis(n, *zs),
-            cfg,
-        )
-        worst = max(worst, float(np.max(np.abs(out.h))), float(np.max(np.abs(out.v))))
-    return worst
+    return float(np.max(np.abs(nabla_curvature(params, profile, pt, cfg))))
 
 
 def second_bianchi_residual(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    w: tuple[str, int],
-    a: tuple[str, int],
-    b: tuple[str, int],
-    z: AdaptedVector,
-    cfg: FDConfig,
+    params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig
 ) -> float:
-    """``max |cyclic_{W,A,B} (nabla_W K)(A, B)Z|`` on frame directions."""
-    n = pt.n
-
-    def as_vec(slot: tuple[str, int]) -> AdaptedVector:
-        return AdaptedVector.basis(n, slot[0], slot[1])
-
-    total = AdaptedVector.zero(n)
-    for d, u, s in ((w, a, b), (a, b, w), (b, w, a)):
-        total = total + nabla_curvature(params, profile, pt, d, as_vec(u), as_vec(s), z, cfg)
-    return float(max(np.max(np.abs(total.h)), np.max(np.abs(total.v))))
+    """``max |cyclic_{W,A,B} (nabla_W K)(A, B)Z|`` over every frame entry."""
+    nabla = nabla_curvature(params, profile, pt, cfg)
+    cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
+    return float(np.max(np.abs(cyclic)))

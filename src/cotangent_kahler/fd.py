@@ -11,8 +11,9 @@ deliberately simple and well characterised:
 * steps scale with the magnitude of the coordinate being displaced.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
-``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``) are built on top of
-plain partial derivatives in the chart coordinates ``(q, p)``.
+``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
+with the horizontal directions first) are built on top of plain partial
+derivatives in the chart coordinates ``(q, p)``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ __all__ = [
     "FDConfig",
     "fd_partial",
     "fd_gradient",
-    "fd_second",
     "richardson_extrapolate",
-    "frame_derivative",
     "frame_gradient",
 ]
 
@@ -119,37 +118,6 @@ def fd_gradient(f, x, cfg: FDConfig | None = None) -> np.ndarray:
     return np.stack([fd_partial(f, x, d, cfg) for d in range(x.size)])
 
 
-def fd_second(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    d1: int,
-    d2: int,
-    cfg: FDConfig | None = None,
-) -> np.ndarray:
-    """Second partial derivative, as a first difference of first differences.
-
-    The inner derivative uses a step one decade larger than usual so that
-    the outer stencil differentiates a smooth function rather than
-    round-off noise.  Used only by slow-path oracles.
-    """
-    cfg = cfg or FDConfig()
-    inner_cfg = FDConfig(
-        base_step=cfg.base_step,
-        richardson_levels=cfg.richardson_levels,
-        relative=cfg.relative,
-    )
-    outer_cfg = FDConfig(
-        base_step=10.0 * cfg.base_step,
-        richardson_levels=cfg.richardson_levels,
-        relative=cfg.relative,
-    )
-
-    def inner(y: np.ndarray):
-        return fd_partial(f, y, d2, inner_cfg)
-
-    return fd_partial(inner, np.asarray(x, dtype=float), d1, outer_cfg)
-
-
 # ---------------------------------------------------------------------------
 # frame derivatives on the cotangent bundle
 # ---------------------------------------------------------------------------
@@ -164,40 +132,6 @@ def _joint(field, n: int):
     return f
 
 
-def frame_derivative(
-    field,
-    q: np.ndarray,
-    p: np.ndarray,
-    kind: str,
-    index: int,
-    gamma: np.ndarray,
-    cfg: FDConfig | None = None,
-) -> np.ndarray:
-    """Derivative of ``field(q, p)`` along one adapted-frame direction.
-
-    ``kind`` is ``"h"`` for the horizontal field ``d/dq^i + p_k Gamma^k_{ih}
-    d/dp_h`` (``gamma`` supplies the base Christoffel symbols at the centre
-    point, indexed ``gamma[k, i, j] = Gamma^k_{ij}``) and ``"v"`` for
-    ``d/dp_i``.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = q.size
-    z = np.concatenate([q, p])
-    f = _joint(field, n)
-    if kind == "v":
-        return fd_partial(f, z, n + index, cfg)
-    if kind != "h":
-        raise ValueError(f"kind must be 'h' or 'v', got {kind!r}")
-    out = fd_partial(f, z, index, cfg)
-    gamma0 = np.einsum("k,kih->ih", p, gamma)
-    for h_idx in range(n):
-        coeff = gamma0[index, h_idx]
-        if coeff != 0.0:
-            out = out + coeff * fd_partial(f, z, n + h_idx, cfg)
-    return out
-
-
 def frame_gradient(
     field,
     q: np.ndarray,
@@ -209,21 +143,14 @@ def frame_gradient(
 
     Axis 0 of the result indexes the frame: entries ``0..n-1`` are the
     horizontal directions, entries ``n..2n-1`` the vertical ones.  The 2n
-    coordinate partials are evaluated once and recombined, which is much
-    cheaper than 2n independent ``frame_derivative`` calls.
+    chart partials are evaluated once (one ``fd_partial`` call each) and
+    recombined with the chart frame: ``delta_i = d/dq^i + p_gamma[i, h]
+    d/dp_h``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = q.size
-    z = np.concatenate([q, p])
-    f = _joint(field, n)
-    partials = [fd_partial(f, z, d, cfg) for d in range(2 * n)]
-    gamma0 = np.einsum("k,kih->ih", p, gamma)
-    rows = []
-    for i in range(n):
-        row = partials[i]
-        for h_idx in range(n):
-            row = row + gamma0[i, h_idx] * partials[n + h_idx]
-        rows.append(row)
-    rows.extend(partials[n:])
-    return np.stack(rows)
+    partials = fd_gradient(_joint(field, n), np.concatenate([q, p]), cfg)
+    p_gamma = np.einsum("k,kih->ih", p, gamma)
+    partials[:n] += np.tensordot(p_gamma, partials[n:], axes=1)
+    return partials

@@ -8,9 +8,12 @@ d/dp`` equals the usual Christoffel corrections -- so all genuinely new
 information sits in the fiber derivatives ``d/dp_k``, which this module
 supplies in closed form through second order.
 
-The bundle metric is block diagonal in the adapted frame: a weighted
-Sasaki-type block ``a sqrt(t) g_ij + v(t) p_i p_j`` on horizontal vectors
-and its matrix inverse on vertical ones.
+The adapted frame is indexed ``0..2n-1``: ``e_i = delta_i = d/dq^i +
+p_k Gamma^k_{ih} d/dp_h`` for ``i < n`` (horizontal), ``e_{n+i} = d/dp_i``
+(vertical).  Every frame object is one array over these indices, with any
+output index last.  The bundle metric ``G`` is block diagonal in this frame:
+a weighted Sasaki-type block ``a sqrt(t) g_ij + v(t) p_i p_j`` on horizontal
+vectors and its matrix inverse on vertical ones.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .base import (
     MetricJet,
     ModelParams,
     base_curvature,
-    christoffel,
     space_form_metric,
 )
 from .errors import GeometryError, PositivityError, ZeroSectionError
@@ -33,18 +35,13 @@ __all__ = [
     "ZERO_SECTION_TOL",
     "energy_density",
     "CotangentPoint",
-    "MTensor",
-    "horizontal_corrections",
-    "AdaptedVector",
-    "BlockBilinear",
-    "BlockOperator",
     "FiberJets",
     "horizontal_metric",
     "vertical_metric",
     "fiber_jets",
     "assemble_metric",
-    "frame_bracket",
-    "bundle_metric_fields",
+    "frame_brackets",
+    "chart_frame",
 ]
 
 ZERO_SECTION_TOL = 1e-12
@@ -126,125 +123,6 @@ class CotangentPoint:
     @classmethod
     def at(cls, q: np.ndarray, p: np.ndarray, params: ModelParams) -> "CotangentPoint":
         return cls.from_jet(q, p, space_form_metric(q, params))
-
-
-# ---- M-tensor calculus ----
-
-
-@dataclass(frozen=True)
-class MTensor:
-    """Components plus index variance, one of ``u``/``d`` per axis."""
-
-    components: np.ndarray
-    variance: str
-
-    def __post_init__(self) -> None:
-        if self.components.ndim != len(self.variance):
-            raise GeometryError(
-                f"variance {self.variance!r} does not match array of "
-                f"rank {self.components.ndim}"
-            )
-        if set(self.variance) - {"u", "d"}:
-            raise GeometryError(f"variance {self.variance!r} must consist of 'u'/'d'")
-
-
-def horizontal_corrections(pt: CotangentPoint, tensor: MTensor) -> np.ndarray:
-    """Predicted horizontal frame derivative of an M-tensor.
-
-    Returns ``out[k, ...] = delta_k T``, which for an M-tensor is pure
-    Christoffel bookkeeping: ``+Gamma^l_{km} T[..l..]`` on each lower slot,
-    ``-Gamma^m_{kl} T[..l..]`` on each upper slot.
-    """
-    comp = tensor.components
-    out = np.zeros((pt.n,) + comp.shape)
-    for axis, var in enumerate(tensor.variance):
-        moved = np.moveaxis(comp, axis, 0)
-        if var == "d":
-            corr = np.einsum("lkm,l...->km...", pt.gamma, moved)
-        else:
-            corr = -np.einsum("mkl,l...->km...", pt.gamma, moved)
-        out += np.moveaxis(corr, 1, axis + 1)
-    return out
-
-
-# ---- adapted-frame containers ----
-
-
-@dataclass(frozen=True)
-class AdaptedVector:
-    """Tangent vector split into horizontal and vertical frame components."""
-
-    h: np.ndarray
-    v: np.ndarray
-
-    def __add__(self, other: "AdaptedVector") -> "AdaptedVector":
-        return AdaptedVector(self.h + other.h, self.v + other.v)
-
-    def __sub__(self, other: "AdaptedVector") -> "AdaptedVector":
-        return AdaptedVector(self.h - other.h, self.v - other.v)
-
-    def __mul__(self, scalar: float) -> "AdaptedVector":
-        return AdaptedVector(self.h * scalar, self.v * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "AdaptedVector":
-        return AdaptedVector(-self.h, -self.v)
-
-    @classmethod
-    def zero(cls, n: int) -> "AdaptedVector":
-        return cls(np.zeros(n), np.zeros(n))
-
-    @classmethod
-    def basis(cls, n: int, kind: str, index: int) -> "AdaptedVector":
-        vec = cls.zero(n)
-        (vec.h if kind == "h" else vec.v)[index] = 1.0
-        return vec
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.h @ self.h + self.v @ self.v))
-
-
-@dataclass(frozen=True)
-class BlockBilinear:
-    """Bilinear form on adapted vectors, stored as four frame blocks."""
-
-    hh: np.ndarray
-    hv: np.ndarray
-    vh: np.ndarray
-    vv: np.ndarray
-
-    def pair(self, x: AdaptedVector, y: AdaptedVector) -> float:
-        return float(
-            x.h @ self.hh @ y.h
-            + x.h @ self.hv @ y.v
-            + x.v @ self.vh @ y.h
-            + x.v @ self.vv @ y.v
-        )
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """Endomorphism of the adapted frame, stored as four blocks."""
-
-    hh: np.ndarray
-    hv: np.ndarray
-    vh: np.ndarray
-    vv: np.ndarray
-
-    def apply(self, x: AdaptedVector) -> AdaptedVector:
-        return AdaptedVector(
-            h=self.hh @ x.h + self.hv @ x.v,
-            v=self.vh @ x.h + self.vv @ x.v,
-        )
-
-    def compose(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
-            hh=self.hh @ other.hh + self.hv @ other.vh,
-            hv=self.hh @ other.hv + self.hv @ other.vv,
-            vh=self.vh @ other.hh + self.vv @ other.vh,
-            vv=self.vh @ other.hv + self.vv @ other.vv,
-        )
 
 
 # ---- bundle metric blocks and their fiber jets ----
@@ -373,37 +251,37 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)
 
 
-def assemble_metric(jets: FiberJets) -> BlockBilinear:
-    """The bundle metric as a block form: horizontal and vertical blocks on
-    the diagonal, no mixing in the adapted frame."""
+def assemble_metric(jets: FiberJets) -> np.ndarray:
+    """The ``(2n, 2n)`` bundle metric ``G``: horizontal and vertical blocks
+    on the diagonal, no mixing in the adapted frame."""
     n = jets.gh.shape[0]
-    zero = np.zeros((n, n))
-    return BlockBilinear(hh=jets.gh, hv=zero, vh=zero, vv=jets.gv)
-
-
-def frame_bracket(pt: CotangentPoint, kind_a: str, i: int, kind_b: str, j: int) -> AdaptedVector:
-    """Lie bracket of two adapted frame fields, which is always vertical:
-    two horizontals give the momentum-contracted curvature, a vertical and a
-    horizontal give a Christoffel row, two verticals commute."""
-    n = pt.n
-    out = AdaptedVector.zero(n)
-    if kind_a == "h" and kind_b == "h":
-        out.v[:] = pt.p_riemann[:, i, j]
-    elif kind_a == "v" and kind_b == "h":
-        out.v[:] = pt.gamma[i, j, :]
-    elif kind_a == "h" and kind_b == "v":
-        out.v[:] = -pt.gamma[j, i, :]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = jets.gh
+    out[n:, n:] = jets.gv
     return out
 
 
-def bundle_metric_fields(params: ModelParams, profile):
-    """Closures ``(q, p) -> block`` for the two metric blocks, handy for
-    finite-difference cross-checks of the analytic jets."""
+def frame_brackets(pt: CotangentPoint) -> np.ndarray:
+    """Structure constants ``C[a, b, c]`` of the adapted frame,
+    ``[e_a, e_b] = C[a, b, c] e_c``.
 
-    def gh_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return horizontal_metric(CotangentPoint.at(q, p, params), params, profile)
+    Every bracket is vertical: two horizontals give the momentum-contracted
+    curvature, a vertical and a horizontal give a Christoffel row, two
+    verticals commute.
+    """
+    n = pt.n
+    out = np.zeros((2 * n, 2 * n, 2 * n))
+    out[:n, :n, n:] = np.einsum("kij->ijk", pt.p_riemann)
+    out[n:, :n, n:] = pt.gamma
+    out[:n, n:, n:] = -np.einsum("jik->ijk", pt.gamma)
+    return out
 
-    def gv_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return vertical_metric(CotangentPoint.at(q, p, params), params, profile)
 
-    return gh_field, gv_field
+def chart_frame(pt: CotangentPoint) -> np.ndarray:
+    """Chart components of the frame, ``E = [[I, 0], [p_gamma^T, I]]``:
+    column ``a`` holds ``e_a`` in the ``(q, p)`` chart.  ``E`` is unipotent,
+    so its inverse is ``2 I - E``."""
+    n = pt.n
+    out = np.eye(2 * n)
+    out[n:, :n] = pt.p_gamma.T
+    return out

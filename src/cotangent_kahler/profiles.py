@@ -31,7 +31,6 @@ __all__ = [
     "zero_profile",
     "rational_profile",
     "einstein_profile",
-    "v_einstein",
     "profile_from_name",
 ]
 
@@ -103,11 +102,6 @@ def einstein_profile(params: ModelParams) -> VProfile:
         return 0.75 * lead * t**-2.5 + ka * ex * (ex - 1.0) * t ** (ex - 2.0)
 
     return VProfile(kind=f"einstein(k_a={ka}, k_b={kb})", v=v, dv=dv, d2v=d2v)
-
-
-def v_einstein(t, params: ModelParams):
-    """``(v, v', v'')`` of the Einstein-family profile at ``t``."""
-    return einstein_profile(params).jet(t)
 
 
 def profile_from_name(name: str, params: ModelParams) -> VProfile:

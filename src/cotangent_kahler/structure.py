@@ -1,11 +1,14 @@
 """Almost-complex structure, fundamental 2-form, and integrability tensor.
 
-The endomorphism sends horizontal to vertical through the horizontal metric
-block and vertical to horizontal through minus the vertical block.  Its
+All frame objects are arrays over the adapted frame ``0..2n-1``
+(horizontal first).  ``J`` is the ``(2n, 2n)`` matrix with ``J e_b = J[a, b]
+e_a``: it sends horizontal to vertical through the horizontal metric block
+and vertical to horizontal through minus the vertical block.  Its
 fundamental 2-form has constant canonical components ``dp_i ^ dq^i`` in the
 chart -- the pair is almost Kahler for every admissible profile -- so the
-only obstruction to Kahler is the integrability tensor.  That tensor is
-controlled by a single core object,
+only obstruction to Kahler is the integrability tensor ``N[a, b, c]``, the
+``c``-th component of ``N(e_a, e_b)``.  That tensor is controlled by a
+single core object,
 
     core^h_{kij} = (a^2/2) (delta^h_i g_jk - delta^h_j g_ik) - R^h_{kij},
 
@@ -15,21 +18,11 @@ the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .base import ModelParams
-from .fd import FDConfig, fd_partial
-from .mtensor import (
-    AdaptedVector,
-    BlockBilinear,
-    BlockOperator,
-    CotangentPoint,
-    FiberJets,
-    assemble_metric,
-    fiber_jets,
-)
+from .fd import FDConfig, fd_gradient
+from .mtensor import CotangentPoint, FiberJets, assemble_metric, chart_frame, fiber_jets
 
 __all__ = [
     "assemble_complex_structure",
@@ -39,52 +32,37 @@ __all__ = [
     "canonical_coordinate_form",
     "coordinate_form",
     "dform_residual",
-    "NijenhuisBlocks",
     "nijenhuis_core",
     "nijenhuis_closed_form",
     "nijenhuis_numeric",
-    "coord_to_frame",
-    "frame_to_coord",
 ]
 
 
 # ---- the endomorphism and its algebra ----
 
 
-def assemble_complex_structure(jets: FiberJets) -> BlockOperator:
-    """Horizontal vectors rotate into vertical ones through the horizontal
-    block; vertical ones rotate back with a sign through the vertical block."""
+def assemble_complex_structure(jets: FiberJets) -> np.ndarray:
+    """``J = [[0, -gv], [gh, 0]]`` in the adapted frame."""
     n = jets.gh.shape[0]
-    zero = np.zeros((n, n))
-    return BlockOperator(hh=zero, hv=-jets.gv, vh=jets.gh, vv=zero)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, n:] = -jets.gv
+    out[n:, :n] = jets.gh
+    return out
 
 
-def _block_matrix(blocks) -> np.ndarray:
-    return np.block([[blocks.hh, blocks.hv], [blocks.vh, blocks.vv]])
+def complex_structure_squared_residual(j_op: np.ndarray) -> float:
+    """``max |J^2 + id|`` over all entries."""
+    return float(np.max(np.abs(j_op @ j_op + np.eye(j_op.shape[0]))))
 
 
-def complex_structure_squared_residual(j_op: BlockOperator) -> float:
-    """``max |J^2 + id|`` over all blocks."""
-    jj = j_op.compose(j_op)
-    n = jj.hh.shape[0]
-    return float(np.max(np.abs(_block_matrix(jj) + np.eye(2 * n))))
-
-
-def hermitian_residual(metric: BlockBilinear, j_op: BlockOperator) -> float:
+def hermitian_residual(metric: np.ndarray, j_op: np.ndarray) -> float:
     """``max |G(JX, JY) - G(X, Y)|`` over frame pairs."""
-    m = _block_matrix(metric)
-    j = _block_matrix(j_op)
-    return float(np.max(np.abs(j.T @ m @ j - m)))
+    return float(np.max(np.abs(j_op.T @ metric @ j_op - metric)))
 
 
-def fundamental_form(metric: BlockBilinear, j_op: BlockOperator) -> BlockBilinear:
-    """``phi(X, Y) = G(X, JY)`` as frame blocks."""
-    return BlockBilinear(
-        hh=metric.hh @ j_op.hh + metric.hv @ j_op.vh,
-        hv=metric.hh @ j_op.hv + metric.hv @ j_op.vv,
-        vh=metric.vh @ j_op.hh + metric.vv @ j_op.vh,
-        vv=metric.vh @ j_op.hv + metric.vv @ j_op.vv,
-    )
+def fundamental_form(metric: np.ndarray, j_op: np.ndarray) -> np.ndarray:
+    """``phi(X, Y) = G(X, JY)`` on the frame."""
+    return metric @ j_op
 
 
 # ---- chart components of the 2-form ----
@@ -98,25 +76,15 @@ def canonical_coordinate_form(n: int) -> np.ndarray:
     return out
 
 
-def coordinate_form(pt: CotangentPoint, form: BlockBilinear) -> np.ndarray:
-    """Push the frame blocks of a bilinear form to chart components.
+def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
+    """Push the frame components of a bilinear form to chart components.
 
-    The chart vector ``d/dq^i`` equals ``delta_i - p_gamma[i, h] d/dp_h``,
-    so off-diagonal blocks pick up momentum-Christoffel corrections.
+    The chart vectors are the columns of ``E^-1 = 2 I - E``, so the chart
+    components are ``E^-T form E^-1``; ``d/dq^i = delta_i - p_gamma[i, h]
+    d/dp_h`` puts momentum-Christoffel corrections into the mixed blocks.
     """
-    n = pt.n
-    pg = pt.p_gamma
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = (
-        form.hh
-        - np.einsum("jl,il->ij", pg, form.hv)
-        - np.einsum("ih,hj->ij", pg, form.vh)
-        + np.einsum("ih,jl,hl->ij", pg, pg, form.vv)
-    )
-    out[:n, n:] = form.hv - pg @ form.vv
-    out[n:, :n] = form.vh - form.vv @ pg.T
-    out[n:, n:] = form.vv
-    return out
+    inverse = 2.0 * np.eye(2 * pt.n) - chart_frame(pt)
+    return inverse.T @ form @ inverse
 
 
 def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> float:
@@ -135,8 +103,7 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConf
         phi = fundamental_form(assemble_metric(jets), assemble_complex_structure(jets))
         return coordinate_form(point, phi)
 
-    z0 = np.concatenate([pt.q, pt.p])
-    grad = np.array([fd_partial(phi_field, z0, a, cfg) for a in range(2 * n)])
+    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p]), cfg)
     dphi = (
         grad
         - np.einsum("bac->abc", grad)
@@ -146,20 +113,6 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConf
 
 
 # ---- integrability tensor ----
-
-
-@dataclass(frozen=True)
-class NijenhuisBlocks:
-    """Integrability tensor on frame pairs; ``hh`` and ``vv`` outputs are
-    vertical, ``hv`` output is horizontal.  Index order is
-    ``[output, first argument, second argument]``."""
-
-    hh: np.ndarray
-    hv: np.ndarray
-    vv: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.hh)), np.max(np.abs(self.hv)), np.max(np.abs(self.vv))))
 
 
 def nijenhuis_core(pt: CotangentPoint, params: ModelParams) -> np.ndarray:
@@ -172,39 +125,32 @@ def nijenhuis_core(pt: CotangentPoint, params: ModelParams) -> np.ndarray:
 
 def nijenhuis_closed_form(
     pt: CotangentPoint, params: ModelParams, jets: FiberJets
-) -> NijenhuisBlocks:
-    """All blocks of the integrability tensor from the momentum-contracted
-    core; mixed arguments route through two copies of the vertical block."""
+) -> np.ndarray:
+    """``N[a, b, c]`` from the momentum-contracted core.
+
+    Two horizontals and two verticals give vertical outputs; mixed
+    arguments give horizontal ones, routed through two copies of the
+    vertical block.
+    """
+    n = pt.n
     core0 = np.einsum("h,hkij->kij", pt.p, nijenhuis_core(pt, params))
     gv = jets.gv
-    return NijenhuisBlocks(
-        hh=core0,
-        hv=np.einsum("kl,jr,lir->kij", gv, gv, core0),
-        vv=np.einsum("ir,jl,klr->kij", gv, gv, core0),
-    )
+    mixed = np.einsum("kl,jr,lir->ijk", gv, gv, core0)
+    out = np.zeros((2 * n, 2 * n, 2 * n))
+    out[:n, :n, n:] = np.einsum("kij->ijk", core0)
+    out[:n, n:, :n] = mixed
+    out[n:, :n, :n] = -np.swapaxes(mixed, 0, 1)
+    out[n:, n:, n:] = np.einsum("ir,jl,klr->ijk", gv, gv, core0)
+    return out
 
 
-# ---- chart/frame conversions and the numeric oracle ----
+# ---- the numeric oracle ----
 
 
-def coord_to_frame(pt: CotangentPoint, z: np.ndarray) -> AdaptedVector:
-    """Split a chart tangent vector into adapted frame components."""
-    n = pt.n
-    u, w = z[:n], z[n:]
-    return AdaptedVector(h=u.copy(), v=w - np.einsum("ih,i->h", pt.p_gamma, u))
-
-
-def frame_to_coord(pt: CotangentPoint, x: AdaptedVector) -> np.ndarray:
-    """Chart components of an adapted-frame vector."""
-    return np.concatenate([x.h, x.v + np.einsum("ih,i->h", pt.p_gamma, x.h)])
-
-
-def _field_bracket(xf, yf, z0: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """Chart Lie bracket ``[X, Y] = (dY) X - (dX) Y`` by finite differences."""
-    dim = z0.shape[0]
-    dx = np.array([fd_partial(xf, z0, a, cfg) for a in range(dim)])
-    dy = np.array([fd_partial(yf, z0, a, cfg) for a in range(dim)])
-    return dy.T @ xf(z0) - dx.T @ yf(z0)
+def _brackets(x, dx, y, dy) -> np.ndarray:
+    """Chart Lie brackets ``[X_a, Y_b] = (dY_b) X_a - (dX_a) Y_b`` of the
+    column fields of ``x`` and ``y``, indexed ``[a, b, chart]``."""
+    return np.einsum("gkb,ga->abk", dy, x) - np.einsum("gka,gb->abk", dx, y)
 
 
 def nijenhuis_numeric(
@@ -212,54 +158,37 @@ def nijenhuis_numeric(
     profile,
     q: np.ndarray,
     p: np.ndarray,
-    kind_a: str,
-    i: int,
-    kind_b: str,
-    j: int,
     cfg: FDConfig,
     point_factory=None,
-) -> AdaptedVector:
-    """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on frame fields,
-    assembled from chart-level brackets with no use of the closed form.
+) -> np.ndarray:
+    """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
+    frame fields, assembled from chart-level brackets with no use of the
+    closed form.
 
-    ``point_factory(q, p)`` overrides the base geometry, letting the same
-    oracle run over bases that are not space forms.
+    The frame fields are the columns of the chart frame ``E`` and their
+    images the columns of ``E J``; one finite-difference gradient of the
+    stacked field ``(E, E J)`` yields every bracket.  ``point_factory(q,
+    p)`` overrides the base geometry, letting the same oracle run over
+    bases that are not space forms.
     """
     n = q.shape[0]
     if point_factory is None:
         point_factory = lambda qq, pp: CotangentPoint.at(qq, pp, params)
 
-    def point(z: np.ndarray) -> CotangentPoint:
-        return point_factory(z[:n], z[n:])
+    def frame_fields(z: np.ndarray) -> np.ndarray:
+        point = point_factory(z[:n], z[n:])
+        frame = chart_frame(point)
+        j_op = assemble_complex_structure(fiber_jets(point, params, profile))
+        return np.stack([frame, frame @ j_op])
 
-    def j_at(z: np.ndarray) -> BlockOperator:
-        return assemble_complex_structure(fiber_jets(point(z), params, profile))
-
-    def frame_field(kind: str, index: int):
-        def field(z: np.ndarray) -> np.ndarray:
-            return frame_to_coord(point(z), AdaptedVector.basis(n, kind, index))
-
-        return field
-
-    def j_frame_field(kind: str, index: int):
-        def field(z: np.ndarray) -> np.ndarray:
-            pz = point(z)
-            return frame_to_coord(pz, j_at(z).apply(AdaptedVector.basis(n, kind, index)))
-
-        return field
-
-    xf, yf = frame_field(kind_a, i), frame_field(kind_b, j)
-    jxf, jyf = j_frame_field(kind_a, i), j_frame_field(kind_b, j)
-
-    z0 = np.concatenate([q, p])
-    pt0 = point(z0)
-    j0 = j_at(z0)
-
-    def as_frame(zvec: np.ndarray) -> AdaptedVector:
-        return coord_to_frame(pt0, zvec)
-
-    term1 = as_frame(_field_bracket(jxf, jyf, z0, cfg))
-    term2 = j0.apply(as_frame(_field_bracket(jxf, yf, z0, cfg)))
-    term3 = j0.apply(as_frame(_field_bracket(xf, jyf, z0, cfg)))
-    term4 = as_frame(_field_bracket(xf, yf, z0, cfg))
-    return term1 - term2 - term3 - term4
+    pt0 = point_factory(q, p)
+    x = chart_frame(pt0)
+    j0 = assemble_complex_structure(fiber_jets(pt0, params, profile))
+    jx = x @ j0
+    dx, djx = np.swapaxes(fd_gradient(frame_fields, np.concatenate([q, p]), cfg), 0, 1)
+    to_frame = 2.0 * np.eye(2 * n) - x
+    return np.einsum(
+        "ck,abk->abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)
+    ) - np.einsum(
+        "ck,abk->abc", j0 @ to_frame, _brackets(jx, djx, x, dx) + _brackets(x, dx, jx, djx)
+    )

@@ -16,21 +16,19 @@ import numpy as np
 from .base import ModelParams, integrable_coupling
 from .connection import (
     connection_coefficients,
-    connection_on_frame,
-    covariant_field_derivative,
-    frame_metric_field,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    parallel_j_residual,
     torsion_residual,
 )
 from .curvature import (
-    apply_curvature,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
     mixed_ricci_fd,
     nabla_curvature_probe,
+    odd_slots,
     pair_symmetry_residual,
     ricci_closed_form,
     ricci_from_blocks,
@@ -45,13 +43,8 @@ from .einstein import (
     gamma_factor,
 )
 from .errors import ConfigError, GeometryError
-from .fd import FDConfig, frame_gradient
-from .mtensor import (
-    AdaptedVector,
-    CotangentPoint,
-    assemble_metric,
-    fiber_jets,
-)
+from .fd import FDConfig
+from .mtensor import CotangentPoint, assemble_metric, fiber_jets
 from .profiles import einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -144,6 +137,11 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
+        if self.samples < 2 and "witnesses" in self.suites:
+            raise ConfigError(
+                "samples must be >= 2 with the witnesses suite: "
+                "holomorphic_curvature_spread compares sections at two or more points"
+            )
         if self.a_metric_offset <= -1.0:
             raise ConfigError("a_metric_offset must keep the coupling positive (> -1)")
 
@@ -271,36 +269,22 @@ def _suite_almost_kahler(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     return res
 
 
-def _nijenhuis_component(blocks, kind_a, i, kind_b, j, n):
-    if kind_a == "h" and kind_b == "h":
-        return AdaptedVector(np.zeros(n), blocks.hh[:, i, j])
-    if kind_a == "h" and kind_b == "v":
-        return AdaptedVector(blocks.hv[:, i, j], np.zeros(n))
-    return AdaptedVector(np.zeros(n), blocks.vv[:, i, j])
-
-
 def _suite_integrability(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
     res = SuiteResult("integrability", params.n, params.c)
-    n = params.n
     closed_max = 0.0
     for q, p in points:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
-        closed_max = max(closed_max, nijenhuis_closed_form(pt, params, jets).max_abs())
+        closed_max = max(closed_max, _max_abs(nijenhuis_closed_form(pt, params, jets)))
     res.checks.append(CheckResult("nijenhuis_vanishes", closed_max, tol.closed_form))
 
     oracle = 0.0
-    triples = [("h", 0, "h", n - 1), ("h", 0, "v", n - 1), ("v", 0, "v", n - 1)]
     for q, p in _fd_points(points, limit=1):
         pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        blocks = nijenhuis_closed_form(pt, params, jets)
-        for kind_a, i, kind_b, j in triples:
-            numeric = nijenhuis_numeric(params, profile, q, p, kind_a, i, kind_b, j, fd_cfg)
-            closed = _nijenhuis_component(blocks, kind_a, i, kind_b, j, n)
-            diff = numeric - closed
-            oracle = max(oracle, _max_abs(diff.h, diff.v))
+        closed = nijenhuis_closed_form(pt, params, fiber_jets(pt, params, profile))
+        numeric = nijenhuis_numeric(params, profile, q, p, fd_cfg)
+        oracle = max(oracle, _max_abs(numeric - closed))
     res.checks.append(CheckResult("nijenhuis_matches_bracket_oracle", oracle, tol.cross_check))
     return res
 
@@ -308,49 +292,28 @@ def _suite_integrability(cfg, params, profile, points, fd_cfg) -> SuiteResult:
 def _suite_connection(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
     res = SuiteResult("connection", params.n, params.c)
-    n = params.n
-    frames = [("h", k) for k in range(n)] + [("v", k) for k in range(n)]
 
     two_path = 0.0
     if params.is_integrable:
         for q, p in points:
             pt = CotangentPoint.at(q, p, params)
-            jets = fiber_jets(pt, params, profile)
-            general = connection_coefficients(pt, params, jets)
+            general = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
             closed = kahler_connection_coefficients(pt, params, profile)
-            two_path = max(
-                two_path,
-                _max_abs(
-                    general.vv - closed.vv,
-                    general.vh - closed.vh,
-                    general.hh - closed.hh,
-                ),
-            )
+            two_path = max(two_path, _max_abs(general - closed))
         res.checks.append(CheckResult("coefficients_two_path", two_path, tol.closed_form))
 
     koszul = torsion = compat = parallel_j = 0.0
     for q, p in _fd_points(points):
         pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        conn = connection_coefficients(pt, params, jets)
-        metric_grad = frame_gradient(
-            frame_metric_field(params, profile), q, p, pt.gamma, fd_cfg
-        )
-        for kind_a, i in frames:
-            for kind_b, j in frames:
-                oracle = koszul_nabla(
-                    params, profile, pt, kind_a, i, kind_b, j, fd_cfg, metric_grad=metric_grad
-                )
-                direct = connection_on_frame(conn, kind_a, i, kind_b, j)
-                diff = oracle - direct
-                koszul = max(koszul, _max_abs(diff.h, diff.v))
+        conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
+        koszul = max(koszul, _max_abs(koszul_nabla(params, profile, pt, fd_cfg) - conn))
         torsion = max(torsion, torsion_residual(pt, conn))
         compat = max(
             compat, metric_compatibility_residual(params, profile, pt, conn, fd_cfg)
         )
         if params.is_integrable:
             parallel_j = max(
-                parallel_j, _parallel_j_residual(params, profile, pt, conn, fd_cfg)
+                parallel_j, parallel_j_residual(params, profile, pt, conn, fd_cfg)
             )
     res.checks.append(CheckResult("koszul_oracle", koszul, tol.cross_check))
     res.checks.append(CheckResult("torsion_free", torsion, tol.closed_form))
@@ -362,106 +325,52 @@ def _suite_connection(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     return res
 
 
-def _parallel_j_residual(params, profile, pt, conn, fd_cfg, directions=None) -> float:
-    """``max |nabla_a (J e_b) - J nabla_a e_b|`` over frame choices."""
-    n = pt.n
-    jets = fiber_jets(pt, params, profile)
-    j0 = assemble_complex_structure(jets)
-    frames = [("h", k) for k in range(n)] + [("v", k) for k in range(n)]
-    if directions is None:
-        directions = frames
-
-    def j_frame_field(kind_b, j):
-        def fieldfn(qq, pp):
-            ptz = CotangentPoint.at(qq, pp, params)
-            jz = assemble_complex_structure(fiber_jets(ptz, params, profile))
-            vec = jz.apply(AdaptedVector.basis(n, kind_b, j))
-            return np.concatenate([vec.h, vec.v])
-
-        return fieldfn
-
-    worst = 0.0
-    for kind_a, i in directions:
-        for kind_b, j in frames:
-            deriv = covariant_field_derivative(
-                pt, conn, kind_a, i, j_frame_field(kind_b, j), fd_cfg
-            )
-            expected = j0.apply(connection_on_frame(conn, kind_a, i, kind_b, j))
-            worst = max(
-                worst,
-                _max_abs(deriv[:n] - expected.h, deriv[n:] - expected.v),
-            )
-    return worst
-
-
-_CURVATURE_PROBES = {
-    "hhh": lambda n: (("h", 0), ("h", n - 1), ("h", 0)),
-    "hhv": lambda n: (("h", 0), ("h", n - 1), ("v", n - 1)),
-    "vvh": lambda n: (("v", 0), ("v", n - 1), ("h", n - 1)),
-    "vvv": lambda n: (("v", 0), ("v", n - 1), ("v", 0)),
-    "vhh": lambda n: (("v", n - 1), ("h", 0), ("h", n - 1)),
-    "vhv": lambda n: (("v", 0), ("h", n - 1), ("v", n - 1)),
-}
-
-
 def _suite_curvature(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
     res = SuiteResult("curvature", params.n, params.c)
     n = params.n
+    h, v = slice(None, n), slice(n, None)
 
     oracle = complement = 0.0
+    odd = odd_slots(n)
     for q, p in _fd_points(points, limit=1):
         pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        blocks = curvature_blocks(pt, params, jets)
-        for name, probe in _CURVATURE_PROBES.items():
-            a, b, c3 = probe(n)
-            fd_val = curvature_fd(params, profile, pt, a, b, c3, fd_cfg)
-            arr = getattr(blocks, name)[:, a[1], b[1], c3[1]]
-            if blocks.OUTPUT_KIND[name] == "h":
-                oracle = max(oracle, _max_abs(fd_val.h - arr))
-                complement = max(complement, _max_abs(fd_val.v))
-            else:
-                oracle = max(oracle, _max_abs(fd_val.v - arr))
-                complement = max(complement, _max_abs(fd_val.h))
+        closed = curvature_blocks(pt, params, fiber_jets(pt, params, profile))
+        diff = curvature_fd(params, profile, pt, fd_cfg) - closed
+        oracle = max(oracle, _max_abs(diff[~odd]))
+        complement = max(complement, _max_abs(diff[odd]))
     res.checks.append(CheckResult("blocks_match_fd_oracle", oracle, tol.fd_oracle))
     res.checks.append(CheckResult("complement_outputs_vanish", complement, tol.fd_oracle))
-    if "vhv" in _CURVATURE_PROBES:
-        res.notes.append(
-            "mixed-argument block with vertical third slot produced a horizontal "
-            f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
-        )
+    res.notes.append(
+        "mixed-argument block with vertical third slot produced a horizontal "
+        f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
+    )
 
     symmetry = relations = two_path = hsc_spread = 0.0
     rng = np.random.default_rng([cfg.seed, 7, n])
     for q, p in points:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
-        blocks = curvature_blocks(pt, params, jets)
+        curv = curvature_blocks(pt, params, jets)
         metric = assemble_metric(jets)
-        vectors = [
-            tuple(
-                AdaptedVector(rng.normal(size=n), rng.normal(size=n)) for _ in range(4)
-            )
-            for _ in range(4)
-        ]
-        symmetry = max(symmetry, pair_symmetry_residual(blocks, metric, vectors))
+        vectors = rng.normal(size=(4, 4, 2 * n))
+        symmetry = max(symmetry, pair_symmetry_residual(curv, metric, vectors))
         if params.is_integrable:
             relations = max(
                 relations,
-                _max_abs(blocks.hhv + np.einsum("kijh->hijk", blocks.hhh)),
-                _max_abs(blocks.vvv + np.einsum("kijh->hijk", blocks.vvh)),
+                _max_abs(curv[h, h, v, v] + np.swapaxes(curv[h, h, h, h], 2, 3)),
+                _max_abs(curv[v, v, v, v] + np.swapaxes(curv[v, v, h, h], 2, 3)),
             )
             ric_closed = ricci_closed_form(pt, params, profile)
-            ric_trace = ricci_from_blocks(blocks)
+            ric_trace = ricci_from_blocks(curv)
             two_path = max(
                 two_path,
                 _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv),
             )
             j_op = assemble_complex_structure(jets)
-            x = AdaptedVector(rng.normal(size=n), rng.normal(size=n))
-            h1 = holomorphic_sectional_curvature(blocks, metric, j_op, x)
-            h2 = holomorphic_sectional_curvature(blocks, metric, j_op, 2.5 * x)
+            x = rng.normal(size=2 * n)
+            h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
+            h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
             hsc_spread = max(hsc_spread, abs(h1 - h2))
     res.checks.append(CheckResult("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
@@ -474,7 +383,7 @@ def _suite_curvature(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     mixed = 0.0
     for q, p in _fd_points(points, limit=1):
         pt = CotangentPoint.at(q, p, params)
-        mixed = max(mixed, abs(mixed_ricci_fd(params, profile, pt, 0, n - 1, fd_cfg)))
+        mixed = max(mixed, _max_abs(mixed_ricci_fd(params, profile, pt, fd_cfg)))
     res.checks.append(CheckResult("mixed_ricci_vanishes", mixed, tol.cross_check))
     return res
 
@@ -550,7 +459,7 @@ def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     for q, p in points:
         pt = CotangentPoint.at(q, p, off_params)
         jets = fiber_jets(pt, off_params, profile)
-        nij = max(nij, nijenhuis_closed_form(pt, off_params, jets).max_abs())
+        nij = max(nij, _max_abs(nijenhuis_closed_form(pt, off_params, jets)))
     res.checks.append(
         CheckResult("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge")
     )
@@ -560,12 +469,7 @@ def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
         pt = CotangentPoint.at(q, p, off_params)
         jets = fiber_jets(pt, off_params, profile)
         conn = connection_coefficients(pt, off_params, jets)
-        parallel = max(
-            parallel,
-            _parallel_j_residual(
-                off_params, profile, pt, conn, fd_cfg, directions=[("h", 0), ("v", n - 1)]
-            ),
-        )
+        parallel = max(parallel, parallel_j_residual(off_params, profile, pt, conn, fd_cfg))
     res.checks.append(
         CheckResult(
             "complex_structure_parallel_detects_coupling",
@@ -603,11 +507,11 @@ def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
     for q, p in points:
         pt = CotangentPoint.at(q, p, witness_params)
         jets = fiber_jets(pt, witness_params, witness_profile)
-        blocks = curvature_blocks(pt, witness_params, jets)
+        curv = curvature_blocks(pt, witness_params, jets)
         metric = assemble_metric(jets)
         j_op = assemble_complex_structure(jets)
-        x = AdaptedVector(rng.normal(size=n), rng.normal(size=n))
-        values.append(holomorphic_sectional_curvature(blocks, metric, j_op, x))
+        x = rng.normal(size=2 * n)
+        values.append(holomorphic_sectional_curvature(curv, metric, j_op, x))
     spread = float(np.max(values) - np.min(values))
     res.checks.append(
         CheckResult(
@@ -670,41 +574,48 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, points, f
 def run_verification(cfg: RunConfig) -> dict:
     """Run the requested suites over every (dim, curvature) pair.
 
-    Returns the full report as a JSON-serializable dict; wall-clock timings
-    live in their own key so reports stay comparable across runs.
+    Points are sampled once per pair and shared by every suite.  Returns the
+    full report as a JSON-serializable dict, suite by suite; wall-clock
+    timings live in their own key so reports stay comparable across runs.
     """
     import time
 
     fd_cfg = FDConfig(base_step=cfg.fd_step)
+    configs_out: list[list[dict]] = [[] for _ in cfg.suites]
+    suite_notes: list[list[str]] = [[] for _ in cfg.suites]
+    seconds = [0.0] * len(cfg.suites)
+    for n in cfg.dims:
+        for c in cfg.curvatures:
+            params = ModelParams(
+                n=n,
+                c=c,
+                a_metric=(1.0 + cfg.a_metric_offset) * integrable_coupling(c),
+                k_a=cfg.k_a,
+                k_b=cfg.k_b,
+            )
+            profile = profile_from_name(cfg.profile, params)
+            points = sample_points(cfg, n, c, params)
+            for index, suite_name in enumerate(cfg.suites):
+                started = time.perf_counter()
+                result = run_suite(suite_name, cfg, params, profile, points, fd_cfg)
+                seconds[index] += time.perf_counter() - started
+                configs_out[index].append(result.as_dict())
+                suite_notes[index].extend(result.notes)
+
     suites_out = []
     notes: list[str] = []
     timings: dict[str, float] = {}
-    for suite_name in cfg.suites:
-        configs_out = []
-        started = time.perf_counter()
-        for n in cfg.dims:
-            for c in cfg.curvatures:
-                params = ModelParams(
-                    n=n,
-                    c=c,
-                    a_metric=(1.0 + cfg.a_metric_offset) * integrable_coupling(c),
-                    k_a=cfg.k_a,
-                    k_b=cfg.k_b,
-                )
-                profile = profile_from_name(cfg.profile, params)
-                points = sample_points(cfg, n, c, params)
-                result = run_suite(suite_name, cfg, params, profile, points, fd_cfg)
-                configs_out.append(result.as_dict())
-                for note in result.notes:
-                    tagged = f"{suite_name}: {note}"
-                    if tagged not in notes:
-                        notes.append(tagged)
-        timings[suite_name] = round(time.perf_counter() - started, 6)
+    for suite_name, configs, raw_notes, spent in zip(cfg.suites, configs_out, suite_notes, seconds):
+        for note in raw_notes:
+            tagged = f"{suite_name}: {note}"
+            if tagged not in notes:
+                notes.append(tagged)
+        timings[suite_name] = round(spent, 6)
         suites_out.append(
             {
                 "name": suite_name,
-                "passed": all(cfg_out["passed"] for cfg_out in configs_out),
-                "configs": configs_out,
+                "passed": all(cfg_out["passed"] for cfg_out in configs),
+                "configs": configs,
             }
         )
 

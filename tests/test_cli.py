@@ -57,6 +57,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    def test_single_sample_needs_no_witnesses(self):
+        """The spread witness compares sections at two or more points."""
+        with pytest.raises(ConfigError, match="holomorphic_curvature_spread"):
+            RunConfig(samples=1, suites=("almost_kahler", "witnesses"))
+        assert RunConfig(samples=1, suites=("almost_kahler",)).samples == 1
+
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             Tolerances(cross_check=0.0)
@@ -214,6 +220,14 @@ class TestMain:
     def test_bad_config_exits_two(self, capsys):
         assert main(["--dims", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_single_sample_with_default_suites_exits_two(self, capsys):
+        assert main(["--samples", "1"]) == 2
+        assert "holomorphic_curvature_spread" in capsys.readouterr().err
+
+    def test_single_sample_without_witnesses_exits_zero(self, capsys):
+        assert main(["--samples", "1", "--suites", "almost_kahler"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
     def test_empty_suites_exits_two(self, capsys):
         assert main(["--suites", ""]) == 2

@@ -6,28 +6,23 @@ import numpy.testing as npt
 import pytest
 
 from cotangent_kahler import (
-    AdaptedVector,
     CotangentPoint,
-    FDConfig,
     GeometryError,
     ModelParams,
-    assemble_complex_structure,
     connection_coefficients,
     connection_fiber_derivatives,
-    connection_on_frame,
     covariant_field_derivative,
     fd_partial,
     fiber_jets,
-    frame_bracket,
+    frame_brackets,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    parallel_j_residual,
     rational_profile,
     torsion_residual,
     zero_profile,
 )
-from cotangent_kahler.connection import frame_metric_field
-from cotangent_kahler.fd import frame_gradient
 from cotangent_kahler.profiles import einstein_profile
 
 # ---------------------------------------------------------------------------
@@ -49,9 +44,10 @@ class TestCoefficientRoutes:
         pt = CotangentPoint.at(q, p, params)
         general = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
         closed = kahler_connection_coefficients(pt, params, profile)
-        npt.assert_allclose(general.vv, closed.vv, atol=1e-9, err_msg="vertical/vertical")
-        npt.assert_allclose(general.vh, closed.vh, atol=1e-9, err_msg="vertical/horizontal")
-        npt.assert_allclose(general.hh, closed.hh, atol=1e-9, err_msg="horizontal/horizontal")
+        h, v = slice(None, n), slice(n, None)
+        npt.assert_allclose(general[v, v], closed[v, v], atol=1e-9, err_msg="vertical/vertical")
+        npt.assert_allclose(general[v, h], closed[v, h], atol=1e-9, err_msg="vertical/horizontal")
+        npt.assert_allclose(general[h], closed[h], atol=1e-9, err_msg="horizontal direction")
 
     def test_closed_form_requires_integrable_coupling(self, generic_params, generic_point):
         with pytest.raises(GeometryError):
@@ -59,7 +55,8 @@ class TestCoefficientRoutes:
 
     def test_vertical_pair_hand_value(self):
         """At the chart origin with v = 0 and t = 1/2:
-        vv[i, j, h] = -(delta_ih p_j + delta_jh p_i)/2 + delta_ij p_h / 2."""
+        Gamma[3+i, 3+j, 3+h] = -(delta_ih p_j + delta_jh p_i)/2 + delta_ij p_h / 2,
+        and a vertical pair has no horizontal output."""
         params = ModelParams.kahler(n=3, c=1.0)
         p = np.array([1.0, 0.0, 0.0])
         pt = CotangentPoint.at(np.zeros(3), p, params)
@@ -69,31 +66,35 @@ class TestCoefficientRoutes:
         expected = -0.5 * (
             np.einsum("ih,j->ijh", eye, p) + np.einsum("jh,i->ijh", eye, p)
         ) + 0.5 * np.einsum("ij,h->ijh", eye, p)
-        npt.assert_allclose(conn.vv, expected, atol=1e-14)
+        npt.assert_allclose(conn[3:, 3:, 3:], expected, atol=1e-14)
+        npt.assert_allclose(conn[3:, 3:, :3], 0.0, atol=0)
 
     def test_vertical_pair_is_symmetric(self, generic_point, generic_params, generic_profile):
         conn = connection_coefficients(
             generic_point, generic_params, fiber_jets(generic_point, generic_params, generic_profile)
         )
-        npt.assert_allclose(conn.vv, np.swapaxes(conn.vv, 0, 1), atol=1e-13)
+        vv = conn[3:, 3:]
+        npt.assert_allclose(vv, np.swapaxes(vv, 0, 1), atol=1e-13)
 
     def test_horizontal_antisymmetric_part_is_curvature(
         self, generic_point, generic_params, generic_profile
     ):
-        """hh[h, i, j] - hh[h, j, i] = p . R^._{hij}: torsion-freeness pins the
-        antisymmetric part to half the bracket, twice."""
+        """Gamma[i, j, 3+h] - Gamma[j, i, 3+h] = p . R^._{hij}: torsion-freeness
+        pins the antisymmetric part to half the bracket, twice."""
         conn = connection_coefficients(
             generic_point, generic_params, fiber_jets(generic_point, generic_params, generic_profile)
         )
+        hh = conn[:3, :3, 3:]
         npt.assert_allclose(
-            conn.hh - np.swapaxes(conn.hh, 1, 2), generic_point.p_riemann, atol=1e-12
+            hh - np.swapaxes(hh, 0, 1), np.einsum("hij->ijh", generic_point.p_riemann), atol=1e-12
         )
 
     def test_horizontal_block_extra_symmetry_when_integrable(self, kahler_point, kahler_params, kahler_profile):
         """At the integrable coupling the vertical output of a horizontal pair
         is symmetric under swapping its output and second input."""
         conn = kahler_connection_coefficients(kahler_point, kahler_params, kahler_profile)
-        npt.assert_allclose(conn.hh, np.swapaxes(conn.hh, 0, 2), atol=1e-12)
+        hh = conn[:3, :3, 3:]
+        npt.assert_allclose(hh, np.swapaxes(hh, 1, 2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +114,9 @@ class TestKoszulOracle:
         profile = rational_profile()
         pt = CotangentPoint.at(q, p, params)
         conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-        metric_grad = frame_gradient(
-            frame_metric_field(params, profile), q, p, pt.gamma, fd_cfg
-        )
-        frames = [("h", k) for k in range(3)] + [("v", k) for k in range(3)]
-        for kind_a, i in frames:
-            for kind_b, j in frames:
-                oracle = koszul_nabla(
-                    params, profile, pt, kind_a, i, kind_b, j, fd_cfg, metric_grad=metric_grad
-                )
-                direct = connection_on_frame(conn, kind_a, i, kind_b, j)
-                npt.assert_allclose(
-                    oracle.h, direct.h, atol=1e-5, err_msg=f"{kind_a}{i},{kind_b}{j} horizontal"
-                )
-                npt.assert_allclose(
-                    oracle.v, direct.v, atol=1e-5, err_msg=f"{kind_a}{i},{kind_b}{j} vertical"
-                )
+        oracle = koszul_nabla(params, profile, pt, fd_cfg)
+        assert oracle.shape == (6, 6, 6)
+        npt.assert_allclose(oracle, conn, atol=1e-5)
 
     def test_torsion_free(self, generic_point, generic_params, generic_profile):
         conn = connection_coefficients(
@@ -148,45 +136,21 @@ class TestKoszulOracle:
 # ---------------------------------------------------------------------------
 
 
-def _parallel_structure_residual(params, profile, q, p, pairs, cfg):
-    """max |nabla_a (J e_b) - J nabla_a e_b| over the given frame pairs."""
-    n = q.shape[0]
-    pt = CotangentPoint.at(q, p, params)
-    jets = fiber_jets(pt, params, profile)
-    conn = connection_coefficients(pt, params, jets)
-    j0 = assemble_complex_structure(jets)
-    worst = 0.0
-    for kind_a, i, kind_b, j in pairs:
-
-        def j_of_basis(qq, pp):
-            ptz = CotangentPoint.at(qq, pp, params)
-            jz = assemble_complex_structure(fiber_jets(ptz, params, profile))
-            out = jz.apply(AdaptedVector.basis(n, kind_b, j))
-            return np.concatenate([out.h, out.v])
-
-        nabla_jb = covariant_field_derivative(pt, conn, kind_a, i, j_of_basis, cfg)
-        j_nabla_b = j0.apply(connection_on_frame(conn, kind_a, i, kind_b, j))
-        resid = nabla_jb - np.concatenate([j_nabla_b.h, j_nabla_b.v])
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
-
-
-PAIRS = [("h", 0, "h", 1), ("h", 2, "v", 2), ("v", 1, "h", 0), ("v", 0, "v", 2)]
-
-
 class TestParallelComplexStructure:
     def test_integrable_coupling_makes_j_parallel(
         self, sample_qp, kahler_params, kahler_profile, fd_cfg
     ):
         q, p = sample_qp
-        resid = _parallel_structure_residual(kahler_params, kahler_profile, q, p, PAIRS, fd_cfg)
-        assert resid < 1e-5
+        pt = CotangentPoint.at(q, p, kahler_params)
+        conn = connection_coefficients(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
+        assert parallel_j_residual(kahler_params, kahler_profile, pt, conn, fd_cfg) < 1e-5
 
     def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_cfg):
         """Off the integrable coupling J is compatible but not parallel."""
         q, p = sample_qp
-        resid = _parallel_structure_residual(generic_params, generic_profile, q, p, PAIRS, fd_cfg)
-        assert resid > 1e-3
+        pt = CotangentPoint.at(q, p, generic_params)
+        conn = connection_coefficients(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
+        assert parallel_j_residual(generic_params, generic_profile, pt, conn, fd_cfg) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +166,10 @@ class TestCoefficientFiberDerivatives:
 
         def coeffs_at(pp):
             ptz = CotangentPoint.at(q, pp, generic_params)
-            conn = connection_coefficients(ptz, generic_params, fiber_jets(ptz, generic_params, generic_profile))
-            return np.concatenate([conn.vv.ravel(), conn.vh.ravel(), conn.hh.ravel()])
+            return connection_coefficients(ptz, generic_params, fiber_jets(ptz, generic_params, generic_profile))
 
-        block = 27
         for m in range(3):
-            fd = fd_partial(coeffs_at, p, m, fd_cfg)
-            npt.assert_allclose(derivs.dvv[m].ravel(), fd[:block], atol=1e-6)
-            npt.assert_allclose(derivs.dvh[m].ravel(), fd[block : 2 * block], atol=1e-6)
-            npt.assert_allclose(derivs.dhh[m].ravel(), fd[2 * block :], atol=1e-6)
+            npt.assert_allclose(derivs[m], fd_partial(coeffs_at, p, m, fd_cfg), atol=1e-6)
 
     def test_bracket_consistency_of_covariant_derivative(
         self, sample_qp, kahler_params, kahler_profile, fd_cfg
@@ -221,17 +180,9 @@ class TestCoefficientFiberDerivatives:
         pt = CotangentPoint.at(q, p, kahler_params)
         conn = connection_coefficients(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
 
-        def basis_field(kind, index):
-            def field(qq, pp):
-                out = np.zeros(6)
-                out[frame_slot] = 1.0
-                return out
+        def basis_fields(qq, pp):
+            return np.eye(6)
 
-            frame_slot = index if kind == "h" else 3 + index
-            return field
-
-        kind_a, i, kind_b, j = "h", 0, "h", 2
-        left = covariant_field_derivative(pt, conn, kind_a, i, basis_field(kind_b, j), fd_cfg)
-        right = covariant_field_derivative(pt, conn, kind_b, j, basis_field(kind_a, i), fd_cfg)
-        br = frame_bracket(pt, kind_a, i, kind_b, j)
-        npt.assert_allclose(left - right, np.concatenate([br.h, br.v]), atol=1e-9)
+        nabla = covariant_field_derivative(pt, conn, basis_fields, fd_cfg)
+        torsion_free = np.einsum("acb->abc", nabla) - np.einsum("bca->abc", nabla)
+        npt.assert_allclose(torsion_free, frame_brackets(pt), atol=1e-9)

@@ -6,12 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from cotangent_kahler import (
-    AdaptedVector,
     CotangentPoint,
-    FDConfig,
     GeometryError,
     ModelParams,
-    apply_curvature,
     assemble_complex_structure,
     assemble_metric,
     curvature_blocks,
@@ -20,6 +17,7 @@ from cotangent_kahler import (
     holomorphic_sectional_curvature,
     mixed_ricci_fd,
     nabla_curvature,
+    odd_slots,
     pair_symmetry_residual,
     rational_profile,
     ricci_closed_form,
@@ -28,14 +26,15 @@ from cotangent_kahler import (
 )
 from cotangent_kahler.profiles import einstein_profile
 
-# probe table: block name -> (input kinds, which output part holds the block)
-BLOCK_PROBES = {
-    "hhh": (("h", "h", "h"), "h"),
-    "hhv": (("h", "h", "v"), "v"),
-    "vvh": (("v", "v", "h"), "h"),
-    "vvv": (("v", "v", "v"), "v"),
-    "vhh": (("v", "h", "h"), "v"),
-    "vhv": (("v", "h", "v"), "h"),
+# block name -> slots of K[a, b, c, d] (inputs a, b, c, output d) holding it
+H, V = slice(None, 3), slice(3, None)
+BLOCK_SLOTS = {
+    "hhh": (H, H, H, H),
+    "hhv": (H, H, V, V),
+    "vvh": (V, V, H, H),
+    "vvv": (V, V, V, V),
+    "vhh": (V, H, H, V),
+    "vhv": (V, H, V, H),
 }
 
 # ---------------------------------------------------------------------------
@@ -44,48 +43,37 @@ BLOCK_PROBES = {
 
 
 class TestBlocksAgainstDefinition:
-    @pytest.mark.parametrize("name", sorted(BLOCK_PROBES))
+    @pytest.mark.parametrize("name", sorted(BLOCK_SLOTS))
     def test_block_matches_fd_curvature(
         self, name, sample_qp, kahler_params, kahler_profile, fd_cfg
     ):
         """Each stored block equals K(e_a, e_b)e_c from differenced nablas,
-        and the complementary output part of the same probe vanishes."""
+        and the complementary output part of the same inputs vanishes."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        blocks = curvature_blocks(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
-        kinds, out_part = BLOCK_PROBES[name]
-        stored = getattr(blocks, name)
-        for i, j, k in [(0, 1, 2), (2, 0, 1)]:
-            probe = curvature_fd(
-                kahler_params, kahler_profile, pt,
-                (kinds[0], i), (kinds[1], j), (kinds[2], k), fd_cfg,
-            )
-            value = probe.h if out_part == "h" else probe.v
-            complement = probe.v if out_part == "h" else probe.h
-            npt.assert_allclose(
-                value, stored[:, i, j, k], atol=1e-4,
-                err_msg=f"{name}[:, {i}, {j}, {k}] vs finite differences",
-            )
-            npt.assert_allclose(
-                complement, 0.0, atol=1e-4,
-                err_msg=f"complementary output of the {name} probe",
-            )
+        curv = curvature_blocks(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
+        probe = curvature_fd(kahler_params, kahler_profile, pt, fd_cfg)
+        a, b, c, d = BLOCK_SLOTS[name]
+        other = V if d == H else H
+        npt.assert_allclose(
+            probe[a, b, c, d], curv[a, b, c, d], atol=1e-4,
+            err_msg=f"{name} block vs finite differences",
+        )
+        npt.assert_allclose(
+            probe[a, b, c, other], 0.0, atol=1e-4,
+            err_msg=f"complementary output of the {name} block",
+        )
 
     def test_blocks_hold_off_integrable_coupling(self, sample_qp, generic_params, generic_profile, fd_cfg):
         """The assembly needs only the block-diagonal metric, not Kahlerness."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        blocks = curvature_blocks(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
-        for name in ("hhh", "vhv"):
-            kinds, out_part = BLOCK_PROBES[name]
-            probe = curvature_fd(
-                generic_params, generic_profile, pt,
-                (kinds[0], 0), (kinds[1], 1), (kinds[2], 2), fd_cfg,
-            )
-            value = probe.h if out_part == "h" else probe.v
-            complement = probe.v if out_part == "h" else probe.h
-            npt.assert_allclose(value, getattr(blocks, name)[:, 0, 1, 2], atol=1e-4)
-            npt.assert_allclose(complement, 0.0, atol=1e-4)
+        curv = curvature_blocks(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
+        probe = curvature_fd(generic_params, generic_profile, pt, fd_cfg)
+        odd = odd_slots(3)
+        npt.assert_allclose(probe[~odd], curv[~odd], atol=1e-4)
+        npt.assert_allclose(probe[odd], 0.0, atol=1e-4)
+        npt.assert_allclose(curv[odd], 0.0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,57 +83,79 @@ class TestBlocksAgainstDefinition:
 
 class TestSymmetries:
     def test_antisymmetry_in_first_arguments(self, kahler_point, kahler_params, kahler_profile, rng):
-        blocks = curvature_blocks(
+        curv = curvature_blocks(
             kahler_point, kahler_params, fiber_jets(kahler_point, kahler_params, kahler_profile)
         )
         for _ in range(4):
-            x = AdaptedVector(rng.normal(size=3), rng.normal(size=3))
-            y = AdaptedVector(rng.normal(size=3), rng.normal(size=3))
-            z = AdaptedVector(rng.normal(size=3), rng.normal(size=3))
-            lhs = apply_curvature(blocks, x, y, z)
-            rhs = apply_curvature(blocks, y, x, z)
-            npt.assert_allclose(lhs.h, -rhs.h, atol=1e-10)
-            npt.assert_allclose(lhs.v, -rhs.v, atol=1e-10)
+            x, y, z = rng.normal(size=(3, 6))
+            lhs = np.einsum("abcd,a,b,c->d", curv, x, y, z)
+            rhs = np.einsum("abcd,a,b,c->d", curv, y, x, z)
+            npt.assert_allclose(lhs, -rhs, atol=1e-10)
 
     def test_pair_symmetry(self, kahler_point, kahler_params, kahler_profile, rng):
         """<K(X,Y)Z, W> = <K(Z,W)X, Y> on random adapted vectors."""
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
-        blocks = curvature_blocks(kahler_point, kahler_params, jets)
+        curv = curvature_blocks(kahler_point, kahler_params, jets)
         metric = assemble_metric(jets)
-        vectors = [
-            tuple(AdaptedVector(rng.normal(size=3), rng.normal(size=3)) for _ in range(4))
-            for _ in range(6)
-        ]
-        assert pair_symmetry_residual(blocks, metric, vectors) < 1e-9
+        vectors = rng.normal(size=(6, 4, 6))
+        assert pair_symmetry_residual(curv, metric, vectors) < 1e-9
 
     def test_complex_structure_pairs_blocks(self, kahler_point, kahler_params, kahler_profile):
-        """With J parallel, hhv[h,i,j,k] = -hhh[k,i,j,h] and
-        vvv[h,i,j,k] = -vvh[k,i,j,h]."""
-        blocks = curvature_blocks(
+        """With J parallel, K[i,j,3+k,3+h] = -K[i,j,h,k] and
+        K[3+i,3+j,3+k,3+h] = -K[3+i,3+j,h,k]."""
+        curv = curvature_blocks(
             kahler_point, kahler_params, fiber_jets(kahler_point, kahler_params, kahler_profile)
         )
-        npt.assert_allclose(blocks.hhv, -np.einsum("kijh->hijk", blocks.hhh), atol=1e-12)
-        npt.assert_allclose(blocks.vvv, -np.einsum("kijh->hijk", blocks.vvh), atol=1e-12)
+        npt.assert_allclose(curv[H, H, V, V], -np.swapaxes(curv[H, H, H, H], 2, 3), atol=1e-12)
+        npt.assert_allclose(curv[V, V, V, V], -np.swapaxes(curv[V, V, H, H], 2, 3), atol=1e-12)
 
     def test_holomorphic_sectional_curvature_scale_invariant(
         self, kahler_point, kahler_params, kahler_profile, rng
     ):
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
-        blocks = curvature_blocks(kahler_point, kahler_params, jets)
+        curv = curvature_blocks(kahler_point, kahler_params, jets)
         metric = assemble_metric(jets)
         j_op = assemble_complex_structure(jets)
-        x = AdaptedVector(rng.normal(size=3), rng.normal(size=3))
-        h1 = holomorphic_sectional_curvature(blocks, metric, j_op, x)
-        h2 = holomorphic_sectional_curvature(blocks, metric, j_op, 3.0 * x)
+        x = rng.normal(size=6)
+        h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
+        h2 = holomorphic_sectional_curvature(curv, metric, j_op, 3.0 * x)
         assert h1 == pytest.approx(h2, rel=1e-10)
+
+    def test_contractions_match_index_loops(self, kahler_point, kahler_params, kahler_profile, rng):
+        """The array contractions equal the sums over frame indices that
+        define them: <K(X,Y)Z, W> and G(K(X, JX)JX, X) / G(X, X)^2."""
+        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
+        curv = curvature_blocks(kahler_point, kahler_params, jets)
+        metric = assemble_metric(jets)
+        j_op = assemble_complex_structure(jets)
+        x, y, z, w = rng.normal(size=(4, 6))
+
+        def pairing(a, b, c, d):
+            total = 0.0
+            for i in range(6):
+                for j in range(6):
+                    for k in range(6):
+                        for l in range(6):
+                            for m in range(6):
+                                total += curv[i, j, k, l] * a[i] * b[j] * c[k] * metric[l, m] * d[m]
+            return total
+
+        lhs, rhs = pairing(x, y, z, w), pairing(z, w, x, y)
+        assert pair_symmetry_residual(curv, metric, [[x, y, z, w]]) == pytest.approx(
+            abs(lhs - rhs), abs=1e-12
+        )
+        jx = j_op @ x
+        expected = pairing(x, jx, jx, x) / (x @ metric @ x) ** 2
+        assert holomorphic_sectional_curvature(curv, metric, j_op, x) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_null_vector_rejected(self, kahler_point, kahler_params, kahler_profile):
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
-        blocks = curvature_blocks(kahler_point, kahler_params, jets)
+        curv = curvature_blocks(kahler_point, kahler_params, jets)
         with pytest.raises(GeometryError):
             holomorphic_sectional_curvature(
-                blocks, assemble_metric(jets), assemble_complex_structure(jets),
-                AdaptedVector.zero(3),
+                curv, assemble_metric(jets), assemble_complex_structure(jets), np.zeros(6),
             )
 
 
@@ -185,8 +195,9 @@ class TestRicci:
         """Ric(horizontal, vertical) = 0, by tracing the FD curvature."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        for j, k in [(0, 1), (2, 2)]:
-            assert abs(mixed_ricci_fd(kahler_params, kahler_profile, pt, j, k, fd_cfg)) < 1e-6
+        mixed = mixed_ricci_fd(kahler_params, kahler_profile, pt, fd_cfg)
+        assert mixed.shape == (3, 3)
+        npt.assert_allclose(mixed, 0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +207,29 @@ class TestRicci:
 
 class TestNablaCurvature:
     def test_second_bianchi(self, sample_qp, kahler_params, kahler_profile, fd_cfg):
-        """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0."""
+        """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0 on every frame entry."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        resid = second_bianchi_residual(
-            kahler_params, kahler_profile, pt,
-            ("h", 0), ("h", 1), ("v", 2), AdaptedVector.basis(3, "h", 2), fd_cfg,
-        )
-        assert resid < 1e-6
+        assert second_bianchi_residual(kahler_params, kahler_profile, pt, fd_cfg) < 1e-6
 
     def test_momentum_scaling_maps_family_members(self, fd_cfg):
         """Rescaling the fiber by lambda is a homothety onto the member with
-        constants (lambda^-n k_a, lambda k_b): horizontal outputs of nabla K
-        agree and vertical outputs pick up one factor of lambda."""
+        constants (lambda^-n k_a, lambda k_b): on horizontal inputs,
+        horizontal outputs of nabla K agree and vertical outputs pick up one
+        factor of lambda."""
         n, c, lam = 3, 1.0, 1.3
         k_a, k_b = 0.8, 0.5
         params_up = ModelParams.kahler(n=n, c=c, k_a=k_a, k_b=k_b)
         params_dn = ModelParams.kahler(n=n, c=c, k_a=lam ** -n * k_a, k_b=lam * k_b)
         q = np.array([0.4, -0.6, 0.2])
         p = np.array([0.9, 0.3, -0.5])
-        w, x, y, z = ("h", 0), AdaptedVector.basis(n, "h", 1), AdaptedVector.basis(n, "h", 2), AdaptedVector.basis(n, "h", 0)
 
         out_up = nabla_curvature(
-            params_up, einstein_profile(params_up),
-            CotangentPoint.at(q, lam * p, params_up), w, x, y, z, fd_cfg,
-        )
+            params_up, einstein_profile(params_up), CotangentPoint.at(q, lam * p, params_up), fd_cfg,
+        )[H, H, H, H]
         out_dn = nabla_curvature(
-            params_dn, einstein_profile(params_dn),
-            CotangentPoint.at(q, p, params_dn), w, x, y, z, fd_cfg,
-        )
-        assert max(np.max(np.abs(out_up.h)), np.max(np.abs(out_up.v))) > 1e-3
-        npt.assert_allclose(out_up.h, out_dn.h, atol=1e-6, err_msg="horizontal part")
-        npt.assert_allclose(out_up.v, lam * out_dn.v, atol=1e-6, err_msg="vertical part")
+            params_dn, einstein_profile(params_dn), CotangentPoint.at(q, p, params_dn), fd_cfg,
+        )[H, H, H, H]
+        assert np.max(np.abs(out_up)) > 1e-3
+        npt.assert_allclose(out_up[..., H], out_dn[..., H], atol=1e-6, err_msg="horizontal part")
+        npt.assert_allclose(out_up[..., V], lam * out_dn[..., V], atol=1e-6, err_msg="vertical part")

@@ -6,16 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cotangent_kahler.fd
 from cotangent_kahler import (
     CotangentPoint,
     FDConfig,
     ModelParams,
     StencilError,
+    chart_frame,
+    connection_coefficients,
+    curvature_fd,
     fd_gradient,
     fd_partial,
-    fd_second,
-    frame_derivative,
+    fiber_jets,
     frame_gradient,
+    nabla_curvature_probe,
+    nijenhuis_numeric,
+    parallel_j_residual,
 )
 from cotangent_kahler.fd import richardson_extrapolate
 
@@ -92,31 +98,6 @@ class TestStencilOrder:
         assert abs(fd_partial(f, np.array([x]), 0, cfg) - expected) < 1e-8
 
 
-class TestSecondDerivatives:
-    def test_mixed_partial_symmetry(self):
-        """d2 f / dx dy = d2 f / dy dx on a smooth function."""
-        cfg = FDConfig()
-
-        def f(z):
-            return np.sin(z[0] * z[1]) + z[0] ** 3 * z[1]
-
-        x0 = np.array([0.8, -0.5])
-        npt.assert_allclose(
-            fd_second(f, x0, 0, 1, cfg),
-            fd_second(f, x0, 1, 0, cfg),
-            atol=1e-7,
-        )
-
-    def test_second_derivative_value(self):
-        cfg = FDConfig()
-
-        def f(z):
-            return np.exp(2.0 * z[0])
-
-        x0 = np.array([0.1])
-        npt.assert_allclose(fd_second(f, x0, 0, 0, cfg), 4.0 * np.exp(0.2), rtol=1e-7)
-
-
 class TestGuards:
     def test_non_finite_raises_stencil_error(self):
         cfg = FDConfig(base_step=0.5, relative=False)
@@ -163,9 +144,8 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return np.array([CotangentPoint.at(qq, pp, kahler_params).t])
 
-        for i in range(3):
-            d = frame_derivative(energy, q, p, "h", i, pt.gamma, fd_cfg)
-            npt.assert_allclose(d, 0.0, atol=1e-9, err_msg="horizontal energy derivative")
+        grad = frame_gradient(energy, q, p, pt.gamma, fd_cfg)
+        npt.assert_allclose(grad[:3], 0.0, atol=1e-9, err_msg="horizontal energy derivative")
 
     def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params, fd_cfg):
         """dt/dp_i = g^{ik} p_k."""
@@ -181,20 +161,24 @@ class TestFrameCalculus:
     def test_frame_gradient_consistent_with_frame_derivative(
         self, sample_qp, kahler_params, fd_cfg
     ):
+        """Row a of the frame gradient is the derivative along the chart
+        vector of e_a, a column of the chart frame."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
+        frame = chart_frame(pt)
 
         def field(qq, pp):
             return np.array([qq[0] * pp[1], np.cos(pp[2]) + qq[2] ** 2])
 
         grad = frame_gradient(field, q, p, pt.gamma, fd_cfg)
-        for i in range(3):
-            npt.assert_allclose(
-                grad[i], frame_derivative(field, q, p, "h", i, pt.gamma, fd_cfg), atol=1e-10
-            )
-            npt.assert_allclose(
-                grad[3 + i], frame_derivative(field, q, p, "v", i, pt.gamma, fd_cfg), atol=1e-10
-            )
+        z0 = np.concatenate([q, p])
+        for a in range(6):
+
+            def along(s):
+                z = z0 + s[0] * frame[:, a]
+                return field(z[:3], z[3:])
+
+            npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0, fd_cfg), atol=1e-10)
 
     def test_horizontal_commutator_is_curvature_bracket(
         self, sample_qp, kahler_params, fd_cfg
@@ -217,3 +201,38 @@ class TestFrameCalculus:
         fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_cfg)[3:, 0]
         expected = pt.p_riemann[:, i, j] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# One frame gradient per oracle
+# ---------------------------------------------------------------------------
+
+
+def _parallel_j(params, profile, pt, cfg):
+    conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
+    return parallel_j_residual(params, profile, pt, conn, cfg)
+
+
+def _nijenhuis(params, profile, pt, cfg):
+    return nijenhuis_numeric(params, profile, pt.q, pt.p, cfg)
+
+
+class TestOneGradientPerOracle:
+    @pytest.mark.parametrize(
+        "oracle", [_parallel_j, curvature_fd, nabla_curvature_probe, _nijenhuis]
+    )
+    def test_each_oracle_takes_one_gradient(
+        self, oracle, kahler_point, kahler_params, kahler_profile, fd_cfg, monkeypatch
+    ):
+        """Every finite-difference oracle differentiates one array-valued
+        field once: exactly 2n coordinate partials at an n = 3 point."""
+        calls = []
+        original = cotangent_kahler.fd.fd_partial
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
+        oracle(kahler_params, kahler_profile, kahler_point, fd_cfg)
+        assert calls == list(range(6))

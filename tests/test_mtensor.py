@@ -7,23 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotangent_kahler import (
-    AdaptedVector,
-    BlockOperator,
     CotangentPoint,
-    FDConfig,
     GeometryError,
-    MTensor,
     ModelParams,
     PositivityError,
     ZeroSectionError,
-    bundle_metric_fields,
+    assemble_complex_structure,
     constant_profile,
     energy_density,
     fd_partial,
     fiber_jets,
-    frame_bracket,
+    frame_brackets,
     frame_gradient,
-    horizontal_corrections,
     horizontal_metric,
     rational_profile,
     vertical_metric,
@@ -142,17 +137,23 @@ class TestFiberJets:
     def test_first_fiber_derivatives_match_fd(self, setup, fd_cfg):
         params, profile, pt = setup
         jets = fiber_jets(pt, params, profile)
-        gh_field, gv_field = bundle_metric_fields(params, profile)
+
+        def gh_field(pp):
+            return horizontal_metric(CotangentPoint.at(pt.q, pp, params), params, profile)
+
+        def gv_field(pp):
+            return vertical_metric(CotangentPoint.at(pt.q, pp, params), params, profile)
+
         for k in range(3):
             npt.assert_allclose(
                 jets.dgh[k],
-                fd_partial(lambda pp: gh_field(pt.q, pp).ravel(), pt.p, k, fd_cfg).reshape(3, 3),
+                fd_partial(gh_field, pt.p, k, fd_cfg),
                 atol=1e-7,
                 err_msg="d gh / dp vs finite differences",
             )
             npt.assert_allclose(
                 jets.dgv[k],
-                fd_partial(lambda pp: gv_field(pt.q, pp).ravel(), pt.p, k, fd_cfg).reshape(3, 3),
+                fd_partial(gv_field, pt.p, k, fd_cfg),
                 atol=1e-7,
                 err_msg="d gv / dp vs finite differences",
             )
@@ -211,14 +212,23 @@ class TestFiberJets:
 # ---------------------------------------------------------------------------
 
 
+def _christoffel_corrections(gamma, components, variance):
+    """Predicted horizontal frame derivative ``out[k, ...]`` of a field built
+    from the momentum and the base metric: ``+Gamma^l_{km} T[..l..]`` on
+    each lower slot, ``-Gamma^m_{kl} T[..l..]`` on each upper slot."""
+    out = np.zeros((gamma.shape[0],) + components.shape)
+    for axis, var in enumerate(variance):
+        moved = np.moveaxis(components, axis, 0)
+        if var == "d":
+            corr = np.einsum("lkm,l...->km...", gamma, moved)
+        else:
+            corr = -np.einsum("mkl,l...->km...", gamma, moved)
+        out += np.moveaxis(corr, 1, axis + 1)
+    return out
+
+
 class TestHorizontalRule:
     """Frame derivatives of momentum-built fields reduce to Christoffel terms."""
-
-    def test_variance_validation(self):
-        with pytest.raises(GeometryError):
-            MTensor(components=np.zeros((2, 2)), variance="d")
-        with pytest.raises(GeometryError):
-            MTensor(components=np.zeros((2, 2)), variance="dx")
 
     @pytest.mark.parametrize(
         "variance,field_name",
@@ -239,7 +249,7 @@ class TestHorizontalRule:
             return ptz.p_up
 
         value = field(q, p)
-        predicted = horizontal_corrections(pt, MTensor(components=value, variance=variance))
+        predicted = _christoffel_corrections(pt.gamma, value, variance)
         measured = frame_gradient(field, q, p, pt.gamma, fd_cfg)[:3]
         npt.assert_allclose(
             measured,
@@ -255,33 +265,21 @@ class TestHorizontalRule:
 
 
 class TestAdaptedFrame:
-    def test_vector_algebra(self):
-        x = AdaptedVector.basis(2, "h", 0)
-        y = AdaptedVector.basis(2, "v", 1)
-        z = 2.0 * x - y
-        npt.assert_allclose(z.h, [2.0, 0.0], atol=0)
-        npt.assert_allclose(z.v, [0.0, -1.0], atol=0)
-        assert z.norm() == pytest.approx(np.sqrt(5.0))
-        npt.assert_allclose((-z).h, [-2.0, 0.0], atol=0)
-
-    def test_operator_compose_matches_apply(self, rng):
-        blocks_a = BlockOperator(*(rng.normal(size=(2, 2)) for _ in range(4)))
-        blocks_b = BlockOperator(*(rng.normal(size=(2, 2)) for _ in range(4)))
-        x = AdaptedVector(rng.normal(size=2), rng.normal(size=2))
-        via_compose = blocks_a.compose(blocks_b).apply(x)
-        via_apply = blocks_a.apply(blocks_b.apply(x))
-        npt.assert_allclose(via_compose.h, via_apply.h, atol=1e-14)
-        npt.assert_allclose(via_compose.v, via_apply.v, atol=1e-14)
+    def test_operator_compose_matches_apply(self, kahler_point, kahler_params, kahler_profile, rng):
+        """J composed with itself is -I, and composing equals applying twice."""
+        j_op = assemble_complex_structure(fiber_jets(kahler_point, kahler_params, kahler_profile))
+        x = rng.normal(size=6)
+        npt.assert_allclose(j_op @ j_op, -np.eye(6), atol=1e-12)
+        npt.assert_allclose((j_op @ j_op) @ x, j_op @ (j_op @ x), atol=1e-12)
 
     def test_vertical_fields_commute(self, kahler_point):
-        out = frame_bracket(kahler_point, "v", 0, "v", 2)
-        npt.assert_allclose(out.h, 0.0, atol=0)
-        npt.assert_allclose(out.v, 0.0, atol=0)
+        brackets = frame_brackets(kahler_point)
+        npt.assert_allclose(brackets[3:, 3:], 0.0, atol=0)
 
     def test_mixed_bracket_is_antisymmetric(self, kahler_point):
-        vh = frame_bracket(kahler_point, "v", 1, "h", 2)
-        hv = frame_bracket(kahler_point, "h", 2, "v", 1)
-        npt.assert_allclose(vh.v, -hv.v, atol=0)
+        brackets = frame_brackets(kahler_point)
+        npt.assert_allclose(brackets[3:, :3], -np.swapaxes(brackets[:3, 3:], 0, 1), atol=0)
+        npt.assert_allclose(brackets[..., :3], 0.0, atol=0)
 
     def test_mixed_bracket_matches_nested_derivatives(
         self, sample_qp, kahler_params, fd_cfg
@@ -302,7 +300,7 @@ class TestAdaptedFrame:
         outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
         commutator = outer[3 + i][1] - outer[j][0]
         fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_cfg)[3:, 0]
-        expected = frame_bracket(pt, "v", i, "h", j).v @ fiber_grad
+        expected = frame_brackets(pt)[3 + i, j, 3:] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 
     def test_rational_profile_everywhere_admissible(self):
