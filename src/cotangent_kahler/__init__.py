@@ -40,6 +40,7 @@ from .connection import (
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    metric_gradient,
     parallel_j_residual,
     torsion_residual,
 )
@@ -48,7 +49,6 @@ from .curvature import (
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
-    mixed_ricci_fd,
     nabla_curvature,
     nabla_curvature_probe,
     odd_slots,
@@ -106,6 +106,6 @@ from .structure import (
     nijenhuis_core,
     nijenhuis_numeric,
 )
-from .suites import RunConfig, Tolerances, run_suite, run_verification, sample_points
+from .suites import RunConfig, Sample, Tolerances, run_suite, run_verification, sample_points
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ __all__ = [
     "torsion_residual",
     "metric_compatibility_residual",
     "parallel_j_residual",
-    "frame_metric_field",
+    "metric_gradient",
 ]
 
 
@@ -147,61 +147,64 @@ def connection_fiber_derivatives(
 
 
 def covariant_field_derivative(
-    pt: CotangentPoint, conn: np.ndarray, field, cfg: FDConfig
+    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray, cfg: FDConfig
 ) -> np.ndarray:
     """``nabla_{e_a}`` of a field of frame vectors, along every direction.
 
     ``field(q, p)`` returns an array whose axis 0 holds frame components;
-    further axes label independent vector fields.  The result is ``out[a,
+    further axes label independent vector fields.  ``value`` is the field
+    at ``pt`` itself, which the caller already has.  The result is ``out[a,
     c, ...]``, the ``c``-th component of ``nabla_{e_a} V``: one frame
     gradient differentiates the components, and the frame's own rotation
     enters through ``conn``.
     """
     grad = frame_gradient(field, pt.q, pt.p, pt.gamma, cfg)
-    grad += np.einsum("abc,b...->ac...", conn, field(pt.q, pt.p))
+    grad += np.einsum("abc,b...->ac...", conn, value)
     return grad
 
 
 def parallel_j_residual(
-    params: ModelParams, profile, pt: CotangentPoint, conn: np.ndarray, cfg: FDConfig
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
 ) -> float:
     """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, from
-    one frame gradient of the ``J`` field."""
+    one frame gradient of the ``J`` field; ``jets`` are the fiber jets at
+    ``pt``."""
 
     def j_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
         return assemble_complex_structure(fiber_jets(point, params, profile))
 
-    nabla_j = covariant_field_derivative(pt, conn, j_field, cfg)
-    expected = np.einsum("cd,abd->acb", j_field(pt.q, pt.p), conn)
+    conn = connection_coefficients(pt, params, jets)
+    j_op = assemble_complex_structure(jets)
+    nabla_j = covariant_field_derivative(pt, conn, j_field, j_op, cfg)
+    expected = np.einsum("cd,abd->acb", j_op, conn)
     return float(np.max(np.abs(nabla_j - expected)))
 
 
 # ---- independent Koszul route ----
 
 
-def frame_metric_field(params: ModelParams, profile):
-    """Closure ``(q, p) -> G``, the ``(2n, 2n)`` metric in the adapted frame."""
+def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+    """``dG[a, b, c] = e_a G[b, c]``: one frame gradient of the metric field
+    ``(q, p) -> G``, shared by the Koszul oracle and the compatibility
+    residual."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
         return assemble_metric(fiber_jets(point, params, profile))
 
-    return field
+    return frame_gradient(field, pt.q, pt.p, pt.gamma, cfg)
 
 
-def koszul_nabla(
-    params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig
-) -> np.ndarray:
+def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:
     """``Gamma[a, b, c]`` from the Koszul formula with finite differences.
 
     ``2 G(nabla_a b, c) = a<b,c> + b<a,c> - c<a,b> + <[a,b],c> - <[a,c],b>
-    - <[b,c],a>``; derivative terms come from one frame gradient of the
-    metric, bracket terms from the closed-form structure constants.
+    - <[b,c],a>``; derivative terms come from ``metric_grad`` (see
+    ``metric_gradient``), bracket terms from the closed-form structure
+    constants, and ``jets`` give the metric at ``pt``.
     """
     n = pt.n
-    metric_grad = frame_gradient(frame_metric_field(params, profile), pt.q, pt.p, pt.gamma, cfg)
-    jets = fiber_jets(pt, params, profile)
     lowered = frame_brackets(pt) @ assemble_metric(jets)
     rhs = (
         metric_grad
@@ -225,13 +228,9 @@ def torsion_residual(pt: CotangentPoint, conn: np.ndarray) -> float:
 
 
 def metric_compatibility_residual(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    conn: np.ndarray,
-    cfg: FDConfig,
+    conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray
 ) -> float:
-    """``max |e_a<b,c> - <nabla_a b, c> - <b, nabla_a c>|`` over frame triples."""
-    metric_grad = frame_gradient(frame_metric_field(params, profile), pt.q, pt.p, pt.gamma, cfg)
-    lowered = conn @ assemble_metric(fiber_jets(pt, params, profile))
+    """``max |e_a<b,c> - <nabla_a b, c> - <b, nabla_a c>|`` over frame
+    triples, with ``e_a<b,c>`` from ``metric_grad`` (see ``metric_gradient``)."""
+    lowered = conn @ assemble_metric(jets)
     return float(np.max(np.abs(metric_grad - lowered - np.swapaxes(lowered, 1, 2))))

@@ -41,7 +41,6 @@ __all__ = [
     "pair_symmetry_residual",
     "holomorphic_sectional_curvature",
     "curvature_fd",
-    "mixed_ricci_fd",
     "nabla_curvature",
     "nabla_curvature_probe",
     "second_bianchi_residual",
@@ -233,56 +232,59 @@ def _vector_field(build, params: ModelParams, profile):
     return field
 
 
-def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+def curvature_fd(
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
+) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
     nabla_[a,b] e_c`` from the definition, by one frame gradient of the
-    connection field; the curvature block formulas are never consulted."""
-    conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
+    connection field; ``jets`` are the fiber jets at ``pt``.  The curvature
+    block formulas are never consulted, and tracing the result over ``a =
+    d`` gives the Ricci tensor, mixed block included."""
+    conn = connection_coefficients(pt, params, jets)
     field = _vector_field(connection_coefficients, params, profile)
-    second = np.moveaxis(covariant_field_derivative(pt, conn, field, cfg), 1, -1)
+    value = np.moveaxis(conn, -1, 0)
+    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value, cfg), 1, -1)
     bracket_term = np.einsum("abf,fcd->abcd", frame_brackets(pt), conn)
     return second - np.swapaxes(second, 0, 1) - bracket_term
-
-
-def mixed_ricci_fd(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
-    """Mixed Ricci block ``Ric(delta_j, d/dp_k)`` by tracing the
-    finite-difference curvature; vanishes for the block-diagonal metric."""
-    n = pt.n
-    return np.einsum("abca->bc", curvature_fd(params, profile, pt, cfg))[:n, n:]
 
 
 # ---- covariant derivative of the curvature ----
 
 
-def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
+def nabla_curvature(
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
+) -> np.ndarray:
     """``(nabla_{e_w} K)[w, a, b, c, d]`` by the Leibniz rule.
 
     The value term is one frame gradient of the assembled ``K`` field; the
-    three correction terms use ``K`` and the connection at the center point.
+    three correction terms use ``K`` and the connection at ``pt``, built
+    from its fiber ``jets``.
     """
-    jets = fiber_jets(pt, params, profile)
     conn = connection_coefficients(pt, params, jets)
     curv = curvature_blocks(pt, params, jets)
     field = _vector_field(curvature_blocks, params, profile)
-    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, cfg), 1, -1)
+    value = np.moveaxis(curv, -1, 0)
+    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value, cfg), 1, -1)
     nabla -= np.einsum("waf,fbcd->wabcd", conn, curv)
     nabla -= np.einsum("wbf,afcd->wabcd", conn, curv)
     nabla -= np.einsum("wcf,abfd->wabcd", conn, curv)
     return nabla
 
 
-def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> float:
+def nabla_curvature_probe(
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
+) -> float:
     """Largest component of ``nabla K`` at one point.
 
     A value above a small floor witnesses the failure of local symmetry.
     """
-    return float(np.max(np.abs(nabla_curvature(params, profile, pt, cfg))))
+    return float(np.max(np.abs(nabla_curvature(params, profile, pt, jets, cfg))))
 
 
 def second_bianchi_residual(
-    params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
 ) -> float:
     """``max |cyclic_{W,A,B} (nabla_W K)(A, B)Z|`` over every frame entry."""
-    nabla = nabla_curvature(params, profile, pt, cfg)
+    nabla = nabla_curvature(params, profile, pt, jets, cfg)
     cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
     return float(np.max(np.abs(cyclic)))

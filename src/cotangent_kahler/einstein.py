@@ -128,9 +128,11 @@ def einstein_residual(
     theoretical constant (not a fitted one)."""
     lam = family_einstein_constant(params)
     return float(
-        max(
-            np.max(np.abs(ricci.hh - lam * jets.gh)),
-            np.max(np.abs(ricci.vv - lam * jets.gv)),
+        np.max(
+            [
+                np.max(np.abs(ricci.hh - lam * jets.gh)),
+                np.max(np.abs(ricci.vv - lam * jets.gv)),
+            ]
         )
     )
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import (
-    BaseCurvature,
     MetricJet,
     ModelParams,
     base_curvature,
@@ -68,16 +67,20 @@ def energy_density(g_inv: np.ndarray, p: np.ndarray) -> float:
 class CotangentPoint:
     """Everything the fiberwise formulas need at one point ``(q, p)``.
 
-    ``p_up`` is the momentum with raised index, ``p_gamma[i, h] =
-    p_k Gamma^k_{ih}`` feeds the horizontal frame, and ``p_riemann[k, i, j]
-    = p_h R^h_{kij}`` is the curvature contracted with the momentum.
+    ``g``, ``g_inv``, ``gamma[k, i, j] = Gamma^k_{ij}`` and ``riemann[h, k,
+    i, j] = R^h_{kij}`` describe the base at ``q``; ``p_up`` is the momentum
+    with raised index, ``p_gamma[i, h] = p_k Gamma^k_{ih}`` feeds the
+    horizontal frame, and ``p_riemann[k, i, j] = p_h R^h_{kij}`` is the
+    curvature contracted with the momentum.
     """
 
     q: np.ndarray
     p: np.ndarray
-    jet: MetricJet
-    curv: BaseCurvature
     t: float
+    g: np.ndarray = field(repr=False)
+    g_inv: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+    riemann: np.ndarray = field(repr=False)
     p_up: np.ndarray = field(repr=False)
     p_gamma: np.ndarray = field(repr=False)
     p_riemann: np.ndarray = field(repr=False)
@@ -86,35 +89,20 @@ class CotangentPoint:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.jet.g
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        return self.jet.g_inv
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.curv.gamma
-
-    @property
-    def riemann(self) -> np.ndarray:
-        return self.curv.riemann
-
     @classmethod
     def from_jet(cls, q: np.ndarray, p: np.ndarray, jet: MetricJet) -> "CotangentPoint":
         p = np.asarray(p, dtype=float)
         if p.shape != (jet.n,):
             raise GeometryError(f"momentum shape {p.shape} does not match dimension {jet.n}")
         curv = base_curvature(jet)
-        t = energy_density(jet.g_inv, p)
         return cls(
             q=np.asarray(q, dtype=float),
             p=p,
-            jet=jet,
-            curv=curv,
-            t=t,
+            t=energy_density(jet.g_inv, p),
+            g=jet.g,
+            g_inv=jet.g_inv,
+            gamma=curv.gamma,
+            riemann=curv.riemann,
             p_up=jet.g_inv @ p,
             p_gamma=np.einsum("k,kih->ih", p, curv.gamma),
             p_riemann=np.einsum("h,hkij->kij", p, curv.riemann),
@@ -122,6 +110,9 @@ class CotangentPoint:
 
     @classmethod
     def at(cls, q: np.ndarray, p: np.ndarray, params: ModelParams) -> "CotangentPoint":
+        """The point over the curvature-``c`` space form; reads only
+        ``params.n`` and ``params.c``, so one point serves every coupling
+        and profile."""
         return cls.from_jet(q, p, space_form_metric(q, params))
 
 

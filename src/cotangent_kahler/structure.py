@@ -156,22 +156,22 @@ def _brackets(x, dx, y, dy) -> np.ndarray:
 def nijenhuis_numeric(
     params: ModelParams,
     profile,
-    q: np.ndarray,
-    p: np.ndarray,
+    pt: CotangentPoint,
+    jets: FiberJets,
     cfg: FDConfig,
     point_factory=None,
 ) -> np.ndarray:
     """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
-    frame fields, assembled from chart-level brackets with no use of the
-    closed form.
+    frame fields at ``pt`` (with fiber ``jets``), assembled from chart-level
+    brackets with no use of the closed form.
 
     The frame fields are the columns of the chart frame ``E`` and their
     images the columns of ``E J``; one finite-difference gradient of the
     stacked field ``(E, E J)`` yields every bracket.  ``point_factory(q,
-    p)`` overrides the base geometry, letting the same oracle run over
-    bases that are not space forms.
+    p)`` overrides the base geometry at the stencil points, letting the same
+    oracle run over bases that are not space forms.
     """
-    n = q.shape[0]
+    n = pt.n
     if point_factory is None:
         point_factory = lambda qq, pp: CotangentPoint.at(qq, pp, params)
 
@@ -181,11 +181,10 @@ def nijenhuis_numeric(
         j_op = assemble_complex_structure(fiber_jets(point, params, profile))
         return np.stack([frame, frame @ j_op])
 
-    pt0 = point_factory(q, p)
-    x = chart_frame(pt0)
-    j0 = assemble_complex_structure(fiber_jets(pt0, params, profile))
+    x = chart_frame(pt)
+    j0 = assemble_complex_structure(jets)
     jx = x @ j0
-    dx, djx = np.swapaxes(fd_gradient(frame_fields, np.concatenate([q, p]), cfg), 0, 1)
+    dx, djx = np.swapaxes(fd_gradient(frame_fields, np.concatenate([pt.q, pt.p]), cfg), 0, 1)
     to_frame = 2.0 * np.eye(2 * n) - x
     return np.einsum(
         "ck,abk->abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)

@@ -4,12 +4,19 @@ Each suite bundles related checks: a value, a tolerance, and a comparison
 direction (``le`` for residuals, ``ge`` for witnesses that must stay away
 from zero).  Sampling is deterministic per ``(seed, dim, curvature)``, so a
 fixed configuration yields an identical report.
+
+The points of a config, and their fiber jets for the config's own params
+and profile, are built once (``Sample``) and shared by every suite; the
+finite-difference oracles visit the leading few.  Each check is a
+reduction: its value is the largest of its per-sample values, and a NaN in
+any sample fails it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from .connection import (
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    metric_gradient,
     parallel_j_residual,
     torsion_residual,
 )
@@ -26,7 +34,6 @@ from .curvature import (
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
-    mixed_ricci_fd,
     nabla_curvature_probe,
     odd_slots,
     pair_symmetry_residual,
@@ -44,7 +51,7 @@ from .einstein import (
 )
 from .errors import ConfigError, GeometryError
 from .fd import FDConfig
-from .mtensor import CotangentPoint, assemble_metric, fiber_jets
+from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets
 from .profiles import einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -65,6 +72,7 @@ __all__ = [
     "CheckResult",
     "SuiteResult",
     "sample_points",
+    "Sample",
     "run_suite",
     "run_verification",
 ]
@@ -222,231 +230,228 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> list
     return points
 
 
+class Sample:
+    """The sampled points of one ``(n, c)`` config, shared by every suite.
+
+    ``points`` holds the ``CotangentPoint`` of each ``(q, p)`` pair in
+    ``qp``; it serves every coupling and profile, as a point reads only
+    ``n`` and ``c``.  ``with_jets`` pairs each point with its fiber jets for
+    the config's own params and profile.  Each is built on first use; a
+    build that raises is not kept, so every suite that needs it records the
+    error.
+    """
+
+    def __init__(self, qp: list[tuple[np.ndarray, np.ndarray]], params: ModelParams, profile) -> None:
+        self.qp = qp
+        self._params = params
+        self._profile = profile
+
+    @cached_property
+    def points(self) -> list[CotangentPoint]:
+        return [CotangentPoint.at(q, p, self._params) for q, p in self.qp]
+
+    @cached_property
+    def with_jets(self) -> list[tuple[CotangentPoint, FiberJets]]:
+        return [(pt, fiber_jets(pt, self._params, self._profile)) for pt in self.points]
+
+
+def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
+    """A check whose value is the largest of its per-sample ``values``; a
+    NaN in any sample makes the value NaN, which fails either comparison."""
+    return CheckResult(name, float(np.max(values)), tolerance, comparison, note)
+
+
 def _max_abs(*arrays) -> float:
-    return float(max(np.max(np.abs(a)) for a in arrays))
-
-
-def _fd_points(points, limit: int = 2):
-    return points[: max(1, min(limit, len(points)))]
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 # ---- individual suites ----
 
 
-def _suite_almost_kahler(cfg, params, profile, points, fd_cfg) -> SuiteResult:
+def _suite_almost_kahler(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    res = SuiteResult("almost_kahler", params.n, params.c)
-    j_sq = herm = canon = 0.0
-    min_eig = math.inf
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
+    canonical = canonical_coordinate_form(params.n)
+    rows = []
+    for pt, jets in sample.with_jets:
         j_op = assemble_complex_structure(jets)
         metric = assemble_metric(jets)
-        j_sq = max(j_sq, complex_structure_squared_residual(j_op))
-        herm = max(herm, hermitian_residual(metric, j_op))
         phi = fundamental_form(metric, j_op)
-        canon = max(
-            canon,
-            _max_abs(coordinate_form(pt, phi) - canonical_coordinate_form(pt.n)),
-        )
-        min_eig = min(
-            min_eig,
-            float(np.min(np.linalg.eigvalsh(jets.gh))),
-            float(np.min(np.linalg.eigvalsh(jets.gv))),
-        )
-    dphi = 0.0
-    for q, p in _fd_points(points):
-        pt = CotangentPoint.at(q, p, params)
-        dphi = max(dphi, dform_residual(params, profile, pt, fd_cfg))
-    res.checks.append(CheckResult("complex_structure_squared", j_sq, tol.closed_form))
-    res.checks.append(CheckResult("metric_hermitian", herm, tol.closed_form))
-    res.checks.append(CheckResult("fundamental_form_canonical", canon, tol.closed_form))
-    res.checks.append(CheckResult("fundamental_form_closed", dphi, tol.cross_check))
-    res.checks.append(
-        CheckResult("metric_positive_definite", min_eig, 0.0, comparison="ge")
-    )
-    return res
-
-
-def _suite_integrability(cfg, params, profile, points, fd_cfg) -> SuiteResult:
-    tol = cfg.tolerances
-    res = SuiteResult("integrability", params.n, params.c)
-    closed_max = 0.0
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        closed_max = max(closed_max, _max_abs(nijenhuis_closed_form(pt, params, jets)))
-    res.checks.append(CheckResult("nijenhuis_vanishes", closed_max, tol.closed_form))
-
-    oracle = 0.0
-    for q, p in _fd_points(points, limit=1):
-        pt = CotangentPoint.at(q, p, params)
-        closed = nijenhuis_closed_form(pt, params, fiber_jets(pt, params, profile))
-        numeric = nijenhuis_numeric(params, profile, q, p, fd_cfg)
-        oracle = max(oracle, _max_abs(numeric - closed))
-    res.checks.append(CheckResult("nijenhuis_matches_bracket_oracle", oracle, tol.cross_check))
-    return res
-
-
-def _suite_connection(cfg, params, profile, points, fd_cfg) -> SuiteResult:
-    tol = cfg.tolerances
-    res = SuiteResult("connection", params.n, params.c)
-
-    two_path = 0.0
-    if params.is_integrable:
-        for q, p in points:
-            pt = CotangentPoint.at(q, p, params)
-            general = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-            closed = kahler_connection_coefficients(pt, params, profile)
-            two_path = max(two_path, _max_abs(general - closed))
-        res.checks.append(CheckResult("coefficients_two_path", two_path, tol.closed_form))
-
-    koszul = torsion = compat = parallel_j = 0.0
-    for q, p in _fd_points(points):
-        pt = CotangentPoint.at(q, p, params)
-        conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-        koszul = max(koszul, _max_abs(koszul_nabla(params, profile, pt, fd_cfg) - conn))
-        torsion = max(torsion, torsion_residual(pt, conn))
-        compat = max(
-            compat, metric_compatibility_residual(params, profile, pt, conn, fd_cfg)
-        )
-        if params.is_integrable:
-            parallel_j = max(
-                parallel_j, parallel_j_residual(params, profile, pt, conn, fd_cfg)
+        eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)])
+        rows.append(
+            (
+                complex_structure_squared_residual(j_op),
+                hermitian_residual(metric, j_op),
+                _max_abs(coordinate_form(pt, phi) - canonical),
+                np.min(eigenvalues),
             )
-    res.checks.append(CheckResult("koszul_oracle", koszul, tol.cross_check))
-    res.checks.append(CheckResult("torsion_free", torsion, tol.closed_form))
-    res.checks.append(CheckResult("metric_parallel", compat, tol.cross_check))
-    if params.is_integrable:
-        res.checks.append(
-            CheckResult("complex_structure_parallel", parallel_j, tol.cross_check)
         )
-    return res
+    j_sq, herm, canon, min_eig = zip(*rows)
+    dphi = [dform_residual(params, profile, pt, fd_cfg) for pt in sample.points[:2]]
+    checks = [
+        _check("complex_structure_squared", j_sq, tol.closed_form),
+        _check("metric_hermitian", herm, tol.closed_form),
+        _check("fundamental_form_canonical", canon, tol.closed_form),
+        _check("fundamental_form_closed", dphi, tol.cross_check),
+        _check("metric_positive_definite", np.min(min_eig), 0.0, comparison="ge"),
+    ]
+    return SuiteResult("almost_kahler", params.n, params.c, checks)
 
 
-def _suite_curvature(cfg, params, profile, points, fd_cfg) -> SuiteResult:
+def _suite_integrability(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    res = SuiteResult("curvature", params.n, params.c)
+    built = sample.with_jets
+    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets)) for pt, jets in built]
+    oracle = [
+        _max_abs(
+            nijenhuis_numeric(params, profile, pt, jets, fd_cfg)
+            - nijenhuis_closed_form(pt, params, jets)
+        )
+        for pt, jets in built[:1]
+    ]
+    checks = [
+        _check("nijenhuis_vanishes", closed, tol.closed_form),
+        _check("nijenhuis_matches_bracket_oracle", oracle, tol.cross_check),
+    ]
+    return SuiteResult("integrability", params.n, params.c, checks)
+
+
+def _suite_connection(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+    tol = cfg.tolerances
+    built = sample.with_jets
+    checks = []
+    if params.is_integrable:
+        two_path = [
+            _max_abs(
+                connection_coefficients(pt, params, jets)
+                - kahler_connection_coefficients(pt, params, profile)
+            )
+            for pt, jets in built
+        ]
+        checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
+
+    koszul, torsion, compat, parallel_j = [], [], [], []
+    for pt, jets in built[:2]:
+        conn = connection_coefficients(pt, params, jets)
+        metric_grad = metric_gradient(params, profile, pt, fd_cfg)
+        koszul.append(_max_abs(koszul_nabla(pt, jets, metric_grad) - conn))
+        torsion.append(torsion_residual(pt, conn))
+        compat.append(metric_compatibility_residual(conn, jets, metric_grad))
+        if params.is_integrable:
+            parallel_j.append(parallel_j_residual(params, profile, pt, jets, fd_cfg))
+    checks.append(_check("koszul_oracle", koszul, tol.cross_check))
+    checks.append(_check("torsion_free", torsion, tol.closed_form))
+    checks.append(_check("metric_parallel", compat, tol.cross_check))
+    if params.is_integrable:
+        checks.append(_check("complex_structure_parallel", parallel_j, tol.cross_check))
+    return SuiteResult("connection", params.n, params.c, checks)
+
+
+def _suite_curvature(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+    tol = cfg.tolerances
     n = params.n
     h, v = slice(None, n), slice(n, None)
+    built = sample.with_jets
 
-    oracle = complement = 0.0
+    # One finite-difference curvature per oracle point serves the block
+    # oracle, the odd-slot complement and the mixed Ricci block.
+    oracle, complement, mixed = [], [], []
     odd = odd_slots(n)
-    for q, p in _fd_points(points, limit=1):
-        pt = CotangentPoint.at(q, p, params)
-        closed = curvature_blocks(pt, params, fiber_jets(pt, params, profile))
-        diff = curvature_fd(params, profile, pt, fd_cfg) - closed
-        oracle = max(oracle, _max_abs(diff[~odd]))
-        complement = max(complement, _max_abs(diff[odd]))
-    res.checks.append(CheckResult("blocks_match_fd_oracle", oracle, tol.fd_oracle))
-    res.checks.append(CheckResult("complement_outputs_vanish", complement, tol.fd_oracle))
-    res.notes.append(
-        "mixed-argument block with vertical third slot produced a horizontal "
-        f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
-    )
+    for pt, jets in built[:1]:
+        fd = curvature_fd(params, profile, pt, jets, fd_cfg)
+        diff = fd - curvature_blocks(pt, params, jets)
+        oracle.append(_max_abs(diff[~odd]))
+        complement.append(_max_abs(diff[odd]))
+        mixed.append(_max_abs(np.einsum("abca->bc", fd)[:n, n:]))
+    checks = [
+        _check("blocks_match_fd_oracle", oracle, tol.fd_oracle),
+        _check("complement_outputs_vanish", complement, tol.fd_oracle),
+    ]
+    notes = []
+    if checks[-1].passed:
+        notes.append(
+            "mixed-argument block with vertical third slot produced a horizontal "
+            f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
+        )
 
-    symmetry = relations = two_path = hsc_spread = 0.0
+    symmetry, relations, two_path, hsc_spread = [], [], [], []
     rng = np.random.default_rng([cfg.seed, 7, n])
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
+    for pt, jets in built:
         curv = curvature_blocks(pt, params, jets)
         metric = assemble_metric(jets)
         vectors = rng.normal(size=(4, 4, 2 * n))
-        symmetry = max(symmetry, pair_symmetry_residual(curv, metric, vectors))
+        symmetry.append(pair_symmetry_residual(curv, metric, vectors))
         if params.is_integrable:
-            relations = max(
-                relations,
-                _max_abs(curv[h, h, v, v] + np.swapaxes(curv[h, h, h, h], 2, 3)),
-                _max_abs(curv[v, v, v, v] + np.swapaxes(curv[v, v, h, h], 2, 3)),
+            relations.append(
+                _max_abs(
+                    curv[h, h, v, v] + np.swapaxes(curv[h, h, h, h], 2, 3),
+                    curv[v, v, v, v] + np.swapaxes(curv[v, v, h, h], 2, 3),
+                )
             )
             ric_closed = ricci_closed_form(pt, params, profile)
             ric_trace = ricci_from_blocks(curv)
-            two_path = max(
-                two_path,
-                _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv),
+            two_path.append(
+                _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv)
             )
             j_op = assemble_complex_structure(jets)
             x = rng.normal(size=2 * n)
             h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
             h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
-            hsc_spread = max(hsc_spread, abs(h1 - h2))
-    res.checks.append(CheckResult("pair_symmetry", symmetry, tol.closed_form))
+            hsc_spread.append(abs(h1 - h2))
+    checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
-        res.checks.append(CheckResult("kahler_block_relations", relations, tol.closed_form))
-        res.checks.append(CheckResult("ricci_two_path", two_path, tol.cross_check))
-        res.checks.append(
-            CheckResult("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form)
+        checks.append(_check("kahler_block_relations", relations, tol.closed_form))
+        checks.append(_check("ricci_two_path", two_path, tol.cross_check))
+        checks.append(
+            _check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form)
         )
-
-    mixed = 0.0
-    for q, p in _fd_points(points, limit=1):
-        pt = CotangentPoint.at(q, p, params)
-        mixed = max(mixed, _max_abs(mixed_ricci_fd(params, profile, pt, fd_cfg)))
-    res.checks.append(CheckResult("mixed_ricci_vanishes", mixed, tol.cross_check))
-    return res
+    checks.append(_check("mixed_ricci_vanishes", mixed, tol.cross_check))
+    return SuiteResult("curvature", n, params.c, checks, notes)
 
 
-def _suite_einstein(cfg, params, profile, points, fd_cfg) -> SuiteResult:
+def _suite_einstein(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    res = SuiteResult("einstein", params.n, params.c)
 
     ts = np.linspace(cfg.t_min, cfg.t_max, 13)
     gam = gamma_factor(params, profile, ts)
     ode = euler_ode_residual(params, profile, ts)
     relation = _max_abs(gam + 4.0 * math.sqrt(2.0) * np.sqrt(ts) * ode)
-    res.checks.append(CheckResult("gamma_matches_ode_residual", relation, tol.closed_form))
+    checks = [_check("gamma_matches_ode_residual", relation, tol.closed_form)]
 
-    closed_vs_direct = 0.0
-    pairs = []
-    einstein_worst = 0.0
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
+    closed_vs_direct, einstein_worst, pairs = [], [], []
+    for pt, jets in sample.with_jets:
         ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
         direct = einstein_difference(pt, params, profile, jets, ricci=ricci)
         closed = einstein_difference_closed_form(pt, params, profile)
-        closed_vs_direct = max(
-            closed_vs_direct, _max_abs(direct[0] - closed[0], direct[1] - closed[1])
-        )
+        closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1]))
         pairs.append((ricci, jets))
         if cfg.profile == "einstein":
-            einstein_worst = max(
-                einstein_worst, einstein_residual(pt, params, jets, ricci)
-            )
-    res.checks.append(
-        CheckResult("difference_closed_form", closed_vs_direct, tol.closed_form)
-    )
+            einstein_worst.append(einstein_residual(pt, params, jets, ricci))
+    checks.append(_check("difference_closed_form", closed_vs_direct, tol.closed_form))
 
+    notes = []
     if cfg.profile == "einstein":
-        res.checks.append(
-            CheckResult(
-                "family_solves_ode", _max_abs(ode), tol.closed_form
+        if checks[-1].passed:
+            notes.append(
+                "horizontal Einstein defect matched the admissibility-weighted form "
+                "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant"
             )
-        )
-        res.checks.append(
-            CheckResult("einstein_constant", einstein_worst, tol.cross_check)
-        )
         fitted = fit_einstein_constant(pairs)
-        res.checks.append(
-            CheckResult(
+        checks.append(_check("family_solves_ode", _max_abs(ode), tol.closed_form))
+        checks.append(_check("einstein_constant", einstein_worst, tol.cross_check))
+        checks.append(
+            _check(
                 "fitted_constant_matches",
                 abs(fitted - family_einstein_constant(params)),
                 tol.cross_check,
             )
         )
-        res.notes.append(
-            "horizontal Einstein defect matched the admissibility-weighted form "
-            "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant"
-        )
-    return res
+    return SuiteResult("einstein", params.n, params.c, checks, notes)
 
 
-def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
+def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    res = SuiteResult("witnesses", params.n, params.c)
     n, c = params.n, params.c
+    points = sample.points
 
     off_params = ModelParams(
         n=n,
@@ -455,45 +460,31 @@ def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
         k_a=params.k_a,
         k_b=params.k_b,
     )
-    nij = 0.0
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, off_params)
-        jets = fiber_jets(pt, off_params, profile)
-        nij = max(nij, _max_abs(nijenhuis_closed_form(pt, off_params, jets)))
-    res.checks.append(
-        CheckResult("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge")
-    )
-
-    parallel = 0.0
-    for q, p in _fd_points(points, limit=1):
-        pt = CotangentPoint.at(q, p, off_params)
-        jets = fiber_jets(pt, off_params, profile)
-        conn = connection_coefficients(pt, off_params, jets)
-        parallel = max(parallel, parallel_j_residual(off_params, profile, pt, conn, fd_cfg))
-    res.checks.append(
-        CheckResult(
+    off_built = [(pt, fiber_jets(pt, off_params, profile)) for pt in points]
+    nij = [_max_abs(nijenhuis_closed_form(pt, off_params, jets)) for pt, jets in off_built]
+    parallel = [
+        parallel_j_residual(off_params, profile, pt, jets, fd_cfg)
+        for pt, jets in off_built[:1]
+    ]
+    checks = [
+        _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
+        _check(
             "complex_structure_parallel_detects_coupling",
             parallel,
             tol.witness_floor,
             comparison="ge",
-        )
-    )
+        ),
+    ]
 
     generic = rational_profile()
-    gam_witness = float(np.max(np.abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))))
-    res.checks.append(
-        CheckResult("gamma_detects_profile", gam_witness, tol.witness_floor, comparison="ge")
-    )
+    gam_witness = _max_abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))
+    checks.append(_check("gamma_detects_profile", gam_witness, tol.witness_floor, comparison="ge"))
 
-    defect = 0.0
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, generic)
-        diff = einstein_difference(pt, params, generic, jets)
-        defect = max(defect, _max_abs(diff[0], diff[1]))
-    res.checks.append(
-        CheckResult("einstein_detects_profile", defect, tol.witness_floor, comparison="ge")
-    )
+    defect = []
+    for pt in points:
+        diff = einstein_difference(pt, params, generic, fiber_jets(pt, params, generic))
+        defect.append(_max_abs(diff[0], diff[1]))
+    checks.append(_check("einstein_detects_profile", defect, tol.witness_floor, comparison="ge"))
 
     # Non-constancy witnesses probe a fixed generic family member: with
     # k_a = 0 some members (n = 2 in particular) are genuinely locally
@@ -502,46 +493,43 @@ def _suite_witnesses(cfg, params, profile, points, fd_cfg) -> SuiteResult:
         n=n, c=c, a_metric=integrable_coupling(c), k_a=1.0, k_b=1.0
     )
     witness_profile = einstein_profile(witness_params)
+    witness_built = [(pt, fiber_jets(pt, witness_params, witness_profile)) for pt in points]
     rng = np.random.default_rng([cfg.seed, 11, n, int(round(c * 1e9))])
     values = []
-    for q, p in points:
-        pt = CotangentPoint.at(q, p, witness_params)
-        jets = fiber_jets(pt, witness_params, witness_profile)
+    for pt, jets in witness_built:
         curv = curvature_blocks(pt, witness_params, jets)
         metric = assemble_metric(jets)
         j_op = assemble_complex_structure(jets)
         x = rng.normal(size=2 * n)
         values.append(holomorphic_sectional_curvature(curv, metric, j_op, x))
-    spread = float(np.max(values) - np.min(values))
-    res.checks.append(
-        CheckResult(
+    low, high = np.min(values), np.max(values)
+    checks.append(
+        _check(
             "holomorphic_curvature_spread",
-            spread,
+            high - low,
             tol.witness_floor,
             comparison="ge",
             note=(
-                f"sectional values in [{min(values):.6g}, {max(values):.6g}] over "
+                f"sectional values in [{low:.6g}, {high:.6g}] over "
                 f"{len(values)} random sections of the k_a=1, k_b=1 member"
             ),
         )
     )
 
-    probe = 0.0
-    for q, p in _fd_points(points, limit=1):
-        pt = CotangentPoint.at(q, p, witness_params)
-        probe = max(
-            probe, nabla_curvature_probe(witness_params, witness_profile, pt, fd_cfg)
-        )
-    res.checks.append(
-        CheckResult(
+    probe = [
+        nabla_curvature_probe(witness_params, witness_profile, pt, jets, fd_cfg)
+        for pt, jets in witness_built[:1]
+    ]
+    checks.append(
+        _check(
             "curvature_not_parallel",
             probe,
             tol.witness_floor,
             comparison="ge",
-            note=f"max nabla-K component {probe:.6g} on the k_a=1, k_b=1 member",
+            note=f"max nabla-K component {np.max(probe):.6g} on the k_a=1, k_b=1 member",
         )
     )
-    return res
+    return SuiteResult("witnesses", n, c, checks)
 
 
 _SUITE_FUNCS = {
@@ -554,27 +542,33 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, points, fd_cfg) -> SuiteResult:
-    """Run one suite; numerical failures become a failed check, never an abort."""
+def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample, fd_cfg) -> SuiteResult:
+    """Run one suite over a shared sample.
+
+    Numerical failures never abort the run: a ``GeometryError`` (zero
+    section, positivity, singular metric, stencil) or an ``ArithmeticError``
+    (such as a float overflow) becomes one failed ``suite_error`` check.
+    """
     try:
         func = _SUITE_FUNCS[name]
     except KeyError:
         raise ConfigError(f"unknown suite {name!r}") from None
     try:
-        result = func(cfg, params, profile, points, fd_cfg)
-    except GeometryError as exc:
+        result = func(cfg, params, profile, sample, fd_cfg)
+    except (GeometryError, ArithmeticError) as exc:
         result = SuiteResult(name, params.n, params.c)
         result.checks.append(
             CheckResult("suite_error", 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
         )
-    result.samples = len(points)
+    result.samples = len(sample.qp)
     return result
 
 
 def run_verification(cfg: RunConfig) -> dict:
     """Run the requested suites over every (dim, curvature) pair.
 
-    Points are sampled once per pair and shared by every suite.  Returns the
+    Points are sampled and built once per pair and shared by every suite
+    (see ``Sample``).  Returns the
     full report as a JSON-serializable dict, suite by suite; wall-clock
     timings live in their own key so reports stay comparable across runs.
     """
@@ -594,10 +588,10 @@ def run_verification(cfg: RunConfig) -> dict:
                 k_b=cfg.k_b,
             )
             profile = profile_from_name(cfg.profile, params)
-            points = sample_points(cfg, n, c, params)
+            sample = Sample(sample_points(cfg, n, c, params), params, profile)
             for index, suite_name in enumerate(cfg.suites):
                 started = time.perf_counter()
-                result = run_suite(suite_name, cfg, params, profile, points, fd_cfg)
+                result = run_suite(suite_name, cfg, params, profile, sample, fd_cfg)
                 seconds[index] += time.perf_counter() - started
                 configs_out[index].append(result.as_dict())
                 suite_notes[index].extend(result.notes)

@@ -134,7 +134,8 @@ def test_integrability_dichotomy_in_coupling(default_run):
             f"detuned-coupling N witness {min(witness):.3e} at n={n}, c={c:g}"
         )
         q, p = points[0]
-        numeric = nijenhuis_numeric(detuned, profile, q, p, fd_cfg)
+        pt = CotangentPoint.at(q, p, detuned)
+        numeric = nijenhuis_numeric(detuned, profile, pt, fiber_jets(pt, detuned, profile), fd_cfg)
         assert np.max(np.abs(numeric)) > 1e-3
 
 
@@ -198,9 +199,9 @@ def test_einstein_family_certification(default_run):
     params, profile = _member(n, c)
     q, p = sample_points(RunConfig(samples=1, suites=("einstein",)), n, c, params)[0]
     pt = CotangentPoint.at(q, p, params)
-    ricci = np.einsum("abca->bc", curvature_fd(params, profile, pt, fd_cfg))
-    hh, vv = ricci[:n, :n], ricci[n:, n:]
     jets = fiber_jets(pt, params, profile)
+    ricci = np.einsum("abca->bc", curvature_fd(params, profile, pt, jets, fd_cfg))
+    hh, vv = ricci[:n, :n], ricci[n:, n:]
     lam = family_einstein_constant(params)
     npt.assert_allclose(lam, -(params.k_b * (n + 1)) / 2.0, atol=1e-15)
     numeric = max(
@@ -252,7 +253,8 @@ def test_nonconstancy_witnesses_reported():
     probe = 0.0
     for q, p in points[:2]:
         pt = CotangentPoint.at(q, p, params)
-        probe = max(probe, nabla_curvature_probe(params, profile, pt, fd_cfg))
+        jets = fiber_jets(pt, params, profile)
+        probe = max(probe, nabla_curvature_probe(params, profile, pt, jets, fd_cfg))
     print(f"nabla-K probe max: {probe!r}")
     assert probe > 1e-3, f"nabla-K probe max {probe!r}"
 

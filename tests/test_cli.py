@@ -237,3 +237,72 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["--frobnicate"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Numerical failures and the notes that depend on a check
+# ---------------------------------------------------------------------------
+
+
+def _checks_by_suite(report: dict) -> dict:
+    return {
+        suite["name"]: [check for cfg_out in suite["configs"] for check in cfg_out["checks"]]
+        for suite in report["suites"]
+    }
+
+
+class TestNumericalFailures:
+    OVERFLOW = ["--t-min", "1e100", "--t-max", "1e140", "--samples", "4",
+                "--dims", "3", "--curvatures", "1.0"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_recorded_not_raised(self, tmp_path, capsys):
+        """Python-float powers overflow in the curvature and witnesses suites;
+        each records the OverflowError and the run still writes its report."""
+        path = tmp_path / "report.json"
+        assert main(self.OVERFLOW + ["--report", str(path)]) == 1
+        checks = _checks_by_suite(json.loads(path.read_text()))
+        assert list(checks) == list(SUITE_NAMES)
+        for name in ("curvature", "witnesses"):
+            assert checks[name][0]["name"] == "suite_error"
+            assert checks[name][0]["note"].startswith("OverflowError")
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_fails_its_check(self, capsys):
+        """Every per-sample closed-form difference is NaN in this window; the
+        check must report NaN and fail, not drop the samples and pass."""
+        assert main(self.OVERFLOW + ["--suites", "einstein", "--report", "-"]) == 1
+        checks = _checks_by_suite(json.loads(capsys.readouterr().out))["einstein"]
+        closed = next(check for check in checks if check["name"] == "difference_closed_form")
+        assert np.isnan(closed["value"])
+        assert closed["passed"] is False
+
+    def test_zero_section_fails_every_suite(self, tmp_path):
+        path = tmp_path / "report.json"
+        code = main(["--t-min", "1e-14", "--t-max", "1e-13", "--samples", "3",
+                     "--report", str(path)])
+        assert code == 1
+        report = json.loads(path.read_text())
+        assert [suite["name"] for suite in report["suites"]] == list(SUITE_NAMES)
+        for suite in report["suites"]:
+            for cfg_out in suite["configs"]:
+                (check,) = cfg_out["checks"]
+                assert check["name"] == "suite_error"
+                assert check["note"].startswith("ZeroSectionError")
+
+    @pytest.mark.parametrize(
+        "flag, suite, fragment",
+        [
+            ("--tol-closed-form", "einstein", "matched the admissibility-weighted form"),
+            ("--tol-fd-oracle", "curvature", "complement below"),
+        ],
+        ids=["einstein", "curvature"],
+    )
+    def test_note_needs_its_check_to_pass(self, flag, suite, fragment, capsys):
+        args = ["--dims", "2", "--curvatures", "1.0", "--samples", "2",
+                "--suites", suite, "--report", "-"]
+        assert main(args) == 0
+        assert any(fragment in note for note in json.loads(capsys.readouterr().out)["discrepancy_notes"])
+        assert main(args + [flag, "1e-30"]) == 1
+        assert not any(fragment in note for note in json.loads(capsys.readouterr().out)["discrepancy_notes"])

@@ -18,6 +18,7 @@ from cotangent_kahler import (
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    metric_gradient,
     parallel_j_residual,
     rational_profile,
     torsion_residual,
@@ -113,8 +114,9 @@ class TestKoszulOracle:
         params = ModelParams(n=3, c=c, a_metric=a)
         profile = rational_profile()
         pt = CotangentPoint.at(q, p, params)
-        conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-        oracle = koszul_nabla(params, profile, pt, fd_cfg)
+        jets = fiber_jets(pt, params, profile)
+        conn = connection_coefficients(pt, params, jets)
+        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt, fd_cfg))
         assert oracle.shape == (6, 6, 6)
         npt.assert_allclose(oracle, conn, atol=1e-5)
 
@@ -127,8 +129,10 @@ class TestKoszulOracle:
     def test_metric_compatibility(self, sample_qp, generic_params, generic_profile, fd_cfg):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        conn = connection_coefficients(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
-        assert metric_compatibility_residual(generic_params, generic_profile, pt, conn, fd_cfg) < 1e-5
+        jets = fiber_jets(pt, generic_params, generic_profile)
+        conn = connection_coefficients(pt, generic_params, jets)
+        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_cfg)
+        assert metric_compatibility_residual(conn, jets, metric_grad) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +146,15 @@ class TestParallelComplexStructure:
     ):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        conn = connection_coefficients(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
-        assert parallel_j_residual(kahler_params, kahler_profile, pt, conn, fd_cfg) < 1e-5
+        jets = fiber_jets(pt, kahler_params, kahler_profile)
+        assert parallel_j_residual(kahler_params, kahler_profile, pt, jets, fd_cfg) < 1e-5
 
     def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_cfg):
         """Off the integrable coupling J is compatible but not parallel."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        conn = connection_coefficients(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
-        assert parallel_j_residual(generic_params, generic_profile, pt, conn, fd_cfg) > 1e-3
+        jets = fiber_jets(pt, generic_params, generic_profile)
+        assert parallel_j_residual(generic_params, generic_profile, pt, jets, fd_cfg) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +187,6 @@ class TestCoefficientFiberDerivatives:
         def basis_fields(qq, pp):
             return np.eye(6)
 
-        nabla = covariant_field_derivative(pt, conn, basis_fields, fd_cfg)
+        nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6), fd_cfg)
         torsion_free = np.einsum("acb->abc", nabla) - np.einsum("bca->abc", nabla)
         npt.assert_allclose(torsion_free, frame_brackets(pt), atol=1e-9)

@@ -15,7 +15,6 @@ from cotangent_kahler import (
     curvature_fd,
     fiber_jets,
     holomorphic_sectional_curvature,
-    mixed_ricci_fd,
     nabla_curvature,
     odd_slots,
     pair_symmetry_residual,
@@ -51,8 +50,9 @@ class TestBlocksAgainstDefinition:
         and the complementary output part of the same inputs vanishes."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        curv = curvature_blocks(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
-        probe = curvature_fd(kahler_params, kahler_profile, pt, fd_cfg)
+        jets = fiber_jets(pt, kahler_params, kahler_profile)
+        curv = curvature_blocks(pt, kahler_params, jets)
+        probe = curvature_fd(kahler_params, kahler_profile, pt, jets, fd_cfg)
         a, b, c, d = BLOCK_SLOTS[name]
         other = V if d == H else H
         npt.assert_allclose(
@@ -68,8 +68,9 @@ class TestBlocksAgainstDefinition:
         """The assembly needs only the block-diagonal metric, not Kahlerness."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        curv = curvature_blocks(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
-        probe = curvature_fd(generic_params, generic_profile, pt, fd_cfg)
+        jets = fiber_jets(pt, generic_params, generic_profile)
+        curv = curvature_blocks(pt, generic_params, jets)
+        probe = curvature_fd(generic_params, generic_profile, pt, jets, fd_cfg)
         odd = odd_slots(3)
         npt.assert_allclose(probe[~odd], curv[~odd], atol=1e-4)
         npt.assert_allclose(probe[odd], 0.0, atol=1e-4)
@@ -195,8 +196,9 @@ class TestRicci:
         """Ric(horizontal, vertical) = 0, by tracing the FD curvature."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        mixed = mixed_ricci_fd(kahler_params, kahler_profile, pt, fd_cfg)
-        assert mixed.shape == (3, 3)
+        jets = fiber_jets(pt, kahler_params, kahler_profile)
+        probe = curvature_fd(kahler_params, kahler_profile, pt, jets, fd_cfg)
+        mixed = np.einsum("abca->bc", probe)[:3, 3:]
         npt.assert_allclose(mixed, 0.0, atol=1e-6)
 
 
@@ -210,7 +212,8 @@ class TestNablaCurvature:
         """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0 on every frame entry."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        assert second_bianchi_residual(kahler_params, kahler_profile, pt, fd_cfg) < 1e-6
+        jets = fiber_jets(pt, kahler_params, kahler_profile)
+        assert second_bianchi_residual(kahler_params, kahler_profile, pt, jets, fd_cfg) < 1e-6
 
     def test_momentum_scaling_maps_family_members(self, fd_cfg):
         """Rescaling the fiber by lambda is a homothety onto the member with
@@ -224,12 +227,14 @@ class TestNablaCurvature:
         q = np.array([0.4, -0.6, 0.2])
         p = np.array([0.9, 0.3, -0.5])
 
-        out_up = nabla_curvature(
-            params_up, einstein_profile(params_up), CotangentPoint.at(q, lam * p, params_up), fd_cfg,
-        )[H, H, H, H]
-        out_dn = nabla_curvature(
-            params_dn, einstein_profile(params_dn), CotangentPoint.at(q, p, params_dn), fd_cfg,
-        )[H, H, H, H]
+
+        def nabla_at(params, momentum):
+            profile = einstein_profile(params)
+            pt = CotangentPoint.at(q, momentum, params)
+            return nabla_curvature(params, profile, pt, fiber_jets(pt, params, profile), fd_cfg)
+
+        out_up = nabla_at(params_up, lam * p)[H, H, H, H]
+        out_dn = nabla_at(params_dn, p)[H, H, H, H]
         assert np.max(np.abs(out_up)) > 1e-3
         npt.assert_allclose(out_up[..., H], out_dn[..., H], atol=1e-6, err_msg="horizontal part")
         npt.assert_allclose(out_up[..., V], lam * out_dn[..., V], atol=1e-6, err_msg="vertical part")

@@ -13,7 +13,6 @@ from cotangent_kahler import (
     ModelParams,
     StencilError,
     chart_frame,
-    connection_coefficients,
     curvature_fd,
     fd_gradient,
     fd_partial,
@@ -208,18 +207,11 @@ class TestFrameCalculus:
 # ---------------------------------------------------------------------------
 
 
-def _parallel_j(params, profile, pt, cfg):
-    conn = connection_coefficients(pt, params, fiber_jets(pt, params, profile))
-    return parallel_j_residual(params, profile, pt, conn, cfg)
-
-
-def _nijenhuis(params, profile, pt, cfg):
-    return nijenhuis_numeric(params, profile, pt.q, pt.p, cfg)
-
-
 class TestOneGradientPerOracle:
     @pytest.mark.parametrize(
-        "oracle", [_parallel_j, curvature_fd, nabla_curvature_probe, _nijenhuis]
+        "oracle",
+        [parallel_j_residual, curvature_fd, nabla_curvature_probe, nijenhuis_numeric],
+        ids=["_parallel_j", "curvature_fd", "nabla_curvature_probe", "_nijenhuis"],
     )
     def test_each_oracle_takes_one_gradient(
         self, oracle, kahler_point, kahler_params, kahler_profile, fd_cfg, monkeypatch
@@ -233,6 +225,7 @@ class TestOneGradientPerOracle:
             calls.append(args[2])
             return original(*args, **kwargs)
 
+        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
-        oracle(kahler_params, kahler_profile, kahler_point, fd_cfg)
+        oracle(kahler_params, kahler_profile, kahler_point, jets, fd_cfg)
         assert calls == list(range(6))

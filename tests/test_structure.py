@@ -147,7 +147,7 @@ class TestNijenhuis:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, generic_profile)
         tensor = nijenhuis_closed_form(pt, params, jets)
-        numeric = nijenhuis_numeric(params, generic_profile, q, p, FDConfig())
+        numeric = nijenhuis_numeric(params, generic_profile, pt, jets, FDConfig())
         npt.assert_allclose(numeric, tensor, atol=1e-5)
 
     def test_closed_form_holds_off_space_forms(self, generic_profile):
@@ -174,6 +174,6 @@ class TestNijenhuis:
         tensor = nijenhuis_closed_form(pt, params, jets)
         assert np.max(np.abs(tensor)) > 1e-3  # nothing trivial is being compared
         numeric = nijenhuis_numeric(
-            params, generic_profile, q, p, FDConfig(), point_factory=point_factory
+            params, generic_profile, pt, jets, FDConfig(), point_factory=point_factory
         )
         npt.assert_allclose(numeric, tensor, atol=1e-5)
