@@ -17,6 +17,11 @@ pinned so that a space form satisfies
 
 General bases are not a production input; ``conformal_jet`` is exposed so
 tests can build non-constant-curvature fixtures for falsification checks.
+
+Every function here takes a leading batch axis: chart points of shape
+``(..., n)`` give jets, Christoffel symbols and curvature with the same
+leading ``...``, and a guard raises if any point of the batch fails it,
+naming the first failing value.
 """
 
 from __future__ import annotations
@@ -94,10 +99,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """2-jet of the base metric at one chart point.
+    """2-jet of the base metric at one chart point, or a batch of them.
 
-    Index conventions: ``dg[k, i, j] = d_k g_ij`` and
-    ``ddg[l, k, i, j] = d_l d_k g_ij``.
+    Index conventions: ``dg[..., k, i, j] = d_k g_ij`` and
+    ``ddg[..., l, k, i, j] = d_l d_k g_ij``.
     """
 
     g: np.ndarray
@@ -107,77 +112,102 @@ class MetricJet:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)
 class BaseCurvature:
     """Christoffel symbols and curvature tensor of the base metric.
 
-    ``gamma[k, i, j] = Gamma^k_{ij}``; ``riemann[h, k, i, j] = R^h_{kij}``.
+    ``gamma[..., k, i, j] = Gamma^k_{ij}``; ``riemann[..., h, k, i, j] =
+    R^h_{kij}``.
     """
 
     gamma: np.ndarray
     riemann: np.ndarray
 
 
-def conformal_jet(x: np.ndarray, f: float, grad_f: np.ndarray, hess_f: np.ndarray) -> MetricJet:
+def _scale(x, rank: int):
+    """A scalar over the batch with ``rank`` trailing unit axes, so it scales
+    arrays that carry ``rank`` more axes than the batch.  One point's scalar
+    is returned as is: a scalar multiply costs far less than broadcasting a
+    one-element array, and the per-point formulas use dozens of them."""
+    return x[(...,) + (None,) * rank] if np.ndim(x) else x
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def conformal_jet(x: np.ndarray, f, grad_f: np.ndarray, hess_f: np.ndarray) -> MetricJet:
     """Exact 2-jet of the conformally flat metric ``g = I / f(x)^2`` from the
-    2-jet of the conformal factor ``f`` at ``x``."""
+    2-jet of the conformal factor ``f`` at ``x``: ``f`` has shape ``(...)``,
+    ``grad_f`` ``(..., n)`` and ``hess_f`` ``(..., n, n)``."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if not np.isfinite(f) or f <= 0.0:
-        raise SingularMetricError(f"conformal factor must be positive, got {f}")
+    n = x.shape[-1]
+    bad = ~np.isfinite(f) | (f <= 0.0)
+    if bad.any():
+        raise SingularMetricError(f"conformal factor must be positive, got {np.extract(bad, f)[0]}")
     eye = np.eye(n)
-    g = eye / f**2
-    g_inv = eye * f**2
+    g = eye / _scale(f**2, 2)
+    g_inv = eye * _scale(f**2, 2)
     # d_k (f^-2) = -2 f^-3 d_k f
-    dg = np.einsum("ij,k->kij", eye, -2.0 * grad_f / f**3)
+    dg = np.einsum("ij,...k->...kij", eye, -2.0 * grad_f / _scale(f**3, 1))
     # d_l d_k (f^-2) = 6 f^-4 (d_l f)(d_k f) - 2 f^-3 d_l d_k f
-    dd_factor = 6.0 * np.outer(grad_f, grad_f) / f**4 - 2.0 * hess_f / f**3
-    ddg = np.einsum("ij,lk->lkij", eye, dd_factor)
+    dd_factor = 6.0 * _outer(grad_f, grad_f) / _scale(f**4, 2) - 2.0 * hess_f / _scale(f**3, 2)
+    ddg = np.einsum("ij,...lk->...lkij", eye, dd_factor)
     return MetricJet(g=g, g_inv=g_inv, dg=dg, ddg=ddg)
 
 
 def space_form_metric(x: np.ndarray, params: ModelParams) -> MetricJet:
-    """Stereographic-chart 2-jet of the curvature-``c`` space form at ``x``."""
+    """Stereographic-chart 2-jet of the curvature-``c`` space form at ``x``,
+    of shape ``(..., n)``."""
     x = np.asarray(x, dtype=float)
-    if x.size != params.n:
-        raise GeometryError(f"chart point has dimension {x.size}, expected {params.n}")
-    if not np.all(np.isfinite(x)):
+    if x.shape[-1:] != (params.n,):
+        raise GeometryError(
+            f"chart point has dimension {x.shape[-1] if x.ndim else 1}, expected {params.n}"
+        )
+    if not np.isfinite(x).all():
         raise GeometryError("chart point must be finite")
     c = params.c
-    f = 1.0 + 0.25 * c * float(x @ x)
+    f = 1.0 + 0.25 * c * np.vecdot(x, x)
     grad_f = 0.5 * c * x
     hess_f = 0.5 * c * np.eye(params.n)
     return conformal_jet(x, f, grad_f, hess_f)
 
 
 def _koszul_bracket(dg: np.ndarray) -> np.ndarray:
-    """``b[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij``."""
-    return np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
+    """``b[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij``."""
+    return (
+        np.einsum("...ijl->...ijl", dg)
+        + np.einsum("...jil->...ijl", dg)
+        - np.einsum("...lij->...ijl", dg)
+    )
 
 
 def christoffel(jet: MetricJet) -> np.ndarray:
     """Christoffel symbols ``Gamma^k_{ij}`` of the metric 2-jet."""
     cond = np.linalg.cond(jet.g)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMetricError(f"base metric condition number {cond:.3e} exceeds limit")
-    return 0.5 * np.einsum("kl,ijl->kij", jet.g_inv, _koszul_bracket(jet.dg))
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if bad.any():
+        raise SingularMetricError(
+            f"base metric condition number {np.extract(bad, cond)[0]:.3e} exceeds limit"
+        )
+    return 0.5 * np.einsum("...kl,...ijl->...kij", jet.g_inv, _koszul_bracket(jet.dg))
 
 
 def christoffel_derivative(jet: MetricJet) -> np.ndarray:
-    """Coordinate derivatives ``d_m Gamma^k_{ij}``, indexed ``[m, k, i, j]``."""
-    dginv = -np.einsum("ka,mab,bl->mkl", jet.g_inv, jet.dg, jet.g_inv)
+    """Coordinate derivatives ``d_m Gamma^k_{ij}``, indexed ``[..., m, k, i, j]``."""
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", jet.g_inv, jet.dg, jet.g_inv)
     bracket = _koszul_bracket(jet.dg)
     # d_m b[i, j, l] with ddg[m, k, i, j] = d_m d_k g_ij
     dbracket = (
-        np.einsum("mijl->mijl", jet.ddg)
-        + np.einsum("mjil->mijl", jet.ddg)
-        - np.einsum("mlij->mijl", jet.ddg)
+        np.einsum("...mijl->...mijl", jet.ddg)
+        + np.einsum("...mjil->...mijl", jet.ddg)
+        - np.einsum("...mlij->...mijl", jet.ddg)
     )
-    return 0.5 * np.einsum("mkl,ijl->mkij", dginv, bracket) + 0.5 * np.einsum(
-        "kl,mijl->mkij", jet.g_inv, dbracket
+    return 0.5 * np.einsum("...mkl,...ijl->...mkij", dginv, bracket) + 0.5 * np.einsum(
+        "...kl,...mijl->...mkij", jet.g_inv, dbracket
     )
 
 
@@ -186,10 +216,10 @@ def base_curvature(jet: MetricJet) -> BaseCurvature:
     gamma = christoffel(jet)
     dgamma = christoffel_derivative(jet)
     riemann = (
-        np.einsum("ihjk->hkij", dgamma)
-        - np.einsum("jhik->hkij", dgamma)
-        + np.einsum("hil,ljk->hkij", gamma, gamma)
-        - np.einsum("hjl,lik->hkij", gamma, gamma)
+        np.einsum("...ihjk->...hkij", dgamma)
+        - np.einsum("...jhik->...hkij", dgamma)
+        + np.einsum("...hil,...ljk->...hkij", gamma, gamma)
+        - np.einsum("...hjl,...lik->...hkij", gamma, gamma)
     )
     return BaseCurvature(gamma=gamma, riemann=riemann)
 

@@ -9,7 +9,9 @@ Gamma[j, n+i, h]``, the horizontal output of a mixed pair; and ``hh[h, i, j]
 = Gamma[i, j, n+h]``, the vertical correction of a horizontal pair.  Two
 independent routes produce the same coefficients: the general fiber-jet
 formulas here, and a finite-difference Koszul evaluation that never sees
-them.
+them.  ``connection_coefficients`` and ``connection_fiber_derivatives``
+keep the point's leading batch axis; the fields differentiated here are
+built at all stencil points of a coordinate in one call.
 """
 
 from __future__ import annotations
@@ -60,14 +62,14 @@ def connection_coefficients(
     gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
     pr = pt.p_riemann
 
-    sym = dgv + np.einsum("jik->ijk", dgv) - np.einsum("kij->ijk", dgv)
-    vv = 0.5 * np.einsum("hk,ijk->ijh", gh, sym)
+    sym = dgv + np.einsum("...jik->...ijk", dgv) - np.einsum("...kij->...ijk", dgv)
+    vv = 0.5 * np.einsum("...hk,...ijk->...ijh", gh, sym)
 
     vh = 0.5 * np.einsum(
-        "hk,ijk->hij", gv, dgh - np.einsum("il,ljk->ijk", gv, pr)
+        "...hk,...ijk->...hij", gv, dgh - np.einsum("...il,...ljk->...ijk", gv, pr)
     )
 
-    hh = -0.5 * np.einsum("hk,kij->hij", gh, dgh) + 0.5 * pr
+    hh = -0.5 * np.einsum("...hk,...kij->...hij", gh, dgh) + 0.5 * pr
 
     return _assemble(pt.gamma, vv, vh, hh)
 
@@ -122,21 +124,25 @@ def connection_fiber_derivatives(
     ddgh, ddgv = jets.ddgh, jets.ddgv
     pr, riem = pt.p_riemann, pt.riemann
 
-    sym = dgv + np.einsum("jik->ijk", dgv) - np.einsum("kij->ijk", dgv)
-    dsym = ddgv + np.einsum("mjik->mijk", ddgv) - np.einsum("mkij->mijk", ddgv)
-    dvv = 0.5 * np.einsum("mhk,ijk->mijh", dgh, sym) + 0.5 * np.einsum(
-        "hk,mijk->mijh", gh, dsym
+    sym = dgv + np.einsum("...jik->...ijk", dgv) - np.einsum("...kij->...ijk", dgv)
+    dsym = ddgv + np.einsum("...mjik->...mijk", ddgv) - np.einsum("...mkij->...mijk", ddgv)
+    dvv = 0.5 * np.einsum("...mhk,...ijk->...mijh", dgh, sym) + 0.5 * np.einsum(
+        "...hk,...mijk->...mijh", gh, dsym
     )
 
-    inner = dgh - np.einsum("il,ljk->ijk", gv, pr)
-    dinner = ddgh - np.einsum("mil,ljk->mijk", dgv, pr) - np.einsum("il,mljk->mijk", gv, riem)
-    dvh = 0.5 * np.einsum("mhk,ijk->mhij", dgv, inner) + 0.5 * np.einsum(
-        "hk,mijk->mhij", gv, dinner
+    inner = dgh - np.einsum("...il,...ljk->...ijk", gv, pr)
+    dinner = (
+        ddgh
+        - np.einsum("...mil,...ljk->...mijk", dgv, pr)
+        - np.einsum("...il,...mljk->...mijk", gv, riem)
+    )
+    dvh = 0.5 * np.einsum("...mhk,...ijk->...mhij", dgv, inner) + 0.5 * np.einsum(
+        "...hk,...mijk->...mhij", gv, dinner
     )
 
     dhh = (
-        -0.5 * np.einsum("mhk,kij->mhij", dgh, dgh)
-        - 0.5 * np.einsum("hk,mkij->mhij", gh, ddgh)
+        -0.5 * np.einsum("...mhk,...kij->...mhij", dgh, dgh)
+        - 0.5 * np.einsum("...hk,...mkij->...mhij", gh, ddgh)
         + 0.5 * riem
     )
 
@@ -151,8 +157,9 @@ def covariant_field_derivative(
 ) -> np.ndarray:
     """``nabla_{e_a}`` of a field of frame vectors, along every direction.
 
-    ``field(q, p)`` returns an array whose axis 0 holds frame components;
-    further axes label independent vector fields.  ``value`` is the field
+    ``field(q, p)`` takes a batch of points, ``q`` and ``p`` of shape ``(m,
+    n)``, and returns ``(m, ...)``: per point, axis 0 holds frame components
+    and further axes label independent vector fields.  ``value`` is the field
     at ``pt`` itself, which the caller already has.  The result is ``out[a,
     c, ...]``, the ``c``-th component of ``nabla_{e_a} V``: one frame
     gradient differentiates the components, and the frame's own rotation

@@ -12,7 +12,9 @@ assumes).
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
-routes share no code.
+routes share no code.  ``curvature_blocks`` keeps the point's leading batch
+axis, so the covariant derivative of ``K`` builds its field at all stencil
+points of a coordinate in one call.
 """
 
 from __future__ import annotations
@@ -74,58 +76,58 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     n = pt.n
     conn = connection_coefficients(pt, params, jets)
     der = connection_fiber_derivatives(pt, params, jets)
-    vv = conn[n:, n:, n:]
-    vh = np.einsum("ijh->hij", conn[n:, :n, :n])
-    hh = np.einsum("ijh->hij", conn[:n, :n, n:])
-    dvv = der[:, n:, n:, n:]
-    dvh = np.einsum("mijh->mhij", der[:, n:, :n, :n])
-    dhh = np.einsum("mijh->mhij", der[:, :n, :n, n:])
+    vv = conn[..., n:, n:, n:]
+    vh = np.einsum("...ijh->...hij", conn[..., n:, :n, :n])
+    hh = np.einsum("...ijh->...hij", conn[..., :n, :n, n:])
+    dvv = der[..., n:, n:, n:]
+    dvh = np.einsum("...mijh->...mhij", der[..., n:, :n, :n])
+    dhh = np.einsum("...mijh->...mhij", der[..., :n, :n, n:])
     riem, pr = pt.riemann, pt.p_riemann
 
     hhh = (
-        np.einsum("hkij->hijk", riem)
-        - np.einsum("hlk,lij->hijk", vh, pr)
-        + np.einsum("hli,ljk->hijk", vh, hh)
-        - np.einsum("hlj,lik->hijk", vh, hh)
+        np.einsum("...hkij->...hijk", riem)
+        - np.einsum("...hlk,...lij->...hijk", vh, pr)
+        + np.einsum("...hli,...ljk->...hijk", vh, hh)
+        - np.einsum("...hlj,...lik->...hijk", vh, hh)
     )
     hhv = (
-        -np.einsum("khij->hijk", riem)
-        + np.einsum("lkj,hil->hijk", vh, hh)
-        - np.einsum("lki,hjl->hijk", vh, hh)
-        - np.einsum("lkh,lij->hijk", vv, pr)
+        -np.einsum("...khij->...hijk", riem)
+        + np.einsum("...lkj,...hil->...hijk", vh, hh)
+        - np.einsum("...lki,...hjl->...hijk", vh, hh)
+        - np.einsum("...lkh,...lij->...hijk", vv, pr)
     )
     vvh = (
-        np.einsum("ihjk->hijk", dvh)
-        - np.einsum("jhik->hijk", dvh)
-        + np.einsum("hil,ljk->hijk", vh, vh)
-        - np.einsum("hjl,lik->hijk", vh, vh)
+        np.einsum("...ihjk->...hijk", dvh)
+        - np.einsum("...jhik->...hijk", dvh)
+        + np.einsum("...hil,...ljk->...hijk", vh, vh)
+        - np.einsum("...hjl,...lik->...hijk", vh, vh)
     )
     vvv = (
-        np.einsum("ijkh->hijk", dvv)
-        - np.einsum("jikh->hijk", dvv)
-        + np.einsum("jkl,ilh->hijk", vv, vv)
-        - np.einsum("ikl,jlh->hijk", vv, vv)
+        np.einsum("...ijkh->...hijk", dvv)
+        - np.einsum("...jikh->...hijk", dvv)
+        + np.einsum("...jkl,...ilh->...hijk", vv, vv)
+        - np.einsum("...ikl,...jlh->...hijk", vv, vv)
     )
     vhh = (
-        np.einsum("ihjk->hijk", dhh)
-        + np.einsum("ilh,ljk->hijk", vv, hh)
-        - np.einsum("lik,hjl->hijk", vh, hh)
+        np.einsum("...ihjk->...hijk", dhh)
+        + np.einsum("...ilh,...ljk->...hijk", vv, hh)
+        - np.einsum("...lik,...hjl->...hijk", vh, hh)
     )
     vhv = (
-        np.einsum("ihkj->hijk", dvh)
-        + np.einsum("hil,lkj->hijk", vh, vh)
-        - np.einsum("hlj,ikl->hijk", vh, vv)
+        np.einsum("...ihkj->...hijk", dvh)
+        + np.einsum("...hil,...lkj->...hijk", vh, vh)
+        - np.einsum("...hlj,...ikl->...hijk", vh, vv)
     )
     h, v = slice(None, n), slice(n, None)
-    out = np.zeros((2 * n,) * 4)
-    out[h, h, h, h] = np.einsum("hijk->ijkh", hhh)
-    out[h, h, v, v] = np.einsum("hijk->ijkh", hhv)
-    out[v, v, h, h] = np.einsum("hijk->ijkh", vvh)
-    out[v, v, v, v] = np.einsum("hijk->ijkh", vvv)
-    out[v, h, h, v] = np.einsum("hijk->ijkh", vhh)
-    out[h, v, h, v] = -np.einsum("hijk->jikh", vhh)
-    out[v, h, v, h] = np.einsum("hijk->ijkh", vhv)
-    out[h, v, v, h] = -np.einsum("hijk->jikh", vhv)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 4)
+    out[..., h, h, h, h] = np.einsum("...hijk->...ijkh", hhh)
+    out[..., h, h, v, v] = np.einsum("...hijk->...ijkh", hhv)
+    out[..., v, v, h, h] = np.einsum("...hijk->...ijkh", vvh)
+    out[..., v, v, v, v] = np.einsum("...hijk->...ijkh", vvv)
+    out[..., v, h, h, v] = np.einsum("...hijk->...ijkh", vhh)
+    out[..., h, v, h, v] = -np.einsum("...hijk->...jikh", vhh)
+    out[..., v, h, v, h] = np.einsum("...hijk->...ijkh", vhv)
+    out[..., h, v, v, h] = -np.einsum("...hijk->...jikh", vhv)
     return out
 
 
@@ -222,12 +224,13 @@ def holomorphic_sectional_curvature(
 
 
 def _vector_field(build, params: ModelParams, profile):
-    """Field ``(q, p) -> build(point, params, jets)`` with the output index
-    (last) moved to the front, as ``covariant_field_derivative`` expects."""
+    """Field ``(q, p) -> build(point, params, jets)`` over a batch of points,
+    with the output index (last) moved next to the batch axis, as
+    ``covariant_field_derivative`` expects."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
-        return np.moveaxis(build(point, params, fiber_jets(point, params, profile)), -1, 0)
+        return np.moveaxis(build(point, params, fiber_jets(point, params, profile)), -1, 1)
 
     return field
 

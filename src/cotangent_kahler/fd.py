@@ -10,6 +10,11 @@ deliberately simple and well characterised:
   step ``h/2`` and cancels the leading ``O(h^4)`` term, giving ``O(h^6)``,
 * steps scale with the magnitude of the coordinate being displaced.
 
+Fields are batched: ``f(X)`` takes ``X`` of shape ``(m, dim)`` and returns
+``(m, ...)``, one row per point.  ``fd_partial`` stacks the whole stencil
+along one coordinate -- offsets ``-2, -1, +1, +2`` at each of the
+``richardson_levels`` steps -- and evaluates it in one call.
+
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
 with the horizontal directions first) are built on top of plain partial
@@ -76,20 +81,6 @@ def richardson_extrapolate(coarse: np.ndarray, fine: np.ndarray, order: int = 4,
     return (weight * fine - coarse) / (weight - 1.0)
 
 
-def _stencil_eval(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d: int, h: float):
-    acc = None
-    for offset, weight in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-        shifted = np.array(x, dtype=float)
-        shifted[d] += offset * h
-        value = np.asarray(f(shifted), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise StencilError(
-                f"non-finite stencil value at coordinate {d}, offset {offset * h:+.3e}"
-            )
-        acc = weight * value if acc is None else acc + weight * value
-    return acc / h
-
-
 def fd_partial(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -98,22 +89,36 @@ def fd_partial(
 ) -> np.ndarray:
     """Partial derivative of ``f`` with respect to coordinate ``d`` at ``x``.
 
-    ``f`` may return a scalar or an ndarray of any fixed shape; the result
-    has the same shape.
+    ``f`` maps a batch of points ``(m, dim)`` to ``(m, ...)`` with a scalar
+    or any fixed shape per point; the result has that shape.  All
+    ``4 * richardson_levels`` stencil points go to ``f`` in one call, offsets
+    ``-2, -1, +1, +2`` of the first step, then of each halved step.
     """
     cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
-    h = cfg.step_for(x[d])
-    estimate = _stencil_eval(f, x, d, h)
-    for _ in range(cfg.richardson_levels - 1):
-        h *= 0.5
-        finer = _stencil_eval(f, x, d, h)
-        estimate = richardson_extrapolate(estimate, finer, order=4)
+    steps = cfg.step_for(x[d]) * 0.5 ** np.arange(cfg.richardson_levels)
+    shifts = np.outer(steps, _STENCIL_OFFSETS).ravel()
+    points = np.repeat(x[None, :], shifts.size, axis=0)
+    points[:, d] += shifts
+    values = np.asarray(f(points), dtype=float)
+    bad = ~np.isfinite(values.reshape(shifts.size, -1)).all(axis=1)
+    if bad.any():
+        raise StencilError(
+            f"non-finite stencil value at coordinate {d}, offset {shifts[np.argmax(bad)]:+.3e}"
+        )
+    estimate = None
+    for h, level in zip(steps, values.reshape(steps.shape + (4,) + values.shape[1:])):
+        acc = None
+        for weight, value in zip(_STENCIL_WEIGHTS, level):
+            acc = weight * value if acc is None else acc + weight * value
+        finer = acc / h
+        estimate = finer if estimate is None else richardson_extrapolate(estimate, finer, order=4)
     return estimate
 
 
 def fd_gradient(f, x, cfg: FDConfig | None = None) -> np.ndarray:
-    """All partial derivatives of ``f`` at ``x``; axis 0 indexes the coordinate."""
+    """All partial derivatives of the batched field ``f`` at ``x``; axis 0
+    indexes the coordinate."""
     x = np.asarray(x, dtype=float)
     return np.stack([fd_partial(f, x, d, cfg) for d in range(x.size)])
 
@@ -124,10 +129,11 @@ def fd_gradient(f, x, cfg: FDConfig | None = None) -> np.ndarray:
 
 
 def _joint(field, n: int):
-    """Wrap a field of (q, p) as a field of the joint 2n-vector z = (q, p)."""
+    """Wrap a batched field of (q, p) as a field of the joint 2n-vectors
+    z = (q, p)."""
 
     def f(z: np.ndarray):
-        return field(z[:n], z[n:])
+        return field(z[..., :n], z[..., n:])
 
     return f
 
@@ -141,11 +147,12 @@ def frame_gradient(
 ) -> np.ndarray:
     """Derivatives of ``field(q, p)`` along all 2n adapted-frame directions.
 
-    Axis 0 of the result indexes the frame: entries ``0..n-1`` are the
-    horizontal directions, entries ``n..2n-1`` the vertical ones.  The 2n
-    chart partials are evaluated once (one ``fd_partial`` call each) and
-    recombined with the chart frame: ``delta_i = d/dq^i + p_gamma[i, h]
-    d/dp_h``.
+    ``field(Q, P)`` takes a batch of points, ``Q`` and ``P`` of shape ``(m,
+    n)``, and returns ``(m, ...)``.  Axis 0 of the result indexes the frame:
+    entries ``0..n-1`` are the horizontal directions, entries ``n..2n-1`` the
+    vertical ones.  The 2n chart partials are evaluated once (one
+    ``fd_partial`` call, hence one field call, each) and recombined with the
+    chart frame: ``delta_i = d/dq^i + p_gamma[i, h] d/dp_h``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)

@@ -14,6 +14,13 @@ p_k Gamma^k_{ih} d/dp_h`` for ``i < n`` (horizontal), ``e_{n+i} = d/dp_i``
 output index last.  The bundle metric ``G`` is block diagonal in this frame:
 a weighted Sasaki-type block ``a sqrt(t) g_ij + v(t) p_i p_j`` on horizontal
 vectors and its matrix inverse on vertical ones.
+
+The point data, the fiber jets and the frame arrays carry a leading batch
+axis: ``CotangentPoint.at`` on ``q, p`` of shape ``(..., n)`` gives a point
+whose ``t`` has shape ``(...)`` and whose arrays start with ``...``, and the
+functions below keep that axis.  A single point has no batch axis and a
+float ``t``.  The guards (zero section, positivity) raise if any point of a
+batch fails them, naming the first failing value.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import numpy as np
 from .base import (
     MetricJet,
     ModelParams,
+    _outer,
+    _scale,
     base_curvature,
     space_form_metric,
 )
@@ -46,18 +55,23 @@ __all__ = [
 ZERO_SECTION_TOL = 1e-12
 
 
-def energy_density(g_inv: np.ndarray, p: np.ndarray) -> float:
-    """``t = g^{ik} p_i p_k / 2``; rejects points on the zero section."""
+def energy_density(g_inv: np.ndarray, p: np.ndarray):
+    """``t = g^{ik} p_i p_k / 2``; rejects points on the zero section.
+
+    A float for one point, an array over the batch for ``p`` of shape
+    ``(..., n)``.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
-        t = 0.5 * float(p @ g_inv @ p)
-    if not np.isfinite(t):
+        t = 0.5 * np.vecdot(np.vecmat(p, g_inv), p)
+    if not np.isfinite(t).all():
         raise GeometryError("energy density is not finite")
-    if t < ZERO_SECTION_TOL:
+    low = t < ZERO_SECTION_TOL
+    if low.any():
         raise ZeroSectionError(
-            f"energy density {t:.3e} below {ZERO_SECTION_TOL:.0e}; "
+            f"energy density {np.extract(low, t)[0]:.3e} below {ZERO_SECTION_TOL:.0e}; "
             "the structure degenerates on the zero section"
         )
-    return t
+    return t if t.ndim else float(t)
 
 
 # ---- point data ----
@@ -65,7 +79,8 @@ def energy_density(g_inv: np.ndarray, p: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """Everything the fiberwise formulas need at one point ``(q, p)``.
+    """Everything the fiberwise formulas need at one point ``(q, p)``, or at
+    a batch of points (every field with a leading ``...``).
 
     ``g``, ``g_inv``, ``gamma[k, i, j] = Gamma^k_{ij}`` and ``riemann[h, k,
     i, j] = R^h_{kij}`` describe the base at ``q``; ``p_up`` is the momentum
@@ -76,7 +91,7 @@ class CotangentPoint:
 
     q: np.ndarray
     p: np.ndarray
-    t: float
+    t: float | np.ndarray
     g: np.ndarray = field(repr=False)
     g_inv: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
@@ -87,12 +102,12 @@ class CotangentPoint:
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
     @classmethod
     def from_jet(cls, q: np.ndarray, p: np.ndarray, jet: MetricJet) -> "CotangentPoint":
         p = np.asarray(p, dtype=float)
-        if p.shape != (jet.n,):
+        if p.shape != jet.g.shape[:-1]:
             raise GeometryError(f"momentum shape {p.shape} does not match dimension {jet.n}")
         curv = base_curvature(jet)
         return cls(
@@ -103,9 +118,9 @@ class CotangentPoint:
             g_inv=jet.g_inv,
             gamma=curv.gamma,
             riemann=curv.riemann,
-            p_up=jet.g_inv @ p,
-            p_gamma=np.einsum("k,kih->ih", p, curv.gamma),
-            p_riemann=np.einsum("h,hkij->kij", p, curv.riemann),
+            p_up=np.matvec(jet.g_inv, p),
+            p_gamma=np.einsum("...k,...kih->...ih", p, curv.gamma),
+            p_riemann=np.einsum("...h,...hkij->...kij", p, curv.riemann),
         )
 
     @classmethod
@@ -125,7 +140,7 @@ class FiberJets:
 
     ``gh`` is the horizontal block, ``gv`` the vertical one; ``dgh[k, i, j]
     = d gh_ij / d p_k`` and likewise ``ddgh[l, k, i, j]``, ``dgv[m, k, l]``,
-    ``ddgv[r, m, k, l]``.
+    ``ddgv[r, m, k, l]``, each after the point's batch axes.
     """
 
     gh: np.ndarray
@@ -136,37 +151,39 @@ class FiberJets:
     ddgv: np.ndarray
 
 
-def _check_positivity(pt: CotangentPoint, a: float, v: float) -> float:
+def _check_positivity(pt: CotangentPoint, a: float, v):
     """Radial eigenvalue ``a sqrt(t) + 2 t v``; the metric is positive iff
     it is (the complementary eigenvalue ``a sqrt(t)`` always is)."""
     radial = a * np.sqrt(pt.t) + 2.0 * pt.t * v
-    if radial <= 0.0:
+    bad = radial <= 0.0
+    if bad.any():
         raise PositivityError(
-            f"horizontal block degenerates: a*sqrt(t) + 2*t*v = {radial:.3e} <= 0 "
-            f"at t = {pt.t:.6g}"
+            "horizontal block degenerates: a*sqrt(t) + 2*t*v = "
+            f"{np.extract(bad, radial)[0]:.3e} <= 0 at t = {np.extract(bad, pt.t)[0]:.6g}"
         )
     return radial
 
 
 def horizontal_metric(pt: CotangentPoint, params: ModelParams, profile) -> np.ndarray:
     """``a sqrt(t) g_ij + v(t) p_i p_j`` with the positivity bound enforced."""
-    v = float(profile.v(pt.t))
+    v = np.asarray(profile.v(pt.t), dtype=float)[()]
     _check_positivity(pt, params.a_metric, v)
-    return params.a_metric * np.sqrt(pt.t) * pt.g + v * np.outer(pt.p, pt.p)
+    return _scale(params.a_metric * np.sqrt(pt.t), 2) * pt.g + _scale(v, 2) * _outer(pt.p, pt.p)
 
 
 def vertical_metric(pt: CotangentPoint, params: ModelParams, profile) -> np.ndarray:
     """Matrix inverse of the horizontal block, in closed form:
     ``g^kl / (a sqrt(t)) + w p^k p^l`` with ``w = -v / (a t (a + 2 sqrt(t) v))``."""
     a = params.a_metric
-    v = float(profile.v(pt.t))
+    v = np.asarray(profile.v(pt.t), dtype=float)[()]
     _check_positivity(pt, a, v)
     w = -v / (a * pt.t * (a + 2.0 * np.sqrt(pt.t) * v))
-    return pt.g_inv / (a * np.sqrt(pt.t)) + w * np.outer(pt.p_up, pt.p_up)
+    return pt.g_inv / _scale(a * np.sqrt(pt.t), 2) + _scale(w, 2) * _outer(pt.p_up, pt.p_up)
 
 
-def _w_jet(t: float, a: float, v: float, dv: float, d2v: float) -> tuple[float, float, float]:
-    """``w = -v/D`` with ``D = a^2 t + 2 a t^(3/2) v``, plus ``w'``, ``w''``."""
+def _w_jet(t, a: float, v, dv, d2v):
+    """``w = -v/D`` with ``D = a^2 t + 2 a t^(3/2) v``, plus ``w'``, ``w''``;
+    elementwise over the batch."""
     st = np.sqrt(t)
     d0 = a * a * t + 2.0 * a * t * st * v
     d1 = a * a + 3.0 * a * st * v + 2.0 * a * t * st * dv
@@ -188,67 +205,77 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     n, t, a = pt.n, pt.t, params.a_metric
     st = np.sqrt(t)
     g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
-    v, dv, d2v = (float(x) for x in profile.jet(t))
+    v, dv, d2v = (np.asarray(x, dtype=float)[()] for x in profile.jet(t))
     _check_positivity(pt, a, v)
     eye = np.eye(n)
 
-    pp = np.outer(p, p)
-    dpp = np.einsum("ki,j->kij", eye, p) + np.einsum("kj,i->kij", eye, p)
+    pp = _outer(p, p)
+    dpp = np.einsum("ki,...j->...kij", eye, p) + np.einsum("kj,...i->...kij", eye, p)
 
-    gh = a * st * g + v * pp
+    gh = _scale(a * st, 2) * g + _scale(v, 2) * pp
     dgh = (
-        (0.5 * a / st) * np.einsum("k,ij->kij", pu, g)
-        + dv * np.einsum("k,ij->kij", pu, pp)
-        + v * dpp
+        _scale(0.5 * a / st, 3) * np.einsum("...k,...ij->...kij", pu, g)
+        + _scale(dv, 3) * np.einsum("...k,...ij->...kij", pu, pp)
+        + _scale(v, 3) * dpp
     )
     ddgh = (
-        a * np.einsum("ij,lk->lkij", g, g_inv / (2.0 * st) - np.outer(pu, pu) / (4.0 * t * st))
-        + d2v * np.einsum("l,k,ij->lkij", pu, pu, pp)
-        + dv
-        * (
-            np.einsum("lk,ij->lkij", g_inv, pp)
-            + np.einsum("k,lij->lkij", pu, dpp)
-            + np.einsum("l,kij->lkij", pu, dpp)
+        a
+        * np.einsum(
+            "...ij,...lk->...lkij",
+            g,
+            g_inv / _scale(2.0 * st, 2) - _outer(pu, pu) / _scale(4.0 * t * st, 2),
         )
-        + v * (np.einsum("ki,lj->lkij", eye, eye) + np.einsum("kj,li->lkij", eye, eye))
+        + _scale(d2v, 4) * np.einsum("...l,...k,...ij->...lkij", pu, pu, pp)
+        + _scale(dv, 4)
+        * (
+            np.einsum("...lk,...ij->...lkij", g_inv, pp)
+            + np.einsum("...k,...lij->...lkij", pu, dpp)
+            + np.einsum("...l,...kij->...lkij", pu, dpp)
+        )
+        + _scale(v, 4) * (np.einsum("ki,lj->lkij", eye, eye) + np.einsum("kj,li->lkij", eye, eye))
     )
 
     w, w1, w2 = _w_jet(t, a, v, dv, d2v)
-    pupu = np.outer(pu, pu)
-    dpupu = np.einsum("mk,l->mkl", g_inv, pu) + np.einsum("ml,k->mkl", g_inv, pu)
+    pupu = _outer(pu, pu)
+    dpupu = np.einsum("...mk,...l->...mkl", g_inv, pu) + np.einsum("...ml,...k->...mkl", g_inv, pu)
 
-    gv = g_inv / (a * st) + w * pupu
+    gv = g_inv / _scale(a * st, 2) + _scale(w, 2) * pupu
     dgv = (
-        -np.einsum("kl,m->mkl", g_inv, pu) / (2.0 * a * t * st)
-        + w1 * np.einsum("m,kl->mkl", pu, pupu)
-        + w * dpupu
+        -np.einsum("...kl,...m->...mkl", g_inv, pu) / _scale(2.0 * a * t * st, 3)
+        + _scale(w1, 3) * np.einsum("...m,...kl->...mkl", pu, pupu)
+        + _scale(w, 3) * dpupu
     )
     ddgv = (
         np.einsum(
-            "kl,rm->rmkl",
+            "...kl,...rm->...rmkl",
             g_inv,
-            3.0 * np.outer(pu, pu) / (4.0 * a * t * t * st) - g_inv / (2.0 * a * t * st),
+            3.0 * _outer(pu, pu) / _scale(4.0 * a * t * t * st, 2)
+            - g_inv / _scale(2.0 * a * t * st, 2),
         )
-        + w2 * np.einsum("r,m,kl->rmkl", pu, pu, pupu)
-        + w1
+        + _scale(w2, 4) * np.einsum("...r,...m,...kl->...rmkl", pu, pu, pupu)
+        + _scale(w1, 4)
         * (
-            np.einsum("mr,kl->rmkl", g_inv, pupu)
-            + np.einsum("m,rkl->rmkl", pu, dpupu)
-            + np.einsum("r,mkl->rmkl", pu, dpupu)
+            np.einsum("...mr,...kl->...rmkl", g_inv, pupu)
+            + np.einsum("...m,...rkl->...rmkl", pu, dpupu)
+            + np.einsum("...r,...mkl->...rmkl", pu, dpupu)
         )
-        + w * (np.einsum("mk,rl->rmkl", g_inv, g_inv) + np.einsum("ml,rk->rmkl", g_inv, g_inv))
+        + _scale(w, 4)
+        * (
+            np.einsum("...mk,...rl->...rmkl", g_inv, g_inv)
+            + np.einsum("...ml,...rk->...rmkl", g_inv, g_inv)
+        )
     )
 
     return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)
 
 
 def assemble_metric(jets: FiberJets) -> np.ndarray:
-    """The ``(2n, 2n)`` bundle metric ``G``: horizontal and vertical blocks
-    on the diagonal, no mixing in the adapted frame."""
-    n = jets.gh.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = jets.gh
-    out[n:, n:] = jets.gv
+    """The ``(..., 2n, 2n)`` bundle metric ``G``: horizontal and vertical
+    blocks on the diagonal, no mixing in the adapted frame."""
+    n = jets.gh.shape[-1]
+    out = np.zeros(jets.gh.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = jets.gh
+    out[..., n:, n:] = jets.gv
     return out
 
 
@@ -273,6 +300,7 @@ def chart_frame(pt: CotangentPoint) -> np.ndarray:
     column ``a`` holds ``e_a`` in the ``(q, p)`` chart.  ``E`` is unipotent,
     so its inverse is ``2 I - E``."""
     n = pt.n
-    out = np.eye(2 * n)
-    out[n:, :n] = pt.p_gamma.T
+    out = np.zeros(pt.p.shape[:-1] + (2 * n, 2 * n))
+    out[..., :, :] = np.eye(2 * n)
+    out[..., n:, :n] = np.swapaxes(pt.p_gamma, -1, -2)
     return out

@@ -14,6 +14,10 @@ single core object,
 
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
 the base, i.e. at the coupling ``a = sqrt(2 c)``.
+
+``assemble_complex_structure``, ``fundamental_form`` and ``coordinate_form``
+keep a leading batch axis, so the finite-difference oracles build their
+fields at all stencil points of a coordinate in one call.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ __all__ = [
 
 def assemble_complex_structure(jets: FiberJets) -> np.ndarray:
     """``J = [[0, -gv], [gh, 0]]`` in the adapted frame."""
-    n = jets.gh.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = -jets.gv
-    out[n:, :n] = jets.gh
+    n = jets.gh.shape[-1]
+    out = np.zeros(jets.gh.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, n:] = -jets.gv
+    out[..., n:, :n] = jets.gh
     return out
 
 
@@ -84,7 +88,7 @@ def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
     d/dp_h`` puts momentum-Christoffel corrections into the mixed blocks.
     """
     inverse = 2.0 * np.eye(2 * pt.n) - chart_frame(pt)
-    return inverse.T @ form @ inverse
+    return np.swapaxes(inverse, -1, -2) @ form @ inverse
 
 
 def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> float:
@@ -98,7 +102,7 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConf
     n = pt.n
 
     def phi_field(z: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(z[:n], z[n:], params)
+        point = CotangentPoint.at(z[..., :n], z[..., n:], params)
         jets = fiber_jets(point, params, profile)
         phi = fundamental_form(assemble_metric(jets), assemble_complex_structure(jets))
         return coordinate_form(point, phi)
@@ -169,17 +173,18 @@ def nijenhuis_numeric(
     images the columns of ``E J``; one finite-difference gradient of the
     stacked field ``(E, E J)`` yields every bracket.  ``point_factory(q,
     p)`` overrides the base geometry at the stencil points, letting the same
-    oracle run over bases that are not space forms.
+    oracle run over bases that are not space forms; like the field, it takes
+    a batch of stencil points, ``q`` and ``p`` of shape ``(m, n)``.
     """
     n = pt.n
     if point_factory is None:
         point_factory = lambda qq, pp: CotangentPoint.at(qq, pp, params)
 
     def frame_fields(z: np.ndarray) -> np.ndarray:
-        point = point_factory(z[:n], z[n:])
+        point = point_factory(z[..., :n], z[..., n:])
         frame = chart_frame(point)
         j_op = assemble_complex_structure(fiber_jets(point, params, profile))
-        return np.stack([frame, frame @ j_op])
+        return np.stack([frame, frame @ j_op], axis=-3)
 
     x = chart_frame(pt)
     j0 = assemble_complex_structure(jets)

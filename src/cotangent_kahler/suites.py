@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import ModelParams, integrable_coupling
+from .base import ModelParams, integrable_coupling, space_form_metric
 from .connection import (
     connection_coefficients,
     kahler_connection_coefficients,
@@ -51,7 +51,7 @@ from .einstein import (
 )
 from .errors import ConfigError, GeometryError
 from .fd import FDConfig
-from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets
+from .mtensor import CotangentPoint, FiberJets, assemble_metric, energy_density, fiber_jets
 from .profiles import einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -224,8 +224,8 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> list
         direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         t_target = rng.uniform(cfg.t_min, cfg.t_max)
-        pt0 = CotangentPoint.at(q, direction, params)
-        p = direction * math.sqrt(t_target / pt0.t)
+        t0 = energy_density(space_form_metric(q, params).g_inv, direction)
+        p = direction * math.sqrt(t_target / t0)
         points.append((q, p))
     return points
 

@@ -269,7 +269,7 @@ def test_finite_difference_oracle_health():
     reproduce the curvature bracket."""
 
     def f(z):
-        return np.exp(z[0] + 0.5 * z[1])
+        return np.exp(z[:, 0] + 0.5 * z[:, 1])
 
     x = np.array([0.3, -0.2])
     exact = np.exp(0.3 - 0.1)
@@ -287,12 +287,16 @@ def test_finite_difference_oracle_health():
     i, j = 0, 1
 
     def scalar(qq, pp):
-        return np.array([np.sin(qq[0] + 2 * pp[1]) + qq[1] * pp[0] ** 2 + pp[2] * qq[2] ** 2])
+        value = np.sin(qq[:, 0] + 2 * pp[:, 1]) + qq[:, 1] * pp[:, 0] ** 2 + pp[:, 2] * qq[:, 2] ** 2
+        return value[:, None]
 
     def pair_of_derivs(qq, pp):
-        ptz = CotangentPoint.at(qq, pp, params)
-        grad = frame_gradient(scalar, qq, pp, ptz.gamma, fd_cfg)
-        return np.array([grad[i, 0], grad[j, 0]])
+        rows = []
+        for qz, pz in zip(qq, pp):
+            ptz = CotangentPoint.at(qz, pz, params)
+            grad = frame_gradient(scalar, qz, pz, ptz.gamma, fd_cfg)
+            rows.append([grad[i, 0], grad[j, 0]])
+        return np.array(rows)
 
     outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
     commutator = outer[i][1] - outer[j][0]

@@ -80,7 +80,7 @@ class TestMetricJet:
         cfg = FDConfig(base_step=1e-3, relative=False)
 
         def g_flat(x):
-            return space_form_metric(x, params).g.ravel()
+            return space_form_metric(x, params).g.reshape(len(x), -1)
 
         for k in range(3):
             npt.assert_allclose(
@@ -97,7 +97,7 @@ class TestMetricJet:
         cfg = FDConfig(base_step=1e-3, relative=False)
 
         def dg_flat(x):
-            return space_form_metric(x, params).dg.ravel()
+            return space_form_metric(x, params).dg.reshape(len(x), -1)
 
         for l in range(3):
             npt.assert_allclose(
@@ -147,7 +147,7 @@ class TestChristoffel:
         cfg = FDConfig(base_step=1e-3, relative=False)
 
         def gamma_flat(x):
-            return christoffel(space_form_metric(x, params)).ravel()
+            return christoffel(space_form_metric(x, params)).reshape(len(x), -1)
 
         for m in range(3):
             npt.assert_allclose(

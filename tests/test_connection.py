@@ -169,7 +169,7 @@ class TestCoefficientFiberDerivatives:
         derivs = connection_fiber_derivatives(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
 
         def coeffs_at(pp):
-            ptz = CotangentPoint.at(q, pp, generic_params)
+            ptz = CotangentPoint.at(np.broadcast_to(q, pp.shape), pp, generic_params)
             return connection_coefficients(ptz, generic_params, fiber_jets(ptz, generic_params, generic_profile))
 
         for m in range(3):
@@ -185,7 +185,7 @@ class TestCoefficientFiberDerivatives:
         conn = connection_coefficients(pt, kahler_params, fiber_jets(pt, kahler_params, kahler_profile))
 
         def basis_fields(qq, pp):
-            return np.eye(6)
+            return np.broadcast_to(np.eye(6), (len(qq), 6, 6))
 
         nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6), fd_cfg)
         torsion_free = np.einsum("acb->abc", nabla) - np.einsum("bca->abc", nabla)

@@ -81,8 +81,8 @@ class TestProfileJets:
         profile = einstein_profile(params) if profile_name == "einstein" else rational_profile()
         cfg = FDConfig(base_step=1e-3, relative=False)
         for t0 in (0.4, 1.0, 2.7):
-            dv_fd = fd_partial(lambda z: float(profile.v(z[0])), np.array([t0]), 0, cfg)
-            d2v_fd = fd_partial(lambda z: float(profile.dv(z[0])), np.array([t0]), 0, cfg)
+            dv_fd = fd_partial(lambda z: profile.v(z[:, 0]), np.array([t0]), 0, cfg)
+            d2v_fd = fd_partial(lambda z: profile.dv(z[:, 0]), np.array([t0]), 0, cfg)
             npt.assert_allclose(float(profile.dv(t0)), dv_fd, rtol=1e-8)
             npt.assert_allclose(float(profile.d2v(t0)), d2v_fd, rtol=1e-8)
 

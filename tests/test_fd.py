@@ -41,7 +41,7 @@ class TestStencilOrder:
         target = np.exp(0.3 - 0.1)
 
         def f(z):
-            return np.exp(z[0] + 0.5 * z[1])
+            return np.exp(z[:, 0] + 0.5 * z[:, 1])
 
         coarse = FDConfig(base_step=0.05, richardson_levels=1, relative=False)
         fine = FDConfig(base_step=0.025, richardson_levels=1, relative=False)
@@ -54,7 +54,7 @@ class TestStencilOrder:
         cfg = FDConfig(base_step=0.1, richardson_levels=1, relative=False)
 
         def f(z):
-            return z[0] ** 4 - 3.0 * z[0] ** 2 + 2.0 * z[0]
+            return z[:, 0] ** 4 - 3.0 * z[:, 0] ** 2 + 2.0 * z[:, 0]
 
         x0 = np.array([0.7])
         npt.assert_allclose(
@@ -69,7 +69,7 @@ class TestStencilOrder:
         cfg = FDConfig(base_step=0.1, richardson_levels=2, relative=False)
 
         def f(z):
-            return z[0] ** 5
+            return z[:, 0] ** 5
 
         x0 = np.array([0.4])
         npt.assert_allclose(fd_partial(f, x0, 0, cfg), 5 * 0.4**4, atol=1e-12)
@@ -91,7 +91,7 @@ class TestStencilOrder:
         cfg = FDConfig(base_step=1e-3, richardson_levels=1, relative=False)
 
         def f(z):
-            return a * z[0] ** 2 + b * z[0] + c
+            return a * z[:, 0] ** 2 + b * z[:, 0] + c
 
         expected = 2 * a * x + b
         assert abs(fd_partial(f, np.array([x]), 0, cfg) - expected) < 1e-8
@@ -103,9 +103,20 @@ class TestGuards:
 
         def f(z):
             # undefined to the left of the origin, as under the wide stencil
-            return np.nan if z[0] < 0 else np.sqrt(z[0])
+            return np.sqrt(np.where(z[:, 0] < 0, np.nan, z[:, 0]))
 
         with pytest.raises(StencilError):
+            fd_partial(f, np.array([0.3]), 0, cfg)
+
+    def test_stencil_error_names_the_failing_offset(self):
+        """Only the +h/2 point of the second Richardson level (h = 0.5) is
+        non-finite; the error names its coordinate and offset."""
+        cfg = FDConfig(base_step=0.5, relative=False)
+
+        def f(z):
+            return np.where(z[:, 0] == 0.3 + 0.25, np.nan, z[:, 0] ** 2)
+
+        with pytest.raises(StencilError, match=r"at coordinate 0, offset \+2\.500e-01$"):
             fd_partial(f, np.array([0.3]), 0, cfg)
 
     def test_config_validation(self):
@@ -120,6 +131,44 @@ class TestGuards:
         assert cfg.step_for(0.001) == pytest.approx(1e-4)
 
 
+class TestBatchedStencil:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_one_field_call_per_partial(self, levels):
+        """The whole stencil along one coordinate is one call on
+        ``4 * richardson_levels`` rows: offsets -2, -1, +1, +2 of each step,
+        the step halving from one level to the next."""
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return np.sin(z[:, 0]) * z[:, 1]
+
+        x0 = np.array([0.2, 0.7])
+        cfg = FDConfig(base_step=0.01, richardson_levels=levels, relative=False)
+        fd_partial(f, x0, 1, cfg)
+        assert len(calls) == 1
+        (points,) = calls
+        assert points.shape == (4 * levels, 2)
+        steps = 0.01 * 0.5 ** np.arange(levels)
+        offsets = np.concatenate([np.array([-2.0, -1.0, 1.0, 2.0]) * h for h in steps])
+        npt.assert_allclose(points[:, 1] - x0[1], offsets, rtol=1e-12)
+        npt.assert_array_equal(points[:, 0], x0[0])
+
+    def test_frame_gradient_calls_the_field_once_per_coordinate(
+        self, sample_qp, kahler_params, fd_cfg
+    ):
+        q, p = sample_qp
+        pt = CotangentPoint.at(q, p, kahler_params)
+        shapes = []
+
+        def field(qq, pp):
+            shapes.append((qq.shape, pp.shape))
+            return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2])], axis=-1)
+
+        frame_gradient(field, q, p, pt.gamma, fd_cfg)
+        assert shapes == [((8, 3), (8, 3))] * 6
+
+
 # ---------------------------------------------------------------------------
 # Frame derivatives on the bundle
 # ---------------------------------------------------------------------------
@@ -128,7 +177,7 @@ class TestGuards:
 class TestFrameCalculus:
     def test_gradient_matches_componentwise_partials(self, rng, fd_cfg):
         def f(z):
-            return np.array([np.sin(z[0] * z[1]), z[2] ** 2])
+            return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 2], axis=-1)
 
         x0 = rng.uniform(-1, 1, size=3)
         grad = fd_gradient(f, x0, fd_cfg)
@@ -141,7 +190,7 @@ class TestFrameCalculus:
         pt = CotangentPoint.at(q, p, kahler_params)
 
         def energy(qq, pp):
-            return np.array([CotangentPoint.at(qq, pp, kahler_params).t])
+            return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
         grad = frame_gradient(energy, q, p, pt.gamma, fd_cfg)
         npt.assert_allclose(grad[:3], 0.0, atol=1e-9, err_msg="horizontal energy derivative")
@@ -152,7 +201,7 @@ class TestFrameCalculus:
         pt = CotangentPoint.at(q, p, kahler_params)
 
         def energy(qq, pp):
-            return np.array([CotangentPoint.at(qq, pp, kahler_params).t])
+            return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
         grad = frame_gradient(energy, q, p, pt.gamma, fd_cfg)
         npt.assert_allclose(grad[3:, 0], pt.p_up, atol=1e-9)
@@ -167,15 +216,15 @@ class TestFrameCalculus:
         frame = chart_frame(pt)
 
         def field(qq, pp):
-            return np.array([qq[0] * pp[1], np.cos(pp[2]) + qq[2] ** 2])
+            return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2]) + qq[:, 2] ** 2], axis=-1)
 
         grad = frame_gradient(field, q, p, pt.gamma, fd_cfg)
         z0 = np.concatenate([q, p])
         for a in range(6):
 
             def along(s):
-                z = z0 + s[0] * frame[:, a]
-                return field(z[:3], z[3:])
+                z = z0 + s[:, :1] * frame[:, a]
+                return field(z[:, :3], z[:, 3:])
 
             npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0, fd_cfg), atol=1e-10)
 
@@ -188,12 +237,16 @@ class TestFrameCalculus:
         i, j = 0, 1
 
         def scalar(qq, pp):
-            return np.array([np.sin(qq[0] + 2 * pp[1]) + qq[1] * pp[0] ** 2 + pp[2] * qq[2] ** 2])
+            value = np.sin(qq[:, 0] + 2 * pp[:, 1]) + qq[:, 1] * pp[:, 0] ** 2 + pp[:, 2] * qq[:, 2] ** 2
+            return value[:, None]
 
         def pair_of_derivs(qq, pp):
-            ptz = CotangentPoint.at(qq, pp, kahler_params)
-            g = frame_gradient(scalar, qq, pp, ptz.gamma, fd_cfg)
-            return np.array([g[i, 0], g[j, 0]])
+            rows = []
+            for qz, pz in zip(qq, pp):
+                ptz = CotangentPoint.at(qz, pz, kahler_params)
+                g = frame_gradient(scalar, qz, pz, ptz.gamma, fd_cfg)
+                rows.append([g[i, 0], g[j, 0]])
+            return np.array(rows)
 
         outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
         commutator = outer[i][1] - outer[j][0]

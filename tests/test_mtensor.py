@@ -139,10 +139,12 @@ class TestFiberJets:
         jets = fiber_jets(pt, params, profile)
 
         def gh_field(pp):
-            return horizontal_metric(CotangentPoint.at(pt.q, pp, params), params, profile)
+            ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
+            return horizontal_metric(ptz, params, profile)
 
         def gv_field(pp):
-            return vertical_metric(CotangentPoint.at(pt.q, pp, params), params, profile)
+            ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
+            return vertical_metric(ptz, params, profile)
 
         for k in range(3):
             npt.assert_allclose(
@@ -162,12 +164,12 @@ class TestFiberJets:
         params, profile, pt = setup
 
         def dgh_field(pp):
-            ptz = CotangentPoint.at(pt.q, pp, params)
-            return fiber_jets(ptz, params, profile).dgh.ravel()
+            ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
+            return fiber_jets(ptz, params, profile).dgh.reshape(len(pp), -1)
 
         def dgv_field(pp):
-            ptz = CotangentPoint.at(pt.q, pp, params)
-            return fiber_jets(ptz, params, profile).dgv.ravel()
+            ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
+            return fiber_jets(ptz, params, profile).dgv.reshape(len(pp), -1)
 
         jets = fiber_jets(pt, params, profile)
         for l in range(3):
@@ -290,12 +292,15 @@ class TestAdaptedFrame:
         i, j = 2, 0
 
         def scalar(qq, pp):
-            return np.array([np.cos(qq[0] * pp[2]) + pp[1] ** 2 * qq[2]])
+            return (np.cos(qq[:, 0] * pp[:, 2]) + pp[:, 1] ** 2 * qq[:, 2])[:, None]
 
         def pair_of_derivs(qq, pp):
-            ptz = CotangentPoint.at(qq, pp, kahler_params)
-            g = frame_gradient(scalar, qq, pp, ptz.gamma, fd_cfg)
-            return np.array([g[3 + i, 0], g[j, 0]])
+            rows = []
+            for qz, pz in zip(qq, pp):
+                ptz = CotangentPoint.at(qz, pz, kahler_params)
+                g = frame_gradient(scalar, qz, pz, ptz.gamma, fd_cfg)
+                rows.append([g[3 + i, 0], g[j, 0]])
+            return np.array(rows)
 
         outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
         commutator = outer[3 + i][1] - outer[j][0]

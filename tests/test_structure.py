@@ -158,10 +158,11 @@ class TestNijenhuis:
         params = ModelParams(n=n, c=c, a_metric=1.3)
 
         def jet_at(x):
-            f = 1.0 + 0.25 * c * float(x @ x) + eps * x[0] ** 3
-            grad_f = 0.5 * c * x + np.array([3.0 * eps * x[0] ** 2, 0.0, 0.0])
-            hess_f = 0.5 * c * np.eye(3)
-            hess_f[0, 0] += 6.0 * eps * x[0]
+            f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x) + eps * x[..., 0] ** 3
+            grad_f = 0.5 * c * x
+            grad_f[..., 0] += 3.0 * eps * x[..., 0] ** 2
+            hess_f = np.broadcast_to(0.5 * c * np.eye(3), x.shape + (3,)).copy()
+            hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
             return conformal_jet(x, f, grad_f, hess_f)
 
         def point_factory(qq, pp):

@@ -58,6 +58,24 @@ class TestSharedSample:
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, suites=(suite,)))
         assert len(calls) == per_point * fd_points
 
+    def test_connection_suite_field_calls(self, monkeypatch):
+        """At n = 2 with 2 samples the connection suite takes 4 frame
+        gradients (metric and J fields at each oracle point), each one batched
+        field call of 8 stencil rows per chart coordinate: 16 calls."""
+        original = cotangent_kahler.fd.frame_gradient
+        rows = []
+
+        def counted(field, *args, **kwargs):
+            def counting_field(q, p):
+                rows.append(len(q))
+                return field(q, p)
+
+            return original(counting_field, *args, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, counted)
+        run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
+        assert rows == [8] * 16
+
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, each sampled (q, p) gets one point and one
         set of fiber jets for the config's own params; only stencil points and
