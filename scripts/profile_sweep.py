@@ -19,7 +19,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import math
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from cotangent_kahler import (
     assemble_metric,
     curvature_blocks,
     einstein_profile,
+    einstein_residual,
     family_einstein_constant,
     fiber_jets,
     gamma_factor,
@@ -98,26 +98,19 @@ def main(argv=None) -> int:
 
     ts = np.geomspace(args.t_min, args.t_max, args.steps)
     base = CotangentPoint.at(q, direction, params)
-    for t in ts:
-        p = direction * math.sqrt(t / base.t)
-        pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        curv = curvature_blocks(pt, params, jets)
-        ricci = ricci_from_blocks(curv)
-        defect = max(
-            float(np.max(np.abs(ricci.hh - lam * jets.gh))),
-            float(np.max(np.abs(ricci.vv - lam * jets.gv))),
-        )
-        hsc = holomorphic_sectional_curvature(
-            curv, assemble_metric(jets), assemble_complex_structure(jets), section
-        )
-        v = float(profile.v(np.asarray(t)))
-        admissibility = params.a_metric * math.sqrt(t) + 2.0 * t * v
-        gamma = float(gamma_factor(params, profile, np.asarray([t]))[0])
-        print(
-            f"{t:>10.4f}  {v:>12.6g}  {admissibility:>13.6g}  {gamma:>10.2e}  "
-            f"{defect:>15.3e}  {hsc:>16.8f}"
-        )
+    p = direction * np.sqrt(ts / base.t)[:, None]
+    pt = CotangentPoint.at(np.tile(q, (args.steps, 1)), p, params)
+    jets = fiber_jets(pt, params, profile)
+    curv = curvature_blocks(pt, params, jets)
+    defect = einstein_residual(pt, params, jets, ricci_from_blocks(curv))
+    hsc = holomorphic_sectional_curvature(
+        curv, assemble_metric(jets), assemble_complex_structure(jets), section
+    )
+    v = profile.v(ts)
+    admissibility = params.a_metric * np.sqrt(ts) + 2.0 * ts * v
+    gamma = gamma_factor(params, profile, ts)
+    for row in zip(ts, v, admissibility, gamma, defect, hsc):
+        print("{:>10.4f}  {:>12.6g}  {:>13.6g}  {:>10.2e}  {:>15.3e}  {:>16.8f}".format(*row))
     return 0
 
 

@@ -9,16 +9,16 @@ Gamma[j, n+i, h]``, the horizontal output of a mixed pair; and ``hh[h, i, j]
 = Gamma[i, j, n+h]``, the vertical correction of a horizontal pair.  Two
 independent routes produce the same coefficients: the general fiber-jet
 formulas here, and a finite-difference Koszul evaluation that never sees
-them.  ``connection_coefficients`` and ``connection_fiber_derivatives``
-keep the point's leading batch axis; the fields differentiated here are
-built at all stencil points of a coordinate in one call.
+them.  Both coefficient routes and ``connection_fiber_derivatives`` keep
+the point's leading batch axis; the fields differentiated here are built at
+all stencil points of a coordinate in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams
+from .base import ModelParams, _scale
 from .errors import GeometryError
 from .fd import FDConfig, frame_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
@@ -87,24 +87,27 @@ def kahler_connection_coefficients(
             "closed-form connection requires the integrable coupling a = sqrt(2c)"
         )
     n, c, t = pt.n, params.c, pt.t
-    v = float(profile.v(t))
-    dv = float(profile.dv(t))
+    v, dv, _ = profile.jet(t)
     sq = np.sqrt(2.0 * c * t)
     eye = np.eye(n)
     p, pu, g, g_inv = pt.p, pt.p_up, pt.g, pt.g_inv
 
     vv = (
-        -(1.0 / (4.0 * t)) * (np.einsum("ih,j->ijh", eye, pu) + np.einsum("jh,i->ijh", eye, pu))
-        + ((c - sq * v) / (4.0 * c * t)) * np.einsum("ij,h->ijh", g_inv, p)
-        + ((v * v - sq * dv) / (4.0 * t * (c + sq * v))) * np.einsum("i,j,h->ijh", pu, pu, p)
+        -_scale(1.0 / (4.0 * t), 3)
+        * (np.einsum("ih,...j->...ijh", eye, pu) + np.einsum("jh,...i->...ijh", eye, pu))
+        + _scale((c - sq * v) / (4.0 * c * t), 3) * np.einsum("...ij,...h->...ijh", g_inv, p)
+        + _scale((v * v - sq * dv) / (4.0 * t * (c + sq * v)), 3)
+        * np.einsum("...i,...j,...h->...ijh", pu, pu, p)
     )
 
-    vh = -np.einsum("ihj->hij", vv)
+    vh = -np.einsum("...ihj->...hij", vv)
 
     hh = (
-        -((c + sq * v) / 2.0) * (np.einsum("ij,h->hij", g, p) + np.einsum("hi,j->hij", g, p))
-        + ((c - sq * v) / 2.0) * np.einsum("hj,i->hij", g, p)
-        - ((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0) * np.einsum("h,i,j->hij", p, p, p)
+        -_scale((c + sq * v) / 2.0, 3)
+        * (np.einsum("...ij,...h->...hij", g, p) + np.einsum("...hi,...j->...hij", g, p))
+        + _scale((c - sq * v) / 2.0, 3) * np.einsum("...hj,...i->...hij", g, p)
+        - _scale((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0, 3)
+        * np.einsum("...h,...i,...j->...hij", p, p, p)
     )
 
     return _assemble(pt.gamma, vv, vh, hh)

@@ -12,9 +12,10 @@ assumes).
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
-routes share no code.  ``curvature_blocks`` keeps the point's leading batch
-axis, so the covariant derivative of ``K`` builds its field at all stencil
-points of a coordinate in one call.
+routes share no code.  Everything but the finite-difference oracles keeps
+the point's leading batch axis: the covariant derivative of ``K`` builds its
+field at all stencil points of a coordinate in one call, and the suites
+check a whole sample at once; probes are per point, a float for one point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelParams
+from .base import ModelParams, _max_abs, _outer, _per_point, _scale
 from .connection import (
     connection_coefficients,
     connection_fiber_derivatives,
@@ -136,25 +137,28 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
 
 def ricci_from_blocks(curvature: np.ndarray) -> RicciBlocks:
     """``Ric(e_b, e_c) = K[a, b, c, a]``, traced over the whole frame."""
-    n = curvature.shape[0] // 2
-    ricci = np.einsum("abca->bc", curvature)
-    return RicciBlocks(hh=ricci[:n, :n], vv=ricci[n:, n:])
+    n = curvature.shape[-1] // 2
+    ricci = np.einsum("...abca->...bc", curvature)
+    return RicciBlocks(hh=ricci[..., :n, :n], vv=ricci[..., n:, n:])
 
 
-def ricci_trace_coefficient(params: ModelParams, profile, t: float) -> float:
+def ricci_trace_coefficient(params: ModelParams, profile, t):
     """Coefficient of ``g_jk/2`` in the horizontal Ricci block:
     ``(n-2) c - (n+1) sqrt(2c) sqrt(t) v - 2 sqrt(2c) t^(3/2) v'``."""
     n, c = params.n, params.c
-    v = float(profile.v(t))
-    dv = float(profile.dv(t))
+    v, dv, _ = profile.jet(t)
     s2c = np.sqrt(2.0 * c)
     return (n - 2.0) * c - (n + 1.0) * s2c * np.sqrt(t) * v - 2.0 * s2c * t ** 1.5 * dv
 
 
-def _radial_coefficients(params: ModelParams, profile, t: float) -> tuple[float, float]:
-    """Coefficients of the rank-one parts of the two Ricci blocks."""
+@np.errstate(over="raise")
+def _radial_coefficients(params: ModelParams, profile, t):
+    """Coefficients of the rank-one parts of the two Ricci blocks.
+
+    Their powers of ``t`` overflow far outside the default energy window;
+    that raises, on an array as on a float, rather than giving an ``inf``."""
     n, c = params.n, params.c
-    v, dv, d2v = (float(x) for x in profile.jet(t))
+    v, dv, d2v = profile.jet(t)
     s2c = np.sqrt(2.0 * c)
     alpha = (
         (2.0 - n) * c
@@ -185,39 +189,41 @@ def ricci_closed_form(pt: CotangentPoint, params: ModelParams, profile) -> Ricci
     if not params.is_integrable:
         raise GeometryError("closed-form Ricci requires the integrable coupling a = sqrt(2c)")
     c, t = params.c, pt.t
-    v = float(profile.v(t))
+    v = profile.jet(t)[0]
     a_tr = ricci_trace_coefficient(params, profile, t)
     alpha, beta = _radial_coefficients(params, profile, t)
     admis = np.sqrt(c) + np.sqrt(2.0 * t) * v
-    hh = 0.5 * a_tr * pt.g + (alpha / (4.0 * t)) * np.outer(pt.p, pt.p)
-    vv = (a_tr / (4.0 * c * t)) * pt.g_inv + (
-        beta / (8.0 * np.sqrt(c) * t**2 * admis)
-    ) * np.outer(pt.p_up, pt.p_up)
+    hh = _scale(0.5 * a_tr, 2) * pt.g + _scale(alpha / (4.0 * t), 2) * _outer(pt.p, pt.p)
+    vv = _scale(a_tr / (4.0 * c * t), 2) * pt.g_inv + _scale(
+        beta / (8.0 * np.sqrt(c) * t**2 * admis), 2
+    ) * _outer(pt.p_up, pt.p_up)
     return RicciBlocks(hh=hh, vv=vv)
 
 
 # ---- pointwise probes ----
 
 
-def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors) -> float:
-    """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over ``vectors[m] = (X, Y, Z, W)``,
-    an array of shape ``(m, 4, 2n)``."""
-    lowered = curvature @ metric
-    x, y, z, w = np.moveaxis(np.asarray(vectors, dtype=float), 1, 0)
-    lhs = np.einsum("abcd,ma,mb,mc,md->m", lowered, x, y, z, w)
-    rhs = np.einsum("abcd,ma,mb,mc,md->m", lowered, z, w, x, y)
-    return float(np.max(np.abs(lhs - rhs)))
+def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
+    """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over ``vectors[..., m, :, :] = (X,
+    Y, Z, W)``, an array of shape ``(..., m, 4, 2n)``."""
+    lowered = curvature @ metric[..., None, None, :, :]
+    x, y, z, w = np.moveaxis(np.asarray(vectors, dtype=float), -2, 0)
+    lhs = np.einsum("...abcd,...ma,...mb,...mc,...md->...m", lowered, x, y, z, w)
+    rhs = np.einsum("...abcd,...ma,...mb,...mc,...md->...m", lowered, z, w, x, y)
+    return _max_abs(lhs - rhs, rank=1)
 
 
 def holomorphic_sectional_curvature(
     curvature: np.ndarray, metric: np.ndarray, j_op: np.ndarray, x: np.ndarray
-) -> float:
+):
     """``G(K(X, JX)JX, X) / G(X, X)^2``, invariant under rescaling of X."""
-    jx = j_op @ x
-    norm_sq = float(x @ metric @ x)
-    if norm_sq <= 0.0:
+    jx = np.matvec(j_op, x)
+    gx = np.matvec(metric, x)
+    norm_sq = np.vecdot(x, gx)
+    if np.any(norm_sq <= 0.0):
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
-    return float(x @ (curvature @ (metric @ x) @ jx @ jx)) / norm_sq**2
+    k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
+    return _per_point(np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2)
 
 
 # ---- finite-difference oracles ----

@@ -14,6 +14,8 @@ which is ``-4 sqrt(2) sqrt(t)`` times the residual of the Euler equation
 The metric is Einstein iff gamma vanishes identically; the general
 admissible solution adds ``k_a t^(-(n+1)/2) + k_b`` to the particular
 power, and the Einstein constant is ``-(n + 1) k_b / 2``.
+
+The pointwise functions keep the point's leading batch axis.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .base import ModelParams
+from .base import ModelParams, _max_abs, _outer, _scale
 from .curvature import (
     RicciBlocks,
     curvature_blocks,
@@ -67,11 +69,11 @@ def euler_ode_residual(params: ModelParams, profile, t) -> np.ndarray:
     return t**2 * d2v + 0.5 * (n + 3.0) * t * dv - rhs
 
 
-def _proportionality(params: ModelParams, profile, t: float) -> float:
+def _proportionality(params: ModelParams, profile, t):
     """Candidate Einstein factor ``a(t) / (2 sqrt(2 c t))`` that kills the
     isotropic parts of both Ricci blocks."""
     a_tr = ricci_trace_coefficient(params, profile, t)
-    return a_tr / (2.0 * math.sqrt(2.0 * params.c * t))
+    return a_tr / (2.0 * np.sqrt(2.0 * params.c * t))
 
 
 def einstein_difference(
@@ -90,7 +92,7 @@ def einstein_difference(
     """
     if ricci is None:
         ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
-    lam = _proportionality(params, profile, pt.t)
+    lam = _scale(_proportionality(params, profile, pt.t), 2)
     return ricci.hh - lam * jets.gh, ricci.vv - lam * jets.gv
 
 
@@ -105,11 +107,11 @@ def einstein_difference_closed_form(
     if not params.is_integrable:
         raise GeometryError("the Einstein reduction requires the coupling a = sqrt(2c)")
     c, t = params.c, pt.t
-    v = float(profile.v(t))
-    gam = float(gamma_factor(params, profile, t))
-    admis = math.sqrt(c) + math.sqrt(2.0 * t) * v
-    diff_hh = (admis * gam / (4.0 * t)) * np.outer(pt.p, pt.p)
-    diff_vv = (gam / (8.0 * t**2 * admis)) * np.outer(pt.p_up, pt.p_up)
+    v = profile.jet(t)[0]
+    gam = gamma_factor(params, profile, t)
+    admis = math.sqrt(c) + np.sqrt(2.0 * t) * v
+    diff_hh = _scale(admis * gam / (4.0 * t), 2) * _outer(pt.p, pt.p)
+    diff_vv = _scale(gam / (8.0 * t**2 * admis), 2) * _outer(pt.p_up, pt.p_up)
     return diff_hh, diff_vv
 
 
@@ -127,19 +129,13 @@ def einstein_residual(
     """``max |Ric - lambda_family G|`` over both blocks, with the family's
     theoretical constant (not a fitted one)."""
     lam = family_einstein_constant(params)
-    return float(
-        np.max(
-            [
-                np.max(np.abs(ricci.hh - lam * jets.gh)),
-                np.max(np.abs(ricci.vv - lam * jets.gv)),
-            ]
-        )
-    )
+    return _max_abs(ricci.hh - lam * jets.gh, ricci.vv - lam * jets.gv, rank=2)
 
 
 def fit_einstein_constant(pairs) -> float:
     """Least-squares ``lambda`` for ``Ric ~ lambda G`` over (ricci, jets)
-    samples, all block entries weighted equally."""
+    samples, all block entries weighted equally; each pair may hold one
+    point or a batch."""
     num = 0.0
     den = 0.0
     for ricci, jets in pairs:

@@ -6,7 +6,7 @@ class GeometryError(ValueError):
 
 
 class SingularMetricError(GeometryError):
-    """A metric matrix is numerically singular or badly conditioned."""
+    """A metric is singular: its conformal factor is not positive and finite."""
 
 
 class ZeroSectionError(GeometryError):

@@ -25,7 +25,7 @@ batch fails them, naming the first failing value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .base import (
     MetricJet,
     ModelParams,
     _outer,
+    _per_point,
     _scale,
     base_curvature,
     space_form_metric,
@@ -50,6 +51,7 @@ __all__ = [
     "assemble_metric",
     "frame_brackets",
     "chart_frame",
+    "take_rows",
 ]
 
 ZERO_SECTION_TOL = 1e-12
@@ -71,7 +73,7 @@ def energy_density(g_inv: np.ndarray, p: np.ndarray):
             f"energy density {np.extract(low, t)[0]:.3e} below {ZERO_SECTION_TOL:.0e}; "
             "the structure degenerates on the zero section"
         )
-    return t if t.ndim else float(t)
+    return _per_point(t)
 
 
 # ---- point data ----
@@ -151,6 +153,12 @@ class FiberJets:
     ddgv: np.ndarray
 
 
+def take_rows(batch, index):
+    """The rows ``index`` of a batched ``CotangentPoint`` or ``FiberJets``: a
+    slice gives a smaller batch of views, an integer one point (float ``t``)."""
+    return type(batch)(**{f.name: _per_point(getattr(batch, f.name)[index]) for f in fields(batch)})
+
+
 def _check_positivity(pt: CotangentPoint, a: float, v):
     """Radial eigenvalue ``a sqrt(t) + 2 t v``; the metric is positive iff
     it is (the complementary eigenvalue ``a sqrt(t)`` always is)."""
@@ -205,7 +213,7 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     n, t, a = pt.n, pt.t, params.a_metric
     st = np.sqrt(t)
     g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
-    v, dv, d2v = (np.asarray(x, dtype=float)[()] for x in profile.jet(t))
+    v, dv, d2v = profile.jet(t)
     _check_positivity(pt, a, v)
     eye = np.eye(n)
 

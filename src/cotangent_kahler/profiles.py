@@ -48,8 +48,9 @@ class VProfile:
     d2v: Callable
 
     def jet(self, t):
-        """``(v, v', v'')`` at ``t``."""
-        return self.v(t), self.dv(t), self.d2v(t)
+        """``(v, v', v'')`` at ``t``: float arrays over a batch of energies,
+        numpy floats at one."""
+        return tuple(np.asarray(f(t), dtype=float)[()] for f in (self.v, self.dv, self.d2v))
 
     def admissible(self, t, a_metric: float) -> bool:
         """Positivity bound ``v(t) > -a / (2 sqrt(t))`` at every given ``t``."""
@@ -79,7 +80,8 @@ def rational_profile() -> VProfile:
         kind="rational",
         v=lambda t: 1.0 / (1.0 + t),
         dv=lambda t: -1.0 / (1.0 + t) ** 2,
-        d2v=lambda t: 2.0 / (1.0 + t) ** 3,
+        # An overflow raises on an array as on a float, not a silent zero.
+        d2v=np.errstate(over="raise")(lambda t: 2.0 / (1.0 + t) ** 3),
     )
 
 

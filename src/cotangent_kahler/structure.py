@@ -15,16 +15,17 @@ single core object,
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
 the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
-``assemble_complex_structure``, ``fundamental_form`` and ``coordinate_form``
-keep a leading batch axis, so the finite-difference oracles build their
-fields at all stencil points of a coordinate in one call.
+Everything but the finite-difference oracles keeps a point's leading batch
+axis: the oracles build their fields at all stencil points of a coordinate
+in one call, and the suites check a whole sample at once; residuals are
+per point, a float for one point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams
+from .base import ModelParams, _max_abs
 from .fd import FDConfig, fd_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, chart_frame, fiber_jets
 
@@ -54,14 +55,14 @@ def assemble_complex_structure(jets: FiberJets) -> np.ndarray:
     return out
 
 
-def complex_structure_squared_residual(j_op: np.ndarray) -> float:
+def complex_structure_squared_residual(j_op: np.ndarray):
     """``max |J^2 + id|`` over all entries."""
-    return float(np.max(np.abs(j_op @ j_op + np.eye(j_op.shape[0]))))
+    return _max_abs(j_op @ j_op + np.eye(j_op.shape[-1]), rank=2)
 
 
-def hermitian_residual(metric: np.ndarray, j_op: np.ndarray) -> float:
+def hermitian_residual(metric: np.ndarray, j_op: np.ndarray):
     """``max |G(JX, JY) - G(X, Y)|`` over frame pairs."""
-    return float(np.max(np.abs(j_op.T @ metric @ j_op - metric)))
+    return _max_abs(np.swapaxes(j_op, -1, -2) @ metric @ j_op - metric, rank=2)
 
 
 def fundamental_form(metric: np.ndarray, j_op: np.ndarray) -> np.ndarray:
@@ -121,9 +122,8 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConf
 
 def nijenhuis_core(pt: CotangentPoint, params: ModelParams) -> np.ndarray:
     """``(a^2/2)(delta^h_i g_jk - delta^h_j g_ik) - R^h_{kij}``."""
-    n = pt.n
-    eye = np.eye(n)
-    flat = np.einsum("hi,jk->hkij", eye, pt.g) - np.einsum("hj,ik->hkij", eye, pt.g)
+    eye = np.eye(pt.n)
+    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
     return 0.5 * params.a_metric**2 * flat - pt.riemann
 
 
@@ -137,14 +137,14 @@ def nijenhuis_closed_form(
     vertical block.
     """
     n = pt.n
-    core0 = np.einsum("h,hkij->kij", pt.p, nijenhuis_core(pt, params))
+    core0 = np.einsum("...h,...hkij->...kij", pt.p, nijenhuis_core(pt, params))
     gv = jets.gv
-    mixed = np.einsum("kl,jr,lir->ijk", gv, gv, core0)
-    out = np.zeros((2 * n, 2 * n, 2 * n))
-    out[:n, :n, n:] = np.einsum("kij->ijk", core0)
-    out[:n, n:, :n] = mixed
-    out[n:, :n, :n] = -np.swapaxes(mixed, 0, 1)
-    out[n:, n:, n:] = np.einsum("ir,jl,klr->ijk", gv, gv, core0)
+    mixed = np.einsum("...kl,...jr,...lir->...ijk", gv, gv, core0)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3)
+    out[..., :n, :n, n:] = np.einsum("...kij->...ijk", core0)
+    out[..., :n, n:, :n] = mixed
+    out[..., n:, :n, :n] = -np.swapaxes(mixed, -3, -2)
+    out[..., n:, n:, n:] = np.einsum("...ir,...jl,...klr->...ijk", gv, gv, core0)
     return out
 
 

@@ -5,22 +5,23 @@ direction (``le`` for residuals, ``ge`` for witnesses that must stay away
 from zero).  Sampling is deterministic per ``(seed, dim, curvature)``, so a
 fixed configuration yields an identical report.
 
-The points of a config, and their fiber jets for the config's own params
-and profile, are built once (``Sample``) and shared by every suite; the
-finite-difference oracles visit the leading few.  Each check is a
-reduction: its value is the largest of its per-sample values, and a NaN in
-any sample fails it.
+A config's sampled points are one batch (``Sample``), built once with their
+fiber jets and shared by every suite.  Each closed-form check is one
+batched call per chunk of rows, giving a value per sample; only the
+``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  The
+finite-difference oracles run at the leading one or two rows.  A check's
+value is the largest of its per-sample values; a NaN in any sample fails it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .base import ModelParams, integrable_coupling, space_form_metric
+from .base import ModelParams, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     connection_coefficients,
     kahler_connection_coefficients,
@@ -51,7 +52,14 @@ from .einstein import (
 )
 from .errors import ConfigError, GeometryError
 from .fd import FDConfig
-from .mtensor import CotangentPoint, FiberJets, assemble_metric, energy_density, fiber_jets
+from .mtensor import (
+    CotangentPoint,
+    FiberJets,
+    assemble_metric,
+    energy_density,
+    fiber_jets,
+    take_rows,
+)
 from .profiles import einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -91,6 +99,14 @@ _PROFILE_NAMES = ("einstein", "rational", "zero")
 # Relative coupling detuning used by the witness checks that must see the
 # integrability and parallel-structure detectors fire.
 _WITNESS_DETUNE = 0.1
+
+# Byte budget of the curvature K (8 (2n)^4 bytes per sample) in one chunk of
+# sample rows; the chunk's connection arrays are smaller.  Batching the rows
+# is what makes the closed-form checks fast, but the whole sample in one
+# batch raises the process's peak RSS by several MiB at 300 samples (about
+# 7 MiB at n = 3), beyond the 10% peak-RSS bound of the benchmark's sweep
+# workload.  This budget gives 128 rows at n = 2, 25 at n = 3, 3 at n = 5.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -218,51 +234,66 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> list
     ``[t_min, t_max]``.
     """
     rng = np.random.default_rng([cfg.seed, n, int(round(c * 1e9))])
-    points = []
+    draws = []
     for _ in range(cfg.samples):
         q = rng.uniform(-2.0, 2.0, size=n)
         direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        t_target = rng.uniform(cfg.t_min, cfg.t_max)
-        t0 = energy_density(space_form_metric(q, params).g_inv, direction)
-        p = direction * math.sqrt(t_target / t0)
-        points.append((q, p))
-    return points
+        draws.append((q, direction / np.linalg.norm(direction), rng.uniform(cfg.t_min, cfg.t_max)))
+    q, direction, t_target = (np.array(column) for column in zip(*draws))
+    t0 = energy_density(space_form_metric(q, params).g_inv, direction)
+    return list(zip(q, direction * np.sqrt(t_target / t0)[:, None]))
 
 
 class Sample:
-    """The sampled points of one ``(n, c)`` config, shared by every suite.
+    """The sampled points of one ``(n, c)`` config, stacked and shared by
+    every suite.
 
-    ``points`` holds the ``CotangentPoint`` of each ``(q, p)`` pair in
-    ``qp``; it serves every coupling and profile, as a point reads only
-    ``n`` and ``c``.  ``with_jets`` pairs each point with its fiber jets for
-    the config's own params and profile.  Each is built on first use; a
-    build that raises is not kept, so every suite that needs it records the
-    error.
+    ``q`` and ``p`` stack the ``(q, p)`` pairs into ``(S, n)`` arrays, and
+    ``points`` is one batched ``CotangentPoint`` over them; it serves every
+    coupling and profile, as a point reads only ``n`` and ``c``.  ``jets``
+    are its fiber jets for the config's own params and profile.  Each is
+    built on first use; a build that raises is not kept, so every suite that
+    needs it records the error.
     """
 
     def __init__(self, qp: list[tuple[np.ndarray, np.ndarray]], params: ModelParams, profile) -> None:
-        self.qp = qp
+        self.q, self.p = (np.stack(column) for column in zip(*qp))
         self._params = params
         self._profile = profile
 
-    @cached_property
-    def points(self) -> list[CotangentPoint]:
-        return [CotangentPoint.at(q, p, self._params) for q, p in self.qp]
+    def __len__(self) -> int:
+        return len(self.q)
 
     @cached_property
-    def with_jets(self) -> list[tuple[CotangentPoint, FiberJets]]:
-        return [(pt, fiber_jets(pt, self._params, self._profile)) for pt in self.points]
+    def points(self) -> CotangentPoint:
+        return CotangentPoint.at(self.q, self.p, self._params)
+
+    @cached_property
+    def jets(self) -> FiberJets:
+        return fiber_jets(self.points, self._params, self._profile)
+
+    def row(self, index: int, jets: FiberJets | None = None) -> tuple[CotangentPoint, FiberJets]:
+        """One sampled point with its ``jets`` (the own ones by default): a
+        center for the finite-difference oracles."""
+        return take_rows(self.points, index), take_rows(self.jets if jets is None else jets, index)
+
+    def chunks(self, jets: FiberJets | None = None):
+        """``(points, jets)`` over consecutive blocks of rows, in order, with
+        ``jets`` the own ones by default; a block's curvature fits
+        ``_CHUNK_BYTES``."""
+        jets = self.jets if jets is None else jets
+        rows = max(1, _CHUNK_BYTES // (8 * (2 * self.q.shape[-1]) ** 4))
+        for start in range(0, len(self), rows):
+            block = slice(start, start + rows)
+            yield take_rows(self.points, block), take_rows(jets, block)
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
-    """A check whose value is the largest of its per-sample ``values``; a
-    NaN in any sample makes the value NaN, which fails either comparison."""
-    return CheckResult(name, float(np.max(values)), tolerance, comparison, note)
-
-
-def _max_abs(*arrays) -> float:
-    return float(np.max([np.max(np.abs(a)) for a in arrays]))
+    """A check whose value is the largest of its per-sample ``values``, a list
+    of per-chunk arrays or of scalars; a NaN in any sample makes the value
+    NaN, which fails either comparison."""
+    value = np.max(np.concatenate([np.ravel(v) for v in values]))
+    return CheckResult(name, float(value), tolerance, comparison, note)
 
 
 # ---- individual suites ----
@@ -270,70 +301,58 @@ def _max_abs(*arrays) -> float:
 
 def _suite_almost_kahler(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    canonical = canonical_coordinate_form(params.n)
-    rows = []
-    for pt, jets in sample.with_jets:
-        j_op = assemble_complex_structure(jets)
-        metric = assemble_metric(jets)
-        phi = fundamental_form(metric, j_op)
-        eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)])
-        rows.append(
-            (
-                complex_structure_squared_residual(j_op),
-                hermitian_residual(metric, j_op),
-                _max_abs(coordinate_form(pt, phi) - canonical),
-                np.min(eigenvalues),
-            )
-        )
-    j_sq, herm, canon, min_eig = zip(*rows)
-    dphi = [dform_residual(params, profile, pt, fd_cfg) for pt in sample.points[:2]]
+    jets = sample.jets
+    j_op = assemble_complex_structure(jets)
+    metric = assemble_metric(jets)
+    phi = fundamental_form(metric, j_op)
+    canon = _max_abs(coordinate_form(sample.points, phi) - canonical_coordinate_form(params.n), rank=2)
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
+    dphi = [
+        dform_residual(params, profile, take_rows(sample.points, index), fd_cfg)
+        for index in range(min(2, len(sample)))
+    ]
     checks = [
-        _check("complex_structure_squared", j_sq, tol.closed_form),
-        _check("metric_hermitian", herm, tol.closed_form),
-        _check("fundamental_form_canonical", canon, tol.closed_form),
+        _check("complex_structure_squared", [complex_structure_squared_residual(j_op)], tol.closed_form),
+        _check("metric_hermitian", [hermitian_residual(metric, j_op)], tol.closed_form),
+        _check("fundamental_form_canonical", [canon], tol.closed_form),
         _check("fundamental_form_closed", dphi, tol.cross_check),
-        _check("metric_positive_definite", np.min(min_eig), 0.0, comparison="ge"),
+        _check("metric_positive_definite", [np.min(eigenvalues)], 0.0, comparison="ge"),
     ]
     return SuiteResult("almost_kahler", params.n, params.c, checks)
 
 
 def _suite_integrability(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    built = sample.with_jets
-    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets)) for pt, jets in built]
-    oracle = [
-        _max_abs(
-            nijenhuis_numeric(params, profile, pt, jets, fd_cfg)
-            - nijenhuis_closed_form(pt, params, jets)
-        )
-        for pt, jets in built[:1]
-    ]
+    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
+    pt, jets = sample.row(0)
+    oracle = nijenhuis_numeric(params, profile, pt, jets, fd_cfg) - nijenhuis_closed_form(pt, params, jets)
     checks = [
         _check("nijenhuis_vanishes", closed, tol.closed_form),
-        _check("nijenhuis_matches_bracket_oracle", oracle, tol.cross_check),
+        _check("nijenhuis_matches_bracket_oracle", [_max_abs(oracle, rank=3)], tol.cross_check),
     ]
     return SuiteResult("integrability", params.n, params.c, checks)
 
 
 def _suite_connection(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
-    built = sample.with_jets
     checks = []
     if params.is_integrable:
         two_path = [
             _max_abs(
                 connection_coefficients(pt, params, jets)
-                - kahler_connection_coefficients(pt, params, profile)
+                - kahler_connection_coefficients(pt, params, profile),
+                rank=3,
             )
-            for pt, jets in built
+            for pt, jets in sample.chunks()
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
     koszul, torsion, compat, parallel_j = [], [], [], []
-    for pt, jets in built[:2]:
+    for index in range(min(2, len(sample))):
+        pt, jets = sample.row(index)
         conn = connection_coefficients(pt, params, jets)
         metric_grad = metric_gradient(params, profile, pt, fd_cfg)
-        koszul.append(_max_abs(koszul_nabla(pt, jets, metric_grad) - conn))
+        koszul.append(_max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3))
         torsion.append(torsion_residual(pt, conn))
         compat.append(metric_compatibility_residual(conn, jets, metric_grad))
         if params.is_integrable:
@@ -350,21 +369,16 @@ def _suite_curvature(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     tol = cfg.tolerances
     n = params.n
     h, v = slice(None, n), slice(n, None)
-    built = sample.with_jets
 
-    # One finite-difference curvature per oracle point serves the block
+    # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
-    oracle, complement, mixed = [], [], []
+    pt, jets = sample.row(0)
+    fd = curvature_fd(params, profile, pt, jets, fd_cfg)
+    diff = fd - curvature_blocks(pt, params, jets)
     odd = odd_slots(n)
-    for pt, jets in built[:1]:
-        fd = curvature_fd(params, profile, pt, jets, fd_cfg)
-        diff = fd - curvature_blocks(pt, params, jets)
-        oracle.append(_max_abs(diff[~odd]))
-        complement.append(_max_abs(diff[odd]))
-        mixed.append(_max_abs(np.einsum("abca->bc", fd)[:n, n:]))
     checks = [
-        _check("blocks_match_fd_oracle", oracle, tol.fd_oracle),
-        _check("complement_outputs_vanish", complement, tol.fd_oracle),
+        _check("blocks_match_fd_oracle", [np.max(np.abs(diff[~odd]))], tol.fd_oracle),
+        _check("complement_outputs_vanish", [np.max(np.abs(diff[odd]))], tol.fd_oracle),
     ]
     notes = []
     if checks[-1].passed:
@@ -373,38 +387,43 @@ def _suite_curvature(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
             f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
         )
 
-    symmetry, relations, two_path, hsc_spread = [], [], [], []
+    # Each sample draws 16 vectors (four quadruples) and, at the integrable
+    # coupling, one section; the generator fills a (rows, 17, 2n) draw in
+    # that same order.
     rng = np.random.default_rng([cfg.seed, 7, n])
-    for pt, jets in built:
+    draws = 17 if params.is_integrable else 16
+    symmetry, relations, two_path, hsc_spread = [], [], [], []
+    for pt, jets in sample.chunks():
+        drawn = rng.normal(size=(len(pt.t), draws, 2 * n))
         curv = curvature_blocks(pt, params, jets)
         metric = assemble_metric(jets)
-        vectors = rng.normal(size=(4, 4, 2 * n))
-        symmetry.append(pair_symmetry_residual(curv, metric, vectors))
+        quadruples = drawn[:, :16].reshape(-1, 4, 4, 2 * n)
+        symmetry.append(pair_symmetry_residual(curv, metric, quadruples))
         if params.is_integrable:
             relations.append(
                 _max_abs(
-                    curv[h, h, v, v] + np.swapaxes(curv[h, h, h, h], 2, 3),
-                    curv[v, v, v, v] + np.swapaxes(curv[v, v, h, h], 2, 3),
+                    curv[..., h, h, v, v] + np.swapaxes(curv[..., h, h, h, h], -2, -1),
+                    curv[..., v, v, v, v] + np.swapaxes(curv[..., v, v, h, h], -2, -1),
+                    rank=4,
                 )
             )
             ric_closed = ricci_closed_form(pt, params, profile)
             ric_trace = ricci_from_blocks(curv)
             two_path.append(
-                _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv)
+                _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv, rank=2)
             )
             j_op = assemble_complex_structure(jets)
-            x = rng.normal(size=2 * n)
+            x = drawn[:, 16]
             h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
             h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
-            hsc_spread.append(abs(h1 - h2))
+            hsc_spread.append(np.abs(h1 - h2))
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
         checks.append(_check("kahler_block_relations", relations, tol.closed_form))
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
-        checks.append(
-            _check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form)
-        )
-    checks.append(_check("mixed_ricci_vanishes", mixed, tol.cross_check))
+        checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
+    mixed = np.einsum("abca->bc", fd)[:n, n:]
+    checks.append(_check("mixed_ricci_vanishes", [np.max(np.abs(mixed))], tol.cross_check))
     return SuiteResult("curvature", n, params.c, checks, notes)
 
 
@@ -414,15 +433,15 @@ def _suite_einstein(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     ts = np.linspace(cfg.t_min, cfg.t_max, 13)
     gam = gamma_factor(params, profile, ts)
     ode = euler_ode_residual(params, profile, ts)
-    relation = _max_abs(gam + 4.0 * math.sqrt(2.0) * np.sqrt(ts) * ode)
-    checks = [_check("gamma_matches_ode_residual", relation, tol.closed_form)]
+    relation = gam + 4.0 * math.sqrt(2.0) * np.sqrt(ts) * ode
+    checks = [_check("gamma_matches_ode_residual", [np.abs(relation)], tol.closed_form)]
 
     closed_vs_direct, einstein_worst, pairs = [], [], []
-    for pt, jets in sample.with_jets:
+    for pt, jets in sample.chunks():
         ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
         direct = einstein_difference(pt, params, profile, jets, ricci=ricci)
         closed = einstein_difference_closed_form(pt, params, profile)
-        closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1]))
+        closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
         pairs.append((ricci, jets))
         if cfg.profile == "einstein":
             einstein_worst.append(einstein_residual(pt, params, jets, ricci))
@@ -436,15 +455,10 @@ def _suite_einstein(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
                 "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant"
             )
         fitted = fit_einstein_constant(pairs)
-        checks.append(_check("family_solves_ode", _max_abs(ode), tol.closed_form))
+        checks.append(_check("family_solves_ode", [np.abs(ode)], tol.closed_form))
         checks.append(_check("einstein_constant", einstein_worst, tol.cross_check))
-        checks.append(
-            _check(
-                "fitted_constant_matches",
-                abs(fitted - family_einstein_constant(params)),
-                tol.cross_check,
-            )
-        )
+        fit_error = abs(fitted - family_einstein_constant(params))
+        checks.append(_check("fitted_constant_matches", [fit_error], tol.cross_check))
     return SuiteResult("einstein", params.n, params.c, checks, notes)
 
 
@@ -453,60 +467,49 @@ def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     n, c = params.n, params.c
     points = sample.points
 
-    off_params = ModelParams(
-        n=n,
-        c=c,
-        a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c),
-        k_a=params.k_a,
-        k_b=params.k_b,
-    )
-    off_built = [(pt, fiber_jets(pt, off_params, profile)) for pt in points]
-    nij = [_max_abs(nijenhuis_closed_form(pt, off_params, jets)) for pt, jets in off_built]
-    parallel = [
-        parallel_j_residual(off_params, profile, pt, jets, fd_cfg)
-        for pt, jets in off_built[:1]
+    off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
+    off_jets = fiber_jets(points, off_params, profile)
+    nij = [
+        _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
+        for pt, jets in sample.chunks(off_jets)
     ]
+    parallel = parallel_j_residual(off_params, profile, *sample.row(0, off_jets), fd_cfg)
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
-        _check(
-            "complex_structure_parallel_detects_coupling",
-            parallel,
-            tol.witness_floor,
-            comparison="ge",
-        ),
+        _check("complex_structure_parallel_detects_coupling", [parallel], tol.witness_floor, comparison="ge"),
     ]
 
     generic = rational_profile()
-    gam_witness = _max_abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))
-    checks.append(_check("gamma_detects_profile", gam_witness, tol.witness_floor, comparison="ge"))
+    gam_witness = np.abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))
+    checks.append(_check("gamma_detects_profile", [gam_witness], tol.witness_floor, comparison="ge"))
 
-    defect = []
-    for pt in points:
-        diff = einstein_difference(pt, params, generic, fiber_jets(pt, params, generic))
-        defect.append(_max_abs(diff[0], diff[1]))
+    defect = [
+        _max_abs(*einstein_difference(pt, params, generic, jets), rank=2)
+        for pt, jets in sample.chunks(fiber_jets(points, params, generic))
+    ]
     checks.append(_check("einstein_detects_profile", defect, tol.witness_floor, comparison="ge"))
 
     # Non-constancy witnesses probe a fixed generic family member: with
     # k_a = 0 some members (n = 2 in particular) are genuinely locally
     # symmetric, so the generic claim is pinned to k_a = k_b = 1.
-    witness_params = ModelParams(
-        n=n, c=c, a_metric=integrable_coupling(c), k_a=1.0, k_b=1.0
-    )
+    witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
     witness_profile = einstein_profile(witness_params)
-    witness_built = [(pt, fiber_jets(pt, witness_params, witness_profile)) for pt in points]
+    witness_jets = fiber_jets(points, witness_params, witness_profile)
     rng = np.random.default_rng([cfg.seed, 11, n, int(round(c * 1e9))])
-    values = []
-    for pt, jets in witness_built:
-        curv = curvature_blocks(pt, witness_params, jets)
-        metric = assemble_metric(jets)
-        j_op = assemble_complex_structure(jets)
-        x = rng.normal(size=2 * n)
-        values.append(holomorphic_sectional_curvature(curv, metric, j_op, x))
+    values = np.concatenate([
+        holomorphic_sectional_curvature(
+            curvature_blocks(pt, witness_params, jets),
+            assemble_metric(jets),
+            assemble_complex_structure(jets),
+            rng.normal(size=(len(pt.t), 2 * n)),
+        )
+        for pt, jets in sample.chunks(witness_jets)
+    ])
     low, high = np.min(values), np.max(values)
     checks.append(
         _check(
             "holomorphic_curvature_spread",
-            high - low,
+            [high - low],
             tol.witness_floor,
             comparison="ge",
             note=(
@@ -516,17 +519,14 @@ def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
         )
     )
 
-    probe = [
-        nabla_curvature_probe(witness_params, witness_profile, pt, jets, fd_cfg)
-        for pt, jets in witness_built[:1]
-    ]
+    probe = nabla_curvature_probe(witness_params, witness_profile, *sample.row(0, witness_jets), fd_cfg)
     checks.append(
         _check(
             "curvature_not_parallel",
-            probe,
+            [probe],
             tol.witness_floor,
             comparison="ge",
-            note=f"max nabla-K component {np.max(probe):.6g} on the k_a=1, k_b=1 member",
+            note=f"max nabla-K component {probe:.6g} on the k_a=1, k_b=1 member",
         )
     )
     return SuiteResult("witnesses", n, c, checks)
@@ -560,17 +560,17 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
         result.checks.append(
             CheckResult("suite_error", 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
         )
-    result.samples = len(sample.qp)
+    result.samples = len(sample)
     return result
 
 
 def run_verification(cfg: RunConfig) -> dict:
     """Run the requested suites over every (dim, curvature) pair.
 
-    Points are sampled and built once per pair and shared by every suite
-    (see ``Sample``).  Returns the
-    full report as a JSON-serializable dict, suite by suite; wall-clock
-    timings live in their own key so reports stay comparable across runs.
+    Points are sampled and built once per pair, as one batch shared by every
+    suite (see ``Sample``).  Returns the full report as a JSON-serializable
+    dict, suite by suite; wall-clock timings live in their own key so
+    reports stay comparable across runs.
     """
     import time
 
@@ -580,13 +580,8 @@ def run_verification(cfg: RunConfig) -> dict:
     seconds = [0.0] * len(cfg.suites)
     for n in cfg.dims:
         for c in cfg.curvatures:
-            params = ModelParams(
-                n=n,
-                c=c,
-                a_metric=(1.0 + cfg.a_metric_offset) * integrable_coupling(c),
-                k_a=cfg.k_a,
-                k_b=cfg.k_b,
-            )
+            a_metric = (1.0 + cfg.a_metric_offset) * integrable_coupling(c)
+            params = ModelParams(n=n, c=c, a_metric=a_metric, k_a=cfg.k_a, k_b=cfg.k_b)
             profile = profile_from_name(cfg.profile, params)
             sample = Sample(sample_points(cfg, n, c, params), params, profile)
             for index, suite_name in enumerate(cfg.suites):
@@ -613,28 +608,11 @@ def run_verification(cfg: RunConfig) -> dict:
             }
         )
 
+    config = asdict(cfg)
+    config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
     report = {
         "schema_version": 1,
-        "config": {
-            "dims": list(cfg.dims),
-            "curvatures": list(cfg.curvatures),
-            "k_a": cfg.k_a,
-            "k_b": cfg.k_b,
-            "profile": cfg.profile,
-            "samples": cfg.samples,
-            "t_min": cfg.t_min,
-            "t_max": cfg.t_max,
-            "seed": cfg.seed,
-            "fd_step": cfg.fd_step,
-            "tolerances": {
-                "closed_form": cfg.tolerances.closed_form,
-                "cross_check": cfg.tolerances.cross_check,
-                "fd_oracle": cfg.tolerances.fd_oracle,
-                "witness_floor": cfg.tolerances.witness_floor,
-            },
-            "suites": list(cfg.suites),
-            "a_metric_offset": cfg.a_metric_offset,
-        },
+        "config": config,
         "suites": suites_out,
         "discrepancy_notes": notes,
         "passed": all(s["passed"] for s in suites_out),

@@ -1,5 +1,6 @@
-"""The leading batch axis of the stencil path: one call on stacked points
-equals one call per point, and every guard fires when one row fails it."""
+"""The leading batch axis of the stencil path and of the values the suites
+check: one call on stacked points equals one call per point, and every
+guard fires when one row fails it."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +9,8 @@ import pytest
 from cotangent_kahler import (
     CotangentPoint,
     GeometryError,
-    MetricJet,
     ModelParams,
     PositivityError,
-    SingularMetricError,
     ZeroSectionError,
     assemble_complex_structure,
     assemble_metric,
@@ -24,12 +23,23 @@ from cotangent_kahler import (
     connection_fiber_derivatives,
     constant_profile,
     coordinate_form,
+    complex_structure_squared_residual,
     curvature_blocks,
+    einstein_difference,
+    einstein_difference_closed_form,
     einstein_profile,
+    einstein_residual,
     energy_density,
     fiber_jets,
     fundamental_form,
+    hermitian_residual,
+    holomorphic_sectional_curvature,
+    kahler_connection_coefficients,
+    nijenhuis_closed_form,
+    pair_symmetry_residual,
     rational_profile,
+    ricci_closed_form,
+    ricci_from_blocks,
     space_form_metric,
 )
 from cotangent_kahler.mtensor import _check_positivity, _w_jet
@@ -134,6 +144,65 @@ class TestBatchMatchesPointwise:
             )
 
 
+def _suite_values(q, p, params, profile):
+    """The closed-form quantities the suites check, one point or a batch.
+
+    The closed forms need the integrable coupling, so they run at the Kahler
+    member with the same base and profile; the sections are built from the
+    point's own coordinates, so a batch and its single points see the same
+    vectors."""
+    kahler = ModelParams.kahler(params.n, params.c, params.k_a, params.k_b)
+    pt = CotangentPoint.at(q, p, params)
+    jets = fiber_jets(pt, params, profile)
+    kahler_jets = fiber_jets(pt, kahler, profile)
+    metric = assemble_metric(jets)
+    j_op = assemble_complex_structure(jets)
+    curv = curvature_blocks(pt, params, jets)
+    kahler_ricci = ricci_from_blocks(curvature_blocks(pt, kahler, kahler_jets))
+    x = np.concatenate([q, p], axis=-1)
+    vectors = np.stack([x, np.roll(x, 1, axis=-1), x**2, np.cos(x)], axis=-2)[..., None, :, :]
+    closed = ricci_closed_form(pt, kahler, profile)
+    return {
+        "complex_structure_squared_residual": complex_structure_squared_residual(j_op),
+        "hermitian_residual": hermitian_residual(metric, j_op),
+        "nijenhuis_closed_form": nijenhuis_closed_form(pt, params, jets),
+        "kahler_connection_coefficients": kahler_connection_coefficients(pt, kahler, profile),
+        "ricci_from_blocks": (kahler_ricci.hh, kahler_ricci.vv),
+        "ricci_closed_form": (closed.hh, closed.vv),
+        "pair_symmetry_residual": pair_symmetry_residual(curv, metric, vectors),
+        "holomorphic_sectional_curvature": holomorphic_sectional_curvature(curv, metric, j_op, x),
+        "einstein_difference": einstein_difference(pt, kahler, profile, kahler_jets),
+        "einstein_difference_closed_form": einstein_difference_closed_form(pt, kahler, profile),
+        "einstein_residual": einstein_residual(pt, kahler, kahler_jets, kahler_ricci),
+    }
+
+
+class TestSuiteValuesOverTheBatch:
+    @pytest.mark.parametrize("profile_name", ["einstein", "rational"])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("name", list(_suite_values(*_points(2), *_setup(2, "einstein"))))
+    def test_one_call_on_stacked_points(self, name, n, profile_name):
+        """One call on 8 stacked points gives the 8 single-point values, each
+        a float, to 1e-13 relative to the largest value or absolute,
+        whichever is larger: residuals are rounding residue of terms of
+        order one, so they are judged on that scale."""
+        params, profile = _setup(n, profile_name)
+        q, p = _points(n)
+        batched = _suite_values(q, p, params, profile)[name]
+        single = [_suite_values(q[m], p[m], params, profile)[name] for m in range(BATCH)]
+        batched = batched if isinstance(batched, tuple) else (batched,)
+        single = [s if isinstance(s, tuple) else (s,) for s in single]
+        for index, array in enumerate(batched):
+            if np.ndim(single[0][index]) == 0:
+                assert all(type(s[index]) is float for s in single), f"{name}[{index}]"
+            expected = np.stack([np.asarray(s[index]) for s in single])
+            assert np.shape(array) == expected.shape
+            scale = max(np.max(np.abs(expected)), 1.0)
+            npt.assert_allclose(
+                array, expected, rtol=1e-13, atol=1e-13 * scale, err_msg=f"{name}[{index}]"
+            )
+
+
 class TestGuardsOverTheBatch:
     def test_zero_section_in_one_row(self):
         params, _ = _setup(3, "einstein")
@@ -153,21 +222,21 @@ class TestGuardsOverTheBatch:
         with pytest.raises(PositivityError, match=r"at t = 4$"):
             fiber_jets(pt, params, constant_profile(-0.5))
 
-    def test_cond_limit_in_one_row(self):
-        g = np.broadcast_to(np.eye(2), (BATCH, 2, 2)).copy()
-        g[2] = np.diag([1.0, 1e-15])
-        jet = MetricJet(
-            g=g,
-            g_inv=np.linalg.inv(g),
-            dg=np.zeros((BATCH, 2, 2, 2)),
-            ddg=np.zeros((BATCH, 2, 2, 2, 2)),
-        )
-        with pytest.raises(SingularMetricError, match="condition number 1.000e\\+15"):
-            christoffel(jet)
-
     def test_non_finite_chart_point_in_one_row(self):
         params, _ = _setup(3, "einstein")
         q, p = _points(3)
         q[6, 1] = np.nan
         with pytest.raises(GeometryError, match="chart point must be finite"):
             CotangentPoint.at(q, p, params)
+
+    def test_null_section_in_one_row(self):
+        params, profile = _setup(3, "einstein")
+        q, p = _points(3)
+        pt = CotangentPoint.at(q, p, params)
+        jets = fiber_jets(pt, params, profile)
+        x = np.ones((BATCH, 6))
+        x[4] = 0.0
+        with pytest.raises(GeometryError, match="nonnull vector"):
+            holomorphic_sectional_curvature(
+                curvature_blocks(pt, params, jets), assemble_metric(jets), assemble_complex_structure(jets), x
+            )

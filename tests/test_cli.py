@@ -257,15 +257,16 @@ class TestNumericalFailures:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_recorded_not_raised(self, tmp_path, capsys):
-        """Python-float powers overflow in the curvature and witnesses suites;
-        each records the OverflowError and the run still writes its report."""
+        """Powers of the energy overflow in the curvature and witnesses suites
+        (the radial Ricci coefficients and the rational profile's v'');
+        each records the error and the run still writes its report."""
         path = tmp_path / "report.json"
         assert main(self.OVERFLOW + ["--report", str(path)]) == 1
         checks = _checks_by_suite(json.loads(path.read_text()))
         assert list(checks) == list(SUITE_NAMES)
         for name in ("curvature", "witnesses"):
             assert checks[name][0]["name"] == "suite_error"
-            assert checks[name][0]["note"].startswith("OverflowError")
+            assert checks[name][0]["note"].startswith("FloatingPointError: overflow")
         assert "overall: FAIL" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

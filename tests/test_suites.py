@@ -30,6 +30,36 @@ class TestCheckReduction:
         assert _check("probe", [0.25, 2.0, 1.0], 1.0).value == 2.0
         assert _check("probe", [0.25, 2.0, 1.0], 1.0, comparison="ge").passed is True
 
+    @pytest.mark.parametrize("comparison", ["le", "ge"])
+    def test_nan_in_the_last_chunk_fails(self, comparison):
+        chunks = [np.array([0.5, 0.25]), np.array([2.0]), np.array([0.125, np.nan])]
+        check = _check("probe", chunks, 1.0, comparison=comparison)
+        assert np.isnan(check.value)
+        assert check.passed is False
+
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        """One sample per chunk gives the report of the default budget, which
+        splits 30 samples at n = 3 into two chunks: the same checks and
+        verdicts, residuals within 1e-3 of their tolerance and witnesses
+        within 1e-9 relative."""
+        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
+        default = run_verification(cfg)
+        monkeypatch.setattr(cotangent_kahler.suites, "_CHUNK_BYTES", 1)
+        one_row = run_verification(cfg)
+        assert default["discrepancy_notes"] == one_row["discrepancy_notes"]
+        for suite, other in zip(default["suites"], one_row["suites"], strict=True):
+            for config, other_config in zip(suite["configs"], other["configs"], strict=True):
+                for check, other_check in zip(config["checks"], other_config["checks"], strict=True):
+                    where = f"{suite['name']}.{check['name']}"
+                    assert check["name"] == other_check["name"], where
+                    assert check["passed"] == other_check["passed"], where
+                    if check["comparison"] == "le":
+                        assert other_check["value"] == pytest.approx(
+                            check["value"], rel=0, abs=1e-3 * check["tolerance"]
+                        ), where
+                    else:
+                        assert other_check["value"] == pytest.approx(check["value"], rel=1e-9), where
+
 
 def _patch_everywhere(monkeypatch, original, replacement):
     """Rebind ``original`` to ``replacement`` in every package module that
@@ -77,37 +107,43 @@ class TestSharedSample:
         assert rows == [8] * 16
 
     def test_sampled_points_are_built_once(self, monkeypatch):
-        """Across all six suites, each sampled (q, p) gets one point and one
-        set of fiber jets for the config's own params; only stencil points and
-        the witnesses' other couplings and profiles build more."""
+        """Across all six suites, the config's sampled points are built in
+        one ``CotangentPoint.at`` call on their ``(S, n)`` stack, with one
+        fiber-jet call for the config's own params and profile; no later
+        call rebuilds any sampled point, one at a time or in a batch.  Only
+        stencil points and the witnesses' other couplings and profiles build
+        more."""
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=3, k_a=0.5, k_b=2.0)
         params = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=0.5, k_b=2.0)
         own_profile = einstein_profile(params).kind
-        sampled = sample_points(cfg, 2, 1.0, params)
+        sampled = np.stack([np.concatenate(qp) for qp in sample_points(cfg, 2, 1.0, params)])
 
-        def index_of(q, p):
-            for index, (qs, ps) in enumerate(sampled):
-                if np.array_equal(q, qs) and np.array_equal(p, ps):
-                    return index
-            return None
+        def builds(q, p):
+            """``"stack"`` for the whole sample, ``"row"`` for a call that
+            includes any single sampled point, None otherwise."""
+            rows = np.concatenate([q, p], axis=-1)
+            if np.array_equal(rows, sampled):
+                return "stack"
+            rows = rows.reshape(-1, sampled.shape[-1])
+            return "row" if (rows[:, None, :] == sampled).all(axis=-1).any() else None
 
         point_builds, jet_builds = [], []
         original_at = vars(CotangentPoint)["at"].__func__
 
         def at(cls, q, p, model):
-            point_builds.append(index_of(q, p))
+            point_builds.append(builds(q, p))
             return original_at(cls, q, p, model)
 
         original_jets = cotangent_kahler.mtensor.fiber_jets
 
         def fiber_jets(pt, model, profile):
             if model == params and profile.kind == own_profile:
-                jet_builds.append(index_of(pt.q, pt.p))
+                jet_builds.append(builds(pt.q, pt.p))
             return original_jets(pt, model, profile)
 
         monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
         _patch_everywhere(monkeypatch, original_jets, fiber_jets)
         report = run_verification(cfg)
         assert report["passed"] is True
-        assert [i for i in point_builds if i is not None] == [0, 1, 2]
-        assert [i for i in jet_builds if i is not None] == [0, 1, 2]
+        assert [b for b in point_builds if b is not None] == ["stack"]
+        assert [b for b in jet_builds if b is not None] == ["stack"]
