@@ -55,7 +55,6 @@ from .curvature import (
     pair_symmetry_residual,
     ricci_closed_form,
     ricci_from_blocks,
-    second_bianchi_residual,
 )
 from .einstein import (
     einstein_difference,
@@ -74,7 +73,7 @@ from .errors import (
     StencilError,
     ZeroSectionError,
 )
-from .fd import FDConfig, fd_gradient, fd_partial, frame_gradient
+from .fd import fd_gradient, fd_partial, frame_gradient
 from .mtensor import (
     CotangentPoint,
     FiberJets,

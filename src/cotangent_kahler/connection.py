@@ -9,18 +9,18 @@ Gamma[j, n+i, h]``, the horizontal output of a mixed pair; and ``hh[h, i, j]
 = Gamma[i, j, n+h]``, the vertical correction of a horizontal pair.  Two
 independent routes produce the same coefficients: the general fiber-jet
 formulas here, and a finite-difference Koszul evaluation that never sees
-them.  Both coefficient routes and ``connection_fiber_derivatives`` keep
-the point's leading batch axis; the fields differentiated here are built at
-all stencil points of a coordinate in one call.
+them.  Everything here keeps the point's leading batch axis: the
+finite-difference oracles take a batch of centers, and the fields they
+differentiate are built at all stencil points of a coordinate in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams, _scale
+from .base import ModelParams, _max_abs, _scale
 from .errors import GeometryError
-from .fd import FDConfig, frame_gradient
+from .fd import frame_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
 from .structure import assemble_complex_structure
 
@@ -156,29 +156,29 @@ def connection_fiber_derivatives(
 
 
 def covariant_field_derivative(
-    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray, cfg: FDConfig
+    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray, step: float
 ) -> np.ndarray:
     """``nabla_{e_a}`` of a field of frame vectors, along every direction.
 
     ``field(q, p)`` takes a batch of points, ``q`` and ``p`` of shape ``(m,
     n)``, and returns ``(m, ...)``: per point, axis 0 holds frame components
     and further axes label independent vector fields.  ``value`` is the field
-    at ``pt`` itself, which the caller already has.  The result is ``out[a,
-    c, ...]``, the ``c``-th component of ``nabla_{e_a} V``: one frame
-    gradient differentiates the components, and the frame's own rotation
-    enters through ``conn``.
+    at the centers ``pt`` themselves, which the caller already has.  The
+    result is ``out[..., a, c, ...]``, the ``c``-th component of ``nabla_{e_a}
+    V``: one frame gradient differentiates the components, and the frame's
+    own rotation enters through ``conn``.
     """
-    grad = frame_gradient(field, pt.q, pt.p, pt.gamma, cfg)
-    grad += np.einsum("abc,b...->ac...", conn, value)
-    return grad
+    grad = frame_gradient(field, pt.q, pt.p, pt.gamma, step)
+    columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
+    return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
 
 
 def parallel_j_residual(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
-) -> float:
-    """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, from
-    one frame gradient of the ``J`` field; ``jets`` are the fiber jets at
-    ``pt``."""
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
+):
+    """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, per
+    center, from one frame gradient of the ``J`` field; ``jets`` are the
+    fiber jets at ``pt``."""
 
     def j_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
@@ -186,28 +186,28 @@ def parallel_j_residual(
 
     conn = connection_coefficients(pt, params, jets)
     j_op = assemble_complex_structure(jets)
-    nabla_j = covariant_field_derivative(pt, conn, j_field, j_op, cfg)
-    expected = np.einsum("cd,abd->acb", j_op, conn)
-    return float(np.max(np.abs(nabla_j - expected)))
+    nabla_j = covariant_field_derivative(pt, conn, j_field, j_op, step)
+    expected = np.einsum("...cd,...abd->...acb", j_op, conn)
+    return _max_abs(nabla_j - expected, rank=3)
 
 
 # ---- independent Koszul route ----
 
 
-def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> np.ndarray:
-    """``dG[a, b, c] = e_a G[b, c]``: one frame gradient of the metric field
-    ``(q, p) -> G``, shared by the Koszul oracle and the compatibility
+def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: float) -> np.ndarray:
+    """``dG[..., a, b, c] = e_a G[b, c]``: one frame gradient of the metric
+    field ``(q, p) -> G``, shared by the Koszul oracle and the compatibility
     residual."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
         return assemble_metric(fiber_jets(point, params, profile))
 
-    return frame_gradient(field, pt.q, pt.p, pt.gamma, cfg)
+    return frame_gradient(field, pt.q, pt.p, pt.gamma, step)
 
 
 def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:
-    """``Gamma[a, b, c]`` from the Koszul formula with finite differences.
+    """``Gamma[..., a, b, c]`` from the Koszul formula with finite differences.
 
     ``2 G(nabla_a b, c) = a<b,c> + b<a,c> - c<a,b> + <[a,b],c> - <[a,c],b>
     - <[b,c],a>``; derivative terms come from ``metric_grad`` (see
@@ -215,32 +215,31 @@ def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -
     constants, and ``jets`` give the metric at ``pt``.
     """
     n = pt.n
-    lowered = frame_brackets(pt) @ assemble_metric(jets)
+    lowered = frame_brackets(pt) @ assemble_metric(jets)[..., None, :, :]
     rhs = (
         metric_grad
-        + np.einsum("bac->abc", metric_grad)
-        - np.einsum("cab->abc", metric_grad)
+        + np.einsum("...bac->...abc", metric_grad)
+        - np.einsum("...cab->...abc", metric_grad)
         + lowered
-        - np.einsum("acb->abc", lowered)
-        - np.einsum("bca->abc", lowered)
+        - np.einsum("...acb->...abc", lowered)
+        - np.einsum("...bca->...abc", lowered)
     )
-    zero = np.zeros((n, n))
-    inverse = np.block([[jets.gv, zero], [zero, jets.gh]])
-    return 0.5 * rhs @ inverse
+    inverse = np.zeros(rhs.shape[:-3] + (2 * n, 2 * n))
+    inverse[..., :n, :n] = jets.gv
+    inverse[..., n:, n:] = jets.gh
+    return 0.5 * rhs @ inverse[..., None, :, :]
 
 
 # ---- residuals ----
 
 
-def torsion_residual(pt: CotangentPoint, conn: np.ndarray) -> float:
+def torsion_residual(pt: CotangentPoint, conn: np.ndarray):
     """``max |nabla_a b - nabla_b a - [a, b]|`` over all frame pairs."""
-    return float(np.max(np.abs(conn - np.swapaxes(conn, 0, 1) - frame_brackets(pt))))
+    return _max_abs(conn - np.swapaxes(conn, -3, -2) - frame_brackets(pt), rank=3)
 
 
-def metric_compatibility_residual(
-    conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray
-) -> float:
+def metric_compatibility_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
     """``max |e_a<b,c> - <nabla_a b, c> - <b, nabla_a c>|`` over frame
     triples, with ``e_a<b,c>`` from ``metric_grad`` (see ``metric_gradient``)."""
-    lowered = conn @ assemble_metric(jets)
-    return float(np.max(np.abs(metric_grad - lowered - np.swapaxes(lowered, 1, 2))))
+    lowered = conn @ assemble_metric(jets)[..., None, :, :]
+    return _max_abs(metric_grad - lowered - np.swapaxes(lowered, -2, -1), rank=3)

@@ -12,10 +12,10 @@ assumes).
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
-routes share no code.  Everything but the finite-difference oracles keeps
-the point's leading batch axis: the covariant derivative of ``K`` builds its
-field at all stencil points of a coordinate in one call, and the suites
-check a whole sample at once; probes are per point, a float for one point.
+routes share no code.  Everything here keeps the point's leading batch
+axis, the finite-difference oracles included: they take a batch of centers
+and build their fields at all stencil points of a coordinate in one call.
+Probes are per point, a float for one point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .connection import (
     covariant_field_derivative,
 )
 from .errors import GeometryError
-from .fd import FDConfig
 from .mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "curvature_fd",
     "nabla_curvature",
     "nabla_curvature_probe",
-    "second_bianchi_residual",
 ]
 
 
@@ -206,11 +204,15 @@ def ricci_closed_form(pt: CotangentPoint, params: ModelParams, profile) -> Ricci
 def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
     """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over ``vectors[..., m, :, :] = (X,
     Y, Z, W)``, an array of shape ``(..., m, 4, 2n)``."""
-    lowered = curvature @ metric[..., None, None, :, :]
+    lowered = (curvature @ metric[..., None, None, :, :])[..., None, :, :, :, :]
     x, y, z, w = np.moveaxis(np.asarray(vectors, dtype=float), -2, 0)
-    lhs = np.einsum("...abcd,...ma,...mb,...mc,...md->...m", lowered, x, y, z, w)
-    rhs = np.einsum("...abcd,...ma,...mb,...mc,...md->...m", lowered, z, w, x, y)
-    return _max_abs(lhs - rhs, rank=1)
+
+    def form(x, y, z, w):
+        """``<K(X, Y)Z, W>`` per quadruple, contracting one vector at a time."""
+        kzw = np.matvec(np.matvec(lowered, w[..., None, None, :]), z[..., None, :])
+        return np.vecdot(np.matvec(kzw, y), x)
+
+    return _max_abs(form(x, y, z, w) - form(z, w, x, y), rank=1)
 
 
 def holomorphic_sectional_curvature(
@@ -242,28 +244,29 @@ def _vector_field(build, params: ModelParams, profile):
 
 
 def curvature_fd(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
 ) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
-    nabla_[a,b] e_c`` from the definition, by one frame gradient of the
-    connection field; ``jets`` are the fiber jets at ``pt``.  The curvature
-    block formulas are never consulted, and tracing the result over ``a =
-    d`` gives the Ricci tensor, mixed block included."""
+    nabla_[a,b] e_c`` at the centers ``pt`` from the definition, by one
+    frame gradient of the connection field; ``jets`` are the fiber jets at
+    ``pt``.  The curvature block formulas are never consulted, and tracing
+    the result over ``a = d`` gives the Ricci tensor, mixed block included."""
     conn = connection_coefficients(pt, params, jets)
     field = _vector_field(connection_coefficients, params, profile)
-    value = np.moveaxis(conn, -1, 0)
-    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value, cfg), 1, -1)
-    bracket_term = np.einsum("abf,fcd->abcd", frame_brackets(pt), conn)
-    return second - np.swapaxes(second, 0, 1) - bracket_term
+    value = np.moveaxis(conn, -1, -3)
+    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value, step), -3, -1)
+    bracket_term = np.einsum("...abf,...fcd->...abcd", frame_brackets(pt), conn)
+    return second - np.swapaxes(second, -4, -3) - bracket_term
 
 
 # ---- covariant derivative of the curvature ----
 
 
 def nabla_curvature(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
 ) -> np.ndarray:
-    """``(nabla_{e_w} K)[w, a, b, c, d]`` by the Leibniz rule.
+    """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers ``pt`` by the
+    Leibniz rule.
 
     The value term is one frame gradient of the assembled ``K`` field; the
     three correction terms use ``K`` and the connection at ``pt``, built
@@ -272,28 +275,19 @@ def nabla_curvature(
     conn = connection_coefficients(pt, params, jets)
     curv = curvature_blocks(pt, params, jets)
     field = _vector_field(curvature_blocks, params, profile)
-    value = np.moveaxis(curv, -1, 0)
-    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value, cfg), 1, -1)
-    nabla -= np.einsum("waf,fbcd->wabcd", conn, curv)
-    nabla -= np.einsum("wbf,afcd->wabcd", conn, curv)
-    nabla -= np.einsum("wcf,abfd->wabcd", conn, curv)
+    value = np.moveaxis(curv, -1, -4)
+    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value, step), -4, -1)
+    nabla -= np.einsum("...waf,...fbcd->...wabcd", conn, curv)
+    nabla -= np.einsum("...wbf,...afcd->...wabcd", conn, curv)
+    nabla -= np.einsum("...wcf,...abfd->...wabcd", conn, curv)
     return nabla
 
 
 def nabla_curvature_probe(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
-) -> float:
-    """Largest component of ``nabla K`` at one point.
+    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
+):
+    """Largest component of ``nabla K`` at each center.
 
     A value above a small floor witnesses the failure of local symmetry.
     """
-    return float(np.max(np.abs(nabla_curvature(params, profile, pt, jets, cfg))))
-
-
-def second_bianchi_residual(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, cfg: FDConfig
-) -> float:
-    """``max |cyclic_{W,A,B} (nabla_W K)(A, B)Z|`` over every frame entry."""
-    nabla = nabla_curvature(params, profile, pt, jets, cfg)
-    cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
-    return float(np.max(np.abs(cyclic)))
+    return _max_abs(nabla_curvature(params, profile, pt, jets, step), rank=5)

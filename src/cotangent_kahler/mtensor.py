@@ -296,10 +296,10 @@ def frame_brackets(pt: CotangentPoint) -> np.ndarray:
     verticals commute.
     """
     n = pt.n
-    out = np.zeros((2 * n, 2 * n, 2 * n))
-    out[:n, :n, n:] = np.einsum("kij->ijk", pt.p_riemann)
-    out[n:, :n, n:] = pt.gamma
-    out[:n, n:, n:] = -np.einsum("jik->ijk", pt.gamma)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3)
+    out[..., :n, :n, n:] = np.einsum("...kij->...ijk", pt.p_riemann)
+    out[..., n:, :n, n:] = pt.gamma
+    out[..., :n, n:, n:] = -np.einsum("...jik->...ijk", pt.gamma)
     return out
 
 

@@ -15,10 +15,10 @@ single core object,
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
 the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
-Everything but the finite-difference oracles keeps a point's leading batch
-axis: the oracles build their fields at all stencil points of a coordinate
-in one call, and the suites check a whole sample at once; residuals are
-per point, a float for one point.
+Everything here keeps a point's leading batch axis, the finite-difference
+oracles included: they take a batch of centers and build their fields at
+all stencil points of a coordinate in one call.  Residuals are per point,
+a float for one point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelParams, _max_abs
-from .fd import FDConfig, fd_gradient
+from .fd import fd_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, chart_frame, fiber_jets
 
 __all__ = [
@@ -92,8 +92,9 @@ def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
     return np.swapaxes(inverse, -1, -2) @ form @ inverse
 
 
-def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConfig) -> float:
-    """``max |d phi|`` from finite differences of the chart components.
+def dform_residual(params: ModelParams, profile, pt: CotangentPoint, step: float):
+    """``max |d phi|`` per center, from finite differences of the chart
+    components.
 
     The exterior derivative of a 2-form in chart coordinates is the
     antisymmetrized partial derivative of its component matrix; evaluating
@@ -108,13 +109,9 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, cfg: FDConf
         phi = fundamental_form(assemble_metric(jets), assemble_complex_structure(jets))
         return coordinate_form(point, phi)
 
-    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p]), cfg)
-    dphi = (
-        grad
-        - np.einsum("bac->abc", grad)
-        + np.einsum("cab->abc", grad)
-    )
-    return float(np.max(np.abs(dphi)))
+    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p], axis=-1), step)
+    dphi = grad - np.einsum("...bac->...abc", grad) + np.einsum("...cab->...abc", grad)
+    return _max_abs(dphi, rank=3)
 
 
 # ---- integrability tensor ----
@@ -153,8 +150,8 @@ def nijenhuis_closed_form(
 
 def _brackets(x, dx, y, dy) -> np.ndarray:
     """Chart Lie brackets ``[X_a, Y_b] = (dY_b) X_a - (dX_a) Y_b`` of the
-    column fields of ``x`` and ``y``, indexed ``[a, b, chart]``."""
-    return np.einsum("gkb,ga->abk", dy, x) - np.einsum("gka,gb->abk", dx, y)
+    column fields of ``x`` and ``y``, indexed ``[..., a, b, chart]``."""
+    return np.einsum("...gkb,...ga->...abk", dy, x) - np.einsum("...gka,...gb->...abk", dx, y)
 
 
 def nijenhuis_numeric(
@@ -162,12 +159,12 @@ def nijenhuis_numeric(
     profile,
     pt: CotangentPoint,
     jets: FiberJets,
-    cfg: FDConfig,
+    step: float,
     point_factory=None,
 ) -> np.ndarray:
     """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
-    frame fields at ``pt`` (with fiber ``jets``), assembled from chart-level
-    brackets with no use of the closed form.
+    frame fields at the centers ``pt`` (with fiber ``jets``), assembled from
+    chart-level brackets with no use of the closed form.
 
     The frame fields are the columns of the chart frame ``E`` and their
     images the columns of ``E J``; one finite-difference gradient of the
@@ -189,10 +186,11 @@ def nijenhuis_numeric(
     x = chart_frame(pt)
     j0 = assemble_complex_structure(jets)
     jx = x @ j0
-    dx, djx = np.swapaxes(fd_gradient(frame_fields, np.concatenate([pt.q, pt.p]), cfg), 0, 1)
+    grad = fd_gradient(frame_fields, np.concatenate([pt.q, pt.p], axis=-1), step)
+    dx, djx = np.moveaxis(grad, -3, 0)
     to_frame = 2.0 * np.eye(2 * n) - x
     return np.einsum(
-        "ck,abk->abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)
+        "...ck,...abk->...abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)
     ) - np.einsum(
-        "ck,abk->abc", j0 @ to_frame, _brackets(jx, djx, x, dx) + _brackets(x, dx, jx, djx)
+        "...ck,...abk->...abc", j0 @ to_frame, _brackets(jx, djx, x, dx) + _brackets(x, dx, jx, djx)
     )

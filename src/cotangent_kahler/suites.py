@@ -8,9 +8,10 @@ fixed configuration yields an identical report.
 A config's sampled points are one batch (``Sample``), built once with their
 fiber jets and shared by every suite.  Each closed-form check is one
 batched call per chunk of rows, giving a value per sample; only the
-``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  The
-finite-difference oracles run at the leading one or two rows.  A check's
-value is the largest of its per-sample values; a NaN in any sample fails it.
+``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  Each
+finite-difference oracle takes the leading one or two rows as one batch of
+centers.  A check's value is the largest of its per-sample values; a NaN in
+any sample fails it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .einstein import (
     gamma_factor,
 )
 from .errors import ConfigError, GeometryError
-from .fd import FDConfig
 from .mtensor import (
     CotangentPoint,
     FiberJets,
@@ -121,8 +121,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("closed_form", "cross_check", "fd_oracle", "witness_floor"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"tolerance {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.dims or any(d < 2 for d in self.dims):
             raise ConfigError("dims must be a nonempty list of integers >= 2")
-        if not self.curvatures or any(c <= 0 for c in self.curvatures):
-            raise ConfigError("curvatures must be a nonempty list of positive reals")
+        if not self.curvatures or not all(0 < c < math.inf for c in self.curvatures):
+            raise ConfigError("curvatures must be a nonempty list of positive finite reals")
+        if not (0 <= self.k_a < math.inf and 0 <= self.k_b < math.inf):
+            raise ConfigError("k_a and k_b must be finite and >= 0")
         if self.profile not in _PROFILE_NAMES:
             raise ConfigError(f"profile must be one of {_PROFILE_NAMES}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if not (0 < self.t_min < self.t_max):
-            raise ConfigError("need 0 < t_min < t_max")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise ConfigError("need 0 < t_min < t_max, both finite")
+        if not 0 < self.fd_step < math.inf:
+            raise ConfigError("fd_step must be positive and finite")
         if not self.suites:
             raise ConfigError("suites must name at least one suite")
         unknown = set(self.suites) - set(SUITE_NAMES)
@@ -166,8 +168,8 @@ class RunConfig:
                 "samples must be >= 2 with the witnesses suite: "
                 "holomorphic_curvature_spread compares sections at two or more points"
             )
-        if self.a_metric_offset <= -1.0:
-            raise ConfigError("a_metric_offset must keep the coupling positive (> -1)")
+        if not -1.0 < self.a_metric_offset < math.inf:
+            raise ConfigError("a_metric_offset must be finite and keep the coupling positive (> -1)")
 
 
 @dataclass(frozen=True)
@@ -272,11 +274,6 @@ class Sample:
     def jets(self) -> FiberJets:
         return fiber_jets(self.points, self._params, self._profile)
 
-    def row(self, index: int, jets: FiberJets | None = None) -> tuple[CotangentPoint, FiberJets]:
-        """One sampled point with its ``jets`` (the own ones by default): a
-        center for the finite-difference oracles."""
-        return take_rows(self.points, index), take_rows(self.jets if jets is None else jets, index)
-
     def chunks(self, jets: FiberJets | None = None):
         """``(points, jets)`` over consecutive blocks of rows, in order, with
         ``jets`` the own ones by default; a block's curvature fits
@@ -299,7 +296,7 @@ def _check(name: str, values, tolerance: float, comparison: str = "le", note: st
 # ---- individual suites ----
 
 
-def _suite_almost_kahler(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     jets = sample.jets
     j_op = assemble_complex_structure(jets)
@@ -307,25 +304,22 @@ def _suite_almost_kahler(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     phi = fundamental_form(metric, j_op)
     canon = _max_abs(coordinate_form(sample.points, phi) - canonical_coordinate_form(params.n), rank=2)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
-    dphi = [
-        dform_residual(params, profile, take_rows(sample.points, index), fd_cfg)
-        for index in range(min(2, len(sample)))
-    ]
+    dphi = dform_residual(params, profile, take_rows(sample.points, slice(2)), cfg.fd_step)
     checks = [
         _check("complex_structure_squared", [complex_structure_squared_residual(j_op)], tol.closed_form),
         _check("metric_hermitian", [hermitian_residual(metric, j_op)], tol.closed_form),
         _check("fundamental_form_canonical", [canon], tol.closed_form),
-        _check("fundamental_form_closed", dphi, tol.cross_check),
+        _check("fundamental_form_closed", [dphi], tol.cross_check),
         _check("metric_positive_definite", [np.min(eigenvalues)], 0.0, comparison="ge"),
     ]
     return SuiteResult("almost_kahler", params.n, params.c, checks)
 
 
-def _suite_integrability(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
-    pt, jets = sample.row(0)
-    oracle = nijenhuis_numeric(params, profile, pt, jets, fd_cfg) - nijenhuis_closed_form(pt, params, jets)
+    pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
+    oracle = nijenhuis_numeric(params, profile, pt, jets, cfg.fd_step) - nijenhuis_closed_form(pt, params, jets)
     checks = [
         _check("nijenhuis_vanishes", closed, tol.closed_form),
         _check("nijenhuis_matches_bracket_oracle", [_max_abs(oracle, rank=3)], tol.cross_check),
@@ -333,7 +327,7 @@ def _suite_integrability(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     return SuiteResult("integrability", params.n, params.c, checks)
 
 
-def _suite_connection(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     checks = []
     if params.is_integrable:
@@ -347,38 +341,34 @@ def _suite_connection(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
-    koszul, torsion, compat, parallel_j = [], [], [], []
-    for index in range(min(2, len(sample))):
-        pt, jets = sample.row(index)
-        conn = connection_coefficients(pt, params, jets)
-        metric_grad = metric_gradient(params, profile, pt, fd_cfg)
-        koszul.append(_max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3))
-        torsion.append(torsion_residual(pt, conn))
-        compat.append(metric_compatibility_residual(conn, jets, metric_grad))
-        if params.is_integrable:
-            parallel_j.append(parallel_j_residual(params, profile, pt, jets, fd_cfg))
-    checks.append(_check("koszul_oracle", koszul, tol.cross_check))
-    checks.append(_check("torsion_free", torsion, tol.closed_form))
-    checks.append(_check("metric_parallel", compat, tol.cross_check))
+    pt, jets = take_rows(sample.points, slice(2)), take_rows(sample.jets, slice(2))
+    conn = connection_coefficients(pt, params, jets)
+    metric_grad = metric_gradient(params, profile, pt, cfg.fd_step)
+    koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
+    checks.append(_check("koszul_oracle", [koszul], tol.cross_check))
+    checks.append(_check("torsion_free", [torsion_residual(pt, conn)], tol.closed_form))
+    compat = metric_compatibility_residual(conn, jets, metric_grad)
+    checks.append(_check("metric_parallel", [compat], tol.cross_check))
     if params.is_integrable:
-        checks.append(_check("complex_structure_parallel", parallel_j, tol.cross_check))
+        parallel_j = parallel_j_residual(params, profile, pt, jets, cfg.fd_step)
+        checks.append(_check("complex_structure_parallel", [parallel_j], tol.cross_check))
     return SuiteResult("connection", params.n, params.c, checks)
 
 
-def _suite_curvature(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     n = params.n
     h, v = slice(None, n), slice(n, None)
 
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
-    pt, jets = sample.row(0)
-    fd = curvature_fd(params, profile, pt, jets, fd_cfg)
+    pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
+    fd = curvature_fd(params, profile, pt, jets, cfg.fd_step)
     diff = fd - curvature_blocks(pt, params, jets)
     odd = odd_slots(n)
     checks = [
-        _check("blocks_match_fd_oracle", [np.max(np.abs(diff[~odd]))], tol.fd_oracle),
-        _check("complement_outputs_vanish", [np.max(np.abs(diff[odd]))], tol.fd_oracle),
+        _check("blocks_match_fd_oracle", [_max_abs(diff[..., ~odd], rank=1)], tol.fd_oracle),
+        _check("complement_outputs_vanish", [_max_abs(diff[..., odd], rank=1)], tol.fd_oracle),
     ]
     notes = []
     if checks[-1].passed:
@@ -422,12 +412,12 @@ def _suite_curvature(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
         checks.append(_check("kahler_block_relations", relations, tol.closed_form))
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
         checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
-    mixed = np.einsum("abca->bc", fd)[:n, n:]
-    checks.append(_check("mixed_ricci_vanishes", [np.max(np.abs(mixed))], tol.cross_check))
+    mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
+    checks.append(_check("mixed_ricci_vanishes", [_max_abs(mixed, rank=2)], tol.cross_check))
     return SuiteResult("curvature", n, params.c, checks, notes)
 
 
-def _suite_einstein(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
 
     ts = np.linspace(cfg.t_min, cfg.t_max, 13)
@@ -462,7 +452,7 @@ def _suite_einstein(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
     return SuiteResult("einstein", params.n, params.c, checks, notes)
 
 
-def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
+def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     n, c = params.n, params.c
     points = sample.points
@@ -473,7 +463,8 @@ def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
         for pt, jets in sample.chunks(off_jets)
     ]
-    parallel = parallel_j_residual(off_params, profile, *sample.row(0, off_jets), fd_cfg)
+    center = take_rows(points, slice(1))
+    parallel = parallel_j_residual(off_params, profile, center, take_rows(off_jets, slice(1)), cfg.fd_step)
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
         _check("complex_structure_parallel_detects_coupling", [parallel], tol.witness_floor, comparison="ge"),
@@ -519,14 +510,16 @@ def _suite_witnesses(cfg, params, profile, sample, fd_cfg) -> SuiteResult:
         )
     )
 
-    probe = nabla_curvature_probe(witness_params, witness_profile, *sample.row(0, witness_jets), fd_cfg)
+    probe = nabla_curvature_probe(
+        witness_params, witness_profile, center, take_rows(witness_jets, slice(1)), cfg.fd_step
+    )
     checks.append(
         _check(
             "curvature_not_parallel",
             [probe],
             tol.witness_floor,
             comparison="ge",
-            note=f"max nabla-K component {probe:.6g} on the k_a=1, k_b=1 member",
+            note=f"max nabla-K component {probe[0]:.6g} on the k_a=1, k_b=1 member",
         )
     )
     return SuiteResult("witnesses", n, c, checks)
@@ -542,7 +535,7 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample, fd_cfg) -> SuiteResult:
+def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample) -> SuiteResult:
     """Run one suite over a shared sample.
 
     Numerical failures never abort the run: a ``GeometryError`` (zero
@@ -554,7 +547,7 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
     except KeyError:
         raise ConfigError(f"unknown suite {name!r}") from None
     try:
-        result = func(cfg, params, profile, sample, fd_cfg)
+        result = func(cfg, params, profile, sample)
     except (GeometryError, ArithmeticError) as exc:
         result = SuiteResult(name, params.n, params.c)
         result.checks.append(
@@ -574,7 +567,6 @@ def run_verification(cfg: RunConfig) -> dict:
     """
     import time
 
-    fd_cfg = FDConfig(base_step=cfg.fd_step)
     configs_out: list[list[dict]] = [[] for _ in cfg.suites]
     suite_notes: list[list[str]] = [[] for _ in cfg.suites]
     seconds = [0.0] * len(cfg.suites)
@@ -586,7 +578,7 @@ def run_verification(cfg: RunConfig) -> dict:
             sample = Sample(sample_points(cfg, n, c, params), params, profile)
             for index, suite_name in enumerate(cfg.suites):
                 started = time.perf_counter()
-                result = run_suite(suite_name, cfg, params, profile, sample, fd_cfg)
+                result = run_suite(suite_name, cfg, params, profile, sample)
                 seconds[index] += time.perf_counter() - started
                 configs_out[index].append(result.as_dict())
                 suite_notes[index].extend(result.notes)

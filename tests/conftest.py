@@ -5,7 +5,6 @@ import pytest
 
 from cotangent_kahler import (
     CotangentPoint,
-    FDConfig,
     ModelParams,
     einstein_profile,
     rational_profile,
@@ -18,8 +17,9 @@ def rng():
 
 
 @pytest.fixture
-def fd_cfg():
-    return FDConfig()
+def fd_step():
+    """The run configuration's default relative finite-difference step."""
+    return 1e-4
 
 
 @pytest.fixture

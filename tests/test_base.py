@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotangent_kahler import (
-    FDConfig,
     GeometryError,
     ModelParams,
     SingularMetricError,
@@ -76,7 +75,7 @@ class TestMetricJet:
         params = ModelParams(n=3, c=0.9, a_metric=1.0)
         x0 = rng.uniform(-1.5, 1.5, size=3)
         jet = space_form_metric(x0, params)
-        cfg = FDConfig(base_step=1e-3, relative=False)
+        step = 1e-3
 
         def g_flat(x):
             return space_form_metric(x, params).g.reshape(len(x), -1)
@@ -84,7 +83,7 @@ class TestMetricJet:
         for k in range(3):
             npt.assert_allclose(
                 jet.dg[k],
-                fd_partial(g_flat, x0, k, cfg).reshape(3, 3),
+                fd_partial(g_flat, x0, k, step).reshape(3, 3),
                 atol=1e-10,
                 err_msg=f"d_{k} g vs finite differences",
             )
@@ -93,7 +92,7 @@ class TestMetricJet:
         params = ModelParams(n=3, c=0.9, a_metric=1.0)
         x0 = rng.uniform(-1.5, 1.5, size=3)
         jet = space_form_metric(x0, params)
-        cfg = FDConfig(base_step=1e-3, relative=False)
+        step = 1e-3
 
         def dg_flat(x):
             return space_form_metric(x, params).dg.reshape(len(x), -1)
@@ -101,7 +100,7 @@ class TestMetricJet:
         for l in range(3):
             npt.assert_allclose(
                 jet.ddg[l],
-                fd_partial(dg_flat, x0, l, cfg).reshape(3, 3, 3),
+                fd_partial(dg_flat, x0, l, step).reshape(3, 3, 3),
                 atol=1e-8,
                 err_msg=f"d_{l} dg vs finite differences",
             )
@@ -143,7 +142,7 @@ class TestChristoffel:
         x0 = rng.uniform(-1.5, 1.5, size=3)
         jet = space_form_metric(x0, params)
         dgamma = christoffel_derivative(jet)
-        cfg = FDConfig(base_step=1e-3, relative=False)
+        step = 1e-3
 
         def gamma_flat(x):
             return christoffel(space_form_metric(x, params)).reshape(len(x), -1)
@@ -151,7 +150,7 @@ class TestChristoffel:
         for m in range(3):
             npt.assert_allclose(
                 dgamma[m],
-                fd_partial(gamma_flat, x0, m, cfg).reshape(3, 3, 3),
+                fd_partial(gamma_flat, x0, m, step).reshape(3, 3, 3),
                 atol=1e-8,
                 err_msg=f"d_{m} Gamma vs finite differences",
             )

@@ -1,6 +1,6 @@
-"""The leading batch axis of the stencil path and of the values the suites
-check: one call on stacked points equals one call per point, and every
-guard fires when one row fails it."""
+"""The leading batch axis of the stencil path, of the values the suites
+check and of the finite-difference oracles: one call on stacked points
+equals one call per point, and every guard fires when one row fails it."""
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +25,8 @@ from cotangent_kahler import (
     coordinate_form,
     complex_structure_squared_residual,
     curvature_blocks,
+    curvature_fd,
+    dform_residual,
     einstein_difference,
     einstein_difference_closed_form,
     einstein_profile,
@@ -35,12 +37,19 @@ from cotangent_kahler import (
     hermitian_residual,
     holomorphic_sectional_curvature,
     kahler_connection_coefficients,
+    koszul_nabla,
+    metric_compatibility_residual,
+    metric_gradient,
+    nabla_curvature_probe,
     nijenhuis_closed_form,
+    nijenhuis_numeric,
+    parallel_j_residual,
     pair_symmetry_residual,
     rational_profile,
     ricci_closed_form,
     ricci_from_blocks,
     space_form_metric,
+    torsion_residual,
 )
 from cotangent_kahler.mtensor import _check_positivity, _w_jet
 
@@ -201,6 +210,51 @@ class TestSuiteValuesOverTheBatch:
             npt.assert_allclose(
                 array, expected, rtol=1e-13, atol=1e-13 * scale, err_msg=f"{name}[{index}]"
             )
+
+
+def _oracle_values(q, p, params, profile):
+    """Every finite-difference oracle at the centers ``(q, p)``, one center or
+    a batch."""
+    step = 1e-4
+    pt = CotangentPoint.at(q, p, params)
+    jets = fiber_jets(pt, params, profile)
+    conn = connection_coefficients(pt, params, jets)
+    metric_grad = metric_gradient(params, profile, pt, step)
+    return {
+        "dform_residual": dform_residual(params, profile, pt, step),
+        "nijenhuis_numeric": nijenhuis_numeric(params, profile, pt, jets, step),
+        "koszul_nabla": (metric_grad, koszul_nabla(pt, jets, metric_grad)),
+        "torsion_residual": torsion_residual(pt, conn),
+        "metric_compatibility_residual": metric_compatibility_residual(conn, jets, metric_grad),
+        "parallel_j_residual": parallel_j_residual(params, profile, pt, jets, step),
+        "curvature_fd": curvature_fd(params, profile, pt, jets, step),
+        "nabla_curvature_probe": nabla_curvature_probe(params, profile, pt, jets, step),
+    }
+
+
+class TestOraclesOverTheBatch:
+    @pytest.mark.parametrize("profile_name", ["einstein", "rational"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_stacked_centers_match_single_centers(self, n, profile_name):
+        """Every oracle on 2 stacked centers gives the 2 single-center values,
+        each a float where the single call gives a scalar, to 1e-13 relative
+        to the largest value or absolute, whichever is larger."""
+        params, profile = _setup(n, profile_name)
+        q, p = (x[:2] for x in _points(n))
+        batched = _oracle_values(q, p, params, profile)
+        single = [_oracle_values(q[m], p[m], params, profile) for m in range(2)]
+        for name, value in batched.items():
+            value = value if isinstance(value, tuple) else (value,)
+            rows = [s[name] if isinstance(s[name], tuple) else (s[name],) for s in single]
+            for index, array in enumerate(value):
+                if np.ndim(rows[0][index]) == 0:
+                    assert all(type(r[index]) is float for r in rows), f"{name}[{index}]"
+                expected = np.stack([np.asarray(r[index]) for r in rows])
+                assert np.shape(array) == expected.shape, f"{name}[{index}]"
+                scale = max(np.max(np.abs(expected)), 1.0)
+                npt.assert_allclose(
+                    array, expected, rtol=1e-13, atol=1e-13 * scale, err_msg=f"{name}[{index}]"
+                )
 
 
 class TestGuardsOverTheBatch:

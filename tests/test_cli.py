@@ -51,6 +51,16 @@ class TestRunConfig:
             dict(suites=()),
             dict(suites=("almost_kahler", "bogus")),
             dict(a_metric_offset=-1.0),
+            dict(fd_step=float("inf")),
+            dict(fd_step=float("nan")),
+            dict(t_max=float("inf")),
+            dict(curvatures=(float("nan"),)),
+            dict(curvatures=(1.0, float("inf"))),
+            dict(k_a=-1.0),
+            dict(k_b=-0.5),
+            dict(k_a=float("nan")),
+            dict(k_b=float("inf")),
+            dict(a_metric_offset=float("nan")),
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
@@ -66,6 +76,11 @@ class TestRunConfig:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             Tolerances(cross_check=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, value):
+        with pytest.raises(ConfigError):
+            Tolerances(closed_form=value)
 
     def test_parser_round_trip(self):
         args = build_parser().parse_args(
@@ -228,6 +243,10 @@ class TestMain:
     def test_single_sample_without_witnesses_exits_zero(self, capsys):
         assert main(["--samples", "1", "--suites", "almost_kahler"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    def test_non_finite_step_exits_two(self, capsys):
+        assert main(["--fd-step", "nan", "--samples", "2", "--dims", "2", "--curvatures", "1"]) == 2
+        assert "fd_step" in capsys.readouterr().err
 
     def test_empty_suites_exits_two(self, capsys):
         assert main(["--suites", ""]) == 2

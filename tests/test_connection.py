@@ -105,7 +105,7 @@ class TestCoefficientRoutes:
 
 class TestKoszulOracle:
     @pytest.mark.parametrize("integrable", [True, False])
-    def test_all_frame_pairs(self, sample_qp, fd_cfg, integrable):
+    def test_all_frame_pairs(self, sample_qp, fd_step, integrable):
         """nabla from the finite-difference Koszul formula agrees with the
         closed coefficients on every one of the 2n x 2n frame pairs."""
         q, p = sample_qp
@@ -116,7 +116,7 @@ class TestKoszulOracle:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
         conn = connection_coefficients(pt, params, jets)
-        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt, fd_cfg))
+        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt, fd_step))
         assert oracle.shape == (6, 6, 6)
         npt.assert_allclose(oracle, conn, atol=1e-5)
 
@@ -126,12 +126,12 @@ class TestKoszulOracle:
         )
         assert torsion_residual(generic_point, conn) < 1e-12
 
-    def test_metric_compatibility(self, sample_qp, generic_params, generic_profile, fd_cfg):
+    def test_metric_compatibility(self, sample_qp, generic_params, generic_profile, fd_step):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         conn = connection_coefficients(pt, generic_params, jets)
-        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_cfg)
+        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_step)
         assert metric_compatibility_residual(conn, jets, metric_grad) < 1e-5
 
 
@@ -142,19 +142,19 @@ class TestKoszulOracle:
 
 class TestParallelComplexStructure:
     def test_integrable_coupling_makes_j_parallel(
-        self, sample_qp, kahler_params, kahler_profile, fd_cfg
+        self, sample_qp, kahler_params, kahler_profile, fd_step
     ):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
-        assert parallel_j_residual(kahler_params, kahler_profile, pt, jets, fd_cfg) < 1e-5
+        assert parallel_j_residual(kahler_params, kahler_profile, pt, jets, fd_step) < 1e-5
 
-    def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_cfg):
+    def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_step):
         """Off the integrable coupling J is compatible but not parallel."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
-        assert parallel_j_residual(generic_params, generic_profile, pt, jets, fd_cfg) > 1e-3
+        assert parallel_j_residual(generic_params, generic_profile, pt, jets, fd_step) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ class TestParallelComplexStructure:
 
 
 class TestCoefficientFiberDerivatives:
-    def test_match_finite_differences(self, sample_qp, generic_params, generic_profile, fd_cfg):
+    def test_match_finite_differences(self, sample_qp, generic_params, generic_profile, fd_step):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         derivs = connection_fiber_derivatives(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
@@ -173,10 +173,10 @@ class TestCoefficientFiberDerivatives:
             return connection_coefficients(ptz, generic_params, fiber_jets(ptz, generic_params, generic_profile))
 
         for m in range(3):
-            npt.assert_allclose(derivs[m], fd_partial(coeffs_at, p, m, fd_cfg), atol=1e-6)
+            npt.assert_allclose(derivs[m], fd_partial(coeffs_at, p, m, fd_step), atol=1e-6)
 
     def test_bracket_consistency_of_covariant_derivative(
-        self, sample_qp, kahler_params, kahler_profile, fd_cfg
+        self, sample_qp, kahler_params, kahler_profile, fd_step
     ):
         """nabla_a e_b - nabla_b e_a equals the frame bracket when both sides
         are produced by the field-level covariant derivative."""
@@ -187,6 +187,6 @@ class TestCoefficientFiberDerivatives:
         def basis_fields(qq, pp):
             return np.broadcast_to(np.eye(6), (len(qq), 6, 6))
 
-        nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6), fd_cfg)
+        nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6), fd_step)
         torsion_free = np.einsum("acb->abc", nabla) - np.einsum("bca->abc", nabla)
         npt.assert_allclose(torsion_free, frame_brackets(pt), atol=1e-9)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import cotangent_kahler.fd
 from cotangent_kahler import (
     CotangentPoint,
-    FDConfig,
     ModelParams,
     StencilError,
     chart_frame,
@@ -22,7 +21,6 @@ from cotangent_kahler import (
     nijenhuis_numeric,
     parallel_j_residual,
 )
-from cotangent_kahler.fd import richardson_extrapolate
 
 # ---------------------------------------------------------------------------
 # Stencil order and exactness
@@ -30,12 +28,13 @@ from cotangent_kahler.fd import richardson_extrapolate
 
 
 class TestStencilOrder:
-    def test_fourth_order_convergence_on_exp(self):
-        """Halving the step divides the error by more than 2^4 = 16.
+    def test_sixth_order_convergence_on_exp(self):
+        """Halving the step divides the error by more than 2^6 = 64: the
+        Richardson level cancels the stencil's h^4 term.
 
         With exp every Taylor coefficient is positive, so the next-order
-        term pushes the ratio strictly above 16 rather than oscillating
-        around it.
+        term pushes the ratio strictly above 64 rather than oscillating
+        around it; steps this large keep rounding far below the h^6 error.
         """
         x0 = np.array([0.3, -0.2])
         target = np.exp(0.3 - 0.1)
@@ -43,41 +42,18 @@ class TestStencilOrder:
         def f(z):
             return np.exp(z[:, 0] + 0.5 * z[:, 1])
 
-        coarse = FDConfig(base_step=0.05, richardson_levels=1, relative=False)
-        fine = FDConfig(base_step=0.025, richardson_levels=1, relative=False)
-        e1 = abs(fd_partial(f, x0, 0, coarse) - target)
-        e2 = abs(fd_partial(f, x0, 0, fine) - target)
-        assert e1 / e2 > 16.0
-
-    def test_quartic_exact_without_extrapolation(self):
-        """The 5-point central stencil differentiates degree <= 4 exactly."""
-        cfg = FDConfig(base_step=0.1, richardson_levels=1, relative=False)
-
-        def f(z):
-            return z[:, 0] ** 4 - 3.0 * z[:, 0] ** 2 + 2.0 * z[:, 0]
-
-        x0 = np.array([0.7])
-        npt.assert_allclose(
-            fd_partial(f, x0, 0, cfg),
-            4 * 0.7**3 - 6 * 0.7 + 2.0,
-            atol=1e-11,
-            err_msg="stencil should be exact on quartics",
-        )
+        e1 = abs(fd_partial(f, x0, 0, 0.4) - target)
+        e2 = abs(fd_partial(f, x0, 0, 0.2) - target)
+        assert e1 / e2 > 64.0
 
     def test_quintic_exact_with_one_richardson_level(self):
-        """One extrapolation level removes the h^4 term, so degree 5 is exact."""
-        cfg = FDConfig(base_step=0.1, richardson_levels=2, relative=False)
+        """The extrapolation level removes the h^4 term, so degree 5 is exact."""
 
         def f(z):
             return z[:, 0] ** 5
 
         x0 = np.array([0.4])
-        npt.assert_allclose(fd_partial(f, x0, 0, cfg), 5 * 0.4**4, atol=1e-12)
-
-    def test_richardson_combination_weights(self):
-        """(16 fine - coarse) / 15 for a fourth-order pair."""
-        npt.assert_allclose(richardson_extrapolate(1.0, 1.0, order=4), 1.0, atol=0)
-        npt.assert_allclose(richardson_extrapolate(0.0, 15.0, order=4), 16.0, atol=1e-14)
+        npt.assert_allclose(fd_partial(f, x0, 0, 0.1), 5 * 0.4**4, atol=1e-12)
 
     @given(
         a=st.floats(-3, 3),
@@ -88,55 +64,52 @@ class TestStencilOrder:
     @settings(max_examples=25, deadline=None)
     def test_quadratic_exact_property(self, a, b, c, x):
         """d/dx (a x^2 + b x + c) recovered to roundoff for any coefficients."""
-        cfg = FDConfig(base_step=1e-3, richardson_levels=1, relative=False)
 
         def f(z):
             return a * z[:, 0] ** 2 + b * z[:, 0] + c
 
         expected = 2 * a * x + b
-        assert abs(fd_partial(f, np.array([x]), 0, cfg) - expected) < 1e-8
+        assert abs(fd_partial(f, np.array([x]), 0, 1e-3) - expected) < 1e-8
 
 
 class TestGuards:
     def test_non_finite_raises_stencil_error(self):
-        cfg = FDConfig(base_step=0.5, relative=False)
-
         def f(z):
             # undefined to the left of the origin, as under the wide stencil
             return np.sqrt(np.where(z[:, 0] < 0, np.nan, z[:, 0]))
 
         with pytest.raises(StencilError):
-            fd_partial(f, np.array([0.3]), 0, cfg)
+            fd_partial(f, np.array([0.3]), 0, 0.5)
 
     def test_stencil_error_names_the_failing_offset(self):
-        """Only the +h/2 point of the second Richardson level (h = 0.5) is
+        """Only the +h/2 point of the Richardson level (h = 0.5) is
         non-finite; the error names its coordinate and offset."""
-        cfg = FDConfig(base_step=0.5, relative=False)
 
         def f(z):
             return np.where(z[:, 0] == 0.3 + 0.25, np.nan, z[:, 0] ** 2)
 
         with pytest.raises(StencilError, match=r"at coordinate 0, offset \+2\.500e-01$"):
-            fd_partial(f, np.array([0.3]), 0, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FDConfig(base_step=-1.0)
-        with pytest.raises(ValueError):
-            FDConfig(richardson_levels=0)
+            fd_partial(f, np.array([0.3]), 0, 0.5)
 
     def test_relative_step_scales_with_coordinate(self):
-        cfg = FDConfig(base_step=1e-4, relative=True)
-        assert cfg.step_for(200.0) == pytest.approx(2e-2)
-        assert cfg.step_for(0.001) == pytest.approx(1e-4)
+        """The step along x_d is step * max(1, |x_d|), per center."""
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return z[:, 0]
+
+        centers = np.array([[200.0], [0.001]])
+        fd_partial(f, centers, 0, 1e-4)
+        (points,) = calls
+        shifts = (points[:, 0] - np.tile(centers[:, 0], 8)).reshape(8, 2)
+        npt.assert_allclose(np.abs(shifts).max(axis=0), [2 * 2e-2, 2 * 1e-4], rtol=1e-6)
 
 
 class TestBatchedStencil:
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_one_field_call_per_partial(self, levels):
-        """The whole stencil along one coordinate is one call on
-        ``4 * richardson_levels`` rows: offsets -2, -1, +1, +2 of each step,
-        the step halving from one level to the next."""
+    def test_one_field_call_per_partial(self):
+        """The whole stencil along one coordinate is one call on 8 rows:
+        offsets -2, -1, +1, +2 of the step h, then of h/2."""
         calls = []
 
         def f(z):
@@ -144,29 +117,42 @@ class TestBatchedStencil:
             return np.sin(z[:, 0]) * z[:, 1]
 
         x0 = np.array([0.2, 0.7])
-        cfg = FDConfig(base_step=0.01, richardson_levels=levels, relative=False)
-        fd_partial(f, x0, 1, cfg)
+        fd_partial(f, x0, 1, 0.01)
         assert len(calls) == 1
         (points,) = calls
-        assert points.shape == (4 * levels, 2)
-        steps = 0.01 * 0.5 ** np.arange(levels)
-        offsets = np.concatenate([np.array([-2.0, -1.0, 1.0, 2.0]) * h for h in steps])
+        assert points.shape == (8, 2)
+        offsets = np.concatenate([np.array([-2.0, -1.0, 1.0, 2.0]) * h for h in (0.01, 0.005)])
         npt.assert_allclose(points[:, 1] - x0[1], offsets, rtol=1e-12)
         npt.assert_array_equal(points[:, 0], x0[0])
 
+    def test_stacked_centers_match_single_centers(self, rng):
+        """Centers of shape (2, 3) give their axes first, then the coordinate,
+        then the field's; each equals its own single-center gradient."""
+
+        def f(z):
+            return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 3 * z[:, 0]], axis=-1)
+
+        centers = rng.uniform(-2, 2, size=(2, 3))
+        grad = fd_gradient(f, centers, 1e-4)
+        assert grad.shape == (2, 3, 2)
+        for m in range(2):
+            npt.assert_array_equal(grad[m], fd_gradient(f, centers[m], 1e-4))
+
     def test_frame_gradient_calls_the_field_once_per_coordinate(
-        self, sample_qp, kahler_params, fd_cfg
+        self, sample_qp, kahler_params, fd_step
     ):
+        """C centers make one call of C * 8 rows per chart coordinate."""
         q, p = sample_qp
-        pt = CotangentPoint.at(q, p, kahler_params)
+        qs, ps = np.stack([q, 0.5 * q]), np.stack([p, -p])
+        pt = CotangentPoint.at(qs, ps, kahler_params)
         shapes = []
 
         def field(qq, pp):
             shapes.append((qq.shape, pp.shape))
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2])], axis=-1)
 
-        frame_gradient(field, q, p, pt.gamma, fd_cfg)
-        assert shapes == [((8, 3), (8, 3))] * 6
+        assert frame_gradient(field, qs, ps, pt.gamma, fd_step).shape == (2, 6, 2)
+        assert shapes == [((16, 3), (16, 3))] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +161,16 @@ class TestBatchedStencil:
 
 
 class TestFrameCalculus:
-    def test_gradient_matches_componentwise_partials(self, rng, fd_cfg):
+    def test_gradient_matches_componentwise_partials(self, rng, fd_step):
         def f(z):
             return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 2], axis=-1)
 
         x0 = rng.uniform(-1, 1, size=3)
-        grad = fd_gradient(f, x0, fd_cfg)
+        grad = fd_gradient(f, x0, fd_step)
         for d in range(3):
-            npt.assert_allclose(grad[d], fd_partial(f, x0, d, fd_cfg), atol=0)
+            npt.assert_allclose(grad[d], fd_partial(f, x0, d, fd_step), atol=0)
 
-    def test_energy_density_is_horizontally_constant(self, sample_qp, kahler_params, fd_cfg):
+    def test_energy_density_is_horizontally_constant(self, sample_qp, kahler_params, fd_step):
         """delta t / delta q = 0: the energy only varies along the fiber."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -192,10 +178,10 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, q, p, pt.gamma, fd_cfg)
+        grad = frame_gradient(energy, q, p, pt.gamma, fd_step)
         npt.assert_allclose(grad[:3], 0.0, atol=1e-9, err_msg="horizontal energy derivative")
 
-    def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params, fd_cfg):
+    def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params, fd_step):
         """dt/dp_i = g^{ik} p_k."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -203,11 +189,11 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, q, p, pt.gamma, fd_cfg)
+        grad = frame_gradient(energy, q, p, pt.gamma, fd_step)
         npt.assert_allclose(grad[3:, 0], pt.p_up, atol=1e-9)
 
     def test_frame_gradient_consistent_with_frame_derivative(
-        self, sample_qp, kahler_params, fd_cfg
+        self, sample_qp, kahler_params, fd_step
     ):
         """Row a of the frame gradient is the derivative along the chart
         vector of e_a, a column of the chart frame."""
@@ -218,7 +204,7 @@ class TestFrameCalculus:
         def field(qq, pp):
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2]) + qq[:, 2] ** 2], axis=-1)
 
-        grad = frame_gradient(field, q, p, pt.gamma, fd_cfg)
+        grad = frame_gradient(field, q, p, pt.gamma, fd_step)
         z0 = np.concatenate([q, p])
         for a in range(6):
 
@@ -226,10 +212,10 @@ class TestFrameCalculus:
                 z = z0 + s[:, :1] * frame[:, a]
                 return field(z[:, :3], z[:, 3:])
 
-            npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0, fd_cfg), atol=1e-10)
+            npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0, fd_step), atol=1e-10)
 
     def test_horizontal_commutator_is_curvature_bracket(
-        self, sample_qp, kahler_params, fd_cfg
+        self, sample_qp, kahler_params, fd_step
     ):
         """[delta_i, delta_j] f = (p . R)_{kij} df/dp_k on scalars."""
         q, p = sample_qp
@@ -241,16 +227,12 @@ class TestFrameCalculus:
             return value[:, None]
 
         def pair_of_derivs(qq, pp):
-            rows = []
-            for qz, pz in zip(qq, pp):
-                ptz = CotangentPoint.at(qz, pz, kahler_params)
-                g = frame_gradient(scalar, qz, pz, ptz.gamma, fd_cfg)
-                rows.append([g[i, 0], g[j, 0]])
-            return np.array(rows)
+            gamma = CotangentPoint.at(qq, pp, kahler_params).gamma
+            return frame_gradient(scalar, qq, pp, gamma, fd_step)[:, [i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
+        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_step)
         commutator = outer[i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_cfg)[3:, 0]
+        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_step)[3:, 0]
         expected = pt.p_riemann[:, i, j] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 
@@ -267,7 +249,7 @@ class TestOneGradientPerOracle:
         ids=["_parallel_j", "curvature_fd", "nabla_curvature_probe", "_nijenhuis"],
     )
     def test_each_oracle_takes_one_gradient(
-        self, oracle, kahler_point, kahler_params, kahler_profile, fd_cfg, monkeypatch
+        self, oracle, kahler_point, kahler_params, kahler_profile, fd_step, monkeypatch
     ):
         """Every finite-difference oracle differentiates one array-valued
         field once: exactly 2n coordinate partials at an n = 3 point."""
@@ -280,5 +262,5 @@ class TestOneGradientPerOracle:
 
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
-        oracle(kahler_params, kahler_profile, kahler_point, jets, fd_cfg)
+        oracle(kahler_params, kahler_profile, kahler_point, jets, fd_step)
         assert calls == list(range(6))

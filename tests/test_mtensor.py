@@ -43,7 +43,7 @@ class TestEnergyDensity:
         with pytest.raises(GeometryError):
             energy_density(np.eye(2), np.array([np.inf, 0.0]))
 
-    def test_fiber_gradient_is_raised_momentum(self, sample_qp, kahler_params, fd_cfg):
+    def test_fiber_gradient_is_raised_momentum(self, sample_qp, kahler_params, fd_step):
         """dt/dp_k = g^{kl} p_l."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -52,7 +52,7 @@ class TestEnergyDensity:
             return energy_density(pt.g_inv, pp)
 
         for k in range(3):
-            npt.assert_allclose(fd_partial(t_of_p, p, k, fd_cfg), pt.p_up[k], atol=1e-9)
+            npt.assert_allclose(fd_partial(t_of_p, p, k, fd_step), pt.p_up[k], atol=1e-9)
 
     def test_momentum_shape_checked(self, kahler_params):
         with pytest.raises(GeometryError):
@@ -134,7 +134,7 @@ class TestFiberJets:
         npt.assert_allclose(jets.gh, horizontal_metric(pt, params, profile), atol=1e-14)
         npt.assert_allclose(jets.gv, vertical_metric(pt, params, profile), atol=1e-14)
 
-    def test_first_fiber_derivatives_match_fd(self, setup, fd_cfg):
+    def test_first_fiber_derivatives_match_fd(self, setup, fd_step):
         params, profile, pt = setup
         jets = fiber_jets(pt, params, profile)
 
@@ -149,18 +149,18 @@ class TestFiberJets:
         for k in range(3):
             npt.assert_allclose(
                 jets.dgh[k],
-                fd_partial(gh_field, pt.p, k, fd_cfg),
+                fd_partial(gh_field, pt.p, k, fd_step),
                 atol=1e-7,
                 err_msg="d gh / dp vs finite differences",
             )
             npt.assert_allclose(
                 jets.dgv[k],
-                fd_partial(gv_field, pt.p, k, fd_cfg),
+                fd_partial(gv_field, pt.p, k, fd_step),
                 atol=1e-7,
                 err_msg="d gv / dp vs finite differences",
             )
 
-    def test_second_fiber_derivatives_match_fd(self, setup, fd_cfg):
+    def test_second_fiber_derivatives_match_fd(self, setup, fd_step):
         params, profile, pt = setup
 
         def dgh_field(pp):
@@ -175,12 +175,12 @@ class TestFiberJets:
         for l in range(3):
             npt.assert_allclose(
                 jets.ddgh[l],
-                fd_partial(dgh_field, pt.p, l, fd_cfg).reshape(3, 3, 3),
+                fd_partial(dgh_field, pt.p, l, fd_step).reshape(3, 3, 3),
                 atol=1e-6,
             )
             npt.assert_allclose(
                 jets.ddgv[l],
-                fd_partial(dgv_field, pt.p, l, fd_cfg).reshape(3, 3, 3),
+                fd_partial(dgv_field, pt.p, l, fd_step).reshape(3, 3, 3),
                 atol=1e-6,
             )
 
@@ -237,7 +237,7 @@ class TestHorizontalRule:
         [("dd", "gh"), ("uu", "gv"), ("u", "p_up")],
     )
     def test_horizontal_derivative_is_christoffel_bookkeeping(
-        self, variance, field_name, kahler_params, kahler_profile, sample_qp, fd_cfg
+        self, variance, field_name, kahler_params, kahler_profile, sample_qp, fd_step
     ):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -252,7 +252,7 @@ class TestHorizontalRule:
 
         value = field(q, p)
         predicted = _christoffel_corrections(pt.gamma, value, variance)
-        measured = frame_gradient(field, q, p, pt.gamma, fd_cfg)[:3]
+        measured = frame_gradient(field, q, p, pt.gamma, fd_step)[:3]
         npt.assert_allclose(
             measured,
             predicted,
@@ -284,7 +284,7 @@ class TestAdaptedFrame:
         npt.assert_allclose(brackets[..., :3], 0.0, atol=0)
 
     def test_mixed_bracket_matches_nested_derivatives(
-        self, sample_qp, kahler_params, fd_cfg
+        self, sample_qp, kahler_params, fd_step
     ):
         """[d/dp_i, delta_j] f = Gamma^i_{jl} df/dp_l on scalars."""
         q, p = sample_qp
@@ -295,16 +295,12 @@ class TestAdaptedFrame:
             return (np.cos(qq[:, 0] * pp[:, 2]) + pp[:, 1] ** 2 * qq[:, 2])[:, None]
 
         def pair_of_derivs(qq, pp):
-            rows = []
-            for qz, pz in zip(qq, pp):
-                ptz = CotangentPoint.at(qz, pz, kahler_params)
-                g = frame_gradient(scalar, qz, pz, ptz.gamma, fd_cfg)
-                rows.append([g[3 + i, 0], g[j, 0]])
-            return np.array(rows)
+            gamma = CotangentPoint.at(qq, pp, kahler_params).gamma
+            return frame_gradient(scalar, qq, pp, gamma, fd_step)[:, [3 + i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_cfg)
+        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_step)
         commutator = outer[3 + i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_cfg)[3:, 0]
+        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_step)[3:, 0]
         expected = frame_brackets(pt)[3 + i, j, 3:] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 

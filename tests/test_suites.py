@@ -73,10 +73,12 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 class TestSharedSample:
-    @pytest.mark.parametrize("suite, per_point, fd_points", [("connection", 2, 2), ("curvature", 1, 1)])
-    def test_one_gradient_per_field_per_point(self, suite, per_point, fd_points, monkeypatch):
-        """The Koszul oracle and the compatibility residual share one metric
-        gradient; the mixed Ricci block traces the suite's one FD curvature."""
+    @pytest.mark.parametrize("suite, gradients", [("connection", 2), ("curvature", 1)])
+    def test_one_gradient_per_field(self, suite, gradients, monkeypatch):
+        """Each oracle field is differentiated once per config, at all of its
+        centers together: the Koszul oracle and the compatibility residual
+        share one metric gradient, J takes the other, and the mixed Ricci
+        block traces the suite's one FD curvature."""
         original = cotangent_kahler.fd.frame_gradient
         calls = []
 
@@ -86,12 +88,13 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, suites=(suite,)))
-        assert len(calls) == per_point * fd_points
+        assert len(calls) == gradients
 
     def test_connection_suite_field_calls(self, monkeypatch):
-        """At n = 2 with 2 samples the connection suite takes 4 frame
-        gradients (metric and J fields at each oracle point), each one batched
-        field call of 8 stencil rows per chart coordinate: 16 calls."""
+        """At n = 2 with 2 samples the connection suite takes 2 frame
+        gradients (the metric and J fields at both oracle centers), each one
+        batched field call of 2 * 8 stencil rows per chart coordinate: 8
+        calls."""
         original = cotangent_kahler.fd.frame_gradient
         rows = []
 
@@ -104,7 +107,26 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
-        assert rows == [8] * 16
+        assert rows == [16] * 8
+
+    def test_field_calls_per_config(self, monkeypatch):
+        """At n = 2 with 2 samples one config of all six suites makes 7 * 2n
+        = 28 field calls: seven oracle fields (the 2-form, the Nijenhuis
+        frames, the metric, J, the connection, and the witnesses' detuned J
+        and K), each differentiated once over its centers."""
+        original = cotangent_kahler.fd.fd_partial
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            def counting_field(x):
+                calls.append(len(x))
+                return f(x)
+
+            return original(counting_field, *args, **kwargs)
+
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
+        run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
+        assert len(calls) == 28
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
