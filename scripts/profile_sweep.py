@@ -19,11 +19,13 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
 from cotangent_kahler import (
     CotangentPoint,
+    GeometryError,
     ModelParams,
     assemble_complex_structure,
     assemble_metric,
@@ -69,8 +71,9 @@ def detuned_profile(member: VProfile, detune: float) -> VProfile:
     )
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def sweep(args: argparse.Namespace):
+    """The member's params, its Einstein constant and one table row per
+    energy of the sweep."""
     params = ModelParams(
         n=args.dim,
         c=args.curvature,
@@ -79,22 +82,12 @@ def main(argv=None) -> int:
         k_b=args.kb,
     )
     profile = detuned_profile(einstein_profile(params), args.detune)
-    lam = family_einstein_constant(params)
 
     rng = np.random.default_rng(args.seed)
     q = rng.uniform(-1.0, 1.0, size=args.dim)
     direction = rng.normal(size=args.dim)
     direction /= np.linalg.norm(direction)
     section = rng.normal(size=2 * args.dim)
-
-    print(
-        f"n={args.dim}  c={args.curvature:g}  a={params.a_metric:.6g}  "
-        f"k_a={args.ka:g}  k_b={args.kb:g}  detune={args.detune:g}  "
-        f"family lambda={lam:g}"
-    )
-    header = f"{'t':>10}  {'v(t)':>12}  {'admissibility':>13}  {'gamma':>10}  {'einstein defect':>15}  {'hol. sect. curv.':>16}"
-    print(header)
-    print("-" * len(header))
 
     ts = np.geomspace(args.t_min, args.t_max, args.steps)
     base = CotangentPoint.at(q, direction, params)
@@ -109,7 +102,26 @@ def main(argv=None) -> int:
     v = profile.v(ts)
     admissibility = params.a_metric * np.sqrt(ts) + 2.0 * ts * v
     gamma = gamma_factor(params, profile, ts)
-    for row in zip(ts, v, admissibility, gamma, defect, hsc):
+    return params, family_einstein_constant(params), zip(ts, v, admissibility, gamma, defect, hsc)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        params, lam, rows = sweep(args)
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    print(
+        f"n={args.dim}  c={args.curvature:g}  a={params.a_metric:.6g}  "
+        f"k_a={args.ka:g}  k_b={args.kb:g}  detune={args.detune:g}  "
+        f"family lambda={lam:g}"
+    )
+    header = f"{'t':>10}  {'v(t)':>12}  {'admissibility':>13}  {'gamma':>10}  {'einstein defect':>15}  {'hol. sect. curv.':>16}"
+    print(header)
+    print("-" * len(header))
+    for row in rows:
         print("{:>10.4f}  {:>12.6g}  {:>13.6g}  {:>10.2e}  {:>15.3e}  {:>16.8f}".format(*row))
     return 0
 

@@ -80,9 +80,9 @@ class ModelParams:
             raise GeometryError(f"c: curvature must be positive and finite, got {self.c}")
         if not (self.a_metric > 0.0 and np.isfinite(self.a_metric)):
             raise GeometryError(f"a_metric: coupling must be positive, got {self.a_metric}")
-        if self.k_a < 0.0 or self.k_b < 0.0:
+        if not (0.0 <= self.k_a < np.inf and 0.0 <= self.k_b < np.inf):
             raise GeometryError(
-                f"k_a, k_b: profile constants must be >= 0, got ({self.k_a}, {self.k_b})"
+                f"k_a, k_b: profile constants must be finite and >= 0, got ({self.k_a}, {self.k_b})"
             )
 
     @classmethod
@@ -144,6 +144,24 @@ def _max_abs(*arrays: np.ndarray, rank: int):
     point of the batch (a float for one point); a NaN makes it NaN."""
     axes = tuple(range(-rank, 0))
     return _per_point(functools.reduce(np.maximum, (np.max(np.abs(x), axis=axes) for x in arrays)))
+
+
+# Byte budget of one batched call: a batch of rows is sized so that one
+# (2n)^4 float64 array per row, the curvature K, fits it.  Batching is what
+# makes the closed-form checks and the FD stencils fast, but one batch of
+# everything raises the process's peak RSS past the 10% bound of the
+# benchmark: the whole 300-sample sweep in one batch costs about 7 MiB at
+# n = 3, and all 2n coordinates of an FD gradient in one field call peak at
+# 4.6 MiB of temporaries at n = 5 (tracemalloc, 160 rows) against 2.1 MiB
+# for one coordinate.  The rows scale as dim^-4 because the point pipeline's
+# largest per-row arrays do: 128 rows at n = 2, 25 at n = 3, 3 at n = 5.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows per batched call whose ``dim^4`` float64 arrays fit
+    ``_CHUNK_BYTES``; at least one."""
+    return max(1, _CHUNK_BYTES // (8 * dim**4))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

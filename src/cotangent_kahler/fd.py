@@ -15,12 +15,15 @@ step:
 
 Fields are batched: ``f(X)`` takes ``X`` of shape ``(m, dim)`` and returns
 ``(m, ...)``, one row per point.  Centers carry the package's leading batch
-axis, ``x`` of shape ``(..., dim)``.  ``fd_partial`` stacks the stencil of
-every center along one coordinate -- offsets ``-2, -1, +1, +2`` of ``h``,
-then of ``h/2``, 8 rows per center -- and evaluates it in one call.  Results
-put the centers' axes first, then the derivative direction (for gradients),
-then the field's own axes; one center without a batch axis gives a result
-without one.
+axis, ``x`` of shape ``(..., dim)``.  A center's stencil along one
+coordinate is 8 rows, offsets ``-2, -1, +1, +2`` of ``h`` then of ``h/2``.
+``fd_partial`` stacks these rows for every center and for one or several
+coordinates, and evaluates them in one field call.  ``fd_gradient`` groups
+the coordinates so that a call holds at most ``base._chunk_rows(dim)`` rows,
+the byte budget that also sizes the sample chunks of the suites, but never
+less than one whole coordinate.  Results put the centers' axes first, then
+the derivative direction (for gradients), then the field's own axes; one
+center without a batch axis gives a result without one.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
@@ -34,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .base import _chunk_rows
 from .errors import StencilError
 
 __all__ = ["fd_partial", "fd_gradient", "frame_gradient"]
@@ -45,41 +49,61 @@ _STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _LEVELS = np.array([1.0, 0.5])
 
 
-def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d: int, step: float) -> np.ndarray:
-    """Partial derivative of ``f`` with respect to coordinate ``d`` at the
+def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d, step: float) -> np.ndarray:
+    """Partial derivatives of ``f`` with respect to coordinate ``d`` at the
     centers ``x`` of shape ``(..., dim)``.
 
     ``f`` maps a batch of points ``(m, dim)`` to ``(m, ...)`` with a scalar
-    or any fixed shape per point; the result has shape ``x.shape[:-1]``
-    followed by that shape.  All 8 stencil rows of every center go to ``f``
-    in one call, ordered by step, then offset, then center.
+    or any fixed shape per point.  ``d`` is one coordinate, giving a result
+    of shape ``x.shape[:-1]`` followed by the field's shape, or a 1-D array
+    of coordinates, whose axis comes after the centers' axes.  All stencil
+    rows go to ``f`` in one call, ordered by coordinate, then step, then
+    offset, then center.
     """
     x = np.asarray(x, dtype=float)
-    h = step * np.maximum(1.0, np.abs(x[..., d]))
-    shifts = np.multiply.outer(np.multiply.outer(_LEVELS, _STENCIL_OFFSETS), h)
-    points = np.broadcast_to(x, shifts.shape + x.shape[-1:]).copy()
-    points[..., d] += shifts
-    values = np.asarray(f(points.reshape(-1, x.shape[-1])), dtype=float)
-    bad = ~np.isfinite(values.reshape(shifts.size, -1)).all(axis=1)
+    centers, dim = x.shape[:-1], x.shape[-1]
+    coords = np.atleast_1d(d)
+    # Work on the centers flattened to (C, dim); the shapes below are
+    # (k coordinates, 2 steps, 4 offsets, C centers[, field values]).
+    x = x.reshape(-1, dim)
+    h = step * np.maximum(1.0, np.abs(x[:, coords].T))
+    shifts = np.multiply.outer(np.multiply.outer(_LEVELS, _STENCIL_OFFSETS), h).transpose(2, 0, 1, 3)
+    points = np.broadcast_to(x, shifts.shape + (dim,)).copy()
+    points[np.arange(len(coords)), ..., coords] += shifts
+    values = np.asarray(f(points.reshape(-1, dim)), dtype=float)
+    field = values.shape[1:]
+    values = values.reshape(shifts.shape + (-1,))
+    bad = ~np.isfinite(values).all(axis=-1).ravel()
     if bad.any():
+        row = np.argmax(bad)
         raise StencilError(
-            f"non-finite stencil value at coordinate {d}, offset {shifts.ravel()[np.argmax(bad)]:+.3e}"
+            f"non-finite stencil value at coordinate {coords[row // shifts[0].size]}, "
+            f"offset {shifts.ravel()[row]:+.3e}"
         )
-    values = values.reshape(shifts.shape + values.shape[1:])
-    field_axes = (1,) * (values.ndim - shifts.ndim)
     coarse, fine = (
-        sum(w * v for w, v in zip(_STENCIL_WEIGHTS, level)) / np.reshape(scale * h, h.shape + field_axes)
-        for level, scale in zip(values, _LEVELS)
+        sum(w * v for w, v in zip(_STENCIL_WEIGHTS, level)) / (scale * h)[..., None]
+        for level, scale in zip(values.transpose(1, 2, 0, 3, 4), _LEVELS)
     )
-    return (16.0 * fine - coarse) / 15.0
+    partials = (16.0 * fine - coarse) / 15.0
+    if np.ndim(d) == 0:
+        return partials[0].reshape(centers + field)[()]
+    return partials.transpose(1, 0, 2).reshape(centers + coords.shape + field)
 
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     """All partial derivatives of the batched field ``f`` at the centers
     ``x`` of shape ``(..., dim)``; the axis after the centers' indexes the
-    coordinate.  One field call per coordinate."""
+    coordinate.  Each field call takes the stencils of as many coordinates
+    as fit the byte budget of ``base._chunk_rows(dim)``, and never fewer
+    than one."""
     x = np.asarray(x, dtype=float)
-    return np.stack([fd_partial(f, x, d, step) for d in range(x.shape[-1])], axis=x.ndim - 1)
+    dim = x.shape[-1]
+    per_call = max(1, _chunk_rows(dim) // (8 * (x.size // dim)))
+    coords = np.arange(dim)
+    return np.concatenate(
+        [fd_partial(f, x, coords[start : start + per_call], step) for start in range(0, dim, per_call)],
+        axis=x.ndim - 1,
+    )
 
 
 # ---------------------------------------------------------------------------

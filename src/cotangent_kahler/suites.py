@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import ModelParams, _max_abs, integrable_coupling, space_form_metric
+from .base import ModelParams, _chunk_rows, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     connection_coefficients,
     kahler_connection_coefficients,
@@ -99,15 +99,6 @@ _PROFILE_NAMES = ("einstein", "rational", "zero")
 # Relative coupling detuning used by the witness checks that must see the
 # integrability and parallel-structure detectors fire.
 _WITNESS_DETUNE = 0.1
-
-# Byte budget of the curvature K (8 (2n)^4 bytes per sample) in one chunk of
-# sample rows; the chunk's connection arrays are smaller.  Batching the rows
-# is what makes the closed-form checks fast, but the whole sample in one
-# batch raises the process's peak RSS by several MiB at 300 samples (about
-# 7 MiB at n = 3), beyond the 10% peak-RSS bound of the benchmark's sweep
-# workload.  This budget gives 128 rows at n = 2, 25 at n = 3, 3 at n = 5.
-_CHUNK_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -276,10 +267,10 @@ class Sample:
 
     def chunks(self, jets: FiberJets | None = None):
         """``(points, jets)`` over consecutive blocks of rows, in order, with
-        ``jets`` the own ones by default; a block's curvature fits
-        ``_CHUNK_BYTES``."""
+        ``jets`` the own ones by default; a block's curvature fits the
+        byte budget of ``base._chunk_rows``."""
         jets = self.jets if jets is None else jets
-        rows = max(1, _CHUNK_BYTES // (8 * (2 * self.q.shape[-1]) ** 4))
+        rows = _chunk_rows(2 * self.q.shape[-1])
         for start in range(0, len(self), rows):
             block = slice(start, start + rows)
             yield take_rows(self.points, block), take_rows(jets, block)

@@ -40,9 +40,13 @@ class TestModelParams:
         with pytest.raises(GeometryError):
             ModelParams(n=2, c=1.0, a_metric=0.0)
 
-    def test_rejects_negative_profile_constants(self):
-        with pytest.raises(GeometryError):
-            ModelParams(n=2, c=1.0, a_metric=1.0, k_a=-0.1)
+    @pytest.mark.parametrize("constant", ["k_a", "k_b"])
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_profile_constants(self, constant, value):
+        """Negative and non-finite profile constants are refused; NaN would
+        pass a bare ``< 0`` test."""
+        with pytest.raises(GeometryError, match="profile constants"):
+            ModelParams(n=2, c=1.0, a_metric=1.0, **{constant: value})
 
     def test_kahler_constructor_pins_coupling(self):
         params = ModelParams.kahler(n=3, c=2.0)

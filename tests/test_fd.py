@@ -91,6 +91,19 @@ class TestGuards:
         with pytest.raises(StencilError, match=r"at coordinate 0, offset \+2\.500e-01$"):
             fd_partial(f, np.array([0.3]), 0, 0.5)
 
+    def test_stencil_error_names_the_last_coordinate_of_a_stacked_call(self):
+        """All three coordinates go to the field in one call; only the +h/2
+        point along the last one is non-finite, and the error names it."""
+        calls = []
+
+        def f(z):
+            calls.append(len(z))
+            return np.where(z[:, 2] == 0.3 + 0.25, np.nan, z[:, 0] * z[:, 2])
+
+        with pytest.raises(StencilError, match=r"at coordinate 2, offset \+2\.500e-01$"):
+            fd_gradient(f, np.array([0.1, 0.2, 0.3]), 0.5)
+        assert calls == [24]
+
     def test_relative_step_scales_with_coordinate(self):
         """The step along x_d is step * max(1, |x_d|), per center."""
         calls = []
@@ -138,21 +151,40 @@ class TestBatchedStencil:
         for m in range(2):
             npt.assert_array_equal(grad[m], fd_gradient(f, centers[m], 1e-4))
 
-    def test_frame_gradient_calls_the_field_once_per_coordinate(
-        self, sample_qp, kahler_params, fd_step
-    ):
-        """C centers make one call of C * 8 rows per chart coordinate."""
-        q, p = sample_qp
-        qs, ps = np.stack([q, 0.5 * q]), np.stack([p, -p])
-        pt = CotangentPoint.at(qs, ps, kahler_params)
+    @pytest.mark.parametrize("center_shape", [(3,), (2, 3)], ids=["one", "two"])
+    def test_gradient_is_the_stack_of_single_coordinate_partials(self, rng, center_shape):
+        """Coordinates stacked into one call give, bit for bit, the partials
+        of one call per coordinate."""
+
+        def f(z):
+            return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 3 * np.exp(z[:, 0])], axis=-1)
+
+        centers = rng.uniform(-2, 2, size=center_shape)
+        single = np.stack([fd_partial(f, centers, d, 1e-4) for d in range(3)], axis=len(center_shape) - 1)
+        assert np.array_equal(fd_gradient(f, centers, 1e-4), single)
+
+    @pytest.mark.parametrize(
+        "n, centers, rows",
+        [(2, 2, [64]), (3, 1, [24, 24]), (3, 2, [16] * 6), (5, 1, [8] * 10), (5, 2, [16] * 10)],
+        ids=["n2-two", "n3-one", "n3-two", "n5-one", "n5-two"],
+    )
+    def test_frame_gradient_calls_the_field_once_per_coordinate_group(self, rng, fd_step, n, centers, rows):
+        """One call takes the 8 stencil rows per center of as many chart
+        coordinates as fit the byte budget, 8 (2n)^4 bytes per row, and never
+        fewer than one coordinate: all four at n = 2, three at n = 3 with
+        one center, one coordinate of C * 8 rows from n = 3 with two."""
+        params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
+        qs = rng.uniform(-1.5, 1.5, size=(centers, n))
+        ps = rng.normal(size=(centers, n))
+        pt = CotangentPoint.at(qs, ps, params)
         shapes = []
 
         def field(qq, pp):
-            shapes.append((qq.shape, pp.shape))
-            return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2])], axis=-1)
+            shapes.append(qq.shape + pp.shape)
+            return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, -1])], axis=-1)
 
-        assert frame_gradient(field, qs, ps, pt.gamma, fd_step).shape == (2, 6, 2)
-        assert shapes == [((16, 3), (16, 3))] * 6
+        assert frame_gradient(field, qs, ps, pt.gamma, fd_step).shape == (centers, 2 * n, 2)
+        assert shapes == [(m, n, m, n) for m in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +284,16 @@ class TestOneGradientPerOracle:
         self, oracle, kahler_point, kahler_params, kahler_profile, fd_step, monkeypatch
     ):
         """Every finite-difference oracle differentiates one array-valued
-        field once: exactly 2n coordinate partials at an n = 3 point."""
+        field once: its field calls cover the 2n chart coordinates of an
+        n = 3 point exactly once, in order."""
         calls = []
         original = cotangent_kahler.fd.fd_partial
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(np.atleast_1d(args[2]))
             return original(*args, **kwargs)
 
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         oracle(kahler_params, kahler_profile, kahler_point, jets, fd_step)
-        assert calls == list(range(6))
+        assert np.concatenate(calls).tolist() == list(range(6))

@@ -38,13 +38,13 @@ class TestCheckReduction:
         assert check.passed is False
 
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        """One sample per chunk gives the report of the default budget, which
-        splits 30 samples at n = 3 into two chunks: the same checks and
-        verdicts, residuals within 1e-3 of their tolerance and witnesses
-        within 1e-9 relative."""
+        """One sample per chunk and one chart coordinate per FD field call give
+        the report of the default budget, which splits 30 samples at n = 3
+        into two chunks: the same checks and verdicts, residuals within 1e-3
+        of their tolerance and witnesses within 1e-9 relative."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
         default = run_verification(cfg)
-        monkeypatch.setattr(cotangent_kahler.suites, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(cotangent_kahler.base, "_CHUNK_BYTES", 1)
         one_row = run_verification(cfg)
         assert default["discrepancy_notes"] == one_row["discrepancy_notes"]
         for suite, other in zip(default["suites"], one_row["suites"], strict=True):
@@ -93,8 +93,8 @@ class TestSharedSample:
     def test_connection_suite_field_calls(self, monkeypatch):
         """At n = 2 with 2 samples the connection suite takes 2 frame
         gradients (the metric and J fields at both oracle centers), each one
-        batched field call of 2 * 8 stencil rows per chart coordinate: 8
-        calls."""
+        batched field call of 2 * 8 stencil rows for each of the 4 chart
+        coordinates, which fit the byte budget together: 2 calls."""
         original = cotangent_kahler.fd.frame_gradient
         rows = []
 
@@ -107,13 +107,14 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
-        assert rows == [16] * 8
+        assert rows == [64, 64]
 
     def test_field_calls_per_config(self, monkeypatch):
-        """At n = 2 with 2 samples one config of all six suites makes 7 * 2n
-        = 28 field calls: seven oracle fields (the 2-form, the Nijenhuis
-        frames, the metric, J, the connection, and the witnesses' detuned J
-        and K), each differentiated once over its centers."""
+        """At n = 2 with 2 samples one config of all six suites makes 7 field
+        calls: seven oracle fields (the 2-form, the Nijenhuis frames, the
+        metric, J, the connection, and the witnesses' detuned J and K), each
+        differentiated once over its centers, with the stencils of all 2n
+        chart coordinates in one call of 2n * 8 rows per center."""
         original = cotangent_kahler.fd.fd_partial
         calls = []
 
@@ -126,7 +127,8 @@ class TestSharedSample:
 
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
-        assert len(calls) == 28
+        assert len(calls) == 7
+        assert sorted(calls) == [32] * 4 + [64] * 3
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
