@@ -5,9 +5,13 @@ Each pair runs the benchmark command of ``BENCHMARK.json`` once on the
 parent checkout and once on the changed one, for every workload, with the
 same seed and the run length ``BENCHMARK.json`` sets; the side that goes
 first alternates from pair to pair, so that a drift in host speed does not
-favour either side.  The file records every
-run's end-to-end metrics, each side's median and quartiles, the pairs the
-change wins per metric, both commits, the numpy version and the CPU count.
+favour either side.  The Tier-1 tests (``python -m pytest -q -p
+no:cacheprovider``, run in each checkout without ``PYTHONPATH``) are timed
+in as many alternating pairs, as the ``tier1`` entry with metric
+``tier1_s``.  A failing benchmark run or Tier-1 run aborts the script.  The
+file records every run's end-to-end metrics, each side's median and
+quartiles, the pairs the change wins per metric, both commits, the numpy
+version and the CPU count.
 
 Example, from the repository root, with the parent in a second checkout:
 
@@ -24,10 +28,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TIER1_COMMAND = ["python", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -69,16 +75,52 @@ def commit_of(checkout: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain").strip())}
 
 
+def _environment() -> dict[str, str]:
+    """This process's environment without ``PYTHONPATH``, so that each
+    checkout imports its own package."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+
+
+def alternating_pairs(count: int, run, label: str) -> list[dict]:
+    """``count`` pairs of ``run(side)``, the side that goes first alternating
+    from pair to pair."""
+    pairs = []
+    for index in range(count):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(side)
+            print(f"{label} pair {index + 1}/{count} {side}: {pair[side]}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run; its end-to-end metrics and op counts."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command + args, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run(command + args, cwd=checkout, env=_environment(), capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"benchmark failed in {checkout} ({workload}):\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     run = {name: metric["value"] for name, metric in result["metrics"].items()}
     return {**run, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def time_tier1(checkout: Path) -> dict:
+    """Wall time of one Tier-1 run in ``checkout``, in seconds."""
+    started = time.perf_counter()
+    proc = subprocess.run(TIER1_COMMAND, cwd=checkout, env=_environment(), capture_output=True, text=True)
+    elapsed = time.perf_counter() - started
+    if proc.returncode != 0:
+        raise SystemExit(f"Tier-1 tests failed in {checkout}:\n{proc.stdout[-4000:]}{proc.stderr}")
+    return {"tier1_s": elapsed}
+
+
+def tier1_entry(checkouts: dict[str, Path], count: int) -> dict:
+    """The ``tier1`` entry: ``count`` alternating pairs of Tier-1 wall times
+    and their summary."""
+    pairs = alternating_pairs(count, lambda side: time_tier1(checkouts[side]), "tier1")
+    return {"summary": summarize(pairs, {"tier1_s": "lower"}), "runs": pairs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,14 +144,11 @@ def main(argv=None) -> int:
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = []
-        for index in range(args.pairs):
-            order = SIDES if index % 2 == 0 else SIDES[::-1]
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run_once(checkouts[side], spec["command"], workload, args.seed, seconds)
-                print(f"{workload} pair {index + 1}/{args.pairs} {side}: {pair[side]}", file=sys.stderr)
-            pairs.append(pair)
+        pairs = alternating_pairs(
+            args.pairs,
+            lambda side: run_once(checkouts[side], spec["command"], workload, args.seed, seconds),
+            workload,
+        )
         workloads[workload] = {"summary": summarize(pairs, better), "runs": pairs}
     record = {
         "label": args.label,
@@ -122,6 +161,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workloads": workloads,
+        "tier1": {"command": TIER1_COMMAND, **tier1_entry(checkouts, args.pairs)},
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0

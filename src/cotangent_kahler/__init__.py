@@ -30,7 +30,6 @@ from .base import (
     christoffel_derivative,
     conformal_jet,
     integrable_coupling,
-    sectional_curvature,
     space_form_metric,
 )
 from .connection import (
@@ -82,8 +81,6 @@ from .mtensor import (
     energy_density,
     fiber_jets,
     frame_brackets,
-    horizontal_metric,
-    vertical_metric,
 )
 from .profiles import (
     VProfile,

@@ -21,7 +21,7 @@ tests can build non-constant-curvature fixtures for falsification checks.
 Every function here takes a leading batch axis: chart points of shape
 ``(..., n)`` give jets, Christoffel symbols and curvature with the same
 leading ``...``, and a guard raises if any point of the batch fails it,
-naming the first failing value.
+naming the first failing value.  A single point is a batch of shape ``()``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "christoffel",
     "christoffel_derivative",
     "base_curvature",
-    "sectional_curvature",
 ]
 
 
@@ -126,24 +125,17 @@ class BaseCurvature:
     riemann: np.ndarray
 
 
-def _scale(x, rank: int):
+def _scale(x, rank: int) -> np.ndarray:
     """A scalar over the batch with ``rank`` trailing unit axes, so it scales
-    arrays that carry ``rank`` more axes than the batch.  One point's scalar
-    is returned as is: a scalar multiply costs far less than broadcasting a
-    one-element array, and the per-point formulas use dozens of them."""
-    return x[(...,) + (None,) * rank] if np.ndim(x) else x
-
-
-def _per_point(x):
-    """A value over the batch as is; one point's value as a float."""
-    return x if np.ndim(x) else float(x)
+    arrays that carry ``rank`` more axes than the batch."""
+    return np.asarray(x)[(...,) + (None,) * rank]
 
 
 def _max_abs(*arrays: np.ndarray, rank: int):
     """Largest ``|entry|`` of ``arrays`` over their last ``rank`` axes, per
-    point of the batch (a float for one point); a NaN makes it NaN."""
+    point of the batch; a NaN makes it NaN."""
     axes = tuple(range(-rank, 0))
-    return _per_point(functools.reduce(np.maximum, (np.max(np.abs(x), axis=axes) for x in arrays)))
+    return functools.reduce(np.maximum, (np.max(np.abs(x), axis=axes) for x in arrays))
 
 
 # Byte budget of one batched call: a batch of rows is sized so that one
@@ -246,13 +238,3 @@ def base_curvature(jet: MetricJet) -> BaseCurvature:
     )
     return BaseCurvature(gamma=gamma, riemann=riemann)
 
-
-def sectional_curvature(jet: MetricJet, curv: BaseCurvature, u: np.ndarray, w: np.ndarray) -> float:
-    """Sectional curvature of the plane spanned by ``u`` and ``w``."""
-    r_low = np.einsum("ah,hkij->akij", jet.g, curv.riemann)
-    num = float(np.einsum("akij,a,k,i,j->", r_low, u, w, u, w))
-    gu, gw = jet.g @ u, jet.g @ w
-    denom = float((u @ gu) * (w @ gw) - (u @ gw) ** 2)
-    if abs(denom) < 1e-14:
-        raise GeometryError("degenerate plane for sectional curvature")
-    return num / denom

@@ -22,7 +22,7 @@ from .base import ModelParams, _max_abs, _scale
 from .errors import GeometryError
 from .fd import frame_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
-from .structure import assemble_complex_structure
+from .structure import assemble_complex_structure, canonical_coordinate_form
 
 __all__ = [
     "connection_coefficients",
@@ -173,20 +173,18 @@ def covariant_field_derivative(
     return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
 
 
-def parallel_j_residual(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
-):
+def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
     """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, per
-    center, from one frame gradient of the ``J`` field; ``jets`` are the
-    fiber jets at ``pt``."""
+    center; ``jets`` are the fiber jets at the centers.
 
-    def j_field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(q, p, params)
-        return assemble_complex_structure(fiber_jets(point, params, profile))
-
-    conn = connection_coefficients(pt, params, jets)
+    ``J = M G`` with the constant ``M = [[0, -I], [I, 0]]``, the matrix of
+    ``canonical_coordinate_form``, so the frame gradient of the ``J`` field
+    is ``M`` times ``metric_grad`` (see ``metric_gradient``), entry for
+    entry.
+    """
     j_op = assemble_complex_structure(jets)
-    nabla_j = covariant_field_derivative(pt, conn, j_field, j_op, step)
+    grad_j = canonical_coordinate_form(j_op.shape[-1] // 2) @ metric_grad
+    nabla_j = grad_j + np.einsum("...abc,...br->...acr", conn, j_op)
     expected = np.einsum("...cd,...abd->...acb", j_op, conn)
     return _max_abs(nabla_j - expected, rank=3)
 
@@ -196,8 +194,8 @@ def parallel_j_residual(
 
 def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: float) -> np.ndarray:
     """``dG[..., a, b, c] = e_a G[b, c]``: one frame gradient of the metric
-    field ``(q, p) -> G``, shared by the Koszul oracle and the compatibility
-    residual."""
+    field ``(q, p) -> G``, shared by the Koszul oracle, the compatibility
+    residual and the parallel-J residual."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)

@@ -15,7 +15,7 @@ forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
 axis, the finite-difference oracles included: they take a batch of centers
 and build their fields at all stencil points of a coordinate in one call.
-Probes are per point, a float for one point.
+Probes give one value per point of the batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelParams, _max_abs, _outer, _per_point, _scale
+from .base import ModelParams, _max_abs, _outer, _scale
 from .connection import (
     connection_coefficients,
     connection_fiber_derivatives,
@@ -225,7 +225,7 @@ def holomorphic_sectional_curvature(
     if np.any(norm_sq <= 0.0):
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
     k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
-    return _per_point(np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2)
+    return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2
 
 
 # ---- finite-difference oracles ----

@@ -125,7 +125,7 @@ def einstein_residual(
     params: ModelParams,
     jets: FiberJets,
     ricci: RicciBlocks,
-) -> float:
+) -> np.ndarray:
     """``max |Ric - lambda_family G|`` over both blocks, with the family's
     theoretical constant (not a fitted one)."""
     lam = family_einstein_constant(params)

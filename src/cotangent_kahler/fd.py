@@ -23,7 +23,7 @@ the coordinates so that a call holds at most ``base._chunk_rows(dim)`` rows,
 the byte budget that also sizes the sample chunks of the suites, but never
 less than one whole coordinate.  Results put the centers' axes first, then
 the derivative direction (for gradients), then the field's own axes; one
-center without a batch axis gives a result without one.
+center is a batch of shape ``()``.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
@@ -86,7 +86,7 @@ def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d, step: fl
     )
     partials = (16.0 * fine - coarse) / 15.0
     if np.ndim(d) == 0:
-        return partials[0].reshape(centers + field)[()]
+        return partials[0].reshape(centers + field)
     return partials.transpose(1, 0, 2).reshape(centers + coords.shape + field)
 
 

@@ -18,9 +18,9 @@ vectors and its matrix inverse on vertical ones.
 The point data, the fiber jets and the frame arrays carry a leading batch
 axis: ``CotangentPoint.at`` on ``q, p`` of shape ``(..., n)`` gives a point
 whose ``t`` has shape ``(...)`` and whose arrays start with ``...``, and the
-functions below keep that axis.  A single point has no batch axis and a
-float ``t``.  The guards (zero section, positivity) raise if any point of a
-batch fails them, naming the first failing value.
+functions below keep that axis.  A single point is a batch of shape
+``()``, with a 0-d ``t``.  The guards (zero section, positivity) raise if
+any point of a batch fails them, naming the first failing value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .base import (
     MetricJet,
     ModelParams,
     _outer,
-    _per_point,
     _scale,
     base_curvature,
     space_form_metric,
@@ -45,8 +44,6 @@ __all__ = [
     "energy_density",
     "CotangentPoint",
     "FiberJets",
-    "horizontal_metric",
-    "vertical_metric",
     "fiber_jets",
     "assemble_metric",
     "frame_brackets",
@@ -58,11 +55,8 @@ ZERO_SECTION_TOL = 1e-12
 
 
 def energy_density(g_inv: np.ndarray, p: np.ndarray):
-    """``t = g^{ik} p_i p_k / 2``; rejects points on the zero section.
-
-    A float for one point, an array over the batch for ``p`` of shape
-    ``(..., n)``.
-    """
+    """``t = g^{ik} p_i p_k / 2`` over the batch of ``p``, of shape ``(...,
+    n)``; rejects points on the zero section."""
     with np.errstate(invalid="ignore", over="ignore"):
         t = 0.5 * np.vecdot(np.vecmat(p, g_inv), p)
     if not np.isfinite(t).all():
@@ -73,7 +67,7 @@ def energy_density(g_inv: np.ndarray, p: np.ndarray):
             f"energy density {np.extract(low, t)[0]:.3e} below {ZERO_SECTION_TOL:.0e}; "
             "the structure degenerates on the zero section"
         )
-    return _per_point(t)
+    return t
 
 
 # ---- point data ----
@@ -93,7 +87,7 @@ class CotangentPoint:
 
     q: np.ndarray
     p: np.ndarray
-    t: float | np.ndarray
+    t: np.ndarray
     g: np.ndarray = field(repr=False)
     g_inv: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
@@ -155,8 +149,8 @@ class FiberJets:
 
 def take_rows(batch, index):
     """The rows ``index`` of a batched ``CotangentPoint`` or ``FiberJets``: a
-    slice gives a smaller batch of views, an integer one point (float ``t``)."""
-    return type(batch)(**{f.name: _per_point(getattr(batch, f.name)[index]) for f in fields(batch)})
+    slice gives a smaller batch of views, an integer a batch of shape ``()``."""
+    return type(batch)(**{f.name: getattr(batch, f.name)[index] for f in fields(batch)})
 
 
 def _check_positivity(pt: CotangentPoint, a: float, v):
@@ -170,23 +164,6 @@ def _check_positivity(pt: CotangentPoint, a: float, v):
             f"{np.extract(bad, radial)[0]:.3e} <= 0 at t = {np.extract(bad, pt.t)[0]:.6g}"
         )
     return radial
-
-
-def horizontal_metric(pt: CotangentPoint, params: ModelParams, profile) -> np.ndarray:
-    """``a sqrt(t) g_ij + v(t) p_i p_j`` with the positivity bound enforced."""
-    v = np.asarray(profile.v(pt.t), dtype=float)[()]
-    _check_positivity(pt, params.a_metric, v)
-    return _scale(params.a_metric * np.sqrt(pt.t), 2) * pt.g + _scale(v, 2) * _outer(pt.p, pt.p)
-
-
-def vertical_metric(pt: CotangentPoint, params: ModelParams, profile) -> np.ndarray:
-    """Matrix inverse of the horizontal block, in closed form:
-    ``g^kl / (a sqrt(t)) + w p^k p^l`` with ``w = -v / (a t (a + 2 sqrt(t) v))``."""
-    a = params.a_metric
-    v = np.asarray(profile.v(pt.t), dtype=float)[()]
-    _check_positivity(pt, a, v)
-    w = -v / (a * pt.t * (a + 2.0 * np.sqrt(pt.t) * v))
-    return pt.g_inv / _scale(a * np.sqrt(pt.t), 2) + _scale(w, 2) * _outer(pt.p_up, pt.p_up)
 
 
 def _w_jet(t, a: float, v, dv, d2v):
@@ -205,10 +182,13 @@ def _w_jet(t, a: float, v, dv, d2v):
 def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     """Metric blocks and their first and second fiber derivatives.
 
-    Everything follows from ``dt/dp_k = p^k`` and the product rule; the
-    vertical block's jet uses the quotient-rule chain for ``w`` rather than
-    differentiating the matrix inverse, so tests can cross-check one route
-    against the other.
+    The horizontal block is ``a sqrt(t) g_ij + v(t) p_i p_j``, with the
+    positivity bound enforced; the vertical block is its matrix inverse in
+    closed form, ``g^kl / (a sqrt(t)) + w p^k p^l`` with ``w = -v / (a t (a
+    + 2 sqrt(t) v))``.  Everything follows from ``dt/dp_k = p^k`` and the
+    product rule; the vertical block's jet uses the quotient-rule chain for
+    ``w`` rather than differentiating the matrix inverse, so tests can
+    cross-check one route against the other.
     """
     n, t, a = pt.n, pt.t, params.a_metric
     st = np.sqrt(t)

@@ -39,7 +39,8 @@ __all__ = [
 class VProfile:
     """A radial profile with exact derivatives.
 
-    The callables accept scalars or ndarrays of ``t > 0`` and broadcast.
+    The callables take a batch of energies ``t > 0``, an ndarray of any
+    shape (``()`` for one energy), and return values over that batch.
     """
 
     kind: str
@@ -48,24 +49,16 @@ class VProfile:
     d2v: Callable
 
     def jet(self, t):
-        """``(v, v', v'')`` at ``t``: float arrays over a batch of energies,
-        numpy floats at one."""
-        return tuple(np.asarray(f(t), dtype=float)[()] for f in (self.v, self.dv, self.d2v))
-
-    def admissible(self, t, a_metric: float) -> bool:
-        """Positivity bound ``v(t) > -a / (2 sqrt(t))`` at every given ``t``."""
-        t = np.asarray(t, dtype=float)
-        return bool(np.all(self.v(t) > -a_metric / (2.0 * np.sqrt(t))))
+        """``(v, v', v'')`` at ``t``: float arrays over the batch of energies."""
+        return tuple(np.asarray(f(t), dtype=float) for f in (self.v, self.dv, self.d2v))
 
 
 def constant_profile(v0: float) -> VProfile:
     return VProfile(
         kind=f"constant({v0})",
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0, dtype=float)
-        if np.ndim(t)
-        else v0,
-        dv=lambda t: np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0,
-        d2v=lambda t: np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0,
+        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
+        dv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        d2v=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
 
 

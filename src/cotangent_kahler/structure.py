@@ -17,8 +17,8 @@ the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
 Everything here keeps a point's leading batch axis, the finite-difference
 oracles included: they take a batch of centers and build their fields at
-all stencil points of a coordinate in one call.  Residuals are per point,
-a float for one point.
+all stencil points of a coordinate in one call.  Residuals give one value
+per point of the batch.
 """
 
 from __future__ import annotations

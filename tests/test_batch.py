@@ -91,8 +91,8 @@ def _layers(q, p, params, profile):
         "energy_density": energy_density(jet.g_inv, p),
         "CotangentPoint.at": (pt.t, pt.p_up, pt.p_gamma, pt.p_riemann),
         "CotangentPoint.from_jet": CotangentPoint.from_jet(q, p, jet).p_riemann,
-        "_check_positivity": _check_positivity(pt, a, np.asarray(profile.v(pt.t))),
-        "_w_jet": _w_jet(pt.t, a, *(np.asarray(x) for x in profile.jet(pt.t))),
+        "_check_positivity": _check_positivity(pt, a, profile.v(pt.t)),
+        "_w_jet": _w_jet(pt.t, a, *profile.jet(pt.t)),
         "fiber_jets": (jets.gh, jets.gv, jets.dgh, jets.ddgh, jets.dgv, jets.ddgv),
         "assemble_metric": metric,
         "chart_frame": chart_frame(pt),
@@ -192,7 +192,8 @@ class TestSuiteValuesOverTheBatch:
     @pytest.mark.parametrize("name", list(_suite_values(*_points(2), *_setup(2, "einstein"))))
     def test_one_call_on_stacked_points(self, name, n, profile_name):
         """One call on 8 stacked points gives the 8 single-point values, each
-        a float, to 1e-13 relative to the largest value or absolute,
+        a numpy value (one point is a batch of shape ``()``, never a Python
+        float), to 1e-13 relative to the largest value or absolute,
         whichever is larger: residuals are rounding residue of terms of
         order one, so they are judged on that scale."""
         params, profile = _setup(n, profile_name)
@@ -202,8 +203,7 @@ class TestSuiteValuesOverTheBatch:
         batched = batched if isinstance(batched, tuple) else (batched,)
         single = [s if isinstance(s, tuple) else (s,) for s in single]
         for index, array in enumerate(batched):
-            if np.ndim(single[0][index]) == 0:
-                assert all(type(s[index]) is float for s in single), f"{name}[{index}]"
+            assert all(isinstance(s[index], (np.ndarray, np.generic)) for s in single), f"{name}[{index}]"
             expected = np.stack([np.asarray(s[index]) for s in single])
             assert np.shape(array) == expected.shape
             scale = max(np.max(np.abs(expected)), 1.0)
@@ -226,7 +226,7 @@ def _oracle_values(q, p, params, profile):
         "koszul_nabla": (metric_grad, koszul_nabla(pt, jets, metric_grad)),
         "torsion_residual": torsion_residual(pt, conn),
         "metric_compatibility_residual": metric_compatibility_residual(conn, jets, metric_grad),
-        "parallel_j_residual": parallel_j_residual(params, profile, pt, jets, step),
+        "parallel_j_residual": parallel_j_residual(conn, jets, metric_grad),
         "curvature_fd": curvature_fd(params, profile, pt, jets, step),
         "nabla_curvature_probe": nabla_curvature_probe(params, profile, pt, jets, step),
     }
@@ -237,8 +237,8 @@ class TestOraclesOverTheBatch:
     @pytest.mark.parametrize("n", [2, 5])
     def test_stacked_centers_match_single_centers(self, n, profile_name):
         """Every oracle on 2 stacked centers gives the 2 single-center values,
-        each a float where the single call gives a scalar, to 1e-13 relative
-        to the largest value or absolute, whichever is larger."""
+        each a numpy value (one center is a batch of shape ``()``), to 1e-13
+        relative to the largest value or absolute, whichever is larger."""
         params, profile = _setup(n, profile_name)
         q, p = (x[:2] for x in _points(n))
         batched = _oracle_values(q, p, params, profile)
@@ -247,8 +247,7 @@ class TestOraclesOverTheBatch:
             value = value if isinstance(value, tuple) else (value,)
             rows = [s[name] if isinstance(s[name], tuple) else (s[name],) for s in single]
             for index, array in enumerate(value):
-                if np.ndim(rows[0][index]) == 0:
-                    assert all(type(r[index]) is float for r in rows), f"{name}[{index}]"
+                assert all(isinstance(r[index], (np.ndarray, np.generic)) for r in rows), f"{name}[{index}]"
                 expected = np.stack([np.asarray(r[index]) for r in rows])
                 assert np.shape(array) == expected.shape, f"{name}[{index}]"
                 scale = max(np.max(np.abs(expected)), 1.0)

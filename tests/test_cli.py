@@ -61,6 +61,8 @@ class TestRunConfig:
             dict(k_a=float("nan")),
             dict(k_b=float("inf")),
             dict(a_metric_offset=float("nan")),
+            dict(seed=-1),
+            dict(suites=("curvature", "curvature")),
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
@@ -251,6 +253,15 @@ class TestMain:
     def test_empty_suites_exits_two(self, capsys):
         assert main(["--suites", ""]) == 2
         assert "suites" in capsys.readouterr().err
+
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(self.ARGS + ["--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_repeated_suite_exits_two(self, capsys):
+        """A repeated suite would run twice but keep one ``timings`` key."""
+        assert main(["--suites", "curvature,curvature", "--samples", "2"]) == 2
+        assert "suites must not repeat" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

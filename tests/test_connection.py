@@ -9,12 +9,14 @@ from cotangent_kahler import (
     CotangentPoint,
     GeometryError,
     ModelParams,
+    assemble_complex_structure,
     connection_coefficients,
     connection_fiber_derivatives,
     covariant_field_derivative,
     fd_partial,
     fiber_jets,
     frame_brackets,
+    frame_gradient,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
@@ -147,14 +149,38 @@ class TestParallelComplexStructure:
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
-        assert parallel_j_residual(kahler_params, kahler_profile, pt, jets, fd_step) < 1e-5
+        conn = connection_coefficients(pt, kahler_params, jets)
+        metric_grad = metric_gradient(kahler_params, kahler_profile, pt, fd_step)
+        assert parallel_j_residual(conn, jets, metric_grad) < 1e-5
 
     def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_step):
         """Off the integrable coupling J is compatible but not parallel."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
-        assert parallel_j_residual(generic_params, generic_profile, pt, jets, fd_step) > 1e-3
+        conn = connection_coefficients(pt, generic_params, jets)
+        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_step)
+        assert parallel_j_residual(conn, jets, metric_grad) > 1e-3
+
+    @pytest.mark.parametrize("detune", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_j_field_gradient_is_m_times_metric_gradient(self, n, detune, fd_step):
+        """``J = M G`` with ``M = [[0, -I], [I, 0]]``, so the frame gradient of
+        the J field equals ``M`` times the metric gradient, entry for entry,
+        at the integrable and a detuned coupling, on 2 centers."""
+        kahler = ModelParams.kahler(n=n, c=1.3, k_a=0.5, k_b=0.7)
+        params = ModelParams(n=n, c=1.3, a_metric=(1.0 + detune) * kahler.a_metric, k_a=0.5, k_b=0.7)
+        profile = einstein_profile(params)
+        rng = np.random.default_rng([3, n])
+        q, p = rng.uniform(-1.0, 1.0, size=(2, n)), rng.normal(size=(2, n))
+        pt = CotangentPoint.at(q, p, params)
+
+        def j_field(qq, pp):
+            return assemble_complex_structure(fiber_jets(CotangentPoint.at(qq, pp, params), params, profile))
+
+        m = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+        grad_j = frame_gradient(j_field, q, p, pt.gamma, fd_step)
+        assert np.array_equal(grad_j, m @ metric_gradient(params, profile, pt, fd_step))
 
 
 # ---------------------------------------------------------------------------

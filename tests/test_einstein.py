@@ -90,7 +90,7 @@ class TestProfileJets:
     def test_family_profile_is_admissible(self, t, k_a, k_b):
         """All k_a, k_b >= 0 members keep v above the positivity bound."""
         params = ModelParams.kahler(n=3, c=1.4, k_a=k_a, k_b=k_b)
-        assert einstein_profile(params).admissible(t, params.a_metric)
+        assert einstein_profile(params).v(t) > -params.a_metric / (2.0 * np.sqrt(t))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from cotangent_kahler import (
     fiber_jets,
     frame_brackets,
     frame_gradient,
-    horizontal_metric,
     rational_profile,
-    vertical_metric,
 )
 from cotangent_kahler.profiles import einstein_profile
 
@@ -66,15 +64,14 @@ class TestEnergyDensity:
 
 class TestMetricBlocks:
     def test_vertical_block_inverts_horizontal(self, kahler_point, kahler_params, kahler_profile):
-        gh = horizontal_metric(kahler_point, kahler_params, kahler_profile)
-        gv = vertical_metric(kahler_point, kahler_params, kahler_profile)
-        npt.assert_allclose(gh @ gv, np.eye(3), atol=1e-13)
+        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
+        npt.assert_allclose(jets.gh @ jets.gv, np.eye(3), atol=1e-13)
 
     def test_momentum_is_radial_eigenvector(self, generic_point, generic_params, generic_profile):
         """gh p^ = (a sqrt(t) + 2 t v) p: the radial direction diagonalizes."""
         pt = generic_point
-        gh = horizontal_metric(pt, generic_params, generic_profile)
-        v = float(generic_profile.v(pt.t))
+        gh = fiber_jets(pt, generic_params, generic_profile).gh
+        v = generic_profile.v(pt.t)
         radial = generic_params.a_metric * np.sqrt(pt.t) + 2.0 * pt.t * v
         npt.assert_allclose(gh @ pt.p_up, radial * pt.p, atol=1e-12)
 
@@ -85,15 +82,13 @@ class TestMetricBlocks:
         assert pt.t == pytest.approx(0.5)
         # a sqrt(t) + 2 t v = 1/sqrt(2) - 0.8 < 0
         with pytest.raises(PositivityError):
-            horizontal_metric(pt, params, profile)
-        with pytest.raises(PositivityError):
-            vertical_metric(pt, params, profile)
+            fiber_jets(pt, params, profile)
 
     def test_marginally_admissible_profile_accepted(self):
         params = ModelParams(n=2, c=1.0, a_metric=1.0)
         profile = constant_profile(-0.6)
         pt = CotangentPoint.at(np.zeros(2), np.array([1.0, 0.0], dtype=float), params)
-        gh = horizontal_metric(pt, params, profile)
+        gh = fiber_jets(pt, params, profile).gh
         assert np.all(np.linalg.eigvalsh(gh) > 0)
 
     @given(
@@ -109,7 +104,7 @@ class TestMetricBlocks:
         p = np.array([1.0, 0.5, -0.25])
         pt0 = CotangentPoint.at(np.zeros(3), p, params)
         pt = CotangentPoint.at(np.zeros(3), p * np.sqrt(t_target / pt0.t), params)
-        gh = horizontal_metric(pt, params, profile)
+        gh = fiber_jets(pt, params, profile).gh
         assert np.all(np.linalg.eigvalsh(gh) > 0)
 
 
@@ -128,23 +123,17 @@ class TestFiberJets:
         q, p = sample_qp
         return params, profile, CotangentPoint.at(q, p, params)
 
-    def test_values_match_direct_blocks(self, setup):
-        params, profile, pt = setup
-        jets = fiber_jets(pt, params, profile)
-        npt.assert_allclose(jets.gh, horizontal_metric(pt, params, profile), atol=1e-14)
-        npt.assert_allclose(jets.gv, vertical_metric(pt, params, profile), atol=1e-14)
-
     def test_first_fiber_derivatives_match_fd(self, setup, fd_step):
         params, profile, pt = setup
         jets = fiber_jets(pt, params, profile)
 
         def gh_field(pp):
             ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
-            return horizontal_metric(ptz, params, profile)
+            return fiber_jets(ptz, params, profile).gh
 
         def gv_field(pp):
             ptz = CotangentPoint.at(np.broadcast_to(pt.q, pp.shape), pp, params)
-            return vertical_metric(ptz, params, profile)
+            return fiber_jets(ptz, params, profile).gv
 
         for k in range(3):
             npt.assert_allclose(
@@ -245,9 +234,9 @@ class TestHorizontalRule:
         def field(qq, pp):
             ptz = CotangentPoint.at(qq, pp, kahler_params)
             if field_name == "gh":
-                return horizontal_metric(ptz, kahler_params, kahler_profile)
+                return fiber_jets(ptz, kahler_params, kahler_profile).gh
             if field_name == "gv":
-                return vertical_metric(ptz, kahler_params, kahler_profile)
+                return fiber_jets(ptz, kahler_params, kahler_profile).gv
             return ptz.p_up
 
         value = field(q, p)
@@ -305,5 +294,6 @@ class TestAdaptedFrame:
         npt.assert_allclose(commutator, expected, atol=1e-6)
 
     def test_rational_profile_everywhere_admissible(self):
-        profile = rational_profile()
-        assert profile.admissible(np.linspace(0.05, 50.0, 200), a_metric=0.1)
+        """v(t) > -a / (2 sqrt(t)) at every energy, even at a small coupling."""
+        t = np.linspace(0.05, 50.0, 200)
+        assert np.all(rational_profile().v(t) > -0.1 / (2.0 * np.sqrt(t)))

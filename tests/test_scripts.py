@@ -1,5 +1,6 @@
 """The scripts under scripts/: a smoke test of the exploration script
-profile_sweep.py, and the summary of bench_pairs.py on fixed numbers."""
+profile_sweep.py, and the summary and Tier-1 entry of bench_pairs.py on
+fixed numbers."""
 
 import importlib.util
 from pathlib import Path
@@ -67,3 +68,46 @@ def test_bench_pairs_gap_beyond_the_parent_spread_counts():
     summary = _load_script("bench_pairs").summarize(pairs, {"run_s": "lower"})["run_s"]
     assert summary["change_wins"] == 4
     assert summary["gap_exceeds_parent_iqr"] is True
+
+
+def test_bench_pairs_tier1_entry_on_fixed_times(monkeypatch):
+    """The Tier-1 pairs alternate which side goes first, and the entry
+    summarizes ``tier1_s`` as lower-is-better."""
+    bench_pairs = _load_script("bench_pairs")
+    times = {"parent": iter([10.0, 11.0, 12.0, 13.0]), "change": iter([9.0, 10.0, 10.5, 11.0])}
+    order = []
+
+    def fake_time_tier1(checkout):
+        order.append(checkout)
+        return {"tier1_s": next(times[checkout])}
+
+    monkeypatch.setattr(bench_pairs, "time_tier1", fake_time_tier1)
+    entry = bench_pairs.tier1_entry({side: side for side in bench_pairs.SIDES}, 4)
+    assert order == ["parent", "change", "change", "parent"] * 2
+    assert [pair["first"] for pair in entry["runs"]] == ["parent", "change"] * 2
+    assert [pair["change"]["tier1_s"] for pair in entry["runs"]] == [9.0, 10.0, 10.5, 11.0]
+    summary = entry["summary"]["tier1_s"]
+    assert summary["parent"] == {"q1": 10.75, "median": 11.5, "q3": 12.25}
+    assert summary["change"]["median"] == 10.25
+    assert summary["change_wins"] == 4
+    assert summary["gap_exceeds_parent_iqr"] is False
+
+
+def test_bench_pairs_failing_tier1_aborts(monkeypatch, tmp_path):
+    """A failing Tier-1 run stops the script; the run gets the Tier-1 command
+    in the checkout, without PYTHONPATH."""
+    bench_pairs = _load_script("bench_pairs")
+    calls = []
+
+    def failing_run(command, cwd, env, **kwargs):
+        calls.append((command, cwd, env))
+        return bench_pairs.subprocess.CompletedProcess(command, 1, stdout="1 failed", stderr="")
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", failing_run)
+    with pytest.raises(SystemExit, match="(?s)Tier-1 tests failed in .*1 failed"):
+        bench_pairs.time_tier1(tmp_path)
+    [(command, cwd, env)] = calls
+    assert command == ["python", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    assert cwd == tmp_path
+    assert "PYTHONPATH" not in env

@@ -53,6 +53,13 @@ class TestComplexStructure:
         npt.assert_allclose(jx[:3], 0.0, atol=0)
         npt.assert_allclose(jx[3:], jets.gh[:, 1], atol=0)
 
+    def test_is_constant_rotation_of_metric(self, generic_point, generic_params, generic_profile):
+        """``J = M G`` with ``M = [[0, -I], [I, 0]]``, entry for entry: what
+        lets parallel J reuse the metric gradient."""
+        jets = fiber_jets(generic_point, generic_params, generic_profile)
+        m = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+        assert np.array_equal(assemble_complex_structure(jets), m @ assemble_metric(jets))
+
 
 class TestFundamentalForm:
     def test_frame_blocks_are_canonical(self, generic_point, generic_params, generic_profile):

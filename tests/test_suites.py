@@ -73,12 +73,12 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 class TestSharedSample:
-    @pytest.mark.parametrize("suite, gradients", [("connection", 2), ("curvature", 1)])
+    @pytest.mark.parametrize("suite, gradients", [("connection", 1), ("curvature", 1)])
     def test_one_gradient_per_field(self, suite, gradients, monkeypatch):
         """Each oracle field is differentiated once per config, at all of its
-        centers together: the Koszul oracle and the compatibility residual
-        share one metric gradient, J takes the other, and the mixed Ricci
-        block traces the suite's one FD curvature."""
+        centers together: the Koszul oracle, the compatibility residual and
+        parallel J share one metric gradient, and the mixed Ricci block
+        traces the suite's one FD curvature."""
         original = cotangent_kahler.fd.frame_gradient
         calls = []
 
@@ -91,10 +91,10 @@ class TestSharedSample:
         assert len(calls) == gradients
 
     def test_connection_suite_field_calls(self, monkeypatch):
-        """At n = 2 with 2 samples the connection suite takes 2 frame
-        gradients (the metric and J fields at both oracle centers), each one
-        batched field call of 2 * 8 stencil rows for each of the 4 chart
-        coordinates, which fit the byte budget together: 2 calls."""
+        """At n = 2 with 2 samples the connection suite takes 1 frame
+        gradient (the metric field at both oracle centers; parallel J reuses
+        it), one batched field call of 2 * 8 stencil rows for each of the 4
+        chart coordinates, which fit the byte budget together."""
         original = cotangent_kahler.fd.frame_gradient
         rows = []
 
@@ -107,14 +107,15 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
-        assert rows == [64, 64]
+        assert rows == [64]
 
     def test_field_calls_per_config(self, monkeypatch):
-        """At n = 2 with 2 samples one config of all six suites makes 7 field
-        calls: seven oracle fields (the 2-form, the Nijenhuis frames, the
-        metric, J, the connection, and the witnesses' detuned J and K), each
-        differentiated once over its centers, with the stencils of all 2n
-        chart coordinates in one call of 2n * 8 rows per center."""
+        """At n = 2 with 2 samples one config of all six suites makes 6 field
+        calls: six oracle fields (the 2-form, the Nijenhuis frames, the
+        metric, the connection, and the witnesses' detuned metric and K),
+        each differentiated once over its centers, with the stencils of all
+        2n chart coordinates in one call of 2n * 8 rows per center; parallel
+        J reuses the metric gradients."""
         original = cotangent_kahler.fd.fd_partial
         calls = []
 
@@ -127,8 +128,8 @@ class TestSharedSample:
 
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
-        assert len(calls) == 7
-        assert sorted(calls) == [32] * 4 + [64] * 3
+        assert len(calls) == 6
+        assert sorted(calls) == [32] * 4 + [64] * 2
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
