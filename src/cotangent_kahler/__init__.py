@@ -21,17 +21,7 @@ C[a, b, c] e_c``) and the curvature is ``K[a, b, c, d]`` (``K(e_a, e_b)
 e_c = K[a, b, c, d] e_d``): the output index is always last.
 """
 
-from .base import (
-    BaseCurvature,
-    MetricJet,
-    ModelParams,
-    base_curvature,
-    christoffel,
-    christoffel_derivative,
-    conformal_jet,
-    integrable_coupling,
-    space_form_metric,
-)
+from .base import BaseGeometry, ModelParams, integrable_coupling, space_form_metric
 from .connection import (
     connection_coefficients,
     connection_fiber_derivatives,

@@ -5,21 +5,26 @@ curvature ``c > 0`` is conformally flat:
 
     g_ij(x) = delta_ij / f(x)^2,      f(x) = 1 + (c/4) |x|^2.
 
-Everything downstream needs the 2-jet of ``g`` (values, first and second
-coordinate derivatives), the Christoffel symbols, and the curvature tensor
-with the sign convention
+Downstream needs the metric, its inverse, the Christoffel symbols and the
+curvature tensor, with the sign convention
 
     R^h_{kij} = d_i Gamma^h_{jk} - d_j Gamma^h_{ik}
-                + Gamma^h_{il} Gamma^l_{jk} - Gamma^h_{jl} Gamma^l_{ik},
+                + Gamma^h_{il} Gamma^l_{jk} - Gamma^h_{jl} Gamma^l_{ik}.
 
-pinned so that a space form satisfies
-``R^l_{kij} = c (delta^l_i g_jk - delta^l_j g_ik)``.
+Both come from closed forms.  With ``g = e^{2 phi} I`` and ``phi = -log
+f``, the Christoffel symbols are
 
-General bases are not a production input; ``conformal_jet`` is exposed so
-tests can build non-constant-curvature fixtures for falsification checks.
+    Gamma^k_{ij} = delta^k_i d_j phi + delta^k_j d_i phi - delta_ij d_k phi,
+
+and constant curvature ``c`` fixes ``R^h_{kij} = c (delta^h_i g_jk -
+delta^h_j g_ik)``.  The generic route -- the metric 2-jet of any conformal
+factor, Christoffel symbols by the Koszul bracket and ``R`` from their
+derivative -- lives in the tests (``tests/base_reference.py``), as the
+oracle of these two formulas and as the base of the fixtures that leave the
+space forms.
 
 Every function here takes a leading batch axis: chart points of shape
-``(..., n)`` give jets, Christoffel symbols and curvature with the same
+``(..., n)`` give a metric, Christoffel symbols and curvature with the same
 leading ``...``, and a guard raises if any point of the batch fails it,
 naming the first failing value.  A single point is a batch of shape ``()``.
 """
@@ -36,14 +41,9 @@ from .errors import GeometryError, SingularMetricError
 
 __all__ = [
     "ModelParams",
-    "MetricJet",
-    "BaseCurvature",
+    "BaseGeometry",
     "integrable_coupling",
-    "conformal_jet",
     "space_form_metric",
-    "christoffel",
-    "christoffel_derivative",
-    "base_curvature",
 ]
 
 
@@ -96,31 +96,16 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class MetricJet:
-    """2-jet of the base metric at one chart point, or a batch of them.
-
-    Index conventions: ``dg[..., k, i, j] = d_k g_ij`` and
-    ``ddg[..., l, k, i, j] = d_l d_k g_ij``.
-    """
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray
-    ddg: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[-1]
-
-
-@dataclass(frozen=True)
-class BaseCurvature:
-    """Christoffel symbols and curvature tensor of the base metric.
+class BaseGeometry:
+    """The base metric at one chart point, or a batch of them, with its
+    inverse, Christoffel symbols and curvature tensor.
 
     ``gamma[..., k, i, j] = Gamma^k_{ij}``; ``riemann[..., h, k, i, j] =
     R^h_{kij}``.
     """
 
+    g: np.ndarray
+    g_inv: np.ndarray
     gamma: np.ndarray
     riemann: np.ndarray
 
@@ -160,29 +145,9 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
-def conformal_jet(x: np.ndarray, f, grad_f: np.ndarray, hess_f: np.ndarray) -> MetricJet:
-    """Exact 2-jet of the conformally flat metric ``g = I / f(x)^2`` from the
-    2-jet of the conformal factor ``f`` at ``x``: ``f`` has shape ``(...)``,
-    ``grad_f`` ``(..., n)`` and ``hess_f`` ``(..., n, n)``."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    bad = ~np.isfinite(f) | (f <= 0.0)
-    if bad.any():
-        raise SingularMetricError(f"conformal factor must be positive, got {np.extract(bad, f)[0]}")
-    eye = np.eye(n)
-    g = eye / _scale(f**2, 2)
-    g_inv = eye * _scale(f**2, 2)
-    # d_k (f^-2) = -2 f^-3 d_k f
-    dg = np.einsum("ij,...k->...kij", eye, -2.0 * grad_f / _scale(f**3, 1))
-    # d_l d_k (f^-2) = 6 f^-4 (d_l f)(d_k f) - 2 f^-3 d_l d_k f
-    dd_factor = 6.0 * _outer(grad_f, grad_f) / _scale(f**4, 2) - 2.0 * hess_f / _scale(f**3, 2)
-    ddg = np.einsum("ij,...lk->...lkij", eye, dd_factor)
-    return MetricJet(g=g, g_inv=g_inv, dg=dg, ddg=ddg)
-
-
-def space_form_metric(x: np.ndarray, params: ModelParams) -> MetricJet:
-    """Stereographic-chart 2-jet of the curvature-``c`` space form at ``x``,
-    of shape ``(..., n)``."""
+def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
+    """Stereographic-chart metric, Christoffel symbols and curvature of the
+    curvature-``c`` space form at ``x``, of shape ``(..., n)``."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (params.n,):
         raise GeometryError(
@@ -192,49 +157,17 @@ def space_form_metric(x: np.ndarray, params: ModelParams) -> MetricJet:
         raise GeometryError("chart point must be finite")
     c = params.c
     f = 1.0 + 0.25 * c * np.vecdot(x, x)
-    grad_f = 0.5 * c * x
-    hess_f = 0.5 * c * np.eye(params.n)
-    return conformal_jet(x, f, grad_f, hess_f)
-
-
-def _koszul_bracket(dg: np.ndarray) -> np.ndarray:
-    """``b[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij``."""
-    return (
-        np.einsum("...ijl->...ijl", dg)
-        + np.einsum("...jil->...ijl", dg)
-        - np.einsum("...lij->...ijl", dg)
+    bad = ~np.isfinite(f) | (f <= 0.0)
+    if bad.any():
+        raise SingularMetricError(f"conformal factor must be positive, got {np.extract(bad, f)[0]}")
+    eye = np.eye(params.n)
+    g = eye / _scale(f**2, 2)
+    # d_k phi = -d_k f / f with d_k f = c x_k / 2
+    dphi = -0.5 * c * x / _scale(f, 1)
+    gamma = (
+        np.einsum("ki,...j->...kij", eye, dphi)
+        + np.einsum("kj,...i->...kij", eye, dphi)
+        - np.einsum("ij,...k->...kij", eye, dphi)
     )
-
-
-def christoffel(jet: MetricJet) -> np.ndarray:
-    """Christoffel symbols ``Gamma^k_{ij}`` of the metric 2-jet."""
-    return 0.5 * np.einsum("...kl,...ijl->...kij", jet.g_inv, _koszul_bracket(jet.dg))
-
-
-def christoffel_derivative(jet: MetricJet) -> np.ndarray:
-    """Coordinate derivatives ``d_m Gamma^k_{ij}``, indexed ``[..., m, k, i, j]``."""
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", jet.g_inv, jet.dg, jet.g_inv)
-    bracket = _koszul_bracket(jet.dg)
-    # d_m b[i, j, l] with ddg[m, k, i, j] = d_m d_k g_ij
-    dbracket = (
-        np.einsum("...mijl->...mijl", jet.ddg)
-        + np.einsum("...mjil->...mijl", jet.ddg)
-        - np.einsum("...mlij->...mijl", jet.ddg)
-    )
-    return 0.5 * np.einsum("...mkl,...ijl->...mkij", dginv, bracket) + 0.5 * np.einsum(
-        "...kl,...mijl->...mkij", jet.g_inv, dbracket
-    )
-
-
-def base_curvature(jet: MetricJet) -> BaseCurvature:
-    """Christoffel symbols and curvature tensor from the metric 2-jet."""
-    gamma = christoffel(jet)
-    dgamma = christoffel_derivative(jet)
-    riemann = (
-        np.einsum("...ihjk->...hkij", dgamma)
-        - np.einsum("...jhik->...hkij", dgamma)
-        + np.einsum("...hil,...ljk->...hkij", gamma, gamma)
-        - np.einsum("...hjl,...lik->...hkij", gamma, gamma)
-    )
-    return BaseCurvature(gamma=gamma, riemann=riemann)
-
+    riemann = c * (np.einsum("hi,...jk->...hkij", eye, g) - np.einsum("hj,...ik->...hkij", eye, g))
+    return BaseGeometry(g=g, g_inv=eye * _scale(f**2, 2), gamma=gamma, riemann=riemann)

@@ -168,7 +168,7 @@ def covariant_field_derivative(
     V``: one frame gradient differentiates the components, and the frame's
     own rotation enters through ``conn``.
     """
-    grad = frame_gradient(field, pt.q, pt.p, pt.gamma, step)
+    grad = frame_gradient(field, pt, step)
     columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
     return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
 
@@ -201,7 +201,7 @@ def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: floa
         point = CotangentPoint.at(q, p, params)
         return assemble_metric(fiber_jets(point, params, profile))
 
-    return frame_gradient(field, pt.q, pt.p, pt.gamma, step)
+    return frame_gradient(field, pt, step)
 
 
 def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .base import _chunk_rows
 from .errors import StencilError
+from .mtensor import CotangentPoint
 
 __all__ = ["fd_partial", "fd_gradient", "frame_gradient"]
 
@@ -111,23 +112,20 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def frame_gradient(field, q: np.ndarray, p: np.ndarray, gamma: np.ndarray, step: float) -> np.ndarray:
-    """Derivatives of ``field(q, p)`` along all 2n adapted-frame directions.
+def frame_gradient(field, pt: CotangentPoint, step: float) -> np.ndarray:
+    """Derivatives of ``field(q, p)`` along all 2n adapted-frame directions
+    at the centers ``pt``.
 
     ``field(Q, P)`` takes a batch of points, ``Q`` and ``P`` of shape ``(m,
-    n)``, and returns ``(m, ...)``.  The centers ``q``, ``p`` have shape
-    ``(..., n)`` and ``gamma`` the matching ``(..., n, n, n)``.  The axis
-    after the centers' indexes the frame: entries ``0..n-1`` are the
-    horizontal directions, entries ``n..2n-1`` the vertical ones.  The 2n
-    chart partials are evaluated once (one field call each, for every
-    center) and recombined with the chart frame: ``delta_i = d/dq^i +
-    p_gamma[i, h] d/dp_h``.
+    n)``, and returns ``(m, ...)``.  The axis after the centers' indexes the
+    frame: entries ``0..n-1`` are the horizontal directions, entries
+    ``n..2n-1`` the vertical ones.  The 2n chart partials are evaluated once
+    (see ``fd_gradient``) and recombined with the point's horizontal frame:
+    ``delta_i = d/dq^i + pt.p_gamma[i, h] d/dp_h``.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = q.shape[-1]
-    partials = fd_gradient(lambda z: field(z[..., :n], z[..., n:]), np.concatenate([q, p], axis=-1), step)
-    p_gamma = np.einsum("...k,...kih->...ih", p, gamma)
-    grad = partials.reshape(p.shape[:-1] + (2 * n, -1))
-    grad[..., :n, :] += p_gamma @ grad[..., n:, :]
+    n = pt.n
+    centers = np.concatenate([pt.q, pt.p], axis=-1)
+    partials = fd_gradient(lambda z: field(z[..., :n], z[..., n:]), centers, step)
+    grad = partials.reshape(pt.p.shape[:-1] + (2 * n, -1))
+    grad[..., :n, :] += pt.p_gamma @ grad[..., n:, :]
     return grad.reshape(partials.shape)

@@ -29,14 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .base import (
-    MetricJet,
-    ModelParams,
-    _outer,
-    _scale,
-    base_curvature,
-    space_form_metric,
-)
+from .base import BaseGeometry, ModelParams, _outer, _scale, space_form_metric
 from .errors import GeometryError, PositivityError, ZeroSectionError
 
 __all__ = [
@@ -100,23 +93,29 @@ class CotangentPoint:
     def n(self) -> int:
         return self.p.shape[-1]
 
+    def __len__(self) -> int:
+        """``len(q)``, the length of the leading axis of ``q``:
+        ``bench/tracing.py`` counts the rows of a frame gradient by the
+        ``len`` of the point handed to ``frame_gradient``."""
+        return len(self.q)
+
     @classmethod
-    def from_jet(cls, q: np.ndarray, p: np.ndarray, jet: MetricJet) -> "CotangentPoint":
+    def from_base(cls, q: np.ndarray, p: np.ndarray, base: BaseGeometry) -> "CotangentPoint":
+        """The point over the base geometry ``base`` at ``q``."""
         p = np.asarray(p, dtype=float)
-        if p.shape != jet.g.shape[:-1]:
-            raise GeometryError(f"momentum shape {p.shape} does not match dimension {jet.n}")
-        curv = base_curvature(jet)
+        if p.shape != base.g.shape[:-1]:
+            raise GeometryError(f"momentum shape {p.shape} does not match dimension {base.g.shape[-1]}")
         return cls(
             q=np.asarray(q, dtype=float),
             p=p,
-            t=energy_density(jet.g_inv, p),
-            g=jet.g,
-            g_inv=jet.g_inv,
-            gamma=curv.gamma,
-            riemann=curv.riemann,
-            p_up=np.matvec(jet.g_inv, p),
-            p_gamma=np.einsum("...k,...kih->...ih", p, curv.gamma),
-            p_riemann=np.einsum("...h,...hkij->...kij", p, curv.riemann),
+            t=energy_density(base.g_inv, p),
+            g=base.g,
+            g_inv=base.g_inv,
+            gamma=base.gamma,
+            riemann=base.riemann,
+            p_up=np.matvec(base.g_inv, p),
+            p_gamma=np.einsum("...k,...kih->...ih", p, base.gamma),
+            p_riemann=np.einsum("...h,...hkij->...kij", p, base.riemann),
         )
 
     @classmethod
@@ -124,7 +123,7 @@ class CotangentPoint:
         """The point over the curvature-``c`` space form; reads only
         ``params.n`` and ``params.c``, so one point serves every coupling
         and profile."""
-        return cls.from_jet(q, p, space_form_metric(q, params))
+        return cls.from_base(q, p, space_form_metric(q, params))
 
 
 # ---- bundle metric blocks and their fiber jets ----

@@ -156,8 +156,9 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
-        if len(set(self.suites)) < len(self.suites):
-            raise ConfigError("suites must not repeat a name")
+        for name in ("dims", "curvatures", "suites"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} must not repeat a value")
         if self.samples < 2 and "witnesses" in self.suites:
             raise ConfigError(
                 "samples must be >= 2 with the witnesses suite: "
@@ -223,12 +224,14 @@ class SuiteResult:
 # ---- sampling ----
 
 
-def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.ndarray:
     """Deterministic base points and momenta with energies in the window.
 
     Momentum directions are drawn uniformly on the sphere, then rescaled so
     the energy density lands exactly on a uniform draw from
-    ``[t_min, t_max]``.
+    ``[t_min, t_max]``.  The result has shape ``(S, 2, n)``: row ``s`` is
+    the pair ``(q_s, p_s)``, and ``[:, 0]``, ``[:, 1]`` are the ``(S, n)``
+    batches of base points and momenta.
     """
     rng = np.random.default_rng([cfg.seed, n, int(round(c * 1e9))])
     draws = []
@@ -238,14 +241,14 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> list
         draws.append((q, direction / np.linalg.norm(direction), rng.uniform(cfg.t_min, cfg.t_max)))
     q, direction, t_target = (np.array(column) for column in zip(*draws))
     t0 = energy_density(space_form_metric(q, params).g_inv, direction)
-    return list(zip(q, direction * np.sqrt(t_target / t0)[:, None]))
+    return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
 class Sample:
-    """The sampled points of one ``(n, c)`` config, stacked and shared by
+    """The sampled points of one ``(n, c)`` config, one batch shared by
     every suite.
 
-    ``q`` and ``p`` stack the ``(q, p)`` pairs into ``(S, n)`` arrays, and
+    ``q`` and ``p`` are the ``(S, n)`` base points and momenta, and
     ``points`` is one batched ``CotangentPoint`` over them; it serves every
     coupling and profile, as a point reads only ``n`` and ``c``.  ``jets``
     are its fiber jets for the config's own params and profile.  Each is
@@ -253,8 +256,8 @@ class Sample:
     needs it records the error.
     """
 
-    def __init__(self, qp: list[tuple[np.ndarray, np.ndarray]], params: ModelParams, profile) -> None:
-        self.q, self.p = (np.stack(column) for column in zip(*qp))
+    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, profile) -> None:
+        self.q, self.p = q, p
         self._params = params
         self._profile = profile
 
@@ -574,7 +577,8 @@ def run_verification(cfg: RunConfig) -> dict:
             a_metric = (1.0 + cfg.a_metric_offset) * integrable_coupling(c)
             params = ModelParams(n=n, c=c, a_metric=a_metric, k_a=cfg.k_a, k_b=cfg.k_b)
             profile = profile_from_name(cfg.profile, params)
-            sample = Sample(sample_points(cfg, n, c, params), params, profile)
+            points = sample_points(cfg, n, c, params)
+            sample = Sample(points[:, 0], points[:, 1], params, profile)
             for index, suite_name in enumerate(cfg.suites):
                 started = time.perf_counter()
                 result = run_suite(suite_name, cfg, params, profile, sample)

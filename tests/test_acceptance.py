@@ -287,12 +287,11 @@ def test_finite_difference_oracle_health():
         return value[:, None]
 
     def pair_of_derivs(qq, pp):
-        gamma = CotangentPoint.at(qq, pp, params).gamma
-        return frame_gradient(scalar, qq, pp, gamma, fd_step)[:, [i, j], 0]
+        return frame_gradient(scalar, CotangentPoint.at(qq, pp, params), fd_step)[:, [i, j], 0]
 
-    outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_step)
+    outer = frame_gradient(pair_of_derivs, pt, fd_step)
     commutator = outer[i][1] - outer[j][0]
-    fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_step)[3:, 0]
+    fiber_grad = frame_gradient(scalar, pt, fd_step)[3:, 0]
     expected = pt.p_riemann[:, i, j] @ fiber_grad
     npt.assert_allclose(
         commutator,

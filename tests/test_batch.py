@@ -14,11 +14,7 @@ from cotangent_kahler import (
     ZeroSectionError,
     assemble_complex_structure,
     assemble_metric,
-    base_curvature,
     chart_frame,
-    christoffel,
-    christoffel_derivative,
-    conformal_jet,
     connection_coefficients,
     connection_fiber_derivatives,
     constant_profile,
@@ -73,24 +69,18 @@ def _points(n, seed=5):
 
 def _layers(q, p, params, profile):
     """Every stencil-path layer at ``(q, p)``, one point or a batch."""
-    c, a = params.c, params.a_metric
-    f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", q, q)
-    jet = space_form_metric(q, params)
-    curv = base_curvature(jet)
+    a = params.a_metric
+    base = space_form_metric(q, params)
     pt = CotangentPoint.at(q, p, params)
     jets = fiber_jets(pt, params, profile)
     metric = assemble_metric(jets)
     j_op = assemble_complex_structure(jets)
     phi = fundamental_form(metric, j_op)
     return {
-        "space_form_metric": (jet.g, jet.g_inv, jet.dg, jet.ddg),
-        "conformal_jet": conformal_jet(q, f, 0.5 * c * q, 0.5 * c * np.eye(params.n)).ddg,
-        "christoffel": christoffel(jet),
-        "christoffel_derivative": christoffel_derivative(jet),
-        "base_curvature": (curv.gamma, curv.riemann),
-        "energy_density": energy_density(jet.g_inv, p),
+        "space_form_metric": (base.g, base.g_inv, base.gamma, base.riemann),
+        "energy_density": energy_density(base.g_inv, p),
         "CotangentPoint.at": (pt.t, pt.p_up, pt.p_gamma, pt.p_riemann),
-        "CotangentPoint.from_jet": CotangentPoint.from_jet(q, p, jet).p_riemann,
+        "CotangentPoint.from_base": CotangentPoint.from_base(q, p, base).p_riemann,
         "_check_positivity": _check_positivity(pt, a, profile.v(pt.t)),
         "_w_jet": _w_jet(pt.t, a, *profile.jet(pt.t)),
         "fiber_jets": (jets.gh, jets.gv, jets.dgh, jets.ddgh, jets.dgv, jets.ddgv),
@@ -107,13 +97,9 @@ def _layers(q, p, params, profile):
 
 LAYERS = (
     "space_form_metric",
-    "conformal_jet",
-    "christoffel",
-    "christoffel_derivative",
-    "base_curvature",
     "energy_density",
     "CotangentPoint.at",
-    "CotangentPoint.from_jet",
+    "CotangentPoint.from_base",
     "_check_positivity",
     "_w_jet",
     "fiber_jets",

@@ -63,6 +63,8 @@ class TestRunConfig:
             dict(a_metric_offset=float("nan")),
             dict(seed=-1),
             dict(suites=("curvature", "curvature")),
+            dict(dims=(2, 3, 2)),
+            dict(curvatures=(1.0, 2.0, 1.0)),
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
@@ -112,7 +114,9 @@ class TestSampling:
 
         cfg = RunConfig(samples=8, t_min=0.5, t_max=1.5, seed=3)
         params = ModelParams.kahler(n=2, c=2.0, k_b=1.0)
-        for q, p in sample_points(cfg, 2, 2.0, params):
+        points = sample_points(cfg, 2, 2.0, params)
+        assert points.shape == (8, 2, 2)
+        for q, p in points:
             t = CotangentPoint.at(q, p, params).t
             assert 0.5 - 1e-12 <= t <= 1.5 + 1e-12
 

@@ -179,7 +179,7 @@ class TestParallelComplexStructure:
             return assemble_complex_structure(fiber_jets(CotangentPoint.at(qq, pp, params), params, profile))
 
         m = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-        grad_j = frame_gradient(j_field, q, p, pt.gamma, fd_step)
+        grad_j = frame_gradient(j_field, pt, fd_step)
         assert np.array_equal(grad_j, m @ metric_gradient(params, profile, pt, fd_step))
 
 

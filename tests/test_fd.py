@@ -183,7 +183,7 @@ class TestBatchedStencil:
             shapes.append(qq.shape + pp.shape)
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, -1])], axis=-1)
 
-        assert frame_gradient(field, qs, ps, pt.gamma, fd_step).shape == (centers, 2 * n, 2)
+        assert frame_gradient(field, pt, fd_step).shape == (centers, 2 * n, 2)
         assert shapes == [(m, n, m, n) for m in rows]
 
 
@@ -210,7 +210,7 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, q, p, pt.gamma, fd_step)
+        grad = frame_gradient(energy, pt, fd_step)
         npt.assert_allclose(grad[:3], 0.0, atol=1e-9, err_msg="horizontal energy derivative")
 
     def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params, fd_step):
@@ -221,7 +221,7 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, q, p, pt.gamma, fd_step)
+        grad = frame_gradient(energy, pt, fd_step)
         npt.assert_allclose(grad[3:, 0], pt.p_up, atol=1e-9)
 
     def test_frame_gradient_consistent_with_frame_derivative(
@@ -236,7 +236,7 @@ class TestFrameCalculus:
         def field(qq, pp):
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2]) + qq[:, 2] ** 2], axis=-1)
 
-        grad = frame_gradient(field, q, p, pt.gamma, fd_step)
+        grad = frame_gradient(field, pt, fd_step)
         z0 = np.concatenate([q, p])
         for a in range(6):
 
@@ -259,12 +259,11 @@ class TestFrameCalculus:
             return value[:, None]
 
         def pair_of_derivs(qq, pp):
-            gamma = CotangentPoint.at(qq, pp, kahler_params).gamma
-            return frame_gradient(scalar, qq, pp, gamma, fd_step)[:, [i, j], 0]
+            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params), fd_step)[:, [i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_step)
+        outer = frame_gradient(pair_of_derivs, pt, fd_step)
         commutator = outer[i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_step)[3:, 0]
+        fiber_grad = frame_gradient(scalar, pt, fd_step)[3:, 0]
         expected = pt.p_riemann[:, i, j] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 

@@ -241,7 +241,7 @@ class TestHorizontalRule:
 
         value = field(q, p)
         predicted = _christoffel_corrections(pt.gamma, value, variance)
-        measured = frame_gradient(field, q, p, pt.gamma, fd_step)[:3]
+        measured = frame_gradient(field, pt, fd_step)[:3]
         npt.assert_allclose(
             measured,
             predicted,
@@ -284,12 +284,11 @@ class TestAdaptedFrame:
             return (np.cos(qq[:, 0] * pp[:, 2]) + pp[:, 1] ** 2 * qq[:, 2])[:, None]
 
         def pair_of_derivs(qq, pp):
-            gamma = CotangentPoint.at(qq, pp, kahler_params).gamma
-            return frame_gradient(scalar, qq, pp, gamma, fd_step)[:, [3 + i, j], 0]
+            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params), fd_step)[:, [3 + i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, q, p, pt.gamma, fd_step)
+        outer = frame_gradient(pair_of_derivs, pt, fd_step)
         commutator = outer[3 + i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, q, p, pt.gamma, fd_step)[3:, 0]
+        fiber_grad = frame_gradient(scalar, pt, fd_step)[3:, 0]
         expected = frame_brackets(pt)[3 + i, j, 3:] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 

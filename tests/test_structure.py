@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from base_reference import conformal_jet, geometry
 from cotangent_kahler import (
     CotangentPoint,
     ModelParams,
@@ -13,7 +14,6 @@ from cotangent_kahler import (
     canonical_coordinate_form,
     chart_frame,
     complex_structure_squared_residual,
-    conformal_jet,
     coordinate_form,
     dform_residual,
     fiber_jets,
@@ -163,16 +163,16 @@ class TestNijenhuis:
         n, c, eps = 3, 1.4, 0.05
         params = ModelParams(n=n, c=c, a_metric=1.3)
 
-        def jet_at(x):
+        def base_at(x):
             f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x) + eps * x[..., 0] ** 3
             grad_f = 0.5 * c * x
             grad_f[..., 0] += 3.0 * eps * x[..., 0] ** 2
             hess_f = np.broadcast_to(0.5 * c * np.eye(3), x.shape + (3,)).copy()
             hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
-            return conformal_jet(x, f, grad_f, hess_f)
+            return geometry(conformal_jet(x, f, grad_f, hess_f))
 
         def point_factory(qq, pp):
-            return CotangentPoint.from_jet(qq, pp, jet_at(qq))
+            return CotangentPoint.from_base(qq, pp, base_at(qq))
 
         q = np.array([0.5, -0.3, 0.8])
         p = np.array([0.9, 0.4, -0.7])
