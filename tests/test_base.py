@@ -190,6 +190,24 @@ class TestChristoffel:
 
 
 class TestCurvature:
+    def test_space_form_identity(self, rng):
+        """R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik) with the g that
+        ``space_form_metric`` returns beside it, which fixes every sectional
+        curvature at c."""
+        for n, c in [(2, 1.0), (3, 1.4), (4, 0.5), (5, 3.0)]:
+            params = ModelParams(n=n, c=c, a_metric=1.0)
+            base = space_form_metric(rng.uniform(-2, 2, size=n), params)
+            eye = np.eye(n)
+            expected = c * (
+                np.einsum("hi,jk->hkij", eye, base.g) - np.einsum("hj,ik->hkij", eye, base.g)
+            )
+            npt.assert_allclose(
+                base.riemann,
+                expected,
+                atol=1e-8,
+                err_msg=f"space-form curvature identity at n={n}, c={c}",
+            )
+
     def test_first_bianchi(self, rng):
         """R^h_{kij} + R^h_{ijk} + R^h_{jki} = 0."""
         params = ModelParams(n=3, c=2.2, a_metric=1.0)

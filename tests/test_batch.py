@@ -1,11 +1,13 @@
-"""The leading batch axis of the stencil path, of the values the suites
-check and of the finite-difference oracles: one call on stacked points
-equals one call per point, and every guard fires when one row fails it."""
+"""The leading batch axis of the stencil path, of the generic base
+reference, of the values the suites check and of the finite-difference
+oracles: one call on stacked points equals one call per point, and every
+guard fires when one row fails it."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from base_reference import christoffel, christoffel_derivative, conformal_jet, geometry, space_form_jet
 from cotangent_kahler import (
     CotangentPoint,
     GeometryError,
@@ -68,9 +70,13 @@ def _points(n, seed=5):
 
 
 def _layers(q, p, params, profile):
-    """Every stencil-path layer at ``(q, p)``, one point or a batch."""
-    a = params.a_metric
+    """Every stencil-path layer at ``(q, p)``, one point or a batch, and the
+    generic reference route that the closed-form base is checked against."""
+    c, a = params.c, params.a_metric
+    f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", q, q)
     base = space_form_metric(q, params)
+    jet = space_form_jet(q, params)
+    reference = geometry(jet)
     pt = CotangentPoint.at(q, p, params)
     jets = fiber_jets(pt, params, profile)
     metric = assemble_metric(jets)
@@ -78,6 +84,10 @@ def _layers(q, p, params, profile):
     phi = fundamental_form(metric, j_op)
     return {
         "space_form_metric": (base.g, base.g_inv, base.gamma, base.riemann),
+        "conformal_jet": conformal_jet(q, f, 0.5 * c * q, 0.5 * c * np.eye(params.n)).ddg,
+        "christoffel": christoffel(jet),
+        "christoffel_derivative": christoffel_derivative(jet),
+        "base_curvature": (reference.gamma, reference.riemann),
         "energy_density": energy_density(base.g_inv, p),
         "CotangentPoint.at": (pt.t, pt.p_up, pt.p_gamma, pt.p_riemann),
         "CotangentPoint.from_base": CotangentPoint.from_base(q, p, base).p_riemann,
@@ -97,6 +107,10 @@ def _layers(q, p, params, profile):
 
 LAYERS = (
     "space_form_metric",
+    "conformal_jet",
+    "christoffel",
+    "christoffel_derivative",
+    "base_curvature",
     "energy_density",
     "CotangentPoint.at",
     "CotangentPoint.from_base",
