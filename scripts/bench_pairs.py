@@ -11,7 +11,9 @@ in as many alternating pairs, as the ``tier1`` entry with metric
 ``tier1_s``.  A failing benchmark run or Tier-1 run aborts the script.  The
 file records every run's end-to-end metrics, each side's median and
 quartiles, the pairs the change wins per metric, both commits, the numpy
-version and the CPU count.
+version and the CPU count.  One traced run per side and workload (``--trace
+1``) gives the ``layers`` entry: the ``self_s`` and ``calls`` of every
+traced layer, so that a gain can be traced to its spans.
 
 Example, from the repository root, with the parent in a second checkout:
 
@@ -95,15 +97,24 @@ def alternating_pairs(count: int, run, label: str) -> list[dict]:
     return pairs
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its end-to-end metrics and op counts."""
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run, untraced by default; its metric values, whether it
+    was correct and its op counts."""
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(command + args, cwd=checkout, env=_environment(), capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"benchmark failed in {checkout} ({workload}):\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     run = {name: metric["value"] for name, metric in result["metrics"].items()}
     return {**run, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def trace_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    """One traced benchmark run: each layer's ``self_s`` and ``calls``, and
+    whether the run was correct."""
+    result = run_once(checkout, command, workload, seed, seconds, trace=1)
+    layers = {name: value for name, value in result.items() if name.endswith((".self_s", ".calls"))}
+    return {**layers, "correct": result["correct"]}
 
 
 def time_tier1(checkout: Path) -> dict:
@@ -150,6 +161,10 @@ def main(argv=None) -> int:
             workload,
         )
         workloads[workload] = {"summary": summarize(pairs, better), "runs": pairs}
+    layers = {
+        workload: {side: trace_once(checkouts[side], spec["command"], workload, args.seed, seconds) for side in SIDES}
+        for workload in workloads
+    }
     record = {
         "label": args.label,
         "seed": args.seed,
@@ -161,6 +176,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workloads": workloads,
+        "layers": layers,
         "tier1": {"command": TIER1_COMMAND, **tier1_entry(checkouts, args.pairs)},
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(record, indent=2) + "\n")

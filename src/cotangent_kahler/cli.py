@@ -8,6 +8,7 @@ fixed configuration up to the ``timings`` key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -141,15 +142,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_verification(cfg)
-    payload = json.dumps(report, indent=2, sort_keys=True)
+    # The report file is opened before the run, so an unwritable path is
+    # refused as an argument and not after the whole battery has run.
+    try:
+        handle = None if args.report in (None, "-") else open(args.report, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    with handle or contextlib.nullcontext():
+        report = run_verification(cfg)
+        payload = json.dumps(report, indent=2, sort_keys=True)
+        if handle is not None:
+            handle.write(payload + "\n")
 
     if args.report == "-":
         print(payload)
     else:
-        if args.report is not None:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
         _summarize(report, sys.stdout)
     return 0 if report["passed"] else 1
 

@@ -12,13 +12,17 @@ formulas here, and a finite-difference Koszul evaluation that never sees
 them.  Everything here keeps the point's leading batch axis: the
 finite-difference oracles take a batch of centers, and the fields they
 differentiate are built at all stencil points of a coordinate in one call.
+
+``connection_fiber_derivatives`` feeds the curvature and keeps the
+contraction rule of ``base``: each term is one batched ``@``
+(``base._contract``), and ``np.einsum`` only permutes axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams, _max_abs, _scale
+from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
 from .fd import frame_gradient
 from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
@@ -126,28 +130,25 @@ def connection_fiber_derivatives(
     gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
     ddgh, ddgv = jets.ddgh, jets.ddgv
     pr, riem = pt.p_riemann, pt.riemann
+    # The factors that the metric blocks contract with are built with the
+    # summed index k first: sym[k, i, j] and inner[k, i, j] of
+    # connection_coefficients, and their fiber derivatives dsym[m, k, i, j]
+    # and dinner[m, k, i, j].  gh_m and gv_m broadcast over that m.
+    gh_m, gv_m = gh[..., None, :, :], gv[..., None, :, :]
 
-    sym = dgv + np.einsum("...jik->...ijk", dgv) - np.einsum("...kij->...ijk", dgv)
-    dsym = ddgv + np.einsum("...mjik->...mijk", ddgv) - np.einsum("...mkij->...mijk", ddgv)
-    dvv = 0.5 * np.einsum("...mhk,...ijk->...mijh", dgh, sym) + 0.5 * np.einsum(
-        "...hk,...mijk->...mijh", gh, dsym
-    )
-
-    inner = dgh - np.einsum("...il,...ljk->...ijk", gv, pr)
-    dinner = (
-        ddgh
-        - np.einsum("...mil,...ljk->...mijk", dgv, pr)
-        - np.einsum("...il,...mljk->...mijk", gv, riem)
-    )
-    dvh = 0.5 * np.einsum("...mhk,...ijk->...mhij", dgv, inner) + 0.5 * np.einsum(
-        "...hk,...mijk->...mhij", gv, dinner
+    sym = np.einsum("...ijk->...kij", dgv) + np.einsum("...jik->...kij", dgv) - dgv
+    dsym = np.einsum("...mijk->...mkij", ddgv) + np.einsum("...mjik->...mkij", ddgv) - ddgv
+    dvv = 0.5 * np.einsum(
+        "...mhij->...mijh", _contract(dgh, sym, 3) + _contract(gh_m, dsym, 3)
     )
 
-    dhh = (
-        -0.5 * np.einsum("...mhk,...kij->...mhij", dgh, dgh)
-        - 0.5 * np.einsum("...hk,...mkij->...mhij", gh, ddgh)
-        + 0.5 * riem
+    inner = np.einsum("...ijk->...kij", dgh - _contract(gv, pr, 3))
+    dinner = np.einsum(
+        "...mijk->...mkij", ddgh - _contract(dgv, pr, 3) - _contract(gv_m, riem, 3)
     )
+    dvh = 0.5 * (_contract(dgv, inner, 3) + _contract(gv_m, dinner, 3))
+
+    dhh = -0.5 * (_contract(dgh, dgh, 3) + _contract(gh_m, ddgh, 3)) + 0.5 * riem
 
     return _assemble(np.zeros_like(dhh), dvv, dvh, dhh)
 

@@ -2,13 +2,18 @@
 
 The curvature is one ``(2n)^4`` array ``K[a, b, c, d]``, the ``d``-th
 component of ``K(e_a, e_b) e_c`` over the frame ``0..2n-1`` (horizontal
-first).  It is assembled from six closed-form blocks, written in math
-layout ``[output, in1, in2, in3]`` and named by their input kinds: ``hhh``,
-``vvh`` and ``vhv`` have horizontal outputs, ``hhv``, ``vvv`` and ``vhh``
-vertical ones, and antisymmetry in the first two slots supplies the
-horizontal/vertical inputs.  Every entry with an odd number of vertical
-slots vanishes (a fact the finite-difference oracle checks rather than
-assumes).
+first).  It is assembled from six closed-form blocks, each built in the
+layout it is stored in, ``[in1, in2, in3, output]``, and named by the kinds
+of its three inputs: ``hhh``, ``vvh`` and ``vhv`` have horizontal outputs,
+``hhv``, ``vvv`` and ``vhh`` vertical ones, and antisymmetry in the first
+two slots supplies the horizontal/vertical inputs.  Every entry with an
+odd number of vertical slots vanishes (a fact the finite-difference oracle
+checks rather than assumes).
+
+``curvature_blocks`` and ``pair_symmetry_residual`` keep the contraction
+rule of ``base``: each product term is one batched ``@`` (``base._contract``
+or a lowered matrix), and ``np.einsum`` only permutes axes.  Their einsum
+forms are the test-side reference, ``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelParams, _max_abs, _outer, _scale
+from .base import ModelParams, _contract, _max_abs, _outer, _scale
 from .connection import (
     connection_coefficients,
     connection_fiber_derivatives,
@@ -73,60 +78,48 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     base curvature terms and fiber derivatives only.
     """
     n = pt.n
+    h, v = slice(None, n), slice(n, None)
     conn = connection_coefficients(pt, params, jets)
     der = connection_fiber_derivatives(pt, params, jets)
-    vv = conn[..., n:, n:, n:]
-    vh = np.einsum("...ijh->...hij", conn[..., n:, :n, :n])
-    hh = np.einsum("...ijh->...hij", conn[..., :n, :n, n:])
-    dvv = der[..., n:, n:, n:]
-    dvh = np.einsum("...mijh->...mhij", der[..., n:, :n, :n])
-    dhh = np.einsum("...mijh->...mhij", der[..., :n, :n, n:])
-    riem, pr = pt.riemann, pt.p_riemann
+    # The connection blocks and their fiber derivatives in frame layout,
+    # output last: vh[i, j, d] = Gamma[n+i, j, d], hh[i, j, d] = Gamma[i, j,
+    # n+d], dvh[m, i, j, d] = d vh[i, j, d] / dp_m, and so on.  The *_l
+    # views put the summed index first.
+    vv, vh, hh = conn[..., v, v, v], conn[..., v, h, h], conn[..., h, h, v]
+    dvv, dvh, dhh = der[..., v, v, v], der[..., v, h, h], der[..., h, h, v]
+    vv_l, vh_l, hh_l = (np.swapaxes(x, -3, -2) for x in (vv, vh, hh))
+    pr_l = np.einsum("...lij->...ijl", pt.p_riemann)
+    riem = pt.riemann
 
-    hhh = (
-        np.einsum("...hkij->...hijk", riem)
-        - np.einsum("...hlk,...lij->...hijk", vh, pr)
-        + np.einsum("...hli,...ljk->...hijk", vh, hh)
-        - np.einsum("...hlj,...lik->...hijk", vh, hh)
-    )
-    hhv = (
-        -np.einsum("...khij->...hijk", riem)
-        + np.einsum("...lkj,...hil->...hijk", vh, hh)
-        - np.einsum("...lki,...hjl->...hijk", vh, hh)
-        - np.einsum("...lkh,...lij->...hijk", vv, pr)
-    )
-    vvh = (
-        np.einsum("...ihjk->...hijk", dvh)
-        - np.einsum("...jhik->...hijk", dvh)
-        + np.einsum("...hil,...ljk->...hijk", vh, vh)
-        - np.einsum("...hjl,...lik->...hijk", vh, vh)
-    )
-    vvv = (
-        np.einsum("...ijkh->...hijk", dvv)
-        - np.einsum("...jikh->...hijk", dvv)
-        + np.einsum("...jkl,...ilh->...hijk", vv, vv)
-        - np.einsum("...ikl,...jlh->...hijk", vv, vv)
-    )
-    vhh = (
-        np.einsum("...ihjk->...hijk", dhh)
-        + np.einsum("...ilh,...ljk->...hijk", vv, hh)
-        - np.einsum("...lik,...hjl->...hijk", vh, hh)
-    )
-    vhv = (
-        np.einsum("...ihkj->...hijk", dvh)
-        + np.einsum("...hil,...lkj->...hijk", vh, vh)
-        - np.einsum("...hlj,...ikl->...hijk", vh, vv)
-    )
-    h, v = slice(None, n), slice(n, None)
+    # The eight products, each [x, y, z, d] = sum_l a[x, y, l] b[l, z, d].
+    pr_vh, pr_vv = _contract(pr_l, vh, 3), _contract(pr_l, vv, 3)
+    hh_vh, vh_hh = _contract(hh, vh, 3), _contract(vh, hh_l, 3)
+    vh_vh, vv_vv = _contract(vh, vh_l, 3), _contract(vv, vv_l, 3)
+    hh_vv, vv_vh = _contract(hh, vv_l, 3), _contract(vv, vh, 3)
+
+    def skew(x):
+        """``x[j, k, i, d] - x[i, k, j, d]`` at ``[i, j, k, d]``: a product
+        antisymmetrized in the first two inputs, as in a commutator."""
+        return np.einsum("...jkid->...ijkd", x) - np.einsum("...ikjd->...ijkd", x)
+
+    # Each block holds component d of K(e_i, e_j) e_k at [i, j, k, d], with
+    # e_i, e_j, e_k of the frame kinds its name spells.
+    hhh = np.einsum("...dkij->...ijkd", riem) - pr_vh + skew(hh_vh)
+    hhv = -np.einsum("...kdij->...ijkd", riem) + skew(np.swapaxes(vh_hh, -4, -3)) - pr_vv
+    vvh = dvh - np.swapaxes(dvh, -4, -3) + skew(vh_vh)
+    vvv = dvv - np.swapaxes(dvv, -4, -3) + skew(vv_vv)
+    vhh = dhh + np.einsum("...jkid->...ijkd", hh_vv) - np.swapaxes(vh_hh, -3, -2)
+    vhv = np.swapaxes(dvh - vv_vh, -3, -2) + np.einsum("...kjid->...ijkd", vh_vh)
+
     out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 4)
-    out[..., h, h, h, h] = np.einsum("...hijk->...ijkh", hhh)
-    out[..., h, h, v, v] = np.einsum("...hijk->...ijkh", hhv)
-    out[..., v, v, h, h] = np.einsum("...hijk->...ijkh", vvh)
-    out[..., v, v, v, v] = np.einsum("...hijk->...ijkh", vvv)
-    out[..., v, h, h, v] = np.einsum("...hijk->...ijkh", vhh)
-    out[..., h, v, h, v] = -np.einsum("...hijk->...jikh", vhh)
-    out[..., v, h, v, h] = np.einsum("...hijk->...ijkh", vhv)
-    out[..., h, v, v, h] = -np.einsum("...hijk->...jikh", vhv)
+    out[..., h, h, h, h] = hhh
+    out[..., h, h, v, v] = hhv
+    out[..., v, v, h, h] = vvh
+    out[..., v, v, v, v] = vvv
+    out[..., v, h, h, v] = vhh
+    out[..., h, v, h, v] = -np.swapaxes(vhh, -4, -3)
+    out[..., v, h, v, h] = vhv
+    out[..., h, v, v, h] = -np.swapaxes(vhv, -4, -3)
     return out
 
 
@@ -203,16 +196,19 @@ def ricci_closed_form(pt: CotangentPoint, params: ModelParams, profile) -> Ricci
 
 def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
     """``max |<K(X,Y)Z, W> - <K(Z,W)X, Y>|`` over ``vectors[..., m, :, :] = (X,
-    Y, Z, W)``, an array of shape ``(..., m, 4, 2n)``."""
-    lowered = (curvature @ metric[..., None, None, :, :])[..., None, :, :, :, :]
+    Y, Z, W)``, an array of shape ``(..., m, 4, 2n)``.
+
+    The lowered curvature ``<K(e_a, e_b)e_c, e_d>`` is one ``(2n)^2 x
+    (2n)^2`` matrix per point, rows ``ab`` and columns ``cd``: each side of
+    the identity is one ``@`` of the ``X (x) Y`` rows against it and a
+    ``vecdot`` with ``Z (x) W``, and the swapped pair reuses the matrix.
+    """
+    dim = curvature.shape[-1]
+    lowered = _contract(curvature, metric, 2).reshape(curvature.shape[:-4] + (dim * dim,) * 2)
     x, y, z, w = np.moveaxis(np.asarray(vectors, dtype=float), -2, 0)
-
-    def form(x, y, z, w):
-        """``<K(X, Y)Z, W>`` per quadruple, contracting one vector at a time."""
-        kzw = np.matvec(np.matvec(lowered, w[..., None, None, :]), z[..., None, :])
-        return np.vecdot(np.matvec(kzw, y), x)
-
-    return _max_abs(form(x, y, z, w) - form(z, w, x, y), rank=1)
+    xy = _outer(x, y).reshape(x.shape[:-1] + (dim * dim,))
+    zw = _outer(z, w).reshape(z.shape[:-1] + (dim * dim,))
+    return _max_abs(np.vecdot(xy @ lowered, zw) - np.vecdot(zw @ lowered, xy), rank=1)
 
 
 def holomorphic_sectional_curvature(

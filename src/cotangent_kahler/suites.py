@@ -435,19 +435,13 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
             einstein_worst.append(einstein_residual(pt, params, jets, ricci))
     checks.append(_check("difference_closed_form", closed_vs_direct, tol.closed_form))
 
-    notes = []
     if cfg.profile == "einstein":
-        if checks[-1].passed:
-            notes.append(
-                "horizontal Einstein defect matched the admissibility-weighted form "
-                "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant"
-            )
         fitted = fit_einstein_constant(pairs)
         checks.append(_check("family_solves_ode", [np.abs(ode)], tol.closed_form))
         checks.append(_check("einstein_constant", einstein_worst, tol.cross_check))
         fit_error = abs(fitted - family_einstein_constant(params))
         checks.append(_check("fitted_constant_matches", [fit_error], tol.cross_check))
-    return SuiteResult("einstein", params.n, params.c, checks, notes)
+    return SuiteResult("einstein", params.n, params.c, checks)
 
 
 def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
@@ -476,11 +470,26 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     gam_witness = np.abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))
     checks.append(_check("gamma_detects_profile", [gam_witness], tol.witness_floor, comparison="ge"))
 
-    defect = [
-        _max_abs(*einstein_difference(pt, params, generic, jets), rank=2)
-        for pt, jets in sample.chunks(fiber_jets(points, params, generic))
-    ]
+    # Off the family gamma does not vanish, so the rational profile's
+    # defect also tests the closed-form difference; on the Einstein profile
+    # both sides of einstein/difference_closed_form are zero.
+    defect, off_family = [], []
+    for pt, jets in sample.chunks(fiber_jets(points, params, generic)):
+        direct = einstein_difference(pt, params, generic, jets)
+        defect.append(_max_abs(*direct, rank=2))
+        if params.is_integrable:
+            closed = einstein_difference_closed_form(pt, params, generic)
+            off_family.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
     checks.append(_check("einstein_detects_profile", defect, tol.witness_floor, comparison="ge"))
+    notes = []
+    if params.is_integrable:
+        checks.append(_check("einstein_difference_off_family", off_family, tol.closed_form))
+        if checks[-1].passed:
+            notes.append(
+                "horizontal Einstein defect matched the admissibility-weighted form "
+                "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant, "
+                "on the rational profile"
+            )
 
     # Non-constancy witnesses probe a fixed generic family member: with
     # k_a = 0 some members (n = 2 in particular) are genuinely locally
@@ -524,7 +533,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
             note=f"max nabla-K component {probe[0]:.6g} on the k_a=1, k_b=1 member",
         )
     )
-    return SuiteResult("witnesses", n, c, checks)
+    return SuiteResult("witnesses", n, c, checks, notes)
 
 
 _SUITE_FUNCS = {

@@ -93,3 +93,16 @@ def geometry(jet: MetricJet) -> BaseGeometry:
         - np.einsum("...hjl,...lik->...hkij", gamma, gamma)
     )
     return BaseGeometry(g=jet.g, g_inv=jet.g_inv, gamma=gamma, riemann=riemann)
+
+
+def bumped_geometry(x: np.ndarray, c: float, eps: float) -> BaseGeometry:
+    """The geometry of ``f = 1 + c |x|^2 / 4 + eps x_0^3``: the space form's
+    conformal factor with a cubic bump, so ``R`` is not of constant
+    curvature.  The fixture of the tests that leave the space forms."""
+    x = np.asarray(x, dtype=float)
+    f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x) + eps * x[..., 0] ** 3
+    grad_f = 0.5 * c * x
+    grad_f[..., 0] += 3.0 * eps * x[..., 0] ** 2
+    hess_f = np.broadcast_to(0.5 * c * np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
+    hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
+    return geometry(conformal_jet(x, f, grad_f, hess_f))

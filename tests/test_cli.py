@@ -225,6 +225,15 @@ class TestMain:
         assert report["passed"] is True
         assert "overall: PASS" in capsys.readouterr().out
 
+    def test_unwritable_report_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """A report path that cannot be opened is bad input: exit 2 with an
+        error line, and the battery does not run."""
+        monkeypatch.setattr("cotangent_kahler.cli.run_verification", lambda cfg: pytest.fail("the battery ran"))
+        assert main(self.ARGS + ["--report", str(tmp_path / "missing" / "x.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the report:")
+
     def test_report_to_stdout_is_parseable(self, capsys):
         code = main(self.ARGS + ["--report", "-"])
         assert code == 0
@@ -329,10 +338,10 @@ class TestNumericalFailures:
     @pytest.mark.parametrize(
         "flag, suite, fragment",
         [
-            ("--tol-closed-form", "einstein", "matched the admissibility-weighted form"),
+            ("--tol-closed-form", "witnesses", "matched the admissibility-weighted form"),
             ("--tol-fd-oracle", "curvature", "complement below"),
         ],
-        ids=["einstein", "curvature"],
+        ids=["witnesses", "curvature"],
     )
     def test_note_needs_its_check_to_pass(self, flag, suite, fragment, capsys):
         args = ["--dims", "2", "--curvatures", "1.0", "--samples", "2",

@@ -1,8 +1,9 @@
 """The scripts under scripts/: a smoke test of the exploration script
-profile_sweep.py, and the summary and Tier-1 entry of bench_pairs.py on
-fixed numbers."""
+profile_sweep.py, and the summary, Tier-1 entry and layer entry of
+bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,83 @@ def test_bench_pairs_failing_tier1_aborts(monkeypatch, tmp_path):
     assert command == ["python", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     assert cwd == tmp_path
     assert "PYTHONPATH" not in env
+
+
+def test_bench_pairs_trace_keeps_the_layer_metrics(monkeypatch, tmp_path):
+    """A traced run is the benchmark command with ``--trace 1``; of its
+    metrics it keeps each layer's ``self_s`` and ``calls``, and whether the
+    run was correct."""
+    bench_pairs = _load_script("bench_pairs")
+    metrics = {
+        "curvature.curvature_blocks.calls": 32,
+        "curvature.curvature_blocks.self_s": 0.016,
+        "fd.field_evals": 13,
+        "suites.curvature.s": 0.04,
+        "trace.overhead_s": 0.001,
+    }
+    result = {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()},
+    }
+    calls = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        calls.append((command, cwd))
+        stdout = "sweep seed=3: wall [0.1] s\n" + json.dumps(result) + "\n"
+        return bench_pairs.subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    layers = bench_pairs.trace_once(tmp_path, ["python3", "bench/run.py"], "sweep", 3, 20)
+    assert calls == [
+        (["python3", "bench/run.py", "--workload", "sweep", "--seed", "3", "--seconds", "20", "--trace", "1"], tmp_path)
+    ]
+    assert layers == {
+        "curvature.curvature_blocks.calls": 32,
+        "curvature.curvature_blocks.self_s": 0.016,
+        "correct": True,
+    }
+
+
+def test_bench_pairs_writes_one_traced_run_per_side_and_workload(monkeypatch, tmp_path):
+    """The record's ``layers`` entry holds, per workload, one traced run of
+    each side at the record's seed and run length."""
+    bench_pairs = _load_script("bench_pairs")
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    spec = {
+        "command": ["python3", "bench/run.py"],
+        "run_seconds": 20,
+        "workloads": [{"name": "sweep"}, {"name": "oracles"}],
+        "end_to_end": [{"name": "run_s", "better": "lower"}],
+    }
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    traced = []
+
+    def fake_trace_once(checkout, command, workload, seed, seconds):
+        traced.append((checkout, workload, seed, seconds))
+        return {"curvature.curvature_blocks.self_s": float(len(traced)), "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: {"run_s": 1.0})
+    monkeypatch.setattr(bench_pairs, "trace_once", fake_trace_once)
+    monkeypatch.setattr(bench_pairs, "tier1_entry", lambda checkouts, count: {})
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: {"commit": "abc", "dirty": False})
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "parent", "--change", "change", "--label", "x", "--seed", "7", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert traced == [
+        (checkouts[side], workload, 7, 20) for workload in ("sweep", "oracles") for side in bench_pairs.SIDES
+    ]
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["layers"] == {
+        "sweep": {
+            "parent": {"curvature.curvature_blocks.self_s": 1.0, "correct": True},
+            "change": {"curvature.curvature_blocks.self_s": 2.0, "correct": True},
+        },
+        "oracles": {
+            "parent": {"curvature.curvature_blocks.self_s": 3.0, "correct": True},
+            "change": {"curvature.curvature_blocks.self_s": 4.0, "correct": True},
+        },
+    }

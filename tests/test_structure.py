@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from base_reference import conformal_jet, geometry
+from base_reference import bumped_geometry
 from cotangent_kahler import (
     CotangentPoint,
     ModelParams,
@@ -163,16 +163,8 @@ class TestNijenhuis:
         n, c, eps = 3, 1.4, 0.05
         params = ModelParams(n=n, c=c, a_metric=1.3)
 
-        def base_at(x):
-            f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x) + eps * x[..., 0] ** 3
-            grad_f = 0.5 * c * x
-            grad_f[..., 0] += 3.0 * eps * x[..., 0] ** 2
-            hess_f = np.broadcast_to(0.5 * c * np.eye(3), x.shape + (3,)).copy()
-            hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
-            return geometry(conformal_jet(x, f, grad_f, hess_f))
-
         def point_factory(qq, pp):
-            return CotangentPoint.from_base(qq, pp, base_at(qq))
+            return CotangentPoint.from_base(qq, pp, bumped_geometry(qq, c, eps))
 
         q = np.array([0.5, -0.3, 0.8])
         p = np.array([0.9, 0.4, -0.7])

@@ -172,3 +172,30 @@ class TestSharedSample:
         assert report["passed"] is True
         assert [b for b in point_builds if b is not None] == ["stack"]
         assert [b for b in jet_builds if b is not None] == ["stack"]
+
+
+class TestOffFamilyDifference:
+    def test_vertical_coefficient_mutation_fails_the_off_family_check(self, monkeypatch):
+        """``8.0 -> 8.1`` in the vertical coefficient of
+        ``einstein_difference_closed_form``.  On the Einstein profile gamma
+        vanishes, so einstein/difference_closed_form still passes; the
+        witnesses check on the rational profile fails at every config, and
+        the note that depends on it is not emitted."""
+        original = cotangent_kahler.einstein.einstein_difference_closed_form
+
+        def mutated(pt, params, profile):
+            diff_hh, diff_vv = original(pt, params, profile)
+            return diff_hh, diff_vv * (8.0 / 8.1)
+
+        _patch_everywhere(monkeypatch, original, mutated)
+        cfg = RunConfig(dims=(2, 3), curvatures=(1.0,), samples=5, suites=("einstein", "witnesses"))
+        report = run_verification(cfg)
+        by_name = {suite["name"]: suite["configs"] for suite in report["suites"]}
+        for name, check_name, passed in (
+            ("einstein", "difference_closed_form", True),
+            ("witnesses", "einstein_difference_off_family", False),
+        ):
+            for config in by_name[name]:
+                (check,) = [check for check in config["checks"] if check["name"] == check_name]
+                assert check["passed"] is passed, (name, config["dim"])
+        assert not any("admissibility-weighted" in note for note in report["discrepancy_notes"])
