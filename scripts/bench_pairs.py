@@ -10,8 +10,9 @@ no:cacheprovider``, run in each checkout without ``PYTHONPATH``) are timed
 in as many alternating pairs, as the ``tier1`` entry with metric
 ``tier1_s``.  A failing benchmark run or Tier-1 run aborts the script.  The
 file records every run's end-to-end metrics, each side's median and
-quartiles, the pairs the change wins per metric, both commits, the numpy
-version and the CPU count.  One traced run per side and workload (``--trace
+quartiles, the pairs the change wins per metric, each metric's bound from
+``BENCHMARK.json`` and whether the change's median stays within it, both
+commits, the numpy version and the CPU count.  One traced run per side and workload (``--trace
 1``) gives the ``layers`` entry: the ``self_s`` and ``calls`` of every
 traced layer, so that a gain can be traced to its spans.
 
@@ -44,12 +45,18 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def summarize(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict[str, dict]:
     """Per metric of ``better`` (name -> "lower" or "higher"): each side's
     quartiles over ``pairs``, each a ``{"parent": run, "change": run}`` of
     metric values; the pairs in which the change is strictly better; the gap
     between the medians, relative to the parent's median; and the parent's
-    inter-quartile range, which the median gap must exceed to count."""
+    inter-quartile range, which the median gap must exceed to count.  A
+    metric with an entry in ``bounds`` (name -> relative bound) also records
+    its ``bound`` and ``within_bound``: whether the change's median is worse
+    than the parent's by at most that fraction of the parent's median."""
+    bounds = bounds or {}
     summary = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "lower" else -1.0
@@ -65,6 +72,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "parent_iqr": iqr,
             "gap_exceeds_parent_iqr": sign * gap < 0 and abs(gap) > iqr,
         }
+        if name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["within_bound"] = sign * gap <= bounds[name] * stats["parent"]["median"]
     return summary
 
 
@@ -153,6 +163,7 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"] if "bound" in metric}
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = alternating_pairs(
@@ -160,7 +171,7 @@ def main(argv=None) -> int:
             lambda side: run_once(checkouts[side], spec["command"], workload, args.seed, seconds),
             workload,
         )
-        workloads[workload] = {"summary": summarize(pairs, better), "runs": pairs}
+        workloads[workload] = {"summary": summarize(pairs, better, bounds), "runs": pairs}
     layers = {
         workload: {side: trace_once(checkouts[side], spec["command"], workload, args.seed, seconds) for side in SIDES}
         for workload in workloads

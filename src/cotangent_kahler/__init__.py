@@ -66,11 +66,13 @@ from .fd import fd_gradient, fd_partial, frame_gradient
 from .mtensor import (
     CotangentPoint,
     FiberJets,
+    MetricBlocks,
     assemble_metric,
     chart_frame,
     energy_density,
     fiber_jets,
     frame_brackets,
+    metric_blocks,
 )
 from .profiles import (
     VProfile,

@@ -129,22 +129,32 @@ def _max_abs(*arrays: np.ndarray, rank: int):
     return functools.reduce(np.maximum, (np.max(np.abs(x), axis=axes) for x in arrays))
 
 
-# Byte budget of one batched call: a batch of rows is sized so that one
-# (2n)^4 float64 array per row, the curvature K, fits it.  Batching is what
-# makes the closed-form checks and the FD stencils fast, but one batch of
-# everything raises the process's peak RSS past the 10% bound of the
-# benchmark: the whole 300-sample sweep in one batch costs about 7 MiB at
-# n = 3, and all 2n coordinates of an FD gradient in one field call peak at
-# 4.6 MiB of temporaries at n = 5 (tracemalloc, 160 rows) against 2.1 MiB
-# for one coordinate.  The rows scale as dim^-4 because the point pipeline's
-# largest per-row arrays do: 128 rows at n = 2, 25 at n = 3, 3 at n = 5.
+# Byte budget of one batched call.  A chunk of sample rows is sized so that
+# one (2n)^4 float64 array per row, the curvature K, fits it: 128 rows at
+# n = 2, 25 at n = 3, 3 at n = 5.  An FD gradient's first field call is sized
+# the same way, and its other calls so that the field's output fits, at the
+# bytes per row the first call returned: at one center and n = 5, a (2n)^2
+# metric field takes the 72 rows of nine coordinates in one call, the K field
+# one coordinate of 8 rows per call.  Batching is what makes the closed-form
+# checks and the FD stencils fast, but one batch of everything raises the
+# process's peak RSS past the 10% bound of the benchmark: the whole
+# 300-sample sweep in one batch costs about 7 MiB at n = 3, and all 2n
+# coordinates of an FD gradient in one field call that builds the fiber
+# jets peak at 4.6 MiB of temporaries at n = 5 (tracemalloc, 160 rows)
+# against 2.1 MiB for one coordinate.
 _CHUNK_BYTES = 256 * 1024
+
+
+def _fitting(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` each fit ``_CHUNK_BYTES``; at least
+    one."""
+    return max(1, _CHUNK_BYTES // max(1, item_bytes))
 
 
 def _chunk_rows(dim: int) -> int:
     """Rows per batched call whose ``dim^4`` float64 arrays fit
     ``_CHUNK_BYTES``; at least one."""
-    return max(1, _CHUNK_BYTES // (8 * dim**4))
+    return _fitting(8 * dim**4)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
 from .fd import frame_gradient
-from .mtensor import CotangentPoint, FiberJets, assemble_metric, fiber_jets, frame_brackets
+from .mtensor import CotangentPoint, FiberJets, assemble_metric, frame_brackets, metric_blocks
 from .structure import assemble_complex_structure, canonical_coordinate_form
 
 __all__ = [
@@ -200,7 +200,7 @@ def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: floa
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(q, p, params)
-        return assemble_metric(fiber_jets(point, params, profile))
+        return assemble_metric(metric_blocks(point, params, profile))
 
     return frame_gradient(field, pt, step)
 

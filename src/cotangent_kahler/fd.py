@@ -18,10 +18,13 @@ Fields are batched: ``f(X)`` takes ``X`` of shape ``(m, dim)`` and returns
 axis, ``x`` of shape ``(..., dim)``.  A center's stencil along one
 coordinate is 8 rows, offsets ``-2, -1, +1, +2`` of ``h`` then of ``h/2``.
 ``fd_partial`` stacks these rows for every center and for one or several
-coordinates, and evaluates them in one field call.  ``fd_gradient`` groups
-the coordinates so that a call holds at most ``base._chunk_rows(dim)`` rows,
-the byte budget that also sizes the sample chunks of the suites, but never
-less than one whole coordinate.  Results put the centers' axes first, then
+coordinates, and evaluates them in one field call.  ``fd_gradient`` sizes
+its calls by the field's output against ``base._CHUNK_BYTES``, the byte
+budget that also sizes the sample chunks of the suites: the first call
+holds at most ``base._chunk_rows(dim)`` rows, as if each row returned
+``dim^4`` floats, and the other coordinates are grouped by the bytes per
+row that the first call actually returned.  A call never holds less than
+one whole coordinate.  Results put the centers' axes first, then
 the derivative direction (for gradients), then the field's own axes; one
 center is a batch of shape ``()``.
 
@@ -37,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import _chunk_rows
+from .base import _fitting
 from .errors import StencilError
 from .mtensor import CotangentPoint
 
@@ -94,17 +97,22 @@ def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d, step: fl
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     """All partial derivatives of the batched field ``f`` at the centers
     ``x`` of shape ``(..., dim)``; the axis after the centers' indexes the
-    coordinate.  Each field call takes the stencils of as many coordinates
-    as fit the byte budget of ``base._chunk_rows(dim)``, and never fewer
-    than one."""
+    coordinate.
+
+    The first field call takes the stencils of as many coordinates as
+    ``base._chunk_rows(dim)`` rows allow, that is as if each row returned
+    ``dim^4`` floats.  The rest are grouped so that each call's output fits
+    ``base._CHUNK_BYTES`` at the bytes per row that the first call
+    returned.  Every call takes at least one coordinate."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    per_call = max(1, _chunk_rows(dim) // (8 * (x.size // dim)))
-    coords = np.arange(dim)
-    return np.concatenate(
-        [fd_partial(f, x, coords[start : start + per_call], step) for start in range(0, dim, per_call)],
-        axis=x.ndim - 1,
-    )
+    rows = 8 * (x.size // dim)
+    first = min(dim, _fitting(rows * 8 * dim**4))
+    parts = [fd_partial(f, x, np.arange(first), step)]
+    # A coordinate's stencil rows return 8 values per partial derivative.
+    per_call = _fitting(8 * parts[0].nbytes // first)
+    parts += [fd_partial(f, x, np.arange(d, min(d + per_call, dim)), step) for d in range(first, dim, per_call)]
+    return np.concatenate(parts, axis=x.ndim - 1)
 
 
 # ---------------------------------------------------------------------------

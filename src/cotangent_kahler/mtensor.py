@@ -6,7 +6,10 @@ density ``t = g^{ik} p_i p_k / 2``.  Such fields are parallel along the
 horizontal distribution -- their frame derivative ``d/dq^k + p . Gamma_k
 d/dp`` equals the usual Christoffel corrections -- so all genuinely new
 information sits in the fiber derivatives ``d/dp_k``, which this module
-supplies in closed form through second order.
+supplies in closed form through second order (``fiber_jets``).  The metric
+blocks alone come from ``metric_blocks``, which ``fiber_jets`` builds on;
+a finite-difference field builds only what it differentiates, so the
+metric, 2-form and Nijenhuis fields skip the ``n^4`` second jets.
 
 The adapted frame is indexed ``0..2n-1``: ``e_i = delta_i = d/dq^i +
 p_k Gamma^k_{ih} d/dp_h`` for ``i < n`` (horizontal), ``e_{n+i} = d/dp_i``
@@ -26,6 +29,7 @@ any point of a batch fails them, naming the first failing value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,8 @@ __all__ = [
     "ZERO_SECTION_TOL",
     "energy_density",
     "CotangentPoint",
+    "MetricBlocks",
+    "metric_blocks",
     "FiberJets",
     "fiber_jets",
     "assemble_metric",
@@ -129,6 +135,14 @@ class CotangentPoint:
 # ---- bundle metric blocks and their fiber jets ----
 
 
+class MetricBlocks(NamedTuple):
+    """The horizontal block ``gh`` and the vertical block ``gv`` of the
+    bundle metric, each after the point's batch axes."""
+
+    gh: np.ndarray
+    gv: np.ndarray
+
+
 @dataclass(frozen=True)
 class FiberJets:
     """Metric blocks with fiber derivatives through second order.
@@ -165,11 +179,17 @@ def _check_positivity(pt: CotangentPoint, a: float, v):
     return radial
 
 
+def _w_denominator(t, a: float, v):
+    """``D = a^2 t + 2 a t^(3/2) v``, so that ``w = -v/D``; elementwise over
+    the batch."""
+    return a * a * t + 2.0 * a * t * np.sqrt(t) * v
+
+
 def _w_jet(t, a: float, v, dv, d2v):
-    """``w = -v/D`` with ``D = a^2 t + 2 a t^(3/2) v``, plus ``w'``, ``w''``;
+    """``w = -v/D`` (see ``_w_denominator``), plus ``w'``, ``w''``;
     elementwise over the batch."""
     st = np.sqrt(t)
-    d0 = a * a * t + 2.0 * a * t * st * v
+    d0 = _w_denominator(t, a, v)
     d1 = a * a + 3.0 * a * st * v + 2.0 * a * t * st * dv
     d2 = 1.5 * a * v / st + 6.0 * a * st * dv + 2.0 * a * t * st * d2v
     w = -v / d0
@@ -178,28 +198,47 @@ def _w_jet(t, a: float, v, dv, d2v):
     return w, w1, w2
 
 
-def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
-    """Metric blocks and their first and second fiber derivatives.
+def metric_blocks(pt: CotangentPoint, params: ModelParams, profile) -> MetricBlocks:
+    """The metric blocks alone, with the positivity bound enforced.
 
-    The horizontal block is ``a sqrt(t) g_ij + v(t) p_i p_j``, with the
-    positivity bound enforced; the vertical block is its matrix inverse in
-    closed form, ``g^kl / (a sqrt(t)) + w p^k p^l`` with ``w = -v / (a t (a
-    + 2 sqrt(t) v))``.  Everything follows from ``dt/dp_k = p^k`` and the
-    product rule; the vertical block's jet uses the quotient-rule chain for
-    ``w`` rather than differentiating the matrix inverse, so tests can
-    cross-check one route against the other.
+    The horizontal block is ``a sqrt(t) g_ij + v(t) p_i p_j``; the vertical
+    block is its matrix inverse in closed form, ``g^kl / (a sqrt(t)) + w p^k
+    p^l`` with ``w = -v / (a t (a + 2 sqrt(t) v))``.  The finite-difference
+    fields that differentiate only the metric or ``J`` build these, not the
+    ``n^4`` second jets of ``fiber_jets``.
     """
+    t, a = pt.t, params.a_metric
+    v = np.asarray(profile.v(t), dtype=float)
+    _check_positivity(pt, a, v)
+    st = np.sqrt(t)
+    gh = _scale(a * st, 2) * pt.g + _scale(v, 2) * _outer(pt.p, pt.p)
+    w = -v / _w_denominator(t, a, v)
+    gv = pt.g_inv / _scale(a * st, 2) + _scale(w, 2) * _outer(pt.p_up, pt.p_up)
+    return MetricBlocks(gh=gh, gv=gv)
+
+
+def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
+    """Metric blocks (from ``metric_blocks``) and their first and second
+    fiber derivatives.
+
+    Everything follows from ``dt/dp_k = p^k`` and the product rule; the
+    vertical block's jet uses the quotient-rule chain for ``w`` rather than
+    differentiating the matrix inverse, so tests can cross-check one route
+    against the other.  Of the finite-difference fields only the connection
+    field of ``curvature_fd`` and the ``K`` field of ``nabla_curvature``
+    build these jets; the metric, 2-form and Nijenhuis fields build
+    ``metric_blocks``.
+    """
+    gh, gv = metric_blocks(pt, params, profile)
     n, t, a = pt.n, pt.t, params.a_metric
     st = np.sqrt(t)
     g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
     v, dv, d2v = profile.jet(t)
-    _check_positivity(pt, a, v)
     eye = np.eye(n)
 
     pp = _outer(p, p)
     dpp = np.einsum("ki,...j->...kij", eye, p) + np.einsum("kj,...i->...kij", eye, p)
 
-    gh = _scale(a * st, 2) * g + _scale(v, 2) * pp
     dgh = (
         _scale(0.5 * a / st, 3) * np.einsum("...k,...ij->...kij", pu, g)
         + _scale(dv, 3) * np.einsum("...k,...ij->...kij", pu, pp)
@@ -226,7 +265,6 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     pupu = _outer(pu, pu)
     dpupu = np.einsum("...mk,...l->...mkl", g_inv, pu) + np.einsum("...ml,...k->...mkl", g_inv, pu)
 
-    gv = g_inv / _scale(a * st, 2) + _scale(w, 2) * pupu
     dgv = (
         -np.einsum("...kl,...m->...mkl", g_inv, pu) / _scale(2.0 * a * t * st, 3)
         + _scale(w1, 3) * np.einsum("...m,...kl->...mkl", pu, pupu)
@@ -256,13 +294,14 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)
 
 
-def assemble_metric(jets: FiberJets) -> np.ndarray:
+def assemble_metric(blocks: MetricBlocks | FiberJets) -> np.ndarray:
     """The ``(..., 2n, 2n)`` bundle metric ``G``: horizontal and vertical
-    blocks on the diagonal, no mixing in the adapted frame."""
-    n = jets.gh.shape[-1]
-    out = np.zeros(jets.gh.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = jets.gh
-    out[..., n:, n:] = jets.gv
+    blocks on the diagonal, no mixing in the adapted frame.  Reads only
+    ``blocks.gh`` and ``blocks.gv``."""
+    n = blocks.gh.shape[-1]
+    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = blocks.gh
+    out[..., n:, n:] = blocks.gv
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .base import ModelParams, _max_abs
 from .fd import fd_gradient
-from .mtensor import CotangentPoint, FiberJets, assemble_metric, chart_frame, fiber_jets
+from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, chart_frame, metric_blocks
 
 __all__ = [
     "assemble_complex_structure",
@@ -46,12 +46,13 @@ __all__ = [
 # ---- the endomorphism and its algebra ----
 
 
-def assemble_complex_structure(jets: FiberJets) -> np.ndarray:
-    """``J = [[0, -gv], [gh, 0]]`` in the adapted frame."""
-    n = jets.gh.shape[-1]
-    out = np.zeros(jets.gh.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, n:] = -jets.gv
-    out[..., n:, :n] = jets.gh
+def assemble_complex_structure(blocks: MetricBlocks | FiberJets) -> np.ndarray:
+    """``J = [[0, -gv], [gh, 0]]`` in the adapted frame; reads only
+    ``blocks.gh`` and ``blocks.gv``."""
+    n = blocks.gh.shape[-1]
+    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, n:] = -blocks.gv
+    out[..., n:, :n] = blocks.gh
     return out
 
 
@@ -105,8 +106,8 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, step: float
 
     def phi_field(z: np.ndarray) -> np.ndarray:
         point = CotangentPoint.at(z[..., :n], z[..., n:], params)
-        jets = fiber_jets(point, params, profile)
-        phi = fundamental_form(assemble_metric(jets), assemble_complex_structure(jets))
+        blocks = metric_blocks(point, params, profile)
+        phi = fundamental_form(assemble_metric(blocks), assemble_complex_structure(blocks))
         return coordinate_form(point, phi)
 
     grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p], axis=-1), step)
@@ -180,7 +181,7 @@ def nijenhuis_numeric(
     def frame_fields(z: np.ndarray) -> np.ndarray:
         point = point_factory(z[..., :n], z[..., n:])
         frame = chart_frame(point)
-        j_op = assemble_complex_structure(fiber_jets(point, params, profile))
+        j_op = assemble_complex_structure(metric_blocks(point, params, profile))
         return np.stack([frame, frame @ j_op], axis=-3)
 
     x = chart_frame(pt)

@@ -37,6 +37,7 @@ from cotangent_kahler import (
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
+    metric_blocks,
     metric_gradient,
     nabla_curvature_probe,
     nijenhuis_closed_form,
@@ -83,6 +84,7 @@ def _layers(q, p, params, profile):
     j_op = assemble_complex_structure(jets)
     phi = fundamental_form(metric, j_op)
     return {
+        "metric_blocks": metric_blocks(pt, params, profile),
         "space_form_metric": (base.g, base.g_inv, base.gamma, base.riemann),
         "conformal_jet": conformal_jet(q, f, 0.5 * c * q, 0.5 * c * np.eye(params.n)).ddg,
         "christoffel": christoffel(jet),
@@ -116,6 +118,7 @@ LAYERS = (
     "CotangentPoint.from_base",
     "_check_positivity",
     "_w_jet",
+    "metric_blocks",
     "fiber_jets",
     "assemble_metric",
     "chart_frame",

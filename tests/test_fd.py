@@ -1,5 +1,7 @@
 """Finite-difference engine: order of accuracy, exactness, frame calculus."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,8 @@ from cotangent_kahler import (
     StencilError,
     chart_frame,
     curvature_fd,
+    dform_residual,
+    einstein_profile,
     fd_gradient,
     fd_partial,
     fiber_jets,
@@ -165,14 +169,16 @@ class TestBatchedStencil:
 
     @pytest.mark.parametrize(
         "n, centers, rows",
-        [(2, 2, [64]), (3, 1, [24, 24]), (3, 2, [16] * 6), (5, 1, [8] * 10), (5, 2, [16] * 10)],
+        [(2, 2, [64]), (3, 1, [24, 24]), (3, 2, [16, 80]), (5, 1, [8, 72]), (5, 2, [16, 144])],
         ids=["n2-two", "n3-one", "n3-two", "n5-one", "n5-two"],
     )
     def test_frame_gradient_calls_the_field_once_per_coordinate_group(self, rng, fd_step, n, centers, rows):
-        """One call takes the 8 stencil rows per center of as many chart
-        coordinates as fit the byte budget, 8 (2n)^4 bytes per row, and never
-        fewer than one coordinate: all four at n = 2, three at n = 3 with
-        one center, one coordinate of C * 8 rows from n = 3 with two."""
+        """The first call takes the 8 stencil rows per center of as many chart
+        coordinates as fit the byte budget at 8 (2n)^4 bytes per row, and
+        never fewer than one coordinate: all four at n = 2, three at n = 3
+        with one center, one from n = 3 with two.  The rest are grouped by
+        the bytes per row the first call returned, 16 here, so they all fit
+        one more call."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         qs = rng.uniform(-1.5, 1.5, size=(centers, n))
         ps = rng.normal(size=(centers, n))
@@ -185,6 +191,23 @@ class TestBatchedStencil:
 
         assert frame_gradient(field, pt, fd_step).shape == (centers, 2 * n, 2)
         assert shapes == [(m, n, m, n) for m in rows]
+
+    def test_a_curvature_sized_field_takes_one_coordinate_per_call(self, rng, fd_step):
+        """A field with (2n)^4 values per row, the size of ``K``, at n = 5
+        fills the byte budget with the 8 rows of one coordinate, so every
+        call takes one coordinate, as the first call does."""
+        n = 5
+        params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
+        pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
+        scale = np.arange((2 * n) ** 4, dtype=float).reshape((2 * n,) * 4)
+        rows = []
+
+        def field(qq, pp):
+            rows.append(len(qq))
+            return np.multiply.outer(qq[:, 0] * pp[:, 1], scale)
+
+        assert frame_gradient(field, pt, fd_step).shape == (1, 2 * n) + (2 * n,) * 4
+        assert rows == [8] * 10
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +323,31 @@ class TestOneGradientPerOracle:
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         oracle(kahler_params, kahler_profile, kahler_point, jets, fd_step)
         assert np.concatenate(calls).tolist() == list(range(6))
+
+
+class TestFieldsBuildOnlyTheBlocks:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_metric_two_form_and_nijenhuis_oracles_run_without_fiber_jets(self, rng, fd_step, n, monkeypatch):
+        """The fields of ``metric_gradient``, ``dform_residual`` and
+        ``nijenhuis_numeric`` read only the metric blocks: with ``fiber_jets``
+        raising in every module of the package, the three oracles still run
+        on two centers and return the same arrays."""
+        params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
+        profile = einstein_profile(params)
+        pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
+        jets = fiber_jets(pt, params, profile)
+        oracles = {
+            "metric_gradient": lambda: metric_gradient(params, profile, pt, fd_step),
+            "dform_residual": lambda: dform_residual(params, profile, pt, fd_step),
+            "nijenhuis_numeric": lambda: nijenhuis_numeric(params, profile, pt, jets, fd_step),
+        }
+        expected = {name: oracle() for name, oracle in oracles.items()}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a field that reads only the metric blocks built the fiber jets")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cotangent_kahler") and getattr(module, "fiber_jets", None) is fiber_jets:
+                monkeypatch.setattr(module, "fiber_jets", forbidden)
+        for name, oracle in oracles.items():
+            assert np.array_equal(oracle(), expected[name]), name

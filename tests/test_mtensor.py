@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from base_reference import bumped_geometry
 from cotangent_kahler import (
     CotangentPoint,
     GeometryError,
@@ -19,6 +20,7 @@ from cotangent_kahler import (
     fiber_jets,
     frame_brackets,
     frame_gradient,
+    metric_blocks,
     rational_profile,
 )
 from cotangent_kahler.profiles import einstein_profile
@@ -106,6 +108,40 @@ class TestMetricBlocks:
         pt = CotangentPoint.at(np.zeros(3), p * np.sqrt(t_target / pt0.t), params)
         gh = fiber_jets(pt, params, profile).gh
         assert np.all(np.linalg.eigvalsh(gh) > 0)
+
+
+    @pytest.mark.parametrize("base_name", ["space_form", "bumped"])
+    @pytest.mark.parametrize("profile_name", ["einstein", "rational"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_blocks_are_the_fiber_jets_blocks_bit_for_bit(self, n, profile_name, base_name):
+        """``metric_blocks`` is the one formula of ``gh`` and ``gv``: on an
+        8-row batch, on the space form and off it, it equals the blocks of
+        ``fiber_jets`` exactly."""
+        rng = np.random.default_rng([n, len(profile_name), len(base_name)])
+        q = rng.uniform(-1.0, 1.0, size=(8, n))
+        p = rng.normal(size=(8, n))
+        if base_name == "space_form":
+            params = ModelParams.kahler(n, 1.4, k_a=0.7, k_b=0.4)
+            pt = CotangentPoint.at(q, p, params)
+        else:
+            params = ModelParams(n=n, c=1.4, a_metric=1.3, k_a=0.7, k_b=0.4)
+            pt = CotangentPoint.from_base(q, p, bumped_geometry(q, 1.4, 0.05))
+        profile = einstein_profile(params) if profile_name == "einstein" else rational_profile()
+        blocks = metric_blocks(pt, params, profile)
+        jets = fiber_jets(pt, params, profile)
+        assert np.array_equal(blocks.gh, jets.gh)
+        assert np.array_equal(blocks.gv, jets.gv)
+
+    def test_non_admissible_profile_raises_the_same_error_from_both(self):
+        params = ModelParams(n=2, c=1.0, a_metric=1.0)
+        pt = CotangentPoint.at(np.zeros((2, 2)), np.array([[0.5, 0.0], [1.0, 0.0]]), params)
+        errors = []
+        for build in (metric_blocks, fiber_jets):
+            with pytest.raises(PositivityError) as raised:
+                build(pt, params, constant_profile(-0.8))
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("at t = 0.5")
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,37 @@ def test_bench_pairs_gap_beyond_the_parent_spread_counts():
     assert summary["gap_exceeds_parent_iqr"] is True
 
 
+def test_bench_pairs_summary_judges_each_bound_on_fixed_runs():
+    """A metric with a bound records it, and is within it when the change's
+    median is worse than the parent's by at most that fraction of the
+    parent's median, in the metric's direction; a metric without one
+    records neither."""
+    pairs = [
+        {
+            "parent": {"run_s": p, "rss": p, "score": p, "rows": p},
+            "change": {"run_s": c, "rss": c + 0.5, "score": c, "rows": c},
+        }
+        for p, c in zip([1.0, 2.0, 3.0], [2.0, 3.3, 4.0])
+    ]
+    better = {"run_s": "lower", "rss": "lower", "score": "higher", "rows": "lower"}
+    bounds = {"run_s": 0.1, "rss": 0.25, "score": 0.2}
+    summary = _load_script("bench_pairs").summarize(pairs, better, bounds)
+    # Medians: parent 2.0; change 3.3 (run_s, score) and 3.8 (rss).
+    assert summary["run_s"]["bound"] == 0.1
+    assert summary["run_s"]["within_bound"] is False
+    assert summary["rss"]["within_bound"] is False
+    assert summary["score"]["within_bound"] is True
+    assert "bound" not in summary["rows"] and "within_bound" not in summary["rows"]
+    pairs = [{"parent": {"run_s": p}, "change": {"run_s": p + 0.25}} for p in (1.0, 2.0, 4.0)]
+    for direction, bound, within in [("lower", 0.125, True), ("lower", 0.1, False), ("higher", 0.0, True)]:
+        summary = _load_script("bench_pairs").summarize(pairs, {"run_s": direction}, {"run_s": bound})
+        assert summary["run_s"]["within_bound"] is within, (direction, bound)
+    pairs = [{"parent": {"score": p}, "change": {"score": p - 0.25}} for p in (1.0, 2.0, 4.0)]
+    for bound, within in [(0.125, True), (0.1, False)]:
+        summary = _load_script("bench_pairs").summarize(pairs, {"score": "higher"}, {"score": bound})
+        assert summary["score"]["within_bound"] is within, bound
+
+
 def test_bench_pairs_tier1_entry_on_fixed_times(monkeypatch):
     """The Tier-1 pairs alternate which side goes first, and the entry
     summarizes ``tier1_s`` as lower-is-better."""
@@ -192,3 +223,39 @@ def test_bench_pairs_writes_one_traced_run_per_side_and_workload(monkeypatch, tm
             "change": {"curvature.curvature_blocks.self_s": 4.0, "correct": True},
         },
     }
+
+
+def test_bench_pairs_records_the_bounds_of_the_benchmark_spec(monkeypatch, tmp_path):
+    """Each workload's summary carries the ``bound`` of every end-to-end
+    metric of ``BENCHMARK.json`` and whether the change's median is within
+    it; the Tier-1 entry, which has no bound, carries neither."""
+    bench_pairs = _load_script("bench_pairs")
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    spec = {
+        "command": ["python3", "bench/run.py"],
+        "run_seconds": 20,
+        "workloads": [{"name": "sweep"}],
+        "end_to_end": [
+            {"name": "run_s", "better": "lower", "bound": 0.2},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        ],
+    }
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    values = {
+        checkouts["parent"]: {"run_s": 1.0, "peak_rss_mb": 40.0},
+        checkouts["change"]: {"run_s": 0.5, "peak_rss_mb": 45.0},
+    }
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: values[checkout])
+    monkeypatch.setattr(bench_pairs, "trace_once", lambda *args: {})
+    monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {"tier1_s": 1.0})
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: {"commit": "abc", "dirty": False})
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "parent", "--change", "change", "--label", "x", "--seed", "7", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    summary = record["workloads"]["sweep"]["summary"]
+    assert (summary["run_s"]["bound"], summary["run_s"]["within_bound"]) == (0.2, True)
+    assert (summary["peak_rss_mb"]["bound"], summary["peak_rss_mb"]["within_bound"]) == (0.1, False)
+    assert "bound" not in record["tier1"]["summary"]["tier1_s"]
