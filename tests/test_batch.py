@@ -36,8 +36,8 @@ from cotangent_kahler import (
     holomorphic_sectional_curvature,
     kahler_connection_coefficients,
     koszul_nabla,
-    metric_compatibility_residual,
     metric_blocks,
+    metric_compatibility_residual,
     metric_gradient,
     nabla_curvature_probe,
     nijenhuis_closed_form,
@@ -84,7 +84,6 @@ def _layers(q, p, params, profile):
     j_op = assemble_complex_structure(jets)
     phi = fundamental_form(metric, j_op)
     return {
-        "metric_blocks": metric_blocks(pt, params, profile),
         "space_form_metric": (base.g, base.g_inv, base.gamma, base.riemann),
         "conformal_jet": conformal_jet(q, f, 0.5 * c * q, 0.5 * c * np.eye(params.n)).ddg,
         "christoffel": christoffel(jet),
@@ -95,6 +94,7 @@ def _layers(q, p, params, profile):
         "CotangentPoint.from_base": CotangentPoint.from_base(q, p, base).p_riemann,
         "_check_positivity": _check_positivity(pt, a, profile.v(pt.t)),
         "_w_jet": _w_jet(pt.t, a, *profile.jet(pt.t)),
+        "metric_blocks": metric_blocks(pt, params, profile),
         "fiber_jets": (jets.gh, jets.gv, jets.dgh, jets.ddgh, jets.dgv, jets.ddgv),
         "assemble_metric": metric,
         "chart_frame": chart_frame(pt),

@@ -109,7 +109,6 @@ class TestMetricBlocks:
         gh = fiber_jets(pt, params, profile).gh
         assert np.all(np.linalg.eigvalsh(gh) > 0)
 
-
     @pytest.mark.parametrize("base_name", ["space_form", "bumped"])
     @pytest.mark.parametrize("profile_name", ["einstein", "rational"])
     @pytest.mark.parametrize("n", [2, 3, 5])
