@@ -132,16 +132,14 @@ def _max_abs(*arrays: np.ndarray, rank: int):
 # Byte budget of one batched call.  A chunk of sample rows is sized so that
 # one (2n)^4 float64 array per row, the curvature K, fits it: 128 rows at
 # n = 2, 25 at n = 3, 3 at n = 5.  An FD gradient's first field call is sized
-# the same way, and its other calls so that the field's output fits, at the
+# the same way, at one complex row per center and coordinate and 16 bytes per
+# complex entry, and its other calls so that the field's output fits, at the
 # bytes per row the first call returned: at one center and n = 5, a (2n)^2
-# metric field takes the 72 rows of nine coordinates in one call, the K field
-# one coordinate of 8 rows per call.  Batching is what makes the closed-form
-# checks and the FD stencils fast, but one batch of everything raises the
+# metric field takes the rows of the other nine coordinates in one call, the
+# K field one coordinate per call.  Batching is what makes the closed-form
+# checks and the FD oracles fast, but one batch of everything raises the
 # process's peak RSS past the 10% bound of the benchmark: the whole
-# 300-sample sweep in one batch costs about 7 MiB at n = 3, and all 2n
-# coordinates of an FD gradient in one field call that builds the fiber
-# jets peak at 4.6 MiB of temporaries at n = 5 (tracemalloc, 160 rows)
-# against 2.1 MiB for one coordinate.
+# 300-sample sweep in one batch costs about 7 MiB at n = 3.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -176,7 +174,7 @@ def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
 def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
     """Stereographic-chart metric, Christoffel symbols and curvature of the
     curvature-``c`` space form at ``x``, of shape ``(..., n)``."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape[-1:] != (params.n,):
         raise GeometryError(
             f"chart point has dimension {x.shape[-1] if x.ndim else 1}, expected {params.n}"
@@ -184,8 +182,10 @@ def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
     if not np.isfinite(x).all():
         raise GeometryError("chart point must be finite")
     c = params.c
-    f = 1.0 + 0.25 * c * np.vecdot(x, x)
-    bad = ~np.isfinite(f) | (f <= 0.0)
+    # vecdot conjugates its first argument; conj() undoes that, so a
+    # complex-step row sees x . x and the float64 bits of real x are kept.
+    f = 1.0 + 0.25 * c * np.vecdot(x.conj(), x)
+    bad = ~np.isfinite(f) | (f.real <= 0.0)
     if bad.any():
         raise SingularMetricError(f"conformal factor must be positive, got {np.extract(bad, f)[0]}")
     eye = np.eye(params.n)

@@ -46,15 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-min", type=float, default=0.1, help="lower energy bound")
     parser.add_argument("--t-max", type=float, default=10.0, help="upper energy bound")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument(
-        "--fd-step",
-        type=float,
-        default=1e-4,
-        help=(
-            "relative finite-difference step: coordinate x moves by step*max(1, |x|), "
-            "then by half that for one Richardson level (default: 1e-4)"
-        ),
-    )
     parser.add_argument("--tol-closed-form", type=float, default=1e-9)
     parser.add_argument("--tol-cross-check", type=float, default=1e-5)
     parser.add_argument("--tol-fd-oracle", type=float, default=1e-4)
@@ -98,7 +89,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         t_min=args.t_min,
         t_max=args.t_max,
         seed=args.seed,
-        fd_step=args.fd_step,
         tolerances=Tolerances(
             closed_form=args.tol_closed_form,
             cross_check=args.tol_cross_check,

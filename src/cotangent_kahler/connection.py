@@ -11,7 +11,7 @@ independent routes produce the same coefficients: the general fiber-jet
 formulas here, and a finite-difference Koszul evaluation that never sees
 them.  Everything here keeps the point's leading batch axis: the
 finite-difference oracles take a batch of centers, and the fields they
-differentiate are built at all stencil points of a coordinate in one call.
+differentiate are built at all rows of a coordinate in one call.
 
 ``connection_fiber_derivatives`` feeds the curvature and keeps the
 contraction rule of ``base``: each term is one batched ``@``
@@ -45,7 +45,7 @@ def _assemble(gamma: np.ndarray, vv: np.ndarray, vh: np.ndarray, hh: np.ndarray)
     """``Gamma[..., a, b, c]`` from the base Christoffel symbols and the three
     fiber blocks; leading axes are carried through."""
     n = vv.shape[-1]
-    out = np.zeros(vv.shape[:-3] + (2 * n, 2 * n, 2 * n))
+    out = np.zeros(vv.shape[:-3] + (2 * n, 2 * n, 2 * n), np.result_type(gamma, vv, vh, hh))
     out[..., :n, :n, :n] = np.einsum("...hij->...ijh", gamma)
     out[..., :n, :n, n:] = np.einsum("...hij->...ijh", hh)
     out[..., :n, n:, :n] = np.einsum("...hji->...ijh", vh)
@@ -157,7 +157,7 @@ def connection_fiber_derivatives(
 
 
 def covariant_field_derivative(
-    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray, step: float
+    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray
 ) -> np.ndarray:
     """``nabla_{e_a}`` of a field of frame vectors, along every direction.
 
@@ -169,7 +169,7 @@ def covariant_field_derivative(
     V``: one frame gradient differentiates the components, and the frame's
     own rotation enters through ``conn``.
     """
-    grad = frame_gradient(field, pt, step)
+    grad = frame_gradient(field, pt)
     columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
     return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
 
@@ -193,7 +193,7 @@ def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarr
 # ---- independent Koszul route ----
 
 
-def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: float) -> np.ndarray:
+def metric_gradient(params: ModelParams, profile, pt: CotangentPoint) -> np.ndarray:
     """``dG[..., a, b, c] = e_a G[b, c]``: one frame gradient of the metric
     field ``(q, p) -> G``, shared by the Koszul oracle, the compatibility
     residual and the parallel-J residual."""
@@ -202,7 +202,7 @@ def metric_gradient(params: ModelParams, profile, pt: CotangentPoint, step: floa
         point = CotangentPoint.at(q, p, params)
         return assemble_metric(metric_blocks(point, params, profile))
 
-    return frame_gradient(field, pt, step)
+    return frame_gradient(field, pt)
 
 
 def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:

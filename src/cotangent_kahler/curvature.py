@@ -19,7 +19,7 @@ The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
 axis, the finite-difference oracles included: they take a batch of centers
-and build their fields at all stencil points of a coordinate in one call.
+and build their fields at all rows of a coordinate in one call.
 Probes give one value per point of the batch.
 """
 
@@ -111,7 +111,7 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     vhh = dhh + np.einsum("...jkid->...ijkd", hh_vv) - np.swapaxes(vh_hh, -3, -2)
     vhv = np.swapaxes(dvh - vv_vh, -3, -2) + np.einsum("...kjid->...ijkd", vh_vh)
 
-    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 4)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 4, np.result_type(conn, der))
     out[..., h, h, h, h] = hhh
     out[..., h, h, v, v] = hhv
     out[..., v, v, h, h] = vvh
@@ -239,9 +239,7 @@ def _vector_field(build, params: ModelParams, profile):
     return field
 
 
-def curvature_fd(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
-) -> np.ndarray:
+def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
     nabla_[a,b] e_c`` at the centers ``pt`` from the definition, by one
     frame gradient of the connection field; ``jets`` are the fiber jets at
@@ -250,7 +248,7 @@ def curvature_fd(
     conn = connection_coefficients(pt, params, jets)
     field = _vector_field(connection_coefficients, params, profile)
     value = np.moveaxis(conn, -1, -3)
-    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value, step), -3, -1)
+    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -3, -1)
     bracket_term = np.einsum("...abf,...fcd->...abcd", frame_brackets(pt), conn)
     return second - np.swapaxes(second, -4, -3) - bracket_term
 
@@ -258,9 +256,7 @@ def curvature_fd(
 # ---- covariant derivative of the curvature ----
 
 
-def nabla_curvature(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
-) -> np.ndarray:
+def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
     """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers ``pt`` by the
     Leibniz rule.
 
@@ -272,18 +268,16 @@ def nabla_curvature(
     curv = curvature_blocks(pt, params, jets)
     field = _vector_field(curvature_blocks, params, profile)
     value = np.moveaxis(curv, -1, -4)
-    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value, step), -4, -1)
+    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -4, -1)
     nabla -= np.einsum("...waf,...fbcd->...wabcd", conn, curv)
     nabla -= np.einsum("...wbf,...afcd->...wabcd", conn, curv)
     nabla -= np.einsum("...wcf,...abfd->...wabcd", conn, curv)
     return nabla
 
 
-def nabla_curvature_probe(
-    params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets, step: float
-):
+def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets):
     """Largest component of ``nabla K`` at each center.
 
     A value above a small floor witnesses the failure of local symmetry.
     """
-    return _max_abs(nabla_curvature(params, profile, pt, jets, step), rank=5)
+    return _max_abs(nabla_curvature(params, profile, pt, jets), rank=5)

@@ -19,8 +19,8 @@ class PositivityError(GeometryError):
 
 
 class StencilError(GeometryError):
-    """A finite-difference stencil produced a non-finite value or an
-    unusably small step."""
+    """A derivative oracle's field produced a non-finite value at one of its
+    rows."""
 
 
 class ConfigError(ValueError):

@@ -56,14 +56,16 @@ ZERO_SECTION_TOL = 1e-12
 def energy_density(g_inv: np.ndarray, p: np.ndarray):
     """``t = g^{ik} p_i p_k / 2`` over the batch of ``p``, of shape ``(...,
     n)``; rejects points on the zero section."""
+    # vecmat and vecdot conjugate their first argument; the conj() calls undo
+    # that (see base.space_form_metric).
     with np.errstate(invalid="ignore", over="ignore"):
-        t = 0.5 * np.vecdot(np.vecmat(p, g_inv), p)
+        t = 0.5 * np.vecdot(np.vecmat(p.conj(), g_inv).conj(), p)
     if not np.isfinite(t).all():
         raise GeometryError("energy density is not finite")
-    low = t < ZERO_SECTION_TOL
+    low = t.real < ZERO_SECTION_TOL
     if low.any():
         raise ZeroSectionError(
-            f"energy density {np.extract(low, t)[0]:.3e} below {ZERO_SECTION_TOL:.0e}; "
+            f"energy density {np.extract(low, t.real)[0]:.3e} below {ZERO_SECTION_TOL:.0e}; "
             "the structure degenerates on the zero section"
         )
     return t
@@ -108,11 +110,11 @@ class CotangentPoint:
     @classmethod
     def from_base(cls, q: np.ndarray, p: np.ndarray, base: BaseGeometry) -> "CotangentPoint":
         """The point over the base geometry ``base`` at ``q``."""
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p)
         if p.shape != base.g.shape[:-1]:
             raise GeometryError(f"momentum shape {p.shape} does not match dimension {base.g.shape[-1]}")
         return cls(
-            q=np.asarray(q, dtype=float),
+            q=np.asarray(q),
             p=p,
             t=energy_density(base.g_inv, p),
             g=base.g,
@@ -170,11 +172,11 @@ def _check_positivity(pt: CotangentPoint, a: float, v):
     """Radial eigenvalue ``a sqrt(t) + 2 t v``; the metric is positive iff
     it is (the complementary eigenvalue ``a sqrt(t)`` always is)."""
     radial = a * np.sqrt(pt.t) + 2.0 * pt.t * v
-    bad = radial <= 0.0
+    bad = radial.real <= 0.0
     if bad.any():
         raise PositivityError(
             "horizontal block degenerates: a*sqrt(t) + 2*t*v = "
-            f"{np.extract(bad, radial)[0]:.3e} <= 0 at t = {np.extract(bad, pt.t)[0]:.6g}"
+            f"{np.extract(bad, radial.real)[0]:.3e} <= 0 at t = {np.extract(bad, pt.t.real)[0]:.6g}"
         )
     return radial
 
@@ -208,7 +210,7 @@ def metric_blocks(pt: CotangentPoint, params: ModelParams, profile) -> MetricBlo
     ``n^4`` second jets of ``fiber_jets``.
     """
     t, a = pt.t, params.a_metric
-    v = np.asarray(profile.v(t), dtype=float)
+    v = np.asarray(profile.v(t))
     _check_positivity(pt, a, v)
     st = np.sqrt(t)
     gh = _scale(a * st, 2) * pt.g + _scale(v, 2) * _outer(pt.p, pt.p)
@@ -299,7 +301,7 @@ def assemble_metric(blocks: MetricBlocks | FiberJets) -> np.ndarray:
     blocks on the diagonal, no mixing in the adapted frame.  Reads only
     ``blocks.gh`` and ``blocks.gv``."""
     n = blocks.gh.shape[-1]
-    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n))
+    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n), np.result_type(blocks.gh, blocks.gv))
     out[..., :n, :n] = blocks.gh
     out[..., n:, n:] = blocks.gv
     return out
@@ -314,7 +316,7 @@ def frame_brackets(pt: CotangentPoint) -> np.ndarray:
     verticals commute.
     """
     n = pt.n
-    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3, np.result_type(pt.p_riemann, pt.gamma))
     out[..., :n, :n, n:] = np.einsum("...kij->...ijk", pt.p_riemann)
     out[..., n:, :n, n:] = pt.gamma
     out[..., :n, n:, n:] = -np.einsum("...jik->...ijk", pt.gamma)
@@ -326,7 +328,7 @@ def chart_frame(pt: CotangentPoint) -> np.ndarray:
     column ``a`` holds ``e_a`` in the ``(q, p)`` chart.  ``E`` is unipotent,
     so its inverse is ``2 I - E``."""
     n = pt.n
-    out = np.zeros(pt.p.shape[:-1] + (2 * n, 2 * n))
+    out = np.zeros(pt.p.shape[:-1] + (2 * n, 2 * n), pt.p_gamma.dtype)
     out[..., :, :] = np.eye(2 * n)
     out[..., n:, :n] = np.swapaxes(pt.p_gamma, -1, -2)
     return out

@@ -49,16 +49,17 @@ class VProfile:
     d2v: Callable
 
     def jet(self, t):
-        """``(v, v', v'')`` at ``t``: float arrays over the batch of energies."""
-        return tuple(np.asarray(f(t), dtype=float) for f in (self.v, self.dv, self.d2v))
+        """``(v, v', v'')`` at ``t``: arrays over the batch of energies,
+        complex where they depend on a complex ``t``."""
+        return tuple(np.asarray(f(t)) for f in (self.v, self.dv, self.d2v))
 
 
 def constant_profile(v0: float) -> VProfile:
     return VProfile(
         kind=f"constant({v0})",
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
-        dv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2v=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v=lambda t: np.full(np.shape(t), v0),
+        dv=lambda t: np.zeros(np.shape(t)),
+        d2v=lambda t: np.zeros(np.shape(t)),
     )
 
 
@@ -85,15 +86,15 @@ def einstein_profile(params: ModelParams) -> VProfile:
     ex = -(n + 1.0) / 2.0
 
     def v(t):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t)
         return lead * t**-0.5 + ka * t**ex + kb
 
     def dv(t):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t)
         return -0.5 * lead * t**-1.5 + ka * ex * t ** (ex - 1.0)
 
     def d2v(t):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t)
         return 0.75 * lead * t**-2.5 + ka * ex * (ex - 1.0) * t ** (ex - 2.0)
 
     return VProfile(kind=f"einstein(k_a={ka}, k_b={kb})", v=v, dv=dv, d2v=d2v)

@@ -17,7 +17,7 @@ the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
 Everything here keeps a point's leading batch axis, the finite-difference
 oracles included: they take a batch of centers and build their fields at
-all stencil points of a coordinate in one call.  Residuals give one value
+all rows of a coordinate in one call.  Residuals give one value
 per point of the batch.
 """
 
@@ -50,7 +50,7 @@ def assemble_complex_structure(blocks: MetricBlocks | FiberJets) -> np.ndarray:
     """``J = [[0, -gv], [gh, 0]]`` in the adapted frame; reads only
     ``blocks.gh`` and ``blocks.gv``."""
     n = blocks.gh.shape[-1]
-    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n))
+    out = np.zeros(blocks.gh.shape[:-2] + (2 * n, 2 * n), np.result_type(blocks.gh, blocks.gv))
     out[..., :n, n:] = -blocks.gv
     out[..., n:, :n] = blocks.gh
     return out
@@ -93,7 +93,7 @@ def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
     return np.swapaxes(inverse, -1, -2) @ form @ inverse
 
 
-def dform_residual(params: ModelParams, profile, pt: CotangentPoint, step: float):
+def dform_residual(params: ModelParams, profile, pt: CotangentPoint):
     """``max |d phi|`` per center, from finite differences of the chart
     components.
 
@@ -110,7 +110,7 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint, step: float
         phi = fundamental_form(assemble_metric(blocks), assemble_complex_structure(blocks))
         return coordinate_form(point, phi)
 
-    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p], axis=-1), step)
+    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p], axis=-1))
     dphi = grad - np.einsum("...bac->...abc", grad) + np.einsum("...cab->...abc", grad)
     return _max_abs(dphi, rank=3)
 
@@ -160,7 +160,6 @@ def nijenhuis_numeric(
     profile,
     pt: CotangentPoint,
     jets: FiberJets,
-    step: float,
     point_factory=None,
 ) -> np.ndarray:
     """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
@@ -170,9 +169,10 @@ def nijenhuis_numeric(
     The frame fields are the columns of the chart frame ``E`` and their
     images the columns of ``E J``; one finite-difference gradient of the
     stacked field ``(E, E J)`` yields every bracket.  ``point_factory(q,
-    p)`` overrides the base geometry at the stencil points, letting the same
-    oracle run over bases that are not space forms; like the field, it takes
-    a batch of stencil points, ``q`` and ``p`` of shape ``(m, n)``.
+    p)`` overrides the base geometry at the rows of the derivative, letting
+    the same oracle run over bases that are not space forms; like the field,
+    it takes a batch of rows, ``q`` and ``p`` of shape ``(m, n)``, complex
+    ones included.
     """
     n = pt.n
     if point_factory is None:
@@ -187,7 +187,7 @@ def nijenhuis_numeric(
     x = chart_frame(pt)
     j0 = assemble_complex_structure(jets)
     jx = x @ j0
-    grad = fd_gradient(frame_fields, np.concatenate([pt.q, pt.p], axis=-1), step)
+    grad = fd_gradient(frame_fields, np.concatenate([pt.q, pt.p], axis=-1))
     dx, djx = np.moveaxis(grad, -3, 0)
     to_frame = 2.0 * np.eye(2 * n) - x
     return np.einsum(

@@ -129,7 +129,6 @@ class RunConfig:
     t_min: float = 0.1
     t_max: float = 10.0
     seed: int = 0
-    fd_step: float = 1e-4
     tolerances: Tolerances = field(default_factory=Tolerances)
     suites: tuple[str, ...] = SUITE_NAMES
     a_metric_offset: float = 0.0
@@ -149,8 +148,6 @@ class RunConfig:
             raise ConfigError("need 0 < t_min < t_max, both finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not 0 < self.fd_step < math.inf:
-            raise ConfigError("fd_step must be positive and finite")
         if not self.suites:
             raise ConfigError("suites must name at least one suite")
         unknown = set(self.suites) - set(SUITE_NAMES)
@@ -302,7 +299,7 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     phi = fundamental_form(metric, j_op)
     canon = _max_abs(coordinate_form(sample.points, phi) - canonical_coordinate_form(params.n), rank=2)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
-    dphi = dform_residual(params, profile, take_rows(sample.points, slice(2)), cfg.fd_step)
+    dphi = dform_residual(params, profile, take_rows(sample.points, slice(2)))
     checks = [
         _check("complex_structure_squared", [complex_structure_squared_residual(j_op)], tol.closed_form),
         _check("metric_hermitian", [hermitian_residual(metric, j_op)], tol.closed_form),
@@ -317,7 +314,7 @@ def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
     pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
-    oracle = nijenhuis_numeric(params, profile, pt, jets, cfg.fd_step) - nijenhuis_closed_form(pt, params, jets)
+    oracle = nijenhuis_numeric(params, profile, pt, jets) - nijenhuis_closed_form(pt, params, jets)
     checks = [
         _check("nijenhuis_vanishes", closed, tol.closed_form),
         _check("nijenhuis_matches_bracket_oracle", [_max_abs(oracle, rank=3)], tol.cross_check),
@@ -341,7 +338,7 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
 
     pt, jets = take_rows(sample.points, slice(2)), take_rows(sample.jets, slice(2))
     conn = connection_coefficients(pt, params, jets)
-    metric_grad = metric_gradient(params, profile, pt, cfg.fd_step)
+    metric_grad = metric_gradient(params, profile, pt)
     koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
     checks.append(_check("koszul_oracle", [koszul], tol.cross_check))
     checks.append(_check("torsion_free", [torsion_residual(pt, conn)], tol.closed_form))
@@ -361,7 +358,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
     pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
-    fd = curvature_fd(params, profile, pt, jets, cfg.fd_step)
+    fd = curvature_fd(params, profile, pt, jets)
     diff = fd - curvature_blocks(pt, params, jets)
     odd = odd_slots(n)
     checks = [
@@ -459,7 +456,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     parallel = parallel_j_residual(
         connection_coefficients(center, off_params, off_center_jets),
         off_center_jets,
-        metric_gradient(off_params, profile, center, cfg.fd_step),
+        metric_gradient(off_params, profile, center),
     )
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
@@ -521,9 +518,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         )
     )
 
-    probe = nabla_curvature_probe(
-        witness_params, witness_profile, center, take_rows(witness_jets, slice(1)), cfg.fd_step
-    )
+    probe = nabla_curvature_probe(witness_params, witness_profile, center, take_rows(witness_jets, slice(1)))
     checks.append(
         _check(
             "curvature_not_parallel",
@@ -550,7 +545,7 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
     """Run one suite over a shared sample.
 
     Numerical failures never abort the run: a ``GeometryError`` (zero
-    section, positivity, singular metric, stencil) or an ``ArithmeticError``
+    section, positivity, singular metric, non-finite FD row) or an ``ArithmeticError``
     (such as a float overflow) becomes one failed ``suite_error`` check.
     """
     try:
@@ -615,7 +610,7 @@ def run_verification(cfg: RunConfig) -> dict:
     config = asdict(cfg)
     config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": config,
         "suites": suites_out,
         "discrepancy_notes": notes,

@@ -13,7 +13,8 @@ symbols from the Koszul bracket of ``dg``, their coordinate derivative from
 Nothing here assumes constant curvature.  The tests compare the closed forms
 against it, and the off-space-form fixtures hand its ``geometry`` to
 ``CotangentPoint.from_base``.  Every function takes a leading batch axis,
-like the package.
+like the package, and works in the dtype of its input, so that a complex-step
+derivative runs through it.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ def conformal_jet(x: np.ndarray, f, grad_f: np.ndarray, hess_f: np.ndarray) -> M
 def space_form_jet(x: np.ndarray, params: ModelParams) -> MetricJet:
     """The 2-jet of the curvature-``c`` space form in the stereographic
     chart, ``f = 1 + c |x|^2 / 4``."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     c = params.c
     f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x)
     hess_f = np.broadcast_to(0.5 * c * np.eye(params.n), x.shape + (params.n,))
@@ -99,10 +100,10 @@ def bumped_geometry(x: np.ndarray, c: float, eps: float) -> BaseGeometry:
     """The geometry of ``f = 1 + c |x|^2 / 4 + eps x_0^3``: the space form's
     conformal factor with a cubic bump, so ``R`` is not of constant
     curvature.  The fixture of the tests that leave the space forms."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     f = 1.0 + 0.25 * c * np.einsum("...i,...i->...", x, x) + eps * x[..., 0] ** 3
     grad_f = 0.5 * c * x
     grad_f[..., 0] += 3.0 * eps * x[..., 0] ** 2
-    hess_f = np.broadcast_to(0.5 * c * np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
+    hess_f = np.broadcast_to(0.5 * c * np.eye(x.shape[-1]), x.shape + x.shape[-1:]).astype(x.dtype)
     hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
     return geometry(conformal_jet(x, f, grad_f, hess_f))

@@ -17,12 +17,6 @@ def rng():
 
 
 @pytest.fixture
-def fd_step():
-    """The run configuration's default relative finite-difference step."""
-    return 1e-4
-
-
-@pytest.fixture
 def kahler_params():
     """Integrable coupling in dimension 3 with both family modes on."""
     return ModelParams.kahler(n=3, c=1.4, k_a=0.7, k_b=0.4)

@@ -105,7 +105,6 @@ class TestMetricJet:
         params = ModelParams(n=3, c=0.9, a_metric=1.0)
         x0 = rng.uniform(-1.5, 1.5, size=3)
         jet = space_form_jet(x0, params)
-        step = 1e-3
 
         def g_flat(x):
             return space_form_metric(x, params).g.reshape(len(x), -1)
@@ -113,7 +112,7 @@ class TestMetricJet:
         for k in range(3):
             npt.assert_allclose(
                 jet.dg[k],
-                fd_partial(g_flat, x0, k, step).reshape(3, 3),
+                fd_partial(g_flat, x0, k).reshape(3, 3),
                 atol=1e-10,
                 err_msg=f"d_{k} g vs finite differences",
             )
@@ -122,7 +121,6 @@ class TestMetricJet:
         params = ModelParams(n=3, c=0.9, a_metric=1.0)
         x0 = rng.uniform(-1.5, 1.5, size=3)
         jet = space_form_jet(x0, params)
-        step = 1e-3
 
         def dg_flat(x):
             return space_form_jet(x, params).dg.reshape(len(x), -1)
@@ -130,7 +128,7 @@ class TestMetricJet:
         for l in range(3):
             npt.assert_allclose(
                 jet.ddg[l],
-                fd_partial(dg_flat, x0, l, step).reshape(3, 3, 3),
+                fd_partial(dg_flat, x0, l).reshape(3, 3, 3),
                 atol=1e-8,
                 err_msg=f"d_{l} dg vs finite differences",
             )
@@ -175,7 +173,6 @@ class TestChristoffel:
         params = ModelParams(n=3, c=1.1, a_metric=1.0)
         x0 = rng.uniform(-1.5, 1.5, size=3)
         dgamma = christoffel_derivative(space_form_jet(x0, params))
-        step = 1e-3
 
         def gamma_flat(x):
             return space_form_metric(x, params).gamma.reshape(len(x), -1)
@@ -183,7 +180,7 @@ class TestChristoffel:
         for m in range(3):
             npt.assert_allclose(
                 dgamma[m],
-                fd_partial(gamma_flat, x0, m, step).reshape(3, 3, 3),
+                fd_partial(gamma_flat, x0, m).reshape(3, 3, 3),
                 atol=1e-8,
                 err_msg=f"d_{m} Gamma vs finite differences",
             )

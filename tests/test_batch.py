@@ -156,6 +156,23 @@ class TestBatchMatchesPointwise:
             )
 
 
+class TestRealPointsStayFloat64:
+    @pytest.mark.parametrize("profile_name", ["einstein", "rational", "zero"])
+    def test_every_layer_is_float64(self, profile_name):
+        """The point pipeline works in the dtype of its input, so that the
+        rows of a complex-step derivative pass through it; real points still
+        give float64 arrays at every layer, so closed-form values keep their
+        bits."""
+        if profile_name == "zero":
+            params, profile = ModelParams.kahler(n=3, c=1.3), constant_profile(0.0)
+        else:
+            params, profile = _setup(3, profile_name)
+        q, p = _points(3)
+        for layer, value in _layers(q, p, params, profile).items():
+            for index, array in enumerate(value if isinstance(value, tuple) else (value,)):
+                assert np.asarray(array).dtype == np.float64, f"{layer}[{index}]"
+
+
 def _suite_values(q, p, params, profile):
     """The closed-form quantities the suites check, one point or a batch.
 
@@ -218,20 +235,19 @@ class TestSuiteValuesOverTheBatch:
 def _oracle_values(q, p, params, profile):
     """Every finite-difference oracle at the centers ``(q, p)``, one center or
     a batch."""
-    step = 1e-4
     pt = CotangentPoint.at(q, p, params)
     jets = fiber_jets(pt, params, profile)
     conn = connection_coefficients(pt, params, jets)
-    metric_grad = metric_gradient(params, profile, pt, step)
+    metric_grad = metric_gradient(params, profile, pt)
     return {
-        "dform_residual": dform_residual(params, profile, pt, step),
-        "nijenhuis_numeric": nijenhuis_numeric(params, profile, pt, jets, step),
+        "dform_residual": dform_residual(params, profile, pt),
+        "nijenhuis_numeric": nijenhuis_numeric(params, profile, pt, jets),
         "koszul_nabla": (metric_grad, koszul_nabla(pt, jets, metric_grad)),
         "torsion_residual": torsion_residual(pt, conn),
         "metric_compatibility_residual": metric_compatibility_residual(conn, jets, metric_grad),
         "parallel_j_residual": parallel_j_residual(conn, jets, metric_grad),
-        "curvature_fd": curvature_fd(params, profile, pt, jets, step),
-        "nabla_curvature_probe": nabla_curvature_probe(params, profile, pt, jets, step),
+        "curvature_fd": curvature_fd(params, profile, pt, jets),
+        "nabla_curvature_probe": nabla_curvature_probe(params, profile, pt, jets),
     }
 
 

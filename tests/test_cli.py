@@ -47,12 +47,9 @@ class TestRunConfig:
             dict(samples=0),
             dict(t_min=0.0),
             dict(t_min=2.0, t_max=1.0),
-            dict(fd_step=-1e-4),
             dict(suites=()),
             dict(suites=("almost_kahler", "bogus")),
             dict(a_metric_offset=-1.0),
-            dict(fd_step=float("inf")),
-            dict(fd_step=float("nan")),
             dict(t_max=float("inf")),
             dict(curvatures=(float("nan"),)),
             dict(curvatures=(1.0, float("inf"))),
@@ -129,7 +126,7 @@ class TestSampling:
 class TestReport:
     def test_schema_and_pass(self):
         report = run_verification(RunConfig(**FAST))
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["passed"] is True
         assert set(report) == {
             "schema_version", "config", "suites", "discrepancy_notes", "passed", "timings",
@@ -238,7 +235,7 @@ class TestMain:
         code = main(self.ARGS + ["--report", "-"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
 
     def test_failing_tolerance_exits_one(self, capsys):
         code = main(self.ARGS + ["--tol-closed-form", "1e-30"])
@@ -259,9 +256,13 @@ class TestMain:
         assert main(["--samples", "1", "--suites", "almost_kahler"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
 
-    def test_non_finite_step_exits_two(self, capsys):
-        assert main(["--fd-step", "nan", "--samples", "2", "--dims", "2", "--curvatures", "1"]) == 2
-        assert "fd_step" in capsys.readouterr().err
+    def test_fd_step_flag_is_gone(self, capsys):
+        """The derivative oracles take complex steps, which need no step
+        size, so ``--fd-step`` is an unrecognised argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--fd-step", "1e-4", "--samples", "2", "--dims", "2", "--curvatures", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
 
     def test_empty_suites_exits_two(self, capsys):
         assert main(["--suites", ""]) == 2

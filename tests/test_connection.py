@@ -107,7 +107,7 @@ class TestCoefficientRoutes:
 
 class TestKoszulOracle:
     @pytest.mark.parametrize("integrable", [True, False])
-    def test_all_frame_pairs(self, sample_qp, fd_step, integrable):
+    def test_all_frame_pairs(self, sample_qp, integrable):
         """nabla from the finite-difference Koszul formula agrees with the
         closed coefficients on every one of the 2n x 2n frame pairs."""
         q, p = sample_qp
@@ -118,7 +118,7 @@ class TestKoszulOracle:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
         conn = connection_coefficients(pt, params, jets)
-        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt, fd_step))
+        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt))
         assert oracle.shape == (6, 6, 6)
         npt.assert_allclose(oracle, conn, atol=1e-5)
 
@@ -128,12 +128,12 @@ class TestKoszulOracle:
         )
         assert torsion_residual(generic_point, conn) < 1e-12
 
-    def test_metric_compatibility(self, sample_qp, generic_params, generic_profile, fd_step):
+    def test_metric_compatibility(self, sample_qp, generic_params, generic_profile):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         conn = connection_coefficients(pt, generic_params, jets)
-        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_step)
+        metric_grad = metric_gradient(generic_params, generic_profile, pt)
         assert metric_compatibility_residual(conn, jets, metric_grad) < 1e-5
 
 
@@ -144,27 +144,27 @@ class TestKoszulOracle:
 
 class TestParallelComplexStructure:
     def test_integrable_coupling_makes_j_parallel(
-        self, sample_qp, kahler_params, kahler_profile, fd_step
+        self, sample_qp, kahler_params, kahler_profile
     ):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
         conn = connection_coefficients(pt, kahler_params, jets)
-        metric_grad = metric_gradient(kahler_params, kahler_profile, pt, fd_step)
+        metric_grad = metric_gradient(kahler_params, kahler_profile, pt)
         assert parallel_j_residual(conn, jets, metric_grad) < 1e-5
 
-    def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile, fd_step):
+    def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile):
         """Off the integrable coupling J is compatible but not parallel."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         conn = connection_coefficients(pt, generic_params, jets)
-        metric_grad = metric_gradient(generic_params, generic_profile, pt, fd_step)
+        metric_grad = metric_gradient(generic_params, generic_profile, pt)
         assert parallel_j_residual(conn, jets, metric_grad) > 1e-3
 
     @pytest.mark.parametrize("detune", [0.0, 0.1])
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_j_field_gradient_is_m_times_metric_gradient(self, n, detune, fd_step):
+    def test_j_field_gradient_is_m_times_metric_gradient(self, n, detune):
         """``J = M G`` with ``M = [[0, -I], [I, 0]]``, so the frame gradient of
         the J field equals ``M`` times the metric gradient, entry for entry,
         at the integrable and a detuned coupling, on 2 centers."""
@@ -179,8 +179,8 @@ class TestParallelComplexStructure:
             return assemble_complex_structure(fiber_jets(CotangentPoint.at(qq, pp, params), params, profile))
 
         m = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-        grad_j = frame_gradient(j_field, pt, fd_step)
-        assert np.array_equal(grad_j, m @ metric_gradient(params, profile, pt, fd_step))
+        grad_j = frame_gradient(j_field, pt)
+        assert np.array_equal(grad_j, m @ metric_gradient(params, profile, pt))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ class TestParallelComplexStructure:
 
 
 class TestCoefficientFiberDerivatives:
-    def test_match_finite_differences(self, sample_qp, generic_params, generic_profile, fd_step):
+    def test_match_finite_differences(self, sample_qp, generic_params, generic_profile):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         derivs = connection_fiber_derivatives(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
@@ -199,10 +199,10 @@ class TestCoefficientFiberDerivatives:
             return connection_coefficients(ptz, generic_params, fiber_jets(ptz, generic_params, generic_profile))
 
         for m in range(3):
-            npt.assert_allclose(derivs[m], fd_partial(coeffs_at, p, m, fd_step), atol=1e-6)
+            npt.assert_allclose(derivs[m], fd_partial(coeffs_at, p, m), atol=1e-6)
 
     def test_bracket_consistency_of_covariant_derivative(
-        self, sample_qp, kahler_params, kahler_profile, fd_step
+        self, sample_qp, kahler_params, kahler_profile
     ):
         """nabla_a e_b - nabla_b e_a equals the frame bracket when both sides
         are produced by the field-level covariant derivative."""
@@ -213,6 +213,6 @@ class TestCoefficientFiberDerivatives:
         def basis_fields(qq, pp):
             return np.broadcast_to(np.eye(6), (len(qq), 6, 6))
 
-        nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6), fd_step)
+        nabla = covariant_field_derivative(pt, conn, basis_fields, np.eye(6))
         torsion_free = np.einsum("acb->abc", nabla) - np.einsum("bca->abc", nabla)
         npt.assert_allclose(torsion_free, frame_brackets(pt), atol=1e-9)

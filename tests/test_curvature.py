@@ -43,7 +43,7 @@ BLOCK_SLOTS = {
 class TestBlocksAgainstDefinition:
     @pytest.mark.parametrize("name", sorted(BLOCK_SLOTS))
     def test_block_matches_fd_curvature(
-        self, name, sample_qp, kahler_params, kahler_profile, fd_step
+        self, name, sample_qp, kahler_params, kahler_profile
     ):
         """Each stored block equals K(e_a, e_b)e_c from differenced nablas,
         and the complementary output part of the same inputs vanishes."""
@@ -51,7 +51,7 @@ class TestBlocksAgainstDefinition:
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
         curv = curvature_blocks(pt, kahler_params, jets)
-        probe = curvature_fd(kahler_params, kahler_profile, pt, jets, fd_step)
+        probe = curvature_fd(kahler_params, kahler_profile, pt, jets)
         a, b, c, d = BLOCK_SLOTS[name]
         other = V if d == H else H
         npt.assert_allclose(
@@ -63,13 +63,13 @@ class TestBlocksAgainstDefinition:
             err_msg=f"complementary output of the {name} block",
         )
 
-    def test_blocks_hold_off_integrable_coupling(self, sample_qp, generic_params, generic_profile, fd_step):
+    def test_blocks_hold_off_integrable_coupling(self, sample_qp, generic_params, generic_profile):
         """The assembly needs only the block-diagonal metric, not Kahlerness."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         curv = curvature_blocks(pt, generic_params, jets)
-        probe = curvature_fd(generic_params, generic_profile, pt, jets, fd_step)
+        probe = curvature_fd(generic_params, generic_profile, pt, jets)
         odd = odd_slots(3)
         npt.assert_allclose(probe[~odd], curv[~odd], atol=1e-4)
         npt.assert_allclose(probe[odd], 0.0, atol=1e-4)
@@ -191,12 +191,12 @@ class TestRicci:
         npt.assert_allclose(ric.hh, ric.hh.T, atol=1e-12)
         npt.assert_allclose(ric.vv, ric.vv.T, atol=1e-12)
 
-    def test_mixed_block_vanishes(self, sample_qp, kahler_params, kahler_profile, fd_step):
+    def test_mixed_block_vanishes(self, sample_qp, kahler_params, kahler_profile):
         """Ric(horizontal, vertical) = 0, by tracing the FD curvature."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
-        probe = curvature_fd(kahler_params, kahler_profile, pt, jets, fd_step)
+        probe = curvature_fd(kahler_params, kahler_profile, pt, jets)
         mixed = np.einsum("abca->bc", probe)[:3, 3:]
         npt.assert_allclose(mixed, 0.0, atol=1e-6)
 
@@ -207,16 +207,16 @@ class TestRicci:
 
 
 class TestNablaCurvature:
-    def test_second_bianchi(self, sample_qp, kahler_params, kahler_profile, fd_step):
+    def test_second_bianchi(self, sample_qp, kahler_params, kahler_profile):
         """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0 on every frame entry."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
-        nabla = nabla_curvature(kahler_params, kahler_profile, pt, jets, fd_step)
+        nabla = nabla_curvature(kahler_params, kahler_profile, pt, jets)
         cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
         assert np.max(np.abs(cyclic)) < 1e-6
 
-    def test_momentum_scaling_maps_family_members(self, fd_step):
+    def test_momentum_scaling_maps_family_members(self):
         """Rescaling the fiber by lambda is a homothety onto the member with
         constants (lambda^-n k_a, lambda k_b): on horizontal inputs,
         horizontal outputs of nabla K agree and vertical outputs pick up one
@@ -232,7 +232,7 @@ class TestNablaCurvature:
         def nabla_at(params, momentum):
             profile = einstein_profile(params)
             pt = CotangentPoint.at(q, momentum, params)
-            return nabla_curvature(params, profile, pt, fiber_jets(pt, params, profile), fd_step)
+            return nabla_curvature(params, profile, pt, fiber_jets(pt, params, profile))
 
         out_up = nabla_at(params_up, lam * p)[H, H, H, H]
         out_dn = nabla_at(params_dn, p)[H, H, H, H]

@@ -1,4 +1,6 @@
-"""Finite-difference engine: order of accuracy, exactness, frame calculus."""
+"""Complex-step derivative engine: exactness, guards, batching, frame
+calculus, and agreement with the real reference stencil of ``fd_reference``
+on every oracle field."""
 
 import sys
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cotangent_kahler.fd
+import fd_reference
 from cotangent_kahler import (
     CotangentPoint,
     ModelParams,
@@ -22,42 +25,29 @@ from cotangent_kahler import (
     fiber_jets,
     frame_gradient,
     metric_gradient,
+    nabla_curvature,
     nabla_curvature_probe,
     nijenhuis_numeric,
 )
 
 # ---------------------------------------------------------------------------
-# Stencil order and exactness
+# Exactness
 # ---------------------------------------------------------------------------
 
 
-class TestStencilOrder:
-    def test_sixth_order_convergence_on_exp(self):
-        """Halving the step divides the error by more than 2^6 = 64: the
-        Richardson level cancels the stencil's h^4 term.
-
-        With exp every Taylor coefficient is positive, so the next-order
-        term pushes the ratio strictly above 64 rather than oscillating
-        around it; steps this large keep rounding far below the h^6 error.
-        """
-        x0 = np.array([0.3, -0.2])
-        target = np.exp(0.3 - 0.1)
+class TestExactness:
+    @given(x=st.floats(-300, 300), y=st.floats(-300, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_on_exp_at_any_center(self, x, y):
+        """Both partials of ``exp(x + y/2)`` to a relative 1e-14 at any
+        center: there is no step to tune and no subtraction to cancel."""
 
         def f(z):
             return np.exp(z[:, 0] + 0.5 * z[:, 1])
 
-        e1 = abs(fd_partial(f, x0, 0, 0.4) - target)
-        e2 = abs(fd_partial(f, x0, 0, 0.2) - target)
-        assert e1 / e2 > 64.0
-
-    def test_quintic_exact_with_one_richardson_level(self):
-        """The extrapolation level removes the h^4 term, so degree 5 is exact."""
-
-        def f(z):
-            return z[:, 0] ** 5
-
-        x0 = np.array([0.4])
-        npt.assert_allclose(fd_partial(f, x0, 0, 0.1), 5 * 0.4**4, atol=1e-12)
+        exact = np.exp(x + 0.5 * y) * np.array([1.0, 0.5])
+        grad = fd_gradient(f, np.array([x, y]))
+        assert np.all(np.abs(grad - exact) <= 1e-14 * exact)
 
     @given(
         a=st.floats(-3, 3),
@@ -73,60 +63,68 @@ class TestStencilOrder:
             return a * z[:, 0] ** 2 + b * z[:, 0] + c
 
         expected = 2 * a * x + b
-        assert abs(fd_partial(f, np.array([x]), 0, 1e-3) - expected) < 1e-8
+        assert abs(fd_partial(f, np.array([x]), 0) - expected) < 1e-8
 
 
 class TestGuards:
     def test_non_finite_raises_stencil_error(self):
         def f(z):
-            # undefined to the left of the origin, as under the wide stencil
-            return np.sqrt(np.where(z[:, 0] < 0, np.nan, z[:, 0]))
+            # undefined to the left of the origin
+            return np.where(z[:, 0].real > 0, np.sqrt(z[:, 0]), np.nan)
 
         with pytest.raises(StencilError):
-            fd_partial(f, np.array([0.3]), 0, 0.5)
+            fd_partial(f, np.array([-0.3]), 0)
 
-    def test_stencil_error_names_the_failing_offset(self):
-        """Only the +h/2 point of the Richardson level (h = 0.5) is
-        non-finite; the error names its coordinate and offset."""
+    def test_stencil_error_names_the_coordinate_and_center(self):
+        """Only the row along coordinate 1 at the second center is
+        non-finite; the error names that coordinate and center."""
 
         def f(z):
-            return np.where(z[:, 0] == 0.3 + 0.25, np.nan, z[:, 0] ** 2)
+            bad = (z[:, 1].imag != 0) & (z[:, 0].real == 0.4)
+            return np.where(bad, np.nan, z[:, 0] * z[:, 1])
 
-        with pytest.raises(StencilError, match=r"at coordinate 0, offset \+2\.500e-01$"):
-            fd_partial(f, np.array([0.3]), 0, 0.5)
+        with pytest.raises(StencilError, match=r"at coordinate 1, center \[0\.4, 0\.5\]$"):
+            fd_gradient(f, np.array([[0.1, 0.2], [0.4, 0.5]]))
 
     def test_stencil_error_names_the_last_coordinate_of_a_stacked_call(self):
-        """All three coordinates go to the field in one call; only the +h/2
-        point along the last one is non-finite, and the error names it."""
+        """All three coordinates go to the field in one call; only the row
+        along the last one is non-finite, and the error names it."""
         calls = []
 
         def f(z):
             calls.append(len(z))
-            return np.where(z[:, 2] == 0.3 + 0.25, np.nan, z[:, 0] * z[:, 2])
+            return np.where(z[:, 2].imag != 0, np.nan, z[:, 0] * z[:, 2])
 
-        with pytest.raises(StencilError, match=r"at coordinate 2, offset \+2\.500e-01$"):
-            fd_gradient(f, np.array([0.1, 0.2, 0.3]), 0.5)
-        assert calls == [24]
+        with pytest.raises(StencilError, match=r"at coordinate 2, center \[0\.1, 0\.2, 0\.3\]$"):
+            fd_gradient(f, np.array([0.1, 0.2, 0.3]))
+        assert calls == [3]
 
-    def test_relative_step_scales_with_coordinate(self):
-        """The step along x_d is step * max(1, |x_d|), per center."""
-        calls = []
+    def test_complex_centers_are_refused(self, sample_qp, kahler_params):
+        """A complex center would lose its imaginary part to the step, so
+        both entry points refuse it, and so does a frame gradient nested in
+        the field of another."""
 
         def f(z):
-            calls.append(z.copy())
-            return z[:, 0]
+            return z[:, 0] ** 2
 
-        centers = np.array([[200.0], [0.001]])
-        fd_partial(f, centers, 0, 1e-4)
-        (points,) = calls
-        shifts = (points[:, 0] - np.tile(centers[:, 0], 8)).reshape(8, 2)
-        npt.assert_allclose(np.abs(shifts).max(axis=0), [2 * 2e-2, 2 * 1e-4], rtol=1e-6)
+        center = np.array([0.3 + 1e-3j])
+        with pytest.raises(TypeError, match="real centers"):
+            fd_partial(f, center, 0)
+        with pytest.raises(TypeError, match="real centers"):
+            fd_gradient(f, center)
+
+        def nested(qq, pp):
+            return frame_gradient(lambda q2, p2: q2[:, :1] * p2[:, :1], CotangentPoint.at(qq, pp, kahler_params))
+
+        q, p = sample_qp
+        with pytest.raises(TypeError, match="real centers"):
+            frame_gradient(nested, CotangentPoint.at(q, p, kahler_params))
 
 
 class TestBatchedStencil:
     def test_one_field_call_per_partial(self):
-        """The whole stencil along one coordinate is one call on 8 rows:
-        offsets -2, -1, +1, +2 of the step h, then of h/2."""
+        """A partial is one call on one row: the center with an imaginary
+        step along the coordinate."""
         calls = []
 
         def f(z):
@@ -134,13 +132,12 @@ class TestBatchedStencil:
             return np.sin(z[:, 0]) * z[:, 1]
 
         x0 = np.array([0.2, 0.7])
-        fd_partial(f, x0, 1, 0.01)
+        fd_partial(f, x0, 1)
         assert len(calls) == 1
         (points,) = calls
-        assert points.shape == (8, 2)
-        offsets = np.concatenate([np.array([-2.0, -1.0, 1.0, 2.0]) * h for h in (0.01, 0.005)])
-        npt.assert_allclose(points[:, 1] - x0[1], offsets, rtol=1e-12)
-        npt.assert_array_equal(points[:, 0], x0[0])
+        assert points.shape == (1, 2)
+        npt.assert_array_equal(points.real, [x0])
+        npt.assert_array_equal(points.imag, [[0.0, 1e-30]])
 
     def test_stacked_centers_match_single_centers(self, rng):
         """Centers of shape (2, 3) give their axes first, then the coordinate,
@@ -150,10 +147,10 @@ class TestBatchedStencil:
             return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 3 * z[:, 0]], axis=-1)
 
         centers = rng.uniform(-2, 2, size=(2, 3))
-        grad = fd_gradient(f, centers, 1e-4)
+        grad = fd_gradient(f, centers)
         assert grad.shape == (2, 3, 2)
         for m in range(2):
-            npt.assert_array_equal(grad[m], fd_gradient(f, centers[m], 1e-4))
+            npt.assert_array_equal(grad[m], fd_gradient(f, centers[m]))
 
     @pytest.mark.parametrize("center_shape", [(3,), (2, 3)], ids=["one", "two"])
     def test_gradient_is_the_stack_of_single_coordinate_partials(self, rng, center_shape):
@@ -164,21 +161,20 @@ class TestBatchedStencil:
             return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 3 * np.exp(z[:, 0])], axis=-1)
 
         centers = rng.uniform(-2, 2, size=center_shape)
-        single = np.stack([fd_partial(f, centers, d, 1e-4) for d in range(3)], axis=len(center_shape) - 1)
-        assert np.array_equal(fd_gradient(f, centers, 1e-4), single)
+        single = np.stack([fd_partial(f, centers, d) for d in range(3)], axis=len(center_shape) - 1)
+        assert np.array_equal(fd_gradient(f, centers), single)
 
     @pytest.mark.parametrize(
         "n, centers, rows",
-        [(2, 2, [64]), (3, 1, [24, 24]), (3, 2, [16, 80]), (5, 1, [8, 72]), (5, 2, [16, 144])],
+        [(2, 2, [8]), (3, 1, [6]), (3, 2, [12]), (5, 1, [1, 9]), (5, 2, [2, 18])],
         ids=["n2-two", "n3-one", "n3-two", "n5-one", "n5-two"],
     )
-    def test_frame_gradient_calls_the_field_once_per_coordinate_group(self, rng, fd_step, n, centers, rows):
-        """The first call takes the 8 stencil rows per center of as many chart
-        coordinates as fit the byte budget at 8 (2n)^4 bytes per row, and
-        never fewer than one coordinate: all four at n = 2, three at n = 3
-        with one center, one from n = 3 with two.  The rest are grouped by
-        the bytes per row the first call returned, 16 here, so they all fit
-        one more call."""
+    def test_frame_gradient_calls_the_field_once_per_coordinate_group(self, rng, n, centers, rows):
+        """The first call takes the one row per center of as many chart
+        coordinates as fit the byte budget at 16 (2n)^4 bytes per row, and
+        never fewer than one coordinate: all of them at n = 2 and 3, one at
+        n = 5.  The rest are grouped by the bytes per row the first call
+        returned, 32 here, so they all fit one more call."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         qs = rng.uniform(-1.5, 1.5, size=(centers, n))
         ps = rng.normal(size=(centers, n))
@@ -189,13 +185,13 @@ class TestBatchedStencil:
             shapes.append(qq.shape + pp.shape)
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, -1])], axis=-1)
 
-        assert frame_gradient(field, pt, fd_step).shape == (centers, 2 * n, 2)
+        assert frame_gradient(field, pt).shape == (centers, 2 * n, 2)
         assert shapes == [(m, n, m, n) for m in rows]
 
-    def test_a_curvature_sized_field_takes_one_coordinate_per_call(self, rng, fd_step):
+    def test_a_curvature_sized_field_takes_one_coordinate_per_call(self, rng):
         """A field with (2n)^4 values per row, the size of ``K``, at n = 5
-        fills the byte budget with the 8 rows of one coordinate, so every
-        call takes one coordinate, as the first call does."""
+        fills the byte budget with the row of one coordinate, so every call
+        takes one coordinate, as the first call does."""
         n = 5
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
@@ -206,8 +202,8 @@ class TestBatchedStencil:
             rows.append(len(qq))
             return np.multiply.outer(qq[:, 0] * pp[:, 1], scale)
 
-        assert frame_gradient(field, pt, fd_step).shape == (1, 2 * n) + (2 * n,) * 4
-        assert rows == [8] * 10
+        assert frame_gradient(field, pt).shape == (1, 2 * n) + (2 * n,) * 4
+        assert rows == [1] * 10
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +212,16 @@ class TestBatchedStencil:
 
 
 class TestFrameCalculus:
-    def test_gradient_matches_componentwise_partials(self, rng, fd_step):
+    def test_gradient_matches_componentwise_partials(self, rng):
         def f(z):
             return np.stack([np.sin(z[:, 0] * z[:, 1]), z[:, 2] ** 2], axis=-1)
 
         x0 = rng.uniform(-1, 1, size=3)
-        grad = fd_gradient(f, x0, fd_step)
+        grad = fd_gradient(f, x0)
         for d in range(3):
-            npt.assert_allclose(grad[d], fd_partial(f, x0, d, fd_step), atol=0)
+            npt.assert_allclose(grad[d], fd_partial(f, x0, d), atol=0)
 
-    def test_energy_density_is_horizontally_constant(self, sample_qp, kahler_params, fd_step):
+    def test_energy_density_is_horizontally_constant(self, sample_qp, kahler_params):
         """delta t / delta q = 0: the energy only varies along the fiber."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -233,10 +229,10 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, pt, fd_step)
+        grad = frame_gradient(energy, pt)
         npt.assert_allclose(grad[:3], 0.0, atol=1e-9, err_msg="horizontal energy derivative")
 
-    def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params, fd_step):
+    def test_energy_fiber_derivative_is_raised_momentum(self, sample_qp, kahler_params):
         """dt/dp_i = g^{ik} p_k."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -244,11 +240,11 @@ class TestFrameCalculus:
         def energy(qq, pp):
             return CotangentPoint.at(qq, pp, kahler_params).t[:, None]
 
-        grad = frame_gradient(energy, pt, fd_step)
+        grad = frame_gradient(energy, pt)
         npt.assert_allclose(grad[3:, 0], pt.p_up, atol=1e-9)
 
     def test_frame_gradient_consistent_with_frame_derivative(
-        self, sample_qp, kahler_params, fd_step
+        self, sample_qp, kahler_params
     ):
         """Row a of the frame gradient is the derivative along the chart
         vector of e_a, a column of the chart frame."""
@@ -259,7 +255,7 @@ class TestFrameCalculus:
         def field(qq, pp):
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, 2]) + qq[:, 2] ** 2], axis=-1)
 
-        grad = frame_gradient(field, pt, fd_step)
+        grad = frame_gradient(field, pt)
         z0 = np.concatenate([q, p])
         for a in range(6):
 
@@ -267,12 +263,14 @@ class TestFrameCalculus:
                 z = z0 + s[:, :1] * frame[:, a]
                 return field(z[:, :3], z[:, 3:])
 
-            npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0, fd_step), atol=1e-10)
+            npt.assert_allclose(grad[a], fd_partial(along, np.zeros(1), 0), atol=1e-10)
 
     def test_horizontal_commutator_is_curvature_bracket(
-        self, sample_qp, kahler_params, fd_step
+        self, sample_qp, kahler_params
     ):
-        """[delta_i, delta_j] f = (p . R)_{kij} df/dp_k on scalars."""
+        """[delta_i, delta_j] f = (p . R)_{kij} df/dp_k on scalars; the outer
+        derivative comes from the real reference stencil, as complex steps
+        do not nest."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         i, j = 0, 1
@@ -282,11 +280,11 @@ class TestFrameCalculus:
             return value[:, None]
 
         def pair_of_derivs(qq, pp):
-            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params), fd_step)[:, [i, j], 0]
+            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params))[:, [i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, pt, fd_step)
+        outer = fd_reference.frame_gradient(pair_of_derivs, pt)
         commutator = outer[i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, pt, fd_step)[3:, 0]
+        fiber_grad = frame_gradient(scalar, pt)[3:, 0]
         expected = pt.p_riemann[:, i, j] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 
@@ -296,8 +294,8 @@ class TestFrameCalculus:
 # ---------------------------------------------------------------------------
 
 
-def _metric_gradient(params, profile, pt, jets, step):
-    return metric_gradient(params, profile, pt, step)
+def _metric_gradient(params, profile, pt, jets):
+    return metric_gradient(params, profile, pt)
 
 
 class TestOneGradientPerOracle:
@@ -307,7 +305,7 @@ class TestOneGradientPerOracle:
         ids=["metric_gradient", "curvature_fd", "nabla_curvature_probe", "_nijenhuis"],
     )
     def test_each_oracle_takes_one_gradient(
-        self, oracle, kahler_point, kahler_params, kahler_profile, fd_step, monkeypatch
+        self, oracle, kahler_point, kahler_params, kahler_profile, monkeypatch
     ):
         """Every finite-difference oracle differentiates one array-valued
         field once: its field calls cover the 2n chart coordinates of an
@@ -321,13 +319,13 @@ class TestOneGradientPerOracle:
 
         jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
-        oracle(kahler_params, kahler_profile, kahler_point, jets, fd_step)
+        oracle(kahler_params, kahler_profile, kahler_point, jets)
         assert np.concatenate(calls).tolist() == list(range(6))
 
 
 class TestFieldsBuildOnlyTheBlocks:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_metric_two_form_and_nijenhuis_oracles_run_without_fiber_jets(self, rng, fd_step, n, monkeypatch):
+    def test_metric_two_form_and_nijenhuis_oracles_run_without_fiber_jets(self, rng, n, monkeypatch):
         """The fields of ``metric_gradient``, ``dform_residual`` and
         ``nijenhuis_numeric`` read only the metric blocks: with ``fiber_jets``
         raising in every module of the package, the three oracles still run
@@ -337,9 +335,9 @@ class TestFieldsBuildOnlyTheBlocks:
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
         jets = fiber_jets(pt, params, profile)
         oracles = {
-            "metric_gradient": lambda: metric_gradient(params, profile, pt, fd_step),
-            "dform_residual": lambda: dform_residual(params, profile, pt, fd_step),
-            "nijenhuis_numeric": lambda: nijenhuis_numeric(params, profile, pt, jets, fd_step),
+            "metric_gradient": lambda: metric_gradient(params, profile, pt),
+            "dform_residual": lambda: dform_residual(params, profile, pt),
+            "nijenhuis_numeric": lambda: nijenhuis_numeric(params, profile, pt, jets),
         }
         expected = {name: oracle() for name, oracle in oracles.items()}
 
@@ -351,3 +349,44 @@ class TestFieldsBuildOnlyTheBlocks:
                 monkeypatch.setattr(module, "fiber_jets", forbidden)
         for name, oracle in oracles.items():
             assert np.array_equal(oracle(), expected[name]), name
+
+
+class TestEnginesAgree:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_every_oracle_field_matches_the_reference_stencil(self, rng, n, monkeypatch):
+        """Every field an oracle differentiates -- the metric, the 2-form, the
+        Nijenhuis frame fields, the connection and ``K`` -- gets the same
+        partials from the complex engine as from the real stencil of
+        ``fd_reference``, relative to the largest field value or partial of
+        the call (the 2-form's chart components are constant).  A
+        conjugating or non-analytic operation (``abs``, ``vecdot``,
+        ``.real``) on a field's path would give a wrong imaginary part, and
+        fail here."""
+        params = ModelParams(n=n, c=1.4, a_metric=1.1 * np.sqrt(2.8), k_a=0.7, k_b=0.4)
+        profile = einstein_profile(params)
+        pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
+        jets = fiber_jets(pt, params, profile)
+        original = cotangent_kahler.fd.fd_partial
+        calls = []
+
+        def recorded(f, x, d):
+            out = original(f, x, d)
+            calls.append((f, x, d, out))
+            return out
+
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
+        oracles = {
+            "metric": lambda: metric_gradient(params, profile, pt),
+            "2-form": lambda: dform_residual(params, profile, pt),
+            "nijenhuis": lambda: nijenhuis_numeric(params, profile, pt, jets),
+            "connection": lambda: curvature_fd(params, profile, pt, jets),
+            "K": lambda: nabla_curvature(params, profile, pt, jets),
+        }
+        for name, oracle in oracles.items():
+            calls.clear()
+            oracle()
+            assert calls, name
+            for f, x, coords, out in calls:
+                expected = np.stack([fd_reference.fd_partial(f, x, d) for d in coords], axis=x.ndim - 1)
+                scale = max(np.max(np.abs(expected)), np.max(np.abs(f(x.reshape(-1, x.shape[-1])))))
+                npt.assert_allclose(out, expected, rtol=0, atol=1e-8 * scale, err_msg=name)

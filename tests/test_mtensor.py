@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fd_reference
 from base_reference import bumped_geometry
 from cotangent_kahler import (
     CotangentPoint,
@@ -43,7 +44,7 @@ class TestEnergyDensity:
         with pytest.raises(GeometryError):
             energy_density(np.eye(2), np.array([np.inf, 0.0]))
 
-    def test_fiber_gradient_is_raised_momentum(self, sample_qp, kahler_params, fd_step):
+    def test_fiber_gradient_is_raised_momentum(self, sample_qp, kahler_params):
         """dt/dp_k = g^{kl} p_l."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -52,7 +53,7 @@ class TestEnergyDensity:
             return energy_density(pt.g_inv, pp)
 
         for k in range(3):
-            npt.assert_allclose(fd_partial(t_of_p, p, k, fd_step), pt.p_up[k], atol=1e-9)
+            npt.assert_allclose(fd_partial(t_of_p, p, k), pt.p_up[k], atol=1e-9)
 
     def test_momentum_shape_checked(self, kahler_params):
         with pytest.raises(GeometryError):
@@ -158,7 +159,7 @@ class TestFiberJets:
         q, p = sample_qp
         return params, profile, CotangentPoint.at(q, p, params)
 
-    def test_first_fiber_derivatives_match_fd(self, setup, fd_step):
+    def test_first_fiber_derivatives_match_fd(self, setup):
         params, profile, pt = setup
         jets = fiber_jets(pt, params, profile)
 
@@ -173,18 +174,18 @@ class TestFiberJets:
         for k in range(3):
             npt.assert_allclose(
                 jets.dgh[k],
-                fd_partial(gh_field, pt.p, k, fd_step),
+                fd_partial(gh_field, pt.p, k),
                 atol=1e-7,
                 err_msg="d gh / dp vs finite differences",
             )
             npt.assert_allclose(
                 jets.dgv[k],
-                fd_partial(gv_field, pt.p, k, fd_step),
+                fd_partial(gv_field, pt.p, k),
                 atol=1e-7,
                 err_msg="d gv / dp vs finite differences",
             )
 
-    def test_second_fiber_derivatives_match_fd(self, setup, fd_step):
+    def test_second_fiber_derivatives_match_fd(self, setup):
         params, profile, pt = setup
 
         def dgh_field(pp):
@@ -199,12 +200,12 @@ class TestFiberJets:
         for l in range(3):
             npt.assert_allclose(
                 jets.ddgh[l],
-                fd_partial(dgh_field, pt.p, l, fd_step).reshape(3, 3, 3),
+                fd_partial(dgh_field, pt.p, l).reshape(3, 3, 3),
                 atol=1e-6,
             )
             npt.assert_allclose(
                 jets.ddgv[l],
-                fd_partial(dgv_field, pt.p, l, fd_step).reshape(3, 3, 3),
+                fd_partial(dgv_field, pt.p, l).reshape(3, 3, 3),
                 atol=1e-6,
             )
 
@@ -261,7 +262,7 @@ class TestHorizontalRule:
         [("dd", "gh"), ("uu", "gv"), ("u", "p_up")],
     )
     def test_horizontal_derivative_is_christoffel_bookkeeping(
-        self, variance, field_name, kahler_params, kahler_profile, sample_qp, fd_step
+        self, variance, field_name, kahler_params, kahler_profile, sample_qp
     ):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
@@ -276,7 +277,7 @@ class TestHorizontalRule:
 
         value = field(q, p)
         predicted = _christoffel_corrections(pt.gamma, value, variance)
-        measured = frame_gradient(field, pt, fd_step)[:3]
+        measured = frame_gradient(field, pt)[:3]
         npt.assert_allclose(
             measured,
             predicted,
@@ -308,9 +309,11 @@ class TestAdaptedFrame:
         npt.assert_allclose(brackets[..., :3], 0.0, atol=0)
 
     def test_mixed_bracket_matches_nested_derivatives(
-        self, sample_qp, kahler_params, fd_step
+        self, sample_qp, kahler_params
     ):
-        """[d/dp_i, delta_j] f = Gamma^i_{jl} df/dp_l on scalars."""
+        """[d/dp_i, delta_j] f = Gamma^i_{jl} df/dp_l on scalars; the outer
+        derivative comes from the real reference stencil, as complex steps
+        do not nest."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
         i, j = 2, 0
@@ -319,11 +322,11 @@ class TestAdaptedFrame:
             return (np.cos(qq[:, 0] * pp[:, 2]) + pp[:, 1] ** 2 * qq[:, 2])[:, None]
 
         def pair_of_derivs(qq, pp):
-            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params), fd_step)[:, [3 + i, j], 0]
+            return frame_gradient(scalar, CotangentPoint.at(qq, pp, kahler_params))[:, [3 + i, j], 0]
 
-        outer = frame_gradient(pair_of_derivs, pt, fd_step)
+        outer = fd_reference.frame_gradient(pair_of_derivs, pt)
         commutator = outer[3 + i][1] - outer[j][0]
-        fiber_grad = frame_gradient(scalar, pt, fd_step)[3:, 0]
+        fiber_grad = frame_gradient(scalar, pt)[3:, 0]
         expected = frame_brackets(pt)[3 + i, j, 3:] @ fiber_grad
         npt.assert_allclose(commutator, expected, atol=1e-6)
 

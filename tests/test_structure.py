@@ -83,17 +83,17 @@ class TestFundamentalForm:
             err_msg="chart components of the fundamental form",
         )
 
-    def test_form_is_closed(self, sample_qp, kahler_params, kahler_profile, fd_step):
+    def test_form_is_closed(self, sample_qp, kahler_params, kahler_profile):
         """d phi = 0, measured by antisymmetrized chart derivatives."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        assert dform_residual(kahler_params, kahler_profile, pt, fd_step) < 1e-6
+        assert dform_residual(kahler_params, kahler_profile, pt) < 1e-6
 
-    def test_form_is_closed_off_coupling(self, sample_qp, generic_params, generic_profile, fd_step):
+    def test_form_is_closed_off_coupling(self, sample_qp, generic_params, generic_profile):
         """Closedness holds for every coupling, not only the integrable one."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        assert dform_residual(generic_params, generic_profile, pt, fd_step) < 1e-6
+        assert dform_residual(generic_params, generic_profile, pt) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ class TestNijenhuis:
         npt.assert_allclose(tensor, -np.swapaxes(tensor, 0, 1), atol=1e-14)
 
     @pytest.mark.parametrize("detune", [1.0, 1.15])
-    def test_closed_form_matches_bracket_oracle(self, sample_qp, generic_profile, detune, fd_step):
+    def test_closed_form_matches_bracket_oracle(self, sample_qp, generic_profile, detune):
         """The closed form reproduces N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY]
         - [X, Y] computed from chart-level Lie brackets, on every frame pair."""
         q, p = sample_qp
@@ -153,10 +153,10 @@ class TestNijenhuis:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, generic_profile)
         tensor = nijenhuis_closed_form(pt, params, jets)
-        numeric = nijenhuis_numeric(params, generic_profile, pt, jets, fd_step)
+        numeric = nijenhuis_numeric(params, generic_profile, pt, jets)
         npt.assert_allclose(numeric, tensor, atol=1e-5)
 
-    def test_closed_form_holds_off_space_forms(self, generic_profile, fd_step):
+    def test_closed_form_holds_off_space_forms(self, generic_profile):
         """The same block formulas verify against the oracle when the base
         conformal factor carries a cubic bump, so the identity is not an
         artifact of constant curvature."""
@@ -173,6 +173,6 @@ class TestNijenhuis:
         tensor = nijenhuis_closed_form(pt, params, jets)
         assert np.max(np.abs(tensor)) > 1e-3  # nothing trivial is being compared
         numeric = nijenhuis_numeric(
-            params, generic_profile, pt, jets, fd_step, point_factory=point_factory
+            params, generic_profile, pt, jets, point_factory=point_factory
         )
         npt.assert_allclose(numeric, tensor, atol=1e-5)

@@ -93,8 +93,8 @@ class TestSharedSample:
     def test_connection_suite_field_calls(self, monkeypatch):
         """At n = 2 with 2 samples the connection suite takes 1 frame
         gradient (the metric field at both oracle centers; parallel J reuses
-        it), one batched field call of 2 * 8 stencil rows for each of the 4
-        chart coordinates, which fit the byte budget together."""
+        it), one batched field call of 2 complex rows, one per center, for
+        each of the 4 chart coordinates, which fit the byte budget together."""
         original = cotangent_kahler.fd.frame_gradient
         rows = []
 
@@ -107,15 +107,15 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
-        assert rows == [64]
+        assert rows == [8]
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
         calls: six oracle fields (the 2-form, the Nijenhuis frames, the
         metric, the connection, and the witnesses' detuned metric and K),
-        each differentiated once over its centers, with the stencils of all
-        2n chart coordinates in one call of 2n * 8 rows per center; parallel
-        J reuses the metric gradients."""
+        each differentiated once over its centers, with the rows of all 2n
+        chart coordinates in one call of 2n rows per center; parallel J
+        reuses the metric gradients."""
         original = cotangent_kahler.fd.fd_partial
         calls = []
 
@@ -129,15 +129,15 @@ class TestSharedSample:
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
         assert len(calls) == 6
-        assert sorted(calls) == [32] * 4 + [64] * 2
+        assert sorted(calls) == [4] * 4 + [8] * 2
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
         one ``CotangentPoint.at`` call on their ``(S, n)`` stack, with one
         fiber-jet call for the config's own params and profile; no later
         call rebuilds any sampled point, one at a time or in a batch.  Only
-        stencil points and the witnesses' other couplings and profiles build
-        more."""
+        complex-step rows and the witnesses' other couplings and profiles
+        build more."""
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=3, k_a=0.5, k_b=2.0)
         params = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=0.5, k_b=2.0)
         own_profile = einstein_profile(params).kind
