@@ -2,7 +2,8 @@
 
 Exit status is 0 when every requested suite passes, 1 when any check
 fails, and 2 for unusable arguments.  Reports are deterministic for a
-fixed configuration up to the ``timings`` key.
+fixed configuration up to the ``timings`` key, and strict JSON: a
+non-finite check value is written as a string (see ``CheckResult``).
 """
 
 from __future__ import annotations
@@ -111,9 +112,11 @@ def _summarize(report: dict, stream) -> None:
                 if check["passed"]:
                     continue
                 op = "<=" if check["comparison"] == "le" else ">="
+                value = check["value"]
+                shown = value if isinstance(value, str) else f"{value:.3e}"
                 print(
                     f"    n={cfg_out['dim']} c={cfg_out['curvature']:g}: "
-                    f"{check['name']} value={check['value']:.3e} "
+                    f"{check['name']} value={shown} "
                     f"wanted {op} {check['tolerance']:.0e}",
                     file=stream,
                 )
@@ -141,7 +144,7 @@ def main(argv=None) -> int:
         return 2
     with handle or contextlib.nullcontext():
         report = run_verification(cfg)
-        payload = json.dumps(report, indent=2, sort_keys=True)
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         if handle is not None:
             handle.write(payload + "\n")
 

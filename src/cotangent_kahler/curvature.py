@@ -10,10 +10,12 @@ two slots supplies the horizontal/vertical inputs.  Every entry with an
 odd number of vertical slots vanishes (a fact the finite-difference oracle
 checks rather than assumes).
 
-``curvature_blocks`` and ``pair_symmetry_residual`` keep the contraction
-rule of ``base``: each product term is one batched ``@`` (``base._contract``
-or a lowered matrix), and ``np.einsum`` only permutes axes.  Their einsum
-forms are the test-side reference, ``tests/kernel_reference.py``.
+``curvature_blocks``, ``pair_symmetry_residual`` and
+``holomorphic_sectional_curvature`` keep the contraction rule of ``base``:
+each product term is one batched ``@`` (``base._contract``, a lowered
+matrix or a reshaped ``K``), and ``np.einsum`` only permutes axes.  Their
+einsum and ``matvec`` forms are the test-side reference,
+``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
@@ -214,13 +216,19 @@ def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
 def holomorphic_sectional_curvature(
     curvature: np.ndarray, metric: np.ndarray, j_op: np.ndarray, x: np.ndarray
 ):
-    """``G(K(X, JX)JX, X) / G(X, X)^2``, invariant under rescaling of X."""
+    """``G(K(X, JX)JX, X) / G(X, X)^2``, invariant under rescaling of X.
+
+    ``K`` is contracted with ``G X`` in its output slot and then with ``J X``
+    in its third, each one batched ``@`` of ``K`` reshaped to a matrix."""
     jx = np.matvec(j_op, x)
     gx = np.matvec(metric, x)
     norm_sq = np.vecdot(x, gx)
     if np.any(norm_sq <= 0.0):
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
-    k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
+    dim = x.shape[-1]
+    k_gx = curvature.reshape(curvature.shape[:-4] + (dim**3, dim)) @ gx[..., None]
+    k_jx_jx = k_gx.reshape(k_gx.shape[:-2] + (dim * dim, dim)) @ jx[..., None]
+    k_jx_jx = k_jx_jx.reshape(k_jx_jx.shape[:-2] + (dim, dim))
     return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2
 
 

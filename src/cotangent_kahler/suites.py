@@ -8,7 +8,11 @@ fixed configuration yields an identical report.
 A config's sampled points are one batch (``Sample``), built once with their
 fiber jets and shared by every suite.  Each closed-form check is one
 batched call per chunk of rows, giving a value per sample; only the
-``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  Each
+``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  The
+curvature ``K`` of the config's own member is built once per chunk, in one
+pass that the ``curvature`` suite consumes; the pass keeps each chunk's
+Ricci trace, which the ``einstein`` suite reads instead of building ``K``
+again.  Each
 finite-difference oracle takes the leading one or two rows as one batch of
 centers.  A check's value is the largest of its per-sample values; a NaN in
 any sample fails it.
@@ -33,6 +37,7 @@ from .connection import (
     torsion_residual,
 )
 from .curvature import (
+    RicciBlocks,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -168,7 +173,8 @@ class RunConfig:
 @dataclass(frozen=True)
 class CheckResult:
     """One named check: residuals satisfy ``value <= tolerance``, witnesses
-    ``value >= tolerance``."""
+    ``value >= tolerance``.  In the report a non-finite value is the string
+    ``"nan"``, ``"inf"`` or ``"-inf"``, as JSON has no number for it."""
 
     name: str
     value: float
@@ -183,9 +189,10 @@ class CheckResult:
         return bool(self.value >= self.tolerance)
 
     def as_dict(self) -> dict:
+        value = float(self.value)
         out = {
             "name": self.name,
-            "value": float(self.value),
+            "value": value if math.isfinite(value) else str(value),
             "tolerance": float(self.tolerance),
             "comparison": self.comparison,
             "passed": self.passed,
@@ -251,12 +258,19 @@ class Sample:
     are its fiber jets for the config's own params and profile.  Each is
     built on first use; a build that raises is not kept, so every suite that
     needs it records the error.
+
+    ``curvature_chunks`` is one pass over the chunks that builds each
+    chunk's curvature ``K`` once; ``ricci`` holds the Ricci trace of every
+    chunk from the last pass that ran to its end, O(S n^2) numbers, and runs
+    such a pass if none has.  A pass that raises keeps nothing, and no
+    chunk's ``K`` outlives its pass.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, profile) -> None:
         self.q, self.p = q, p
         self._params = params
         self._profile = profile
+        self._ricci: list[RicciBlocks] | None = None
 
     def __len__(self) -> int:
         return len(self.q)
@@ -278,6 +292,26 @@ class Sample:
         for start in range(0, len(self), rows):
             block = slice(start, start + rows)
             yield take_rows(self.points, block), take_rows(jets, block)
+
+    def curvature_chunks(self):
+        """``(points, jets, K)`` over the chunks of ``chunks()``, with ``K``
+        the own member's curvature; a pass that runs to its end keeps each
+        chunk's Ricci trace as ``ricci``."""
+        ricci = []
+        for pt, jets in self.chunks():
+            curv = curvature_blocks(pt, self._params, jets)
+            ricci.append(ricci_from_blocks(curv))
+            yield pt, jets, curv
+        self._ricci = ricci
+
+    @property
+    def ricci(self) -> list[RicciBlocks]:
+        """Each chunk's ``ricci_from_blocks(K)``, in the order of
+        ``chunks()``, from the last full pass; runs one if none has."""
+        if self._ricci is None:
+            for _ in self.curvature_chunks():
+                pass
+        return self._ricci
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
@@ -377,10 +411,9 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     # that same order.
     rng = np.random.default_rng([cfg.seed, 7, n])
     draws = 17 if params.is_integrable else 16
-    symmetry, relations, two_path, hsc_spread = [], [], [], []
-    for pt, jets in sample.chunks():
+    symmetry, relations, ric_closed, hsc_spread = [], [], [], []
+    for pt, jets, curv in sample.curvature_chunks():
         drawn = rng.normal(size=(len(pt.t), draws, 2 * n))
-        curv = curvature_blocks(pt, params, jets)
         metric = assemble_metric(jets)
         quadruples = drawn[:, :16].reshape(-1, 4, 4, 2 * n)
         symmetry.append(pair_symmetry_residual(curv, metric, quadruples))
@@ -392,11 +425,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
                     rank=4,
                 )
             )
-            ric_closed = ricci_closed_form(pt, params, profile)
-            ric_trace = ricci_from_blocks(curv)
-            two_path.append(
-                _max_abs(ric_trace.hh - ric_closed.hh, ric_trace.vv - ric_closed.vv, rank=2)
-            )
+            ric_closed.append(ricci_closed_form(pt, params, profile))
             j_op = assemble_complex_structure(jets)
             x = drawn[:, 16]
             h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
@@ -405,6 +434,10 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
         checks.append(_check("kahler_block_relations", relations, tol.closed_form))
+        two_path = [
+            _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
+            for trace, closed in zip(sample.ricci, ric_closed, strict=True)
+        ]
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
         checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
     mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
@@ -422,8 +455,7 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
     checks = [_check("gamma_matches_ode_residual", [np.abs(relation)], tol.closed_form)]
 
     closed_vs_direct, einstein_worst, pairs = [], [], []
-    for pt, jets in sample.chunks():
-        ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
+    for (pt, jets), ricci in zip(sample.chunks(), sample.ricci, strict=True):
         direct = einstein_difference(pt, params, profile, jets, ricci=ricci)
         closed = einstein_difference_closed_form(pt, params, profile)
         closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
@@ -610,7 +642,7 @@ def run_verification(cfg: RunConfig) -> dict:
     config = asdict(cfg)
     config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
     report = {
-        "schema_version": 2,
+        "schema_version": 3,
         "config": config,
         "suites": suites_out,
         "discrepancy_notes": notes,

@@ -1,11 +1,12 @@
 """The einsum forms of the curvature path, the reference for its matmul kernels.
 
-``connection.connection_fiber_derivatives``, ``curvature.curvature_blocks``
-and ``curvature.pair_symmetry_residual`` contract their arrays with one
+``connection.connection_fiber_derivatives``, ``curvature.curvature_blocks``,
+``curvature.pair_symmetry_residual`` and
+``curvature.holomorphic_sectional_curvature`` contract their arrays with one
 batched ``@`` per term.  This module keeps the same formulas written term by
-term as index expressions, in the math layout of the connection and
-curvature module docstrings, so the tests can compare the two forms entry
-for entry.  ``curvature_blocks`` here assembles ``K`` from the package's
+term as index expressions or one ``np.matvec`` per vector, in the math
+layout of the connection and curvature module docstrings, so the tests can
+compare the two forms entry for entry.  ``curvature_blocks`` here assembles ``K`` from the package's
 ``connection_coefficients`` and this module's ``connection_fiber_derivatives``.
 Every function takes a leading batch axis, like the package.
 """
@@ -15,6 +16,7 @@ import numpy as np
 from cotangent_kahler import CotangentPoint, FiberJets, ModelParams, connection_coefficients
 from cotangent_kahler.base import _max_abs
 from cotangent_kahler.connection import _assemble
+from cotangent_kahler.errors import GeometryError
 
 
 def connection_fiber_derivatives(
@@ -122,3 +124,16 @@ def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
         return np.vecdot(np.matvec(kzw, y), x)
 
     return _max_abs(form(x, y, z, w) - form(z, w, x, y), rank=1)
+
+
+def holomorphic_sectional_curvature(
+    curvature: np.ndarray, metric: np.ndarray, j_op: np.ndarray, x: np.ndarray
+):
+    """``G(K(X, JX)JX, X) / G(X, X)^2``, contracting one vector at a time."""
+    jx = np.matvec(j_op, x)
+    gx = np.matvec(metric, x)
+    norm_sq = np.vecdot(x, gx)
+    if np.any(norm_sq <= 0.0):
+        raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
+    k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
+    return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2

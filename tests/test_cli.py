@@ -1,6 +1,7 @@
 """Verification driver: configuration validation, report schema,
 determinism, and process exit codes."""
 
+import io
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from cotangent_kahler import (
     run_verification,
     sample_points,
 )
-from cotangent_kahler.cli import build_parser, config_from_args, main
+from cotangent_kahler.cli import _summarize, build_parser, config_from_args, main
 from cotangent_kahler.suites import SUITE_NAMES
 
 FAST = dict(
@@ -126,7 +127,7 @@ class TestSampling:
 class TestReport:
     def test_schema_and_pass(self):
         report = run_verification(RunConfig(**FAST))
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["passed"] is True
         assert set(report) == {
             "schema_version", "config", "suites", "discrepancy_notes", "passed", "timings",
@@ -235,7 +236,7 @@ class TestMain:
         code = main(self.ARGS + ["--report", "-"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
 
     def test_failing_tolerance_exits_one(self, capsys):
         code = main(self.ARGS + ["--tol-closed-form", "1e-30"])
@@ -320,8 +321,42 @@ class TestNumericalFailures:
         assert main(self.OVERFLOW + ["--suites", "einstein", "--report", "-"]) == 1
         checks = _checks_by_suite(json.loads(capsys.readouterr().out))["einstein"]
         closed = next(check for check in checks if check["name"] == "difference_closed_form")
-        assert np.isnan(closed["value"])
+        assert closed["value"] == "nan"
         assert closed["passed"] is False
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_report_with_non_finite_values_is_strict_json(self, capsys):
+        """A parser that refuses ``NaN`` and ``Infinity`` reads the report of
+        a run whose values overflow: each non-finite value is the string
+        ``"nan"``, ``"inf"`` or ``"-inf"``, with its verdict unchanged."""
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert main(self.OVERFLOW + ["--report", "-"]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        strings = [
+            check
+            for checks in _checks_by_suite(report).values()
+            for check in checks
+            if isinstance(check["value"], str)
+        ]
+        assert {check["value"] for check in strings} == {"nan", "inf"}
+        assert not any(check["passed"] for check in strings if check["comparison"] == "le")
+
+    def test_summary_prints_a_non_finite_value_as_it_is(self):
+        report = {
+            "suites": [{"name": "einstein", "passed": False, "configs": [{
+                "dim": 3, "curvature": 1.0, "passed": False,
+                "checks": [{"name": "einstein_constant", "value": "nan", "tolerance": 1e-5,
+                            "comparison": "le", "passed": False}],
+            }]}],
+            "discrepancy_notes": [],
+            "passed": False,
+        }
+        out = io.StringIO()
+        _summarize(report, out)
+        assert "einstein_constant value=nan wanted <= 1e-05" in out.getvalue()
 
     def test_zero_section_fails_every_suite(self, tmp_path):
         path = tmp_path / "report.json"

@@ -1,8 +1,8 @@
 """The matmul kernels of the curvature path against their einsum reference
 (``tests/kernel_reference.py``): ``connection_fiber_derivatives``,
-``curvature_blocks`` and ``pair_symmetry_residual`` on an 8-row batch, on the
-space forms and off them, each within 1e-13 of the largest entry of the
-reference array."""
+``curvature_blocks``, ``pair_symmetry_residual`` and
+``holomorphic_sectional_curvature`` on an 8-row batch, on the space forms and
+off them, each within 1e-13 of the largest entry of the reference array."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,11 +13,13 @@ from base_reference import bumped_geometry
 from cotangent_kahler import (
     CotangentPoint,
     ModelParams,
+    assemble_complex_structure,
     assemble_metric,
     connection_fiber_derivatives,
     curvature_blocks,
     einstein_profile,
     fiber_jets,
+    holomorphic_sectional_curvature,
     pair_symmetry_residual,
     rational_profile,
 )
@@ -90,4 +92,19 @@ def test_pair_symmetry_residual(n, profile_name, base_name):
     _assert_matches(
         pair_symmetry_residual(curv, metric, vectors),
         reference.pair_symmetry_residual(curv, metric, vectors),
+    )
+
+
+@CASES
+def test_holomorphic_sectional_curvature(n, profile_name, base_name):
+    """On ``K`` plus a random tensor of its size, as for the pair symmetry,
+    with one section per row."""
+    pt, params, jets, rng = _batch(n, profile_name, base_name)
+    curv = reference.curvature_blocks(pt, params, jets)
+    curv = curv + np.max(np.abs(curv)) * rng.normal(size=curv.shape)
+    metric, j_op = assemble_metric(jets), assemble_complex_structure(jets)
+    x = rng.normal(size=(BATCH, 2 * n))
+    _assert_matches(
+        holomorphic_sectional_curvature(curv, metric, j_op, x),
+        reference.holomorphic_sectional_curvature(curv, metric, j_op, x),
     )

@@ -16,6 +16,7 @@ from cotangent_kahler import (
     run_verification,
     sample_points,
 )
+from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.suites import _check
 
 
@@ -70,6 +71,33 @@ def _patch_everywhere(monkeypatch, original, replacement):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, replacement)
+
+
+# Eight samples at three rows per chunk: chunks of 3, 3 and 2 rows.
+SHARED_PASS = dict(dims=(2,), curvatures=(1.0,), samples=8)
+
+
+def _count_curvature_builds(monkeypatch, fail_at=None):
+    """Set three rows per chunk and record the rows of every
+    ``curvature_blocks`` call, in order; call number ``fail_at`` raises a
+    ``GeometryError`` instead."""
+    monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
+    original = cotangent_kahler.curvature.curvature_blocks
+    calls = []
+
+    def counted(pt, params, jets):
+        calls.append(len(pt.t))
+        if len(calls) == fail_at:
+            raise GeometryError("injected failure")
+        return original(pt, params, jets)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    return calls
+
+
+def _configs_by_suite(suites) -> dict:
+    report = run_verification(RunConfig(**SHARED_PASS, suites=suites))
+    return {suite["name"]: suite["configs"] for suite in report["suites"]}
 
 
 class TestSharedSample:
@@ -130,6 +158,40 @@ class TestSharedSample:
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
         assert len(calls) == 6
         assert sorted(calls) == [4] * 4 + [8] * 2
+
+    def test_curvature_and_einstein_build_each_chunks_k_once(self, monkeypatch):
+        """One ``K`` at the curvature oracle's center, then one per chunk:
+        the einstein suite reads the Ricci that the curvature suite's pass
+        kept."""
+        calls = _count_curvature_builds(monkeypatch)
+        configs = _configs_by_suite(("curvature", "einstein"))
+        assert calls == [1, 3, 3, 2]
+        assert all(config["passed"] for suite in configs.values() for config in suite)
+
+    def test_einstein_alone_builds_each_chunks_k_once(self, monkeypatch):
+        calls = _count_curvature_builds(monkeypatch)
+        _configs_by_suite(("einstein",))
+        assert calls == [3, 3, 2]
+
+    def test_einstein_configs_do_not_depend_on_the_suite_order(self, monkeypatch):
+        _count_curvature_builds(monkeypatch)
+        alone = _configs_by_suite(("einstein",))["einstein"]
+        assert _configs_by_suite(("curvature", "einstein"))["einstein"] == alone
+        assert _configs_by_suite(("einstein", "curvature"))["einstein"] == alone
+
+    def test_a_pass_that_raises_keeps_no_ricci(self, monkeypatch):
+        """The curvature suite's pass fails at its second chunk; the einstein
+        suite then builds every chunk's ``K`` itself and gives the result it
+        gives alone, rather than reading the first chunk's Ricci."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
+        alone = _configs_by_suite(("einstein",))["einstein"]
+        calls = _count_curvature_builds(monkeypatch, fail_at=3)
+        configs = _configs_by_suite(("curvature", "einstein"))
+        assert calls == [1, 3, 3, 3, 3, 2]
+        (error,) = configs["curvature"][0]["checks"]
+        assert error["name"] == "suite_error"
+        assert error["note"] == "GeometryError: injected failure"
+        assert configs["einstein"] == alone
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
