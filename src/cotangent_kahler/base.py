@@ -135,11 +135,12 @@ def _max_abs(*arrays: np.ndarray, rank: int):
 # the same way, at one complex row per center and coordinate and 16 bytes per
 # complex entry, and its other calls so that the field's output fits, at the
 # bytes per row the first call returned: at one center and n = 5, a (2n)^2
-# metric field takes the rows of the other nine coordinates in one call, the
-# K field one coordinate per call.  Batching is what makes the closed-form
-# checks and the FD oracles fast, but one batch of everything raises the
-# process's peak RSS past the 10% bound of the benchmark: the whole
-# 300-sample sweep in one batch costs about 7 MiB at n = 3.
+# metric field takes the rows of the other nine coordinates in one call, and
+# the nabla-K field, the six stored curvature blocks (6 n^4 entries per row),
+# four coordinates per call.  Batching is what makes the closed-form checks
+# and the FD oracles fast, but one batch of everything raises the process's
+# peak RSS past the 10% bound of the benchmark: the whole 300-sample sweep
+# in one batch costs about 7 MiB at n = 3.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -171,6 +172,16 @@ def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + x.shape[lead:-1] + y.shape[lead + 1 :])
 
 
+@functools.cache
+def _riemann_signs(n: int) -> np.ndarray:
+    """The constant ``delta^h_i delta_jk - delta^h_j delta_ik`` at ``[h, k,
+    i, j]``, entries -1, 0 and 1; read-only, as it is shared."""
+    eye = np.eye(n)
+    signs = np.einsum("hi,jk->hkij", eye, eye) - np.einsum("hj,ik->hkij", eye, eye)
+    signs.setflags(write=False)
+    return signs
+
+
 def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
     """Stereographic-chart metric, Christoffel symbols and curvature of the
     curvature-``c`` space form at ``x``, of shape ``(..., n)``."""
@@ -197,5 +208,6 @@ def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
         + np.einsum("kj,...i->...kij", eye, dphi)
         - np.einsum("ij,...k->...kij", eye, dphi)
     )
-    riemann = c * (np.einsum("hi,...jk->...hkij", eye, g) - np.einsum("hj,...ik->...hkij", eye, g))
+    # R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik) with g = I / f^2.
+    riemann = (c * _riemann_signs(params.n)) * _scale(1.0 / f**2, 4)
     return BaseGeometry(g=g, g_inv=eye * _scale(f**2, 2), gamma=gamma, riemann=riemann)

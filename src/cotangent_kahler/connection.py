@@ -13,9 +13,13 @@ them.  Everything here keeps the point's leading batch axis: the
 finite-difference oracles take a batch of centers, and the fields they
 differentiate are built at all rows of a coordinate in one call.
 
-``connection_fiber_derivatives`` feeds the curvature and keeps the
+``connection_fiber_derivatives`` feeds the curvature, and
+``covariant_field_derivative`` and ``parallel_j_residual`` apply the
+connection terms of the finite-difference oracles; the three keep the
 contraction rule of ``base``: each term is one batched ``@``
-(``base._contract``), and ``np.einsum`` only permutes axes.
+(``base._contract`` or a transposed ``Gamma``), and ``np.einsum`` only
+permutes axes.  Their einsum forms are the test-side reference,
+``tests/kernel_reference.py``.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def covariant_field_derivative(
     """
     grad = frame_gradient(field, pt)
     columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
-    return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
+    return grad + (np.swapaxes(conn, -2, -1) @ columns[..., None, :, :]).reshape(grad.shape)
 
 
 def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
@@ -185,8 +189,10 @@ def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarr
     """
     j_op = assemble_complex_structure(jets)
     grad_j = canonical_coordinate_form(j_op.shape[-1] // 2) @ metric_grad
-    nabla_j = grad_j + np.einsum("...abc,...br->...acr", conn, j_op)
-    expected = np.einsum("...cd,...abd->...acb", j_op, conn)
+    # [a, c, b]: sum_b' Gamma[a, b', c] J[b', b] and sum_d J[c, d] Gamma[a, b, d].
+    conn_t = np.swapaxes(conn, -2, -1)
+    nabla_j = grad_j + conn_t @ j_op[..., None, :, :]
+    expected = j_op[..., None, :, :] @ conn_t
     return _max_abs(nabla_j - expected, rank=3)
 
 

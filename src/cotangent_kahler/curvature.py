@@ -8,14 +8,18 @@ of its three inputs: ``hhh``, ``vvh`` and ``vhv`` have horizontal outputs,
 ``hhv``, ``vvv`` and ``vhh`` vertical ones, and antisymmetry in the first
 two slots supplies the horizontal/vertical inputs.  Every entry with an
 odd number of vertical slots vanishes (a fact the finite-difference oracle
-checks rather than assumes).
+checks rather than assumes).  The six blocks hold all of ``K`` in 6 n^4
+entries, against the 16 n^4 of the assembled array, and the assembly is
+linear: ``nabla_curvature`` differentiates the field of the six blocks,
+stacked on one axis, and assembles their gradient once.
 
-``curvature_blocks``, ``pair_symmetry_residual`` and
-``holomorphic_sectional_curvature`` keep the contraction rule of ``base``:
-each product term is one batched ``@`` (``base._contract``, a lowered
-matrix or a reshaped ``K``), and ``np.einsum`` only permutes axes.  Their
-einsum and ``matvec`` forms are the test-side reference,
-``tests/kernel_reference.py``.
+Every function here keeps the contraction rule of ``base``: each product
+term is one batched ``@`` (``base._contract``, a lowered matrix or a
+reshaped ``K``), and ``np.einsum`` only permutes axes or takes a trace.
+That covers the Leibniz terms of the finite-difference oracles too: the
+connection terms of ``curvature_fd`` and ``nabla_curvature`` and the
+bracket term of ``curvature_fd``.  Their einsum and ``matvec`` forms are
+the test-side reference, ``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
@@ -38,6 +42,7 @@ from .connection import (
     covariant_field_derivative,
 )
 from .errors import GeometryError
+from .fd import frame_gradient
 from .mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
 
 __all__ = [
@@ -71,8 +76,10 @@ def odd_slots(n: int) -> np.ndarray:
     return sum(np.ix_(vertical, vertical, vertical, vertical)) % 2 == 1
 
 
-def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
-    """Assemble ``K[a, b, c, d]`` from the connection and its fiber 1-jet.
+def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJets):
+    """The six stored blocks of ``K``, ``(hhh, hhv, vvh, vvv, vhh, vhv)``,
+    each ``[..., i, j, k, d]`` in the layout of the module docstring, built
+    from the connection and its fiber 1-jet.
 
     Horizontal derivatives of the coefficient arrays never appear: every
     coefficient is an M-tensor, so its horizontal frame derivative is
@@ -112,8 +119,16 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     vvv = dvv - np.swapaxes(dvv, -4, -3) + skew(vv_vv)
     vhh = dhh + np.einsum("...jkid->...ijkd", hh_vv) - np.swapaxes(vh_hh, -3, -2)
     vhv = np.swapaxes(dvh - vv_vh, -3, -2) + np.einsum("...kjid->...ijkd", vh_vh)
+    return hhh, hhv, vvh, vvv, vhh, vhv
 
-    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 4, np.result_type(conn, der))
+
+def _assemble_curvature(hhh, hhv, vvh, vvv, vhh, vhv) -> np.ndarray:
+    """``K[..., a, b, c, d]`` from its six stored blocks, leading axes
+    carried through; linear in the blocks, so it also assembles their
+    derivatives."""
+    n = hhh.shape[-1]
+    h, v = slice(None, n), slice(n, None)
+    out = np.zeros(hhh.shape[:-4] + (2 * n,) * 4, np.result_type(hhh, hhv, vvh, vvv, vhh, vhv))
     out[..., h, h, h, h] = hhh
     out[..., h, h, v, v] = hhv
     out[..., v, v, h, h] = vvh
@@ -125,6 +140,11 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     return out
 
 
+def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """Assemble ``K[a, b, c, d]`` from the connection and its fiber 1-jet."""
+    return _assemble_curvature(*_curvature_block_parts(pt, params, jets))
+
+
 # ---- Ricci, two routes ----
 
 
@@ -132,7 +152,8 @@ def ricci_from_blocks(curvature: np.ndarray) -> RicciBlocks:
     """``Ric(e_b, e_c) = K[a, b, c, a]``, traced over the whole frame."""
     n = curvature.shape[-1] // 2
     ricci = np.einsum("...abca->...bc", curvature)
-    return RicciBlocks(hh=ricci[..., :n, :n], vv=ricci[..., n:, n:])
+    # Copies, so that a kept block does not hold the vanishing mixed ones.
+    return RicciBlocks(hh=ricci[..., :n, :n].copy(), vv=ricci[..., n:, n:].copy())
 
 
 def ricci_trace_coefficient(params: ModelParams, profile, t):
@@ -235,18 +256,6 @@ def holomorphic_sectional_curvature(
 # ---- finite-difference oracles ----
 
 
-def _vector_field(build, params: ModelParams, profile):
-    """Field ``(q, p) -> build(point, params, jets)`` over a batch of points,
-    with the output index (last) moved next to the batch axis, as
-    ``covariant_field_derivative`` expects."""
-
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(q, p, params)
-        return np.moveaxis(build(point, params, fiber_jets(point, params, profile)), -1, 1)
-
-    return field
-
-
 def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
     nabla_[a,b] e_c`` at the centers ``pt`` from the definition, by one
@@ -254,10 +263,16 @@ def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJe
     ``pt``.  The curvature block formulas are never consulted, and tracing
     the result over ``a = d`` gives the Ricci tensor, mixed block included."""
     conn = connection_coefficients(pt, params, jets)
-    field = _vector_field(connection_coefficients, params, profile)
+
+    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The connection, output index first, as
+        ``covariant_field_derivative`` expects."""
+        point = CotangentPoint.at(q, p, params)
+        return np.moveaxis(connection_coefficients(point, params, fiber_jets(point, params, profile)), -1, 1)
+
     value = np.moveaxis(conn, -1, -3)
     second = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -3, -1)
-    bracket_term = np.einsum("...abf,...fcd->...abcd", frame_brackets(pt), conn)
+    bracket_term = _contract(frame_brackets(pt), conn, 3)
     return second - np.swapaxes(second, -4, -3) - bracket_term
 
 
@@ -268,18 +283,26 @@ def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: Fibe
     """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers ``pt`` by the
     Leibniz rule.
 
-    The value term is one frame gradient of the assembled ``K`` field; the
-    three correction terms use ``K`` and the connection at ``pt``, built
-    from its fiber ``jets``.
+    The value term is one frame gradient of the field of the six stored
+    blocks, assembled once; the four connection terms, one per slot of
+    ``K``, are each one batched ``@`` of ``K`` and the connection at
+    ``pt``, built from its fiber ``jets``.
     """
     conn = connection_coefficients(pt, params, jets)
     curv = curvature_blocks(pt, params, jets)
-    field = _vector_field(curvature_blocks, params, profile)
-    value = np.moveaxis(curv, -1, -4)
-    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -4, -1)
-    nabla -= np.einsum("...waf,...fbcd->...wabcd", conn, curv)
-    nabla -= np.einsum("...wbf,...afcd->...wabcd", conn, curv)
-    nabla -= np.einsum("...wcf,...abfd->...wabcd", conn, curv)
+
+    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        point = CotangentPoint.at(q, p, params)
+        return np.stack(_curvature_block_parts(point, params, fiber_jets(point, params, profile)), axis=1)
+
+    nabla = _assemble_curvature(*np.moveaxis(frame_gradient(field, pt), -5, 0))
+    # + conn[w, f, d] K[a, b, c, f], then - conn[w, s, f] K[.., f, ..] with
+    # f in slot s = a, b, c: K is permuted to put f first, the product to
+    # put w, a, b, c, d in order.
+    nabla += _contract(curv[..., None, :, :, :, :], conn, 2)
+    nabla -= _contract(conn, curv, 4)
+    nabla -= np.swapaxes(_contract(conn, np.moveaxis(curv, -3, -4), 4), -4, -3)
+    nabla -= np.moveaxis(_contract(conn, np.moveaxis(curv, -2, -4), 4), -4, -2)
     return nabla
 
 

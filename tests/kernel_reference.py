@@ -1,22 +1,47 @@
 """The einsum forms of the curvature path, the reference for its matmul kernels.
 
-``connection.connection_fiber_derivatives``, ``curvature.curvature_blocks``,
-``curvature.pair_symmetry_residual`` and
+``base.space_form_metric``'s curvature, ``connection.connection_fiber_derivatives``,
+``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual`` and
 ``curvature.holomorphic_sectional_curvature`` contract their arrays with one
-batched ``@`` per term.  This module keeps the same formulas written term by
-term as index expressions or one ``np.matvec`` per vector, in the math
-layout of the connection and curvature module docstrings, so the tests can
-compare the two forms entry for entry.  ``curvature_blocks`` here assembles ``K`` from the package's
-``connection_coefficients`` and this module's ``connection_fiber_derivatives``.
-Every function takes a leading batch axis, like the package.
+batched ``@`` per term, and so do the Leibniz terms of the finite-difference
+oracles: ``connection.covariant_field_derivative``,
+``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
+``curvature.nabla_curvature``.  This module keeps the same formulas written
+term by term as index expressions or one ``np.matvec`` per vector, in the
+math layout of the connection and curvature module docstrings, so the tests
+can compare the two forms entry for entry.  ``curvature_blocks`` here
+assembles ``K`` from the package's ``connection_coefficients`` and this
+module's ``connection_fiber_derivatives``; ``nabla_curvature`` here
+differentiates the package's assembled ``K``, all ``(2n)^4`` entries per
+row.  Every function takes a leading batch axis, like the package.
 """
 
 import numpy as np
 
-from cotangent_kahler import CotangentPoint, FiberJets, ModelParams, connection_coefficients
-from cotangent_kahler.base import _max_abs
+from cotangent_kahler import (
+    CotangentPoint,
+    FiberJets,
+    ModelParams,
+    assemble_complex_structure,
+    canonical_coordinate_form,
+    connection_coefficients,
+    fiber_jets,
+    frame_brackets,
+    frame_gradient,
+)
+from cotangent_kahler import curvature_blocks as package_curvature_blocks
+from cotangent_kahler.base import _max_abs, _scale
 from cotangent_kahler.connection import _assemble
 from cotangent_kahler.errors import GeometryError
+
+
+def space_form_riemann(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik)`` at ``[h, k, i,
+    j]``, two outer products of the identity with ``g = I / f^2``."""
+    f = 1.0 + 0.25 * params.c * np.vecdot(x.conj(), x)
+    eye = np.eye(params.n)
+    g = eye / _scale(f**2, 2)
+    return params.c * (np.einsum("hi,...jk->...hkij", eye, g) - np.einsum("hj,...ik->...hkij", eye, g))
 
 
 def connection_fiber_derivatives(
@@ -137,3 +162,60 @@ def holomorphic_sectional_curvature(
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
     k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
     return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2
+
+
+# ---- Leibniz terms of the finite-difference oracles ----
+
+
+def covariant_field_derivative(pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray) -> np.ndarray:
+    """``out[..., a, c, ...]``, the ``c``-th component of ``nabla_{e_a} V``,
+    with the frame rotation ``V^b Gamma[a, b, c]`` as one einsum."""
+    grad = frame_gradient(field, pt)
+    columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
+    return grad + np.einsum("...abc,...br->...acr", conn, columns).reshape(grad.shape)
+
+
+def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
+    """``max |nabla_a (J e_b) - J nabla_a e_b|`` per center, with both
+    connection terms as einsums."""
+    j_op = assemble_complex_structure(jets)
+    grad_j = canonical_coordinate_form(j_op.shape[-1] // 2) @ metric_grad
+    nabla_j = grad_j + np.einsum("...abc,...br->...acr", conn, j_op)
+    expected = np.einsum("...cd,...abd->...acb", j_op, conn)
+    return _max_abs(nabla_j - expected, rank=3)
+
+
+def _vector_field(build, params: ModelParams, profile):
+    """Field ``(q, p) -> build(point, params, jets)``, output index (last)
+    moved next to the batch axis."""
+
+    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        point = CotangentPoint.at(q, p, params)
+        return np.moveaxis(build(point, params, fiber_jets(point, params, profile)), -1, 1)
+
+    return field
+
+
+def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
+    """``K(e_a, e_b)e_c`` from the definition, with the bracket term as one
+    einsum."""
+    conn = connection_coefficients(pt, params, jets)
+    field = _vector_field(connection_coefficients, params, profile)
+    value = np.moveaxis(conn, -1, -3)
+    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -3, -1)
+    bracket_term = np.einsum("...abf,...fcd->...abcd", frame_brackets(pt), conn)
+    return second - np.swapaxes(second, -4, -3) - bracket_term
+
+
+def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
+    """``(nabla_{e_w} K)[..., w, a, b, c, d]``: one frame gradient of the
+    assembled ``K`` field, and one einsum per connection term."""
+    conn = connection_coefficients(pt, params, jets)
+    curv = package_curvature_blocks(pt, params, jets)
+    field = _vector_field(package_curvature_blocks, params, profile)
+    value = np.moveaxis(curv, -1, -4)
+    nabla = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -4, -1)
+    nabla -= np.einsum("...waf,...fbcd->...wabcd", conn, curv)
+    nabla -= np.einsum("...wbf,...afcd->...wabcd", conn, curv)
+    nabla -= np.einsum("...wcf,...abfd->...wabcd", conn, curv)
+    return nabla

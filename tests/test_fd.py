@@ -205,6 +205,33 @@ class TestBatchedStencil:
         assert frame_gradient(field, pt).shape == (1, 2 * n) + (2 * n,) * 4
         assert rows == [1] * 10
 
+    @pytest.mark.parametrize(
+        "n, rows", [(2, [4]), (3, [6]), (4, [4, 4]), (5, [1, 4, 4, 1])], ids=["n2", "n3", "n4", "n5"]
+    )
+    def test_nabla_curvature_field_calls(self, rng, n, rows, monkeypatch):
+        """The field of ``nabla_curvature`` returns the six stored blocks of
+        ``K``, 6 n^4 values per row, not the (2n)^4 of the assembled array:
+        at one center the first call takes the coordinates that fit at 16
+        (2n)^4 bytes per row, and the rest go four to a call at n = 4 and
+        5, where the assembled field took ten one-row calls."""
+        params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
+        pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
+        profile = einstein_profile(params)
+        jets = fiber_jets(pt, params, profile)
+        original = cotangent_kahler.fd.fd_partial
+        calls = []
+
+        def counted(f, x, d):
+            def counting_field(z):
+                calls.append(len(z))
+                return f(z)
+
+            return original(counting_field, x, d)
+
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
+        assert nabla_curvature(params, profile, pt, jets).shape == (1,) + (2 * n,) * 5
+        assert calls == rows
+
 
 # ---------------------------------------------------------------------------
 # Frame derivatives on the bundle

@@ -2,7 +2,10 @@
 (``tests/kernel_reference.py``): ``connection_fiber_derivatives``,
 ``curvature_blocks``, ``pair_symmetry_residual`` and
 ``holomorphic_sectional_curvature`` on an 8-row batch, on the space forms and
-off them, each within 1e-13 of the largest entry of the reference array."""
+off them, each within 1e-13 of the largest entry of the reference array; the
+Leibniz terms of ``curvature_fd``, ``nabla_curvature`` and
+``parallel_j_residual`` at two centers, on the Kahler and a detuned coupling,
+within 1e-12; and the space-form curvature, bit for bit."""
 
 import numpy as np
 import numpy.testing as npt
@@ -15,13 +18,19 @@ from cotangent_kahler import (
     ModelParams,
     assemble_complex_structure,
     assemble_metric,
+    connection_coefficients,
     connection_fiber_derivatives,
     curvature_blocks,
+    curvature_fd,
     einstein_profile,
     fiber_jets,
     holomorphic_sectional_curvature,
+    metric_gradient,
+    nabla_curvature,
     pair_symmetry_residual,
+    parallel_j_residual,
     rational_profile,
+    space_form_metric,
 )
 
 BATCH = 8
@@ -47,11 +56,11 @@ def _batch(n, profile_name, base_name):
     return pt, params, fiber_jets(pt, params, profile), rng
 
 
-def _assert_matches(actual, expected):
+def _assert_matches(actual, expected, rel=1e-13):
     scale = np.max(np.abs(expected))
     assert scale > 1e-3  # nothing trivial is being compared
     assert actual.shape == expected.shape
-    npt.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
+    npt.assert_allclose(actual, expected, rtol=0.0, atol=rel * scale)
 
 
 CASES = pytest.mark.parametrize(
@@ -108,3 +117,73 @@ def test_holomorphic_sectional_curvature(n, profile_name, base_name):
         holomorphic_sectional_curvature(curv, metric, j_op, x),
         reference.holomorphic_sectional_curvature(curv, metric, j_op, x),
     )
+
+
+ORACLE_CASES = pytest.mark.parametrize(
+    "n, coupling", [(n, coupling) for n in (2, 3, 4, 5) for coupling in ("kahler", "detuned")]
+)
+
+
+def _centers(n, coupling):
+    """Two oracle centers on the space form, with params, profile and fiber
+    jets, at the integrable coupling or 10% off it."""
+    rng = np.random.default_rng([n, ("kahler", "detuned").index(coupling)])
+    params = ModelParams.kahler(n, C, k_a=0.7, k_b=0.4)
+    if coupling == "detuned":
+        params = ModelParams(n=n, c=C, a_metric=1.1 * params.a_metric, k_a=0.7, k_b=0.4)
+    profile = einstein_profile(params)
+    pt = CotangentPoint.at(rng.uniform(-1.0, 1.0, size=(2, n)), rng.normal(size=(2, n)), params)
+    return pt, params, profile, fiber_jets(pt, params, profile), rng
+
+
+@ORACLE_CASES
+def test_curvature_fd(n, coupling):
+    pt, params, profile, jets, _ = _centers(n, coupling)
+    _assert_matches(
+        curvature_fd(params, profile, pt, jets),
+        reference.curvature_fd(params, profile, pt, jets),
+        rel=1e-12,
+    )
+
+
+@ORACLE_CASES
+def test_nabla_curvature(n, coupling):
+    """The gradient of the six stored blocks, assembled, against that of the
+    assembled ``K``."""
+    pt, params, profile, jets, _ = _centers(n, coupling)
+    _assert_matches(
+        nabla_curvature(params, profile, pt, jets),
+        reference.nabla_curvature(params, profile, pt, jets),
+        rel=1e-12,
+    )
+
+
+@ORACLE_CASES
+def test_parallel_j_residual(n, coupling):
+    """On the metric gradient plus a random tensor of its size, so that the
+    residual is of the size of its terms at the Kahler coupling too."""
+    pt, params, profile, jets, rng = _centers(n, coupling)
+    conn = connection_coefficients(pt, params, jets)
+    grad = metric_gradient(params, profile, pt)
+    grad = grad + np.max(np.abs(grad)) * rng.normal(size=grad.shape)
+    _assert_matches(
+        parallel_j_residual(conn, jets, grad),
+        reference.parallel_j_residual(conn, jets, grad),
+        rel=1e-12,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_space_form_riemann_is_bit_identical(n):
+    """The constant sign tensor times ``c / f^2`` gives the bits of the two
+    outer products with the identity: on real rows, on one point, on
+    complex rows with a zero imaginary part and on a complex-step row."""
+    params = ModelParams.kahler(n, C)
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, size=(72, n))
+    step = x[:1].astype(complex)
+    step[0, -1] += 1e-30j
+    for rows in (x, x[0], x[:1], x.astype(complex), step):
+        actual = space_form_metric(rows, params).riemann
+        expected = reference.space_form_riemann(rows, params)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()

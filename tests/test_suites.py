@@ -17,7 +17,7 @@ from cotangent_kahler import (
     sample_points,
 )
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.suites import _check
+from cotangent_kahler.suites import Sample, _check
 
 
 class TestCheckReduction:
@@ -192,6 +192,19 @@ class TestSharedSample:
         assert error["name"] == "suite_error"
         assert error["note"] == "GeometryError: injected failure"
         assert configs["einstein"] == alone
+
+    def test_kept_ricci_holds_only_the_horizontal_and_vertical_blocks(self):
+        """At n = 3 and 300 samples the kept Ricci list owns 2 S n^2 float64
+        entries: contiguous ``hh`` and ``vv`` blocks, not views that keep the
+        whole ``(rows, 2n, 2n)`` trace and its vanishing mixed blocks alive."""
+        n, samples = 3, 300
+        params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
+        rng = np.random.default_rng(3)
+        q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
+        sample = Sample(q, p, params, einstein_profile(params))
+        blocks = [block for ricci in sample.ricci for block in (ricci.hh, ricci.vv)]
+        assert all(block.base is None and block.flags.c_contiguous for block in blocks)
+        assert sum(block.nbytes for block in blocks) == 2 * samples * n**2 * 8
 
     def test_sampled_points_are_built_once(self, monkeypatch):
         """Across all six suites, the config's sampled points are built in
