@@ -23,23 +23,17 @@ import sys
 
 import numpy as np
 
-from cotangent_kahler import (
-    CotangentPoint,
-    GeometryError,
-    ModelParams,
-    assemble_complex_structure,
-    assemble_metric,
+from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.curvature import (
     curvature_blocks,
-    einstein_profile,
-    einstein_residual,
-    family_einstein_constant,
-    fiber_jets,
-    gamma_factor,
     holomorphic_sectional_curvature,
-    integrable_coupling,
     ricci_from_blocks,
 )
-from cotangent_kahler.profiles import VProfile
+from cotangent_kahler.einstein import einstein_residual, family_einstein_constant, gamma_factor
+from cotangent_kahler.errors import GeometryError
+from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
+from cotangent_kahler.profiles import VProfile, einstein_profile
+from cotangent_kahler.structure import assemble_complex_structure
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ import json
 import sys
 
 from .errors import ConfigError
+from .profiles import PROFILES
 from .suites import SUITE_NAMES, RunConfig, Tolerances, run_verification
 
 __all__ = ["build_parser", "config_from_args", "main"]
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kb", type=float, default=1.0, help="constant-mode weight k_b >= 0")
     parser.add_argument(
         "--profile",
-        choices=("einstein", "rational", "zero"),
+        choices=tuple(PROFILES),
         default="einstein",
         help="radial profile of the metric (default: einstein)",
     )

@@ -14,12 +14,11 @@ finite-difference oracles take a batch of centers, and the fields they
 differentiate are built at all rows of a coordinate in one call.
 
 ``connection_fiber_derivatives`` feeds the curvature, and
-``covariant_field_derivative`` and ``parallel_j_residual`` apply the
-connection terms of the finite-difference oracles; the three keep the
-contraction rule of ``base``: each term is one batched ``@``
-(``base._contract`` or a transposed ``Gamma``), and ``np.einsum`` only
-permutes axes.  Their einsum forms are the test-side reference,
-``tests/kernel_reference.py``.
+``parallel_j_residual`` applies the connection terms of the parallel-J
+oracle; both keep the contraction rule of ``base``: each term is one
+batched ``@`` (``base._contract`` or a transposed ``Gamma``), and
+``np.einsum`` only permutes axes.  Their einsum forms are the test-side
+reference, ``tests/kernel_reference.py``.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ import numpy as np
 from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
 from .fd import frame_gradient
-from .mtensor import CotangentPoint, FiberJets, assemble_metric, frame_brackets, metric_blocks
+from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, frame_brackets, metric_blocks
 from .structure import assemble_complex_structure, canonical_coordinate_form
 
 __all__ = [
     "connection_coefficients",
     "kahler_connection_coefficients",
     "connection_fiber_derivatives",
-    "covariant_field_derivative",
     "koszul_nabla",
     "torsion_residual",
     "metric_compatibility_residual",
@@ -160,24 +158,6 @@ def connection_fiber_derivatives(
 # ---- covariant derivatives of fields ----
 
 
-def covariant_field_derivative(
-    pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray
-) -> np.ndarray:
-    """``nabla_{e_a}`` of a field of frame vectors, along every direction.
-
-    ``field(q, p)`` takes a batch of points, ``q`` and ``p`` of shape ``(m,
-    n)``, and returns ``(m, ...)``: per point, axis 0 holds frame components
-    and further axes label independent vector fields.  ``value`` is the field
-    at the centers ``pt`` themselves, which the caller already has.  The
-    result is ``out[..., a, c, ...]``, the ``c``-th component of ``nabla_{e_a}
-    V``: one frame gradient differentiates the components, and the frame's
-    own rotation enters through ``conn``.
-    """
-    grad = frame_gradient(field, pt)
-    columns = value.reshape(pt.p.shape[:-1] + (2 * pt.n, -1))
-    return grad + (np.swapaxes(conn, -2, -1) @ columns[..., None, :, :]).reshape(grad.shape)
-
-
 def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
     """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, per
     center; ``jets`` are the fiber jets at the centers.
@@ -219,7 +199,6 @@ def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -
     ``metric_gradient``), bracket terms from the closed-form structure
     constants, and ``jets`` give the metric at ``pt``.
     """
-    n = pt.n
     lowered = frame_brackets(pt) @ assemble_metric(jets)[..., None, :, :]
     rhs = (
         metric_grad
@@ -229,9 +208,7 @@ def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -
         - np.einsum("...acb->...abc", lowered)
         - np.einsum("...bca->...abc", lowered)
     )
-    inverse = np.zeros(rhs.shape[:-3] + (2 * n, 2 * n))
-    inverse[..., :n, :n] = jets.gv
-    inverse[..., n:, n:] = jets.gh
+    inverse = assemble_metric(MetricBlocks(gh=jets.gv, gv=jets.gh))
     return 0.5 * rhs @ inverse[..., None, :, :]
 
 

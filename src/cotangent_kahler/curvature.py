@@ -36,11 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelParams, _contract, _max_abs, _outer, _scale
-from .connection import (
-    connection_coefficients,
-    connection_fiber_derivatives,
-    covariant_field_derivative,
-)
+from .connection import connection_coefficients, connection_fiber_derivatives
 from .errors import GeometryError
 from .fd import frame_gradient
 from .mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
@@ -265,13 +261,12 @@ def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJe
     conn = connection_coefficients(pt, params, jets)
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """The connection, output index first, as
-        ``covariant_field_derivative`` expects."""
         point = CotangentPoint.at(q, p, params)
-        return np.moveaxis(connection_coefficients(point, params, fiber_jets(point, params, profile)), -1, 1)
+        return connection_coefficients(point, params, fiber_jets(point, params, profile))
 
-    value = np.moveaxis(conn, -1, -3)
-    second = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -3, -1)
+    # (nabla_w nabla_a e_b)[c]: the gradient of conn[a, b, c] plus the
+    # frame's rotation, conn[a, b, f] conn[w, f, c].
+    second = frame_gradient(field, pt) + _contract(conn[..., None, :, :, :], conn, 2)
     bracket_term = _contract(frame_brackets(pt), conn, 3)
     return second - np.swapaxes(second, -4, -3) - bracket_term
 

@@ -27,10 +27,10 @@ from .base import ModelParams
 
 __all__ = [
     "VProfile",
-    "constant_profile",
     "zero_profile",
     "rational_profile",
     "einstein_profile",
+    "PROFILES",
     "profile_from_name",
 ]
 
@@ -54,17 +54,9 @@ class VProfile:
         return tuple(np.asarray(f(t)) for f in (self.v, self.dv, self.d2v))
 
 
-def constant_profile(v0: float) -> VProfile:
-    return VProfile(
-        kind=f"constant({v0})",
-        v=lambda t: np.full(np.shape(t), v0),
-        dv=lambda t: np.zeros(np.shape(t)),
-        d2v=lambda t: np.zeros(np.shape(t)),
-    )
-
-
 def zero_profile() -> VProfile:
-    return constant_profile(0.0)
+    zeros = lambda t: np.zeros(np.shape(t))
+    return VProfile(kind="constant(0.0)", v=zeros, dv=zeros, d2v=zeros)
 
 
 def rational_profile() -> VProfile:
@@ -100,12 +92,16 @@ def einstein_profile(params: ModelParams) -> VProfile:
     return VProfile(kind=f"einstein(k_a={ka}, k_b={kb})", v=v, dv=dv, d2v=d2v)
 
 
+# Name -> builder from the model params, for the command-line ``--profile``.
+PROFILES = {
+    "einstein": einstein_profile,
+    "rational": lambda params: rational_profile(),
+    "zero": lambda params: zero_profile(),
+}
+
+
 def profile_from_name(name: str, params: ModelParams) -> VProfile:
     """Profile selector used by the command-line driver."""
-    if name == "einstein":
-        return einstein_profile(params)
-    if name == "rational":
-        return rational_profile()
-    if name == "zero":
-        return zero_profile()
-    raise ValueError(f"unknown profile {name!r}; expected einstein, rational, or zero")
+    if name not in PROFILES:
+        raise ValueError(f"unknown profile {name!r}; expected {', '.join(PROFILES)}")
+    return PROFILES[name](params)

@@ -37,7 +37,6 @@ __all__ = [
     "canonical_coordinate_form",
     "coordinate_form",
     "dform_residual",
-    "nijenhuis_core",
     "nijenhuis_closed_form",
     "nijenhuis_numeric",
 ]
@@ -118,27 +117,23 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint):
 # ---- integrability tensor ----
 
 
-def nijenhuis_core(pt: CotangentPoint, params: ModelParams) -> np.ndarray:
-    """``(a^2/2)(delta^h_i g_jk - delta^h_j g_ik) - R^h_{kij}``."""
-    eye = np.eye(pt.n)
-    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
-    return 0.5 * params.a_metric**2 * flat - pt.riemann
-
-
 def nijenhuis_closed_form(
     pt: CotangentPoint, params: ModelParams, jets: FiberJets
 ) -> np.ndarray:
-    """``N[a, b, c]`` from the momentum-contracted core.
+    """``N[a, b, c]`` from the momentum-contracted core of the module
+    docstring.
 
     Two horizontals and two verticals give vertical outputs; mixed
     arguments give horizontal ones, routed through two copies of the
     vertical block.
     """
     n = pt.n
-    core0 = np.einsum("...h,...hkij->...kij", pt.p, nijenhuis_core(pt, params))
+    eye = np.eye(n)
+    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
+    core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
     gv = jets.gv
     mixed = np.einsum("...kl,...jr,...lir->...ijk", gv, gv, core0)
-    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3, np.result_type(core0, gv))
     out[..., :n, :n, n:] = np.einsum("...kij->...ijk", core0)
     out[..., :n, n:, :n] = mixed
     out[..., n:, :n, :n] = -np.swapaxes(mixed, -3, -2)

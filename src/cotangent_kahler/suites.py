@@ -65,7 +65,7 @@ from .mtensor import (
     fiber_jets,
     take_rows,
 )
-from .profiles import einstein_profile, profile_from_name, rational_profile
+from .profiles import PROFILES, einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
     canonical_coordinate_form,
@@ -98,8 +98,6 @@ SUITE_NAMES = (
     "einstein",
     "witnesses",
 )
-
-_PROFILE_NAMES = ("einstein", "rational", "zero")
 
 # Relative coupling detuning used by the witness checks that must see the
 # integrability and parallel-structure detectors fire.
@@ -145,8 +143,8 @@ class RunConfig:
             raise ConfigError("curvatures must be a nonempty list of positive finite reals")
         if not (0 <= self.k_a < math.inf and 0 <= self.k_b < math.inf):
             raise ConfigError("k_a and k_b must be finite and >= 0")
-        if self.profile not in _PROFILE_NAMES:
-            raise ConfigError(f"profile must be one of {_PROFILE_NAMES}")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"profile must be one of {tuple(PROFILES)}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if not (0 < self.t_min < self.t_max < math.inf):

@@ -14,14 +14,16 @@ Nothing here assumes constant curvature.  The tests compare the closed forms
 against it, and the off-space-form fixtures hand its ``geometry`` to
 ``CotangentPoint.from_base``.  Every function takes a leading batch axis,
 like the package, and works in the dtype of its input, so that a complex-step
-derivative runs through it.
+derivative runs through it.  ``constant_profile`` is the constant fiber
+profile ``v(t) = v0`` that the batch and metric-block tests build on.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from cotangent_kahler import BaseGeometry, ModelParams
+from cotangent_kahler.base import BaseGeometry, ModelParams
+from cotangent_kahler.profiles import VProfile
 
 
 @dataclass(frozen=True)
@@ -107,3 +109,13 @@ def bumped_geometry(x: np.ndarray, c: float, eps: float) -> BaseGeometry:
     hess_f = np.broadcast_to(0.5 * c * np.eye(x.shape[-1]), x.shape + x.shape[-1:]).astype(x.dtype)
     hess_f[..., 0, 0] += 6.0 * eps * x[..., 0]
     return geometry(conformal_jet(x, f, grad_f, hess_f))
+
+
+def constant_profile(v0: float) -> VProfile:
+    """``v(t) = v0``, with zero derivatives."""
+    return VProfile(
+        kind=f"constant({v0})",
+        v=lambda t: np.full(np.shape(t), v0),
+        dv=lambda t: np.zeros(np.shape(t)),
+        d2v=lambda t: np.zeros(np.shape(t)),
+    )

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
-    einstein_profile,
-    rational_profile,
-)
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.mtensor import CotangentPoint
+from cotangent_kahler.profiles import einstein_profile, rational_profile
 
 
 @pytest.fixture

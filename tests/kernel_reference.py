@@ -4,8 +4,7 @@
 ``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual`` and
 ``curvature.holomorphic_sectional_curvature`` contract their arrays with one
 batched ``@`` per term, and so do the Leibniz terms of the finite-difference
-oracles: ``connection.covariant_field_derivative``,
-``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
+oracles: ``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
 ``curvature.nabla_curvature``.  This module keeps the same formulas written
 term by term as index expressions or one ``np.matvec`` per vector, in the
 math layout of the connection and curvature module docstrings, so the tests
@@ -18,21 +17,13 @@ row.  Every function takes a leading batch axis, like the package.
 
 import numpy as np
 
-from cotangent_kahler import (
-    CotangentPoint,
-    FiberJets,
-    ModelParams,
-    assemble_complex_structure,
-    canonical_coordinate_form,
-    connection_coefficients,
-    fiber_jets,
-    frame_brackets,
-    frame_gradient,
-)
-from cotangent_kahler import curvature_blocks as package_curvature_blocks
-from cotangent_kahler.base import _max_abs, _scale
-from cotangent_kahler.connection import _assemble
+from cotangent_kahler.base import ModelParams, _max_abs, _scale
+from cotangent_kahler.connection import _assemble, connection_coefficients
+from cotangent_kahler.curvature import curvature_blocks as package_curvature_blocks
 from cotangent_kahler.errors import GeometryError
+from cotangent_kahler.fd import frame_gradient
+from cotangent_kahler.mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
+from cotangent_kahler.structure import assemble_complex_structure, canonical_coordinate_form
 
 
 def space_form_riemann(x: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -14,36 +14,36 @@ import numpy.testing as npt
 import pytest
 
 import fd_reference
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
-    RunConfig,
+from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.cli import main
+from cotangent_kahler.curvature import (
+    curvature_blocks,
+    curvature_fd,
+    holomorphic_sectional_curvature,
+    nabla_curvature_probe,
+    ricci_from_blocks,
+)
+from cotangent_kahler.einstein import (
+    einstein_residual,
+    euler_ode_residual,
+    family_einstein_constant,
+    gamma_factor,
+)
+from cotangent_kahler.fd import frame_gradient
+from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
+from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.structure import (
     assemble_complex_structure,
-    assemble_metric,
     canonical_coordinate_form,
     complex_structure_squared_residual,
     coordinate_form,
-    curvature_blocks,
-    curvature_fd,
     dform_residual,
-    einstein_profile,
-    family_einstein_constant,
-    fiber_jets,
     fundamental_form,
-    gamma_factor,
     hermitian_residual,
-    holomorphic_sectional_curvature,
-    integrable_coupling,
-    nabla_curvature_probe,
     nijenhuis_closed_form,
     nijenhuis_numeric,
-    ricci_from_blocks,
-    run_verification,
-    sample_points,
 )
-from cotangent_kahler.cli import main
-from cotangent_kahler.einstein import einstein_residual, euler_ode_residual
-from cotangent_kahler.fd import frame_gradient
+from cotangent_kahler.suites import RunConfig, run_verification, sample_points
 
 GRID = [(n, c) for n in (2, 3) for c in (0.5, 1.0, 2.0)]
 

@@ -8,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from base_reference import christoffel_derivative, conformal_jet, geometry, space_form_jet
-from cotangent_kahler import (
-    GeometryError,
-    ModelParams,
-    SingularMetricError,
-    fd_partial,
-    integrable_coupling,
-    space_form_metric,
-)
+from cotangent_kahler.base import ModelParams, integrable_coupling, space_form_metric
+from cotangent_kahler.errors import GeometryError, SingularMetricError
+from cotangent_kahler.fd import fd_partial
 
 # ---------------------------------------------------------------------------
 # Parameter validation

@@ -3,54 +3,67 @@ reference, of the values the suites check and of the finite-difference
 oracles: one call on stacked points equals one call per point, and every
 guard fires when one row fails it."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from base_reference import christoffel, christoffel_derivative, conformal_jet, geometry, space_form_jet
-from cotangent_kahler import (
-    CotangentPoint,
-    GeometryError,
-    ModelParams,
-    PositivityError,
-    ZeroSectionError,
-    assemble_complex_structure,
-    assemble_metric,
-    chart_frame,
+from base_reference import (
+    christoffel,
+    christoffel_derivative,
+    conformal_jet,
+    constant_profile,
+    geometry,
+    space_form_jet,
+)
+from cotangent_kahler.base import ModelParams, space_form_metric
+from cotangent_kahler.connection import (
     connection_coefficients,
     connection_fiber_derivatives,
-    constant_profile,
-    coordinate_form,
-    complex_structure_squared_residual,
-    curvature_blocks,
-    curvature_fd,
-    dform_residual,
-    einstein_difference,
-    einstein_difference_closed_form,
-    einstein_profile,
-    einstein_residual,
-    energy_density,
-    fiber_jets,
-    fundamental_form,
-    hermitian_residual,
-    holomorphic_sectional_curvature,
     kahler_connection_coefficients,
     koszul_nabla,
-    metric_blocks,
     metric_compatibility_residual,
     metric_gradient,
-    nabla_curvature_probe,
-    nijenhuis_closed_form,
-    nijenhuis_numeric,
     parallel_j_residual,
-    pair_symmetry_residual,
-    rational_profile,
-    ricci_closed_form,
-    ricci_from_blocks,
-    space_form_metric,
     torsion_residual,
 )
-from cotangent_kahler.mtensor import _check_positivity, _w_jet
+from cotangent_kahler.curvature import (
+    curvature_blocks,
+    curvature_fd,
+    holomorphic_sectional_curvature,
+    nabla_curvature_probe,
+    pair_symmetry_residual,
+    ricci_closed_form,
+    ricci_from_blocks,
+)
+from cotangent_kahler.einstein import (
+    einstein_difference,
+    einstein_difference_closed_form,
+    einstein_residual,
+)
+from cotangent_kahler.errors import GeometryError, PositivityError, ZeroSectionError
+from cotangent_kahler.mtensor import (
+    CotangentPoint,
+    _check_positivity,
+    _w_jet,
+    assemble_metric,
+    chart_frame,
+    energy_density,
+    fiber_jets,
+    metric_blocks,
+)
+from cotangent_kahler.profiles import einstein_profile, rational_profile, zero_profile
+from cotangent_kahler.structure import (
+    assemble_complex_structure,
+    complex_structure_squared_residual,
+    coordinate_form,
+    dform_residual,
+    fundamental_form,
+    hermitian_residual,
+    nijenhuis_closed_form,
+    nijenhuis_numeric,
+)
 
 BATCH = 8
 
@@ -164,13 +177,41 @@ class TestRealPointsStayFloat64:
         give float64 arrays at every layer, so closed-form values keep their
         bits."""
         if profile_name == "zero":
-            params, profile = ModelParams.kahler(n=3, c=1.3), constant_profile(0.0)
+            params, profile = ModelParams.kahler(n=3, c=1.3), zero_profile()
         else:
             params, profile = _setup(3, profile_name)
         q, p = _points(3)
         for layer, value in _layers(q, p, params, profile).items():
             for index, array in enumerate(value if isinstance(value, tuple) else (value,)):
                 assert np.asarray(array).dtype == np.float64, f"{layer}[{index}]"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="np.longdouble is float64 here"
+)
+class TestLongdoublePointsKeepTheirPrecision:
+    def test_koszul_inverse_keeps_longdouble(self):
+        """The Koszul connection is metric compatible for any metric gradient
+        symmetric in its last two slots, so its residual is rounding of the
+        inverse metric alone.  ``G = diag(3 I, I / 3)`` has the exact inverse
+        ``diag(I / 3, 3 I)``, and 1/3 in longdouble is not a float64: the
+        residual stays at longdouble rounding only if the inverse does
+        (4 eps here; 2704 eps with a float64 inverse)."""
+        params, profile = _setup(3, "einstein")
+        q, p = (x.astype(np.longdouble) for x in _points(3))
+        pt = CotangentPoint.at(q, p, params)
+        eye = np.broadcast_to(np.eye(3, dtype=np.longdouble), (BATCH, 3, 3))
+        jets = dataclasses.replace(fiber_jets(pt, params, profile), gh=3 * eye, gv=eye / 3)
+        grad = np.random.default_rng(11).normal(size=(BATCH, 6, 6, 6)).astype(np.longdouble)
+        grad += np.swapaxes(grad, -2, -1)
+        residual = metric_compatibility_residual(koszul_nabla(pt, jets, grad), jets, grad)
+        assert np.max(residual) <= 16 * np.finfo(np.longdouble).eps * np.max(np.abs(grad))
+
+    def test_nijenhuis_closed_form_is_longdouble(self):
+        params, profile = _setup(3, "rational")
+        q, p = (x.astype(np.longdouble) for x in _points(3))
+        pt = CotangentPoint.at(q, p, params)
+        assert nijenhuis_closed_form(pt, params, fiber_jets(pt, params, profile)).dtype == np.longdouble
 
 
 def _suite_values(q, p, params, profile):

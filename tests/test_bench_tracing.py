@@ -4,7 +4,7 @@ wrappers must fit the signatures of the functions they wrap."""
 import importlib.util
 from pathlib import Path
 
-from cotangent_kahler import RunConfig, run_verification
+from cotangent_kahler.suites import RunConfig, run_verification
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

@@ -7,16 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from cotangent_kahler import (
-    ConfigError,
-    ModelParams,
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.cli import _summarize, build_parser, config_from_args, main
+from cotangent_kahler.errors import ConfigError
+from cotangent_kahler.mtensor import CotangentPoint
+from cotangent_kahler.suites import (
     RunConfig,
+    SUITE_NAMES,
     Tolerances,
     run_verification,
     sample_points,
 )
-from cotangent_kahler.cli import _summarize, build_parser, config_from_args, main
-from cotangent_kahler.suites import SUITE_NAMES
 
 FAST = dict(
     dims=(2,), curvatures=(1.0,), samples=2, suites=("almost_kahler", "integrability")
@@ -108,8 +109,6 @@ class TestSampling:
             assert np.array_equal(q1, q2) and np.array_equal(p1, p2)
 
     def test_energies_land_in_window(self):
-        from cotangent_kahler import CotangentPoint
-
         cfg = RunConfig(samples=8, t_min=0.5, t_max=1.5, seed=3)
         params = ModelParams.kahler(n=2, c=2.0, k_b=1.0)
         points = sample_points(cfg, 2, 2.0, params)

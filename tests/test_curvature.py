@@ -5,24 +5,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cotangent_kahler import (
-    CotangentPoint,
-    GeometryError,
-    ModelParams,
-    assemble_complex_structure,
-    assemble_metric,
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.curvature import (
     curvature_blocks,
     curvature_fd,
-    fiber_jets,
     holomorphic_sectional_curvature,
     nabla_curvature,
     odd_slots,
     pair_symmetry_residual,
-    rational_profile,
     ricci_closed_form,
     ricci_from_blocks,
 )
-from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.errors import GeometryError
+from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
+from cotangent_kahler.profiles import einstein_profile, rational_profile
+from cotangent_kahler.structure import assemble_complex_structure
 
 # block name -> slots of K[a, b, c, d] (inputs a, b, c, output d) holding it
 H, V = slice(None, 3), slice(3, None)

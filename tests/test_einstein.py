@@ -7,25 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotangent_kahler import (
-    CotangentPoint,
-    GeometryError,
-    ModelParams,
-    curvature_blocks,
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.curvature import curvature_blocks, ricci_from_blocks
+from cotangent_kahler.einstein import (
     einstein_difference,
     einstein_difference_closed_form,
     einstein_residual,
     euler_ode_residual,
     family_einstein_constant,
-    fd_partial,
-    fiber_jets,
     fit_einstein_constant,
     gamma_factor,
-    rational_profile,
-    ricci_from_blocks,
-    zero_profile,
 )
-from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.errors import GeometryError
+from cotangent_kahler.fd import fd_partial
+from cotangent_kahler.mtensor import CotangentPoint, fiber_jets
+from cotangent_kahler.profiles import einstein_profile, rational_profile, zero_profile
 
 T_GRID = np.linspace(0.3, 4.0, 23)
 

@@ -12,23 +12,14 @@ from hypothesis import strategies as st
 
 import cotangent_kahler.fd
 import fd_reference
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
-    StencilError,
-    chart_frame,
-    curvature_fd,
-    dform_residual,
-    einstein_profile,
-    fd_gradient,
-    fd_partial,
-    fiber_jets,
-    frame_gradient,
-    metric_gradient,
-    nabla_curvature,
-    nabla_curvature_probe,
-    nijenhuis_numeric,
-)
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.connection import metric_gradient
+from cotangent_kahler.curvature import curvature_fd, nabla_curvature, nabla_curvature_probe
+from cotangent_kahler.errors import StencilError
+from cotangent_kahler.fd import fd_gradient, fd_partial, frame_gradient
+from cotangent_kahler.mtensor import CotangentPoint, chart_frame, fiber_jets
+from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
 
 # ---------------------------------------------------------------------------
 # Exactness

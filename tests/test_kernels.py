@@ -13,25 +13,23 @@ import pytest
 
 import kernel_reference as reference
 from base_reference import bumped_geometry
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
-    assemble_complex_structure,
-    assemble_metric,
+from cotangent_kahler.base import ModelParams, space_form_metric
+from cotangent_kahler.connection import (
     connection_coefficients,
     connection_fiber_derivatives,
+    metric_gradient,
+    parallel_j_residual,
+)
+from cotangent_kahler.curvature import (
     curvature_blocks,
     curvature_fd,
-    einstein_profile,
-    fiber_jets,
     holomorphic_sectional_curvature,
-    metric_gradient,
     nabla_curvature,
     pair_symmetry_residual,
-    parallel_j_residual,
-    rational_profile,
-    space_form_metric,
 )
+from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
+from cotangent_kahler.profiles import einstein_profile, rational_profile
+from cotangent_kahler.structure import assemble_complex_structure
 
 BATCH = 8
 C = 1.4

@@ -7,24 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fd_reference
-from base_reference import bumped_geometry
-from cotangent_kahler import (
+from base_reference import bumped_geometry, constant_profile
+from cotangent_kahler.base import ModelParams
+from cotangent_kahler.errors import GeometryError, PositivityError, ZeroSectionError
+from cotangent_kahler.fd import fd_partial, frame_gradient
+from cotangent_kahler.mtensor import (
     CotangentPoint,
-    GeometryError,
-    ModelParams,
-    PositivityError,
-    ZeroSectionError,
-    assemble_complex_structure,
-    constant_profile,
     energy_density,
-    fd_partial,
     fiber_jets,
     frame_brackets,
-    frame_gradient,
     metric_blocks,
-    rational_profile,
 )
-from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.profiles import einstein_profile, rational_profile
+from cotangent_kahler.structure import assemble_complex_structure
 
 # ---------------------------------------------------------------------------
 # Energy density and point data

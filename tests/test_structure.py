@@ -6,20 +6,16 @@ import numpy.testing as npt
 import pytest
 
 from base_reference import bumped_geometry
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
+from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, chart_frame, fiber_jets
+from cotangent_kahler.structure import (
     assemble_complex_structure,
-    assemble_metric,
     canonical_coordinate_form,
-    chart_frame,
     complex_structure_squared_residual,
     coordinate_form,
     dform_residual,
-    fiber_jets,
     fundamental_form,
     hermitian_residual,
-    integrable_coupling,
     nijenhuis_closed_form,
     nijenhuis_numeric,
 )

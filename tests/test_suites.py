@@ -6,18 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-import cotangent_kahler
-from cotangent_kahler import (
-    CotangentPoint,
-    ModelParams,
-    RunConfig,
-    einstein_profile,
-    integrable_coupling,
-    run_verification,
-    sample_points,
-)
+import cotangent_kahler.base
+import cotangent_kahler.curvature
+import cotangent_kahler.einstein
+import cotangent_kahler.fd
+import cotangent_kahler.mtensor
+import cotangent_kahler.suites
+from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.suites import Sample, _check
+from cotangent_kahler.mtensor import CotangentPoint
+from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.suites import RunConfig, Sample, _check, run_verification, sample_points
 
 
 class TestCheckReduction:
