@@ -131,29 +131,21 @@ def _max_abs(*arrays: np.ndarray, rank: int):
 
 # Byte budget of one batched call.  A chunk of sample rows is sized so that
 # one (2n)^4 float64 array per row, the curvature K, fits it: 128 rows at
-# n = 2, 25 at n = 3, 3 at n = 5.  An FD gradient's first field call is sized
-# the same way, at one complex row per center and coordinate and 16 bytes per
-# complex entry, and its other calls so that the field's output fits, at the
-# bytes per row the first call returned: at one center and n = 5, a (2n)^2
-# metric field takes the rows of the other nine coordinates in one call, and
-# the nabla-K field, the six stored curvature blocks (6 n^4 entries per row),
-# four coordinates per call.  Batching is what makes the closed-form checks
-# and the FD oracles fast, but one batch of everything raises the process's
-# peak RSS past the 10% bound of the benchmark: the whole 300-sample sweep
-# in one batch costs about 7 MiB at n = 3.
+# n = 2, 25 at n = 3, 3 at n = 5.  Batching is what makes the closed-form
+# checks fast, but one batch of everything raises the process's peak RSS past
+# the 10% bound of the benchmark: the whole 300-sample sweep in one batch
+# costs about 7 MiB at n = 3.  An FD stencil is sized by its centers, not by
+# this budget: a field takes the rows of all 2n chart coordinates of its one
+# or two centers in one call, so at n = 5 the nabla-K field, the six stored
+# curvature blocks (6 n^4 complex entries per row), returns 600 KB for the
+# ten rows of one center.
 _CHUNK_BYTES = 256 * 1024
-
-
-def _fitting(item_bytes: int) -> int:
-    """How many items of ``item_bytes`` each fit ``_CHUNK_BYTES``; at least
-    one."""
-    return max(1, _CHUNK_BYTES // max(1, item_bytes))
 
 
 def _chunk_rows(dim: int) -> int:
     """Rows per batched call whose ``dim^4`` float64 arrays fit
     ``_CHUNK_BYTES``; at least one."""
-    return _fitting(8 * dim**4)
+    return max(1, _CHUNK_BYTES // (8 * dim**4))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,9 +9,8 @@ Gamma[j, n+i, h]``, the horizontal output of a mixed pair; and ``hh[h, i, j]
 = Gamma[i, j, n+h]``, the vertical correction of a horizontal pair.  Two
 independent routes produce the same coefficients: the general fiber-jet
 formulas here, and a finite-difference Koszul evaluation that never sees
-them.  Everything here keeps the point's leading batch axis: the
-finite-difference oracles take a batch of centers, and the fields they
-differentiate are built at all rows of a coordinate in one call.
+them.  Everything here keeps the point's leading batch axis; the
+finite-difference oracle differentiates on a stencil (``fd.Stencil``).
 
 ``connection_fiber_derivatives`` feeds the curvature, and
 ``parallel_j_residual`` applies the connection terms of the parallel-J
@@ -27,8 +26,8 @@ import numpy as np
 
 from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
-from .fd import frame_gradient
-from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, frame_brackets, metric_blocks
+from .fd import Stencil, stencil_at
+from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, frame_brackets
 from .structure import assemble_complex_structure, canonical_coordinate_form
 
 __all__ = [
@@ -179,16 +178,11 @@ def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarr
 # ---- independent Koszul route ----
 
 
-def metric_gradient(params: ModelParams, profile, pt: CotangentPoint) -> np.ndarray:
+def metric_gradient(params: ModelParams, profile, pt: CotangentPoint | Stencil) -> np.ndarray:
     """``dG[..., a, b, c] = e_a G[b, c]``: one frame gradient of the metric
-    field ``(q, p) -> G``, shared by the Koszul oracle, the compatibility
-    residual and the parallel-J residual."""
-
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(q, p, params)
-        return assemble_metric(metric_blocks(point, params, profile))
-
-    return frame_gradient(field, pt)
+    field, shared by the Koszul oracle, the compatibility residual and the
+    parallel-J residual."""
+    return stencil_at(pt, params).frame_gradient(lambda rows: assemble_metric(rows.blocks_of(params, profile)))
 
 
 def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:

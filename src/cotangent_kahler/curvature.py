@@ -24,9 +24,8 @@ the test-side reference, ``tests/kernel_reference.py``.
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
-axis, the finite-difference oracles included: they take a batch of centers
-and build their fields at all rows of a coordinate in one call.
-Probes give one value per point of the batch.
+axis; the finite-difference oracles differentiate on a stencil
+(``fd.Stencil``).  Probes give one value per point of the batch.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import numpy as np
 from .base import ModelParams, _contract, _max_abs, _outer, _scale
 from .connection import connection_coefficients, connection_fiber_derivatives
 from .errors import GeometryError
-from .fd import frame_gradient
-from .mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
+from .fd import Stencil, stencil_at
+from .mtensor import CotangentPoint, FiberJets, Rows, frame_brackets
 
 __all__ = [
     "RicciBlocks",
@@ -252,21 +251,22 @@ def holomorphic_sectional_curvature(
 # ---- finite-difference oracles ----
 
 
-def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
+def curvature_fd(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
     nabla_[a,b] e_c`` at the centers ``pt`` from the definition, by one
     frame gradient of the connection field; ``jets`` are the fiber jets at
     ``pt``.  The curvature block formulas are never consulted, and tracing
     the result over ``a = d`` gives the Ricci tensor, mixed block included."""
+    stencil = stencil_at(pt, params)
+    pt = stencil.centers
     conn = connection_coefficients(pt, params, jets)
 
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(q, p, params)
-        return connection_coefficients(point, params, fiber_jets(point, params, profile))
+    def field(rows: Rows) -> np.ndarray:
+        return connection_coefficients(rows.points, params, rows.jets_of(params, profile))
 
     # (nabla_w nabla_a e_b)[c]: the gradient of conn[a, b, c] plus the
     # frame's rotation, conn[a, b, f] conn[w, f, c].
-    second = frame_gradient(field, pt) + _contract(conn[..., None, :, :, :], conn, 2)
+    second = stencil.frame_gradient(field) + _contract(conn[..., None, :, :, :], conn, 2)
     bracket_term = _contract(frame_brackets(pt), conn, 3)
     return second - np.swapaxes(second, -4, -3) - bracket_term
 
@@ -274,7 +274,7 @@ def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJe
 # ---- covariant derivative of the curvature ----
 
 
-def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
+def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets) -> np.ndarray:
     """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers ``pt`` by the
     Leibniz rule.
 
@@ -283,14 +283,15 @@ def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: Fibe
     ``K``, are each one batched ``@`` of ``K`` and the connection at
     ``pt``, built from its fiber ``jets``.
     """
+    stencil = stencil_at(pt, params)
+    pt = stencil.centers
     conn = connection_coefficients(pt, params, jets)
     curv = curvature_blocks(pt, params, jets)
 
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(q, p, params)
-        return np.stack(_curvature_block_parts(point, params, fiber_jets(point, params, profile)), axis=1)
+    def field(rows: Rows) -> np.ndarray:
+        return np.stack(_curvature_block_parts(rows.points, params, rows.jets_of(params, profile)), axis=1)
 
-    nabla = _assemble_curvature(*np.moveaxis(frame_gradient(field, pt), -5, 0))
+    nabla = _assemble_curvature(*np.moveaxis(stencil.frame_gradient(field), -5, 0))
     # + conn[w, f, d] K[a, b, c, f], then - conn[w, s, f] K[.., f, ..] with
     # f in slot s = a, b, c: K is permuted to put f first, the product to
     # put w, a, b, c, d in order.
@@ -301,7 +302,7 @@ def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: Fibe
     return nabla
 
 
-def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets):
+def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets):
     """Largest component of ``nabla K`` at each center.
 
     A value above a small floor witnesses the failure of local symmetry.

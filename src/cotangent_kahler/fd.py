@@ -23,15 +23,19 @@ axis, ``x`` of shape ``(..., dim)``.  A center takes one complex row per
 coordinate.  ``fd_partial`` stacks these rows for every center and for one
 or several coordinates, and evaluates them in one field call, under
 ``np.errstate(over="raise")``: a power that overflows in complex arithmetic
-raises rather than leaving an ``inf``.  ``fd_gradient`` sizes its calls by
-the field's output against ``base._CHUNK_BYTES``, the byte budget that also
-sizes the sample chunks of the suites: the first call holds as many
-coordinates as fit if each row returned ``dim^4`` complex entries, and the
-other coordinates are grouped by the bytes per row that the first call
-actually returned.  A call never holds less than one whole coordinate.
-Results put the centers' axes first, then the derivative direction (for
-gradients), then the field's own axes; one center is a batch of shape
-``()``.
+raises rather than leaving an ``inf``.  ``fd_gradient`` puts every
+coordinate in that one call.  The rows follow the precision of the centers:
+float64 centers give ``complex128`` rows, ``np.longdouble`` ones
+``np.clongdouble`` rows.  Results put the centers' axes first, then the
+derivative direction (for gradients), then the field's own axes; one center
+is a batch of shape ``()``.
+
+The oracles differentiate on a ``Stencil``, the rows of all 2n chart
+coordinates at a batch of centers, sized by its centers: the point and each
+member's metric blocks and fiber jets are built on its rows once, and every
+oracle at the same centers shares them (``suites.Sample`` keeps one stencil
+per center set).  Each gradient is one ``fd_partial`` call on all its rows.
+``frame_gradient`` is a one-use stencil.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
@@ -45,16 +49,25 @@ from typing import Callable
 
 import numpy as np
 
-from .base import _fitting
+from .base import ModelParams
 from .errors import StencilError
-from .mtensor import CotangentPoint
+from .mtensor import CotangentPoint, Rows
 
-__all__ = ["fd_partial", "fd_gradient", "frame_gradient"]
+__all__ = ["fd_partial", "fd_gradient", "Stencil", "stencil_at", "frame_gradient"]
 
 # The imaginary step.  The truncation error is O(h^2) relative, so any h far
 # below the square root of float64 epsilon is exact to rounding, at any
 # center; the imaginary parts, h times the derivatives, stay normal floats.
 _H = 1e-30
+
+
+def _step_rows(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The complex rows ``(k coordinates, C centers, dim)`` of the real
+    centers ``x`` of shape ``(C, dim)``, each with the imaginary step along
+    its coordinate, in the complex dtype of ``x``'s precision."""
+    points = np.broadcast_to(x, (len(coords),) + x.shape).astype(np.result_type(x, 1j))
+    points[np.arange(len(coords)), :, coords] += 1j * _H
+    return points
 
 
 def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d) -> np.ndarray:
@@ -65,20 +78,20 @@ def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d) -> np.nd
     or any fixed shape per point.  ``d`` is one coordinate, giving a result
     of shape ``x.shape[:-1]`` followed by the field's shape, or a 1-D array
     of coordinates, whose axis comes after the centers' axes.  All rows go
-    to ``f`` in one call, ordered by coordinate, then center.
+    to ``f`` in one call, ordered by coordinate, then center.  The rows and
+    the partials follow the precision of ``x``: float64 centers give
+    ``complex128`` rows, ``np.longdouble`` ones ``np.clongdouble`` rows.
     """
     if np.iscomplexobj(x):
         raise TypeError("complex-step derivatives need real centers: complex steps do not nest")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     centers, dim = x.shape[:-1], x.shape[-1]
     coords = np.atleast_1d(d)
     # Work on the centers flattened to (C, dim); the rows below are
     # (k coordinates, C centers[, field values]).
     x = x.reshape(-1, dim)
-    points = np.broadcast_to(x, (len(coords),) + x.shape).astype(complex)
-    points[np.arange(len(coords)), :, coords] += 1j * _H
     with np.errstate(over="raise"):
-        values = np.asarray(f(points.reshape(-1, dim)))
+        values = np.asarray(f(_step_rows(x, coords).reshape(-1, dim)))
     field = values.shape[1:]
     values = values.reshape(len(coords), len(x), -1)
     bad = ~np.isfinite(values).all(axis=-1)
@@ -93,45 +106,62 @@ def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d) -> np.nd
 
 def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     """All partial derivatives of the batched field ``f`` at the real centers
-    ``x`` of shape ``(..., dim)``; the axis after the centers' indexes the
-    coordinate.
-
-    The first field call takes the rows of as many coordinates as fit
-    ``base._CHUNK_BYTES`` if each row returned ``dim^4`` complex entries.
-    The rest are grouped so that each call's output fits ``base._CHUNK_BYTES``
-    at the bytes per row that the first call returned.  Every call takes at
-    least one coordinate."""
-    x = np.asarray(x)
-    dim = x.shape[-1]
-    rows = x.size // dim
-    first = min(dim, _fitting(rows * 16 * dim**4))
-    parts = [fd_partial(f, x, np.arange(first))]
-    # A coordinate's rows return one complex entry, 16 bytes, per float64
-    # entry of its partials.
-    per_call = _fitting(2 * parts[0].nbytes // first)
-    parts += [fd_partial(f, x, np.arange(d, min(d + per_call, dim))) for d in range(first, dim, per_call)]
-    return np.concatenate(parts, axis=x.ndim - 1)
+    ``x`` of shape ``(..., dim)``, in one field call of ``dim`` rows per
+    center; the axis after the centers' indexes the coordinate."""
+    return fd_partial(f, x, np.arange(np.shape(x)[-1]))
 
 
 # ---------------------------------------------------------------------------
-# frame derivatives on the cotangent bundle
+# the stencil: every chart coordinate's rows at a batch of centers
 # ---------------------------------------------------------------------------
+
+
+class Stencil(Rows):
+    """The complex-step rows of all 2n chart coordinates at the real centers
+    ``centers``, a batched ``CotangentPoint``, ordered by coordinate, then
+    center, as ``Rows``; ``point_at(q, p)`` builds the point on rows.
+
+    A field takes the ``Rows`` it is handed and returns ``(m, ...)``: the
+    stencil itself in its gradients, and rows of their own anywhere else,
+    such as in a reference stencil, so a field is a function of its rows
+    alone.  An oracle that takes centers ``pt`` also takes a stencil there
+    (see ``stencil_at``)."""
+
+    def __init__(self, centers: CotangentPoint, point_at=None) -> None:
+        self.centers = centers
+        self._x = np.concatenate([centers.q, centers.p], axis=-1)
+        n = centers.n
+        self._z = _step_rows(self._x.reshape(-1, 2 * n), np.arange(2 * n)).reshape(-1, 2 * n)
+        super().__init__(self._z[:, :n], self._z[:, n:], point_at)
+
+    def chart_gradient(self, field) -> np.ndarray:
+        """The 2n chart partials of ``field`` at the centers."""
+        n = self.centers.n
+        rows = lambda z: self if np.array_equal(z, self._z) else Rows(z[:, :n], z[:, n:], self._point_at)
+        return fd_gradient(lambda z: field(rows(z)), self._x)
+
+    def frame_gradient(self, field) -> np.ndarray:
+        """Derivatives of ``field`` along all 2n adapted-frame directions at
+        the centers: the axis after the centers' indexes the frame, entries
+        ``0..n-1`` horizontal and ``n..2n-1`` vertical.  The chart partials
+        are recombined with the centers' horizontal frame, ``delta_i =
+        d/dq^i + p_gamma[i, h] d/dp_h``."""
+        pt, n = self.centers, self.centers.n
+        partials = self.chart_gradient(field)
+        grad = partials.reshape(pt.p.shape[:-1] + (2 * n, -1))
+        horizontal = grad[..., :n, :] + pt.p_gamma @ grad[..., n:, :]
+        return np.concatenate([horizontal, grad[..., n:, :]], axis=-2).reshape(partials.shape)
+
+
+def stencil_at(pt: CotangentPoint | Stencil, params: ModelParams) -> Stencil:
+    """``pt`` if it is a stencil, else a one-use stencil at the centers
+    ``pt`` over the space form of ``params``."""
+    if isinstance(pt, Stencil):
+        return pt
+    return Stencil(pt, lambda q, p: CotangentPoint.at(q, p, params))
 
 
 def frame_gradient(field, pt: CotangentPoint) -> np.ndarray:
-    """Derivatives of ``field(q, p)`` along all 2n adapted-frame directions
-    at the centers ``pt``.
-
-    ``field(Q, P)`` takes a batch of points, ``Q`` and ``P`` of shape ``(m,
-    n)``, and returns ``(m, ...)``.  The axis after the centers' indexes the
-    frame: entries ``0..n-1`` are the horizontal directions, entries
-    ``n..2n-1`` the vertical ones.  The 2n chart partials are evaluated once
-    (see ``fd_gradient``) and recombined with the point's horizontal frame:
-    ``delta_i = d/dq^i + pt.p_gamma[i, h] d/dp_h``.
-    """
-    n = pt.n
-    centers = np.concatenate([pt.q, pt.p], axis=-1)
-    partials = fd_gradient(lambda z: field(z[..., :n], z[..., n:]), centers)
-    grad = partials.reshape(pt.p.shape[:-1] + (2 * n, -1))
-    grad[..., :n, :] += pt.p_gamma @ grad[..., n:, :]
-    return grad.reshape(partials.shape)
+    """``Stencil.frame_gradient`` of ``field(Q, P)`` at the centers ``pt``,
+    for a field of a batch of points ``Q, P`` of shape ``(m, n)``."""
+    return Stencil(pt).frame_gradient(lambda rows: field(rows.q, rows.p))

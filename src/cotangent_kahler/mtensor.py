@@ -48,6 +48,7 @@ __all__ = [
     "frame_brackets",
     "chart_frame",
     "take_rows",
+    "Rows",
 ]
 
 ZERO_SECTION_TOL = 1e-12
@@ -205,9 +206,7 @@ def metric_blocks(pt: CotangentPoint, params: ModelParams, profile) -> MetricBlo
 
     The horizontal block is ``a sqrt(t) g_ij + v(t) p_i p_j``; the vertical
     block is its matrix inverse in closed form, ``g^kl / (a sqrt(t)) + w p^k
-    p^l`` with ``w = -v / (a t (a + 2 sqrt(t) v))``.  The finite-difference
-    fields that differentiate only the metric or ``J`` build these, not the
-    ``n^4`` second jets of ``fiber_jets``.
+    p^l`` with ``w = -v / (a t (a + 2 sqrt(t) v))``.
     """
     t, a = pt.t, params.a_metric
     v = np.asarray(profile.v(t))
@@ -226,10 +225,7 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     Everything follows from ``dt/dp_k = p^k`` and the product rule; the
     vertical block's jet uses the quotient-rule chain for ``w`` rather than
     differentiating the matrix inverse, so tests can cross-check one route
-    against the other.  Of the finite-difference fields only the connection
-    field of ``curvature_fd`` and the ``K`` field of ``nabla_curvature``
-    build these jets; the metric, 2-form and Nijenhuis fields build
-    ``metric_blocks``.
+    against the other.
     """
     gh, gv = metric_blocks(pt, params, profile)
     n, t, a = pt.n, pt.t, params.a_metric
@@ -294,6 +290,33 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     )
 
     return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)
+
+
+class Rows:
+    """Chart rows ``q, p`` of shape ``(m, n)``, real or complex, with the
+    point ``points = point_at(q, p)`` and each member's metric blocks and
+    fiber jets built once.  A member is its params and its profile object,
+    so members that differ in the coupling, ``k_a``/``k_b`` or the profile
+    never share an entry.  A build that raises is not kept."""
+
+    def __init__(self, q: np.ndarray, p: np.ndarray, point_at) -> None:
+        self.q, self.p, self._point_at = q, p, point_at
+        self._memo: dict = {}
+
+    def _memoised(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @property
+    def points(self) -> CotangentPoint:
+        return self._memoised("points", lambda: self._point_at(self.q, self.p))
+
+    def blocks_of(self, params: ModelParams, profile) -> MetricBlocks:
+        return self._memoised(("blocks", params, profile), lambda: metric_blocks(self.points, params, profile))
+
+    def jets_of(self, params: ModelParams, profile) -> FiberJets:
+        return self._memoised(("jets", params, profile), lambda: fiber_jets(self.points, params, profile))
 
 
 def assemble_metric(blocks: MetricBlocks | FiberJets) -> np.ndarray:

@@ -17,6 +17,7 @@ the bundle metric Einstein; ``k_b = 0`` gives the Ricci-flat members.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,8 +72,10 @@ def rational_profile() -> VProfile:
     )
 
 
+@functools.cache
 def einstein_profile(params: ModelParams) -> VProfile:
-    """The Einstein-family profile selected by ``params.k_a, params.k_b``."""
+    """The Einstein-family profile selected by ``params.k_a, params.k_b``;
+    one object per params, so that equal members share ``mtensor.Rows``."""
     n, c, ka, kb = params.n, params.c, params.k_a, params.k_b
     lead = (n - 2.0) * math.sqrt(c) / (n * math.sqrt(2.0))
     ex = -(n + 1.0) / 2.0

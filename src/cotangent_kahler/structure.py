@@ -15,10 +15,9 @@ single core object,
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
 the base, i.e. at the coupling ``a = sqrt(2 c)``.
 
-Everything here keeps a point's leading batch axis, the finite-difference
-oracles included: they take a batch of centers and build their fields at
-all rows of a coordinate in one call.  Residuals give one value
-per point of the batch.
+Everything here keeps a point's leading batch axis; the finite-difference
+oracles differentiate on a stencil (``fd.Stencil``).  Residuals give one
+value per point of the batch.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelParams, _max_abs
-from .fd import fd_gradient
-from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, chart_frame, metric_blocks
+from .fd import Stencil, stencil_at
+from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, chart_frame
 
 __all__ = [
     "assemble_complex_structure",
@@ -92,7 +91,7 @@ def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
     return np.swapaxes(inverse, -1, -2) @ form @ inverse
 
 
-def dform_residual(params: ModelParams, profile, pt: CotangentPoint):
+def dform_residual(params: ModelParams, profile, pt: CotangentPoint | Stencil):
     """``max |d phi|`` per center, from finite differences of the chart
     components.
 
@@ -101,15 +100,13 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint):
     it numerically exercises the whole metric/endomorphism pipeline rather
     than the constancy of the canonical matrix alone.
     """
-    n = pt.n
 
-    def phi_field(z: np.ndarray) -> np.ndarray:
-        point = CotangentPoint.at(z[..., :n], z[..., n:], params)
-        blocks = metric_blocks(point, params, profile)
+    def phi_field(rows: Rows) -> np.ndarray:
+        blocks = rows.blocks_of(params, profile)
         phi = fundamental_form(assemble_metric(blocks), assemble_complex_structure(blocks))
-        return coordinate_form(point, phi)
+        return coordinate_form(rows.points, phi)
 
-    grad = fd_gradient(phi_field, np.concatenate([pt.q, pt.p], axis=-1))
+    grad = stencil_at(pt, params).chart_gradient(phi_field)
     dphi = grad - np.einsum("...bac->...abc", grad) + np.einsum("...cab->...abc", grad)
     return _max_abs(dphi, rank=3)
 
@@ -151,11 +148,7 @@ def _brackets(x, dx, y, dy) -> np.ndarray:
 
 
 def nijenhuis_numeric(
-    params: ModelParams,
-    profile,
-    pt: CotangentPoint,
-    jets: FiberJets,
-    point_factory=None,
+    params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets
 ) -> np.ndarray:
     """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
     frame fields at the centers ``pt`` (with fiber ``jets``), assembled from
@@ -163,27 +156,21 @@ def nijenhuis_numeric(
 
     The frame fields are the columns of the chart frame ``E`` and their
     images the columns of ``E J``; one finite-difference gradient of the
-    stacked field ``(E, E J)`` yields every bracket.  ``point_factory(q,
-    p)`` overrides the base geometry at the rows of the derivative, letting
-    the same oracle run over bases that are not space forms; like the field,
-    it takes a batch of rows, ``q`` and ``p`` of shape ``(m, n)``, complex
-    ones included.
+    stacked field ``(E, E J)`` yields every bracket.  A stencil built with
+    another ``point_at`` runs the same oracle over bases that are not space
+    forms.
     """
-    n = pt.n
-    if point_factory is None:
-        point_factory = lambda qq, pp: CotangentPoint.at(qq, pp, params)
+    stencil = stencil_at(pt, params)
+    pt, n = stencil.centers, stencil.centers.n
 
-    def frame_fields(z: np.ndarray) -> np.ndarray:
-        point = point_factory(z[..., :n], z[..., n:])
-        frame = chart_frame(point)
-        j_op = assemble_complex_structure(metric_blocks(point, params, profile))
-        return np.stack([frame, frame @ j_op], axis=-3)
+    def frame_fields(rows: Rows) -> np.ndarray:
+        frame = chart_frame(rows.points)
+        return np.stack([frame, frame @ assemble_complex_structure(rows.blocks_of(params, profile))], axis=-3)
 
     x = chart_frame(pt)
     j0 = assemble_complex_structure(jets)
     jx = x @ j0
-    grad = fd_gradient(frame_fields, np.concatenate([pt.q, pt.p], axis=-1))
-    dx, djx = np.moveaxis(grad, -3, 0)
+    dx, djx = np.moveaxis(stencil.chart_gradient(frame_fields), -3, 0)
     to_frame = 2.0 * np.eye(2 * n) - x
     return np.einsum(
         "...ck,...abk->...abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)

@@ -12,17 +12,17 @@ batched call per chunk of rows, giving a value per sample; only the
 curvature ``K`` of the config's own member is built once per chunk, in one
 pass that the ``curvature`` suite consumes; the pass keeps each chunk's
 Ricci trace, which the ``einstein`` suite reads instead of building ``K``
-again.  Each
-finite-difference oracle takes the leading one or two rows as one batch of
-centers.  A check's value is the largest of its per-sample values; a NaN in
-any sample fails it.
+again.  The finite-difference oracles differentiate on the sample's
+stencils at the first center or the first two (``Sample.stencil``), so
+that oracles at the same centers build the point and each member's jets on
+the complex rows once.  A check's value is the largest of its per-sample
+values; a NaN in any sample fails it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +57,8 @@ from .einstein import (
     gamma_factor,
 )
 from .errors import ConfigError, GeometryError
-from .mtensor import (
-    CotangentPoint,
-    FiberJets,
-    assemble_metric,
-    energy_density,
-    fiber_jets,
-    take_rows,
-)
+from .fd import Stencil
+from .mtensor import CotangentPoint, FiberJets, Rows, assemble_metric, energy_density, take_rows
 from .profiles import PROFILES, einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -246,16 +240,18 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
-class Sample:
+class Sample(Rows):
     """The sampled points of one ``(n, c)`` config, one batch shared by
     every suite.
 
-    ``q`` and ``p`` are the ``(S, n)`` base points and momenta, and
-    ``points`` is one batched ``CotangentPoint`` over them; it serves every
-    coupling and profile, as a point reads only ``n`` and ``c``.  ``jets``
-    are its fiber jets for the config's own params and profile.  Each is
-    built on first use; a build that raises is not kept, so every suite that
-    needs it records the error.
+    ``q`` and ``p`` are the ``(S, n)`` base points and momenta.  As their
+    ``Rows``, the sample keeps ``points``, one batched ``CotangentPoint``
+    that serves every coupling and profile, as a point reads only ``n`` and
+    ``c``, and each member's fiber jets (``jets_of``); ``jets`` are the
+    config's own.  ``stencil(centers)`` is the ``fd.Stencil`` at the first
+    ``centers`` samples, shared by every oracle at those centers.  Each is
+    built on first use; a build that raises is not kept, so every suite
+    that needs it records the error.
 
     ``curvature_chunks`` is one pass over the chunks that builds each
     chunk's curvature ``K`` once; ``ricci`` holds the Ricci trace of every
@@ -265,7 +261,7 @@ class Sample:
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, profile) -> None:
-        self.q, self.p = q, p
+        super().__init__(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
         self._params = params
         self._profile = profile
         self._ricci: list[RicciBlocks] | None = None
@@ -273,13 +269,13 @@ class Sample:
     def __len__(self) -> int:
         return len(self.q)
 
-    @cached_property
-    def points(self) -> CotangentPoint:
-        return CotangentPoint.at(self.q, self.p, self._params)
-
-    @cached_property
+    @property
     def jets(self) -> FiberJets:
-        return fiber_jets(self.points, self._params, self._profile)
+        return self.jets_of(self._params, self._profile)
+
+    def stencil(self, centers: int) -> Stencil:
+        build = lambda: Stencil(take_rows(self.points, slice(centers)), self._point_at)
+        return self._memoised(("stencil", centers), build)
 
     def chunks(self, jets: FiberJets | None = None):
         """``(points, jets)`` over consecutive blocks of rows, in order, with
@@ -331,7 +327,7 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     phi = fundamental_form(metric, j_op)
     canon = _max_abs(coordinate_form(sample.points, phi) - canonical_coordinate_form(params.n), rank=2)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
-    dphi = dform_residual(params, profile, take_rows(sample.points, slice(2)))
+    dphi = dform_residual(params, profile, sample.stencil(2))
     checks = [
         _check("complex_structure_squared", [complex_structure_squared_residual(j_op)], tol.closed_form),
         _check("metric_hermitian", [hermitian_residual(metric, j_op)], tol.closed_form),
@@ -345,8 +341,10 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
 def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
-    pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
-    oracle = nijenhuis_numeric(params, profile, pt, jets) - nijenhuis_closed_form(pt, params, jets)
+    stencil, jets = sample.stencil(1), take_rows(sample.jets, slice(1))
+    oracle = nijenhuis_numeric(params, profile, stencil, jets) - nijenhuis_closed_form(
+        stencil.centers, params, jets
+    )
     checks = [
         _check("nijenhuis_vanishes", closed, tol.closed_form),
         _check("nijenhuis_matches_bracket_oracle", [_max_abs(oracle, rank=3)], tol.cross_check),
@@ -368,9 +366,10 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
-    pt, jets = take_rows(sample.points, slice(2)), take_rows(sample.jets, slice(2))
+    stencil, jets = sample.stencil(2), take_rows(sample.jets, slice(2))
+    pt = stencil.centers
     conn = connection_coefficients(pt, params, jets)
-    metric_grad = metric_gradient(params, profile, pt)
+    metric_grad = metric_gradient(params, profile, stencil)
     koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
     checks.append(_check("koszul_oracle", [koszul], tol.cross_check))
     checks.append(_check("torsion_free", [torsion_residual(pt, conn)], tol.closed_form))
@@ -389,8 +388,9 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
 
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
-    pt, jets = take_rows(sample.points, slice(1)), take_rows(sample.jets, slice(1))
-    fd = curvature_fd(params, profile, pt, jets)
+    stencil, jets = sample.stencil(1), take_rows(sample.jets, slice(1))
+    pt = stencil.centers
+    fd = curvature_fd(params, profile, stencil, jets)
     diff = fd - curvature_blocks(pt, params, jets)
     odd = odd_slots(n)
     checks = [
@@ -474,19 +474,19 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
 def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     n, c = params.n, params.c
-    points = sample.points
+    stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
-    off_jets = fiber_jets(points, off_params, profile)
+    off_jets = sample.jets_of(off_params, profile)
     nij = [
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
         for pt, jets in sample.chunks(off_jets)
     ]
-    center, off_center_jets = take_rows(points, slice(1)), take_rows(off_jets, slice(1))
+    off_center_jets = take_rows(off_jets, slice(1))
     parallel = parallel_j_residual(
-        connection_coefficients(center, off_params, off_center_jets),
+        connection_coefficients(stencil.centers, off_params, off_center_jets),
         off_center_jets,
-        metric_gradient(off_params, profile, center),
+        metric_gradient(off_params, profile, stencil),
     )
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
@@ -501,7 +501,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # defect also tests the closed-form difference; on the Einstein profile
     # both sides of einstein/difference_closed_form are zero.
     defect, off_family = [], []
-    for pt, jets in sample.chunks(fiber_jets(points, params, generic)):
+    for pt, jets in sample.chunks(sample.jets_of(params, generic)):
         direct = einstein_difference(pt, params, generic, jets)
         defect.append(_max_abs(*direct, rank=2))
         if params.is_integrable:
@@ -523,7 +523,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # symmetric, so the generic claim is pinned to k_a = k_b = 1.
     witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
     witness_profile = einstein_profile(witness_params)
-    witness_jets = fiber_jets(points, witness_params, witness_profile)
+    witness_jets = sample.jets_of(witness_params, witness_profile)
     rng = np.random.default_rng([cfg.seed, 11, n, int(round(c * 1e9))])
     values = np.concatenate([
         holomorphic_sectional_curvature(
@@ -548,7 +548,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         )
     )
 
-    probe = nabla_curvature_probe(witness_params, witness_profile, center, take_rows(witness_jets, slice(1)))
+    probe = nabla_curvature_probe(witness_params, witness_profile, stencil, take_rows(witness_jets, slice(1)))
     checks.append(
         _check(
             "curvature_not_parallel",

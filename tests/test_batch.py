@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cotangent_kahler.fd
 from base_reference import (
     christoffel,
     christoffel_derivative,
@@ -206,6 +207,32 @@ class TestLongdoublePointsKeepTheirPrecision:
         grad += np.swapaxes(grad, -2, -1)
         residual = metric_compatibility_residual(koszul_nabla(pt, jets, grad), jets, grad)
         assert np.max(residual) <= 16 * np.finfo(np.longdouble).eps * np.max(np.abs(grad))
+
+    def test_metric_gradient_keeps_longdouble(self, monkeypatch):
+        """On longdouble centers the complex-step rows are ``clongdouble`` and
+        ``metric_gradient`` returns longdouble, which agrees with the float64
+        gradient at the same points to float64 rounding; float64 centers
+        keep ``complex128`` rows."""
+        params, profile = _setup(3, "einstein")
+        q, p = _points(3)
+        original = cotangent_kahler.fd.fd_partial
+        rows = []
+
+        def recorded(f, x, d):
+            def field(z):
+                rows.append(z.dtype)
+                return f(z)
+
+            return original(field, x, d)
+
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
+        long_q, long_p = q.astype(np.longdouble), p.astype(np.longdouble)
+        wide = metric_gradient(params, profile, CotangentPoint.at(long_q, long_p, params))
+        narrow = metric_gradient(params, profile, CotangentPoint.at(q, p, params))
+        assert rows == [np.clongdouble, np.complex128]
+        assert wide.dtype == np.longdouble and narrow.dtype == np.float64
+        scale = np.max(np.abs(wide))
+        npt.assert_allclose(narrow, wide.astype(np.float64), rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
 
     def test_nijenhuis_closed_form_is_longdouble(self):
         params, profile = _setup(3, "rational")

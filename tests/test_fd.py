@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cotangent_kahler.fd
+import cotangent_kahler.mtensor
 import fd_reference
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.connection import metric_gradient
@@ -156,16 +157,13 @@ class TestBatchedStencil:
         assert np.array_equal(fd_gradient(f, centers), single)
 
     @pytest.mark.parametrize(
-        "n, centers, rows",
-        [(2, 2, [8]), (3, 1, [6]), (3, 2, [12]), (5, 1, [1, 9]), (5, 2, [2, 18])],
+        "n, centers",
+        [(2, 2), (3, 1), (3, 2), (5, 1), (5, 2)],
         ids=["n2-two", "n3-one", "n3-two", "n5-one", "n5-two"],
     )
-    def test_frame_gradient_calls_the_field_once_per_coordinate_group(self, rng, n, centers, rows):
-        """The first call takes the one row per center of as many chart
-        coordinates as fit the byte budget at 16 (2n)^4 bytes per row, and
-        never fewer than one coordinate: all of them at n = 2 and 3, one at
-        n = 5.  The rest are grouped by the bytes per row the first call
-        returned, 32 here, so they all fit one more call."""
+    def test_frame_gradient_calls_the_field_once(self, rng, n, centers):
+        """A frame gradient is one field call on the 2n rows of every center,
+        whatever the field's size."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         qs = rng.uniform(-1.5, 1.5, size=(centers, n))
         ps = rng.normal(size=(centers, n))
@@ -177,12 +175,13 @@ class TestBatchedStencil:
             return np.stack([qq[:, 0] * pp[:, 1], np.cos(pp[:, -1])], axis=-1)
 
         assert frame_gradient(field, pt).shape == (centers, 2 * n, 2)
-        assert shapes == [(m, n, m, n) for m in rows]
+        m = 2 * n * centers
+        assert shapes == [(m, n, m, n)]
 
-    def test_a_curvature_sized_field_takes_one_coordinate_per_call(self, rng):
+    def test_a_curvature_sized_field_takes_all_rows_in_one_call(self, rng):
         """A field with (2n)^4 values per row, the size of ``K``, at n = 5
-        fills the byte budget with the row of one coordinate, so every call
-        takes one coordinate, as the first call does."""
+        takes the ten rows of its center in one call: a stencil is sized by
+        its centers, not by the byte budget of ``base._chunk_rows``."""
         n = 5
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
@@ -194,23 +193,21 @@ class TestBatchedStencil:
             return np.multiply.outer(qq[:, 0] * pp[:, 1], scale)
 
         assert frame_gradient(field, pt).shape == (1, 2 * n) + (2 * n,) * 4
-        assert rows == [1] * 10
+        assert rows == [10]
 
-    @pytest.mark.parametrize(
-        "n, rows", [(2, [4]), (3, [6]), (4, [4, 4]), (5, [1, 4, 4, 1])], ids=["n2", "n3", "n4", "n5"]
-    )
-    def test_nabla_curvature_field_calls(self, rng, n, rows, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_nabla_curvature_field_calls(self, rng, n, monkeypatch):
         """The field of ``nabla_curvature`` returns the six stored blocks of
-        ``K``, 6 n^4 values per row, not the (2n)^4 of the assembled array:
-        at one center the first call takes the coordinates that fit at 16
-        (2n)^4 bytes per row, and the rest go four to a call at n = 4 and
-        5, where the assembled field took ten one-row calls."""
+        ``K``, 6 n^4 values per row.  At one center it is one call on the 2n
+        complex rows, at n = 5 too, where the coordinates used to go
+        ``[1, 4, 4, 1]`` to a call under the byte budget; the point and the
+        fiber jets are built once, on those same 2n rows."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
         profile = einstein_profile(params)
         jets = fiber_jets(pt, params, profile)
         original = cotangent_kahler.fd.fd_partial
-        calls = []
+        calls, builds = [], []
 
         def counted(f, x, d):
             def counting_field(z):
@@ -219,9 +216,23 @@ class TestBatchedStencil:
 
             return original(counting_field, x, d)
 
+        original_at = vars(CotangentPoint)["at"].__func__
+        original_jets = cotangent_kahler.mtensor.fiber_jets
+
+        def at(cls, q, p, model):
+            builds.append(("point", len(q)))
+            return original_at(cls, q, p, model)
+
+        def counted_jets(point, model, prof):
+            builds.append(("jets", len(point.q)))
+            return original_jets(point, model, prof)
+
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
+        monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
+        monkeypatch.setattr(cotangent_kahler.mtensor, "fiber_jets", counted_jets)
         assert nabla_curvature(params, profile, pt, jets).shape == (1,) + (2 * n,) * 5
-        assert calls == rows
+        assert calls == [2 * n]
+        assert builds == [("point", 2 * n), ("jets", 2 * n)]
 
 
 # ---------------------------------------------------------------------------

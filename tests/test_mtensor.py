@@ -1,5 +1,7 @@
 """Bundle pointwise data: energy density, metric blocks, fiber jets, brackets."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,7 @@ from cotangent_kahler.errors import GeometryError, PositivityError, ZeroSectionE
 from cotangent_kahler.fd import fd_partial, frame_gradient
 from cotangent_kahler.mtensor import (
     CotangentPoint,
+    Rows,
     energy_density,
     fiber_jets,
     frame_brackets,
@@ -279,6 +282,45 @@ class TestHorizontalRule:
             atol=1e-7,
             err_msg=f"horizontal rule for variance {variance!r}",
         )
+
+
+class TestRowsMemo:
+    def test_members_that_differ_never_share_an_entry(self, rng):
+        """Members that differ only in ``a_metric``, in ``k_a``, in ``k_b`` or
+        in the profile each build their own metric blocks and fiber jets on
+        the same rows, although ``fiber_jets`` reads neither ``k_a`` nor
+        ``k_b``; an equal member, with its equal params and their Einstein
+        profile built anew, shares the first entry."""
+        params = ModelParams.kahler(n=2, c=1.0, k_a=1.0, k_b=1.0)
+        members = [
+            (params, einstein_profile(params)),
+            (replace(params, a_metric=1.1 * params.a_metric), einstein_profile(params)),
+            (replace(params, k_a=0.5), einstein_profile(params)),
+            (replace(params, k_b=0.5), einstein_profile(params)),
+            (params, rational_profile()),
+        ]
+        point_at = lambda q, p: CotangentPoint.at(q, p, params)
+        rows = Rows(rng.uniform(-1, 1, size=(3, 2)), rng.normal(size=(3, 2)), point_at)
+        equal = ModelParams.kahler(n=2, c=1.0, k_a=1.0, k_b=1.0)
+        for build in (rows.blocks_of, rows.jets_of):
+            built = [build(*member) for member in members]
+            assert len({id(value) for value in built}) == len(members)
+            assert build(equal, einstein_profile(equal)) is built[0]
+
+    def test_a_build_that_raises_is_not_kept(self):
+        """A point build that fails raises again on the next access instead
+        of leaving a broken entry behind."""
+        calls = []
+
+        def point_at(q, p):
+            calls.append(len(q))
+            raise GeometryError("injected failure")
+
+        rows = Rows(np.zeros((2, 2)), np.ones((2, 2)), point_at)
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="injected failure"):
+                rows.points
+        assert calls == [2, 2]
 
 
 # ---------------------------------------------------------------------------

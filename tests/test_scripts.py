@@ -1,6 +1,7 @@
 """The scripts under scripts/: a smoke test of the exploration script
-profile_sweep.py, and the summary, Tier-1 entry and layer entry of
-bench_pairs.py on fixed numbers."""
+profile_sweep.py, the summary, Tier-1 entry and layer entry of
+bench_pairs.py on fixed numbers, and report_diff.py on fixed reports and on
+one tiny flag set run twice on this tree."""
 
 import importlib.util
 import json
@@ -259,3 +260,54 @@ def test_bench_pairs_records_the_bounds_of_the_benchmark_spec(monkeypatch, tmp_p
     assert (summary["run_s"]["bound"], summary["run_s"]["within_bound"]) == (0.2, True)
     assert (summary["peak_rss_mb"]["bound"], summary["peak_rss_mb"]["within_bound"]) == (0.1, False)
     assert "bound" not in record["tier1"]["summary"]["tier1_s"]
+
+
+def _report(value=1e-12, passed=True, note=None, discrepancy=None):
+    check = {"name": "pair_symmetry", "value": value, "tolerance": 1e-9, "comparison": "le", "passed": passed}
+    if note is not None:
+        check["note"] = note
+    config = {"dim": 2, "curvature": 1.0, "samples": 3, "passed": passed, "checks": [check]}
+    return {
+        "schema_version": 3,
+        "suites": [{"name": "curvature", "passed": passed, "configs": [config]}],
+        "discrepancy_notes": [] if discrepancy is None else [discrepancy],
+        "passed": passed,
+        "timings": {"curvature": 0.5},
+    }
+
+
+def test_report_diff_classifies_each_check():
+    """Equal reports with other timings are identical; a value that moves is
+    ``moved`` with its absolute and relative change; a flipped verdict, a
+    new note and a changed discrepancy note are each reported."""
+    compare = _load_script("report_diff").compare_runs
+    label = "curvature/pair_symmetry n=2 c=1.0"
+    same = compare((0, _report()), (0, {**_report(), "timings": {}}), ("timings",))
+    assert same["counts"]["identical"] == 1 and same["rest_identical"] is True
+    moved = compare((0, _report()), (0, _report(value=1.5e-12)), ("timings",))
+    assert moved["changed"][label]["status"] == "moved"
+    assert moved["max_abs"] == pytest.approx(0.5e-12) and moved["max_rel"] == pytest.approx(0.5)
+    verdict = compare((0, _report()), (1, _report(value=2e-9, passed=False)), ("timings",))
+    assert verdict["changed"][label]["status"] == "verdict" and verdict["exit_codes"] == [0, 1]
+    note = compare((0, _report()), (0, _report(note="fixed")), ("timings",))
+    assert note["changed"][label]["status"] == "note"
+    rest = compare((0, _report()), (0, _report(discrepancy="suite: new")), ("timings",))
+    assert rest["counts"]["identical"] == 1 and rest["rest_identical"] is False
+
+
+def test_report_diff_on_the_same_tree_is_identical(tmp_path, monkeypatch, capsys):
+    """One tiny flag set at one seed, run twice on this tree: every check is
+    byte-identical, the exit codes match, the JSON file records the run and
+    the table has its row."""
+    report_diff = _load_script("report_diff")
+    tiny = ["--dims", "2", "--curvatures", "1.0", "--samples", "2", "--suites", "almost_kahler,connection"]
+    monkeypatch.setattr(report_diff, "FLAG_SETS", {"tiny": tiny})
+    monkeypatch.setattr(report_diff, "SEEDS", (0,))
+    root = str(SCRIPTS.parent)
+    out = tmp_path / "diff.json"
+    assert report_diff.main(["--parent", root, "--change", root, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    run = record["runs"]["tiny seed=0"]
+    assert run["exit_codes"] == [0, 0] and run["rest_identical"] is True
+    assert run["counts"]["identical"] == sum(run["counts"].values()) > 0
+    assert "| tiny seed=0 |" in capsys.readouterr().out

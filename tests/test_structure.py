@@ -7,6 +7,7 @@ import pytest
 
 from base_reference import bumped_geometry
 from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.fd import Stencil
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, chart_frame, fiber_jets
 from cotangent_kahler.structure import (
     assemble_complex_structure,
@@ -168,7 +169,5 @@ class TestNijenhuis:
         jets = fiber_jets(pt, params, generic_profile)
         tensor = nijenhuis_closed_form(pt, params, jets)
         assert np.max(np.abs(tensor)) > 1e-3  # nothing trivial is being compared
-        numeric = nijenhuis_numeric(
-            params, generic_profile, pt, jets, point_factory=point_factory
-        )
+        numeric = nijenhuis_numeric(params, generic_profile, Stencil(pt, point_factory), jets)
         npt.assert_allclose(numeric, tensor, atol=1e-5)

@@ -13,9 +13,12 @@ import cotangent_kahler.fd
 import cotangent_kahler.mtensor
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.connection import metric_gradient
+from cotangent_kahler.curvature import curvature_fd, nabla_curvature
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.mtensor import CotangentPoint
+from cotangent_kahler.mtensor import CotangentPoint, take_rows
 from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
 from cotangent_kahler.suites import RunConfig, Sample, _check, run_verification, sample_points
 
 
@@ -38,10 +41,10 @@ class TestCheckReduction:
         assert check.passed is False
 
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        """One sample per chunk and one chart coordinate per FD field call give
-        the report of the default budget, which splits 30 samples at n = 3
-        into two chunks: the same checks and verdicts, residuals within 1e-3
-        of their tolerance and witnesses within 1e-9 relative."""
+        """One sample per chunk gives the report of the default budget, which
+        splits 30 samples at n = 3 into two chunks: the same checks and
+        verdicts, residuals within 1e-3 of their tolerance and witnesses
+        within 1e-9 relative."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
         default = run_verification(cfg)
         monkeypatch.setattr(cotangent_kahler.base, "_CHUNK_BYTES", 1)
@@ -72,6 +75,27 @@ def _patch_everywhere(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
+def _count_builds(monkeypatch):
+    """Record every ``CotangentPoint.at`` and ``fiber_jets`` call, in order,
+    as ``(kind, rows, real)``: ``"point"`` or ``"jets"``, the number of
+    rows, and whether they are real."""
+    builds = []
+    original_at = vars(CotangentPoint)["at"].__func__
+    original_jets = cotangent_kahler.mtensor.fiber_jets
+
+    def at(cls, q, p, model):
+        builds.append(("point", len(q), not np.iscomplexobj(q)))
+        return original_at(cls, q, p, model)
+
+    def fiber_jets(pt, model, profile):
+        builds.append(("jets", len(pt.q), not np.iscomplexobj(pt.q)))
+        return original_jets(pt, model, profile)
+
+    monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
+    _patch_everywhere(monkeypatch, original_jets, fiber_jets)
+    return builds
+
+
 # Eight samples at three rows per chunk: chunks of 3, 3 and 2 rows.
 SHARED_PASS = dict(dims=(2,), curvatures=(1.0,), samples=8)
 
@@ -100,41 +124,62 @@ def _configs_by_suite(suites) -> dict:
 
 
 class TestSharedSample:
-    @pytest.mark.parametrize("suite, gradients", [("connection", 1), ("curvature", 1)])
-    def test_one_gradient_per_field(self, suite, gradients, monkeypatch):
-        """Each oracle field is differentiated once per config, at all of its
-        centers together: the Koszul oracle, the compatibility residual and
-        parallel J share one metric gradient, and the mixed Ricci block
-        traces the suite's one FD curvature."""
-        original = cotangent_kahler.fd.frame_gradient
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        _patch_everywhere(monkeypatch, original, counted)
+    @pytest.mark.parametrize(
+        "suite, points, jets",
+        [("connection", [8], []), ("curvature", [4], [4])],
+        ids=["connection", "curvature"],
+    )
+    def test_one_stencil_per_center_set(self, suite, points, jets, monkeypatch):
+        """At n = 2 with 3 samples a suite builds the point once on the
+        complex rows of its center set, the 2n = 4 rows of each center, and
+        the fiber jets of a member it differentiates once on them: the Koszul
+        oracle, the compatibility residual and parallel J share one metric
+        gradient at two centers, and the mixed Ricci block traces the one FD
+        curvature at one center."""
+        builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, suites=(suite,)))
-        assert len(calls) == gradients
+        assert [rows for kind, rows, real in builds if kind == "point" and not real] == points
+        assert [rows for kind, rows, real in builds if kind == "jets" and not real] == jets
 
     def test_connection_suite_field_calls(self, monkeypatch):
-        """At n = 2 with 2 samples the connection suite takes 1 frame
-        gradient (the metric field at both oracle centers; parallel J reuses
-        it), one batched field call of 2 complex rows, one per center, for
-        each of the 4 chart coordinates, which fit the byte budget together."""
-        original = cotangent_kahler.fd.frame_gradient
+        """At n = 2 with 2 samples the connection suite takes 1 field call, of
+        the metric field at both oracle centers (parallel J reuses its
+        gradient): 2 complex rows, one per center, for each of the 4 chart
+        coordinates, the rows on which the suite builds its one complex
+        point."""
+        original = cotangent_kahler.fd.fd_partial
         rows = []
 
-        def counted(field, *args, **kwargs):
-            def counting_field(q, p):
-                rows.append(len(q))
-                return field(q, p)
+        def counted(f, x, d):
+            def counting_field(z):
+                rows.append(len(z))
+                return f(z)
 
-            return original(counting_field, *args, **kwargs)
+            return original(counting_field, x, d)
 
-        _patch_everywhere(monkeypatch, original, counted)
+        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
+        builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
         assert rows == [8]
+        assert [rows for kind, rows, real in builds if kind == "point" and not real] == [8]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_builds_per_config(self, n, monkeypatch):
+        """One config of all six suites at 3 samples builds the point on
+        complex rows twice, once per center set (the first two centers, then
+        the first one), and the fiber jets on complex rows once, at the one
+        center: the FD curvature's own member is the member of the nabla-K
+        probe.  On the real sampled rows it builds the point once and the
+        fiber jets three times: the own member, which the witnesses' k_a =
+        k_b = 1 member is, the detuned coupling and the rational profile."""
+        builds = _count_builds(monkeypatch)
+        run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3))
+        assert [(kind, rows) for kind, rows, real in builds if not real] == [
+            ("point", 4 * n),
+            ("point", 2 * n),
+            ("jets", 2 * n),
+        ]
+        assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
@@ -273,3 +318,35 @@ class TestOffFamilyDifference:
                 (check,) = [check for check in config["checks"] if check["name"] == check_name]
                 assert check["passed"] is passed, (name, config["dim"])
         assert not any("admissibility-weighted" in note for note in report["discrepancy_notes"])
+
+
+class TestSharedStencil:
+    def test_oracles_through_the_shared_stencil_match_standalone(self, monkeypatch):
+        """Each of the five FD oracles gives, bit for bit, the same array
+        through the sample's stencil, after the other oracles at its centers
+        have built the point and the jets there, as on its own one-use
+        stencil at the same centers.  Through the sample the six calls build
+        two complex points and one complex jet set."""
+        n = 3
+        params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
+        profile = einstein_profile(params)
+        off_params = ModelParams(n=n, c=1.0, a_metric=1.1 * params.a_metric, k_a=1.0, k_b=1.0)
+        rng = np.random.default_rng(5)
+        sample = Sample(rng.uniform(-1.0, 1.0, size=(4, n)), rng.normal(size=(4, n)), params, profile)
+        jets1 = take_rows(sample.jets, slice(1))
+        # In the order of the suites: 2-form, Nijenhuis, metric, curvature,
+        # then the witnesses' detuned metric and nabla-K.
+        oracles = [
+            (2, lambda pt: dform_residual(params, profile, pt)),
+            (1, lambda pt: nijenhuis_numeric(params, profile, pt, jets1)),
+            (2, lambda pt: metric_gradient(params, profile, pt)),
+            (1, lambda pt: curvature_fd(params, profile, pt, jets1)),
+            (1, lambda pt: metric_gradient(off_params, profile, pt)),
+            (1, lambda pt: nabla_curvature(params, profile, pt, jets1)),
+        ]
+        builds = _count_builds(monkeypatch)
+        shared = [oracle(sample.stencil(centers)) for centers, oracle in oracles]
+        assert [(kind, rows) for kind, rows, real in builds] == [("point", 12), ("point", 6), ("jets", 6)]
+        for (centers, oracle), value in zip(oracles, shared):
+            alone = oracle(take_rows(sample.points, slice(centers)))
+            assert value.dtype == alone.dtype and np.array_equal(value, alone)
