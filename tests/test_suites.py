@@ -161,7 +161,7 @@ class TestSharedSample:
         builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2, suites=("connection",)))
         assert rows == [8]
-        assert [rows for kind, rows, real in builds if kind == "point" and not real] == [8]
+        assert [m for kind, m, real in builds if kind == "point" and not real] == [8]
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_builds_per_config(self, n, monkeypatch):
