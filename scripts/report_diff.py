@@ -15,8 +15,7 @@ compared per config and check; each check is one of:
 * ``missing``: the check is in one report only;
 * ``other``: the tolerance or the comparison differs.
 
-``timings`` is ignored, and so is ``schema_version`` with
-``--ignore-schema-version``.  The rest of each report (its config, notes and
+``timings`` is ignored.  The rest of each report (its config, notes and
 verdicts, per suite and per config) must be equal as a whole, and so must
 the exit codes.  The script writes every run's comparison to one JSON file,
 prints a Markdown table with one row per flag set and seed, and exits 0 when
@@ -58,6 +57,8 @@ FLAG_SETS = {
     "dims_4_5": ["--dims", "4,5", "--curvatures", "1.0", "--samples", "5"],
 }
 SEEDS = (0, 3)
+# Report keys left out of the comparison.
+IGNORED = ("timings",)
 STATUSES = ("identical", "moved", "verdict", "note", "missing", "other")
 
 
@@ -83,9 +84,9 @@ def _checks(report: dict) -> dict[str, dict]:
     }
 
 
-def _rest(report: dict, ignored: tuple[str, ...]) -> dict:
-    """``report`` without its check entries and the ``ignored`` keys."""
-    rest = {key: value for key, value in report.items() if key not in ignored}
+def _rest(report: dict) -> dict:
+    """``report`` without its check entries and the ``IGNORED`` keys."""
+    rest = {key: value for key, value in report.items() if key not in IGNORED}
     rest["suites"] = [
         {**suite, "configs": [{**config, "checks": None} for config in suite["configs"]]}
         for suite in report["suites"]
@@ -114,7 +115,7 @@ def compare_check(old: dict | None, new: dict | None) -> dict:
     return out
 
 
-def compare_runs(parent: tuple[int, dict | None], change: tuple[int, dict | None], ignored) -> dict:
+def compare_runs(parent: tuple[int, dict | None], change: tuple[int, dict | None]) -> dict:
     """The comparison of two ``run_report`` results: the exit codes, whether
     the rest of the reports is equal, the count per status, the largest
     ``abs`` and ``rel`` of the values that differ, and every check that is
@@ -127,7 +128,7 @@ def compare_runs(parent: tuple[int, dict | None], change: tuple[int, dict | None
     old_checks, new_checks = _checks(old), _checks(new)
     names = list(old_checks) + [name for name in new_checks if name not in old_checks]
     checks = {name: compare_check(old_checks.get(name), new_checks.get(name)) for name in names}
-    out["rest_identical"] = _rest(old, ignored) == _rest(new, ignored)
+    out["rest_identical"] = _rest(old) == _rest(new)
     out["counts"] = {status: sum(c["status"] == status for c in checks.values()) for status in STATUSES}
     for key in ("abs", "rel"):
         out[f"max_{key}"] = max((c[key] for c in checks.values() if key in c), default=0.0)
@@ -141,14 +142,14 @@ def all_identical(run: dict) -> bool:
     return codes[0] == codes[1] and run["rest_identical"] and sum(counts.values()) == counts["identical"]
 
 
-def diff_trees(parent: Path, change: Path, flag_sets: dict, seeds, ignored=("timings",)) -> dict:
+def diff_trees(parent: Path, change: Path, flag_sets: dict, seeds) -> dict:
     """``{"<flag set> seed=<seed>": comparison}`` over every flag set and seed."""
     runs = {}
     for name, flags in flag_sets.items():
         for seed in seeds:
             argv = [*flags, "--seed", str(seed)]
             pair = run_report(parent, argv), run_report(change, argv)
-            runs[f"{name} seed={seed}"] = compare_runs(*pair, ignored)
+            runs[f"{name} seed={seed}"] = compare_runs(*pair)
             print(f"{name} seed={seed}: done", file=sys.stderr)
     return runs
 
@@ -172,17 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
     parser.add_argument("--out", type=Path, default=Path("report_diff.json"), help="the JSON file to write")
-    parser.add_argument(
-        "--ignore-schema-version", action="store_true", help="leave schema_version out of the comparison"
-    )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ignored = ("timings", "schema_version") if args.ignore_schema_version else ("timings",)
-    runs = diff_trees(args.parent.resolve(), args.change.resolve(), FLAG_SETS, SEEDS, ignored)
-    record = {"flag_sets": FLAG_SETS, "seeds": list(SEEDS), "ignored": list(ignored), "runs": runs}
+    runs = diff_trees(args.parent.resolve(), args.change.resolve(), FLAG_SETS, SEEDS)
+    record = {"flag_sets": FLAG_SETS, "seeds": list(SEEDS), "ignored": list(IGNORED), "runs": runs}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(format_table(runs))
     return 0 if all(all_identical(run) for run in runs.values()) else 1

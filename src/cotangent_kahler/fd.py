@@ -64,8 +64,8 @@ _H = 1e-30
 def _step_rows(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The complex rows ``(k coordinates, C centers, dim)`` of the real
     centers ``x`` of shape ``(C, dim)``, each with the imaginary step along
-    its coordinate, in the complex dtype of ``x``'s precision."""
-    points = np.broadcast_to(x, (len(coords),) + x.shape).astype(np.result_type(x, 1j))
+    its coordinate, in ``complex128`` or a wider dtype if ``x`` has one."""
+    points = np.broadcast_to(x, (len(coords),) + x.shape).astype(np.result_type(x, np.float64, 1j))
     points[np.arange(len(coords)), :, coords] += 1j * _H
     return points
 
@@ -78,9 +78,9 @@ def fd_partial(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, d) -> np.nd
     or any fixed shape per point.  ``d`` is one coordinate, giving a result
     of shape ``x.shape[:-1]`` followed by the field's shape, or a 1-D array
     of coordinates, whose axis comes after the centers' axes.  All rows go
-    to ``f`` in one call, ordered by coordinate, then center.  The rows and
-    the partials follow the precision of ``x``: float64 centers give
-    ``complex128`` rows, ``np.longdouble`` ones ``np.clongdouble`` rows.
+    to ``f`` in one call, ordered by coordinate, then center.  The rows are
+    ``complex128``, or ``np.clongdouble`` for ``np.longdouble`` centers,
+    and the partials follow the field's precision.
     """
     if np.iscomplexobj(x):
         raise TypeError("complex-step derivatives need real centers: complex steps do not nest")

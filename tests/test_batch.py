@@ -241,6 +241,33 @@ class TestLongdoublePointsKeepTheirPrecision:
         assert nijenhuis_closed_form(pt, params, fiber_jets(pt, params, profile)).dtype == np.longdouble
 
 
+def test_metric_gradient_steps_float32_points_in_complex128(monkeypatch):
+    """float32 centers are promoted to ``complex128`` rows, not stepped in
+    ``complex64``, where an imaginary part below float32's smallest normal
+    would lose the derivative's digits; the float32 adapted frame of the
+    centers still rounds the recombined gradient, so it agrees with the
+    float64 one to float32 rounding."""
+    params, profile = _setup(3, "einstein")
+    q, p = _points(3)
+    original = cotangent_kahler.fd.fd_partial
+    rows = []
+
+    def recorded(f, x, d):
+        def field(z):
+            rows.append(z.dtype)
+            return f(z)
+
+        return original(field, x, d)
+
+    monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
+    narrow = metric_gradient(params, profile, CotangentPoint.at(q.astype(np.float32), p.astype(np.float32), params))
+    wide = metric_gradient(params, profile, CotangentPoint.at(q, p, params))
+    assert rows == [np.complex128, np.complex128]
+    assert narrow.dtype == np.float64
+    scale = np.max(np.abs(wide))
+    npt.assert_allclose(narrow, wide, rtol=0, atol=64 * np.finfo(np.float32).eps * scale)
+
+
 def _suite_values(q, p, params, profile):
     """The closed-form quantities the suites check, one point or a batch.
 

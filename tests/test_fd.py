@@ -57,6 +57,20 @@ class TestExactness:
         expected = 2 * a * x + b
         assert abs(fd_partial(f, np.array([x]), 0) - expected) < 1e-8
 
+    def test_float32_centers_step_in_complex128(self):
+        """float32 centers get ``complex128`` rows, as float64 ones do: the
+        imaginary part ``1e-30 * 1e-12`` is subnormal in ``complex64`` and
+        would lose the derivative's digits there."""
+        rows = []
+
+        def f(z):
+            rows.append(z.dtype)
+            return 1e-12 * z[:, 0] ** 2
+
+        x = np.array([0.5, 0.25], dtype=np.float32)
+        assert fd_partial(f, x, 0) == fd_partial(f, x.astype(np.float64), 0) == 1e-12
+        assert rows == [np.complex128, np.complex128]
+
 
 class TestGuards:
     def test_non_finite_raises_stencil_error(self):

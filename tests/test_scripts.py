@@ -282,16 +282,16 @@ def test_report_diff_classifies_each_check():
     new note and a changed discrepancy note are each reported."""
     compare = _load_script("report_diff").compare_runs
     label = "curvature/pair_symmetry n=2 c=1.0"
-    same = compare((0, _report()), (0, {**_report(), "timings": {}}), ("timings",))
+    same = compare((0, _report()), (0, {**_report(), "timings": {}}))
     assert same["counts"]["identical"] == 1 and same["rest_identical"] is True
-    moved = compare((0, _report()), (0, _report(value=1.5e-12)), ("timings",))
+    moved = compare((0, _report()), (0, _report(value=1.5e-12)))
     assert moved["changed"][label]["status"] == "moved"
     assert moved["max_abs"] == pytest.approx(0.5e-12) and moved["max_rel"] == pytest.approx(0.5)
-    verdict = compare((0, _report()), (1, _report(value=2e-9, passed=False)), ("timings",))
+    verdict = compare((0, _report()), (1, _report(value=2e-9, passed=False)))
     assert verdict["changed"][label]["status"] == "verdict" and verdict["exit_codes"] == [0, 1]
-    note = compare((0, _report()), (0, _report(note="fixed")), ("timings",))
+    note = compare((0, _report()), (0, _report(note="fixed")))
     assert note["changed"][label]["status"] == "note"
-    rest = compare((0, _report()), (0, _report(discrepancy="suite: new")), ("timings",))
+    rest = compare((0, _report()), (0, _report(discrepancy="suite: new")))
     assert rest["counts"]["identical"] == 1 and rest["rest_identical"] is False
 
 
