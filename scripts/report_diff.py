@@ -60,18 +60,31 @@ SEEDS = (0, 3)
 # Report keys left out of the comparison.
 IGNORED = ("timings",)
 STATUSES = ("identical", "moved", "verdict", "note", "missing", "other")
+# Lines of stderr quoted from a crashed run.
+CRASH_LINES = 20
 
 
 def run_report(tree: Path, flags: list[str]) -> tuple[int, dict | None]:
     """Exit code and JSON report of the CLI of ``tree`` on ``flags``; no
-    report when the CLI refuses the flags (exit 2)."""
+    report when the CLI refuses the flags (exit 2).
+
+    Any other exit code is a crash, and so is an exit 0 or 1 without a JSON
+    report on stdout: Python also exits 1 on an uncaught exception.  A crash
+    raises ``SystemExit`` naming the tree, the flags and the tail of stderr.
+    """
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONPATH"] = str(tree / "src")
     command = [sys.executable, "-m", "cotangent_kahler", *flags, "--report", "-"]
     proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1, 2):
-        raise SystemExit(f"cotangent_kahler crashed in {tree} on {flags}:\n{proc.stderr}")
-    return proc.returncode, json.loads(proc.stdout) if proc.returncode != 2 else None
+    if proc.returncode == 2:
+        return 2, None
+    if proc.returncode in (0, 1):
+        try:
+            return proc.returncode, json.loads(proc.stdout)
+        except json.JSONDecodeError:
+            pass
+    tail = "\n".join(proc.stderr.splitlines()[-CRASH_LINES:])
+    raise SystemExit(f"cotangent_kahler crashed in {tree} on {flags} (exit {proc.returncode}):\n{tail}")
 
 
 def _checks(report: dict) -> dict[str, dict]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
-from .fd import Stencil, stencil_at
+from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, frame_brackets
 from .structure import assemble_complex_structure, canonical_coordinate_form
 
@@ -178,11 +178,11 @@ def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarr
 # ---- independent Koszul route ----
 
 
-def metric_gradient(params: ModelParams, profile, pt: CotangentPoint | Stencil) -> np.ndarray:
-    """``dG[..., a, b, c] = e_a G[b, c]``: one frame gradient of the metric
-    field, shared by the Koszul oracle, the compatibility residual and the
-    parallel-J residual."""
-    return stencil_at(pt, params).frame_gradient(lambda rows: assemble_metric(rows.blocks_of(params, profile)))
+def metric_gradient(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+    """``dG[..., a, b, c] = e_a G[b, c]`` at the centers of ``stencil``: one
+    frame gradient of the metric field, shared by the Koszul oracle, the
+    compatibility residual and the parallel-J residual."""
+    return stencil.frame_gradient(lambda rows: assemble_metric(rows.blocks_of(params, profile)))
 
 
 def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from .base import ModelParams, _contract, _max_abs, _outer, _scale
 from .connection import connection_coefficients, connection_fiber_derivatives
 from .errors import GeometryError
-from .fd import Stencil, stencil_at
+from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, Rows, frame_brackets
 
 __all__ = [
@@ -251,15 +251,14 @@ def holomorphic_sectional_curvature(
 # ---- finite-difference oracles ----
 
 
-def curvature_fd(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets) -> np.ndarray:
+def curvature_fd(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
     """``K(e_a, e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c -
-    nabla_[a,b] e_c`` at the centers ``pt`` from the definition, by one
-    frame gradient of the connection field; ``jets`` are the fiber jets at
-    ``pt``.  The curvature block formulas are never consulted, and tracing
-    the result over ``a = d`` gives the Ricci tensor, mixed block included."""
-    stencil = stencil_at(pt, params)
+    nabla_[a,b] e_c`` at the centers of ``stencil`` from the definition, by
+    one frame gradient of the connection field.  The curvature block
+    formulas are never consulted, and tracing the result over ``a = d``
+    gives the Ricci tensor, mixed block included."""
     pt = stencil.centers
-    conn = connection_coefficients(pt, params, jets)
+    conn = connection_coefficients(pt, params, stencil.center_jets(params, profile))
 
     def field(rows: Rows) -> np.ndarray:
         return connection_coefficients(rows.points, params, rows.jets_of(params, profile))
@@ -274,17 +273,16 @@ def curvature_fd(params: ModelParams, profile, pt: CotangentPoint | Stencil, jet
 # ---- covariant derivative of the curvature ----
 
 
-def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets) -> np.ndarray:
-    """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers ``pt`` by the
-    Leibniz rule.
+def nabla_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+    """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers of ``stencil``
+    by the Leibniz rule.
 
     The value term is one frame gradient of the field of the six stored
     blocks, assembled once; the four connection terms, one per slot of
-    ``K``, are each one batched ``@`` of ``K`` and the connection at
-    ``pt``, built from its fiber ``jets``.
+    ``K``, are each one batched ``@`` of ``K`` and the connection at the
+    centers, built from their fiber jets.
     """
-    stencil = stencil_at(pt, params)
-    pt = stencil.centers
+    pt, jets = stencil.centers, stencil.center_jets(params, profile)
     conn = connection_coefficients(pt, params, jets)
     curv = curvature_blocks(pt, params, jets)
 
@@ -302,9 +300,9 @@ def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint | Stencil, 
     return nabla
 
 
-def nabla_curvature_probe(params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets):
-    """Largest component of ``nabla K`` at each center.
+def nabla_curvature_probe(params: ModelParams, profile, stencil: Stencil):
+    """Largest component of ``nabla K`` at each center of ``stencil``.
 
     A value above a small floor witnesses the failure of local symmetry.
     """
-    return _max_abs(nabla_curvature(params, profile, pt, jets), rank=5)
+    return _max_abs(nabla_curvature(params, profile, stencil), rank=5)

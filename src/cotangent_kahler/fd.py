@@ -30,12 +30,13 @@ float64 centers give ``complex128`` rows, ``np.longdouble`` ones
 derivative direction (for gradients), then the field's own axes; one center
 is a batch of shape ``()``.
 
-The oracles differentiate on a ``Stencil``, the rows of all 2n chart
-coordinates at a batch of centers, sized by its centers: the point and each
-member's metric blocks and fiber jets are built on its rows once, and every
-oracle at the same centers shares them (``suites.Sample`` keeps one stencil
-per center set).  Each gradient is one ``fd_partial`` call on all its rows.
-``frame_gradient`` is a one-use stencil.
+Every oracle differentiates on a ``Stencil``: the rows of all 2n chart
+coordinates at the first centers of a real ``mtensor.Rows``, its base.  A
+stencil is sized by its centers: the point and each member's metric blocks
+and fiber jets are built on its rows once, and every oracle at the same
+centers shares them (``suites.Sample`` keeps one stencil per center set).
+The centers' own point and jets are the base's first rows.  Each gradient
+is one ``fd_partial`` call on all its rows.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
@@ -51,9 +52,9 @@ import numpy as np
 
 from .base import ModelParams
 from .errors import StencilError
-from .mtensor import CotangentPoint, Rows
+from .mtensor import FiberJets, Rows, take_rows
 
-__all__ = ["fd_partial", "fd_gradient", "Stencil", "stencil_at", "frame_gradient"]
+__all__ = ["fd_partial", "fd_gradient", "Stencil"]
 
 # The imaginary step.  The truncation error is O(h^2) relative, so any h far
 # below the square root of float64 epsilon is exact to rounding, at any
@@ -117,22 +118,31 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
 
 
 class Stencil(Rows):
-    """The complex-step rows of all 2n chart coordinates at the real centers
-    ``centers``, a batched ``CotangentPoint``, ordered by coordinate, then
-    center, as ``Rows``; ``point_at(q, p)`` builds the point on rows.
+    """The complex-step rows of all 2n chart coordinates at the first
+    ``centers`` rows of the real ``base`` (all of them by default), ordered
+    by coordinate, then center, as ``Rows`` on the base's ``point_at``.
 
-    A field takes the ``Rows`` it is handed and returns ``(m, ...)``: the
-    stencil itself in its gradients, and rows of their own anywhere else,
-    such as in a reference stencil, so a field is a function of its rows
-    alone.  An oracle that takes centers ``pt`` also takes a stencil there
-    (see ``stencil_at``)."""
+    ``centers`` is the centers' batched ``CotangentPoint`` and
+    ``center_jets`` their fiber jets, the base's first rows of each, so an
+    oracle reads its centers from its stencil alone.  A field takes the
+    ``Rows`` it is handed and returns ``(m, ...)``: the stencil itself in its
+    gradients, and rows of their own anywhere else, such as in a reference
+    stencil, so a field is a function of its rows alone."""
 
-    def __init__(self, centers: CotangentPoint, point_at=None) -> None:
-        self.centers = centers
-        self._x = np.concatenate([centers.q, centers.p], axis=-1)
-        n = centers.n
+    def __init__(self, base: Rows, centers: int | None = None) -> None:
+        self.base = base
+        # A slice keeps the centers' batch axis; the default takes a base of
+        # one point, of batch shape (), as it is.
+        self._index = ... if centers is None else slice(centers)
+        self.centers = take_rows(base.points, self._index)
+        self._x = np.concatenate([self.centers.q, self.centers.p], axis=-1)
+        n = self.centers.n
         self._z = _step_rows(self._x.reshape(-1, 2 * n), np.arange(2 * n)).reshape(-1, 2 * n)
-        super().__init__(self._z[:, :n], self._z[:, n:], point_at)
+        super().__init__(self._z[:, :n], self._z[:, n:], base._point_at)
+
+    def center_jets(self, params: ModelParams, profile) -> FiberJets:
+        """The fiber jets of a member at the centers, from the base's."""
+        return take_rows(self.base.jets_of(params, profile), self._index)
 
     def chart_gradient(self, field) -> np.ndarray:
         """The 2n chart partials of ``field`` at the centers."""
@@ -151,17 +161,3 @@ class Stencil(Rows):
         grad = partials.reshape(pt.p.shape[:-1] + (2 * n, -1))
         horizontal = grad[..., :n, :] + pt.p_gamma @ grad[..., n:, :]
         return np.concatenate([horizontal, grad[..., n:, :]], axis=-2).reshape(partials.shape)
-
-
-def stencil_at(pt: CotangentPoint | Stencil, params: ModelParams) -> Stencil:
-    """``pt`` if it is a stencil, else a one-use stencil at the centers
-    ``pt`` over the space form of ``params``."""
-    if isinstance(pt, Stencil):
-        return pt
-    return Stencil(pt, lambda q, p: CotangentPoint.at(q, p, params))
-
-
-def frame_gradient(field, pt: CotangentPoint) -> np.ndarray:
-    """``Stencil.frame_gradient`` of ``field(Q, P)`` at the centers ``pt``,
-    for a field of a batch of points ``Q, P`` of shape ``(m, n)``."""
-    return Stencil(pt).frame_gradient(lambda rows: field(rows.q, rows.p))

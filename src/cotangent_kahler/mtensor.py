@@ -102,12 +102,6 @@ class CotangentPoint:
     def n(self) -> int:
         return self.p.shape[-1]
 
-    def __len__(self) -> int:
-        """``len(q)``, the length of the leading axis of ``q``:
-        ``bench/tracing.py`` counts the rows of a frame gradient by the
-        ``len`` of the point handed to ``frame_gradient``."""
-        return len(self.q)
-
     @classmethod
     def from_base(cls, q: np.ndarray, p: np.ndarray, base: BaseGeometry) -> "CotangentPoint":
         """The point over the base geometry ``base`` at ``q``."""
@@ -165,7 +159,8 @@ class FiberJets:
 
 def take_rows(batch, index):
     """The rows ``index`` of a batched ``CotangentPoint`` or ``FiberJets``: a
-    slice gives a smaller batch of views, an integer a batch of shape ``()``."""
+    slice gives a smaller batch of views, ``...`` the whole batch, an integer
+    a batch of shape ``()``."""
     return type(batch)(**{f.name: getattr(batch, f.name)[index] for f in fields(batch)})
 
 
@@ -293,11 +288,13 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
 
 
 class Rows:
-    """Chart rows ``q, p`` of shape ``(m, n)``, real or complex, with the
-    point ``points = point_at(q, p)`` and each member's metric blocks and
-    fiber jets built once.  A member is its params and its profile object,
-    so members that differ in the coupling, ``k_a``/``k_b`` or the profile
-    never share an entry.  A build that raises is not kept."""
+    """Chart rows ``q, p`` of shape ``(m, n)``, or ``(n,)`` for one point,
+    real or complex, with the point ``points = point_at(q, p)`` and each
+    member's metric blocks and fiber jets built once.  A member is its
+    params and its profile object, so members that differ in the coupling,
+    ``k_a``/``k_b`` or the profile never share an entry.  A build that
+    raises is not kept.  Real rows are the base of the ``fd.Stencil`` at
+    their first rows, which builds its point on the same ``point_at``."""
 
     def __init__(self, q: np.ndarray, p: np.ndarray, point_at) -> None:
         self.q, self.p, self._point_at = q, p, point_at

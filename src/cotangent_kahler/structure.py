@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelParams, _max_abs
-from .fd import Stencil, stencil_at
+from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, chart_frame
 
 __all__ = [
@@ -91,9 +91,9 @@ def coordinate_form(pt: CotangentPoint, form: np.ndarray) -> np.ndarray:
     return np.swapaxes(inverse, -1, -2) @ form @ inverse
 
 
-def dform_residual(params: ModelParams, profile, pt: CotangentPoint | Stencil):
-    """``max |d phi|`` per center, from finite differences of the chart
-    components.
+def dform_residual(params: ModelParams, profile, stencil: Stencil):
+    """``max |d phi|`` at each center of ``stencil``, from finite differences
+    of the chart components.
 
     The exterior derivative of a 2-form in chart coordinates is the
     antisymmetrized partial derivative of its component matrix; evaluating
@@ -106,7 +106,7 @@ def dform_residual(params: ModelParams, profile, pt: CotangentPoint | Stencil):
         phi = fundamental_form(assemble_metric(blocks), assemble_complex_structure(blocks))
         return coordinate_form(rows.points, phi)
 
-    grad = stencil_at(pt, params).chart_gradient(phi_field)
+    grad = stencil.chart_gradient(phi_field)
     dphi = grad - np.einsum("...bac->...abc", grad) + np.einsum("...cab->...abc", grad)
     return _max_abs(dphi, rank=3)
 
@@ -147,20 +147,17 @@ def _brackets(x, dx, y, dy) -> np.ndarray:
     return np.einsum("...gkb,...ga->...abk", dy, x) - np.einsum("...gka,...gb->...abk", dx, y)
 
 
-def nijenhuis_numeric(
-    params: ModelParams, profile, pt: CotangentPoint | Stencil, jets: FiberJets
-) -> np.ndarray:
+def nijenhuis_numeric(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
     """``N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]`` on every pair of
-    frame fields at the centers ``pt`` (with fiber ``jets``), assembled from
-    chart-level brackets with no use of the closed form.
+    frame fields at the centers of ``stencil``, assembled from chart-level
+    brackets with no use of the closed form.
 
     The frame fields are the columns of the chart frame ``E`` and their
     images the columns of ``E J``; one finite-difference gradient of the
-    stacked field ``(E, E J)`` yields every bracket.  A stencil built with
-    another ``point_at`` runs the same oracle over bases that are not space
-    forms.
+    stacked field ``(E, E J)`` yields every bracket.  A stencil on a base
+    ``Rows`` built with another ``point_at`` runs the same oracle over bases
+    that are not space forms.
     """
-    stencil = stencil_at(pt, params)
     pt, n = stencil.centers, stencil.centers.n
 
     def frame_fields(rows: Rows) -> np.ndarray:
@@ -168,7 +165,7 @@ def nijenhuis_numeric(
         return np.stack([frame, frame @ assemble_complex_structure(rows.blocks_of(params, profile))], axis=-3)
 
     x = chart_frame(pt)
-    j0 = assemble_complex_structure(jets)
+    j0 = assemble_complex_structure(stencil.center_jets(params, profile))
     jx = x @ j0
     dx, djx = np.moveaxis(stencil.chart_gradient(frame_fields), -3, 0)
     to_frame = 2.0 * np.eye(2 * n) - x

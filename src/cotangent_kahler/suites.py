@@ -15,7 +15,8 @@ Ricci trace, which the ``einstein`` suite reads instead of building ``K``
 again.  The finite-difference oracles differentiate on the sample's
 stencils at the first center or the first two (``Sample.stencil``), so
 that oracles at the same centers build the point and each member's jets on
-the complex rows once.  A check's value is the largest of its per-sample
+the complex rows once, and read the centers' own point and jets from the
+sample's rows.  A check's value is the largest of its per-sample
 values; a NaN in any sample fails it.
 """
 
@@ -240,18 +241,19 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
-class Sample(Rows):
+class Sample:
     """The sampled points of one ``(n, c)`` config, one batch shared by
     every suite.
 
-    ``q`` and ``p`` are the ``(S, n)`` base points and momenta.  As their
-    ``Rows``, the sample keeps ``points``, one batched ``CotangentPoint``
-    that serves every coupling and profile, as a point reads only ``n`` and
-    ``c``, and each member's fiber jets (``jets_of``); ``jets`` are the
-    config's own.  ``stencil(centers)`` is the ``fd.Stencil`` at the first
-    ``centers`` samples, shared by every oracle at those centers.  Each is
-    built on first use; a build that raises is not kept, so every suite
-    that needs it records the error.
+    ``rows`` are the ``Rows`` of the ``(S, n)`` base points and momenta.
+    They keep ``points``, one batched ``CotangentPoint`` that serves every
+    coupling and profile, as a point reads only ``n`` and ``c``, and each
+    member's fiber jets (``jets_of``); ``jets`` are the config's own.
+    ``stencil(centers)`` is the ``fd.Stencil`` on the first ``centers``
+    rows, shared by every oracle at those centers.  The sample keeps its
+    stencils beside the rows that are their base, so no stencil refers back
+    to the sample.  Each is built on first use; a build that raises is not
+    kept, so every suite that needs it records the error.
 
     ``curvature_chunks`` is one pass over the chunks that builds each
     chunk's curvature ``K`` once; ``ricci`` holds the Ricci trace of every
@@ -261,31 +263,33 @@ class Sample(Rows):
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, profile) -> None:
-        super().__init__(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
+        self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
         self._params = params
         self._profile = profile
+        self._stencils: dict[int, Stencil] = {}
         self._ricci: list[RicciBlocks] | None = None
 
     def __len__(self) -> int:
-        return len(self.q)
+        return len(self.rows.q)
 
     @property
     def jets(self) -> FiberJets:
-        return self.jets_of(self._params, self._profile)
+        return self.rows.jets_of(self._params, self._profile)
 
     def stencil(self, centers: int) -> Stencil:
-        build = lambda: Stencil(take_rows(self.points, slice(centers)), self._point_at)
-        return self._memoised(("stencil", centers), build)
+        if centers not in self._stencils:
+            self._stencils[centers] = Stencil(self.rows, centers)
+        return self._stencils[centers]
 
     def chunks(self, jets: FiberJets | None = None):
         """``(points, jets)`` over consecutive blocks of rows, in order, with
         ``jets`` the own ones by default; a block's curvature fits the
         byte budget of ``base._chunk_rows``."""
         jets = self.jets if jets is None else jets
-        rows = _chunk_rows(2 * self.q.shape[-1])
+        rows = _chunk_rows(2 * self.rows.q.shape[-1])
         for start in range(0, len(self), rows):
             block = slice(start, start + rows)
-            yield take_rows(self.points, block), take_rows(jets, block)
+            yield take_rows(self.rows.points, block), take_rows(jets, block)
 
     def curvature_chunks(self):
         """``(points, jets, K)`` over the chunks of ``chunks()``, with ``K``
@@ -325,7 +329,7 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     j_op = assemble_complex_structure(jets)
     metric = assemble_metric(jets)
     phi = fundamental_form(metric, j_op)
-    canon = _max_abs(coordinate_form(sample.points, phi) - canonical_coordinate_form(params.n), rank=2)
+    canon = _max_abs(coordinate_form(sample.rows.points, phi) - canonical_coordinate_form(params.n), rank=2)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
     dphi = dform_residual(params, profile, sample.stencil(2))
     checks = [
@@ -341,9 +345,9 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
 def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
-    stencil, jets = sample.stencil(1), take_rows(sample.jets, slice(1))
-    oracle = nijenhuis_numeric(params, profile, stencil, jets) - nijenhuis_closed_form(
-        stencil.centers, params, jets
+    stencil = sample.stencil(1)
+    oracle = nijenhuis_numeric(params, profile, stencil) - nijenhuis_closed_form(
+        stencil.centers, params, stencil.center_jets(params, profile)
     )
     checks = [
         _check("nijenhuis_vanishes", closed, tol.closed_form),
@@ -366,8 +370,8 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
-    stencil, jets = sample.stencil(2), take_rows(sample.jets, slice(2))
-    pt = stencil.centers
+    stencil = sample.stencil(2)
+    pt, jets = stencil.centers, stencil.center_jets(params, profile)
     conn = connection_coefficients(pt, params, jets)
     metric_grad = metric_gradient(params, profile, stencil)
     koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
@@ -388,10 +392,9 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
 
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
-    stencil, jets = sample.stencil(1), take_rows(sample.jets, slice(1))
-    pt = stencil.centers
-    fd = curvature_fd(params, profile, stencil, jets)
-    diff = fd - curvature_blocks(pt, params, jets)
+    stencil = sample.stencil(1)
+    fd = curvature_fd(params, profile, stencil)
+    diff = fd - curvature_blocks(stencil.centers, params, stencil.center_jets(params, profile))
     odd = odd_slots(n)
     checks = [
         _check("blocks_match_fd_oracle", [_max_abs(diff[..., ~odd], rank=1)], tol.fd_oracle),
@@ -477,12 +480,12 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
-    off_jets = sample.jets_of(off_params, profile)
+    off_jets = sample.rows.jets_of(off_params, profile)
     nij = [
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
         for pt, jets in sample.chunks(off_jets)
     ]
-    off_center_jets = take_rows(off_jets, slice(1))
+    off_center_jets = stencil.center_jets(off_params, profile)
     parallel = parallel_j_residual(
         connection_coefficients(stencil.centers, off_params, off_center_jets),
         off_center_jets,
@@ -501,7 +504,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # defect also tests the closed-form difference; on the Einstein profile
     # both sides of einstein/difference_closed_form are zero.
     defect, off_family = [], []
-    for pt, jets in sample.chunks(sample.jets_of(params, generic)):
+    for pt, jets in sample.chunks(sample.rows.jets_of(params, generic)):
         direct = einstein_difference(pt, params, generic, jets)
         defect.append(_max_abs(*direct, rank=2))
         if params.is_integrable:
@@ -523,7 +526,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # symmetric, so the generic claim is pinned to k_a = k_b = 1.
     witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
     witness_profile = einstein_profile(witness_params)
-    witness_jets = sample.jets_of(witness_params, witness_profile)
+    witness_jets = sample.rows.jets_of(witness_params, witness_profile)
     rng = np.random.default_rng([cfg.seed, 11, n, int(round(c * 1e9))])
     values = np.concatenate([
         holomorphic_sectional_curvature(
@@ -548,7 +551,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         )
     )
 
-    probe = nabla_curvature_probe(witness_params, witness_profile, stencil, take_rows(witness_jets, slice(1)))
+    probe = nabla_curvature_probe(witness_params, witness_profile, stencil)
     checks.append(
         _check(
             "curvature_not_parallel",
@@ -571,6 +574,13 @@ _SUITE_FUNCS = {
 }
 
 
+def _suite_error(name: str, params: ModelParams, exc: Exception) -> SuiteResult:
+    """The result of a suite that raised ``exc``: one failed ``suite_error``
+    check whose note names the exception."""
+    note = f"{type(exc).__name__}: {exc}"
+    return SuiteResult(name, params.n, params.c, [CheckResult("suite_error", 1.0, 0.0, note=note)])
+
+
 def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample) -> SuiteResult:
     """Run one suite over a shared sample.
 
@@ -585,10 +595,7 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
     try:
         result = func(cfg, params, profile, sample)
     except (GeometryError, ArithmeticError) as exc:
-        result = SuiteResult(name, params.n, params.c)
-        result.checks.append(
-            CheckResult("suite_error", 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
-        )
+        result = _suite_error(name, params, exc)
     result.samples = len(sample)
     return result
 
@@ -597,54 +604,49 @@ def run_verification(cfg: RunConfig) -> dict:
     """Run the requested suites over every (dim, curvature) pair.
 
     Points are sampled and built once per pair, as one batch shared by every
-    suite (see ``Sample``).  Returns the full report as a JSON-serializable
-    dict, suite by suite; wall-clock timings live in their own key so
-    reports stay comparable across runs.
+    suite (see ``Sample``).  A config whose sampling raises a
+    ``GeometryError`` or an ``ArithmeticError`` gets one failed
+    ``suite_error`` check in each suite, with no samples, and the run goes
+    on.  Returns the full report as a JSON-serializable dict, suite by
+    suite; wall-clock timings live in their own key so reports stay
+    comparable across runs.
     """
     import time
 
-    configs_out: list[list[dict]] = [[] for _ in cfg.suites]
-    suite_notes: list[list[str]] = [[] for _ in cfg.suites]
-    seconds = [0.0] * len(cfg.suites)
+    results: dict[str, list[SuiteResult]] = {name: [] for name in cfg.suites}
+    seconds = dict.fromkeys(cfg.suites, 0.0)
     for n in cfg.dims:
         for c in cfg.curvatures:
             a_metric = (1.0 + cfg.a_metric_offset) * integrable_coupling(c)
             params = ModelParams(n=n, c=c, a_metric=a_metric, k_a=cfg.k_a, k_b=cfg.k_b)
             profile = profile_from_name(cfg.profile, params)
-            points = sample_points(cfg, n, c, params)
+            try:
+                points = sample_points(cfg, n, c, params)
+            except (GeometryError, ArithmeticError) as exc:
+                for suite_name in cfg.suites:
+                    results[suite_name].append(_suite_error(suite_name, params, exc))
+                continue
             sample = Sample(points[:, 0], points[:, 1], params, profile)
-            for index, suite_name in enumerate(cfg.suites):
+            for suite_name in cfg.suites:
                 started = time.perf_counter()
-                result = run_suite(suite_name, cfg, params, profile, sample)
-                seconds[index] += time.perf_counter() - started
-                configs_out[index].append(result.as_dict())
-                suite_notes[index].extend(result.notes)
+                results[suite_name].append(run_suite(suite_name, cfg, params, profile, sample))
+                seconds[suite_name] += time.perf_counter() - started
 
     suites_out = []
-    notes: list[str] = []
-    timings: dict[str, float] = {}
-    for suite_name, configs, raw_notes, spent in zip(cfg.suites, configs_out, suite_notes, seconds):
-        for note in raw_notes:
-            tagged = f"{suite_name}: {note}"
-            if tagged not in notes:
-                notes.append(tagged)
-        timings[suite_name] = round(spent, 6)
-        suites_out.append(
-            {
-                "name": suite_name,
-                "passed": all(cfg_out["passed"] for cfg_out in configs),
-                "configs": configs,
-            }
-        )
+    for suite_name, suite_results in results.items():
+        configs = [result.as_dict() for result in suite_results]
+        passed = all(config["passed"] for config in configs)
+        suites_out.append({"name": suite_name, "passed": passed, "configs": configs})
+    # Suite by suite, in config order; the report keeps each note's first occurrence.
+    notes = [f"{name}: {note}" for name, rs in results.items() for result in rs for note in result.notes]
 
     config = asdict(cfg)
     config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
-    report = {
+    return {
         "schema_version": 3,
         "config": config,
         "suites": suites_out,
-        "discrepancy_notes": notes,
+        "discrepancy_notes": list(dict.fromkeys(notes)),
         "passed": all(s["passed"] for s in suites_out),
-        "timings": timings,
+        "timings": {name: round(spent, 6) for name, spent in seconds.items()},
     }
-    return report

@@ -58,8 +58,8 @@ def fd_gradient(f, x, step: float = STEP) -> np.ndarray:
 
 def frame_gradient(field, pt, step: float = STEP) -> np.ndarray:
     """Derivatives of ``field(q, p)`` along the 2n adapted-frame directions
-    at the centers ``pt``, as ``cotangent_kahler.fd.frame_gradient`` lays
-    them out: ``delta_i = d/dq^i + pt.p_gamma[i, h] d/dp_h``, then
+    at the centers ``pt``, as ``cotangent_kahler.fd.Stencil.frame_gradient``
+    lays them out: ``delta_i = d/dq^i + pt.p_gamma[i, h] d/dp_h``, then
     ``d/dp_i``."""
     n = pt.n
     centers = np.concatenate([pt.q, pt.p], axis=-1)

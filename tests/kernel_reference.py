@@ -21,9 +21,9 @@ from cotangent_kahler.base import ModelParams, _max_abs, _scale
 from cotangent_kahler.connection import _assemble, connection_coefficients
 from cotangent_kahler.curvature import curvature_blocks as package_curvature_blocks
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.fd import frame_gradient
 from cotangent_kahler.mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
 from cotangent_kahler.structure import assemble_complex_structure, canonical_coordinate_form
+from stencils import frame_gradient
 
 
 def space_form_riemann(x: np.ndarray, params: ModelParams) -> np.ndarray:

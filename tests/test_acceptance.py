@@ -29,7 +29,6 @@ from cotangent_kahler.einstein import (
     family_einstein_constant,
     gamma_factor,
 )
-from cotangent_kahler.fd import frame_gradient
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile
 from cotangent_kahler.structure import (
@@ -44,6 +43,7 @@ from cotangent_kahler.structure import (
     nijenhuis_numeric,
 )
 from cotangent_kahler.suites import RunConfig, run_verification, sample_points
+from stencils import frame_gradient, stencil_at
 
 GRID = [(n, c) for n in (2, 3) for c in (0.5, 1.0, 2.0)]
 
@@ -94,7 +94,7 @@ def test_almost_kahler_identities_across_grid():
                 canon,
                 float(np.max(np.abs(coordinate_form(pt, phi) - canonical_coordinate_form(n)))),
             )
-            dphi = max(dphi, dform_residual(params, profile, pt))
+            dphi = max(dphi, dform_residual(params, profile, stencil_at(pt, params)))
         label = f"n={n}, c={c:g}"
         assert j_sq < 1e-11, f"J^2 + I residual {j_sq:.3e} at {label}"
         assert herm < 1e-10, f"Hermitian residual {herm:.3e} at {label}"
@@ -133,7 +133,7 @@ def test_integrability_dichotomy_in_coupling(default_run):
         )
         q, p = points[0]
         pt = CotangentPoint.at(q, p, detuned)
-        numeric = nijenhuis_numeric(detuned, profile, pt, fiber_jets(pt, detuned, profile))
+        numeric = nijenhuis_numeric(detuned, profile, stencil_at(pt, detuned))
         assert np.max(np.abs(numeric)) > 1e-3
 
 
@@ -197,7 +197,7 @@ def test_einstein_family_certification(default_run):
     q, p = sample_points(RunConfig(samples=1, suites=("einstein",)), n, c, params)[0]
     pt = CotangentPoint.at(q, p, params)
     jets = fiber_jets(pt, params, profile)
-    ricci = np.einsum("abca->bc", curvature_fd(params, profile, pt, jets))
+    ricci = np.einsum("abca->bc", curvature_fd(params, profile, stencil_at(pt, params)))
     hh, vv = ricci[:n, :n], ricci[n:, n:]
     lam = family_einstein_constant(params)
     npt.assert_allclose(lam, -(params.k_b * (n + 1)) / 2.0, atol=1e-15)
@@ -249,8 +249,7 @@ def test_nonconstancy_witnesses_reported():
     probe = 0.0
     for q, p in points[:2]:
         pt = CotangentPoint.at(q, p, params)
-        jets = fiber_jets(pt, params, profile)
-        probe = max(probe, nabla_curvature_probe(params, profile, pt, jets))
+        probe = max(probe, nabla_curvature_probe(params, profile, stencil_at(pt, params)))
     print(f"nabla-K probe max: {probe!r}")
     assert probe > 1e-3, f"nabla-K probe max {probe!r}"
 

@@ -65,6 +65,7 @@ from cotangent_kahler.structure import (
     nijenhuis_closed_form,
     nijenhuis_numeric,
 )
+from stencils import stencil_at
 
 BATCH = 8
 
@@ -227,8 +228,8 @@ class TestLongdoublePointsKeepTheirPrecision:
 
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
         long_q, long_p = q.astype(np.longdouble), p.astype(np.longdouble)
-        wide = metric_gradient(params, profile, CotangentPoint.at(long_q, long_p, params))
-        narrow = metric_gradient(params, profile, CotangentPoint.at(q, p, params))
+        wide = metric_gradient(params, profile, stencil_at(CotangentPoint.at(long_q, long_p, params), params))
+        narrow = metric_gradient(params, profile, stencil_at(CotangentPoint.at(q, p, params), params))
         assert rows == [np.clongdouble, np.complex128]
         assert wide.dtype == np.longdouble and narrow.dtype == np.float64
         scale = np.max(np.abs(wide))
@@ -260,8 +261,9 @@ def test_metric_gradient_steps_float32_points_in_complex128(monkeypatch):
         return original(field, x, d)
 
     monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
-    narrow = metric_gradient(params, profile, CotangentPoint.at(q.astype(np.float32), p.astype(np.float32), params))
-    wide = metric_gradient(params, profile, CotangentPoint.at(q, p, params))
+    narrow_pt = CotangentPoint.at(q.astype(np.float32), p.astype(np.float32), params)
+    narrow = metric_gradient(params, profile, stencil_at(narrow_pt, params))
+    wide = metric_gradient(params, profile, stencil_at(CotangentPoint.at(q, p, params), params))
     assert rows == [np.complex128, np.complex128]
     assert narrow.dtype == np.float64
     scale = np.max(np.abs(wide))
@@ -333,16 +335,17 @@ def _oracle_values(q, p, params, profile):
     pt = CotangentPoint.at(q, p, params)
     jets = fiber_jets(pt, params, profile)
     conn = connection_coefficients(pt, params, jets)
-    metric_grad = metric_gradient(params, profile, pt)
+    stencil = stencil_at(pt, params)
+    metric_grad = metric_gradient(params, profile, stencil)
     return {
-        "dform_residual": dform_residual(params, profile, pt),
-        "nijenhuis_numeric": nijenhuis_numeric(params, profile, pt, jets),
+        "dform_residual": dform_residual(params, profile, stencil),
+        "nijenhuis_numeric": nijenhuis_numeric(params, profile, stencil),
         "koszul_nabla": (metric_grad, koszul_nabla(pt, jets, metric_grad)),
         "torsion_residual": torsion_residual(pt, conn),
         "metric_compatibility_residual": metric_compatibility_residual(conn, jets, metric_grad),
         "parallel_j_residual": parallel_j_residual(conn, jets, metric_grad),
-        "curvature_fd": curvature_fd(params, profile, pt, jets),
-        "nabla_curvature_probe": nabla_curvature_probe(params, profile, pt, jets),
+        "curvature_fd": curvature_fd(params, profile, stencil),
+        "nabla_curvature_probe": nabla_curvature_probe(params, profile, stencil),
     }
 
 

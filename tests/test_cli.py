@@ -370,6 +370,35 @@ class TestNumericalFailures:
                 assert check["name"] == "suite_error"
                 assert check["note"].startswith("ZeroSectionError")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "curvature, note",
+        [
+            ("1e160", "GeometryError: energy density is not finite"),
+            ("1e300", "OverflowError: cannot convert float infinity to integer"),
+        ],
+        ids=["energy", "seed"],
+    )
+    def test_a_config_whose_sampling_fails_is_a_suite_error(self, curvature, note, tmp_path):
+        """At c = 1e160 the sampled energies overflow, and at c = 1e300 so
+        does the seed of the draw.  Each suite records one failed
+        ``suite_error`` at that config, with no samples, and the run goes on
+        to write its whole report; the c = 1 configs are those of a run at
+        c = 1 alone."""
+        args = ["--dims", "2", "--samples", "2", "--report"]
+        path, alone_path = tmp_path / "report.json", tmp_path / "alone.json"
+        assert main(args + [str(path), "--curvatures", f"1.0,{curvature}"]) == 1
+        assert main(args + [str(alone_path), "--curvatures", "1.0"]) == 0
+        report, alone = json.loads(path.read_text()), json.loads(alone_path.read_text())
+        assert [suite["name"] for suite in report["suites"]] == list(SUITE_NAMES)
+        for suite, alone_suite in zip(report["suites"], alone["suites"], strict=True):
+            kept, failed = suite["configs"]
+            assert [kept] == alone_suite["configs"]
+            assert (failed["curvature"], failed["samples"], failed["passed"]) == (float(curvature), 0, False)
+            (check,) = failed["checks"]
+            assert (check["name"], check["passed"], check["note"]) == ("suite_error", False, note)
+        assert report["discrepancy_notes"] == alone["discrepancy_notes"]
+
     @pytest.mark.parametrize(
         "flag, suite, fragment",
         [

@@ -18,10 +18,11 @@ from cotangent_kahler.connection import (
     torsion_residual,
 )
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.fd import fd_partial, frame_gradient
+from cotangent_kahler.fd import fd_partial
 from cotangent_kahler.mtensor import CotangentPoint, fiber_jets, frame_brackets
 from cotangent_kahler.profiles import einstein_profile, rational_profile, zero_profile
 from cotangent_kahler.structure import assemble_complex_structure
+from stencils import frame_gradient, stencil_at
 
 # ---------------------------------------------------------------------------
 # Coefficient routes
@@ -113,7 +114,7 @@ class TestKoszulOracle:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
         conn = connection_coefficients(pt, params, jets)
-        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, pt))
+        oracle = koszul_nabla(pt, jets, metric_gradient(params, profile, stencil_at(pt, params)))
         assert oracle.shape == (6, 6, 6)
         npt.assert_allclose(oracle, conn, atol=1e-5)
 
@@ -128,7 +129,7 @@ class TestKoszulOracle:
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         conn = connection_coefficients(pt, generic_params, jets)
-        metric_grad = metric_gradient(generic_params, generic_profile, pt)
+        metric_grad = metric_gradient(generic_params, generic_profile, stencil_at(pt, generic_params))
         assert metric_compatibility_residual(conn, jets, metric_grad) < 1e-5
 
 
@@ -145,7 +146,7 @@ class TestParallelComplexStructure:
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
         conn = connection_coefficients(pt, kahler_params, jets)
-        metric_grad = metric_gradient(kahler_params, kahler_profile, pt)
+        metric_grad = metric_gradient(kahler_params, kahler_profile, stencil_at(pt, kahler_params))
         assert parallel_j_residual(conn, jets, metric_grad) < 1e-5
 
     def test_detuned_coupling_leaves_witness(self, sample_qp, generic_params, generic_profile):
@@ -154,7 +155,7 @@ class TestParallelComplexStructure:
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         conn = connection_coefficients(pt, generic_params, jets)
-        metric_grad = metric_gradient(generic_params, generic_profile, pt)
+        metric_grad = metric_gradient(generic_params, generic_profile, stencil_at(pt, generic_params))
         assert parallel_j_residual(conn, jets, metric_grad) > 1e-3
 
     @pytest.mark.parametrize("detune", [0.0, 0.1])
@@ -175,7 +176,7 @@ class TestParallelComplexStructure:
 
         m = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
         grad_j = frame_gradient(j_field, pt)
-        assert np.array_equal(grad_j, m @ metric_gradient(params, profile, pt))
+        assert np.array_equal(grad_j, m @ metric_gradient(params, profile, stencil_at(pt, params)))
 
 
 # ---------------------------------------------------------------------------

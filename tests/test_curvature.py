@@ -20,6 +20,7 @@ from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import assemble_complex_structure
+from stencils import stencil_at
 
 # block name -> slots of K[a, b, c, d] (inputs a, b, c, output d) holding it
 H, V = slice(None, 3), slice(3, None)
@@ -48,7 +49,7 @@ class TestBlocksAgainstDefinition:
         pt = CotangentPoint.at(q, p, kahler_params)
         jets = fiber_jets(pt, kahler_params, kahler_profile)
         curv = curvature_blocks(pt, kahler_params, jets)
-        probe = curvature_fd(kahler_params, kahler_profile, pt, jets)
+        probe = curvature_fd(kahler_params, kahler_profile, stencil_at(pt, kahler_params))
         a, b, c, d = BLOCK_SLOTS[name]
         other = V if d == H else H
         npt.assert_allclose(
@@ -66,7 +67,7 @@ class TestBlocksAgainstDefinition:
         pt = CotangentPoint.at(q, p, generic_params)
         jets = fiber_jets(pt, generic_params, generic_profile)
         curv = curvature_blocks(pt, generic_params, jets)
-        probe = curvature_fd(generic_params, generic_profile, pt, jets)
+        probe = curvature_fd(generic_params, generic_profile, stencil_at(pt, generic_params))
         odd = odd_slots(3)
         npt.assert_allclose(probe[~odd], curv[~odd], atol=1e-4)
         npt.assert_allclose(probe[odd], 0.0, atol=1e-4)
@@ -192,8 +193,7 @@ class TestRicci:
         """Ric(horizontal, vertical) = 0, by tracing the FD curvature."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        jets = fiber_jets(pt, kahler_params, kahler_profile)
-        probe = curvature_fd(kahler_params, kahler_profile, pt, jets)
+        probe = curvature_fd(kahler_params, kahler_profile, stencil_at(pt, kahler_params))
         mixed = np.einsum("abca->bc", probe)[:3, 3:]
         npt.assert_allclose(mixed, 0.0, atol=1e-6)
 
@@ -208,8 +208,7 @@ class TestNablaCurvature:
         """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0 on every frame entry."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        jets = fiber_jets(pt, kahler_params, kahler_profile)
-        nabla = nabla_curvature(kahler_params, kahler_profile, pt, jets)
+        nabla = nabla_curvature(kahler_params, kahler_profile, stencil_at(pt, kahler_params))
         cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
         assert np.max(np.abs(cyclic)) < 1e-6
 
@@ -229,7 +228,7 @@ class TestNablaCurvature:
         def nabla_at(params, momentum):
             profile = einstein_profile(params)
             pt = CotangentPoint.at(q, momentum, params)
-            return nabla_curvature(params, profile, pt, fiber_jets(pt, params, profile))
+            return nabla_curvature(params, profile, stencil_at(pt, params))
 
         out_up = nabla_at(params_up, lam * p)[H, H, H, H]
         out_dn = nabla_at(params_dn, p)[H, H, H, H]

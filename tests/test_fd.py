@@ -17,10 +17,11 @@ from cotangent_kahler.base import ModelParams
 from cotangent_kahler.connection import metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature, nabla_curvature_probe
 from cotangent_kahler.errors import StencilError
-from cotangent_kahler.fd import fd_gradient, fd_partial, frame_gradient
+from cotangent_kahler.fd import fd_gradient, fd_partial
 from cotangent_kahler.mtensor import CotangentPoint, chart_frame, fiber_jets
 from cotangent_kahler.profiles import einstein_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
+from stencils import frame_gradient, stencil_at
 
 # ---------------------------------------------------------------------------
 # Exactness
@@ -219,7 +220,8 @@ class TestBatchedStencil:
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
         profile = einstein_profile(params)
-        jets = fiber_jets(pt, params, profile)
+        stencil = stencil_at(pt, params)
+        stencil.center_jets(params, profile)
         original = cotangent_kahler.fd.fd_partial
         calls, builds = [], []
 
@@ -244,7 +246,7 @@ class TestBatchedStencil:
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
         monkeypatch.setattr(cotangent_kahler.mtensor, "fiber_jets", counted_jets)
-        assert nabla_curvature(params, profile, pt, jets).shape == (1,) + (2 * n,) * 5
+        assert nabla_curvature(params, profile, stencil).shape == (1,) + (2 * n,) * 5
         assert calls == [2 * n]
         assert builds == [("point", 2 * n), ("jets", 2 * n)]
 
@@ -337,14 +339,10 @@ class TestFrameCalculus:
 # ---------------------------------------------------------------------------
 
 
-def _metric_gradient(params, profile, pt, jets):
-    return metric_gradient(params, profile, pt)
-
-
 class TestOneGradientPerOracle:
     @pytest.mark.parametrize(
         "oracle",
-        [_metric_gradient, curvature_fd, nabla_curvature_probe, nijenhuis_numeric],
+        [metric_gradient, curvature_fd, nabla_curvature_probe, nijenhuis_numeric],
         ids=["metric_gradient", "curvature_fd", "nabla_curvature_probe", "_nijenhuis"],
     )
     def test_each_oracle_takes_one_gradient(
@@ -360,9 +358,8 @@ class TestOneGradientPerOracle:
             calls.append(np.atleast_1d(args[2]))
             return original(*args, **kwargs)
 
-        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
-        oracle(kahler_params, kahler_profile, kahler_point, jets)
+        oracle(kahler_params, kahler_profile, stencil_at(kahler_point, kahler_params))
         assert np.concatenate(calls).tolist() == list(range(6))
 
 
@@ -371,27 +368,64 @@ class TestFieldsBuildOnlyTheBlocks:
     def test_metric_two_form_and_nijenhuis_oracles_run_without_fiber_jets(self, rng, n, monkeypatch):
         """The fields of ``metric_gradient``, ``dform_residual`` and
         ``nijenhuis_numeric`` read only the metric blocks: with ``fiber_jets``
-        raising in every module of the package, the three oracles still run
-        on two centers and return the same arrays."""
+        raising on complex rows in every module of the package, the three
+        oracles still run on two centers and return the same arrays.  The
+        Nijenhuis oracle reads its centers' jets from the real base rows, which
+        may still build them."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         profile = einstein_profile(params)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
-        jets = fiber_jets(pt, params, profile)
         oracles = {
-            "metric_gradient": lambda: metric_gradient(params, profile, pt),
-            "dform_residual": lambda: dform_residual(params, profile, pt),
-            "nijenhuis_numeric": lambda: nijenhuis_numeric(params, profile, pt, jets),
+            "metric_gradient": lambda: metric_gradient(params, profile, stencil_at(pt, params)),
+            "dform_residual": lambda: dform_residual(params, profile, stencil_at(pt, params)),
+            "nijenhuis_numeric": lambda: nijenhuis_numeric(params, profile, stencil_at(pt, params)),
         }
         expected = {name: oracle() for name, oracle in oracles.items()}
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a field that reads only the metric blocks built the fiber jets")
+        def forbidden(point, *args):
+            if np.iscomplexobj(point.q):
+                raise AssertionError("a field that reads only the metric blocks built the fiber jets")
+            return fiber_jets(point, *args)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("cotangent_kahler") and getattr(module, "fiber_jets", None) is fiber_jets:
                 monkeypatch.setattr(module, "fiber_jets", forbidden)
         for name, oracle in oracles.items():
             assert np.array_equal(oracle(), expected[name]), name
+
+
+def _assert_every_oracle_field_matches_the_reference_stencil(rng, n, dtype, monkeypatch):
+    """Run the five oracles at two centers in ``dtype`` and compare each
+    ``fd_partial`` call with the real stencil of ``fd_reference``."""
+    params = ModelParams(n=n, c=1.4, a_metric=1.1 * np.sqrt(2.8), k_a=0.7, k_b=0.4)
+    profile = einstein_profile(params)
+    q, p = rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n))
+    pt = CotangentPoint.at(q.astype(dtype), p.astype(dtype), params)
+    original = cotangent_kahler.fd.fd_partial
+    calls = []
+
+    def recorded(f, x, d):
+        out = original(f, x, d)
+        calls.append((f, x, d, out))
+        return out
+
+    monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
+    oracles = {
+        "metric": lambda: metric_gradient(params, profile, stencil_at(pt, params)),
+        "2-form": lambda: dform_residual(params, profile, stencil_at(pt, params)),
+        "nijenhuis": lambda: nijenhuis_numeric(params, profile, stencil_at(pt, params)),
+        "connection": lambda: curvature_fd(params, profile, stencil_at(pt, params)),
+        "K": lambda: nabla_curvature(params, profile, stencil_at(pt, params)),
+    }
+    for name, oracle in oracles.items():
+        calls.clear()
+        oracle()
+        assert calls, name
+        for f, x, coords, out in calls:
+            assert out.dtype == dtype, name
+            expected = np.stack([fd_reference.fd_partial(f, x, d) for d in coords], axis=x.ndim - 1)
+            scale = max(np.max(np.abs(expected)), np.max(np.abs(f(x.reshape(-1, x.shape[-1])))))
+            npt.assert_allclose(out, expected, rtol=0, atol=1e-8 * scale, err_msg=name)
 
 
 class TestEnginesAgree:
@@ -405,31 +439,14 @@ class TestEnginesAgree:
         conjugating or non-analytic operation (``abs``, ``vecdot``,
         ``.real``) on a field's path would give a wrong imaginary part, and
         fail here."""
-        params = ModelParams(n=n, c=1.4, a_metric=1.1 * np.sqrt(2.8), k_a=0.7, k_b=0.4)
-        profile = einstein_profile(params)
-        pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
-        jets = fiber_jets(pt, params, profile)
-        original = cotangent_kahler.fd.fd_partial
-        calls = []
+        _assert_every_oracle_field_matches_the_reference_stencil(rng, n, np.float64, monkeypatch)
 
-        def recorded(f, x, d):
-            out = original(f, x, d)
-            calls.append((f, x, d, out))
-            return out
-
-        monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", recorded)
-        oracles = {
-            "metric": lambda: metric_gradient(params, profile, pt),
-            "2-form": lambda: dform_residual(params, profile, pt),
-            "nijenhuis": lambda: nijenhuis_numeric(params, profile, pt, jets),
-            "connection": lambda: curvature_fd(params, profile, pt, jets),
-            "K": lambda: nabla_curvature(params, profile, pt, jets),
-        }
-        for name, oracle in oracles.items():
-            calls.clear()
-            oracle()
-            assert calls, name
-            for f, x, coords, out in calls:
-                expected = np.stack([fd_reference.fd_partial(f, x, d) for d in coords], axis=x.ndim - 1)
-                scale = max(np.max(np.abs(expected)), np.max(np.abs(f(x.reshape(-1, x.shape[-1])))))
-                npt.assert_allclose(out, expected, rtol=0, atol=1e-8 * scale, err_msg=name)
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="np.longdouble is float64 here"
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_every_oracle_field_is_analytic_in_clongdouble(self, rng, n, monkeypatch):
+        """The same comparison on ``np.longdouble`` centers, whose rows are
+        ``np.clongdouble``: every oracle field keeps its imaginary part in
+        that dtype too, and its partials stay ``np.longdouble``."""
+        _assert_every_oracle_field_matches_the_reference_stencil(rng, n, np.longdouble, monkeypatch)

@@ -30,6 +30,7 @@ from cotangent_kahler.curvature import (
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import assemble_complex_structure
+from stencils import stencil_at
 
 BATCH = 8
 C = 1.4
@@ -138,7 +139,7 @@ def _centers(n, coupling):
 def test_curvature_fd(n, coupling):
     pt, params, profile, jets, _ = _centers(n, coupling)
     _assert_matches(
-        curvature_fd(params, profile, pt, jets),
+        curvature_fd(params, profile, stencil_at(pt, params)),
         reference.curvature_fd(params, profile, pt, jets),
         rel=1e-12,
     )
@@ -150,7 +151,7 @@ def test_nabla_curvature(n, coupling):
     assembled ``K``."""
     pt, params, profile, jets, _ = _centers(n, coupling)
     _assert_matches(
-        nabla_curvature(params, profile, pt, jets),
+        nabla_curvature(params, profile, stencil_at(pt, params)),
         reference.nabla_curvature(params, profile, pt, jets),
         rel=1e-12,
     )
@@ -162,7 +163,7 @@ def test_parallel_j_residual(n, coupling):
     residual is of the size of its terms at the Kahler coupling too."""
     pt, params, profile, jets, rng = _centers(n, coupling)
     conn = connection_coefficients(pt, params, jets)
-    grad = metric_gradient(params, profile, pt)
+    grad = metric_gradient(params, profile, stencil_at(pt, params))
     grad = grad + np.max(np.abs(grad)) * rng.normal(size=grad.shape)
     _assert_matches(
         parallel_j_residual(conn, jets, grad),

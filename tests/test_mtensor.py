@@ -12,7 +12,7 @@ import fd_reference
 from base_reference import bumped_geometry, constant_profile
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.errors import GeometryError, PositivityError, ZeroSectionError
-from cotangent_kahler.fd import fd_partial, frame_gradient
+from cotangent_kahler.fd import fd_partial
 from cotangent_kahler.mtensor import (
     CotangentPoint,
     Rows,
@@ -23,6 +23,7 @@ from cotangent_kahler.mtensor import (
 )
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import assemble_complex_structure
+from stencils import frame_gradient
 
 # ---------------------------------------------------------------------------
 # Energy density and point data

@@ -311,3 +311,19 @@ def test_report_diff_on_the_same_tree_is_identical(tmp_path, monkeypatch, capsys
     assert run["exit_codes"] == [0, 0] and run["rest_identical"] is True
     assert run["counts"]["identical"] == sum(run["counts"].values()) > 0
     assert "| tiny seed=0 |" in capsys.readouterr().out
+
+
+def test_report_diff_names_a_crashed_run(tmp_path):
+    """A CLI that dies on an uncaught exception exits 1 with no report on
+    stdout; the runner stops on it and names the tree, the flags and the
+    traceback's last line instead of failing to parse an empty report."""
+    package = tmp_path / "src" / "cotangent_kahler"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text('raise RuntimeError("injected crash")\n')
+    flags = ["--dims", "2", "--samples", "2"]
+    with pytest.raises(SystemExit) as crash:
+        _load_script("report_diff").run_report(tmp_path, flags)
+    message = str(crash.value)
+    assert message.startswith(f"cotangent_kahler crashed in {tmp_path} on {flags} (exit 1):")
+    assert message.endswith("RuntimeError: injected crash")

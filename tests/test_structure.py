@@ -8,7 +8,7 @@ import pytest
 from base_reference import bumped_geometry
 from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.fd import Stencil
-from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, chart_frame, fiber_jets
+from cotangent_kahler.mtensor import CotangentPoint, Rows, assemble_metric, chart_frame, fiber_jets
 from cotangent_kahler.structure import (
     assemble_complex_structure,
     canonical_coordinate_form,
@@ -20,6 +20,7 @@ from cotangent_kahler.structure import (
     nijenhuis_closed_form,
     nijenhuis_numeric,
 )
+from stencils import stencil_at
 
 # ---------------------------------------------------------------------------
 # Pointwise structure equations
@@ -84,13 +85,13 @@ class TestFundamentalForm:
         """d phi = 0, measured by antisymmetrized chart derivatives."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        assert dform_residual(kahler_params, kahler_profile, pt) < 1e-6
+        assert dform_residual(kahler_params, kahler_profile, stencil_at(pt, kahler_params)) < 1e-6
 
     def test_form_is_closed_off_coupling(self, sample_qp, generic_params, generic_profile):
         """Closedness holds for every coupling, not only the integrable one."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        assert dform_residual(generic_params, generic_profile, pt) < 1e-6
+        assert dform_residual(generic_params, generic_profile, stencil_at(pt, generic_params)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ class TestNijenhuis:
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, generic_profile)
         tensor = nijenhuis_closed_form(pt, params, jets)
-        numeric = nijenhuis_numeric(params, generic_profile, pt, jets)
+        numeric = nijenhuis_numeric(params, generic_profile, stencil_at(pt, params))
         npt.assert_allclose(numeric, tensor, atol=1e-5)
 
     def test_closed_form_holds_off_space_forms(self, generic_profile):
@@ -169,5 +170,5 @@ class TestNijenhuis:
         jets = fiber_jets(pt, params, generic_profile)
         tensor = nijenhuis_closed_form(pt, params, jets)
         assert np.max(np.abs(tensor)) > 1e-3  # nothing trivial is being compared
-        numeric = nijenhuis_numeric(params, generic_profile, Stencil(pt, point_factory), jets)
+        numeric = nijenhuis_numeric(params, generic_profile, Stencil(Rows(q, p, point_factory)))
         npt.assert_allclose(numeric, tensor, atol=1e-5)
