@@ -89,7 +89,7 @@ def sweep(args: argparse.Namespace):
     pt = CotangentPoint.at(np.tile(q, (args.steps, 1)), p, params)
     jets = fiber_jets(pt, params, profile)
     curv = curvature_blocks(pt, params, jets)
-    defect = einstein_residual(pt, params, jets, ricci_from_blocks(curv))
+    defect = einstein_residual(params, jets, ricci_from_blocks(curv))
     hsc = holomorphic_sectional_curvature(
         curv, assemble_metric(jets), assemble_complex_structure(jets), section
     )

@@ -25,12 +25,7 @@ import math
 import numpy as np
 
 from .base import ModelParams, _max_abs, _outer, _scale
-from .curvature import (
-    RicciBlocks,
-    curvature_blocks,
-    ricci_from_blocks,
-    ricci_trace_coefficient,
-)
+from .curvature import RicciBlocks, ricci_trace_coefficient
 from .errors import GeometryError
 from .mtensor import CotangentPoint, FiberJets
 
@@ -77,21 +72,16 @@ def _proportionality(params: ModelParams, profile, t):
 
 
 def einstein_difference(
-    pt: CotangentPoint,
-    params: ModelParams,
-    profile,
-    jets: FiberJets,
-    ricci: RicciBlocks | None = None,
+    pt: CotangentPoint, params: ModelParams, profile, jets: FiberJets, ricci: RicciBlocks
 ) -> tuple[np.ndarray, np.ndarray]:
     """``Ric - lambda(t) G`` blockwise, by direct subtraction.
 
-    ``ricci`` defaults to the block-trace route, so nothing here leans on
-    the closed-form Ricci displays.  What remains is rank one along the
+    ``ricci`` is the block-trace Ricci of the same member at the same
+    points (``ricci_from_blocks``), so nothing here leans on the
+    closed-form Ricci displays.  What remains is rank one along the
     momentum in each block; its size is the pointwise failure of the
     Einstein condition.
     """
-    if ricci is None:
-        ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
     lam = _scale(_proportionality(params, profile, pt.t), 2)
     return ricci.hh - lam * jets.gh, ricci.vv - lam * jets.gv
 
@@ -120,12 +110,7 @@ def family_einstein_constant(params: ModelParams) -> float:
     return -0.5 * (params.n + 1.0) * params.k_b
 
 
-def einstein_residual(
-    pt: CotangentPoint,
-    params: ModelParams,
-    jets: FiberJets,
-    ricci: RicciBlocks,
-) -> np.ndarray:
+def einstein_residual(params: ModelParams, jets: FiberJets, ricci: RicciBlocks) -> np.ndarray:
     """``max |Ric - lambda_family G|`` over both blocks, with the family's
     theoretical constant (not a fitted one)."""
     lam = family_einstein_constant(params)

@@ -55,14 +55,17 @@ class VProfile:
         return tuple(np.asarray(f(t)) for f in (self.v, self.dv, self.d2v))
 
 
+@functools.cache
 def zero_profile() -> VProfile:
     zeros = lambda t: np.zeros(np.shape(t))
     return VProfile(kind="constant(0.0)", v=zeros, dv=zeros, d2v=zeros)
 
 
+@functools.cache
 def rational_profile() -> VProfile:
     """``v(t) = 1 / (1 + t)``: a smooth, everywhere-admissible profile that is
-    not in the Einstein family.  Used to exercise generic-``v`` code paths."""
+    not in the Einstein family.  Used to exercise generic-``v`` code paths;
+    one object, so that equal members share ``mtensor.Rows``."""
     return VProfile(
         kind="rational",
         v=lambda t: 1.0 / (1.0 + t),

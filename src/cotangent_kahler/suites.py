@@ -5,19 +5,20 @@ direction (``le`` for residuals, ``ge`` for witnesses that must stay away
 from zero).  Sampling is deterministic per ``(seed, dim, curvature)``, so a
 fixed configuration yields an identical report.
 
-A config's sampled points are one batch (``Sample``), built once with their
-fiber jets and shared by every suite.  Each closed-form check is one
-batched call per chunk of rows, giving a value per sample; only the
-``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  The
-curvature ``K`` of the config's own member is built once per chunk, in one
-pass that the ``curvature`` suite consumes; the pass keeps each chunk's
-Ricci trace, which the ``einstein`` suite reads instead of building ``K``
-again.  The finite-difference oracles differentiate on the sample's
-stencils at the first center or the first two (``Sample.stencil``), so
-that oracles at the same centers build the point and each member's jets on
-the complex rows once, and read the centers' own point and jets from the
-sample's rows.  A check's value is the largest of its per-sample
-values; a NaN in any sample fails it.
+A config's sampled points are one batch (``Sample``), built once and
+shared by every suite, which names the member it checks.  Each closed-form
+check is one batched call per chunk of rows, giving a value per sample;
+only the ``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  A
+member's curvature ``K`` is built once per chunk, in one pass that a suite
+consumes (``curvature`` on the own member, ``witnesses`` on its pinned
+one); the pass keeps each chunk's Ricci trace, which ``einstein`` and the
+witnesses' rational profile read instead of building ``K`` again.  The
+finite-difference oracles differentiate on the sample's stencils at the
+first center or the first two (``Sample.stencil``), so that oracles at the
+same centers build the point and each member's jets on the complex rows
+once, and read the centers' own point and jets from the sample's rows.  A
+check's value is the largest of its per-sample values; a NaN in any sample
+fails it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .einstein import (
 )
 from .errors import ConfigError, GeometryError
 from .fd import Stencil
-from .mtensor import CotangentPoint, FiberJets, Rows, assemble_metric, energy_density, take_rows
+from .mtensor import CotangentPoint, Rows, assemble_metric, energy_density, take_rows
 from .profiles import PROFILES, einstein_profile, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
@@ -221,6 +222,13 @@ class SuiteResult:
 # ---- sampling ----
 
 
+def _curvature_seed(c: float) -> int:
+    """The curvature's part of every sampling seed, ``round(c * 1e9)``."""
+    if not math.isfinite(c * 1e9):
+        raise GeometryError(f"curvature {c:g} is too large for the sampling seed round(c * 1e9)")
+    return int(round(c * 1e9))
+
+
 def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.ndarray:
     """Deterministic base points and momenta with energies in the window.
 
@@ -230,86 +238,79 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     the pair ``(q_s, p_s)``, and ``[:, 0]``, ``[:, 1]`` are the ``(S, n)``
     batches of base points and momenta.
     """
-    rng = np.random.default_rng([cfg.seed, n, int(round(c * 1e9))])
+    rng = np.random.default_rng([cfg.seed, n, _curvature_seed(c)])
     draws = []
     for _ in range(cfg.samples):
         q = rng.uniform(-2.0, 2.0, size=n)
         direction = rng.normal(size=n)
         draws.append((q, direction / np.linalg.norm(direction), rng.uniform(cfg.t_min, cfg.t_max)))
     q, direction, t_target = (np.array(column) for column in zip(*draws))
-    t0 = energy_density(space_form_metric(q, params).g_inv, direction)
+    with np.errstate(over="ignore", invalid="ignore"):  # energy_density refuses an overflow
+        t0 = energy_density(space_form_metric(q, params).g_inv, direction)
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
 class Sample:
     """The sampled points of one ``(n, c)`` config, one batch shared by
-    every suite.
+    every suite; each method takes the member ``(params, profile)``.
 
     ``rows`` are the ``Rows`` of the ``(S, n)`` base points and momenta.
     They keep ``points``, one batched ``CotangentPoint`` that serves every
-    coupling and profile, as a point reads only ``n`` and ``c``, and each
-    member's fiber jets (``jets_of``); ``jets`` are the config's own.
-    ``stencil(centers)`` is the ``fd.Stencil`` on the first ``centers``
-    rows, shared by every oracle at those centers.  The sample keeps its
-    stencils beside the rows that are their base, so no stencil refers back
-    to the sample.  Each is built on first use; a build that raises is not
-    kept, so every suite that needs it records the error.
+    member, as a point reads only ``n`` and ``c``, and each member's fiber
+    jets (``jets_of``).  ``stencil(centers)`` is the ``fd.Stencil`` on the
+    first ``centers`` rows, shared by every oracle at those centers.  The
+    sample keeps its stencils beside the rows that are their base, so no
+    stencil refers back to the sample.  Each is built on first use; a build
+    that raises is not kept, so every suite that needs it records the error.
 
     ``curvature_chunks`` is one pass over the chunks that builds each
-    chunk's curvature ``K`` once; ``ricci`` holds the Ricci trace of every
-    chunk from the last pass that ran to its end, O(S n^2) numbers, and runs
-    such a pass if none has.  A pass that raises keeps nothing, and no
-    chunk's ``K`` outlives its pass.
+    chunk's curvature ``K`` once; ``ricci_of`` holds, per member keyed as
+    in ``Rows``, the Ricci trace of every chunk from the last pass that ran
+    to its end, O(S n^2) numbers, and runs such a pass if none has.  A pass
+    that raises keeps nothing, and no chunk's ``K`` outlives its pass.
     """
 
-    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, profile) -> None:
+    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
-        self._params = params
-        self._profile = profile
         self._stencils: dict[int, Stencil] = {}
-        self._ricci: list[RicciBlocks] | None = None
+        self._ricci: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows.q)
-
-    @property
-    def jets(self) -> FiberJets:
-        return self.rows.jets_of(self._params, self._profile)
 
     def stencil(self, centers: int) -> Stencil:
         if centers not in self._stencils:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def chunks(self, jets: FiberJets | None = None):
-        """``(points, jets)`` over consecutive blocks of rows, in order, with
-        ``jets`` the own ones by default; a block's curvature fits the
-        byte budget of ``base._chunk_rows``."""
-        jets = self.jets if jets is None else jets
+    def chunks(self, params: ModelParams, profile):
+        """``(points, jets)`` of the member over consecutive blocks of rows,
+        in order; a block's curvature fits the byte budget of
+        ``base._chunk_rows``."""
+        jets = self.rows.jets_of(params, profile)
         rows = _chunk_rows(2 * self.rows.q.shape[-1])
         for start in range(0, len(self), rows):
             block = slice(start, start + rows)
             yield take_rows(self.rows.points, block), take_rows(jets, block)
 
-    def curvature_chunks(self):
-        """``(points, jets, K)`` over the chunks of ``chunks()``, with ``K``
-        the own member's curvature; a pass that runs to its end keeps each
-        chunk's Ricci trace as ``ricci``."""
+    def curvature_chunks(self, params: ModelParams, profile):
+        """``(points, jets, K)`` of the member over the chunks of
+        ``chunks``; a pass that runs to its end keeps each chunk's Ricci
+        trace for ``ricci_of``."""
         ricci = []
-        for pt, jets in self.chunks():
-            curv = curvature_blocks(pt, self._params, jets)
+        for pt, jets in self.chunks(params, profile):
+            curv = curvature_blocks(pt, params, jets)
             ricci.append(ricci_from_blocks(curv))
             yield pt, jets, curv
-        self._ricci = ricci
+        self._ricci[params, profile] = ricci
 
-    @property
-    def ricci(self) -> list[RicciBlocks]:
-        """Each chunk's ``ricci_from_blocks(K)``, in the order of
-        ``chunks()``, from the last full pass; runs one if none has."""
-        if self._ricci is None:
-            for _ in self.curvature_chunks():
+    def ricci_of(self, params: ModelParams, profile) -> list[RicciBlocks]:
+        """The member's ``ricci_from_blocks(K)`` of each chunk, in the order
+        of ``chunks``, from its last full pass; runs one if none has."""
+        if (params, profile) not in self._ricci:
+            for _ in self.curvature_chunks(params, profile):
                 pass
-        return self._ricci
+        return self._ricci[params, profile]
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
@@ -325,7 +326,7 @@ def _check(name: str, values, tolerance: float, comparison: str = "le", note: st
 
 def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
-    jets = sample.jets
+    jets = sample.rows.jets_of(params, profile)
     j_op = assemble_complex_structure(jets)
     metric = assemble_metric(jets)
     phi = fundamental_form(metric, j_op)
@@ -344,7 +345,8 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
 
 def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
-    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in sample.chunks()]
+    chunks = sample.chunks(params, profile)
+    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in chunks]
     stencil = sample.stencil(1)
     oracle = nijenhuis_numeric(params, profile, stencil) - nijenhuis_closed_form(
         stencil.centers, params, stencil.center_jets(params, profile)
@@ -366,7 +368,7 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
                 - kahler_connection_coefficients(pt, params, profile),
                 rank=3,
             )
-            for pt, jets in sample.chunks()
+            for pt, jets in sample.chunks(params, profile)
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
@@ -413,7 +415,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     rng = np.random.default_rng([cfg.seed, 7, n])
     draws = 17 if params.is_integrable else 16
     symmetry, relations, ric_closed, hsc_spread = [], [], [], []
-    for pt, jets, curv in sample.curvature_chunks():
+    for pt, jets, curv in sample.curvature_chunks(params, profile):
         drawn = rng.normal(size=(len(pt.t), draws, 2 * n))
         metric = assemble_metric(jets)
         quadruples = drawn[:, :16].reshape(-1, 4, 4, 2 * n)
@@ -437,7 +439,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
         checks.append(_check("kahler_block_relations", relations, tol.closed_form))
         two_path = [
             _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
-            for trace, closed in zip(sample.ricci, ric_closed, strict=True)
+            for trace, closed in zip(sample.ricci_of(params, profile), ric_closed, strict=True)
         ]
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
         checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
@@ -456,13 +458,14 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
     checks = [_check("gamma_matches_ode_residual", [np.abs(relation)], tol.closed_form)]
 
     closed_vs_direct, einstein_worst, pairs = [], [], []
-    for (pt, jets), ricci in zip(sample.chunks(), sample.ricci, strict=True):
-        direct = einstein_difference(pt, params, profile, jets, ricci=ricci)
+    chunks = zip(sample.chunks(params, profile), sample.ricci_of(params, profile), strict=True)
+    for (pt, jets), ricci in chunks:
+        direct = einstein_difference(pt, params, profile, jets, ricci)
         closed = einstein_difference_closed_form(pt, params, profile)
         closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
         pairs.append((ricci, jets))
         if cfg.profile == "einstein":
-            einstein_worst.append(einstein_residual(pt, params, jets, ricci))
+            einstein_worst.append(einstein_residual(params, jets, ricci))
     checks.append(_check("difference_closed_form", closed_vs_direct, tol.closed_form))
 
     if cfg.profile == "einstein":
@@ -480,10 +483,9 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
-    off_jets = sample.rows.jets_of(off_params, profile)
     nij = [
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
-        for pt, jets in sample.chunks(off_jets)
+        for pt, jets in sample.chunks(off_params, profile)
     ]
     off_center_jets = stencil.center_jets(off_params, profile)
     parallel = parallel_j_residual(
@@ -504,8 +506,9 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # defect also tests the closed-form difference; on the Einstein profile
     # both sides of einstein/difference_closed_form are zero.
     defect, off_family = [], []
-    for pt, jets in sample.chunks(sample.rows.jets_of(params, generic)):
-        direct = einstein_difference(pt, params, generic, jets)
+    chunks = zip(sample.chunks(params, generic), sample.ricci_of(params, generic), strict=True)
+    for (pt, jets), ricci in chunks:
+        direct = einstein_difference(pt, params, generic, jets, ricci)
         defect.append(_max_abs(*direct, rank=2))
         if params.is_integrable:
             closed = einstein_difference_closed_form(pt, params, generic)
@@ -526,16 +529,12 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     # symmetric, so the generic claim is pinned to k_a = k_b = 1.
     witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
     witness_profile = einstein_profile(witness_params)
-    witness_jets = sample.rows.jets_of(witness_params, witness_profile)
-    rng = np.random.default_rng([cfg.seed, 11, n, int(round(c * 1e9))])
+    rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
     values = np.concatenate([
         holomorphic_sectional_curvature(
-            curvature_blocks(pt, witness_params, jets),
-            assemble_metric(jets),
-            assemble_complex_structure(jets),
-            rng.normal(size=(len(pt.t), 2 * n)),
+            curv, assemble_metric(jets), assemble_complex_structure(jets), rng.normal(size=(len(pt.t), 2 * n))
         )
-        for pt, jets in sample.chunks(witness_jets)
+        for pt, jets, curv in sample.curvature_chunks(witness_params, witness_profile)
     ])
     low, high = np.min(values), np.max(values)
     checks.append(
@@ -626,7 +625,7 @@ def run_verification(cfg: RunConfig) -> dict:
                 for suite_name in cfg.suites:
                     results[suite_name].append(_suite_error(suite_name, params, exc))
                 continue
-            sample = Sample(points[:, 0], points[:, 1], params, profile)
+            sample = Sample(points[:, 0], points[:, 1], params)
             for suite_name in cfg.suites:
                 started = time.perf_counter()
                 results[suite_name].append(run_suite(suite_name, cfg, params, profile, sample))

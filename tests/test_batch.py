@@ -297,9 +297,9 @@ def _suite_values(q, p, params, profile):
         "ricci_closed_form": (closed.hh, closed.vv),
         "pair_symmetry_residual": pair_symmetry_residual(curv, metric, vectors),
         "holomorphic_sectional_curvature": holomorphic_sectional_curvature(curv, metric, j_op, x),
-        "einstein_difference": einstein_difference(pt, kahler, profile, kahler_jets),
+        "einstein_difference": einstein_difference(pt, kahler, profile, kahler_jets, kahler_ricci),
         "einstein_difference_closed_form": einstein_difference_closed_form(pt, kahler, profile),
-        "einstein_residual": einstein_residual(pt, kahler, kahler_jets, kahler_ricci),
+        "einstein_residual": einstein_residual(kahler, kahler_jets, kahler_ricci),
     }
 
 

@@ -375,7 +375,7 @@ class TestNumericalFailures:
         "curvature, note",
         [
             ("1e160", "GeometryError: energy density is not finite"),
-            ("1e300", "OverflowError: cannot convert float infinity to integer"),
+            ("1e300", "GeometryError: curvature 1e+300 is too large for the sampling seed round(c * 1e9)"),
         ],
         ids=["energy", "seed"],
     )
@@ -398,6 +398,18 @@ class TestNumericalFailures:
             (check,) = failed["checks"]
             assert (check["name"], check["passed"], check["note"]) == ("suite_error", False, note)
         assert report["discrepancy_notes"] == alone["discrepancy_notes"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampling_overflow_warns_nothing(self, capsys):
+        """At c = 1e160 the base metric overflows while the points are
+        sampled; the energies are refused without a numpy warning, and each
+        suite records one ``suite_error`` at that config."""
+        args = ["--dims", "2", "--samples", "2", "--curvatures", "1e160", "--report", "-"]
+        assert main(args) == 1
+        for checks in _checks_by_suite(json.loads(capsys.readouterr().out)).values():
+            assert [(check["name"], check["note"]) for check in checks] == [
+                ("suite_error", "GeometryError: energy density is not finite")
+            ]
 
     @pytest.mark.parametrize(
         "flag, suite, fragment",

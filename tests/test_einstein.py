@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cotangent_kahler.einstein
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.curvature import curvature_blocks, ricci_from_blocks
 from cotangent_kahler.einstein import (
@@ -93,6 +94,10 @@ class TestProfileJets:
 # ---------------------------------------------------------------------------
 
 
+def _block_trace(pt, params, jets):
+    return ricci_from_blocks(curvature_blocks(pt, params, jets))
+
+
 class TestEinsteinDifference:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_direct_subtraction_matches_gamma_form(self, n, rng):
@@ -105,7 +110,7 @@ class TestEinsteinDifference:
         p *= 1.1 / np.linalg.norm(p)
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
-        diff_hh, diff_vv = einstein_difference(pt, params, profile, jets)
+        diff_hh, diff_vv = einstein_difference(pt, params, profile, jets, _block_trace(pt, params, jets))
         pred_hh, pred_vv = einstein_difference_closed_form(pt, params, profile)
         npt.assert_allclose(diff_hh, pred_hh, atol=1e-9, err_msg="horizontal difference")
         npt.assert_allclose(diff_vv, pred_vv, atol=1e-9, err_msg="vertical difference")
@@ -120,7 +125,7 @@ class TestEinsteinDifference:
         p *= 1.1 / np.linalg.norm(p)
         pt = CotangentPoint.at(q, p, params)
         jets = fiber_jets(pt, params, profile)
-        diff_hh, _ = einstein_difference(pt, params, profile, jets)
+        diff_hh, _ = einstein_difference(pt, params, profile, jets, _block_trace(pt, params, jets))
         c, t = params.c, pt.t
         gam = float(gamma_factor(params, profile, t))
         unweighted = (np.sqrt(c) * gam / (4.0 * t)) * np.outer(pt.p, pt.p)
@@ -129,6 +134,14 @@ class TestEinsteinDifference:
     def test_closed_form_requires_integrable_coupling(self, generic_point, generic_params, generic_profile):
         with pytest.raises(GeometryError):
             einstein_difference_closed_form(generic_point, generic_params, generic_profile)
+
+    def test_direct_subtraction_requires_the_ricci(self, kahler_point, kahler_params, kahler_profile):
+        """The direct route takes its block-trace Ricci from the caller and
+        builds no curvature of its own."""
+        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
+        with pytest.raises(TypeError, match="ricci"):
+            einstein_difference(kahler_point, kahler_params, kahler_profile, jets)
+        assert not {"curvature_blocks", "ricci_from_blocks"} & set(vars(cotangent_kahler.einstein))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +162,7 @@ class TestEinsteinFamily:
             pt = CotangentPoint.at(q, p, params)
             jets = fiber_jets(pt, params, profile)
             ricci = ricci_from_blocks(curvature_blocks(pt, params, jets))
-            assert einstein_residual(pt, params, jets, ricci) < 1e-6
+            assert einstein_residual(params, jets, ricci) < 1e-6
 
     def test_zero_kb_member_is_ricci_flat(self, rng):
         params = ModelParams.kahler(n=3, c=1.4, k_a=0.9, k_b=0.0)

@@ -18,9 +18,9 @@ from cotangent_kahler.connection import metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
-from cotangent_kahler.profiles import einstein_profile
+from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
-from cotangent_kahler.suites import RunConfig, Sample, _check, run_verification, sample_points
+from cotangent_kahler.suites import RunConfig, Sample, _check, run_suite, run_verification, sample_points
 from stencils import stencil_at
 
 
@@ -165,23 +165,33 @@ class TestSharedSample:
         assert rows == [8]
         assert [m for kind, m, real in builds if kind == "point" and not real] == [8]
 
+    @pytest.mark.parametrize(
+        "profile, center_jets, curvatures", [("einstein", 1, 5), ("rational", 2, 4)], ids=["einstein", "rational"]
+    )
     @pytest.mark.parametrize("n", [2, 5])
-    def test_builds_per_config(self, n, monkeypatch):
+    def test_builds_per_config(self, n, profile, center_jets, curvatures, monkeypatch):
         """One config of all six suites at 3 samples builds the point on
         complex rows twice, once per center set (the first two centers, then
-        the first one), and the fiber jets on complex rows once, at the one
-        center: the FD curvature's own member is the member of the nabla-K
-        probe.  On the real sampled rows it builds the point once and the
-        fiber jets three times: the own member, which the witnesses' k_a =
-        k_b = 1 member is, the detuned coupling and the rational profile."""
+        the first one), and the fiber jets on complex rows once per member
+        differentiated at the one center: the FD curvature's own member and
+        the nabla-K probe's k_a = k_b = 1 member, one member on the Einstein
+        profile.  On the real sampled rows it builds the point once and the
+        fiber jets three times: the own member, the detuned coupling, and
+        whichever of the witnesses' rational profile and k_a = k_b = 1 member
+        is not the own one.  It builds ``K`` at the oracle's center, in the
+        nabla-K field, and in one pass per member: the own one, which the
+        einstein suite reads, the pinned one and, on the Einstein profile,
+        the rational one, whose Ricci the witnesses read from the own pass
+        on the rational profile."""
+        calls = _count_curvature_builds(monkeypatch)
         builds = _count_builds(monkeypatch)
-        run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3))
+        run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
         assert [(kind, rows) for kind, rows, real in builds if not real] == [
             ("point", 4 * n),
             ("point", 2 * n),
-            ("jets", 2 * n),
-        ]
+        ] + [("jets", 2 * n)] * center_jets
         assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
+        assert len(calls) == curvatures
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
@@ -247,8 +257,9 @@ class TestSharedSample:
         params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
         rng = np.random.default_rng(3)
         q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
-        sample = Sample(q, p, params, einstein_profile(params))
-        blocks = [block for ricci in sample.ricci for block in (ricci.hh, ricci.vv)]
+        sample = Sample(q, p, params)
+        kept = sample.ricci_of(params, einstein_profile(params))
+        blocks = [block for ricci in kept for block in (ricci.hh, ricci.vv)]
         assert all(block.base is None and block.flags.c_contiguous for block in blocks)
         assert sum(block.nbytes for block in blocks) == 2 * samples * n**2 * 8
 
@@ -293,6 +304,51 @@ class TestSharedSample:
         assert report["passed"] is True
         assert [b for b in point_builds if b is not None] == ["stack"]
         assert [b for b in jet_builds if b is not None] == ["stack"]
+
+
+class TestRicciPerMember:
+    """``Sample.ricci_of`` keeps one full pass's Ricci per member, keyed
+    like ``mtensor.Rows``, at eight samples in chunks of three rows."""
+
+    def _setup(self, monkeypatch, fail_at=None):
+        cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=8, k_a=0.5, k_b=2.0)
+        params = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=0.5, k_b=2.0)
+        points = sample_points(cfg, 2, 1.0, params)
+        calls = _count_curvature_builds(monkeypatch, fail_at)
+        return cfg, params, Sample(points[:, 0], points[:, 1], params), calls
+
+    def test_other_members_never_replace_the_own_entry(self, monkeypatch):
+        """The witnesses suite takes one pass on its pinned k_a = k_b = 1
+        member and one on the rational profile.  Each keeps its own entry,
+        with other values; the own member's entry is the same list, with the
+        same values, and no later read builds ``K`` again."""
+        cfg, params, sample, calls = self._setup(monkeypatch)
+        profile = einstein_profile(params)
+        own = sample.ricci_of(params, profile)
+        before = [(ricci.hh.copy(), ricci.vv.copy()) for ricci in own]
+        run_suite("witnesses", cfg, params, profile, sample)
+        witness = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
+        others = [
+            sample.ricci_of(witness, einstein_profile(witness)),
+            sample.ricci_of(params, rational_profile()),
+        ]
+        assert sample.ricci_of(params, profile) is own
+        # The own pass, the rational and pinned passes, and nabla-K's center.
+        assert calls == [3, 3, 2] * 3 + [1]
+        for ricci, (hh, vv) in zip(own, before, strict=True):
+            assert np.array_equal(ricci.hh, hh) and np.array_equal(ricci.vv, vv)
+        for other in others:
+            assert len(other) == 3 and not np.array_equal(other[0].hh, own[0].hh)
+
+    def test_a_pass_that_raises_keeps_nothing(self, monkeypatch):
+        """A pass that fails at its second chunk keeps no entry, so the next
+        read runs a full pass of its own."""
+        _, params, sample, calls = self._setup(monkeypatch, fail_at=2)
+        profile = einstein_profile(params)
+        with pytest.raises(GeometryError, match="injected"):
+            list(sample.curvature_chunks(params, profile))
+        assert len(sample.ricci_of(params, profile)) == 3
+        assert calls == [3, 3, 3, 3, 2]
 
 
 class TestOwnership:
@@ -351,8 +407,9 @@ class TestSharedStencil:
         profile = einstein_profile(params)
         off_params = ModelParams(n=n, c=1.0, a_metric=1.1 * params.a_metric, k_a=1.0, k_b=1.0)
         rng = np.random.default_rng(5)
-        sample = Sample(rng.uniform(-1.0, 1.0, size=(4, n)), rng.normal(size=(4, n)), params, profile)
-        sample.jets  # the real rows' point and own jets, built before counting as in a run
+        sample = Sample(rng.uniform(-1.0, 1.0, size=(4, n)), rng.normal(size=(4, n)), params)
+        # The real rows' point and own jets, built before counting as in a run.
+        sample.rows.jets_of(params, profile)
         # In the order of the suites: 2-form, Nijenhuis, metric, curvature,
         # then the witnesses' detuned metric and nabla-K.
         oracles = [
