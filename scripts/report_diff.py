@@ -21,14 +21,23 @@ the exit codes.  The script writes every run's comparison to one JSON file,
 prints a Markdown table with one row per flag set and seed, and exits 0 when
 everything is identical and 1 otherwise.
 
-Example, from the repository root, with the parent in a second checkout:
+With ``--rewrite-goldens`` and no ``--parent``, the script instead runs the
+change tree on the flags of each golden report that its
+``tests/test_golden.py`` lists in ``GOLDEN``, compares each new report with
+the golden it replaces, writes it over that golden under ``tests/golden/``
+(in the CLI's own format), and prints and writes the comparison the same
+way.  A change that rewrites the goldens pastes that table into CHANGES.md.
+
+Examples, from the repository root, with the parent in a second checkout:
 
     python3 scripts/report_diff.py --parent ../parent --change . --out report_diff.json
+    python3 scripts/report_diff.py --change . --rewrite-goldens
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -62,6 +71,9 @@ IGNORED = ("timings",)
 STATUSES = ("identical", "moved", "verdict", "note", "missing", "other")
 # Lines of stderr quoted from a crashed run.
 CRASH_LINES = 20
+# The golden test of a tree, and the directory of its goldens.
+GOLDEN_TEST = Path("tests") / "test_golden.py"
+GOLDEN_DIR = Path("tests") / "golden"
 
 
 def run_report(tree: Path, flags: list[str]) -> tuple[int, dict | None]:
@@ -167,6 +179,34 @@ def diff_trees(parent: Path, change: Path, flag_sets: dict, seeds) -> dict:
     return runs
 
 
+def golden_flags(tree: Path) -> dict[str, list[str]]:
+    """``GOLDEN`` of ``tree``'s golden test, the flags of each golden report
+    by file name, read without importing the test."""
+    module = ast.parse((tree / GOLDEN_TEST).read_text(encoding="utf-8"))
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "GOLDEN" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"no GOLDEN in {tree / GOLDEN_TEST}")
+
+
+def rewrite_goldens(tree: Path) -> dict:
+    """Run ``tree``'s CLI on the flags of each golden, write each report over
+    its golden, and return ``{"golden <name>": comparison}`` of the old
+    golden (with the exit code its verdict implies) against the new report."""
+    runs = {}
+    for name, flags in golden_flags(tree).items():
+        path = tree / GOLDEN_DIR / name
+        old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+        code, report = run_report(tree, flags)
+        if report is None:
+            raise SystemExit(f"the CLI of {tree} refused the flags of golden {name}: {flags}")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+        old_code = None if old is None else 0 if old["passed"] else 1
+        runs[f"golden {name}"] = compare_runs((old_code, old), (code, report))
+        print(f"golden {name}: rewritten", file=sys.stderr)
+    return runs
+
+
 def format_table(runs: dict) -> str:
     """A Markdown table of ``diff_trees``' result, one row per run."""
     columns = ("flag set, seed", "checks", *STATUSES, "max abs, rel", "exit codes", "rest")
@@ -183,16 +223,28 @@ def format_table(runs: dict) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
+    parser.add_argument("--parent", type=Path, help="source tree of the parent (not with --rewrite-goldens)")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
+    parser.add_argument(
+        "--rewrite-goldens",
+        action="store_true",
+        help="rewrite the change tree's golden reports and compare them with the old ones",
+    )
     parser.add_argument("--out", type=Path, default=Path("report_diff.json"), help="the JSON file to write")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    runs = diff_trees(args.parent.resolve(), args.change.resolve(), FLAG_SETS, SEEDS)
-    record = {"flag_sets": FLAG_SETS, "seeds": list(SEEDS), "ignored": list(IGNORED), "runs": runs}
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.parent is None) != args.rewrite_goldens:
+        parser.error("give either --parent or --rewrite-goldens")
+    if args.rewrite_goldens:
+        runs = rewrite_goldens(args.change.resolve())
+        record = {"goldens": golden_flags(args.change.resolve()), "ignored": list(IGNORED), "runs": runs}
+    else:
+        runs = diff_trees(args.parent.resolve(), args.change.resolve(), FLAG_SETS, SEEDS)
+        record = {"flag_sets": FLAG_SETS, "seeds": list(SEEDS), "ignored": list(IGNORED), "runs": runs}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(format_table(runs))
     return 0 if all(all_identical(run) for run in runs.values()) else 1

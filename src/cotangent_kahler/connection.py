@@ -12,12 +12,17 @@ formulas here, and a finite-difference Koszul evaluation that never sees
 them.  Everything here keeps the point's leading batch axis; the
 finite-difference oracle differentiates on a stencil (``fd.Stencil``).
 
-``connection_fiber_derivatives`` feeds the curvature, and
-``parallel_j_residual`` applies the connection terms of the parallel-J
-oracle; both keep the contraction rule of ``base``: each term is one
-batched ``@`` (``base._contract`` or a transposed ``Gamma``), and
-``np.einsum`` only permutes axes.  Their einsum forms are the test-side
-reference, ``tests/kernel_reference.py``.
+``_fiber_derivative_blocks``, the fiber derivatives of the three fiber
+blocks, feeds the curvature, and ``parallel_j_residual`` applies the
+connection terms of the parallel-J oracle; both keep the contraction rule
+of ``base``: each term is one batched ``@`` (``base._contract`` or a
+transposed ``Gamma``), and ``np.einsum`` only permutes axes.  Their einsum
+forms are the test-side reference, ``tests/kernel_reference.py``.
+
+``connection_on`` and ``center_connection`` keep a member's coefficients
+with the rows they are built on (``mtensor.Rows.memo``): on a stencil's
+complex rows, where the curvature oracles' fields share them, and at its
+centers, for as long as the stencil lives.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ import numpy as np
 from .base import ModelParams, _contract, _max_abs, _scale
 from .errors import GeometryError
 from .fd import Stencil
-from .mtensor import CotangentPoint, FiberJets, MetricBlocks, assemble_metric, frame_brackets
+from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, frame_brackets
 from .structure import assemble_complex_structure, canonical_coordinate_form
 
 __all__ = [
     "connection_coefficients",
     "kahler_connection_coefficients",
-    "connection_fiber_derivatives",
+    "connection_on",
+    "center_connection",
     "koszul_nabla",
     "torsion_residual",
     "metric_compatibility_residual",
@@ -79,6 +85,24 @@ def connection_coefficients(
     return _assemble(pt.gamma, vv, vh, hh)
 
 
+def connection_on(rows: Rows, params: ModelParams, profile) -> np.ndarray:
+    """The member's ``connection_coefficients`` on all of ``rows``, built
+    once per member and kept with the rows, keyed as ``Rows.jets_of``."""
+    return rows.memo(
+        ("connection", params, profile),
+        lambda: connection_coefficients(rows.points, params, rows.jets_of(params, profile)),
+    )
+
+
+def center_connection(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+    """The member's ``connection_coefficients`` at the centers of
+    ``stencil``, built once per member and kept with the stencil."""
+    return stencil.memo(
+        ("center connection", params, profile),
+        lambda: connection_coefficients(stencil.centers, params, stencil.center_jets(params, profile)),
+    )
+
+
 def kahler_connection_coefficients(
     pt: CotangentPoint, params: ModelParams, profile
 ) -> np.ndarray:
@@ -118,15 +142,14 @@ def kahler_connection_coefficients(
     return _assemble(pt.gamma, vv, vh, hh)
 
 
-def connection_fiber_derivatives(
-    pt: CotangentPoint, params: ModelParams, jets: FiberJets
-) -> np.ndarray:
-    """Fiber 1-jet ``dGamma[m, a, b, c] = d Gamma[a, b, c] / dp_m``, used by
-    the curvature assembly.
+def _fiber_derivative_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets):
+    """The fiber 1-jet of the connection, ``d Gamma[a, b, c] / dp_m``, as its
+    three fiber blocks ``(dvv, dvh, dhh)``, each ``[..., m, ...]`` with the
+    rest in the math layout of the module docstring; the curvature needs no
+    more, as the base Christoffel block does not depend on ``p``.
 
     Differentiates the general formulas termwise; the only genuinely new
-    ingredient is ``d(p . R)/dp_m``, which returns the bare curvature.  The
-    base Christoffel block does not depend on ``p``.
+    ingredient is ``d(p . R)/dp_m``, which returns the bare curvature.
     """
     gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
     ddgh, ddgv = jets.ddgh, jets.ddgv
@@ -150,8 +173,7 @@ def connection_fiber_derivatives(
     dvh = 0.5 * (_contract(dgv, inner, 3) + _contract(gv_m, dinner, 3))
 
     dhh = -0.5 * (_contract(dgh, dgh, 3) + _contract(gh_m, ddgh, 3)) + 0.5 * riem
-
-    return _assemble(np.zeros_like(dhh), dvv, dvh, dhh)
+    return dvv, dvh, dhh
 
 
 # ---- covariant derivatives of fields ----

@@ -26,6 +26,11 @@ forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
 axis; the finite-difference oracles differentiate on a stencil
 (``fd.Stencil``).  Probes give one value per point of the batch.
+
+``K`` is built from the connection and the three fiber blocks of its fiber
+1-jet (``connection._fiber_derivative_blocks``).  At a stencil's centers it
+is built once per member and kept with the stencil (``center_curvature``),
+as the connection there and on the stencil's rows is (see ``connection``).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelParams, _contract, _max_abs, _outer, _scale
-from .connection import connection_coefficients, connection_fiber_derivatives
+from .connection import _fiber_derivative_blocks, center_connection, connection_coefficients, connection_on
 from .errors import GeometryError
 from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, Rows, frame_brackets
@@ -44,6 +49,7 @@ __all__ = [
     "RicciBlocks",
     "odd_slots",
     "curvature_blocks",
+    "center_curvature",
     "ricci_from_blocks",
     "ricci_closed_form",
     "ricci_trace_coefficient",
@@ -71,10 +77,11 @@ def odd_slots(n: int) -> np.ndarray:
     return sum(np.ix_(vertical, vertical, vertical, vertical)) % 2 == 1
 
 
-def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJets):
+def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJets, conn: np.ndarray):
     """The six stored blocks of ``K``, ``(hhh, hhv, vvh, vvv, vhh, vhv)``,
     each ``[..., i, j, k, d]`` in the layout of the module docstring, built
-    from the connection and its fiber 1-jet.
+    from the connection ``conn`` at ``pt`` and the three fiber blocks of its
+    fiber 1-jet.
 
     Horizontal derivatives of the coefficient arrays never appear: every
     coefficient is an M-tensor, so its horizontal frame derivative is
@@ -83,14 +90,13 @@ def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJ
     """
     n = pt.n
     h, v = slice(None, n), slice(n, None)
-    conn = connection_coefficients(pt, params, jets)
-    der = connection_fiber_derivatives(pt, params, jets)
     # The connection blocks and their fiber derivatives in frame layout,
     # output last: vh[i, j, d] = Gamma[n+i, j, d], hh[i, j, d] = Gamma[i, j,
     # n+d], dvh[m, i, j, d] = d vh[i, j, d] / dp_m, and so on.  The *_l
     # views put the summed index first.
     vv, vh, hh = conn[..., v, v, v], conn[..., v, h, h], conn[..., h, h, v]
-    dvv, dvh, dhh = der[..., v, v, v], der[..., v, h, h], der[..., h, h, v]
+    dvv, dvh, dhh = _fiber_derivative_blocks(pt, params, jets)
+    dvh, dhh = (np.einsum("...mdij->...mijd", x) for x in (dvh, dhh))
     vv_l, vh_l, hh_l = (np.swapaxes(x, -3, -2) for x in (vv, vh, hh))
     pr_l = np.einsum("...lij->...ijl", pt.p_riemann)
     riem = pt.riemann
@@ -137,7 +143,20 @@ def _assemble_curvature(hhh, hhv, vvh, vvv, vhh, vhv) -> np.ndarray:
 
 def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
     """Assemble ``K[a, b, c, d]`` from the connection and its fiber 1-jet."""
-    return _assemble_curvature(*_curvature_block_parts(pt, params, jets))
+    conn = connection_coefficients(pt, params, jets)
+    return _assemble_curvature(*_curvature_block_parts(pt, params, jets, conn))
+
+
+def center_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+    """``K`` of a member at the centers of ``stencil``, from its
+    ``center_connection``; built once per member and kept with the stencil
+    (``Rows.memo``), so the block oracle and ``nabla_curvature`` share it."""
+
+    def build():
+        jets, conn = stencil.center_jets(params, profile), center_connection(params, profile, stencil)
+        return _assemble_curvature(*_curvature_block_parts(stencil.centers, params, jets, conn))
+
+    return stencil.memo(("center curvature", params, profile), build)
 
 
 # ---- Ricci, two routes ----
@@ -257,15 +276,11 @@ def curvature_fd(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
     one frame gradient of the connection field.  The curvature block
     formulas are never consulted, and tracing the result over ``a = d``
     gives the Ricci tensor, mixed block included."""
-    pt = stencil.centers
-    conn = connection_coefficients(pt, params, stencil.center_jets(params, profile))
-
-    def field(rows: Rows) -> np.ndarray:
-        return connection_coefficients(rows.points, params, rows.jets_of(params, profile))
-
+    pt, conn = stencil.centers, center_connection(params, profile, stencil)
     # (nabla_w nabla_a e_b)[c]: the gradient of conn[a, b, c] plus the
     # frame's rotation, conn[a, b, f] conn[w, f, c].
-    second = stencil.frame_gradient(field) + _contract(conn[..., None, :, :, :], conn, 2)
+    second = stencil.frame_gradient(lambda rows: connection_on(rows, params, profile))
+    second = second + _contract(conn[..., None, :, :, :], conn, 2)
     bracket_term = _contract(frame_brackets(pt), conn, 3)
     return second - np.swapaxes(second, -4, -3) - bracket_term
 
@@ -278,16 +293,16 @@ def nabla_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarra
     by the Leibniz rule.
 
     The value term is one frame gradient of the field of the six stored
-    blocks, assembled once; the four connection terms, one per slot of
-    ``K``, are each one batched ``@`` of ``K`` and the connection at the
-    centers, built from their fiber jets.
+    blocks, assembled once, on the connection that ``curvature_fd``'s field
+    keeps on the same rows; the four connection terms, one per slot of
+    ``K``, are each one batched ``@`` of the centers' ``center_curvature``
+    and ``center_connection``.
     """
-    pt, jets = stencil.centers, stencil.center_jets(params, profile)
-    conn = connection_coefficients(pt, params, jets)
-    curv = curvature_blocks(pt, params, jets)
+    conn, curv = center_connection(params, profile, stencil), center_curvature(params, profile, stencil)
 
     def field(rows: Rows) -> np.ndarray:
-        return np.stack(_curvature_block_parts(rows.points, params, rows.jets_of(params, profile)), axis=1)
+        jets, rows_conn = rows.jets_of(params, profile), connection_on(rows, params, profile)
+        return np.stack(_curvature_block_parts(rows.points, params, jets, rows_conn), axis=1)
 
     nabla = _assemble_curvature(*np.moveaxis(stencil.frame_gradient(field), -5, 0))
     # + conn[w, f, d] K[a, b, c, f], then - conn[w, s, f] K[.., f, ..] with

@@ -32,10 +32,12 @@ is a batch of shape ``()``.
 
 Every oracle differentiates on a ``Stencil``: the rows of all 2n chart
 coordinates at the first centers of a real ``mtensor.Rows``, its base.  A
-stencil is sized by its centers: the point and each member's metric blocks
-and fiber jets are built on its rows once, and every oracle at the same
-centers shares them (``suites.Sample`` keeps one stencil per center set).
-The centers' own point and jets are the base's first rows.  Each gradient
+stencil is sized by its centers: the point and each member's metric blocks,
+fiber jets and connection are built on its rows once, and so are each
+member's connection and ``K`` at its centers; every oracle at the same
+centers shares them (``suites.Sample`` keeps one stencil per center set,
+with all it has built, for the config's lifetime).  The centers' own point
+and jets are the base's first rows.  Each gradient
 is one ``fd_partial`` call on all its rows.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame

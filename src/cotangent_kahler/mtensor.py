@@ -292,7 +292,10 @@ class Rows:
     real or complex, with the point ``points = point_at(q, p)`` and each
     member's metric blocks and fiber jets built once.  A member is its
     params and its profile object, so members that differ in the coupling,
-    ``k_a``/``k_b`` or the profile never share an entry.  A build that
+    ``k_a``/``k_b`` or the profile never share an entry.  Other layers keep
+    their own per-member values with the rows through ``memo`` (the
+    connection on a stencil's rows and at its centers, and ``K`` at its
+    centers).  Everything kept lives as long as the rows; a build that
     raises is not kept.  Real rows are the base of the ``fd.Stencil`` at
     their first rows, which builds its point on the same ``point_at``."""
 
@@ -300,20 +303,22 @@ class Rows:
         self.q, self.p, self._point_at = q, p, point_at
         self._memo: dict = {}
 
-    def _memoised(self, key, build):
+    def memo(self, key, build):
+        """``build()``, called on the first request for ``key`` and kept as
+        long as the rows are."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
     @property
     def points(self) -> CotangentPoint:
-        return self._memoised("points", lambda: self._point_at(self.q, self.p))
+        return self.memo("points", lambda: self._point_at(self.q, self.p))
 
     def blocks_of(self, params: ModelParams, profile) -> MetricBlocks:
-        return self._memoised(("blocks", params, profile), lambda: metric_blocks(self.points, params, profile))
+        return self.memo(("blocks", params, profile), lambda: metric_blocks(self.points, params, profile))
 
     def jets_of(self, params: ModelParams, profile) -> FiberJets:
-        return self._memoised(("jets", params, profile), lambda: fiber_jets(self.points, params, profile))
+        return self.memo(("jets", params, profile), lambda: fiber_jets(self.points, params, profile))
 
 
 def assemble_metric(blocks: MetricBlocks | FiberJets) -> np.ndarray:

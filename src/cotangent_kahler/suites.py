@@ -12,13 +12,14 @@ only the ``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  A
 member's curvature ``K`` is built once per chunk, in one pass that a suite
 consumes (``curvature`` on the own member, ``witnesses`` on its pinned
 one); the pass keeps each chunk's Ricci trace, which ``einstein`` and the
-witnesses' rational profile read instead of building ``K`` again.  The
-finite-difference oracles differentiate on the sample's stencils at the
-first center or the first two (``Sample.stencil``), so that oracles at the
-same centers build the point and each member's jets on the complex rows
-once, and read the centers' own point and jets from the sample's rows.  A
-check's value is the largest of its per-sample values; a NaN in any sample
-fails it.
+witnesses' rational profile read instead of building ``K`` again, and a
+sample of one chunk keeps the pass itself, which the witnesses replay when
+the pinned member is the own one.  The finite-difference oracles
+differentiate on the sample's stencils at the first center or the first
+two (``Sample.stencil``), so that oracles at the same centers build the
+point, each member's jets and connection on the complex rows once, and
+each member's connection and ``K`` at the centers once.  A check's value
+is the largest of its per-sample values; a NaN in any sample fails it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import base
 from .base import ModelParams, _chunk_rows, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
+    center_connection,
     connection_coefficients,
     kahler_connection_coefficients,
     koszul_nabla,
@@ -40,6 +43,7 @@ from .connection import (
 )
 from .curvature import (
     RicciBlocks,
+    center_curvature,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -266,14 +270,19 @@ class Sample:
     ``curvature_chunks`` is one pass over the chunks that builds each
     chunk's curvature ``K`` once; ``ricci_of`` holds, per member keyed as
     in ``Rows``, the Ricci trace of every chunk from the last pass that ran
-    to its end, O(S n^2) numbers, and runs such a pass if none has.  A pass
-    that raises keeps nothing, and no chunk's ``K`` outlives its pass.
+    to its end, O(S n^2) numbers, and runs such a pass if none has.  When
+    the sample is one chunk whose ``K`` fits ``base._CHUNK_BYTES``, a pass
+    that runs to its end is kept too, per member, and later passes of that
+    member replay it: at most ``_CHUNK_BYTES`` of ``K`` per member, for the
+    sample's lifetime.  A pass that raises keeps nothing, and on a sample of
+    several chunks no chunk's ``K`` outlives its pass.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
         self._stencils: dict[int, Stencil] = {}
         self._ricci: dict = {}
+        self._kept: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows.q)
@@ -296,13 +305,20 @@ class Sample:
     def curvature_chunks(self, params: ModelParams, profile):
         """``(points, jets, K)`` of the member over the chunks of
         ``chunks``; a pass that runs to its end keeps each chunk's Ricci
-        trace for ``ricci_of``."""
+        trace for ``ricci_of``, and its one chunk if it has one whose ``K``
+        fits ``base._CHUNK_BYTES``, which later passes replay."""
+        key = params, profile
+        if key in self._kept:
+            yield self._kept[key]
+            return
         ricci = []
         for pt, jets in self.chunks(params, profile):
             curv = curvature_blocks(pt, params, jets)
             ricci.append(ricci_from_blocks(curv))
             yield pt, jets, curv
-        self._ricci[params, profile] = ricci
+        self._ricci[key] = ricci
+        if len(ricci) == 1 and curv.nbytes <= base._CHUNK_BYTES:
+            self._kept[key] = pt, jets, curv
 
     def ricci_of(self, params: ModelParams, profile) -> list[RicciBlocks]:
         """The member's ``ricci_from_blocks(K)`` of each chunk, in the order
@@ -374,7 +390,7 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
 
     stencil = sample.stencil(2)
     pt, jets = stencil.centers, stencil.center_jets(params, profile)
-    conn = connection_coefficients(pt, params, jets)
+    conn = center_connection(params, profile, stencil)
     metric_grad = metric_gradient(params, profile, stencil)
     koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
     checks.append(_check("koszul_oracle", [koszul], tol.cross_check))
@@ -396,7 +412,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     # oracle, the odd-slot complement and the mixed Ricci block.
     stencil = sample.stencil(1)
     fd = curvature_fd(params, profile, stencil)
-    diff = fd - curvature_blocks(stencil.centers, params, stencil.center_jets(params, profile))
+    diff = fd - center_curvature(params, profile, stencil)
     odd = odd_slots(n)
     checks = [
         _check("blocks_match_fd_oracle", [_max_abs(diff[..., ~odd], rank=1)], tol.fd_oracle),
@@ -487,10 +503,9 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
         for pt, jets in sample.chunks(off_params, profile)
     ]
-    off_center_jets = stencil.center_jets(off_params, profile)
     parallel = parallel_j_residual(
-        connection_coefficients(stencil.centers, off_params, off_center_jets),
-        off_center_jets,
+        center_connection(off_params, profile, stencil),
+        stencil.center_jets(off_params, profile),
         metric_gradient(off_params, profile, stencil),
     )
     checks = [

@@ -1,6 +1,6 @@
 """The einsum forms of the curvature path, the reference for its matmul kernels.
 
-``base.space_form_metric``'s curvature, ``connection.connection_fiber_derivatives``,
+``base.space_form_metric``'s curvature, ``connection._fiber_derivative_blocks``,
 ``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual`` and
 ``curvature.holomorphic_sectional_curvature`` contract their arrays with one
 batched ``@`` per term, and so do the Leibniz terms of the finite-difference
@@ -12,13 +12,15 @@ can compare the two forms entry for entry.  ``curvature_blocks`` here
 assembles ``K`` from the package's ``connection_coefficients`` and this
 module's ``connection_fiber_derivatives``; ``nabla_curvature`` here
 differentiates the package's assembled ``K``, all ``(2n)^4`` entries per
-row.  Every function takes a leading batch axis, like the package.
+row.  ``assembled_fiber_derivatives`` puts the package's three fiber blocks
+into the whole array that ``connection_fiber_derivatives`` here gives.
+Every function takes a leading batch axis, like the package.
 """
 
 import numpy as np
 
 from cotangent_kahler.base import ModelParams, _max_abs, _scale
-from cotangent_kahler.connection import _assemble, connection_coefficients
+from cotangent_kahler.connection import _assemble, _fiber_derivative_blocks, connection_coefficients
 from cotangent_kahler.curvature import curvature_blocks as package_curvature_blocks
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
@@ -65,6 +67,13 @@ def connection_fiber_derivatives(
         + 0.5 * riem
     )
 
+    return _assemble(np.zeros_like(dhh), dvv, dvh, dhh)
+
+
+def assembled_fiber_derivatives(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """``dGamma[m, a, b, c]`` from the package's ``_fiber_derivative_blocks``,
+    zero on the base Christoffel blocks, which do not depend on ``p``."""
+    dvv, dvh, dhh = _fiber_derivative_blocks(pt, params, jets)
     return _assemble(np.zeros_like(dhh), dvv, dvh, dhh)
 
 

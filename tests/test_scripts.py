@@ -1,7 +1,8 @@
 """The scripts under scripts/: a smoke test of the exploration script
 profile_sweep.py, the summary, Tier-1 entry and layer entry of
-bench_pairs.py on fixed numbers, and report_diff.py on fixed reports and on
-one tiny flag set run twice on this tree."""
+bench_pairs.py on fixed numbers, and report_diff.py on fixed reports, on
+one tiny flag set run twice on this tree, and rewriting the golden of a
+temporary tree."""
 
 import importlib.util
 import json
@@ -327,3 +328,31 @@ def test_report_diff_names_a_crashed_run(tmp_path):
     message = str(crash.value)
     assert message.startswith(f"cotangent_kahler crashed in {tmp_path} on {flags} (exit 1):")
     assert message.endswith("RuntimeError: injected crash")
+
+
+def test_report_diff_rewrites_the_goldens_of_a_tree(tmp_path, capsys):
+    """A temporary tree with this tree's package, whose golden test lists one
+    tiny flag set and whose golden has one value moved by 1: the rewrite
+    writes the CLI's report for those flags over it, in the CLI's format,
+    reports the one moved value and exits 1; a second rewrite finds every
+    golden identical and exits 0."""
+    report_diff = _load_script("report_diff")
+    tiny = ["--dims", "2", "--curvatures", "1.0", "--samples", "2", "--suites", "almost_kahler"]
+    (tmp_path / "src").symlink_to(SCRIPTS.parent / "src")
+    golden = tmp_path / "tests" / "golden" / "tiny.json"
+    golden.parent.mkdir(parents=True)
+    (tmp_path / "tests" / "test_golden.py").write_text(f"GOLDEN = {{'tiny.json': {tiny!r}}}\n")
+    code, report = report_diff.run_report(tmp_path, tiny)
+    stale = json.loads(json.dumps(report))
+    stale["suites"][0]["configs"][0]["checks"][0]["value"] += 1.0
+    golden.write_text(json.dumps(stale))
+    argv = ["--change", str(tmp_path), "--rewrite-goldens", "--out", str(tmp_path / "diff.json")]
+    assert report_diff.main(argv) == 1
+    text = golden.read_text()
+    written = json.loads(text)
+    assert text == json.dumps(written, indent=2, sort_keys=True) + "\n"
+    assert {**written, "timings": None} == {**report, "timings": None}
+    run = json.loads((tmp_path / "diff.json").read_text())["runs"]["golden tiny.json"]
+    assert run["counts"]["moved"] == 1 and run["exit_codes"] == [code, code]
+    assert "| golden tiny.json |" in capsys.readouterr().out
+    assert report_diff.main(argv) == 0

@@ -20,7 +20,15 @@ from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
-from cotangent_kahler.suites import RunConfig, Sample, _check, run_suite, run_verification, sample_points
+from cotangent_kahler.suites import (
+    SUITE_NAMES,
+    RunConfig,
+    Sample,
+    _check,
+    run_suite,
+    run_verification,
+    sample_points,
+)
 from stencils import stencil_at
 
 
@@ -45,12 +53,13 @@ class TestCheckReduction:
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
         """One sample per chunk gives the report of the default budget, which
         splits 30 samples at n = 3 into two chunks: the same checks and
-        verdicts, residuals within 1e-3 of their tolerance and witnesses
-        within 1e-9 relative."""
+        verdicts in all six suites, residuals within 1e-3 of their tolerance
+        and witnesses within 1e-9 relative."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
         default = run_verification(cfg)
         monkeypatch.setattr(cotangent_kahler.base, "_CHUNK_BYTES", 1)
         one_row = run_verification(cfg)
+        assert [suite["name"] for suite in default["suites"]] == list(SUITE_NAMES)
         assert default["discrepancy_notes"] == one_row["discrepancy_notes"]
         for suite, other in zip(default["suites"], one_row["suites"], strict=True):
             for config, other_config in zip(suite["configs"], other["configs"], strict=True):
@@ -64,6 +73,26 @@ class TestCheckReduction:
                         ), where
                     else:
                         assert other_check["value"] == pytest.approx(check["value"], rel=1e-9), where
+
+    def test_a_replayed_pass_is_bit_identical_to_a_rebuilt_one(self, monkeypatch):
+        """20 samples at n = 3 are one chunk under the default budget, so the
+        witnesses' pinned k_a = k_b = 1 pass, the own member's, replays the
+        curvature suite's pass; at three rows per chunk it is seven chunks,
+        and the pass is built again.  The six suites' reports are the same,
+        bit for bit: every value is computed row by row, whatever the chunk."""
+        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20)
+        calls = _count_curvature_builds(monkeypatch)
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", cotangent_kahler.base._chunk_rows)
+        replayed = run_verification(cfg)
+        # The center, then the own and the rational pass, one chunk each.
+        assert calls == [1, 20, 20]
+        calls.clear()
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
+        rebuilt = run_verification(cfg)
+        # The center, then the own, the pinned and the rational pass.
+        assert calls == [1] + ([3] * 6 + [2]) * 3
+        assert [suite["name"] for suite in rebuilt["suites"]] == list(SUITE_NAMES)
+        assert {**replayed, "timings": None} == {**rebuilt, "timings": None}
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -103,20 +132,23 @@ SHARED_PASS = dict(dims=(2,), curvatures=(1.0,), samples=8)
 
 
 def _count_curvature_builds(monkeypatch, fail_at=None):
-    """Set three rows per chunk and record the rows of every
-    ``curvature_blocks`` call, in order; call number ``fail_at`` raises a
-    ``GeometryError`` instead."""
+    """Set three rows per chunk and record the rows of every ``K`` built on
+    real points, in order; build number ``fail_at`` raises a
+    ``GeometryError`` instead.  Every ``K``, of a pass or at a stencil's
+    centers, is built by ``curvature._curvature_block_parts``; the nabla-K
+    field's calls on complex rows are not recorded."""
     monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
-    original = cotangent_kahler.curvature.curvature_blocks
+    original = cotangent_kahler.curvature._curvature_block_parts
     calls = []
 
-    def counted(pt, params, jets):
-        calls.append(len(pt.t))
-        if len(calls) == fail_at:
-            raise GeometryError("injected failure")
-        return original(pt, params, jets)
+    def counted(pt, params, jets, conn):
+        if not np.iscomplexobj(pt.q):
+            calls.append(len(pt.t))
+            if len(calls) == fail_at:
+                raise GeometryError("injected failure")
+        return original(pt, params, jets, conn)
 
-    _patch_everywhere(monkeypatch, original, counted)
+    monkeypatch.setattr(cotangent_kahler.curvature, "_curvature_block_parts", counted)
     return calls
 
 
@@ -166,7 +198,7 @@ class TestSharedSample:
         assert [m for kind, m, real in builds if kind == "point" and not real] == [8]
 
     @pytest.mark.parametrize(
-        "profile, center_jets, curvatures", [("einstein", 1, 5), ("rational", 2, 4)], ids=["einstein", "rational"]
+        "profile, center_jets, curvatures", [("einstein", 1, 3), ("rational", 2, 4)], ids=["einstein", "rational"]
     )
     @pytest.mark.parametrize("n", [2, 5])
     def test_builds_per_config(self, n, profile, center_jets, curvatures, monkeypatch):
@@ -178,11 +210,13 @@ class TestSharedSample:
         profile.  On the real sampled rows it builds the point once and the
         fiber jets three times: the own member, the detuned coupling, and
         whichever of the witnesses' rational profile and k_a = k_b = 1 member
-        is not the own one.  It builds ``K`` at the oracle's center, in the
-        nabla-K field, and in one pass per member: the own one, which the
-        einstein suite reads, the pinned one and, on the Einstein profile,
-        the rational one, whose Ricci the witnesses read from the own pass
-        on the rational profile."""
+        is not the own one.  It builds ``K`` once at the one center per
+        member, shared by the block oracle and the nabla-K probe, and in one
+        pass per member: the own one, which the einstein suite reads, the
+        pinned one and, on the Einstein profile, the rational one, whose
+        Ricci the witnesses read from the own pass on the rational profile.
+        On the Einstein profile the pinned member is the own one, and its
+        pass, one chunk of three rows, is replayed, not built again."""
         calls = _count_curvature_builds(monkeypatch)
         builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
@@ -192,6 +226,36 @@ class TestSharedSample:
         ] + [("jets", 2 * n)] * center_jets
         assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
         assert len(calls) == curvatures
+
+    @pytest.mark.parametrize(
+        "profile, row_members, center_members", [("einstein", 1, 2), ("rational", 2, 3)], ids=["einstein", "rational"]
+    )
+    def test_stencil_connections_and_center_k_are_built_once_per_member(
+        self, profile, row_members, center_members, monkeypatch
+    ):
+        """One config of all six suites at 3 samples builds the connection on
+        the 2n complex rows of ``stencil(1)`` once per member it
+        differentiates there (``curvature_fd`` and the nabla-K field share
+        it), and the connection and ``K`` at its one center once per member
+        (``curvature_fd``, the block oracle and nabla-K share them).  A
+        member is told by its metric block on the rows: the own member, the
+        pinned k_a = k_b = 1 one (the own one on the Einstein profile) and,
+        at the center, the witnesses' detuned coupling."""
+        n = 2
+        original = cotangent_kahler.connection.connection_coefficients
+        connections, curvatures = [], _count_curvature_builds(monkeypatch)
+
+        def counted(pt, params, jets):
+            connections.append((len(pt.t), np.iscomplexobj(pt.q), jets.gh.tobytes()))
+            return original(pt, params, jets)
+
+        _patch_everywhere(monkeypatch, original, counted)
+        run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
+        on_rows = [gh for rows, complex_rows, gh in connections if complex_rows and rows == 2 * n]
+        at_center = [gh for rows, complex_rows, gh in connections if not complex_rows and rows == 1]
+        assert len(on_rows) == len(set(on_rows)) == row_members
+        assert len(at_center) == len(set(at_center)) == center_members
+        assert curvatures.count(1) == row_members
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
@@ -349,6 +413,51 @@ class TestRicciPerMember:
             list(sample.curvature_chunks(params, profile))
         assert len(sample.ricci_of(params, profile)) == 3
         assert calls == [3, 3, 3, 3, 2]
+
+
+class TestKeptPass:
+    """A member's pass is kept, and replayed, only when the sample is one
+    chunk whose ``K`` fits ``base._CHUNK_BYTES``."""
+
+    def _sample(self, n, samples):
+        params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
+        rng = np.random.default_rng(n)
+        q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
+        return params, einstein_profile(params), Sample(q, p, params)
+
+    def test_a_multi_chunk_sample_keeps_nothing(self, monkeypatch):
+        """Eight samples at three rows per chunk: a second pass builds every
+        chunk's ``K`` again, with the same values."""
+        calls = _count_curvature_builds(monkeypatch)
+        params, profile, sample = self._sample(2, 8)
+        first = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
+        assert sample._kept == {}
+        second = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
+        assert calls == [3, 3, 2] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_a_kept_pass_fits_the_chunk_budget(self, n, monkeypatch):
+        """As many samples as one chunk holds: at n = 2 (128 rows, exactly
+        the budget) and n = 5 (3 rows) the pass is kept and a second pass
+        replays the same arrays; at n = 7 one row's ``K`` alone, 307 KB,
+        exceeds the budget, so nothing is kept."""
+        params, profile, sample = self._sample(n, cotangent_kahler.base._chunk_rows(2 * n))
+        calls = []
+        original = cotangent_kahler.curvature._curvature_block_parts
+
+        def counted(*args):
+            calls.append(len(args[0].t))
+            return original(*args)
+
+        monkeypatch.setattr(cotangent_kahler.curvature, "_curvature_block_parts", counted)
+        ((pt, jets, curv),) = sample.curvature_chunks(params, profile)
+        fits = curv.nbytes <= cotangent_kahler.base._CHUNK_BYTES
+        assert fits is (n < 7)
+        assert all(kept.nbytes <= cotangent_kahler.base._CHUNK_BYTES for _, _, kept in sample._kept.values())
+        ((_, _, again),) = sample.curvature_chunks(params, profile)
+        assert (again is curv) is fits
+        assert len(calls) == (1 if fits else 2)
 
 
 class TestOwnership:
