@@ -59,6 +59,7 @@ FLAG_SETS = {
     ],
     "rational": ["--profile", "rational", "--samples", "20"],
     "ka0": ["--ka", "0", "--samples", "20"],
+    "kb0": ["--kb", "0", "--samples", "20"],
     "offset": ["--a-metric-offset", "0.1", "--samples", "20"],
     "small_t": ["--t-min", "1e-4", "--t-max", "1e-2", "--samples", "5"],
     "large_t": ["--t-min", "1e2", "--t-max", "1e4", "--samples", "20"],

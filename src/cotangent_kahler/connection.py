@@ -19,10 +19,9 @@ of ``base``: each term is one batched ``@`` (``base._contract`` or a
 transposed ``Gamma``), and ``np.einsum`` only permutes axes.  Their einsum
 forms are the test-side reference, ``tests/kernel_reference.py``.
 
-``connection_on`` and ``center_connection`` keep a member's coefficients
-with the rows they are built on (``mtensor.Rows.memo``): on a stencil's
-complex rows, where the curvature oracles' fields share them, and at its
-centers, for as long as the stencil lives.
+``connection_on`` keeps a member's coefficients with the rows they are
+built on (``mtensor.Rows.memo``), as the rows keep its jets;
+``center_connection`` reads a stencil's centers out of its base's.
 """
 
 from __future__ import annotations
@@ -95,12 +94,9 @@ def connection_on(rows: Rows, params: ModelParams, profile) -> np.ndarray:
 
 
 def center_connection(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
-    """The member's ``connection_coefficients`` at the centers of
-    ``stencil``, built once per member and kept with the stencil."""
-    return stencil.memo(
-        ("center connection", params, profile),
-        lambda: connection_coefficients(stencil.centers, params, stencil.center_jets(params, profile)),
-    )
+    """The member's connection at the centers of ``stencil``: the centers'
+    rows of its ``connection_on`` the stencil's base, as ``center_jets``."""
+    return connection_on(stencil.base, params, profile)[stencil.index]
 
 
 def kahler_connection_coefficients(

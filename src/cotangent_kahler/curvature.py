@@ -27,10 +27,9 @@ routes share no code.  Everything here keeps the point's leading batch
 axis; the finite-difference oracles differentiate on a stencil
 (``fd.Stencil``).  Probes give one value per point of the batch.
 
-``K`` is built from the connection and the three fiber blocks of its fiber
-1-jet (``connection._fiber_derivative_blocks``).  At a stencil's centers it
-is built once per member and kept with the stencil (``center_curvature``),
-as the connection there and on the stencil's rows is (see ``connection``).
+``K`` is built by ``curvature_from_connection`` from a given connection
+and the three fiber blocks of its fiber 1-jet
+(``connection._fiber_derivative_blocks``).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .mtensor import CotangentPoint, FiberJets, Rows, frame_brackets
 __all__ = [
     "RicciBlocks",
     "odd_slots",
+    "curvature_from_connection",
     "curvature_blocks",
     "center_curvature",
     "ricci_from_blocks",
@@ -141,10 +141,17 @@ def _assemble_curvature(hhh, hhv, vvh, vvv, vhh, vhv) -> np.ndarray:
     return out
 
 
-def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
-    """Assemble ``K[a, b, c, d]`` from the connection and its fiber 1-jet."""
-    conn = connection_coefficients(pt, params, jets)
+def curvature_from_connection(
+    pt: CotangentPoint, params: ModelParams, jets: FiberJets, conn: np.ndarray
+) -> np.ndarray:
+    """Assemble ``K[a, b, c, d]`` from the connection ``conn`` at ``pt`` and
+    its fiber 1-jet."""
     return _assemble_curvature(*_curvature_block_parts(pt, params, jets, conn))
+
+
+def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """``curvature_from_connection`` on the connection built at ``pt``."""
+    return curvature_from_connection(pt, params, jets, connection_coefficients(pt, params, jets))
 
 
 def center_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
@@ -154,7 +161,7 @@ def center_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarr
 
     def build():
         jets, conn = stencil.center_jets(params, profile), center_connection(params, profile, stencil)
-        return _assemble_curvature(*_curvature_block_parts(stencil.centers, params, jets, conn))
+        return curvature_from_connection(stencil.centers, params, jets, conn)
 
     return stencil.memo(("center curvature", params, profile), build)
 

@@ -33,12 +33,11 @@ is a batch of shape ``()``.
 Every oracle differentiates on a ``Stencil``: the rows of all 2n chart
 coordinates at the first centers of a real ``mtensor.Rows``, its base.  A
 stencil is sized by its centers: the point and each member's metric blocks,
-fiber jets and connection are built on its rows once, and so are each
-member's connection and ``K`` at its centers; every oracle at the same
-centers shares them (``suites.Sample`` keeps one stencil per center set,
-with all it has built, for the config's lifetime).  The centers' own point
-and jets are the base's first rows.  Each gradient
-is one ``fd_partial`` call on all its rows.
+fiber jets and connection are built on its rows once, and every oracle at
+the same centers shares them (``suites.Sample`` keeps one stencil per
+center set for the config's lifetime).  The centers' own values are the
+base's first rows.  Each gradient is one ``fd_partial`` call on all its
+rows.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
 ``d/dq^i + p_k Gamma^k_{ih} d/dp_h`` and ``d/dp_i``, indexed ``0..2n-1``
@@ -125,8 +124,8 @@ class Stencil(Rows):
     by coordinate, then center, as ``Rows`` on the base's ``point_at``.
 
     ``centers`` is the centers' batched ``CotangentPoint`` and
-    ``center_jets`` their fiber jets, the base's first rows of each, so an
-    oracle reads its centers from its stencil alone.  A field takes the
+    ``center_jets`` their fiber jets, the rows ``index`` of the base's, so
+    an oracle reads its centers from its stencil alone.  A field takes the
     ``Rows`` it is handed and returns ``(m, ...)``: the stencil itself in its
     gradients, and rows of their own anywhere else, such as in a reference
     stencil, so a field is a function of its rows alone."""
@@ -135,8 +134,8 @@ class Stencil(Rows):
         self.base = base
         # A slice keeps the centers' batch axis; the default takes a base of
         # one point, of batch shape (), as it is.
-        self._index = ... if centers is None else slice(centers)
-        self.centers = take_rows(base.points, self._index)
+        self.index = ... if centers is None else slice(centers)
+        self.centers = take_rows(base.points, self.index)
         self._x = np.concatenate([self.centers.q, self.centers.p], axis=-1)
         n = self.centers.n
         self._z = _step_rows(self._x.reshape(-1, 2 * n), np.arange(2 * n)).reshape(-1, 2 * n)
@@ -144,7 +143,7 @@ class Stencil(Rows):
 
     def center_jets(self, params: ModelParams, profile) -> FiberJets:
         """The fiber jets of a member at the centers, from the base's."""
-        return take_rows(self.base.jets_of(params, profile), self._index)
+        return take_rows(self.base.jets_of(params, profile), self.index)
 
     def chart_gradient(self, field) -> np.ndarray:
         """The 2n chart partials of ``field`` at the centers."""

@@ -293,11 +293,10 @@ class Rows:
     member's metric blocks and fiber jets built once.  A member is its
     params and its profile object, so members that differ in the coupling,
     ``k_a``/``k_b`` or the profile never share an entry.  Other layers keep
-    their own per-member values with the rows through ``memo`` (the
-    connection on a stencil's rows and at its centers, and ``K`` at its
-    centers).  Everything kept lives as long as the rows; a build that
-    raises is not kept.  Real rows are the base of the ``fd.Stencil`` at
-    their first rows, which builds its point on the same ``point_at``."""
+    their own per-member values with the rows through ``memo``.  Everything
+    kept lives as long as the rows; a build that raises is not kept.  Real
+    rows are the base of the ``fd.Stencil`` at their first rows, which
+    builds its point on the same ``point_at``."""
 
     def __init__(self, q: np.ndarray, p: np.ndarray, point_at) -> None:
         self.q, self.p, self._point_at = q, p, point_at

@@ -8,18 +8,16 @@ fixed configuration yields an identical report.
 A config's sampled points are one batch (``Sample``), built once and
 shared by every suite, which names the member it checks.  Each closed-form
 check is one batched call per chunk of rows, giving a value per sample;
-only the ``(2n)^3`` and ``(2n)^4`` arrays are built a chunk at a time.  A
-member's curvature ``K`` is built once per chunk, in one pass that a suite
-consumes (``curvature`` on the own member, ``witnesses`` on its pinned
-one); the pass keeps each chunk's Ricci trace, which ``einstein`` and the
-witnesses' rational profile read instead of building ``K`` again, and a
-sample of one chunk keeps the pass itself, which the witnesses replay when
-the pinned member is the own one.  The finite-difference oracles
-differentiate on the sample's stencils at the first center or the first
-two (``Sample.stencil``), so that oracles at the same centers build the
-point, each member's jets and connection on the complex rows once, and
-each member's connection and ``K`` at the centers once.  A check's value
-is the largest of its per-sample values; a NaN in any sample fails it.
+only the ``(2n)^3`` and ``(2n)^4`` arrays other than the connection are
+built a chunk at a time.  A member's curvature ``K`` is built once per
+chunk, in one pass that a suite consumes (``curvature`` on the own member,
+``witnesses`` on its pinned one); the pass keeps each chunk's Ricci trace,
+which ``einstein`` and the witnesses' rational profile read instead of
+building ``K`` again.  The finite-difference oracles differentiate on the
+sample's stencils at the first center or the first two
+(``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
+check's value is the largest of its per-sample values; a NaN in any sample
+fails it.
 """
 
 from __future__ import annotations
@@ -29,11 +27,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import base
 from .base import ModelParams, _chunk_rows, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     center_connection,
-    connection_coefficients,
+    connection_on,
     kahler_connection_coefficients,
     koszul_nabla,
     metric_compatibility_residual,
@@ -44,8 +41,8 @@ from .connection import (
 from .curvature import (
     RicciBlocks,
     center_curvature,
-    curvature_blocks,
     curvature_fd,
+    curvature_from_connection,
     holomorphic_sectional_curvature,
     nabla_curvature_probe,
     odd_slots,
@@ -260,29 +257,29 @@ class Sample:
 
     ``rows`` are the ``Rows`` of the ``(S, n)`` base points and momenta.
     They keep ``points``, one batched ``CotangentPoint`` that serves every
-    member, as a point reads only ``n`` and ``c``, and each member's fiber
-    jets (``jets_of``).  ``stencil(centers)`` is the ``fd.Stencil`` on the
-    first ``centers`` rows, shared by every oracle at those centers.  The
-    sample keeps its stencils beside the rows that are their base, so no
-    stencil refers back to the sample.  Each is built on first use; a build
-    that raises is not kept, so every suite that needs it records the error.
+    member, as a point reads only ``n`` and ``c``, and each member's values
+    per row.  ``stencil(centers)`` is the ``fd.Stencil`` on the first
+    ``centers`` rows, shared by every oracle at those centers.  The sample
+    keeps its stencils beside the rows that are their base, so no stencil
+    refers back to the sample.  Each is built on first use; a build that
+    raises is not kept, so every suite that needs it records the error.
 
     ``curvature_chunks`` is one pass over the chunks that builds each
     chunk's curvature ``K`` once; ``ricci_of`` holds, per member keyed as
     in ``Rows``, the Ricci trace of every chunk from the last pass that ran
-    to its end, O(S n^2) numbers, and runs such a pass if none has.  When
-    the sample is one chunk whose ``K`` fits ``base._CHUNK_BYTES``, a pass
-    that runs to its end is kept too, per member, and later passes of that
-    member replay it: at most ``_CHUNK_BYTES`` of ``K`` per member, for the
-    sample's lifetime.  A pass that raises keeps nothing, and on a sample of
-    several chunks no chunk's ``K`` outlives its pass.
+    to its end, O(S n^2) numbers, and runs such a pass if none has; a pass
+    that raises keeps no Ricci.
+
+    The keep rule: a config keeps per-row values (the point, and each
+    member's metric blocks, fiber jets and connection) and per-chunk Ricci;
+    it keeps ``K`` only at a stencil's centers, and no pass's ``K``
+    outlives its chunk.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
         self._stencils: dict[int, Stencil] = {}
         self._ricci: dict = {}
-        self._kept: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows.q)
@@ -292,33 +289,35 @@ class Sample:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def chunks(self, params: ModelParams, profile):
-        """``(points, jets)`` of the member over consecutive blocks of rows,
-        in order; a block's curvature fits the byte budget of
+    def _blocks(self) -> list[slice]:
+        """Consecutive blocks of rows whose curvature fits the byte budget of
         ``base._chunk_rows``."""
-        jets = self.rows.jets_of(params, profile)
         rows = _chunk_rows(2 * self.rows.q.shape[-1])
-        for start in range(0, len(self), rows):
-            block = slice(start, start + rows)
+        return [slice(start, start + rows) for start in range(0, len(self), rows)]
+
+    def chunks(self, params: ModelParams, profile):
+        """``(points, jets)`` of the member over ``_blocks``, in order."""
+        jets = self.rows.jets_of(params, profile)
+        for block in self._blocks():
             yield take_rows(self.rows.points, block), take_rows(jets, block)
+
+    def connection_chunks(self, params: ModelParams, profile):
+        """``(points, jets, conn)`` over the chunks of ``chunks``, ``conn``
+        the block's rows of the member's ``connection_on`` the rows."""
+        conn = connection_on(self.rows, params, profile)
+        for block, (pt, jets) in zip(self._blocks(), self.chunks(params, profile)):
+            yield pt, jets, conn[block]
 
     def curvature_chunks(self, params: ModelParams, profile):
         """``(points, jets, K)`` of the member over the chunks of
         ``chunks``; a pass that runs to its end keeps each chunk's Ricci
-        trace for ``ricci_of``, and its one chunk if it has one whose ``K``
-        fits ``base._CHUNK_BYTES``, which later passes replay."""
-        key = params, profile
-        if key in self._kept:
-            yield self._kept[key]
-            return
+        trace for ``ricci_of``."""
         ricci = []
-        for pt, jets in self.chunks(params, profile):
-            curv = curvature_blocks(pt, params, jets)
+        for pt, jets, conn in self.connection_chunks(params, profile):
+            curv = curvature_from_connection(pt, params, jets, conn)
             ricci.append(ricci_from_blocks(curv))
             yield pt, jets, curv
-        self._ricci[key] = ricci
-        if len(ricci) == 1 and curv.nbytes <= base._CHUNK_BYTES:
-            self._kept[key] = pt, jets, curv
+        self._ricci[params, profile] = ricci
 
     def ricci_of(self, params: ModelParams, profile) -> list[RicciBlocks]:
         """The member's ``ricci_from_blocks(K)`` of each chunk, in the order
@@ -379,12 +378,8 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     checks = []
     if params.is_integrable:
         two_path = [
-            _max_abs(
-                connection_coefficients(pt, params, jets)
-                - kahler_connection_coefficients(pt, params, profile),
-                rank=3,
-            )
-            for pt, jets in sample.chunks(params, profile)
+            _max_abs(conn - kahler_connection_coefficients(pt, params, profile), rank=3)
+            for pt, _, conn in sample.connection_chunks(params, profile)
         ]
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 

@@ -241,17 +241,21 @@ class TestLongdoublePointsKeepTheirPrecision:
 
     def test_memoised_center_connection_and_k_keep_longdouble(self):
         """On a sample of longdouble points the connection kept on the
-        complex rows of ``stencil(1)`` is ``clongdouble``, and the connection
-        and ``K`` kept at its center are longdouble, the same arrays on a
-        second request, and agree with the float64 ones to float64 rounding."""
+        complex rows of ``stencil(1)`` is ``clongdouble``, the connection at
+        its center is a longdouble view of the one kept on the sample's rows,
+        and the ``K`` kept at its center is longdouble and the same array on
+        a second request; both agree with the float64 ones to float64
+        rounding."""
         params, profile = _setup(3, "einstein")
         q, p = _points(3)
         wide = Sample(q.astype(np.longdouble), p.astype(np.longdouble), params).stencil(1)
         narrow = Sample(q, p, params).stencil(1)
         assert connection_on(wide, params, profile).dtype == np.clongdouble
+        assert center_connection(params, profile, wide).base is connection_on(wide.base, params, profile)
+        assert center_curvature(params, profile, wide) is center_curvature(params, profile, wide)
         for center in (center_connection, center_curvature):
             value, expected = center(params, profile, wide), center(params, profile, narrow)
-            assert value.dtype == np.longdouble and center(params, profile, wide) is value
+            assert value.dtype == np.longdouble
             scale = np.max(np.abs(expected))
             npt.assert_allclose(value.astype(np.float64), expected, rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
 

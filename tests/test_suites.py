@@ -14,7 +14,7 @@ import cotangent_kahler.fd
 import cotangent_kahler.mtensor
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
-from cotangent_kahler.connection import metric_gradient
+from cotangent_kahler.connection import connection_coefficients, metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
@@ -74,25 +74,33 @@ class TestCheckReduction:
                     else:
                         assert other_check["value"] == pytest.approx(check["value"], rel=1e-9), where
 
-    def test_a_replayed_pass_is_bit_identical_to_a_rebuilt_one(self, monkeypatch):
-        """20 samples at n = 3 are one chunk under the default budget, so the
-        witnesses' pinned k_a = k_b = 1 pass, the own member's, replays the
-        curvature suite's pass; at three rows per chunk it is seven chunks,
-        and the pass is built again.  The six suites' reports are the same,
-        bit for bit: every value is computed row by row, whatever the chunk."""
-        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20)
+    @pytest.mark.parametrize("k_a, k_b", [(1.0, 1.0), (0.5, 2.0)], ids=["default", "ka0.5_kb2"])
+    def test_report_is_bit_identical_at_any_chunk_size(self, k_a, k_b, monkeypatch):
+        """20 samples at n = 3 are one chunk under the default budget and
+        seven at three rows per chunk.  Each chunk's rows of the connection
+        kept on the sample's rows equal, bit for bit, the connection built on
+        that chunk alone, and the six suites' reports are the same, bit for
+        bit: every value is computed row by row, whatever the chunk.  On the
+        default member the witnesses' pinned k_a = k_b = 1 pass is the own
+        member's, built again; on the other the pinned member is one of its
+        own, with a center ``K`` of its own."""
+        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b)
+        params = ModelParams(n=3, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
         calls = _count_curvature_builds(monkeypatch)
-        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", cotangent_kahler.base._chunk_rows)
-        replayed = run_verification(cfg)
-        # The center, then the own and the rational pass, one chunk each.
-        assert calls == [1, 20, 20]
+        points = sample_points(cfg, 3, 1.0, params)
+        sample = Sample(points[:, 0], points[:, 1], params)
+        for pt, jets, conn in sample.connection_chunks(params, einstein_profile(params)):
+            assert np.array_equal(conn, connection_coefficients(pt, params, jets))
+        pinned_center = [] if (k_a, k_b) == (1.0, 1.0) else [1]
+        chunked = run_verification(cfg)
+        # The own center, then the own, the rational and the pinned pass.
+        assert calls == [1] + ([3] * 6 + [2]) * 3 + pinned_center
         calls.clear()
-        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
-        rebuilt = run_verification(cfg)
-        # The center, then the own, the pinned and the rational pass.
-        assert calls == [1] + ([3] * 6 + [2]) * 3
-        assert [suite["name"] for suite in rebuilt["suites"]] == list(SUITE_NAMES)
-        assert {**replayed, "timings": None} == {**rebuilt, "timings": None}
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", cotangent_kahler.base._chunk_rows)
+        one_chunk = run_verification(cfg)
+        assert calls == [1, 20, 20, 20] + pinned_center
+        assert [suite["name"] for suite in chunked["suites"]] == list(SUITE_NAMES)
+        assert {**one_chunk, "timings": None} == {**chunked, "timings": None}
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -197,11 +205,9 @@ class TestSharedSample:
         assert rows == [8]
         assert [m for kind, m, real in builds if kind == "point" and not real] == [8]
 
-    @pytest.mark.parametrize(
-        "profile, center_jets, curvatures", [("einstein", 1, 3), ("rational", 2, 4)], ids=["einstein", "rational"]
-    )
+    @pytest.mark.parametrize("profile, center_jets", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_builds_per_config(self, n, profile, center_jets, curvatures, monkeypatch):
+    def test_builds_per_config(self, n, profile, center_jets, monkeypatch):
         """One config of all six suites at 3 samples builds the point on
         complex rows twice, once per center set (the first two centers, then
         the first one), and the fiber jets on complex rows once per member
@@ -215,8 +221,9 @@ class TestSharedSample:
         pass per member: the own one, which the einstein suite reads, the
         pinned one and, on the Einstein profile, the rational one, whose
         Ricci the witnesses read from the own pass on the rational profile.
-        On the Einstein profile the pinned member is the own one, and its
-        pass, one chunk of three rows, is replayed, not built again."""
+        That is four builds on either profile: on the Einstein profile the
+        pinned member is the own one, whose pass is built again, as no pass
+        keeps its ``K``; on the rational profile it has a center of its own."""
         calls = _count_curvature_builds(monkeypatch)
         builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
@@ -225,22 +232,18 @@ class TestSharedSample:
             ("point", 2 * n),
         ] + [("jets", 2 * n)] * center_jets
         assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
-        assert len(calls) == curvatures
+        assert len(calls) == 4
 
-    @pytest.mark.parametrize(
-        "profile, row_members, center_members", [("einstein", 1, 2), ("rational", 2, 3)], ids=["einstein", "rational"]
-    )
-    def test_stencil_connections_and_center_k_are_built_once_per_member(
-        self, profile, row_members, center_members, monkeypatch
-    ):
+    @pytest.mark.parametrize("profile, members", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
+    def test_stencil_connections_and_center_k_are_built_once_per_member(self, profile, members, monkeypatch):
         """One config of all six suites at 3 samples builds the connection on
         the 2n complex rows of ``stencil(1)`` once per member it
         differentiates there (``curvature_fd`` and the nabla-K field share
-        it), and the connection and ``K`` at its one center once per member
-        (``curvature_fd``, the block oracle and nabla-K share them).  A
-        member is told by its metric block on the rows: the own member, the
-        pinned k_a = k_b = 1 one (the own one on the Einstein profile) and,
-        at the center, the witnesses' detuned coupling."""
+        it), and ``K`` at its one center once per member (the block oracle
+        and nabla-K share it): the own member and the pinned k_a = k_b = 1
+        one, which on the Einstein profile is the own one.  A member is told
+        by its metric block.  The centers' connection is no build of its own
+        (see the next test)."""
         n = 2
         original = cotangent_kahler.connection.connection_coefficients
         connections, curvatures = [], _count_curvature_builds(monkeypatch)
@@ -252,10 +255,31 @@ class TestSharedSample:
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
         on_rows = [gh for rows, complex_rows, gh in connections if complex_rows and rows == 2 * n]
-        at_center = [gh for rows, complex_rows, gh in connections if not complex_rows and rows == 1]
-        assert len(on_rows) == len(set(on_rows)) == row_members
-        assert len(at_center) == len(set(at_center)) == center_members
-        assert curvatures.count(1) == row_members
+        assert len(on_rows) == len(set(on_rows)) == members
+        assert curvatures.count(1) == members
+
+    @pytest.mark.parametrize("profile", ["einstein", "rational"])
+    def test_each_members_connection_on_real_points_is_built_once(self, profile, monkeypatch):
+        """One config of all six suites at 3 samples in chunks of one row
+        builds the connection on real points once per member, on all three
+        sampled rows: the own member, the witnesses' detuned coupling, and
+        the rational profile (on the Einstein profile) or the pinned
+        k_a = k_b = 1 member (on the rational profile).  The two-path check,
+        every chunk of every curvature pass and every stencil's centers read
+        their rows of it, and never build one of their own."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
+        original = cotangent_kahler.connection.connection_coefficients
+        real = []
+
+        def counted(pt, params, jets):
+            if not np.iscomplexobj(pt.q):
+                real.append((len(pt.t), jets.gh.tobytes()))
+            return original(pt, params, jets)
+
+        _patch_everywhere(monkeypatch, original, counted)
+        run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, profile=profile))
+        assert [rows for rows, _ in real] == [3, 3, 3]
+        assert len({gh for _, gh in real}) == 3
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
@@ -415,49 +439,28 @@ class TestRicciPerMember:
         assert calls == [3, 3, 3, 3, 2]
 
 
-class TestKeptPass:
-    """A member's pass is kept, and replayed, only when the sample is one
-    chunk whose ``K`` fits ``base._CHUNK_BYTES``."""
+class TestKeepRule:
+    """A config keeps per-row values and per-chunk Ricci, and no pass's
+    ``K`` outlives its chunk, on a sample of one chunk as on one of
+    several."""
 
-    def _sample(self, n, samples):
-        params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
-        rng = np.random.default_rng(n)
-        q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
-        return params, einstein_profile(params), Sample(q, p, params)
-
-    def test_a_multi_chunk_sample_keeps_nothing(self, monkeypatch):
-        """Eight samples at three rows per chunk: a second pass builds every
-        chunk's ``K`` again, with the same values."""
+    @pytest.mark.parametrize("chunk_rows", [8, 3], ids=["one_chunk", "three_chunks"])
+    def test_a_second_pass_builds_every_k_again(self, chunk_rows, monkeypatch):
+        """Eight samples at n = 2: a second pass builds every chunk's ``K``
+        again, with the same values, and the sample's rows keep only the
+        point and the member's jets and connection."""
         calls = _count_curvature_builds(monkeypatch)
-        params, profile, sample = self._sample(2, 8)
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
+        params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
+        profile = einstein_profile(params)
+        rng = np.random.default_rng(2)
+        sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
         first = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
-        assert sample._kept == {}
         second = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
-        assert calls == [3, 3, 2] * 2
-        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
-
-    @pytest.mark.parametrize("n", [2, 5, 7])
-    def test_a_kept_pass_fits_the_chunk_budget(self, n, monkeypatch):
-        """As many samples as one chunk holds: at n = 2 (128 rows, exactly
-        the budget) and n = 5 (3 rows) the pass is kept and a second pass
-        replays the same arrays; at n = 7 one row's ``K`` alone, 307 KB,
-        exceeds the budget, so nothing is kept."""
-        params, profile, sample = self._sample(n, cotangent_kahler.base._chunk_rows(2 * n))
-        calls = []
-        original = cotangent_kahler.curvature._curvature_block_parts
-
-        def counted(*args):
-            calls.append(len(args[0].t))
-            return original(*args)
-
-        monkeypatch.setattr(cotangent_kahler.curvature, "_curvature_block_parts", counted)
-        ((pt, jets, curv),) = sample.curvature_chunks(params, profile)
-        fits = curv.nbytes <= cotangent_kahler.base._CHUNK_BYTES
-        assert fits is (n < 7)
-        assert all(kept.nbytes <= cotangent_kahler.base._CHUNK_BYTES for _, _, kept in sample._kept.values())
-        ((_, _, again),) = sample.curvature_chunks(params, profile)
-        assert (again is curv) is fits
-        assert len(calls) == (1 if fits else 2)
+        assert calls == ([8] if chunk_rows == 8 else [3, 3, 2]) * 2
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+        member = (params, profile)
+        assert set(sample.rows._memo) == {"points", ("jets", *member), ("connection", *member)}
 
 
 class TestOwnership:
