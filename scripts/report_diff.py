@@ -46,6 +46,8 @@ from pathlib import Path
 
 # The default battery, the three benchmark workloads, three off-default
 # members and the four windows outside the default one.
+# ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
+# Einstein and witness paths cross a chunk boundary.
 FLAG_SETS = {
     "default": [],
     "sweep": [
@@ -57,7 +59,7 @@ FLAG_SETS = {
         "--dims", "4,5", "--curvatures", "1.0", "--samples", "5",
         "--suites", "almost_kahler,integrability,connection,witnesses",
     ],
-    "rational": ["--profile", "rational", "--samples", "20"],
+    "rational": ["--profile", "rational", "--samples", "30"],
     "ka0": ["--ka", "0", "--samples", "20"],
     "kb0": ["--kb", "0", "--samples", "20"],
     "offset": ["--a-metric-offset", "0.1", "--samples", "20"],

@@ -117,15 +117,12 @@ def einstein_residual(params: ModelParams, jets: FiberJets, ricci: RicciBlocks) 
     return _max_abs(ricci.hh - lam * jets.gh, ricci.vv - lam * jets.gv, rank=2)
 
 
-def fit_einstein_constant(pairs) -> float:
-    """Least-squares ``lambda`` for ``Ric ~ lambda G`` over (ricci, jets)
-    samples, all block entries weighted equally; each pair may hold one
-    point or a batch."""
-    num = 0.0
-    den = 0.0
-    for ricci, jets in pairs:
-        num += float(np.sum(ricci.hh * jets.gh) + np.sum(ricci.vv * jets.gv))
-        den += float(np.sum(jets.gh * jets.gh) + np.sum(jets.gv * jets.gv))
+def fit_einstein_constant(ricci: RicciBlocks, jets: FiberJets) -> float:
+    """Least-squares ``lambda`` for ``Ric ~ lambda G`` over the points of
+    ``ricci`` and ``jets``, one point or a batch, all block entries
+    weighted equally."""
+    num = float(np.sum(ricci.hh * jets.gh) + np.sum(ricci.vv * jets.gv))
+    den = float(np.sum(jets.gh * jets.gh) + np.sum(jets.gv * jets.gv))
     if den == 0.0:
         raise GeometryError("cannot fit a proportionality constant to empty data")
     return num / den

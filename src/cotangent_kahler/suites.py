@@ -7,17 +7,18 @@ fixed configuration yields an identical report.
 
 A config's sampled points are one batch (``Sample``), built once and
 shared by every suite, which names the member it checks.  Each closed-form
-check is one batched call per chunk of rows, giving a value per sample;
-only the ``(2n)^3`` and ``(2n)^4`` arrays other than the connection are
-built a chunk at a time.  A member's curvature ``K`` is built once per
-chunk, in one pass that a suite consumes (``curvature`` on the own member,
-``witnesses`` on its pinned one); the pass keeps each chunk's Ricci trace,
-which ``einstein`` and the witnesses' rational profile read instead of
-building ``K`` again.  The finite-difference oracles differentiate on the
-sample's stencils at the first center or the first two
-(``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
-check's value is the largest of its per-sample values; a NaN in any sample
-fails it.
+check reads one array with a value per sample.  Only ``Sample.per_row``
+splits the rows into blocks, so that the ``(2n)^3`` and ``(2n)^4`` arrays
+other than the connection are built a block at a time and no value depends
+on the block size.  A member's curvature ``K`` is built once per block, in
+one pass (``Sample.curvature_rows``) that a suite consumes (``curvature``
+on the own member, ``witnesses`` on its pinned one); the pass keeps the
+member's Ricci trace over all rows, which ``einstein`` and the witnesses'
+rational profile read instead of building ``K`` again.  The
+finite-difference oracles differentiate on the sample's stencils at the
+first center or the first two (``Sample.stencil``).  What a config keeps is
+said once, in ``Sample``.  A check's value is the largest of its per-sample
+values; a NaN in any sample fails it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .base import ModelParams, _chunk_rows, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     center_connection,
+    connection_coefficients,
     connection_on,
     kahler_connection_coefficients,
     koszul_nabla,
@@ -264,16 +266,20 @@ class Sample:
     refers back to the sample.  Each is built on first use; a build that
     raises is not kept, so every suite that needs it records the error.
 
-    ``curvature_chunks`` is one pass over the chunks that builds each
-    chunk's curvature ``K`` once; ``ricci_of`` holds, per member keyed as
-    in ``Rows``, the Ricci trace of every chunk from the last pass that ran
-    to its end, O(S n^2) numbers, and runs such a pass if none has; a pass
+    ``per_row`` is the one place that splits the rows into blocks, each
+    holding as many rows as keep ``(2n)^4`` float64 numbers per row within
+    the byte budget of ``base._chunk_rows``; every suite reads one per-row
+    array per check from it, whatever the budget.  ``curvature_rows`` builds
+    each block's curvature ``K`` once, from the block's rows of the member's
+    ``connection_on`` the rows; a pass that runs to its end keeps the
+    member's Ricci trace over all rows, O(S n^2) numbers, for ``ricci_of``,
+    keyed as in ``Rows``.  ``ricci_of`` runs such a pass if none has; a pass
     that raises keeps no Ricci.
 
-    The keep rule: a config keeps per-row values (the point, and each
-    member's metric blocks, fiber jets and connection) and per-chunk Ricci;
-    it keeps ``K`` only at a stencil's centers, and no pass's ``K``
-    outlives its chunk.
+    The keep rule: a config keeps per-row values (the point, each member's
+    metric blocks, fiber jets and connection, and its Ricci trace); it keeps
+    ``K`` only at a stencil's centers, and no other ``K``, nor any
+    ``(2n)^3`` array but the connection, outlives its block.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
@@ -289,51 +295,42 @@ class Sample:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def _blocks(self) -> list[slice]:
-        """Consecutive blocks of rows whose curvature fits the byte budget of
-        ``base._chunk_rows``."""
-        rows = _chunk_rows(2 * self.rows.q.shape[-1])
-        return [slice(start, start + rows) for start in range(0, len(self), rows)]
+    def per_row(self, params: ModelParams, profile, fn) -> tuple:
+        """``fn(points, jets, rows)`` of the member on each block of rows, in
+        order, ``rows`` the block's slice; the tuples of per-row arrays it
+        returns, joined over all rows."""
+        jets, step = self.rows.jets_of(params, profile), _chunk_rows(2 * self.rows.q.shape[-1])
+        blocks = (slice(start, start + step) for start in range(0, len(self), step))
+        parts = [fn(take_rows(self.rows.points, rows), take_rows(jets, rows), rows) for rows in blocks]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def chunks(self, params: ModelParams, profile):
-        """``(points, jets)`` of the member over ``_blocks``, in order."""
-        jets = self.rows.jets_of(params, profile)
-        for block in self._blocks():
-            yield take_rows(self.rows.points, block), take_rows(jets, block)
-
-    def connection_chunks(self, params: ModelParams, profile):
-        """``(points, jets, conn)`` over the chunks of ``chunks``, ``conn``
-        the block's rows of the member's ``connection_on`` the rows."""
+    def curvature_rows(self, params: ModelParams, profile, fn) -> tuple:
+        """``per_row`` with ``fn(points, jets, K, rows)``, ``K`` the member's
+        curvature on the block; keeps the member's Ricci for ``ricci_of``."""
         conn = connection_on(self.rows, params, profile)
-        for block, (pt, jets) in zip(self._blocks(), self.chunks(params, profile)):
-            yield pt, jets, conn[block]
 
-    def curvature_chunks(self, params: ModelParams, profile):
-        """``(points, jets, K)`` of the member over the chunks of
-        ``chunks``; a pass that runs to its end keeps each chunk's Ricci
-        trace for ``ricci_of``."""
-        ricci = []
-        for pt, jets, conn in self.connection_chunks(params, profile):
-            curv = curvature_from_connection(pt, params, jets, conn)
-            ricci.append(ricci_from_blocks(curv))
-            yield pt, jets, curv
-        self._ricci[params, profile] = ricci
+        def block(pt, jets, rows):
+            curv = curvature_from_connection(pt, params, jets, conn[rows])
+            ricci = ricci_from_blocks(curv)
+            return ricci.hh, ricci.vv, *fn(pt, jets, curv, rows)
 
-    def ricci_of(self, params: ModelParams, profile) -> list[RicciBlocks]:
-        """The member's ``ricci_from_blocks(K)`` of each chunk, in the order
-        of ``chunks``, from its last full pass; runs one if none has."""
+        hh, vv, *values = self.per_row(params, profile, block)
+        self._ricci[params, profile] = RicciBlocks(hh, vv)
+        return tuple(values)
+
+    def ricci_of(self, params: ModelParams, profile) -> RicciBlocks:
+        """The member's ``ricci_from_blocks(K)`` on all rows, from its last
+        full pass; runs one if none has."""
         if (params, profile) not in self._ricci:
-            for _ in self.curvature_chunks(params, profile):
-                pass
+            self.curvature_rows(params, profile, lambda *_: ())
         return self._ricci[params, profile]
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
-    """A check whose value is the largest of its per-sample ``values``, a list
-    of per-chunk arrays or of scalars; a NaN in any sample makes the value
-    NaN, which fails either comparison."""
-    value = np.max(np.concatenate([np.ravel(v) for v in values]))
-    return CheckResult(name, float(value), tolerance, comparison, note)
+    """A check whose value is the largest of ``values``: one per sample, per
+    FD center or per energy, or one scalar; a NaN in any of them makes the
+    value NaN, which fails either comparison."""
+    return CheckResult(name, float(np.max(values)), tolerance, comparison, note)
 
 
 # ---- individual suites ----
@@ -349,26 +346,30 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
     eigenvalues = np.concatenate([np.linalg.eigvalsh(jets.gh), np.linalg.eigvalsh(jets.gv)], axis=-1)
     dphi = dform_residual(params, profile, sample.stencil(2))
     checks = [
-        _check("complex_structure_squared", [complex_structure_squared_residual(j_op)], tol.closed_form),
-        _check("metric_hermitian", [hermitian_residual(metric, j_op)], tol.closed_form),
-        _check("fundamental_form_canonical", [canon], tol.closed_form),
-        _check("fundamental_form_closed", [dphi], tol.cross_check),
-        _check("metric_positive_definite", [np.min(eigenvalues)], 0.0, comparison="ge"),
+        _check("complex_structure_squared", complex_structure_squared_residual(j_op), tol.closed_form),
+        _check("metric_hermitian", hermitian_residual(metric, j_op), tol.closed_form),
+        _check("fundamental_form_canonical", canon, tol.closed_form),
+        _check("fundamental_form_closed", dphi, tol.cross_check),
+        _check("metric_positive_definite", np.min(eigenvalues), 0.0, comparison="ge"),
     ]
     return SuiteResult("almost_kahler", params.n, params.c, checks)
 
 
+def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
+    """The member's closed-form Nijenhuis tensor, largest entry per row."""
+    fn = lambda pt, jets, rows: (_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3),)
+    return sample.per_row(params, profile, fn)[0]
+
+
 def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
-    chunks = sample.chunks(params, profile)
-    closed = [_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3) for pt, jets in chunks]
     stencil = sample.stencil(1)
     oracle = nijenhuis_numeric(params, profile, stencil) - nijenhuis_closed_form(
         stencil.centers, params, stencil.center_jets(params, profile)
     )
     checks = [
-        _check("nijenhuis_vanishes", closed, tol.closed_form),
-        _check("nijenhuis_matches_bracket_oracle", [_max_abs(oracle, rank=3)], tol.cross_check),
+        _check("nijenhuis_vanishes", _nijenhuis_rows(sample, params, profile), tol.closed_form),
+        _check("nijenhuis_matches_bracket_oracle", _max_abs(oracle, rank=3), tol.cross_check),
     ]
     return SuiteResult("integrability", params.n, params.c, checks)
 
@@ -377,24 +378,26 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     tol = cfg.tolerances
     checks = []
     if params.is_integrable:
-        two_path = [
-            _max_abs(conn - kahler_connection_coefficients(pt, params, profile), rank=3)
-            for pt, _, conn in sample.connection_chunks(params, profile)
-        ]
-        checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
+        conn = connection_on(sample.rows, params, profile)
+
+        def two_path(pt, jets, rows):
+            return (_max_abs(conn[rows] - kahler_connection_coefficients(pt, params, profile), rank=3),)
+
+        (two_path_rows,) = sample.per_row(params, profile, two_path)
+        checks.append(_check("coefficients_two_path", two_path_rows, tol.closed_form))
 
     stencil = sample.stencil(2)
     pt, jets = stencil.centers, stencil.center_jets(params, profile)
     conn = center_connection(params, profile, stencil)
     metric_grad = metric_gradient(params, profile, stencil)
     koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
-    checks.append(_check("koszul_oracle", [koszul], tol.cross_check))
-    checks.append(_check("torsion_free", [torsion_residual(pt, conn)], tol.closed_form))
+    checks.append(_check("koszul_oracle", koszul, tol.cross_check))
+    checks.append(_check("torsion_free", torsion_residual(pt, conn), tol.closed_form))
     compat = metric_compatibility_residual(conn, jets, metric_grad)
-    checks.append(_check("metric_parallel", [compat], tol.cross_check))
+    checks.append(_check("metric_parallel", compat, tol.cross_check))
     if params.is_integrable:
         parallel_j = parallel_j_residual(conn, jets, metric_grad)
-        checks.append(_check("complex_structure_parallel", [parallel_j], tol.cross_check))
+        checks.append(_check("complex_structure_parallel", parallel_j, tol.cross_check))
     return SuiteResult("connection", params.n, params.c, checks)
 
 
@@ -410,8 +413,8 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
     diff = fd - center_curvature(params, profile, stencil)
     odd = odd_slots(n)
     checks = [
-        _check("blocks_match_fd_oracle", [_max_abs(diff[..., ~odd], rank=1)], tol.fd_oracle),
-        _check("complement_outputs_vanish", [_max_abs(diff[..., odd], rank=1)], tol.fd_oracle),
+        _check("blocks_match_fd_oracle", _max_abs(diff[..., ~odd], rank=1), tol.fd_oracle),
+        _check("complement_outputs_vanish", _max_abs(diff[..., odd], rank=1), tol.fd_oracle),
     ]
     notes = []
     if checks[-1].passed:
@@ -421,41 +424,37 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
         )
 
     # Each sample draws 16 vectors (four quadruples) and, at the integrable
-    # coupling, one section; the generator fills a (rows, 17, 2n) draw in
-    # that same order.
+    # coupling, one section.
     rng = np.random.default_rng([cfg.seed, 7, n])
-    draws = 17 if params.is_integrable else 16
-    symmetry, relations, ric_closed, hsc_spread = [], [], [], []
-    for pt, jets, curv in sample.curvature_chunks(params, profile):
-        drawn = rng.normal(size=(len(pt.t), draws, 2 * n))
+    drawn = rng.normal(size=(len(sample), 17 if params.is_integrable else 16, 2 * n))
+
+    def per_block(pt, jets, curv, rows):
         metric = assemble_metric(jets)
-        quadruples = drawn[:, :16].reshape(-1, 4, 4, 2 * n)
-        symmetry.append(pair_symmetry_residual(curv, metric, quadruples))
-        if params.is_integrable:
-            relations.append(
-                _max_abs(
-                    curv[..., h, h, v, v] + np.swapaxes(curv[..., h, h, h, h], -2, -1),
-                    curv[..., v, v, v, v] + np.swapaxes(curv[..., v, v, h, h], -2, -1),
-                    rank=4,
-                )
-            )
-            ric_closed.append(ricci_closed_form(pt, params, profile))
-            j_op = assemble_complex_structure(jets)
-            x = drawn[:, 16]
-            h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
-            h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
-            hsc_spread.append(np.abs(h1 - h2))
+        quadruples = drawn[rows, :16].reshape(-1, 4, 4, 2 * n)
+        symmetry = pair_symmetry_residual(curv, metric, quadruples)
+        if not params.is_integrable:
+            return (symmetry,)
+        relations = _max_abs(
+            curv[..., h, h, v, v] + np.swapaxes(curv[..., h, h, h, h], -2, -1),
+            curv[..., v, v, v, v] + np.swapaxes(curv[..., v, v, h, h], -2, -1),
+            rank=4,
+        )
+        j_op, x = assemble_complex_structure(jets), drawn[rows, 16]
+        h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
+        h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
+        return symmetry, relations, np.abs(h1 - h2)
+
+    symmetry, *kahler = sample.curvature_rows(params, profile, per_block)
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
+        relations, hsc_spread = kahler
         checks.append(_check("kahler_block_relations", relations, tol.closed_form))
-        two_path = [
-            _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
-            for trace, closed in zip(sample.ricci_of(params, profile), ric_closed, strict=True)
-        ]
+        trace, closed = sample.ricci_of(params, profile), ricci_closed_form(sample.rows.points, params, profile)
+        two_path = _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
         checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
     mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
-    checks.append(_check("mixed_ricci_vanishes", [_max_abs(mixed, rank=2)], tol.cross_check))
+    checks.append(_check("mixed_ricci_vanishes", _max_abs(mixed, rank=2), tol.cross_check))
     return SuiteResult("curvature", n, params.c, checks, notes)
 
 
@@ -466,25 +465,19 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
     gam = gamma_factor(params, profile, ts)
     ode = euler_ode_residual(params, profile, ts)
     relation = gam + 4.0 * math.sqrt(2.0) * np.sqrt(ts) * ode
-    checks = [_check("gamma_matches_ode_residual", [np.abs(relation)], tol.closed_form)]
+    checks = [_check("gamma_matches_ode_residual", np.abs(relation), tol.closed_form)]
 
-    closed_vs_direct, einstein_worst, pairs = [], [], []
-    chunks = zip(sample.chunks(params, profile), sample.ricci_of(params, profile), strict=True)
-    for (pt, jets), ricci in chunks:
-        direct = einstein_difference(pt, params, profile, jets, ricci)
-        closed = einstein_difference_closed_form(pt, params, profile)
-        closed_vs_direct.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
-        pairs.append((ricci, jets))
-        if cfg.profile == "einstein":
-            einstein_worst.append(einstein_residual(params, jets, ricci))
+    pt, jets, ricci = sample.rows.points, sample.rows.jets_of(params, profile), sample.ricci_of(params, profile)
+    direct = einstein_difference(pt, params, profile, jets, ricci)
+    closed = einstein_difference_closed_form(pt, params, profile)
+    closed_vs_direct = _max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2)
     checks.append(_check("difference_closed_form", closed_vs_direct, tol.closed_form))
 
     if cfg.profile == "einstein":
-        fitted = fit_einstein_constant(pairs)
-        checks.append(_check("family_solves_ode", [np.abs(ode)], tol.closed_form))
-        checks.append(_check("einstein_constant", einstein_worst, tol.cross_check))
-        fit_error = abs(fitted - family_einstein_constant(params))
-        checks.append(_check("fitted_constant_matches", [fit_error], tol.cross_check))
+        checks.append(_check("family_solves_ode", np.abs(ode), tol.closed_form))
+        checks.append(_check("einstein_constant", einstein_residual(params, jets, ricci), tol.cross_check))
+        fit_error = abs(fit_einstein_constant(ricci, jets) - family_einstein_constant(params))
+        checks.append(_check("fitted_constant_matches", fit_error, tol.cross_check))
     return SuiteResult("einstein", params.n, params.c, checks)
 
 
@@ -494,38 +487,33 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
-    nij = [
-        _max_abs(nijenhuis_closed_form(pt, off_params, jets), rank=3)
-        for pt, jets in sample.chunks(off_params, profile)
-    ]
+    off_jets = stencil.center_jets(off_params, profile)
     parallel = parallel_j_residual(
-        center_connection(off_params, profile, stencil),
-        stencil.center_jets(off_params, profile),
+        connection_coefficients(stencil.centers, off_params, off_jets),
+        off_jets,
         metric_gradient(off_params, profile, stencil),
     )
+    nij = _nijenhuis_rows(sample, off_params, profile)
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
-        _check("complex_structure_parallel_detects_coupling", [parallel], tol.witness_floor, comparison="ge"),
+        _check("complex_structure_parallel_detects_coupling", parallel, tol.witness_floor, comparison="ge"),
     ]
 
     generic = rational_profile()
     gam_witness = np.abs(gamma_factor(params, generic, np.linspace(cfg.t_min, cfg.t_max, 13)))
-    checks.append(_check("gamma_detects_profile", [gam_witness], tol.witness_floor, comparison="ge"))
+    checks.append(_check("gamma_detects_profile", gam_witness, tol.witness_floor, comparison="ge"))
 
     # Off the family gamma does not vanish, so the rational profile's
     # defect also tests the closed-form difference; on the Einstein profile
     # both sides of einstein/difference_closed_form are zero.
-    defect, off_family = [], []
-    chunks = zip(sample.chunks(params, generic), sample.ricci_of(params, generic), strict=True)
-    for (pt, jets), ricci in chunks:
-        direct = einstein_difference(pt, params, generic, jets, ricci)
-        defect.append(_max_abs(*direct, rank=2))
-        if params.is_integrable:
-            closed = einstein_difference_closed_form(pt, params, generic)
-            off_family.append(_max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2))
+    pt, ricci = sample.rows.points, sample.ricci_of(params, generic)
+    direct = einstein_difference(pt, params, generic, sample.rows.jets_of(params, generic), ricci)
+    defect = _max_abs(*direct, rank=2)
     checks.append(_check("einstein_detects_profile", defect, tol.witness_floor, comparison="ge"))
     notes = []
     if params.is_integrable:
+        closed = einstein_difference_closed_form(pt, params, generic)
+        off_family = _max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2)
         checks.append(_check("einstein_difference_off_family", off_family, tol.closed_form))
         if checks[-1].passed:
             notes.append(
@@ -540,17 +528,18 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
     witness_profile = einstein_profile(witness_params)
     rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
-    values = np.concatenate([
-        holomorphic_sectional_curvature(
-            curv, assemble_metric(jets), assemble_complex_structure(jets), rng.normal(size=(len(pt.t), 2 * n))
-        )
-        for pt, jets, curv in sample.curvature_chunks(witness_params, witness_profile)
-    ])
+    x = rng.normal(size=(len(sample), 2 * n))
+
+    def sections(pt, jets, curv, rows):
+        metric, j_op = assemble_metric(jets), assemble_complex_structure(jets)
+        return (holomorphic_sectional_curvature(curv, metric, j_op, x[rows]),)
+
+    (values,) = sample.curvature_rows(witness_params, witness_profile, sections)
     low, high = np.min(values), np.max(values)
     checks.append(
         _check(
             "holomorphic_curvature_spread",
-            [high - low],
+            high - low,
             tol.witness_floor,
             comparison="ge",
             note=(
@@ -564,7 +553,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
     checks.append(
         _check(
             "curvature_not_parallel",
-            [probe],
+            probe,
             tol.witness_floor,
             comparison="ge",
             note=f"max nabla-K component {probe[0]:.6g} on the k_a=1, k_b=1 member",

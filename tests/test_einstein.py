@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cotangent_kahler.einstein
 from cotangent_kahler.base import ModelParams
-from cotangent_kahler.curvature import curvature_blocks, ricci_from_blocks
+from cotangent_kahler.curvature import RicciBlocks, curvature_blocks, ricci_from_blocks
 from cotangent_kahler.einstein import (
     einstein_difference,
     einstein_difference_closed_form,
@@ -21,7 +21,7 @@ from cotangent_kahler.einstein import (
 )
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.fd import fd_partial
-from cotangent_kahler.mtensor import CotangentPoint, fiber_jets
+from cotangent_kahler.mtensor import CotangentPoint, fiber_jets, take_rows
 from cotangent_kahler.profiles import einstein_profile, rational_profile, zero_profile
 
 T_GRID = np.linspace(0.3, 4.0, 23)
@@ -186,12 +186,10 @@ class TestEinsteinFamily:
         p *= 1.0 / np.linalg.norm(p)
 
         def fit_at(scale):
-            pairs = []
-            for s in (1.0, 1.4):
-                pt = CotangentPoint.at(q, scale * s * p, params)
-                jets = fiber_jets(pt, params, profile)
-                pairs.append((ricci_from_blocks(curvature_blocks(pt, params, jets)), jets))
-            return fit_einstein_constant(pairs)
+            momenta = scale * np.array([1.0, 1.4])[:, None] * p
+            pt = CotangentPoint.at(np.stack([q, q]), momenta, params)
+            jets = fiber_jets(pt, params, profile)
+            return fit_einstein_constant(ricci_from_blocks(curvature_blocks(pt, params, jets)), jets)
 
         theory = family_einstein_constant(params)
         assert theory == pytest.approx(-2.0 * 1.1 / 1.0)
@@ -199,8 +197,11 @@ class TestEinsteinFamily:
         npt.assert_allclose(fit_at(2.0), theory, atol=1e-9)
 
     def test_fit_rejects_empty_input(self):
+        params = ModelParams.kahler(n=2, c=1.0)
+        pt = CotangentPoint.at(np.zeros((1, 2)), np.ones((1, 2)), params)
+        jets = take_rows(fiber_jets(pt, params, einstein_profile(params)), slice(0))
         with pytest.raises(GeometryError):
-            fit_einstein_constant([])
+            fit_einstein_constant(RicciBlocks(hh=jets.gh, vv=jets.gv), jets)
 
     def test_family_is_exactly_the_ode_kernel(self):
         """Perturbing a family member off the solution space re-excites gamma."""

@@ -14,7 +14,7 @@ import cotangent_kahler.fd
 import cotangent_kahler.mtensor
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
-from cotangent_kahler.connection import connection_coefficients, metric_gradient
+from cotangent_kahler.connection import connection_coefficients, connection_on, metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
@@ -43,54 +43,77 @@ class TestCheckReduction:
         assert _check("probe", [0.25, 2.0, 1.0], 1.0).value == 2.0
         assert _check("probe", [0.25, 2.0, 1.0], 1.0, comparison="ge").passed is True
 
-    @pytest.mark.parametrize("comparison", ["le", "ge"])
-    def test_nan_in_the_last_chunk_fails(self, comparison):
-        chunks = [np.array([0.5, 0.25]), np.array([2.0]), np.array([0.125, np.nan])]
-        check = _check("probe", chunks, 1.0, comparison=comparison)
-        assert np.isnan(check.value)
-        assert check.passed is False
+    @pytest.mark.parametrize(
+        "suite, name, func",
+        [
+            ("curvature", "pair_symmetry", "pair_symmetry_residual"),
+            ("witnesses", "holomorphic_curvature_spread", "holomorphic_sectional_curvature"),
+        ],
+        ids=["le", "ge"],
+    )
+    def test_nan_in_the_last_row_of_a_pass_fails(self, suite, name, func, monkeypatch):
+        """Eight samples at n = 2 in chunks of 3, 3 and 2 rows: a NaN in the
+        last row of the last chunk of a curvature pass, the own member's
+        pair symmetry (``le``) or the pinned member's sections (``ge``),
+        makes the check's value NaN and fails it."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
+        original = getattr(cotangent_kahler.suites, func)
+        rows = []
+
+        def nan_in_the_last_row(*args):
+            out = original(*args)
+            rows.append(len(out))
+            if len(rows) == 3:
+                out = out.copy()
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(cotangent_kahler.suites, func, nan_in_the_last_row)
+        (config,) = _configs_by_suite((suite,))[suite]
+        assert rows == [3, 3, 2]
+        (check,) = [check for check in config["checks"] if check["name"] == name]
+        assert check["value"] == "nan"
+        assert check["passed"] is False
 
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        """One sample per chunk gives the report of the default budget, which
-        splits 30 samples at n = 3 into two chunks: the same checks and
-        verdicts in all six suites, residuals within 1e-3 of their tolerance
-        and witnesses within 1e-9 relative."""
+        """One sample per chunk gives, bit for bit outside ``timings``, the
+        report of the default budget, which splits 30 samples at n = 3 into
+        two chunks: every check reads one per-row array, whatever the
+        chunk."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
         default = run_verification(cfg)
         monkeypatch.setattr(cotangent_kahler.base, "_CHUNK_BYTES", 1)
         one_row = run_verification(cfg)
         assert [suite["name"] for suite in default["suites"]] == list(SUITE_NAMES)
-        assert default["discrepancy_notes"] == one_row["discrepancy_notes"]
-        for suite, other in zip(default["suites"], one_row["suites"], strict=True):
-            for config, other_config in zip(suite["configs"], other["configs"], strict=True):
-                for check, other_check in zip(config["checks"], other_config["checks"], strict=True):
-                    where = f"{suite['name']}.{check['name']}"
-                    assert check["name"] == other_check["name"], where
-                    assert check["passed"] == other_check["passed"], where
-                    if check["comparison"] == "le":
-                        assert other_check["value"] == pytest.approx(
-                            check["value"], rel=0, abs=1e-3 * check["tolerance"]
-                        ), where
-                    else:
-                        assert other_check["value"] == pytest.approx(check["value"], rel=1e-9), where
+        assert {**one_row, "timings": None} == {**default, "timings": None}
 
-    @pytest.mark.parametrize("k_a, k_b", [(1.0, 1.0), (0.5, 2.0)], ids=["default", "ka0.5_kb2"])
-    def test_report_is_bit_identical_at_any_chunk_size(self, k_a, k_b, monkeypatch):
+    @pytest.mark.parametrize(
+        "k_a, k_b, seed", [(1.0, 1.0, 0), (0.5, 2.0, 0), (1.0, 1.0, 1)], ids=["default", "ka0.5_kb2", "seed1"]
+    )
+    def test_report_is_bit_identical_at_any_chunk_size(self, k_a, k_b, seed, monkeypatch):
         """20 samples at n = 3 are one chunk under the default budget and
         seven at three rows per chunk.  Each chunk's rows of the connection
         kept on the sample's rows equal, bit for bit, the connection built on
         that chunk alone, and the six suites' reports are the same, bit for
-        bit: every value is computed row by row, whatever the chunk.  On the
+        bit: every check reads one per-row array, whatever the chunk.  At
+        seed 1 a fit that summed the Ricci chunk by chunk would move the
+        fitted Einstein constant by 2.2e-16.  On the
         default member the witnesses' pinned k_a = k_b = 1 pass is the own
         member's, built again; on the other the pinned member is one of its
         own, with a center ``K`` of its own."""
-        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b)
+        cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b, seed=seed)
         params = ModelParams(n=3, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
         calls = _count_curvature_builds(monkeypatch)
         points = sample_points(cfg, 3, 1.0, params)
         sample = Sample(points[:, 0], points[:, 1], params)
-        for pt, jets, conn in sample.connection_chunks(params, einstein_profile(params)):
-            assert np.array_equal(conn, connection_coefficients(pt, params, jets))
+        profile = einstein_profile(params)
+        conn = connection_on(sample.rows, params, profile)
+
+        def same_rows(pt, jets, rows):
+            return (np.all(conn[rows] == connection_coefficients(pt, params, jets), axis=(1, 2, 3)),)
+
+        (same,) = sample.per_row(params, profile, same_rows)
+        assert same.shape == (20,) and same.all()
         pinned_center = [] if (k_a, k_b) == (1.0, 1.0) else [1]
         chunked = run_verification(cfg)
         # The own center, then the own, the rational and the pinned pass.
@@ -101,6 +124,57 @@ class TestCheckReduction:
         assert calls == [1, 20, 20, 20] + pinned_center
         assert [suite["name"] for suite in chunked["suites"]] == list(SUITE_NAMES)
         assert {**one_chunk, "timings": None} == {**chunked, "timings": None}
+
+
+# The checks that read the first one or two FD centers, by their number of
+# centers, and the checks that reduce to a scalar or read the 13 energies of
+# the radial ODE; every other check reads one value per sample.
+FD_CENTERS = {
+    "fundamental_form_closed": 2,
+    "nijenhuis_matches_bracket_oracle": 1,
+    "koszul_oracle": 2,
+    "torsion_free": 2,
+    "metric_parallel": 2,
+    "complex_structure_parallel": 2,
+    "blocks_match_fd_oracle": 1,
+    "complement_outputs_vanish": 1,
+    "mixed_ricci_vanishes": 1,
+    "complex_structure_parallel_detects_coupling": 1,
+    "curvature_not_parallel": 1,
+}
+SCALAR = ("metric_positive_definite", "holomorphic_curvature_spread", "fitted_constant_matches")
+PER_ENERGY = ("gamma_matches_ode_residual", "family_solves_ode", "gamma_detects_profile")
+
+
+class TestPerSampleContract:
+    def test_each_check_reads_one_per_sample_array(self, monkeypatch):
+        """One config of all six suites at 10 samples in chunks of three rows
+        hands ``_check`` one array per check: ``(10,)`` for every
+        closed-form check, ``(centers,)`` for every FD check, and something
+        else only for the named reducing checks."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
+        original = cotangent_kahler.suites._check
+        shapes = []
+
+        def recorded(name, values, *args, **kwargs):
+            shapes.append((name, np.shape(values)))
+            return original(name, values, *args, **kwargs)
+
+        monkeypatch.setattr(cotangent_kahler.suites, "_check", recorded)
+        report = run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=10))
+        assert report["passed"] is True
+        checks = [check["name"] for suite in report["suites"] for check in suite["configs"][0]["checks"]]
+        assert [name for name, _ in shapes] == checks
+        for name, shape in shapes:
+            if name in FD_CENTERS:
+                assert shape == (FD_CENTERS[name],), name
+            elif name in SCALAR:
+                assert shape == (), name
+            elif name in PER_ENERGY:
+                assert shape == (13,), name
+            else:
+                assert shape == (10,), name
+        assert set(FD_CENTERS) | set(SCALAR) | set(PER_ENERGY) <= set(checks)
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -261,12 +335,14 @@ class TestSharedSample:
     @pytest.mark.parametrize("profile", ["einstein", "rational"])
     def test_each_members_connection_on_real_points_is_built_once(self, profile, monkeypatch):
         """One config of all six suites at 3 samples in chunks of one row
-        builds the connection on real points once per member, on all three
-        sampled rows: the own member, the witnesses' detuned coupling, and
-        the rational profile (on the Einstein profile) or the pinned
-        k_a = k_b = 1 member (on the rational profile).  The two-path check,
-        every chunk of every curvature pass and every stencil's centers read
-        their rows of it, and never build one of their own."""
+        builds the connection on real points once per member: on all three
+        sampled rows for the own member and for the rational profile (on the
+        Einstein profile) or the pinned k_a = k_b = 1 member (on the rational
+        profile), and on the one center of ``stencil(1)`` for the witnesses'
+        detuned coupling, the only rows of it that are read.  The two-path
+        check, every chunk of every curvature pass and every stencil's
+        centers read their rows of a member's connection on all rows, and
+        never build one of their own."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
         original = cotangent_kahler.connection.connection_coefficients
         real = []
@@ -278,7 +354,7 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, profile=profile))
-        assert [rows for rows, _ in real] == [3, 3, 3]
+        assert [rows for rows, _ in real] == [3, 1, 3]
         assert len({gh for _, gh in real}) == 3
 
     def test_field_calls_per_config(self, monkeypatch):
@@ -338,16 +414,18 @@ class TestSharedSample:
         assert configs["einstein"] == alone
 
     def test_kept_ricci_holds_only_the_horizontal_and_vertical_blocks(self):
-        """At n = 3 and 300 samples the kept Ricci list owns 2 S n^2 float64
-        entries: contiguous ``hh`` and ``vv`` blocks, not views that keep the
-        whole ``(rows, 2n, 2n)`` trace and its vanishing mixed blocks alive."""
+        """At n = 3 and 300 samples the kept Ricci owns 2 S n^2 float64
+        entries: contiguous ``hh`` and ``vv`` blocks over all rows, not views
+        that keep the whole ``(rows, 2n, 2n)`` trace and its vanishing mixed
+        blocks alive."""
         n, samples = 3, 300
         params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
         rng = np.random.default_rng(3)
         q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
         sample = Sample(q, p, params)
         kept = sample.ricci_of(params, einstein_profile(params))
-        blocks = [block for ricci in kept for block in (ricci.hh, ricci.vv)]
+        blocks = [kept.hh, kept.vv]
+        assert kept.hh.shape == kept.vv.shape == (samples, n, n)
         assert all(block.base is None and block.flags.c_contiguous for block in blocks)
         assert sum(block.nbytes for block in blocks) == 2 * samples * n**2 * 8
 
@@ -395,8 +473,9 @@ class TestSharedSample:
 
 
 class TestRicciPerMember:
-    """``Sample.ricci_of`` keeps one full pass's Ricci per member, keyed
-    like ``mtensor.Rows``, at eight samples in chunks of three rows."""
+    """``Sample.ricci_of`` keeps one full pass's Ricci over all rows per
+    member, keyed like ``mtensor.Rows``, at eight samples in chunks of three
+    rows."""
 
     def _setup(self, monkeypatch, fail_at=None):
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=8, k_a=0.5, k_b=2.0)
@@ -413,7 +492,7 @@ class TestRicciPerMember:
         cfg, params, sample, calls = self._setup(monkeypatch)
         profile = einstein_profile(params)
         own = sample.ricci_of(params, profile)
-        before = [(ricci.hh.copy(), ricci.vv.copy()) for ricci in own]
+        before = own.hh.copy(), own.vv.copy()
         run_suite("witnesses", cfg, params, profile, sample)
         witness = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
         others = [
@@ -423,10 +502,9 @@ class TestRicciPerMember:
         assert sample.ricci_of(params, profile) is own
         # The own pass, the rational and pinned passes, and nabla-K's center.
         assert calls == [3, 3, 2] * 3 + [1]
-        for ricci, (hh, vv) in zip(own, before, strict=True):
-            assert np.array_equal(ricci.hh, hh) and np.array_equal(ricci.vv, vv)
+        assert np.array_equal(own.hh, before[0]) and np.array_equal(own.vv, before[1])
         for other in others:
-            assert len(other) == 3 and not np.array_equal(other[0].hh, own[0].hh)
+            assert other.hh.shape == (8, 2, 2) and not np.array_equal(other.hh, own.hh)
 
     def test_a_pass_that_raises_keeps_nothing(self, monkeypatch):
         """A pass that fails at its second chunk keeps no entry, so the next
@@ -434,14 +512,14 @@ class TestRicciPerMember:
         _, params, sample, calls = self._setup(monkeypatch, fail_at=2)
         profile = einstein_profile(params)
         with pytest.raises(GeometryError, match="injected"):
-            list(sample.curvature_chunks(params, profile))
-        assert len(sample.ricci_of(params, profile)) == 3
+            sample.curvature_rows(params, profile, lambda *_: ())
+        assert sample.ricci_of(params, profile).hh.shape == (8, 2, 2)
         assert calls == [3, 3, 3, 3, 2]
 
 
 class TestKeepRule:
-    """A config keeps per-row values and per-chunk Ricci, and no pass's
-    ``K`` outlives its chunk, on a sample of one chunk as on one of
+    """A config keeps per-row values, the Ricci trace among them, and no
+    pass's ``K`` outlives its chunk, on a sample of one chunk as on one of
     several."""
 
     @pytest.mark.parametrize("chunk_rows", [8, 3], ids=["one_chunk", "three_chunks"])
@@ -455,8 +533,9 @@ class TestKeepRule:
         profile = einstein_profile(params)
         rng = np.random.default_rng(2)
         sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
-        first = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
-        second = [curv for _, _, curv in sample.curvature_chunks(params, profile)]
+        first, second = [], []
+        for seen in (first, second):
+            sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: seen.append(curv) or ())
         assert calls == ([8] if chunk_rows == 8 else [3, 3, 2]) * 2
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
         member = (params, profile)
