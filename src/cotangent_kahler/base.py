@@ -28,11 +28,14 @@ Every function here takes a leading batch axis: chart points of shape
 leading ``...``, and a guard raises if any point of the batch fails it,
 naming the first failing value.  A single point is a batch of shape ``()``.
 
-The contraction rule of the curvature path: a term that sums over an index
-is one batched ``@`` on reshaped views (``_contract``), and ``np.einsum``
-only permutes axes.  A two-operand ``einsum`` that sums over an index
-across the batch axis runs in numpy's own loops, several times slower than
-``@`` at these sizes.
+The contraction rule of the curvature path and of the Nijenhuis closed form
+(``structure.nijenhuis_closed_form``): a term that sums over an index is one
+batched ``@`` on reshaped or permuted views (``_contract``), and
+``np.einsum`` only permutes axes.  A two-operand ``einsum`` that sums over
+an index across the batch axis runs in numpy's own loops, several times
+slower than ``@`` at these sizes.  The one exception is a contraction with a
+single vector, such as the momentum in the Nijenhuis core, where ``einsum``
+is the faster form.
 """
 
 from __future__ import annotations

@@ -222,7 +222,12 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     differentiating the matrix inverse, so tests can cross-check one route
     against the other.
     """
-    gh, gv = metric_blocks(pt, params, profile)
+    return _jets_on(pt, params, profile, metric_blocks(pt, params, profile))
+
+
+def _jets_on(pt: CotangentPoint, params: ModelParams, profile, blocks: MetricBlocks) -> FiberJets:
+    """``fiber_jets`` on the member's ``metric_blocks``, built already."""
+    gh, gv = blocks
     n, t, a = pt.n, pt.t, params.a_metric
     st = np.sqrt(t)
     g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
@@ -290,13 +295,14 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
 class Rows:
     """Chart rows ``q, p`` of shape ``(m, n)``, or ``(n,)`` for one point,
     real or complex, with the point ``points = point_at(q, p)`` and each
-    member's metric blocks and fiber jets built once.  A member is its
-    params and its profile object, so members that differ in the coupling,
-    ``k_a``/``k_b`` or the profile never share an entry.  Other layers keep
-    their own per-member values with the rows through ``memo``.  Everything
-    kept lives as long as the rows; a build that raises is not kept.  Real
-    rows are the base of the ``fd.Stencil`` at their first rows, which
-    builds its point on the same ``point_at``."""
+    member's metric blocks and fiber jets built once: the jets are built on
+    the kept blocks.  A member is its params and its profile object, so
+    members that differ in the coupling, ``k_a``/``k_b`` or the profile
+    never share an entry.  Other layers keep their own per-member values
+    with the rows through ``memo``.  Everything kept lives as long as the
+    rows; a build that raises is not kept.  Real rows are the base of the
+    ``fd.Stencil`` at their first rows, which builds its point on the same
+    ``point_at``."""
 
     def __init__(self, q: np.ndarray, p: np.ndarray, point_at) -> None:
         self.q, self.p, self._point_at = q, p, point_at
@@ -317,7 +323,8 @@ class Rows:
         return self.memo(("blocks", params, profile), lambda: metric_blocks(self.points, params, profile))
 
     def jets_of(self, params: ModelParams, profile) -> FiberJets:
-        return self.memo(("jets", params, profile), lambda: fiber_jets(self.points, params, profile))
+        build = lambda: _jets_on(self.points, params, profile, self.blocks_of(params, profile))
+        return self.memo(("jets", params, profile), build)
 
 
 def assemble_metric(blocks: MetricBlocks | FiberJets) -> np.ndarray:

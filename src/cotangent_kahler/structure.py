@@ -13,7 +13,8 @@ single core object,
     core^h_{kij} = (a^2/2) (delta^h_i g_jk - delta^h_j g_ik) - R^h_{kij},
 
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
-the base, i.e. at the coupling ``a = sqrt(2 c)``.
+the base, i.e. at the coupling ``a = sqrt(2 c)``.  Its closed form,
+``nijenhuis_closed_form``, follows ``base``'s contraction rule.
 
 Everything here keeps a point's leading batch axis; the finite-difference
 oracles differentiate on a stencil (``fd.Stencil``).  Residuals give one
@@ -122,19 +123,22 @@ def nijenhuis_closed_form(
 
     Two horizontals and two verticals give vertical outputs; mixed
     arguments give horizontal ones, routed through two copies of the
-    vertical block.
+    vertical block, as batched ``@`` on ``shared[l, i, j] = core0[l, i, r]
+    gv[j, r]``.
     """
     n = pt.n
     eye = np.eye(n)
     flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
     core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
-    gv = jets.gv
-    mixed = np.einsum("...kl,...jr,...lir->...ijk", gv, gv, core0)
+    gv = jets.gv[..., None, :, :]
+    gv_t = np.swapaxes(gv, -1, -2)
+    shared = core0 @ gv_t
+    mixed = np.einsum("...lij->...ijl", shared) @ gv_t
     out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3, np.result_type(core0, gv))
     out[..., :n, :n, n:] = np.einsum("...kij->...ijk", core0)
     out[..., :n, n:, :n] = mixed
     out[..., n:, :n, :n] = -np.swapaxes(mixed, -3, -2)
-    out[..., n:, n:, n:] = np.einsum("...ir,...jl,...klr->...ijk", gv, gv, core0)
+    out[..., n:, n:, n:] = gv @ np.swapaxes(shared, -3, -1)
     return out
 
 

@@ -240,14 +240,18 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     ``[t_min, t_max]``.  The result has shape ``(S, 2, n)``: row ``s`` is
     the pair ``(q_s, p_s)``, and ``[:, 0]``, ``[:, 1]`` are the ``(S, n)``
     batches of base points and momenta.
+
+    The draw contract, which fixes every sampled bit: per sample, in order,
+    ``n`` uniforms on ``[0, 1)``, ``n`` standard normals and one uniform.  All
+    arithmetic runs on the stacked draws after the loop, with the bits of
+    ``Generator.uniform`` and ``np.linalg.norm`` per sample.
     """
     rng = np.random.default_rng([cfg.seed, n, _curvature_seed(c)])
-    draws = []
-    for _ in range(cfg.samples):
-        q = rng.uniform(-2.0, 2.0, size=n)
-        direction = rng.normal(size=n)
-        draws.append((q, direction / np.linalg.norm(direction), rng.uniform(cfg.t_min, cfg.t_max)))
-    q, direction, t_target = (np.array(column) for column in zip(*draws))
+    draws = [(rng.random(n), rng.standard_normal(n), rng.random()) for _ in range(cfg.samples)]
+    u, normal, u_t = (np.array(column) for column in zip(*draws))
+    q = -2.0 + 4.0 * u
+    direction = normal / np.sqrt(np.vecdot(normal, normal))[:, None]
+    t_target = cfg.t_min + (cfg.t_max - cfg.t_min) * u_t
     with np.errstate(over="ignore", invalid="ignore"):  # energy_density refuses an overflow
         t0 = energy_density(space_form_metric(q, params).g_inv, direction)
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)

@@ -1,30 +1,37 @@
 """The einsum forms of the curvature path, the reference for its matmul kernels.
 
 ``base.space_form_metric``'s curvature, ``connection._fiber_derivative_blocks``,
-``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual`` and
-``curvature.holomorphic_sectional_curvature`` contract their arrays with one
-batched ``@`` per term, and so do the Leibniz terms of the finite-difference
+``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual``,
+``curvature.holomorphic_sectional_curvature`` and the Nijenhuis closed form
+``structure.nijenhuis_closed_form`` contract their arrays with one batched
+``@`` per term, and so do the Leibniz terms of the finite-difference
 oracles: ``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
 ``curvature.nabla_curvature``.  This module keeps the same formulas written
 term by term as index expressions or one ``np.matvec`` per vector, in the
-math layout of the connection and curvature module docstrings, so the tests
-can compare the two forms entry for entry.  ``curvature_blocks`` here
-assembles ``K`` from the package's ``connection_coefficients`` and this
+math layout of the connection, curvature and structure module docstrings, so
+the tests can compare the two forms entry for entry.  ``curvature_blocks``
+here assembles ``K`` from the package's ``connection_coefficients`` and this
 module's ``connection_fiber_derivatives``; ``nabla_curvature`` here
 differentiates the package's assembled ``K``, all ``(2n)^4`` entries per
 row.  ``assembled_fiber_derivatives`` puts the package's three fiber blocks
 into the whole array that ``connection_fiber_derivatives`` here gives.
-Every function takes a leading batch axis, like the package.
+Every function but ``sample_points`` takes a leading batch axis, like the
+package.
+
+``sample_points`` here is ``suites.sample_points`` as one loop of
+``Generator.uniform`` and ``Generator.normal`` calls per sample, with the
+scaling inside the loop; the package's draws must match it bit for bit.
 """
 
 import numpy as np
 
-from cotangent_kahler.base import ModelParams, _max_abs, _scale
+from cotangent_kahler.base import ModelParams, _max_abs, _scale, space_form_metric
 from cotangent_kahler.connection import _assemble, _fiber_derivative_blocks, connection_coefficients
 from cotangent_kahler.curvature import curvature_blocks as package_curvature_blocks
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.mtensor import CotangentPoint, FiberJets, fiber_jets, frame_brackets
+from cotangent_kahler.mtensor import CotangentPoint, FiberJets, energy_density, fiber_jets, frame_brackets
 from cotangent_kahler.structure import assemble_complex_structure, canonical_coordinate_form
+from cotangent_kahler.suites import RunConfig, _curvature_seed
 from stencils import frame_gradient
 
 
@@ -164,6 +171,23 @@ def holomorphic_sectional_curvature(
     return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2
 
 
+def nijenhuis_closed_form(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """``N[a, b, c]`` with each routing of the core through two copies of the
+    vertical block as one three-operand einsum."""
+    n = pt.n
+    eye = np.eye(n)
+    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
+    core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
+    gv = jets.gv
+    mixed = np.einsum("...kl,...jr,...lir->...ijk", gv, gv, core0)
+    out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3, np.result_type(core0, gv))
+    out[..., :n, :n, n:] = np.einsum("...kij->...ijk", core0)
+    out[..., :n, n:, :n] = mixed
+    out[..., n:, :n, :n] = -np.swapaxes(mixed, -3, -2)
+    out[..., n:, n:, n:] = np.einsum("...ir,...jl,...klr->...ijk", gv, gv, core0)
+    return out
+
+
 # ---- Leibniz terms of the finite-difference oracles ----
 
 
@@ -219,3 +243,22 @@ def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: Fibe
     nabla -= np.einsum("...wbf,...afcd->...wabcd", conn, curv)
     nabla -= np.einsum("...wcf,...abfd->...wabcd", conn, curv)
     return nabla
+
+
+# ---- sampling ----
+
+
+def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.ndarray:
+    """Each sample's base point, unit momentum direction and target energy
+    drawn and scaled inside the loop, by ``Generator.uniform``,
+    ``Generator.normal`` and ``np.linalg.norm``."""
+    rng = np.random.default_rng([cfg.seed, n, _curvature_seed(c)])
+    draws = []
+    for _ in range(cfg.samples):
+        q = rng.uniform(-2.0, 2.0, size=n)
+        direction = rng.normal(size=n)
+        draws.append((q, direction / np.linalg.norm(direction), rng.uniform(cfg.t_min, cfg.t_max)))
+    q, direction, t_target = (np.array(column) for column in zip(*draws))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0 = energy_density(space_form_metric(q, params).g_inv, direction)
+    return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)

@@ -2,8 +2,6 @@
 calculus, and agreement with the real reference stencil of ``fd_reference``
 on every oracle field."""
 
-import sys
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +16,7 @@ from cotangent_kahler.connection import metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature, nabla_curvature_probe
 from cotangent_kahler.errors import StencilError
 from cotangent_kahler.fd import fd_gradient, fd_partial
-from cotangent_kahler.mtensor import CotangentPoint, chart_frame, fiber_jets
+from cotangent_kahler.mtensor import CotangentPoint, chart_frame
 from cotangent_kahler.profiles import einstein_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
 from stencils import frame_gradient, stencil_at
@@ -233,19 +231,19 @@ class TestBatchedStencil:
             return original(counting_field, x, d)
 
         original_at = vars(CotangentPoint)["at"].__func__
-        original_jets = cotangent_kahler.mtensor.fiber_jets
+        original_jets = cotangent_kahler.mtensor._jets_on
 
         def at(cls, q, p, model):
             builds.append(("point", len(q)))
             return original_at(cls, q, p, model)
 
-        def counted_jets(point, model, prof):
+        def counted_jets(point, model, prof, blocks):
             builds.append(("jets", len(point.q)))
-            return original_jets(point, model, prof)
+            return original_jets(point, model, prof, blocks)
 
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
-        monkeypatch.setattr(cotangent_kahler.mtensor, "fiber_jets", counted_jets)
+        monkeypatch.setattr(cotangent_kahler.mtensor, "_jets_on", counted_jets)
         assert nabla_curvature(params, profile, stencil).shape == (1,) + (2 * n,) * 5
         assert calls == [2 * n]
         assert builds == [("point", 2 * n), ("jets", 2 * n)]
@@ -367,11 +365,11 @@ class TestFieldsBuildOnlyTheBlocks:
     @pytest.mark.parametrize("n", [2, 3])
     def test_metric_two_form_and_nijenhuis_oracles_run_without_fiber_jets(self, rng, n, monkeypatch):
         """The fields of ``metric_gradient``, ``dform_residual`` and
-        ``nijenhuis_numeric`` read only the metric blocks: with ``fiber_jets``
-        raising on complex rows in every module of the package, the three
-        oracles still run on two centers and return the same arrays.  The
-        Nijenhuis oracle reads its centers' jets from the real base rows, which
-        may still build them."""
+        ``nijenhuis_numeric`` read only the metric blocks: with every fiber-jets
+        build (``mtensor._jets_on``, which ``fiber_jets`` and ``Rows.jets_of``
+        call) raising on complex rows, the three oracles still run on two
+        centers and return the same arrays.  The Nijenhuis oracle reads its
+        centers' jets from the real base rows, which may still build them."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         profile = einstein_profile(params)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
@@ -382,14 +380,14 @@ class TestFieldsBuildOnlyTheBlocks:
         }
         expected = {name: oracle() for name, oracle in oracles.items()}
 
+        original_jets = cotangent_kahler.mtensor._jets_on
+
         def forbidden(point, *args):
             if np.iscomplexobj(point.q):
                 raise AssertionError("a field that reads only the metric blocks built the fiber jets")
-            return fiber_jets(point, *args)
+            return original_jets(point, *args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cotangent_kahler") and getattr(module, "fiber_jets", None) is fiber_jets:
-                monkeypatch.setattr(module, "fiber_jets", forbidden)
+        monkeypatch.setattr(cotangent_kahler.mtensor, "_jets_on", forbidden)
         for name, oracle in oracles.items():
             assert np.array_equal(oracle(), expected[name]), name
 

@@ -5,7 +5,10 @@
 off them, each within 1e-13 of the largest entry of the reference array; the
 Leibniz terms of ``curvature_fd``, ``nabla_curvature`` and
 ``parallel_j_residual`` at two centers, on the Kahler and a detuned coupling,
-within 1e-12; and the space-form curvature, bit for bit."""
+within 1e-12; the Nijenhuis closed form on both couplings, within 1e-14; and
+the space-form curvature and the sampled points, bit for bit."""
+
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -28,7 +31,8 @@ from cotangent_kahler.curvature import (
 )
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile, rational_profile
-from cotangent_kahler.structure import assemble_complex_structure
+from cotangent_kahler.structure import assemble_complex_structure, nijenhuis_closed_form
+from cotangent_kahler.suites import RunConfig, sample_points
 from stencils import stencil_at
 
 BATCH = 8
@@ -184,4 +188,45 @@ def test_space_form_riemann_is_bit_identical(n):
         actual = space_form_metric(rows, params).riemann
         expected = reference.space_form_riemann(rows, params)
         assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("coupling", ["kahler", "detuned"])
+@pytest.mark.parametrize("profile_name", PROFILES)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_nijenhuis_closed_form(n, profile_name, coupling):
+    """On an 8-row batch of the space form, at the integrable coupling, where
+    ``N`` is rounding residue, and at the witnesses' detuned coupling ``1.1
+    sqrt(2c)``, where it is not."""
+    rng = np.random.default_rng([n, PROFILES.index(profile_name), ("kahler", "detuned").index(coupling)])
+    params = ModelParams.kahler(n, C, k_a=0.7, k_b=0.4)
+    if coupling == "detuned":
+        params = ModelParams(n=n, c=C, a_metric=1.1 * params.a_metric, k_a=0.7, k_b=0.4)
+    profile = einstein_profile(params) if profile_name == "einstein" else rational_profile()
+    pt = CotangentPoint.at(rng.uniform(-2.0, 2.0, size=(BATCH, n)), rng.normal(size=(BATCH, n)), params)
+    jets = fiber_jets(pt, params, profile)
+    expected = reference.nijenhuis_closed_form(pt, params, jets)
+    scale = np.max(np.abs(expected))
+    assert scale > (1e-3 if coupling == "detuned" else 0.0)
+    actual = nijenhuis_closed_form(pt, params, jets)
+    assert actual.shape == expected.shape
+    npt.assert_allclose(actual, expected, rtol=0.0, atol=1e-14 * scale)
+
+
+WINDOWS = ((0.1, 10.0), (1e-4, 1e-2), (1e2, 1e4), (1e100, 1e140))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sample_points_is_bit_identical(n):
+    """The package's draws against the per-sample loop, with equal bits on
+    every seed, curvature, energy window and sample count of a small grid.
+    This is what fails if a numpy release changes the arithmetic of
+    ``Generator.uniform`` or ``Generator.normal``."""
+    for seed, c, (t_min, t_max), samples in itertools.product((0, 7), (0.01, 1.0, 50.0), WINDOWS, (1, 2, 37)):
+        cfg = RunConfig(
+            dims=(n,), curvatures=(c,), samples=samples, t_min=t_min, t_max=t_max, seed=seed, suites=("integrability",)
+        )
+        params = ModelParams.kahler(n, c)
+        actual, expected = sample_points(cfg, n, c, params), reference.sample_points(cfg, n, c, params)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape == (samples, 2, n)
         assert actual.tobytes() == expected.tobytes()

@@ -189,23 +189,25 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def _count_builds(monkeypatch):
-    """Record every ``CotangentPoint.at`` and ``fiber_jets`` call, in order,
-    as ``(kind, rows, real)``: ``"point"`` or ``"jets"``, the number of
-    rows, and whether they are real."""
+    """Record every ``CotangentPoint.at`` call and every fiber-jets build,
+    in order, as ``(kind, rows, real)``: ``"point"`` or ``"jets"``, the
+    number of rows, and whether they are real.  Every jets build, by
+    ``fiber_jets`` or by ``Rows.jets_of`` on its kept blocks, runs
+    ``mtensor._jets_on``."""
     builds = []
     original_at = vars(CotangentPoint)["at"].__func__
-    original_jets = cotangent_kahler.mtensor.fiber_jets
+    original_jets = cotangent_kahler.mtensor._jets_on
 
     def at(cls, q, p, model):
         builds.append(("point", len(q), not np.iscomplexobj(q)))
         return original_at(cls, q, p, model)
 
-    def fiber_jets(pt, model, profile):
+    def jets_on(pt, model, profile, blocks):
         builds.append(("jets", len(pt.q), not np.iscomplexobj(pt.q)))
-        return original_jets(pt, model, profile)
+        return original_jets(pt, model, profile, blocks)
 
     monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
-    _patch_everywhere(monkeypatch, original_jets, fiber_jets)
+    _patch_everywhere(monkeypatch, original_jets, jets_on)
     return builds
 
 
@@ -307,6 +309,37 @@ class TestSharedSample:
         ] + [("jets", 2 * n)] * center_jets
         assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("profile, pinned", [("einstein", 0), ("rational", 1)], ids=["einstein", "rational"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_metric_blocks_once_per_member_and_row_set(self, n, profile, pinned, monkeypatch):
+        """One config of all six suites at 3 samples builds no member's
+        metric blocks twice on the same rows.  On the real rows: the own
+        member, the detuned coupling and the witnesses' other member.  On
+        complex rows: the own member on ``stencil(2)``, then on
+        ``stencil(1)``, where the Nijenhuis oracle reads the blocks and the FD
+        curvature and nabla-K read the jets built on them; the detuned
+        coupling on ``stencil(1)``; and, on the rational profile, the pinned
+        k_a = k_b = 1 member there for nabla-K."""
+        original = cotangent_kahler.mtensor.metric_blocks
+        seen = []
+
+        def metric_blocks(pt, model, member_profile):
+            seen.append((pt, model, member_profile))
+            return original(pt, model, member_profile)
+
+        _patch_everywhere(monkeypatch, original, metric_blocks)
+        run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
+        inputs = [(id(pt), model, member_profile) for pt, model, member_profile in seen]
+        assert len(set(inputs)) == len(inputs)
+        assert [(len(pt.q), not np.iscomplexobj(pt.q)) for pt, _, _ in seen] == [
+            (3, True),
+            (4 * n, False),
+            (2 * n, False),
+            (3, True),
+            (2 * n, False),
+            (3, True),
+        ] + [(2 * n, False)] * pinned
 
     @pytest.mark.parametrize("profile, members", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
     def test_stencil_connections_and_center_k_are_built_once_per_member(self, profile, members, monkeypatch):
@@ -457,15 +490,15 @@ class TestSharedSample:
             point_builds.append(builds(q, p))
             return original_at(cls, q, p, model)
 
-        original_jets = cotangent_kahler.mtensor.fiber_jets
+        original_jets = cotangent_kahler.mtensor._jets_on
 
-        def fiber_jets(pt, model, profile):
+        def jets_on(pt, model, profile, blocks):
             if model == params and profile.kind == own_profile:
                 jet_builds.append(builds(pt.q, pt.p))
-            return original_jets(pt, model, profile)
+            return original_jets(pt, model, profile, blocks)
 
         monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
-        _patch_everywhere(monkeypatch, original_jets, fiber_jets)
+        _patch_everywhere(monkeypatch, original_jets, jets_on)
         report = run_verification(cfg)
         assert report["passed"] is True
         assert [b for b in point_builds if b is not None] == ["stack"]
@@ -526,7 +559,8 @@ class TestKeepRule:
     def test_a_second_pass_builds_every_k_again(self, chunk_rows, monkeypatch):
         """Eight samples at n = 2: a second pass builds every chunk's ``K``
         again, with the same values, and the sample's rows keep only the
-        point and the member's jets and connection."""
+        point and the member's metric blocks, jets and connection; the jets
+        hold the very arrays of the kept blocks."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
@@ -539,7 +573,10 @@ class TestKeepRule:
         assert calls == ([8] if chunk_rows == 8 else [3, 3, 2]) * 2
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
         member = (params, profile)
-        assert set(sample.rows._memo) == {"points", ("jets", *member), ("connection", *member)}
+        memo = sample.rows._memo
+        assert set(memo) == {"points", ("blocks", *member), ("jets", *member), ("connection", *member)}
+        blocks, jets = memo[("blocks", *member)], memo[("jets", *member)]
+        assert blocks.gh is jets.gh and blocks.gv is jets.gv
 
 
 class TestOwnership:
