@@ -132,25 +132,6 @@ def _max_abs(*arrays: np.ndarray, rank: int):
     return functools.reduce(np.maximum, (np.max(np.abs(x), axis=axes) for x in arrays))
 
 
-# Byte budget of one batched call.  A chunk of sample rows is sized so that
-# one (2n)^4 float64 array per row, the curvature K, fits it: 128 rows at
-# n = 2, 25 at n = 3, 3 at n = 5.  Batching is what makes the closed-form
-# checks fast, but one batch of everything raises the process's peak RSS past
-# the 10% bound of the benchmark: the whole 300-sample sweep in one batch
-# costs about 7 MiB at n = 3.  An FD stencil is sized by its centers, not by
-# this budget: a field takes the rows of all 2n chart coordinates of its one
-# or two centers in one call, so at n = 5 the nabla-K field, the six stored
-# curvature blocks (6 n^4 complex entries per row), returns 600 KB for the
-# ten rows of one center.
-_CHUNK_BYTES = 256 * 1024
-
-
-def _chunk_rows(dim: int) -> int:
-    """Rows per batched call whose ``dim^4`` float64 arrays fit
-    ``_CHUNK_BYTES``; at least one."""
-    return max(1, _CHUNK_BYTES // (8 * dim**4))
-
-
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 

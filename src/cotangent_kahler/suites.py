@@ -7,18 +7,18 @@ fixed configuration yields an identical report.
 
 A config's sampled points are one batch (``Sample``), built once and
 shared by every suite, which names the member it checks.  Each closed-form
-check reads one array with a value per sample.  Only ``Sample.per_row``
-splits the rows into blocks, so that the ``(2n)^3`` and ``(2n)^4`` arrays
-other than the connection are built a block at a time and no value depends
-on the block size.  A member's curvature ``K`` is built once per block, in
-one pass (``Sample.curvature_rows``) that a suite consumes (``curvature``
-on the own member, ``witnesses`` on its pinned one); the pass keeps the
-member's Ricci trace over all rows, which ``einstein`` and the witnesses'
-rational profile read instead of building ``K`` again.  The
-finite-difference oracles differentiate on the sample's stencils at the
-first center or the first two (``Sample.stencil``).  What a config keeps is
-said once, in ``Sample``.  A check's value is the largest of its per-sample
-values; a NaN in any sample fails it.
+check reads one array with a value per sample; a check that needs no
+curvature computes it in one call over all rows.  Only the curvature pass
+(``Sample.curvature_rows``), which a suite consumes (``curvature`` on the
+own member, ``witnesses`` on its pinned one), splits the rows into blocks,
+so that a member's ``K`` and its block parts, ``(2n)^4`` numbers per row,
+are built once per block and no value depends on the block size.  The pass
+keeps the member's Ricci trace over all rows, which ``einstein`` and the
+witnesses' rational profile read instead of building ``K`` again.  The finite-difference oracles
+differentiate on the sample's stencils at the first center or the first two
+(``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
+check's value is the largest of its per-sample values; a NaN in any sample
+fails it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .base import ModelParams, _chunk_rows, _max_abs, integrable_coupling, space_form_metric
+from .base import ModelParams, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     center_connection,
     connection_coefficients,
@@ -101,6 +101,20 @@ SUITE_NAMES = (
 # Relative coupling detuning used by the witness checks that must see the
 # integrability and parallel-structure detectors fire.
 _WITNESS_DETUNE = 0.1
+
+# Byte budget of one block of a curvature pass.  A block of sample rows is
+# sized so that one (2n)^4 float64 array per row, the curvature K, fits it:
+# 128 rows at n = 2, 25 at n = 3, 3 at n = 5.  Building K over all rows at
+# once raises the process's peak RSS past the 10% bound of the benchmark:
+# the whole 300-sample sweep in one block costs about 7 MiB at n = 3.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows per block whose ``dim^4`` float64 arrays fit ``_CHUNK_BYTES``;
+    at least one."""
+    return max(1, _CHUNK_BYTES // (8 * dim**4))
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -270,20 +284,21 @@ class Sample:
     refers back to the sample.  Each is built on first use; a build that
     raises is not kept, so every suite that needs it records the error.
 
-    ``per_row`` is the one place that splits the rows into blocks, each
-    holding as many rows as keep ``(2n)^4`` float64 numbers per row within
-    the byte budget of ``base._chunk_rows``; every suite reads one per-row
-    array per check from it, whatever the budget.  ``curvature_rows`` builds
-    each block's curvature ``K`` once, from the block's rows of the member's
-    ``connection_on`` the rows; a pass that runs to its end keeps the
-    member's Ricci trace over all rows, O(S n^2) numbers, for ``ricci_of``,
-    keyed as in ``Rows``.  ``ricci_of`` runs such a pass if none has; a pass
-    that raises keeps no Ricci.
+    ``curvature_rows`` is the one place that splits the rows into blocks,
+    each holding as many rows as keep ``(2n)^4`` float64 numbers per row
+    within the byte budget of ``_chunk_rows``; it builds each block's
+    curvature ``K`` once, from the block's rows of the member's
+    ``connection_on`` the rows, and returns one per-row array per check,
+    whatever the budget.  A pass that runs to its end keeps the member's
+    Ricci trace over all rows, O(S n^2) numbers, for ``ricci_of``, keyed as
+    in ``Rows``.  ``ricci_of`` runs such a pass if none has; a pass that
+    raises keeps no Ricci.
 
-    The keep rule: a config keeps per-row values (the point, each member's
-    metric blocks, fiber jets and connection, and its Ricci trace); it keeps
-    ``K`` only at a stencil's centers, and no other ``K``, nor any
-    ``(2n)^3`` array but the connection, outlives its block.
+    The keep rule: a config keeps per-row values on all S rows (the point,
+    and each member's metric blocks, fiber jets, connection and Ricci
+    trace), so these grow with S.  It keeps ``K`` only at a stencil's
+    centers: no pass's ``K`` or block part outlives its block, so what a
+    pass adds is bounded per block.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
@@ -299,26 +314,21 @@ class Sample:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def per_row(self, params: ModelParams, profile, fn) -> tuple:
-        """``fn(points, jets, rows)`` of the member on each block of rows, in
-        order, ``rows`` the block's slice; the tuples of per-row arrays it
-        returns, joined over all rows."""
-        jets, step = self.rows.jets_of(params, profile), _chunk_rows(2 * self.rows.q.shape[-1])
-        blocks = (slice(start, start + step) for start in range(0, len(self), step))
-        parts = [fn(take_rows(self.rows.points, rows), take_rows(jets, rows), rows) for rows in blocks]
-        return tuple(np.concatenate(column) for column in zip(*parts))
-
     def curvature_rows(self, params: ModelParams, profile, fn) -> tuple:
-        """``per_row`` with ``fn(points, jets, K, rows)``, ``K`` the member's
-        curvature on the block; keeps the member's Ricci for ``ricci_of``."""
-        conn = connection_on(self.rows, params, profile)
-
-        def block(pt, jets, rows):
-            curv = curvature_from_connection(pt, params, jets, conn[rows])
+        """``fn(points, jets, K, rows)`` of the member on each block of rows,
+        in order, ``rows`` the block's slice and ``K`` the member's curvature
+        on the block; the tuples of per-row arrays it returns, joined over all
+        rows.  Keeps the member's Ricci for ``ricci_of``."""
+        jets, conn = self.rows.jets_of(params, profile), connection_on(self.rows, params, profile)
+        step = _chunk_rows(2 * self.rows.q.shape[-1])
+        parts = []
+        for start in range(0, len(self), step):
+            rows = slice(start, start + step)
+            pt, block_jets = take_rows(self.rows.points, rows), take_rows(jets, rows)
+            curv = curvature_from_connection(pt, params, block_jets, conn[rows])
             ricci = ricci_from_blocks(curv)
-            return ricci.hh, ricci.vv, *fn(pt, jets, curv, rows)
-
-        hh, vv, *values = self.per_row(params, profile, block)
+            parts.append((ricci.hh, ricci.vv, *fn(pt, block_jets, curv, rows)))
+        hh, vv, *values = (np.concatenate(column) for column in zip(*parts))
         self._ricci[params, profile] = RicciBlocks(hh, vv)
         return tuple(values)
 
@@ -361,8 +371,8 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
 
 def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
     """The member's closed-form Nijenhuis tensor, largest entry per row."""
-    fn = lambda pt, jets, rows: (_max_abs(nijenhuis_closed_form(pt, params, jets), rank=3),)
-    return sample.per_row(params, profile, fn)[0]
+    rows = sample.rows
+    return _max_abs(nijenhuis_closed_form(rows.points, params, rows.jets_of(params, profile)), rank=3)
 
 
 def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
@@ -383,12 +393,8 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     checks = []
     if params.is_integrable:
         conn = connection_on(sample.rows, params, profile)
-
-        def two_path(pt, jets, rows):
-            return (_max_abs(conn[rows] - kahler_connection_coefficients(pt, params, profile), rank=3),)
-
-        (two_path_rows,) = sample.per_row(params, profile, two_path)
-        checks.append(_check("coefficients_two_path", two_path_rows, tol.closed_form))
+        two_path = _max_abs(conn - kahler_connection_coefficients(sample.rows.points, params, profile), rank=3)
+        checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
     stencil = sample.stencil(2)
     pt, jets = stencil.centers, stencil.center_jets(params, profile)

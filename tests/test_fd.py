@@ -194,7 +194,7 @@ class TestBatchedStencil:
     def test_a_curvature_sized_field_takes_all_rows_in_one_call(self, rng):
         """A field with (2n)^4 values per row, the size of ``K``, at n = 5
         takes the ten rows of its center in one call: a stencil is sized by
-        its centers, not by the byte budget of ``base._chunk_rows``."""
+        its centers, not by the byte budget of ``suites._chunk_rows``."""
         n = 5
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)

@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-import cotangent_kahler.base
+import cotangent_kahler.connection
 import cotangent_kahler.curvature
 import cotangent_kahler.einstein
 import cotangent_kahler.fd
 import cotangent_kahler.mtensor
+import cotangent_kahler.structure
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.connection import connection_coefficients, connection_on, metric_gradient
@@ -82,7 +83,7 @@ class TestCheckReduction:
         chunk."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=30)
         default = run_verification(cfg)
-        monkeypatch.setattr(cotangent_kahler.base, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(cotangent_kahler.suites, "_CHUNK_BYTES", 1)
         one_row = run_verification(cfg)
         assert [suite["name"] for suite in default["suites"]] == list(SUITE_NAMES)
         assert {**one_row, "timings": None} == {**default, "timings": None}
@@ -93,33 +94,36 @@ class TestCheckReduction:
     def test_report_is_bit_identical_at_any_chunk_size(self, k_a, k_b, seed, monkeypatch):
         """20 samples at n = 3 are one chunk under the default budget and
         seven at three rows per chunk.  Each chunk's rows of the connection
-        kept on the sample's rows equal, bit for bit, the connection built on
-        that chunk alone, and the six suites' reports are the same, bit for
-        bit: every check reads one per-row array, whatever the chunk.  At
-        seed 1 a fit that summed the Ricci chunk by chunk would move the
-        fitted Einstein constant by 2.2e-16.  On the
-        default member the witnesses' pinned k_a = k_b = 1 pass is the own
-        member's, built again; on the other the pinned member is one of its
-        own, with a center ``K`` of its own."""
+        kept on the sample's rows, which a curvature pass reads, equal, bit
+        for bit, the connection built on that chunk alone, and the six
+        suites' reports are the same, bit for bit: every check reads one
+        per-row array, whatever the chunk.  At seed 1 a fit that summed the
+        Ricci chunk by chunk would move the fitted Einstein constant by
+        2.2e-16.  On the default member the witnesses' pinned k_a = k_b = 1
+        pass is the own member's, built again; on the other the pinned member
+        is one of its own, with a center ``K`` of its own."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b, seed=seed)
         params = ModelParams(n=3, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
+        default_chunk_rows = cotangent_kahler.suites._chunk_rows
         calls = _count_curvature_builds(monkeypatch)
         points = sample_points(cfg, 3, 1.0, params)
         sample = Sample(points[:, 0], points[:, 1], params)
         profile = einstein_profile(params)
         conn = connection_on(sample.rows, params, profile)
 
-        def same_rows(pt, jets, rows):
+        def same_rows(pt, jets, curv, rows):
             return (np.all(conn[rows] == connection_coefficients(pt, params, jets), axis=(1, 2, 3)),)
 
-        (same,) = sample.per_row(params, profile, same_rows)
+        (same,) = sample.curvature_rows(params, profile, same_rows)
         assert same.shape == (20,) and same.all()
+        assert calls == [3] * 6 + [2]
+        calls.clear()
         pinned_center = [] if (k_a, k_b) == (1.0, 1.0) else [1]
         chunked = run_verification(cfg)
         # The own center, then the own, the rational and the pinned pass.
         assert calls == [1] + ([3] * 6 + [2]) * 3 + pinned_center
         calls.clear()
-        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", cotangent_kahler.base._chunk_rows)
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", default_chunk_rows)
         one_chunk = run_verification(cfg)
         assert calls == [1, 20, 20, 20] + pinned_center
         assert [suite["name"] for suite in chunked["suites"]] == list(SUITE_NAMES)
@@ -389,6 +393,37 @@ class TestSharedSample:
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, profile=profile))
         assert [rows for rows, _ in real] == [3, 1, 3]
         assert len({gh for _, gh in real}) == 3
+
+    def test_only_the_curvature_pass_splits_rows(self, monkeypatch):
+        """One config of all six suites at 4 samples in chunks of one row
+        computes the checks that need no curvature in one call over all
+        rows: on real rows the closed-form Nijenhuis tensor runs on all 4
+        rows once per member, the own one and the detuned coupling, besides
+        the integrability oracle's one center, and the closed-form Kahler
+        connection runs once, on all 4 rows.  Every curvature pass still
+        builds ``K`` once per chunk."""
+        calls = _count_curvature_builds(monkeypatch)
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
+        closed = {}
+        for module, name in (
+            (cotangent_kahler.structure, "nijenhuis_closed_form"),
+            (cotangent_kahler.connection, "kahler_connection_coefficients"),
+        ):
+            seen = closed[name] = []
+
+            def counted(pt, params, *args, original=getattr(module, name), seen=seen):
+                if not np.iscomplexobj(pt.q):
+                    seen.append((len(pt.t), params.a_metric))
+                return original(pt, params, *args)
+
+            _patch_everywhere(monkeypatch, getattr(module, name), counted)
+        report = run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=4))
+        assert report["passed"] is True
+        a_metric = integrable_coupling(1.0)
+        assert closed["nijenhuis_closed_form"] == [(1, a_metric), (4, a_metric), (4, 1.1 * a_metric)]
+        assert closed["kahler_connection_coefficients"] == [(4, a_metric)]
+        # The curvature oracle's center, then the own, rational and pinned passes.
+        assert calls == [1] * 13
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
