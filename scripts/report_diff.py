@@ -45,9 +45,13 @@ import sys
 from pathlib import Path
 
 # The default battery, the three benchmark workloads, three off-default
-# members and the four windows outside the default one.
+# members, the four windows outside the default one, and two sets whose
+# reports hold every other form of a check entry.
 # ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
-# Einstein and witness paths cross a chunk boundary.
+# Einstein and witness paths cross a chunk boundary.  ``overflow`` writes
+# "nan" and "inf" values and a ``suite_error`` raised inside a suite;
+# ``huge_c`` fails sampling at c = 1e160 and 1e300, so each suite gets a
+# ``suite_error`` with 0 samples there.
 FLAG_SETS = {
     "default": [],
     "sweep": [
@@ -67,6 +71,8 @@ FLAG_SETS = {
     "large_t": ["--t-min", "1e2", "--t-max", "1e4", "--samples", "20"],
     "extreme_c": ["--curvatures", "0.01,50", "--samples", "20"],
     "dims_4_5": ["--dims", "4,5", "--curvatures", "1.0", "--samples", "5"],
+    "overflow": ["--t-min", "1e100", "--t-max", "1e140", "--samples", "4", "--dims", "3", "--curvatures", "1.0"],
+    "huge_c": ["--curvatures", "1.0,1e160,1e300", "--samples", "5"],
 }
 SEEDS = (0, 3)
 # Report keys left out of the comparison.

@@ -3,7 +3,7 @@
 Exit status is 0 when every requested suite passes, 1 when any check
 fails, and 2 for unusable arguments.  Reports are deterministic for a
 fixed configuration up to the ``timings`` key, and strict JSON: a
-non-finite check value is written as a string (see ``CheckResult``).
+non-finite check value is written as a string (see ``suites._check``).
 """
 
 from __future__ import annotations

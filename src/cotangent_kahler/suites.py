@@ -2,8 +2,10 @@
 
 Each suite bundles related checks: a value, a tolerance, and a comparison
 direction (``le`` for residuals, ``ge`` for witnesses that must stay away
-from zero).  Sampling is deterministic per ``(seed, dim, curvature)``, so a
-fixed configuration yields an identical report.
+from zero).  A check is its report entry, the dict ``_check`` returns; a
+suite returns its checks and its notes, and ``_config_entry`` writes a
+config's entry.  Sampling is deterministic per ``(seed, dim, curvature)``,
+so a fixed configuration yields an identical report.
 
 A config's sampled points are one batch (``Sample``), built once and
 shared by every suite, which names the member it checks.  Each closed-form
@@ -81,8 +83,6 @@ __all__ = [
     "SUITE_NAMES",
     "Tolerances",
     "RunConfig",
-    "CheckResult",
-    "SuiteResult",
     "sample_points",
     "Sample",
     "run_suite",
@@ -179,61 +179,6 @@ class RunConfig:
             )
         if not -1.0 < self.a_metric_offset < math.inf:
             raise ConfigError("a_metric_offset must be finite and keep the coupling positive (> -1)")
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named check: residuals satisfy ``value <= tolerance``, witnesses
-    ``value >= tolerance``.  In the report a non-finite value is the string
-    ``"nan"``, ``"inf"`` or ``"-inf"``, as JSON has no number for it."""
-
-    name: str
-    value: float
-    tolerance: float
-    comparison: str = "le"
-    note: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "le":
-            return bool(self.value <= self.tolerance)
-        return bool(self.value >= self.tolerance)
-
-    def as_dict(self) -> dict:
-        value = float(self.value)
-        out = {
-            "name": self.name,
-            "value": value if math.isfinite(value) else str(value),
-            "tolerance": float(self.tolerance),
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    dim: int
-    curvature: float
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    samples: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "curvature": self.curvature,
-            "samples": self.samples,
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
 
 # ---- sampling ----
@@ -340,17 +285,30 @@ class Sample:
         return self._ricci[params, profile]
 
 
-def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> CheckResult:
-    """A check whose value is the largest of ``values``: one per sample, per
-    FD center or per energy, or one scalar; a NaN in any of them makes the
-    value NaN, which fails either comparison."""
-    return CheckResult(name, float(np.max(values)), tolerance, comparison, note)
+def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> dict:
+    """The report entry of a check whose value is the largest of ``values``
+    (one per sample, per FD center or per energy, or one scalar), passed at
+    ``value <= tolerance`` (``le``) or ``value >= tolerance`` (``ge``).  A NaN
+    in any of ``values`` fails either; a non-finite value is written as
+    ``"nan"``, ``"inf"`` or ``"-inf"``, as JSON has no number for it.  A
+    ``note`` is written only when given."""
+    value = float(np.max(values))
+    entry = {
+        "name": name,
+        "value": value if math.isfinite(value) else str(value),
+        "tolerance": float(tolerance),
+        "comparison": comparison,
+        "passed": bool(value <= tolerance if comparison == "le" else value >= tolerance),
+    }
+    if note is not None:
+        entry["note"] = note
+    return entry
 
 
 # ---- individual suites ----
 
 
-def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
+def _suite_almost_kahler(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
     jets = sample.rows.jets_of(params, profile)
     j_op = assemble_complex_structure(jets)
@@ -366,7 +324,7 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> SuiteResult:
         _check("fundamental_form_closed", dphi, tol.cross_check),
         _check("metric_positive_definite", np.min(eigenvalues), 0.0, comparison="ge"),
     ]
-    return SuiteResult("almost_kahler", params.n, params.c, checks)
+    return checks, []
 
 
 def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
@@ -375,7 +333,7 @@ def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
     return _max_abs(nijenhuis_closed_form(rows.points, params, rows.jets_of(params, profile)), rank=3)
 
 
-def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
+def _suite_integrability(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
     stencil = sample.stencil(1)
     oracle = nijenhuis_numeric(params, profile, stencil) - nijenhuis_closed_form(
@@ -385,10 +343,10 @@ def _suite_integrability(cfg, params, profile, sample) -> SuiteResult:
         _check("nijenhuis_vanishes", _nijenhuis_rows(sample, params, profile), tol.closed_form),
         _check("nijenhuis_matches_bracket_oracle", _max_abs(oracle, rank=3), tol.cross_check),
     ]
-    return SuiteResult("integrability", params.n, params.c, checks)
+    return checks, []
 
 
-def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
+def _suite_connection(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
     checks = []
     if params.is_integrable:
@@ -408,10 +366,10 @@ def _suite_connection(cfg, params, profile, sample) -> SuiteResult:
     if params.is_integrable:
         parallel_j = parallel_j_residual(conn, jets, metric_grad)
         checks.append(_check("complex_structure_parallel", parallel_j, tol.cross_check))
-    return SuiteResult("connection", params.n, params.c, checks)
+    return checks, []
 
 
-def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
+def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
     n = params.n
     h, v = slice(None, n), slice(n, None)
@@ -427,7 +385,7 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
         _check("complement_outputs_vanish", _max_abs(diff[..., odd], rank=1), tol.fd_oracle),
     ]
     notes = []
-    if checks[-1].passed:
+    if checks[-1]["passed"]:
         notes.append(
             "mixed-argument block with vertical third slot produced a horizontal "
             f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
@@ -465,10 +423,10 @@ def _suite_curvature(cfg, params, profile, sample) -> SuiteResult:
         checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
     mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
     checks.append(_check("mixed_ricci_vanishes", _max_abs(mixed, rank=2), tol.cross_check))
-    return SuiteResult("curvature", n, params.c, checks, notes)
+    return checks, notes
 
 
-def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
+def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
 
     ts = np.linspace(cfg.t_min, cfg.t_max, 13)
@@ -488,10 +446,10 @@ def _suite_einstein(cfg, params, profile, sample) -> SuiteResult:
         checks.append(_check("einstein_constant", einstein_residual(params, jets, ricci), tol.cross_check))
         fit_error = abs(fit_einstein_constant(ricci, jets) - family_einstein_constant(params))
         checks.append(_check("fitted_constant_matches", fit_error, tol.cross_check))
-    return SuiteResult("einstein", params.n, params.c, checks)
+    return checks, []
 
 
-def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
+def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
     n, c = params.n, params.c
     stencil = sample.stencil(1)
@@ -525,7 +483,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
         closed = einstein_difference_closed_form(pt, params, generic)
         off_family = _max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2)
         checks.append(_check("einstein_difference_off_family", off_family, tol.closed_form))
-        if checks[-1].passed:
+        if checks[-1]["passed"]:
             notes.append(
                 "horizontal Einstein defect matched the admissibility-weighted form "
                 "(sqrt(c) + sqrt(2t) v) gamma / (4t) p p, not the unweighted variant, "
@@ -569,7 +527,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> SuiteResult:
             note=f"max nabla-K component {probe[0]:.6g} on the k_a=1, k_b=1 member",
         )
     )
-    return SuiteResult("witnesses", n, c, checks, notes)
+    return checks, notes
 
 
 _SUITE_FUNCS = {
@@ -582,15 +540,21 @@ _SUITE_FUNCS = {
 }
 
 
-def _suite_error(name: str, params: ModelParams, exc: Exception) -> SuiteResult:
-    """The result of a suite that raised ``exc``: one failed ``suite_error``
-    check whose note names the exception."""
-    note = f"{type(exc).__name__}: {exc}"
-    return SuiteResult(name, params.n, params.c, [CheckResult("suite_error", 1.0, 0.0, note=note)])
+def _suite_error(exc: Exception) -> dict:
+    """The one failed ``suite_error`` check of a suite that raised ``exc``;
+    its note names the exception."""
+    return _check("suite_error", 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample) -> SuiteResult:
-    """Run one suite over a shared sample.
+def _config_entry(params: ModelParams, samples: int, checks: list[dict]) -> dict:
+    """A config's report entry in one suite: passed when all ``checks`` are."""
+    passed = all(check["passed"] for check in checks)
+    return {"dim": params.n, "curvature": params.c, "samples": samples, "passed": passed, "checks": checks}
+
+
+def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: Sample) -> tuple[dict, list[str]]:
+    """Run one suite over a shared sample; return the config's report entry
+    and the suite's discrepancy notes.
 
     Numerical failures never abort the run: a ``GeometryError`` (zero
     section, positivity, singular metric, non-finite FD row) or an ``ArithmeticError``
@@ -601,11 +565,10 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
     except KeyError:
         raise ConfigError(f"unknown suite {name!r}") from None
     try:
-        result = func(cfg, params, profile, sample)
+        checks, notes = func(cfg, params, profile, sample)
     except (GeometryError, ArithmeticError) as exc:
-        result = _suite_error(name, params, exc)
-    result.samples = len(sample)
-    return result
+        checks, notes = [_suite_error(exc)], []
+    return _config_entry(params, len(sample), checks), notes
 
 
 def run_verification(cfg: RunConfig) -> dict:
@@ -616,12 +579,15 @@ def run_verification(cfg: RunConfig) -> dict:
     ``GeometryError`` or an ``ArithmeticError`` gets one failed
     ``suite_error`` check in each suite, with no samples, and the run goes
     on.  Returns the full report as a JSON-serializable dict, suite by
-    suite; wall-clock timings live in their own key so reports stay
-    comparable across runs.
+    suite, built from the entries of ``run_suite``; the discrepancy notes
+    go suite by suite, in config order, each at its first occurrence.
+    Wall-clock timings live in their own key so reports stay comparable
+    across runs.
     """
     import time
 
-    results: dict[str, list[SuiteResult]] = {name: [] for name in cfg.suites}
+    configs: dict[str, list[dict]] = {name: [] for name in cfg.suites}
+    notes: dict[str, list[str]] = {name: [] for name in cfg.suites}
     seconds = dict.fromkeys(cfg.suites, 0.0)
     for n in cfg.dims:
         for c in cfg.curvatures:
@@ -632,29 +598,27 @@ def run_verification(cfg: RunConfig) -> dict:
                 points = sample_points(cfg, n, c, params)
             except (GeometryError, ArithmeticError) as exc:
                 for suite_name in cfg.suites:
-                    results[suite_name].append(_suite_error(suite_name, params, exc))
+                    configs[suite_name].append(_config_entry(params, 0, [_suite_error(exc)]))
                 continue
             sample = Sample(points[:, 0], points[:, 1], params)
             for suite_name in cfg.suites:
                 started = time.perf_counter()
-                results[suite_name].append(run_suite(suite_name, cfg, params, profile, sample))
+                entry, suite_notes = run_suite(suite_name, cfg, params, profile, sample)
                 seconds[suite_name] += time.perf_counter() - started
+                configs[suite_name].append(entry)
+                notes[suite_name] += (f"{suite_name}: {note}" for note in suite_notes)
 
-    suites_out = []
-    for suite_name, suite_results in results.items():
-        configs = [result.as_dict() for result in suite_results]
-        passed = all(config["passed"] for config in configs)
-        suites_out.append({"name": suite_name, "passed": passed, "configs": configs})
-    # Suite by suite, in config order; the report keeps each note's first occurrence.
-    notes = [f"{name}: {note}" for name, rs in results.items() for result in rs for note in result.notes]
-
+    suites_out = [
+        {"name": name, "passed": all(entry["passed"] for entry in entries), "configs": entries}
+        for name, entries in configs.items()
+    ]
     config = asdict(cfg)
     config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
     return {
         "schema_version": 3,
         "config": config,
         "suites": suites_out,
-        "discrepancy_notes": list(dict.fromkeys(notes)),
+        "discrepancy_notes": list(dict.fromkeys(note for suite_notes in notes.values() for note in suite_notes)),
         "passed": all(s["passed"] for s in suites_out),
         "timings": {name: round(spent, 6) for name, spent in seconds.items()},
     }

@@ -28,3 +28,16 @@ def test_traced_run_matches_untraced_run():
     traced.pop("timings")
     plain.pop("timings")
     assert traced == plain
+
+
+def test_traced_run_times_each_suite():
+    """A traced run of one config reports a positive ``suites.<name>.s``,
+    the time of the spans around ``run_suite``, for each of the six suites."""
+    tracing = _load_tracing()
+    cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=2)
+    with tracing.traced(tracing.Tracer()) as tracer:
+        run_verification(cfg)
+    metrics = tracer.metrics()
+    assert list(cfg.suites) == list(tracing.SUITE_NAMES)
+    for name in cfg.suites:
+        assert metrics[f"suites.{name}.s"] > 0, name

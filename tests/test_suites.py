@@ -37,12 +37,37 @@ class TestCheckReduction:
     @pytest.mark.parametrize("comparison", ["le", "ge"])
     def test_nan_in_a_later_sample_fails(self, comparison):
         check = _check("probe", [0.5, np.nan, 0.25], 1.0, comparison=comparison)
-        assert np.isnan(check.value)
-        assert check.passed is False
+        assert check["value"] == "nan"
+        assert check["passed"] is False
 
     def test_value_is_the_largest_sample(self):
-        assert _check("probe", [0.25, 2.0, 1.0], 1.0).value == 2.0
-        assert _check("probe", [0.25, 2.0, 1.0], 1.0, comparison="ge").passed is True
+        assert _check("probe", [0.25, 2.0, 1.0], 1.0)["value"] == 2.0
+        assert _check("probe", [0.25, 2.0, 1.0], 1.0, comparison="ge")["passed"] is True
+
+    def test_a_check_is_its_report_entry(self, monkeypatch):
+        """``_check`` returns the report's entry, non-finite values written
+        as strings and ``note`` only when given, and a report's check
+        entries are the very dicts that ``_check`` returned."""
+        nan = {"name": "probe", "value": "nan", "tolerance": 1.0, "comparison": "le", "passed": False}
+        assert _check("probe", [0.5, np.nan], 1.0) == nan
+        assert _check("probe", [0.5, np.inf], 1.0, comparison="ge") == {
+            **nan, "value": "inf", "comparison": "ge", "passed": True
+        }
+        assert "note" not in _check("probe", 0.5, 1.0)
+        assert _check("probe", 0.5, 1.0, note="why")["note"] == "why"
+
+        original = cotangent_kahler.suites._check
+        returned = []
+
+        def recorded(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cotangent_kahler.suites, "_check", recorded)
+        report = run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=4))
+        checks = [check for suite in report["suites"] for check in suite["configs"][0]["checks"]]
+        assert len(checks) == len(returned) > 0
+        assert all(check is entry for check, entry in zip(checks, returned))
 
     @pytest.mark.parametrize(
         "suite, name, func",
