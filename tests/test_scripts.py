@@ -1,8 +1,9 @@
 """The scripts under scripts/: a smoke test of the exploration script
 profile_sweep.py, the summary, Tier-1 entry and layer entry of
-bench_pairs.py on fixed numbers, and report_diff.py on fixed reports, on
+bench_pairs.py on fixed numbers, report_diff.py on fixed reports, on
 one tiny flag set run twice on this tree, and rewriting the golden of a
-temporary tree."""
+temporary tree, and mutation_matrix.py on one mutation and one tiny flag
+set, on fixed catches, and against the committed MUTATIONS.json."""
 
 import importlib.util
 import json
@@ -356,3 +357,80 @@ def test_report_diff_rewrites_the_goldens_of_a_tree(tmp_path, capsys):
     assert run["counts"]["moved"] == 1 and run["exit_codes"] == [code, code]
     assert "| golden tiny.json |" in capsys.readouterr().out
     assert report_diff.main(argv) == 0
+
+
+def _source_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` outside ``__pycache__``, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+def test_mutation_matrix_catches_one_mutation_on_a_tiny_flag_set(tmp_path, monkeypatch, capsys):
+    """The family-constant mutation on the einstein suite at n = 2, c = 1 and
+    two samples: ``einstein/einstein_constant`` catches it, the unmutated
+    copy fails nothing, the file and the tables are written, and this
+    tree's sources are byte-identical afterwards."""
+    matrix = _load_script("mutation_matrix")
+    [mutation] = [m for m in matrix.CATALOG if m[0] == "family_constant"]
+    tiny = ["--dims", "2", "--curvatures", "1.0", "--samples", "2", "--suites", "einstein", "--seed", "0"]
+    monkeypatch.setattr(matrix, "CATALOG", (mutation,))
+    monkeypatch.setattr(matrix, "FLAG_SETS", {"tiny": tiny})
+    monkeypatch.setattr(matrix, "OUT", tmp_path / "MUTATIONS.json")
+    before = _source_bytes(SCRIPTS.parent / "src")
+    assert matrix.main() == 0
+    assert _source_bytes(SCRIPTS.parent / "src") == before
+    record = json.loads((tmp_path / "MUTATIONS.json").read_text())
+    assert record["clean_failures"] == {"tiny": []}
+    assert "einstein/einstein_constant" in record["caught_by"]["family_constant"]["tiny"]
+    assert "family_constant" in record["catch_sets"]["einstein/einstein_constant"]
+    assert record["survivors"] == []
+    assert "| family_constant |" in capsys.readouterr().out
+
+
+def test_mutation_matrix_summary_on_fixed_catches():
+    """Catch sets join the flag sets; a crash is no check; a mutation caught
+    by one check alone names it; a check whose catches all lie in another's
+    names that one; a mutation caught by nothing survives."""
+    matrix = _load_script("mutation_matrix")
+    caught_by = {
+        "m1": {"a": ["s/x", "s/y"], "b": ["s/z"]},
+        "m2": {"a": ["s/y"], "b": []},
+        "m3": {"a": [matrix.CRASH], "b": []},
+        "m4": {"a": [], "b": []},
+    }
+    summary = matrix.summarize(["s/x", "s/y", "s/z", "s/w"], caught_by)
+    assert summary["catch_sets"] == {"s/x": ["m1"], "s/y": ["m1", "m2"], "s/z": ["m1"], "s/w": []}
+    assert summary["single_catcher"] == {"m2": "s/y"}
+    assert summary["subsumed"] == {"s/x": ["s/y", "s/z"], "s/z": ["s/x", "s/y"]}
+    assert summary["survivors"] == ["m4"]
+
+
+def test_mutation_catalog_matches_the_sources_once():
+    """Every ``old`` of the catalog occurs exactly once in its file, so no
+    mutation has rotted away from the code it names."""
+    matrix = _load_script("mutation_matrix")
+    for mid, file, old, new in matrix.CATALOG:
+        text = (SCRIPTS.parent / matrix.PACKAGE / file).read_text(encoding="utf-8")
+        assert text.count(old) == 1, mid
+        assert old != new, mid
+
+
+def test_mutation_matrix_is_not_stale():
+    """``MUTATIONS.json`` lists the checks of the default battery's golden
+    report, in order, and the catalog of the script: a change that adds or
+    removes a check, or edits the catalog, runs the matrix again."""
+    matrix = _load_script("mutation_matrix")
+    record = json.loads((SCRIPTS.parent / "MUTATIONS.json").read_text())
+    golden = json.loads((SCRIPTS.parent / "tests" / "golden" / "samples3_seed0.json").read_text())
+    names = [
+        f"{suite['name']}/{check['name']}"
+        for suite in golden["suites"]
+        for config in suite["configs"]
+        for check in config["checks"]
+    ]
+    assert record["checks"] == list(dict.fromkeys(names))
+    assert record["catalog"] == [dict(zip(("id", "file", "old", "new"), m)) for m in matrix.CATALOG]
+    assert record["flag_sets"] == matrix.FLAG_SETS
