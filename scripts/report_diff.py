@@ -49,7 +49,7 @@ from pathlib import Path
 # reports hold every other form of a check entry.
 # ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
 # Einstein and witness paths cross a chunk boundary.  ``overflow`` writes
-# "nan" and "inf" values and a ``suite_error`` raised inside a suite;
+# "nan" values and a ``suite_error`` raised inside a suite;
 # ``huge_c`` fails sampling at c = 1e160 and 1e300, so each suite gets a
 # ``suite_error`` with 0 samples there.
 FLAG_SETS = {

@@ -59,8 +59,6 @@ from .einstein import (
     einstein_difference_closed_form,
     einstein_residual,
     euler_ode_residual,
-    family_einstein_constant,
-    fit_einstein_constant,
     gamma_factor,
 )
 from .errors import ConfigError, GeometryError
@@ -391,15 +389,12 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
             f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
         )
 
-    # Each sample draws 16 vectors (four quadruples) and, at the integrable
-    # coupling, one section.
+    # Four quadruples (X, Y, Z, W) per sample, the same at every coupling.
     rng = np.random.default_rng([cfg.seed, 7, n])
-    drawn = rng.normal(size=(len(sample), 17 if params.is_integrable else 16, 2 * n))
+    quadruples = rng.normal(size=(len(sample), 4, 4, 2 * n))
 
     def per_block(pt, jets, curv, rows):
-        metric = assemble_metric(jets)
-        quadruples = drawn[rows, :16].reshape(-1, 4, 4, 2 * n)
-        symmetry = pair_symmetry_residual(curv, metric, quadruples)
+        symmetry = pair_symmetry_residual(curv, assemble_metric(jets), quadruples[rows])
         if not params.is_integrable:
             return (symmetry,)
         relations = _max_abs(
@@ -407,20 +402,15 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
             curv[..., v, v, v, v] + np.swapaxes(curv[..., v, v, h, h], -2, -1),
             rank=4,
         )
-        j_op, x = assemble_complex_structure(jets), drawn[rows, 16]
-        h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
-        h2 = holomorphic_sectional_curvature(curv, metric, j_op, 2.5 * x)
-        return symmetry, relations, np.abs(h1 - h2)
+        return symmetry, relations
 
-    symmetry, *kahler = sample.curvature_rows(params, profile, per_block)
+    symmetry, *relations = sample.curvature_rows(params, profile, per_block)
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
-        relations, hsc_spread = kahler
-        checks.append(_check("kahler_block_relations", relations, tol.closed_form))
+        checks.append(_check("kahler_block_relations", relations[0], tol.closed_form))
         trace, closed = sample.ricci_of(params, profile), ricci_closed_form(sample.rows.points, params, profile)
         two_path = _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
-        checks.append(_check("holomorphic_curvature_scale_invariant", hsc_spread, tol.closed_form))
     mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
     checks.append(_check("mixed_ricci_vanishes", _max_abs(mixed, rank=2), tol.cross_check))
     return checks, notes
@@ -428,24 +418,16 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
 
 def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
-
-    ts = np.linspace(cfg.t_min, cfg.t_max, 13)
-    gam = gamma_factor(params, profile, ts)
-    ode = euler_ode_residual(params, profile, ts)
-    relation = gam + 4.0 * math.sqrt(2.0) * np.sqrt(ts) * ode
-    checks = [_check("gamma_matches_ode_residual", np.abs(relation), tol.closed_form)]
-
     pt, jets, ricci = sample.rows.points, sample.rows.jets_of(params, profile), sample.ricci_of(params, profile)
     direct = einstein_difference(pt, params, profile, jets, ricci)
     closed = einstein_difference_closed_form(pt, params, profile)
     closed_vs_direct = _max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2)
-    checks.append(_check("difference_closed_form", closed_vs_direct, tol.closed_form))
+    checks = [_check("difference_closed_form", closed_vs_direct, tol.closed_form)]
 
     if cfg.profile == "einstein":
+        ode = euler_ode_residual(params, profile, np.linspace(cfg.t_min, cfg.t_max, 13))
         checks.append(_check("family_solves_ode", np.abs(ode), tol.closed_form))
         checks.append(_check("einstein_constant", einstein_residual(params, jets, ricci), tol.cross_check))
-        fit_error = abs(fit_einstein_constant(ricci, jets) - family_einstein_constant(params))
-        checks.append(_check("fitted_constant_matches", fit_error, tol.cross_check))
     return checks, []
 
 

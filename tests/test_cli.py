@@ -298,6 +298,9 @@ def _checks_by_suite(report: dict) -> dict:
 class TestNumericalFailures:
     OVERFLOW = ["--t-min", "1e100", "--t-max", "1e140", "--samples", "4",
                 "--dims", "3", "--curvatures", "1.0"]
+    # A member whose metric entries overflow in the default window: its
+    # report holds both an "inf" and "nan" values.
+    HUGE_KA = ["--ka", "1e300", "--samples", "4", "--dims", "3", "--curvatures", "1.0"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_recorded_not_raised(self, tmp_path, capsys):
@@ -332,7 +335,7 @@ class TestNumericalFailures:
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        assert main(self.OVERFLOW + ["--report", "-"]) == 1
+        assert main(self.HUGE_KA + ["--report", "-"]) == 1
         report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         strings = [
             check

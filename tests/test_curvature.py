@@ -107,17 +107,19 @@ class TestSymmetries:
         npt.assert_allclose(curv[H, H, V, V], -np.swapaxes(curv[H, H, H, H], 2, 3), atol=1e-12)
         npt.assert_allclose(curv[V, V, V, V], -np.swapaxes(curv[V, V, H, H], 2, 3), atol=1e-12)
 
-    def test_holomorphic_sectional_curvature_scale_invariant(
-        self, kahler_point, kahler_params, kahler_profile, rng
-    ):
-        jets = fiber_jets(kahler_point, kahler_params, kahler_profile)
-        curv = curvature_blocks(kahler_point, kahler_params, jets)
-        metric = assemble_metric(jets)
-        j_op = assemble_complex_structure(jets)
-        x = rng.normal(size=6)
-        h1 = holomorphic_sectional_curvature(curv, metric, j_op, x)
-        h2 = holomorphic_sectional_curvature(curv, metric, j_op, 3.0 * x)
-        assert h1 == pytest.approx(h2, rel=1e-10)
+    @pytest.mark.parametrize("scale", [-3.0, 0.1, 2.5])
+    def test_holomorphic_sectional_curvature_scale_invariant(self, kahler_params, kahler_profile, rng, scale):
+        """H(sX) = H(X) on a batch of rows, each with its own section: H has
+        degree 0 in X for every K, G and J, so the report does not check it."""
+        q, p = rng.uniform(-1.5, 1.5, size=(6, 3)), rng.normal(size=(6, 3))
+        pt = CotangentPoint.at(q, p, kahler_params)
+        jets = fiber_jets(pt, kahler_params, kahler_profile)
+        curv = curvature_blocks(pt, kahler_params, jets)
+        metric, j_op = assemble_metric(jets), assemble_complex_structure(jets)
+        x = rng.normal(size=(6, 6))
+        h = holomorphic_sectional_curvature(curv, metric, j_op, x)
+        assert h.shape == (6,)
+        npt.assert_allclose(holomorphic_sectional_curvature(curv, metric, j_op, scale * x), h, rtol=1e-10)
 
     def test_contractions_match_index_loops(self, kahler_point, kahler_params, kahler_profile, rng):
         """The array contractions equal the sums over frame indices that

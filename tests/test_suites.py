@@ -171,8 +171,8 @@ FD_CENTERS = {
     "complex_structure_parallel_detects_coupling": 1,
     "curvature_not_parallel": 1,
 }
-SCALAR = ("metric_positive_definite", "holomorphic_curvature_spread", "fitted_constant_matches")
-PER_ENERGY = ("gamma_matches_ode_residual", "family_solves_ode", "gamma_detects_profile")
+SCALAR = ("metric_positive_definite", "holomorphic_curvature_spread")
+PER_ENERGY = ("family_solves_ode", "gamma_detects_profile")
 
 
 class TestPerSampleContract:
