@@ -8,7 +8,7 @@ The probes that only read a closed form (pair symmetry, holomorphic
 sectional curvature, the residual helpers) are not mutated.
 
 ``run_matrix`` copies the tree's ``src`` to a temporary directory for the
-unmutated run and again for each mutation, applies the mutation there and
+unmutated runs and again for each mutation, applies the mutation there and
 never to the tree itself, and runs the CLI on each flag set of
 ``FLAG_SETS`` through ``report_diff.run_report``.  A mutation is caught by
 the ``suite/check`` names that fail on it and pass on the unmutated copy; a
@@ -143,10 +143,10 @@ CATALOG = (
 )
 
 
-def apply_mutation(src: Path, file: str, old: str, new: str) -> None:
+def apply_mutation(tree: Path, file: str, old: str, new: str) -> None:
     """Replace the one occurrence of ``old`` by ``new`` in ``file`` of the
-    package under ``src``; raise when ``old`` does not occur exactly once."""
-    path = src / "cotangent_kahler" / file
+    package of ``tree``; raise when ``old`` does not occur exactly once."""
+    path = tree / PACKAGE / file
     text = path.read_text(encoding="utf-8")
     if text.count(old) != 1:
         raise ValueError(f"{file}: {old!r} occurs {text.count(old)} times, not once")
@@ -166,20 +166,25 @@ def _names(report: dict, failed_only: bool) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def _run_copy(tree: Path, mutation, flags: list[str]) -> dict | str:
-    """The report of ``tree``'s CLI on ``flags``, run on a temporary copy of
-    its ``src`` with ``mutation`` (or none) applied; ``CRASH`` or
-    ``REFUSED`` when the run gives no report."""
+def _report(copy: Path, flags: list[str]) -> dict | str:
+    """The report of the CLI of ``copy`` on ``flags``, or ``CRASH`` or
+    ``REFUSED`` when it gives none."""
+    try:
+        _, report = run_report(copy, flags)
+    except SystemExit:
+        return CRASH
+    return REFUSED if report is None else report
+
+
+def _run_copy(tree: Path, mutation, flag_sets: dict) -> dict[str, dict | str]:
+    """``_report`` per flag set of ``flag_sets``, on one temporary copy of
+    ``tree``'s ``src`` with ``mutation`` (or none) applied."""
     with tempfile.TemporaryDirectory(prefix="mutation_") as tmp:
         copy = Path(tmp)
         shutil.copytree(tree / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
         if mutation is not None:
-            apply_mutation(copy / "src", *mutation[1:])
-        try:
-            _, report = run_report(copy, flags)
-        except SystemExit:
-            return CRASH
-    return REFUSED if report is None else report
+            apply_mutation(copy, *mutation[1:])
+        return {name: _report(copy, flags) for name, flags in flag_sets.items()}
 
 
 def run_matrix(tree: Path, catalog, flag_sets: dict) -> dict:
@@ -192,16 +197,14 @@ def run_matrix(tree: Path, catalog, flag_sets: dict) -> dict:
     ``[CRASH]`` or ``[REFUSED]``.
     """
     clean = {}
-    for name, flags in flag_sets.items():
-        report = _run_copy(tree, None, flags)
+    for name, report in _run_copy(tree, None, flag_sets).items():
         if isinstance(report, str):
             raise SystemExit(f"the unmutated tree gave no report on {name}: {report}")
         clean[name] = {"checks": _names(report, False), "failed": _names(report, True)}
     caught_by = {}
     for mutation in catalog:
         caught_by[mutation[0]] = {}
-        for name, flags in flag_sets.items():
-            report = _run_copy(tree, mutation, flags)
+        for name, report in _run_copy(tree, mutation, flag_sets).items():
             failed = [report] if isinstance(report, str) else _names(report, True)
             caught_by[mutation[0]][name] = [check for check in failed if check not in clean[name]["failed"]]
         print(f"{mutation[0]}: done", file=sys.stderr)

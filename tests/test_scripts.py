@@ -390,6 +390,17 @@ def test_mutation_matrix_catches_one_mutation_on_a_tiny_flag_set(tmp_path, monke
     assert "| family_constant |" in capsys.readouterr().out
 
 
+def test_mutation_matrix_records_a_crash_as_no_check():
+    """A mutation that kills the CLI before it writes a report is recorded
+    as ``<crash>`` on each flag set, not as a failing check."""
+    matrix = _load_script("mutation_matrix")
+    crash = ("crash", "__main__.py", "raise SystemExit(main())", "raise RuntimeError('mutated')")
+    tiny = ["--dims", "2", "--curvatures", "1.0", "--samples", "2", "--suites", "almost_kahler", "--seed", "0"]
+    result = matrix.run_matrix(SCRIPTS.parent, [crash], {"tiny": tiny})
+    assert result["clean"]["tiny"]["failed"] == []
+    assert result["caught_by"] == {"crash": {"tiny": [matrix.CRASH]}}
+
+
 def test_mutation_matrix_summary_on_fixed_catches():
     """Catch sets join the flag sets; a crash is no check; a mutation caught
     by one check alone names it; a check whose catches all lie in another's
