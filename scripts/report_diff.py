@@ -48,7 +48,9 @@ from pathlib import Path
 # members, the four windows outside the default one, and two sets whose
 # reports hold every other form of a check entry.
 # ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
-# Einstein and witness paths cross a chunk boundary.  ``overflow`` writes
+# Einstein and witness paths cross a chunk boundary; ``witnesses_only``
+# takes 30 samples too, so that the witnesses' pass, each member's first
+# there, crosses one at n = 3.  ``overflow`` writes
 # "nan" values and a ``suite_error`` raised inside a suite;
 # ``huge_c`` fails sampling at c = 1e160 and 1e300, so each suite gets a
 # ``suite_error`` with 0 samples there.
@@ -73,6 +75,7 @@ FLAG_SETS = {
     "dims_4_5": ["--dims", "4,5", "--curvatures", "1.0", "--samples", "5"],
     "overflow": ["--t-min", "1e100", "--t-max", "1e140", "--samples", "4", "--dims", "3", "--curvatures", "1.0"],
     "huge_c": ["--curvatures", "1.0,1e160,1e300", "--samples", "5"],
+    "witnesses_only": ["--suites", "witnesses", "--samples", "30"],
 }
 SEEDS = (0, 3)
 # Report keys left out of the comparison.

@@ -154,12 +154,17 @@ def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -
     return curvature_from_connection(pt, params, jets, connection_coefficients(pt, params, jets))
 
 
-def center_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
-    """``K`` of a member at the centers of ``stencil``, from its
-    ``center_connection``; built once per member and kept with the stencil
-    (``Rows.memo``), so the block oracle and ``nabla_curvature`` share it."""
+def center_curvature(params: ModelParams, profile, stencil: Stencil, head: np.ndarray | None = None) -> np.ndarray:
+    """``K`` of a member at the centers of ``stencil``, kept with the stencil
+    (``Rows.memo``) on first use, so the block oracle and ``nabla_curvature``
+    share it: the centers' rows of ``head``, the ``K`` a curvature pass built
+    on the first rows of the stencil's base (``suites.Sample``), as
+    ``center_connection`` takes rows of ``connection_on``; with no ``head``,
+    built on the centers from the member's ``center_connection``."""
 
     def build():
+        if head is not None:
+            return head[stencil.index]
         jets, conn = stencil.center_jets(params, profile), center_connection(params, profile, stencil)
         return curvature_from_connection(stencil.centers, params, jets, conn)
 

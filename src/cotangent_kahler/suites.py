@@ -11,14 +11,16 @@ A config's sampled points are one batch (``Sample``), built once and
 shared by every suite, which names the member it checks.  Each closed-form
 check reads one array with a value per sample; a check that needs no
 curvature computes it in one call over all rows.  Only the curvature pass
-(``Sample.curvature_rows``), which a suite consumes (``curvature`` on the
-own member, ``witnesses`` on its pinned one), splits the rows into blocks,
-so that a member's ``K`` and its block parts, ``(2n)^4`` numbers per row,
-are built once per block and no value depends on the block size.  The pass
-keeps the member's Ricci trace over all rows, which ``einstein`` and the
-witnesses' rational profile read instead of building ``K`` again.  The finite-difference oracles
-differentiate on the sample's stencils at the first center or the first two
-(``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
+(``Sample.curvature_rows``) splits the rows into blocks, so that a
+member's ``K`` and its block parts, ``(2n)^4`` numbers per row, are built
+once per block and no value depends on the block size; no other code
+builds a member's ``K`` on the sampled rows.  The ``curvature`` suite
+consumes the own member's pass.  The pass keeps the member's Ricci trace,
+which ``einstein`` and the witnesses' rational profile read, its ``K`` at
+the stencils' centers, which the FD oracles read, and on the witnesses'
+pinned member the sectional values they read.  The finite-difference
+oracles differentiate on the sample's stencils at the first center or the
+first two (``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
 check's value is the largest of its per-sample values; a NaN in any sample
 fails it.
 """
@@ -214,6 +216,21 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
+def _pin_witness(cfg: RunConfig, params: ModelParams, sample: "Sample") -> tuple:
+    """The sample's ``witness``, set on first use: the pinned member and one
+    random section per row, drawn from ``[seed, 11, n, round(c * 1e9)]``.
+
+    Non-constancy witnesses probe a fixed generic family member: with
+    k_a = 0 some members (n = 2 in particular) are genuinely locally
+    symmetric, so the generic claim is pinned to k_a = k_b = 1."""
+    if sample.witness is None:
+        n, c = params.n, params.c
+        pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
+        rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
+        sample.witness = pinned, einstein_profile(pinned), rng.normal(size=(len(sample), 2 * n))
+    return sample.witness
+
+
 class Sample:
     """The sampled points of one ``(n, c)`` config, one batch shared by
     every suite; each method takes the member ``(params, profile)``.
@@ -227,27 +244,35 @@ class Sample:
     refers back to the sample.  Each is built on first use; a build that
     raises is not kept, so every suite that needs it records the error.
 
-    ``curvature_rows`` is the one place that splits the rows into blocks,
-    each holding as many rows as keep ``(2n)^4`` float64 numbers per row
-    within the byte budget of ``_chunk_rows``; it builds each block's
-    curvature ``K`` once, from the block's rows of the member's
-    ``connection_on`` the rows, and returns one per-row array per check,
-    whatever the budget.  A pass that runs to its end keeps the member's
-    Ricci trace over all rows, O(S n^2) numbers, for ``ricci_of``, keyed as
-    in ``Rows``.  ``ricci_of`` runs such a pass if none has; a pass that
-    raises keeps no Ricci.
+    ``witness`` is ``None`` or the witnesses' pinned member and its
+    sections, ``(params, profile, x)`` with one per row, set before any pass
+    when the run includes the witnesses suite.
+
+    ``curvature_rows`` is the one place that builds a member's ``K`` on the
+    rows: once per block of as many rows as keep ``(2n)^4`` float64 numbers
+    per row within the byte budget of ``_chunk_rows``, from the block's
+    rows of the member's ``connection_on`` the rows.  It returns one
+    per-row array per check, whatever the budget.  A pass that runs to its
+    end keeps, keyed as in ``Rows``, the member's Ricci trace over all rows
+    for ``ricci_of``, its ``K`` at each stencil's centers for
+    ``center_curvature``, and, on the pinned member, the holomorphic
+    sectional curvature at the witness sections for ``holomorphic_of``
+    (once).  ``ricci_of`` and ``holomorphic_of`` run a pass if none has
+    kept theirs; a pass that raises keeps nothing.
 
     The keep rule: a config keeps per-row values on all S rows (the point,
     and each member's metric blocks, fiber jets, connection and Ricci
-    trace), so these grow with S.  It keeps ``K`` only at a stencil's
-    centers: no pass's ``K`` or block part outlives its block, so what a
-    pass adds is bounded per block.
+    trace, and the pinned member's sectional values), so these grow with
+    S.  It keeps ``K`` only at a stencil's centers: no pass's ``K`` or block
+    part outlives its block, so what a pass adds is bounded per block.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
+        self.witness = None
         self._stencils: dict[int, Stencil] = {}
         self._ricci: dict = {}
+        self._holomorphic = None
 
     def __len__(self) -> int:
         return len(self.rows.q)
@@ -261,8 +286,10 @@ class Sample:
         """``fn(points, jets, K, rows)`` of the member on each block of rows,
         in order, ``rows`` the block's slice and ``K`` the member's curvature
         on the block; the tuples of per-row arrays it returns, joined over all
-        rows.  Keeps the member's Ricci for ``ricci_of``."""
+        rows.  Keeps what the class docstring says."""
         jets, conn = self.rows.jets_of(params, profile), connection_on(self.rows, params, profile)
+        sections = self._holomorphic is None and self.witness is not None and self.witness[:2] == (params, profile)
+        centers = max(self._stencils, default=0)
         step = _chunk_rows(2 * self.rows.q.shape[-1])
         parts = []
         for start in range(0, len(self), step):
@@ -270,9 +297,18 @@ class Sample:
             pt, block_jets = take_rows(self.rows.points, rows), take_rows(jets, rows)
             curv = curvature_from_connection(pt, params, block_jets, conn[rows])
             ricci = ricci_from_blocks(curv)
-            parts.append((ricci.hh, ricci.vv, *fn(pt, block_jets, curv, rows)))
-        hh, vv, *values = (np.concatenate(column) for column in zip(*parts))
+            # A copy, so that the kept centers do not hold the block's K.
+            kept = [ricci.hh, ricci.vv, curv[: max(0, centers - start)].copy()]
+            if sections:
+                metric, j_op = assemble_metric(block_jets), assemble_complex_structure(block_jets)
+                kept.append(holomorphic_sectional_curvature(curv, metric, j_op, self.witness[2][rows]))
+            parts.append((*kept, *fn(pt, block_jets, curv, rows)))
+        hh, vv, head, *values = (np.concatenate(column) for column in zip(*parts))
         self._ricci[params, profile] = RicciBlocks(hh, vv)
+        for stencil in self._stencils.values():
+            center_curvature(params, profile, stencil, head)
+        if sections:
+            self._holomorphic, *values = values
         return tuple(values)
 
     def ricci_of(self, params: ModelParams, profile) -> RicciBlocks:
@@ -281,6 +317,14 @@ class Sample:
         if (params, profile) not in self._ricci:
             self.curvature_rows(params, profile, lambda *_: ())
         return self._ricci[params, profile]
+
+    def holomorphic_of(self) -> np.ndarray:
+        """The pinned member's holomorphic sectional curvature at the witness
+        sections, one per row, from its first full pass; runs one if none
+        has kept them."""
+        if self._holomorphic is None:
+            self.curvature_rows(*self.witness[:2], lambda *_: ())
+        return self._holomorphic
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> dict:
@@ -372,22 +416,8 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
     n = params.n
     h, v = slice(None, n), slice(n, None)
 
-    # One finite-difference curvature at the oracle point serves the block
-    # oracle, the odd-slot complement and the mixed Ricci block.
+    # The stencil comes first, so that the pass keeps K at its center.
     stencil = sample.stencil(1)
-    fd = curvature_fd(params, profile, stencil)
-    diff = fd - center_curvature(params, profile, stencil)
-    odd = odd_slots(n)
-    checks = [
-        _check("blocks_match_fd_oracle", _max_abs(diff[..., ~odd], rank=1), tol.fd_oracle),
-        _check("complement_outputs_vanish", _max_abs(diff[..., odd], rank=1), tol.fd_oracle),
-    ]
-    notes = []
-    if checks[-1]["passed"]:
-        notes.append(
-            "mixed-argument block with vertical third slot produced a horizontal "
-            f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
-        )
 
     # Four quadruples (X, Y, Z, W) per sample, the same at every coupling.
     rng = np.random.default_rng([cfg.seed, 7, n])
@@ -405,6 +435,22 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
         return symmetry, relations
 
     symmetry, *relations = sample.curvature_rows(params, profile, per_block)
+
+    # One finite-difference curvature at the oracle point serves the block
+    # oracle, the odd-slot complement and the mixed Ricci block.
+    fd = curvature_fd(params, profile, stencil)
+    diff = fd - center_curvature(params, profile, stencil)
+    odd = odd_slots(n)
+    checks = [
+        _check("blocks_match_fd_oracle", _max_abs(diff[..., ~odd], rank=1), tol.fd_oracle),
+        _check("complement_outputs_vanish", _max_abs(diff[..., odd], rank=1), tol.fd_oracle),
+    ]
+    notes = []
+    if checks[-1]["passed"]:
+        notes.append(
+            "mixed-argument block with vertical third slot produced a horizontal "
+            f"output (complement below {tol.fd_oracle:.0e}), fixing its frame kind"
+        )
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
         checks.append(_check("kahler_block_relations", relations[0], tol.closed_form))
@@ -433,7 +479,7 @@ def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]
 
 def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
-    n, c = params.n, params.c
+    c = params.c
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
@@ -472,19 +518,8 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
                 "on the rational profile"
             )
 
-    # Non-constancy witnesses probe a fixed generic family member: with
-    # k_a = 0 some members (n = 2 in particular) are genuinely locally
-    # symmetric, so the generic claim is pinned to k_a = k_b = 1.
-    witness_params = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
-    witness_profile = einstein_profile(witness_params)
-    rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
-    x = rng.normal(size=(len(sample), 2 * n))
-
-    def sections(pt, jets, curv, rows):
-        metric, j_op = assemble_metric(jets), assemble_complex_structure(jets)
-        return (holomorphic_sectional_curvature(curv, metric, j_op, x[rows]),)
-
-    (values,) = sample.curvature_rows(witness_params, witness_profile, sections)
+    witness_params, witness_profile, _ = _pin_witness(cfg, params, sample)
+    values = sample.holomorphic_of()
     low, high = np.min(values), np.max(values)
     checks.append(
         _check(
@@ -539,8 +574,10 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
     and the suite's discrepancy notes.
 
     Numerical failures never abort the run: a ``GeometryError`` (zero
-    section, positivity, singular metric, non-finite FD row) or an ``ArithmeticError``
-    (such as a float overflow) becomes one failed ``suite_error`` check.
+    section, positivity, singular metric, non-finite FD row), an
+    ``ArithmeticError`` (such as a float overflow) or a
+    ``np.linalg.LinAlgError`` (such as eigenvalues that do not converge)
+    becomes one failed ``suite_error`` check.
     """
     try:
         func = _SUITE_FUNCS[name]
@@ -548,7 +585,7 @@ def run_suite(name: str, cfg: RunConfig, params: ModelParams, profile, sample: S
         raise ConfigError(f"unknown suite {name!r}") from None
     try:
         checks, notes = func(cfg, params, profile, sample)
-    except (GeometryError, ArithmeticError) as exc:
+    except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as exc:
         checks, notes = [_suite_error(exc)], []
     return _config_entry(params, len(sample), checks), notes
 
@@ -583,6 +620,8 @@ def run_verification(cfg: RunConfig) -> dict:
                     configs[suite_name].append(_config_entry(params, 0, [_suite_error(exc)]))
                 continue
             sample = Sample(points[:, 0], points[:, 1], params)
+            if "witnesses" in cfg.suites:
+                _pin_witness(cfg, params, sample)
             for suite_name in cfg.suites:
                 started = time.perf_counter()
                 entry, suite_notes = run_suite(suite_name, cfg, params, profile, sample)

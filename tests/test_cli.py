@@ -346,6 +346,24 @@ class TestNumericalFailures:
         assert {check["value"] for check in strings} == {"nan", "inf"}
         assert not any(check["passed"] for check in strings if check["comparison"] == "le")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eigenvalue_failure_is_a_suite_error(self, capsys):
+        """With ``--kb 1e300`` in this window the metric blocks overflow and
+        ``eigvalsh`` does not converge on them: the almost-Kahler suite
+        records one failed ``suite_error`` naming the ``LinAlgError``, every
+        other suite is still reported, and the report is strict JSON."""
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert main(["--kb", "1e300"] + self.OVERFLOW + ["--report", "-"]) == 1
+        checks = _checks_by_suite(json.loads(capsys.readouterr().out, parse_constant=refuse))
+        assert list(checks) == list(SUITE_NAMES)
+        (error,) = checks["almost_kahler"]
+        assert (error["name"], error["passed"]) == ("suite_error", False)
+        assert error["note"].startswith("LinAlgError: ")
+        assert all(checks[name] for name in SUITE_NAMES)
+
     def test_summary_prints_a_non_finite_value_as_it_is(self):
         report = {
             "suites": [{"name": "einstein", "passed": False, "configs": [{

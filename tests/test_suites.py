@@ -16,7 +16,7 @@ import cotangent_kahler.structure
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.connection import connection_coefficients, connection_on, metric_gradient
-from cotangent_kahler.curvature import curvature_fd, nabla_curvature
+from cotangent_kahler.curvature import center_curvature, curvature_fd, nabla_curvature
 from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
 from cotangent_kahler.profiles import einstein_profile, rational_profile
@@ -124,9 +124,10 @@ class TestCheckReduction:
         suites' reports are the same, bit for bit: every check reads one
         per-row array, whatever the chunk.  At seed 1 a fit that summed the
         Ricci chunk by chunk would move the fitted Einstein constant by
-        2.2e-16.  On the default member the witnesses' pinned k_a = k_b = 1
-        pass is the own member's, built again; on the other the pinned member
-        is one of its own, with a center ``K`` of its own."""
+        2.2e-16.  On the default member the witnesses read the sections of
+        their pinned k_a = k_b = 1 member from the own member's pass; on the
+        other the pinned member takes a pass of its own.  Every center's
+        ``K`` is a pass's."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b, seed=seed)
         params = ModelParams(n=3, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
         default_chunk_rows = cotangent_kahler.suites._chunk_rows
@@ -143,14 +144,14 @@ class TestCheckReduction:
         assert same.shape == (20,) and same.all()
         assert calls == [3] * 6 + [2]
         calls.clear()
-        pinned_center = [] if (k_a, k_b) == (1.0, 1.0) else [1]
+        passes = 2 if (k_a, k_b) == (1.0, 1.0) else 3
         chunked = run_verification(cfg)
-        # The own center, then the own, the rational and the pinned pass.
-        assert calls == [1] + ([3] * 6 + [2]) * 3 + pinned_center
+        # The own and the rational pass, then the pinned one if it is not own.
+        assert calls == ([3] * 6 + [2]) * passes
         calls.clear()
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", default_chunk_rows)
         one_chunk = run_verification(cfg)
-        assert calls == [1, 20, 20, 20] + pinned_center
+        assert calls == [20] * passes
         assert [suite["name"] for suite in chunked["suites"]] == list(SUITE_NAMES)
         assert {**one_chunk, "timings": None} == {**chunked, "timings": None}
 
@@ -321,14 +322,13 @@ class TestSharedSample:
         profile.  On the real sampled rows it builds the point once and the
         fiber jets three times: the own member, the detuned coupling, and
         whichever of the witnesses' rational profile and k_a = k_b = 1 member
-        is not the own one.  It builds ``K`` once at the one center per
-        member, shared by the block oracle and the nabla-K probe, and in one
-        pass per member: the own one, which the einstein suite reads, the
-        pinned one and, on the Einstein profile, the rational one, whose
-        Ricci the witnesses read from the own pass on the rational profile.
-        That is four builds on either profile: on the Einstein profile the
-        pinned member is the own one, whose pass is built again, as no pass
-        keeps its ``K``; on the rational profile it has a center of its own."""
+        is not the own one.  It builds ``K`` in one pass per member, which
+        also keeps it at the one center for the block oracle and the nabla-K
+        probe: the own one, which the einstein suite reads, and whichever of
+        the rational and the pinned member is not the own one.  That is two
+        builds on either profile: on the Einstein profile the witnesses read
+        the pinned member's sections from the own pass, and on the rational
+        profile the rational member's Ricci."""
         calls = _count_curvature_builds(monkeypatch)
         builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
@@ -337,7 +337,7 @@ class TestSharedSample:
             ("point", 2 * n),
         ] + [("jets", 2 * n)] * center_jets
         assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
-        assert len(calls) == 4
+        assert calls == [3, 3]
 
     @pytest.mark.parametrize("profile, pinned", [("einstein", 0), ("rational", 1)], ids=["einstein", "rational"])
     @pytest.mark.parametrize("n", [2, 5])
@@ -371,15 +371,15 @@ class TestSharedSample:
         ] + [(2 * n, False)] * pinned
 
     @pytest.mark.parametrize("profile, members", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
-    def test_stencil_connections_and_center_k_are_built_once_per_member(self, profile, members, monkeypatch):
+    def test_stencil_connections_once_per_member_and_center_k_from_the_pass(self, profile, members, monkeypatch):
         """One config of all six suites at 3 samples builds the connection on
         the 2n complex rows of ``stencil(1)`` once per member it
         differentiates there (``curvature_fd`` and the nabla-K field share
-        it), and ``K`` at its one center once per member (the block oracle
-        and nabla-K share it): the own member and the pinned k_a = k_b = 1
-        one, which on the Einstein profile is the own one.  A member is told
-        by its metric block.  The centers' connection is no build of its own
-        (see the next test)."""
+        it): the own member and the pinned k_a = k_b = 1 one, which on the
+        Einstein profile is the own one.  A member is told by its metric
+        block.  ``K`` at the one center, which the block oracle and nabla-K
+        share, is no build of its own: each member's pass keeps it.  Nor is
+        the centers' connection (see the next test)."""
         n = 2
         original = cotangent_kahler.connection.connection_coefficients
         connections, curvatures = [], _count_curvature_builds(monkeypatch)
@@ -392,7 +392,7 @@ class TestSharedSample:
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
         on_rows = [gh for rows, complex_rows, gh in connections if complex_rows and rows == 2 * n]
         assert len(on_rows) == len(set(on_rows)) == members
-        assert curvatures.count(1) == members
+        assert curvatures == [3, 3]
 
     @pytest.mark.parametrize("profile", ["einstein", "rational"])
     def test_each_members_connection_on_real_points_is_built_once(self, profile, monkeypatch):
@@ -426,7 +426,7 @@ class TestSharedSample:
         rows once per member, the own one and the detuned coupling, besides
         the integrability oracle's one center, and the closed-form Kahler
         connection runs once, on all 4 rows.  Every curvature pass still
-        builds ``K`` once per chunk."""
+        builds ``K`` once per chunk, and keeps it at the centers."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
         closed = {}
@@ -447,8 +447,8 @@ class TestSharedSample:
         a_metric = integrable_coupling(1.0)
         assert closed["nijenhuis_closed_form"] == [(1, a_metric), (4, a_metric), (4, 1.1 * a_metric)]
         assert closed["kahler_connection_coefficients"] == [(4, a_metric)]
-        # The curvature oracle's center, then the own, rational and pinned passes.
-        assert calls == [1] * 13
+        # The own pass, which the pinned witness reads, and the rational one.
+        assert calls == [1] * 8
 
     def test_field_calls_per_config(self, monkeypatch):
         """At n = 2 with 2 samples one config of all six suites makes 6 field
@@ -473,12 +473,12 @@ class TestSharedSample:
         assert sorted(calls) == [4] * 4 + [8] * 2
 
     def test_curvature_and_einstein_build_each_chunks_k_once(self, monkeypatch):
-        """One ``K`` at the curvature oracle's center, then one per chunk:
-        the einstein suite reads the Ricci that the curvature suite's pass
-        kept."""
+        """One ``K`` per chunk, whose first row the curvature oracle reads at
+        its center: the einstein suite reads the Ricci that the curvature
+        suite's pass kept."""
         calls = _count_curvature_builds(monkeypatch)
         configs = _configs_by_suite(("curvature", "einstein"))
-        assert calls == [1, 3, 3, 2]
+        assert calls == [3, 3, 2]
         assert all(config["passed"] for suite in configs.values() for config in suite)
 
     def test_einstein_alone_builds_each_chunks_k_once(self, monkeypatch):
@@ -498,9 +498,9 @@ class TestSharedSample:
         gives alone, rather than reading the first chunk's Ricci."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
         alone = _configs_by_suite(("einstein",))["einstein"]
-        calls = _count_curvature_builds(monkeypatch, fail_at=3)
+        calls = _count_curvature_builds(monkeypatch, fail_at=2)
         configs = _configs_by_suite(("curvature", "einstein"))
-        assert calls == [1, 3, 3, 3, 3, 2]
+        assert calls == [3, 3, 3, 3, 2]
         (error,) = configs["curvature"][0]["checks"]
         assert error["name"] == "suite_error"
         assert error["note"] == "GeometryError: injected failure"
@@ -565,6 +565,32 @@ class TestSharedSample:
         assert [b for b in jet_builds if b is not None] == ["stack"]
 
 
+class TestPinnedWitness:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_entries_do_not_depend_on_which_pass_serves_them(self, n, monkeypatch):
+        """At 30 samples in chunks of seven rows, the pinned k_a = k_b = 1
+        member's two witnesses are the same entries, bit for bit, whether
+        they read the curvature suite's pass on the own member (all six
+        suites, or curvature and witnesses), a pass of their own on the own
+        member (witnesses alone), or a pass on a pinned member that is not
+        the config's (k_a = 0.5, k_b = 2)."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 7)
+        names = ("holomorphic_curvature_spread", "curvature_not_parallel")
+        runs = [
+            {},
+            {"suites": ("witnesses",)},
+            {"suites": ("curvature", "witnesses")},
+            {"k_a": 0.5, "k_b": 2.0},
+        ]
+        entries = []
+        for flags in runs:
+            report = run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=30, **flags))
+            (witnesses,) = [suite for suite in report["suites"] if suite["name"] == "witnesses"]
+            entries.append([check for check in witnesses["configs"][0]["checks"] if check["name"] in names])
+        assert [check["name"] for check in entries[0]] == list(names)
+        assert all(entry == entries[0] for entry in entries[1:])
+
+
 class TestRicciPerMember:
     """``Sample.ricci_of`` keeps one full pass's Ricci over all rows per
     member, keyed like ``mtensor.Rows``, at eight samples in chunks of three
@@ -581,7 +607,8 @@ class TestRicciPerMember:
         """The witnesses suite takes one pass on its pinned k_a = k_b = 1
         member and one on the rational profile.  Each keeps its own entry,
         with other values; the own member's entry is the same list, with the
-        same values, and no later read builds ``K`` again."""
+        same values, and no later read builds ``K`` again.  The nabla-K
+        probe reads its center's ``K`` from the pinned pass."""
         cfg, params, sample, calls = self._setup(monkeypatch)
         profile = einstein_profile(params)
         own = sample.ricci_of(params, profile)
@@ -593,8 +620,8 @@ class TestRicciPerMember:
             sample.ricci_of(params, rational_profile()),
         ]
         assert sample.ricci_of(params, profile) is own
-        # The own pass, the rational and pinned passes, and nabla-K's center.
-        assert calls == [3, 3, 2] * 3 + [1]
+        # The own pass, then the rational and the pinned pass.
+        assert calls == [3, 3, 2] * 3
         assert np.array_equal(own.hh, before[0]) and np.array_equal(own.vv, before[1])
         for other in others:
             assert other.hh.shape == (8, 2, 2) and not np.array_equal(other.hh, own.hh)
@@ -612,31 +639,40 @@ class TestRicciPerMember:
 
 class TestKeepRule:
     """A config keeps per-row values, the Ricci trace among them, and no
-    pass's ``K`` outlives its chunk, on a sample of one chunk as on one of
-    several."""
+    pass's ``K`` outlives its chunk but at a stencil's centers, on a sample
+    of one chunk as on one of several."""
 
-    @pytest.mark.parametrize("chunk_rows", [8, 3], ids=["one_chunk", "three_chunks"])
+    @pytest.mark.parametrize("chunk_rows", [8, 3, 1], ids=["one_chunk", "three_chunks", "one_row"])
     def test_a_second_pass_builds_every_k_again(self, chunk_rows, monkeypatch):
-        """Eight samples at n = 2: a second pass builds every chunk's ``K``
-        again, with the same values, and the sample's rows keep only the
-        point and the member's metric blocks, jets and connection; the jets
-        hold the very arrays of the kept blocks."""
+        """Eight samples at n = 2 with stencils at one and two centers: a
+        second pass builds every chunk's ``K`` again, with the same values,
+        and the sample's rows keep only the point and the member's metric
+        blocks, jets and connection; the jets hold the very arrays of the
+        kept blocks.  Each stencil keeps only its centers' rows of the first
+        pass's ``K``, which hold two rows of it, whichever chunks they lie
+        in, and builds nothing on its complex rows."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
         rng = np.random.default_rng(2)
         sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
+        stencils = [sample.stencil(1), sample.stencil(2)]
         first, second = [], []
         for seen in (first, second):
             sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: seen.append(curv) or ())
-        assert calls == ([8] if chunk_rows == 8 else [3, 3, 2]) * 2
+        assert calls == [min(chunk_rows, 8 - start) for start in range(0, 8, chunk_rows)] * 2
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
         member = (params, profile)
         memo = sample.rows._memo
         assert set(memo) == {"points", ("blocks", *member), ("jets", *member), ("connection", *member)}
         blocks, jets = memo[("blocks", *member)], memo[("jets", *member)]
         assert blocks.gh is jets.gh and blocks.gv is jets.gv
+        for centers, stencil in enumerate(stencils, start=1):
+            assert set(stencil._memo) == {("center curvature", *member)}
+            kept = stencil._memo[("center curvature", *member)]
+            assert np.array_equal(kept, np.concatenate(first)[:centers])
+            assert (kept if kept.base is None else kept.base).shape[0] == 2
 
 
 class TestOwnership:
@@ -684,12 +720,16 @@ class TestOffFamilyDifference:
 
 
 class TestSharedStencil:
-    def test_oracles_through_the_shared_stencil_match_standalone(self, monkeypatch):
+    @pytest.mark.parametrize("pass_first", [False, True], ids=["no_pass", "pass_first"])
+    def test_oracles_through_the_shared_stencil_match_standalone(self, pass_first, monkeypatch):
         """Each of the five FD oracles gives, bit for bit, the same array
         through the sample's stencil, after the other oracles at its centers
         have built the point and the jets there, as on its own one-use
         stencil on the sample's first rows.  Through the sample the six calls
-        build two complex points and one complex jet set."""
+        build two complex points and one complex jet set.  When the
+        member's curvature pass ran first, in chunks of three rows, the
+        centers' ``K`` that nabla-K reads is the pass's, bit for bit the
+        ``K`` a one-use stencil builds on its centers."""
         n = 3
         params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
@@ -698,6 +738,10 @@ class TestSharedStencil:
         sample = Sample(rng.uniform(-1.0, 1.0, size=(4, n)), rng.normal(size=(4, n)), params)
         # The real rows' point and own jets, built before counting as in a run.
         sample.rows.jets_of(params, profile)
+        curvatures = _count_curvature_builds(monkeypatch)
+        if pass_first:
+            sample.stencil(1), sample.stencil(2)
+            sample.curvature_rows(params, profile, lambda *_: ())
         # In the order of the suites: 2-form, Nijenhuis, metric, curvature,
         # then the witnesses' detuned metric and nabla-K.
         oracles = [
@@ -711,6 +755,11 @@ class TestSharedStencil:
         builds = _count_builds(monkeypatch)
         shared = [oracle(sample.stencil(centers)) for centers, oracle in oracles]
         assert [(kind, rows) for kind, rows, real in builds] == [("point", 12), ("point", 6), ("jets", 6)]
+        # The pass's two chunks, or nabla-K's one build at the center.
+        assert curvatures == ([3, 1] if pass_first else [1])
         for (centers, oracle), value in zip(oracles, shared):
             alone = oracle(stencil_at(take_rows(sample.rows.points, slice(centers)), params))
             assert value.dtype == alone.dtype and np.array_equal(value, alone)
+        kept = center_curvature(params, profile, sample.stencil(1))
+        alone = center_curvature(params, profile, stencil_at(take_rows(sample.rows.points, slice(1)), params))
+        assert kept.dtype == alone.dtype and np.array_equal(kept, alone)
