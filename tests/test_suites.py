@@ -3,6 +3,7 @@ that the suites share instead of rebuilding."""
 
 import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -673,6 +674,31 @@ class TestKeepRule:
             kept = stencil._memo[("center curvature", *member)]
             assert np.array_equal(kept, np.concatenate(first)[:centers])
             assert (kept if kept.base is None else kept.base).shape[0] == 2
+
+
+    @pytest.mark.parametrize("chunk_rows", [3, 1], ids=["three_chunks", "one_row"])
+    def test_no_blocks_k_outlives_its_block(self, chunk_rows, monkeypatch):
+        """Eight samples at n = 2 with stencils at one and two centers, the
+        pinned member's sections included: when a pass reaches a block,
+        nothing holds the ``K`` of an earlier one, not even the rows it
+        keeps at the centers."""
+        monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
+        params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
+        profile = einstein_profile(params)
+        rng = np.random.default_rng(2)
+        sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
+        sample.witness = params, profile, rng.normal(size=(8, 4))
+        sample.stencil(1), sample.stencil(2)
+        refs = []
+
+        def record(pt, jets, curv, rows):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            refs.append(weakref.ref(curv))
+            return ()
+
+        sample.curvature_rows(params, profile, record)
+        assert len(refs) == -(-8 // chunk_rows)
+        assert sample.holomorphic_of().shape == (8,)
 
 
 class TestOwnership:
