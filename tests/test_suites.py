@@ -675,7 +675,6 @@ class TestKeepRule:
             assert np.array_equal(kept, np.concatenate(first)[:centers])
             assert (kept if kept.base is None else kept.base).shape[0] == 2
 
-
     @pytest.mark.parametrize("chunk_rows", [3, 1], ids=["three_chunks", "one_row"])
     def test_no_blocks_k_outlives_its_block(self, chunk_rows, monkeypatch):
         """Eight samples at n = 2 with stencils at one and two centers, the
