@@ -55,36 +55,26 @@ FLAG_SETS = {
 
 CATALOG = (
     # base Gamma and R
-    (
-        "base_gamma_sign",
-        "base.py",
-        '- np.einsum("ij,...k->...kij", eye, dphi)',
-        '+ np.einsum("ij,...k->...kij", eye, dphi)',
-    ),
+    ("base_gamma_sign", "base.py", "- eye * dphi[..., :, None, None]", "+ eye * dphi[..., :, None, None]"),
     ("base_riemann_sign", "base.py", "riemann = (c * _riemann_signs", "riemann = (-c * _riemann_signs"),
     # metric blocks and fiber jets
     ("metric_w_sign", "mtensor.py", "w = -v / _w_denominator(t, a, v)", "w = v / _w_denominator(t, a, v)"),
-    ("jets_dgh_coefficient", "mtensor.py", "_scale(0.5 * a / st, 3)", "_scale(0.25 * a / st, 3)"),
-    (
-        "jets_ddgh_coefficient",
-        "mtensor.py",
-        "_outer(pu, pu) / _scale(4.0 * t * st, 2)",
-        "_outer(pu, pu) / _scale(2.0 * t * st, 2)",
-    ),
+    ("jets_dgh_coefficient", "mtensor.py", "_scale(0.5 * a / st, 2)", "_scale(0.25 * a / st, 2)"),
+    ("jets_ddgh_coefficient", "mtensor.py", "pupu / _scale(4.0 * t * st, 2)", "pupu / _scale(2.0 * t * st, 2)"),
     ("jets_w1_coefficient", "mtensor.py", "d1 = a * a + 3.0 * a * st * v", "d1 = a * a + 2.0 * a * st * v"),
     (
         "jets_ddgv_coefficient",
         "mtensor.py",
-        "3.0 * _outer(pu, pu) / _scale(4.0 * a * t * t * st, 2)",
-        "1.5 * _outer(pu, pu) / _scale(4.0 * a * t * t * st, 2)",
+        "3.0 * pupu / _scale(4.0 * a * t * t * st, 2)",
+        "1.5 * pupu / _scale(4.0 * a * t * t * st, 2)",
     ),
     # both connection routes and the fiber derivative blocks
-    ("connection_hh_sign", "connection.py", "dgh) + 0.5 * pr", "dgh) - 0.5 * pr"),
+    ("connection_hh_sign", "connection.py", "dgh, 3) + 0.5 * pr", "dgh, 3) - 0.5 * pr"),
     (
         "connection_vv_sym_sign",
         "connection.py",
-        '- np.einsum("...kij->...ijk", dgv)',
-        '+ np.einsum("...kij->...ijk", dgv)',
+        'np.einsum("...ijk->...kij", dgv) - dgv',
+        'np.einsum("...ijk->...kij", dgv) + dgv',
     ),
     ("kahler_connection_vv", "connection.py", "(c - sq * v) / (4.0 * c * t)", "(c + sq * v) / (4.0 * c * t)"),
     ("fiber_derivative_dhh_sign", "connection.py", "+ 0.5 * riem", "- 0.5 * riem"),

@@ -28,14 +28,16 @@ Every function here takes a leading batch axis: chart points of shape
 leading ``...``, and a guard raises if any point of the batch fails it,
 naming the first failing value.  A single point is a batch of shape ``()``.
 
-The contraction rule of the curvature path and of the Nijenhuis closed form
-(``structure.nijenhuis_closed_form``): a term that sums over an index is one
-batched ``@`` on reshaped or permuted views (``_contract``), and
-``np.einsum`` only permutes axes.  A two-operand ``einsum`` that sums over
-an index across the batch axis runs in numpy's own loops, several times
-slower than ``@`` at these sizes.  The one exception is a contraction with a
-single vector, such as the momentum in the Nijenhuis core, where ``einsum``
-is the faster form.
+The contraction rule of every layer, from the point and its fiber jets
+through the connection and the curvature to the Nijenhuis form: an outer
+product is one broadcast multiply (``_outer``, ``_pair_outer``), a term that
+sums over an index is one batched ``@`` on reshaped or permuted views
+(``_contract``), and ``np.einsum`` only permutes axes.  A two-operand
+``einsum`` runs in numpy's own loops, several times slower than either at
+these sizes.  The one exception is a contraction with a single vector, the
+momentum in ``mtensor.CotangentPoint`` and in the Nijenhuis core, where
+``einsum`` is the faster form; ``tests/test_kernels.py`` names these and
+fails on any other.
 """
 
 from __future__ import annotations
@@ -136,6 +138,21 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
+def _pair_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[k, i] y[j] + x[k, j] y[i]`` at ``[..., k, i, j]``: one broadcast
+    product, symmetrized in ``(i, j)``."""
+    out = x[..., :, :, None] * y[..., None, None, :]
+    return out + np.swapaxes(out, -2, -1)
+
+
+def _pair_outer4(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x[l, i] m[k, j]`` at ``[..., l, k, i, j]``, one broadcast product,
+    symmetrized in ``(i, j)`` and then in ``(l, k)``: four terms."""
+    out = x[..., :, None, :, None] * m[..., None, :, None, :]
+    out = out + np.swapaxes(out, -2, -1)
+    return out + np.swapaxes(out, -4, -3)
+
+
 def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
     """``sum_k x[..., A, k] y[..., k, B]``, laid out ``[..., A, B]``, as one
     batched ``@``: the batch ``...`` is every axis of ``y`` but its last
@@ -152,8 +169,8 @@ def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
 def _riemann_signs(n: int) -> np.ndarray:
     """The constant ``delta^h_i delta_jk - delta^h_j delta_ik`` at ``[h, k,
     i, j]``, entries -1, 0 and 1; read-only, as it is shared."""
-    eye = np.eye(n)
-    signs = np.einsum("hi,jk->hkij", eye, eye) - np.einsum("hj,ik->hkij", eye, eye)
+    signs = np.eye(n)[:, None, :, None] * np.eye(n)[:, None, :]
+    signs = signs - np.swapaxes(signs, -2, -1)
     signs.setflags(write=False)
     return signs
 
@@ -179,11 +196,9 @@ def space_form_metric(x: np.ndarray, params: ModelParams) -> BaseGeometry:
     g = eye / _scale(f**2, 2)
     # d_k phi = -d_k f / f with d_k f = c x_k / 2
     dphi = -0.5 * c * x / _scale(f, 1)
-    gamma = (
-        np.einsum("ki,...j->...kij", eye, dphi)
-        + np.einsum("kj,...i->...kij", eye, dphi)
-        - np.einsum("ij,...k->...kij", eye, dphi)
-    )
+    # Gamma^k_{ij} at [k, i, j]: each term is one broadcast product.
+    gamma = eye[:, :, None] * dphi[..., None, None, :] + eye[:, None, :] * dphi[..., None, :, None]
+    gamma = gamma - eye * dphi[..., :, None, None]
     # R^h_{kij} = c (delta^h_i g_jk - delta^h_j g_ik) with g = I / f^2.
     riemann = (c * _riemann_signs(params.n)) * _scale(1.0 / f**2, 4)
     return BaseGeometry(g=g, g_inv=eye * _scale(f**2, 2), gamma=gamma, riemann=riemann)

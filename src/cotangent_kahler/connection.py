@@ -12,12 +12,13 @@ formulas here, and a finite-difference Koszul evaluation that never sees
 them.  Everything here keeps the point's leading batch axis; the
 finite-difference oracle differentiates on a stencil (``fd.Stencil``).
 
-``_fiber_derivative_blocks``, the fiber derivatives of the three fiber
-blocks, feeds the curvature, and ``parallel_j_residual`` applies the
-connection terms of the parallel-J oracle; both keep the contraction rule
-of ``base``: each term is one batched ``@`` (``base._contract`` or a
-transposed ``Gamma``), and ``np.einsum`` only permutes axes.  Their einsum
-forms are the test-side reference, ``tests/kernel_reference.py``.
+Both routes, ``_fiber_derivative_blocks``, the fiber derivatives of the
+three fiber blocks, which feed the curvature, and ``parallel_j_residual``,
+the connection terms of the parallel-J oracle, keep the contraction rule of
+``base``: each outer product is one broadcast multiply, each sum one batched
+``@`` (``base._contract`` or a transposed ``Gamma``), and ``np.einsum``
+only permutes axes.  Their einsum forms are the test-side reference,
+``tests/kernel_reference.py``.
 
 ``connection_on`` keeps a member's coefficients with the rows they are
 built on (``mtensor.Rows.memo``), as the rows keep its jets;
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams, _contract, _max_abs, _scale
+from .base import ModelParams, _contract, _max_abs, _outer, _pair_outer, _scale
 from .errors import GeometryError
 from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, frame_brackets
@@ -71,15 +72,15 @@ def connection_coefficients(
     """
     gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
     pr = pt.p_riemann
+    # The factors that the blocks contract with put the summed index k first,
+    # sym[k, i, j] and inner[k, i, j], as in _fiber_derivative_blocks.
+    sym = np.einsum("...jik->...kij", dgv) + np.einsum("...ijk->...kij", dgv) - dgv
+    vv = 0.5 * np.einsum("...hij->...ijh", _contract(gh, sym, 3))
 
-    sym = dgv + np.einsum("...jik->...ijk", dgv) - np.einsum("...kij->...ijk", dgv)
-    vv = 0.5 * np.einsum("...hk,...ijk->...ijh", gh, sym)
+    inner = np.einsum("...ijk->...kij", dgh - _contract(gv, pr, 3))
+    vh = 0.5 * _contract(gv, inner, 3)
 
-    vh = 0.5 * np.einsum(
-        "...hk,...ijk->...hij", gv, dgh - np.einsum("...il,...ljk->...ijk", gv, pr)
-    )
-
-    hh = -0.5 * np.einsum("...hk,...kij->...hij", gh, dgh) + 0.5 * pr
+    hh = -0.5 * _contract(gh, dgh, 3) + 0.5 * pr
 
     return _assemble(pt.gamma, vv, vh, hh)
 
@@ -111,29 +112,24 @@ def kahler_connection_coefficients(
         raise GeometryError(
             "closed-form connection requires the integrable coupling a = sqrt(2c)"
         )
-    n, c, t = pt.n, params.c, pt.t
+    c, t = params.c, pt.t
     v, dv, _ = profile.jet(t)
     sq = np.sqrt(2.0 * c * t)
-    eye = np.eye(n)
     p, pu, g, g_inv = pt.p, pt.p_up, pt.g, pt.g_inv
 
-    vv = (
-        -_scale(1.0 / (4.0 * t), 3)
-        * (np.einsum("ih,...j->...ijh", eye, pu) + np.einsum("jh,...i->...ijh", eye, pu))
-        + _scale((c - sq * v) / (4.0 * c * t), 3) * np.einsum("...ij,...h->...ijh", g_inv, p)
-        + _scale((v * v - sq * dv) / (4.0 * t * (c + sq * v)), 3)
-        * np.einsum("...i,...j,...h->...ijh", pu, pu, p)
-    )
+    # vv[i, j, h]: the Kronecker terms, and the i, j factor of p_h.
+    vv = -np.einsum("...hij->...ijh", _pair_outer(np.eye(pt.n), pu / _scale(4.0 * t, 1))) + (
+        _scale((c - sq * v) / (4.0 * c * t), 2) * g_inv
+        + _scale((v * v - sq * dv) / (4.0 * t * (c + sq * v)), 2) * _outer(pu, pu)
+    )[..., None] * p[..., None, None, :]
 
     vh = -np.einsum("...ihj->...hij", vv)
 
-    hh = (
-        -_scale((c + sq * v) / 2.0, 3)
-        * (np.einsum("...ij,...h->...hij", g, p) + np.einsum("...hi,...j->...hij", g, p))
-        + _scale((c - sq * v) / 2.0, 3) * np.einsum("...hj,...i->...hij", g, p)
-        - _scale((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0, 3)
-        * np.einsum("...h,...i,...j->...hij", p, p, p)
-    )
+    # hh[h, i, j]: the i, j factor of p_h, then g_hi p_j and g_hj p_i.
+    plus, minus = _scale((c + sq * v) / 2.0, 2) * g, _scale((c - sq * v) / 2.0, 2) * g
+    cubic = _scale((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0, 2) * _outer(p, p)
+    hh = p[..., :, None, None] * (-plus - cubic)[..., None, :, :] - plus[..., None] * p[..., None, None, :]
+    hh = hh + minus[..., :, None, :] * p[..., None, :, None]
 
     return _assemble(pt.gamma, vv, vh, hh)
 

@@ -165,8 +165,8 @@ def center_curvature(params: ModelParams, profile, stencil: Stencil, head: np.nd
     def build():
         if head is not None:
             return head[stencil.index]
-        jets, conn = stencil.center_jets(params, profile), center_connection(params, profile, stencil)
-        return curvature_from_connection(stencil.centers, params, jets, conn)
+        conn = center_connection(params, profile, stencil)
+        return curvature_from_connection(stencil.centers, params, stencil.center_jets(params, profile), conn)
 
     return stencil.memo(("center curvature", params, profile), build)
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .base import ModelParams
 from .errors import StencilError
-from .mtensor import FiberJets, Rows, take_rows
+from .mtensor import FiberJets, MetricBlocks, Rows, _jets_on, take_rows
 
 __all__ = ["fd_partial", "fd_gradient", "Stencil"]
 
@@ -142,8 +142,13 @@ class Stencil(Rows):
         super().__init__(self._z[:, :n], self._z[:, n:], base._point_at)
 
     def center_jets(self, params: ModelParams, profile) -> FiberJets:
-        """The fiber jets of a member at the centers, from the base's."""
-        return take_rows(self.base.jets_of(params, profile), self.index)
+        """The fiber jets of a member at the centers: the rows ``index`` of
+        the base's if it keeps them, else built once on the centers from those
+        rows of its metric blocks, with the same bits (a jet reads its row)."""
+        if ("jets", params, profile) in self.base._memo:
+            return take_rows(self.base.jets_of(params, profile), self.index)
+        blocks = MetricBlocks(*(block[self.index] for block in self.base.blocks_of(params, profile)))
+        return self.memo(("center jets", params, profile), lambda: _jets_on(self.centers, params, profile, blocks))
 
     def chart_gradient(self, field) -> np.ndarray:
         """The 2n chart partials of ``field`` at the centers."""

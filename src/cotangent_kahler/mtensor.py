@@ -9,7 +9,10 @@ information sits in the fiber derivatives ``d/dp_k``, which this module
 supplies in closed form through second order (``fiber_jets``).  The metric
 blocks alone come from ``metric_blocks``, which ``fiber_jets`` builds on;
 a finite-difference field builds only what it differentiates, so the
-metric, 2-form and Nijenhuis fields skip the ``n^4`` second jets.
+metric, 2-form and Nijenhuis fields skip the ``n^4`` second jets.  The jets
+keep ``base``'s contraction rule: each term is a broadcast product, with
+its scalar coefficients folded into ``n^2`` factors first; their einsum
+forms are the test-side reference, ``tests/kernel_reference.py``.
 
 The adapted frame is indexed ``0..2n-1``: ``e_i = delta_i = d/dq^i +
 p_k Gamma^k_{ih} d/dp_h`` for ``i < n`` (horizontal), ``e_{n+i} = d/dp_i``
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import BaseGeometry, ModelParams, _outer, _scale, space_form_metric
+from .base import BaseGeometry, ModelParams, _outer, _pair_outer, _pair_outer4, _scale, space_form_metric
 from .errors import GeometryError, PositivityError, ZeroSectionError
 
 __all__ = [
@@ -225,68 +228,39 @@ def fiber_jets(pt: CotangentPoint, params: ModelParams, profile) -> FiberJets:
     return _jets_on(pt, params, profile, metric_blocks(pt, params, profile))
 
 
+def _outer4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[l, k] y[i, j]`` at ``[..., l, k, i, j]``."""
+    return x[..., :, :, None, None] * y[..., None, None, :, :]
+
+
 def _jets_on(pt: CotangentPoint, params: ModelParams, profile, blocks: MetricBlocks) -> FiberJets:
-    """``fiber_jets`` on the member's ``metric_blocks``, built already."""
+    """``fiber_jets`` on the member's ``metric_blocks``, built already.  Each
+    second jet is three broadcast products of size ``n^4``, of factors of
+    size ``n^2`` that hold the scalar coefficients."""
     gh, gv = blocks
-    n, t, a = pt.n, pt.t, params.a_metric
+    t, a = pt.t, params.a_metric
     st = np.sqrt(t)
     g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
     v, dv, d2v = profile.jet(t)
-    eye = np.eye(n)
+    eye = np.eye(pt.n)
+    pp, pupu = _outer(p, p), _outer(pu, pu)
 
-    pp = _outer(p, p)
-    dpp = np.einsum("ki,...j->...kij", eye, p) + np.einsum("kj,...i->...kij", eye, p)
-
-    dgh = (
-        _scale(0.5 * a / st, 3) * np.einsum("...k,...ij->...kij", pu, g)
-        + _scale(dv, 3) * np.einsum("...k,...ij->...kij", pu, pp)
-        + _scale(v, 3) * dpp
-    )
+    dgh = pu[..., :, None, None] * (_scale(0.5 * a / st, 2) * g + _scale(dv, 2) * pp)[..., None, :, :]
+    dgh = dgh + _pair_outer(eye, _scale(v, 1) * p)
+    # ddgh[l, k, i, j]: the Kronecker terms carry v/2 on their factor's diagonal.
     ddgh = (
-        a
-        * np.einsum(
-            "...ij,...lk->...lkij",
-            g,
-            g_inv / _scale(2.0 * st, 2) - _outer(pu, pu) / _scale(4.0 * t * st, 2),
-        )
-        + _scale(d2v, 4) * np.einsum("...l,...k,...ij->...lkij", pu, pu, pp)
-        + _scale(dv, 4)
-        * (
-            np.einsum("...lk,...ij->...lkij", g_inv, pp)
-            + np.einsum("...k,...lij->...lkij", pu, dpp)
-            + np.einsum("...l,...kij->...lkij", pu, dpp)
-        )
-        + _scale(v, 4) * (np.einsum("ki,lj->lkij", eye, eye) + np.einsum("kj,li->lkij", eye, eye))
+        _outer4(a * (g_inv / _scale(2.0 * st, 2) - pupu / _scale(4.0 * t * st, 2)), g)
+        + _outer4(_scale(d2v, 2) * pupu + _scale(dv, 2) * g_inv, pp)
+        + _pair_outer4(eye, _scale(dv, 2) * _outer(pu, p) + _scale(0.5 * v, 2) * eye)
     )
 
     w, w1, w2 = _w_jet(t, a, v, dv, d2v)
-    pupu = _outer(pu, pu)
-    dpupu = np.einsum("...mk,...l->...mkl", g_inv, pu) + np.einsum("...ml,...k->...mkl", g_inv, pu)
-
-    dgv = (
-        -np.einsum("...kl,...m->...mkl", g_inv, pu) / _scale(2.0 * a * t * st, 3)
-        + _scale(w1, 3) * np.einsum("...m,...kl->...mkl", pu, pupu)
-        + _scale(w, 3) * dpupu
-    )
+    dgv = pu[..., :, None, None] * (_scale(w1, 2) * pupu - g_inv / _scale(2.0 * a * t * st, 2))[..., None, :, :]
+    dgv = dgv + _pair_outer(g_inv, _scale(w, 1) * pu)
     ddgv = (
-        np.einsum(
-            "...kl,...rm->...rmkl",
-            g_inv,
-            3.0 * _outer(pu, pu) / _scale(4.0 * a * t * t * st, 2)
-            - g_inv / _scale(2.0 * a * t * st, 2),
-        )
-        + _scale(w2, 4) * np.einsum("...r,...m,...kl->...rmkl", pu, pu, pupu)
-        + _scale(w1, 4)
-        * (
-            np.einsum("...mr,...kl->...rmkl", g_inv, pupu)
-            + np.einsum("...m,...rkl->...rmkl", pu, dpupu)
-            + np.einsum("...r,...mkl->...rmkl", pu, dpupu)
-        )
-        + _scale(w, 4)
-        * (
-            np.einsum("...mk,...rl->...rmkl", g_inv, g_inv)
-            + np.einsum("...ml,...rk->...rmkl", g_inv, g_inv)
-        )
+        _outer4(3.0 * pupu / _scale(4.0 * a * t * t * st, 2) - g_inv / _scale(2.0 * a * t * st, 2), g_inv)
+        + _outer4(_scale(w2, 2) * pupu + _scale(w1, 2) * g_inv, pupu)
+        + _pair_outer4(g_inv, _scale(w1, 2) * pupu + _scale(0.5 * w, 2) * g_inv)
     )
 
     return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)

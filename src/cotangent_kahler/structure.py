@@ -14,7 +14,9 @@ single core object,
 
 which vanishes exactly when ``a^2/2`` matches the sectional curvature of
 the base, i.e. at the coupling ``a = sqrt(2 c)``.  Its closed form,
-``nijenhuis_closed_form``, follows ``base``'s contraction rule.
+``nijenhuis_closed_form``, and the brackets of its oracle follow
+``base``'s contraction rule, with their einsum forms in
+``tests/kernel_reference.py``.
 
 Everything here keeps a point's leading batch axis; the finite-difference
 oracles differentiate on a stencil (``fd.Stencil``).  Residuals give one
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams, _max_abs
+from .base import ModelParams, _contract, _max_abs
 from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, chart_frame
 
@@ -116,10 +118,10 @@ def dform_residual(params: ModelParams, profile, stencil: Stencil):
 
 
 def nijenhuis_closed_form(
-    pt: CotangentPoint, params: ModelParams, jets: FiberJets
+    pt: CotangentPoint, params: ModelParams, blocks: MetricBlocks | FiberJets
 ) -> np.ndarray:
     """``N[a, b, c]`` from the momentum-contracted core of the module
-    docstring.
+    docstring; reads only ``blocks.gv``.
 
     Two horizontals and two verticals give vertical outputs; mixed
     arguments give horizontal ones, routed through two copies of the
@@ -127,10 +129,11 @@ def nijenhuis_closed_form(
     gv[j, r]``.
     """
     n = pt.n
-    eye = np.eye(n)
-    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
+    # delta^h_i g_jk at [h, k, i, j], one broadcast product, less its (i, j) swap.
+    flat = np.eye(n)[:, None, :, None] * pt.g[..., None, :, None, :]
+    flat = flat - np.swapaxes(flat, -2, -1)
     core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
-    gv = jets.gv[..., None, :, :]
+    gv = blocks.gv[..., None, :, :]
     gv_t = np.swapaxes(gv, -1, -2)
     shared = core0 @ gv_t
     mixed = np.einsum("...lij->...ijl", shared) @ gv_t
@@ -147,8 +150,11 @@ def nijenhuis_closed_form(
 
 def _brackets(x, dx, y, dy) -> np.ndarray:
     """Chart Lie brackets ``[X_a, Y_b] = (dY_b) X_a - (dX_a) Y_b`` of the
-    column fields of ``x`` and ``y``, indexed ``[..., a, b, chart]``."""
-    return np.einsum("...gkb,...ga->...abk", dy, x) - np.einsum("...gka,...gb->...abk", dx, y)
+    column fields of ``x`` and ``y``, indexed ``[..., a, chart, b]``; each
+    term sums over the chart direction of the derivative as one batched
+    ``@``."""
+    dx_y = _contract(np.swapaxes(y, -1, -2), dx, 3)
+    return _contract(np.swapaxes(x, -1, -2), dy, 3) - np.swapaxes(dx_y, -1, -3)
 
 
 def nijenhuis_numeric(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
@@ -172,9 +178,8 @@ def nijenhuis_numeric(params: ModelParams, profile, stencil: Stencil) -> np.ndar
     j0 = assemble_complex_structure(stencil.center_jets(params, profile))
     jx = x @ j0
     dx, djx = np.moveaxis(stencil.chart_gradient(frame_fields), -3, 0)
-    to_frame = 2.0 * np.eye(2 * n) - x
-    return np.einsum(
-        "...ck,...abk->...abc", to_frame, _brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx)
-    ) - np.einsum(
-        "...ck,...abk->...abc", j0 @ to_frame, _brackets(jx, djx, x, dx) + _brackets(x, dx, jx, djx)
-    )
+    # Each bracket's chart components go to the frame by one @, giving [a, c, b].
+    to_frame = (2.0 * np.eye(2 * n) - x)[..., None, :, :]
+    out = to_frame @ (_brackets(jx, djx, jx, djx) - _brackets(x, dx, x, dx))
+    out = out - (j0[..., None, :, :] @ to_frame) @ (_brackets(jx, djx, x, dx) + _brackets(x, dx, jx, djx))
+    return np.swapaxes(out, -1, -2)

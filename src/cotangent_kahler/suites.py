@@ -17,12 +17,12 @@ once per block and no value depends on the block size; no other code
 builds a member's ``K`` on the sampled rows.  The ``curvature`` suite
 consumes the own member's pass.  The pass keeps the member's Ricci trace,
 which ``einstein`` and the witnesses' rational profile read, its ``K`` at
-the stencils' centers, which the FD oracles read, and on the witnesses'
-pinned member the sectional values they read.  The finite-difference
-oracles differentiate on the sample's stencils at the first center or the
-first two (``Sample.stencil``).  What a config keeps is said once, in ``Sample``.  A
-check's value is the largest of its per-sample values; a NaN in any sample
-fails it.
+the one FD center, where the curvature suite's and the pinned member's
+oracles read it, and on the witnesses' pinned member the sectional values
+they read.  The finite-difference oracles differentiate on the sample's
+stencils at the first center or the first two (``Sample.stencil``).  What a
+config keeps is said once, in ``Sample``.  A check's value is the largest
+of its per-sample values; a NaN in any sample fails it.
 """
 
 from __future__ import annotations
@@ -254,17 +254,20 @@ class Sample:
     rows of the member's ``connection_on`` the rows.  It returns one
     per-row array per check, whatever the budget.  A pass that runs to its
     end keeps, keyed as in ``Rows``, the member's Ricci trace over all rows
-    for ``ricci_of``, its ``K`` at each stencil's centers for
-    ``center_curvature``, and, on the pinned member, the holomorphic
-    sectional curvature at the witness sections for ``holomorphic_of``
-    (once).  ``ricci_of`` and ``holomorphic_of`` run a pass if none has
-    kept theirs; a pass that raises keeps nothing.
+    for ``ricci_of``; its ``K`` at the centers of ``stencil(1)`` for
+    ``center_curvature``, where the block oracle and the nabla-K probe read
+    it, on the curvature suite's pass, which asks for them, and the pinned
+    member's; and, on the pinned member, the holomorphic sectional
+    curvature at the witness sections for ``holomorphic_of`` (once).
+    ``ricci_of`` and ``holomorphic_of`` run a pass if none has kept theirs;
+    a pass that raises keeps nothing.
 
     The keep rule: a config keeps per-row values on all S rows (the point,
     and each member's metric blocks, fiber jets, connection and Ricci
     trace, and the pinned member's sectional values), so these grow with
-    S.  It keeps ``K`` only at a stencil's centers: no pass's ``K`` or block
-    part outlives its block, so what a pass adds is bounded per block.
+    S.  It keeps ``K`` only at the centers of ``stencil(1)``: no pass's
+    ``K`` or block part outlives its block, so what a pass adds is bounded
+    per block.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
@@ -282,14 +285,16 @@ class Sample:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def curvature_rows(self, params: ModelParams, profile, fn) -> tuple:
+    def curvature_rows(self, params: ModelParams, profile, fn, stencil: Stencil | None = None) -> tuple:
         """``fn(points, jets, K, rows)`` of the member on each block of rows,
         in order, ``rows`` the block's slice and ``K`` the member's curvature
         on the block; the tuples of per-row arrays it returns, joined over all
-        rows.  Keeps what the class docstring says."""
+        rows.  Keeps what the class docstring says, ``K`` at the centers of
+        ``stencil`` among it."""
         jets, conn = self.rows.jets_of(params, profile), connection_on(self.rows, params, profile)
-        sections = self._holomorphic is None and self.witness is not None and self.witness[:2] == (params, profile)
-        centers = max(self._stencils, default=0)
+        pinned = self.witness is not None and self.witness[:2] == (params, profile)
+        sections, stencil = pinned and self._holomorphic is None, self._stencils.get(1) if pinned else stencil
+        centers = 0 if stencil is None else len(stencil.centers.t)
         step = _chunk_rows(2 * self.rows.q.shape[-1])
         parts = []
         for start in range(0, len(self), step):
@@ -305,7 +310,7 @@ class Sample:
             parts.append((*kept, *fn(pt, block_jets, curv, rows)))
         hh, vv, head, *values = (np.concatenate(column) for column in zip(*parts))
         self._ricci[params, profile] = RicciBlocks(hh, vv)
-        for stencil in self._stencils.values():
+        if stencil is not None:
             center_curvature(params, profile, stencil, head)
         if sections:
             self._holomorphic, *values = values
@@ -372,7 +377,7 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> tuple[list[dict], list
 def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
     """The member's closed-form Nijenhuis tensor, largest entry per row."""
     rows = sample.rows
-    return _max_abs(nijenhuis_closed_form(rows.points, params, rows.jets_of(params, profile)), rank=3)
+    return _max_abs(nijenhuis_closed_form(rows.points, params, rows.blocks_of(params, profile)), rank=3)
 
 
 def _suite_integrability(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
@@ -434,7 +439,7 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
         )
         return symmetry, relations
 
-    symmetry, *relations = sample.curvature_rows(params, profile, per_block)
+    symmetry, *relations = sample.curvature_rows(params, profile, per_block, stencil)
 
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.

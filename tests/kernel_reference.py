@@ -1,22 +1,28 @@
-"""The einsum forms of the curvature path, the reference for its matmul kernels.
+"""The einsum forms of every layer, the reference for its broadcast and matmul kernels.
 
-``base.space_form_metric``'s curvature, ``connection._fiber_derivative_blocks``,
-``curvature.curvature_blocks``, ``curvature.pair_symmetry_residual``,
+``base.space_form_metric``'s Christoffel symbols and curvature, the fiber
+jets ``mtensor._jets_on``, both connection routes
+(``connection.connection_coefficients`` and
+``connection.kahler_connection_coefficients``),
+``connection._fiber_derivative_blocks``, ``curvature.curvature_blocks``,
+``curvature.pair_symmetry_residual``,
 ``curvature.holomorphic_sectional_curvature`` and the Nijenhuis closed form
-``structure.nijenhuis_closed_form`` contract their arrays with one batched
-``@`` per term, and so do the Leibniz terms of the finite-difference
-oracles: ``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
-``curvature.nabla_curvature``.  This module keeps the same formulas written
-term by term as index expressions or one ``np.matvec`` per vector, in the
-math layout of the connection, curvature and structure module docstrings, so
-the tests can compare the two forms entry for entry.  ``curvature_blocks``
-here assembles ``K`` from the package's ``connection_coefficients`` and this
-module's ``connection_fiber_derivatives``; ``nabla_curvature`` here
-differentiates the package's assembled ``K``, all ``(2n)^4`` entries per
-row.  ``assembled_fiber_derivatives`` puts the package's three fiber blocks
-into the whole array that ``connection_fiber_derivatives`` here gives.
-Every function but ``sample_points`` takes a leading batch axis, like the
-package.
+``structure.nijenhuis_closed_form`` build each outer product as one
+broadcast multiply and contract their arrays with one batched ``@`` per
+term, and so do the Leibniz terms of the finite-difference oracles
+(``connection.parallel_j_residual``, ``curvature.curvature_fd`` and
+``curvature.nabla_curvature``) and the chart brackets of
+``structure.nijenhuis_numeric``.  This module keeps the same formulas
+written term by term as index expressions or one ``np.matvec`` per vector,
+in the math layout of the mtensor, connection, curvature and structure
+module docstrings, so the tests can compare the two forms entry for entry.
+``curvature_blocks`` here assembles ``K`` from this module's
+``connection_coefficients`` and ``connection_fiber_derivatives``;
+``nabla_curvature`` here differentiates the package's assembled ``K``, all
+``(2n)^4`` entries per row.  ``assembled_fiber_derivatives`` puts the
+package's three fiber blocks into the whole array that
+``connection_fiber_derivatives`` here gives.  Every function but
+``sample_points`` takes a leading batch axis, like the package.
 
 ``sample_points`` here is ``suites.sample_points`` as one loop of
 ``Generator.uniform`` and ``Generator.normal`` calls per sample, with the
@@ -25,14 +31,37 @@ scaling inside the loop; the package's draws must match it bit for bit.
 
 import numpy as np
 
-from cotangent_kahler.base import ModelParams, _max_abs, _scale, space_form_metric
-from cotangent_kahler.connection import _assemble, _fiber_derivative_blocks, connection_coefficients
+from cotangent_kahler.base import ModelParams, _max_abs, _outer, _scale, space_form_metric
+from cotangent_kahler.connection import _assemble, _fiber_derivative_blocks
+from cotangent_kahler.connection import connection_coefficients as package_connection_coefficients
 from cotangent_kahler.curvature import curvature_blocks as package_curvature_blocks
 from cotangent_kahler.errors import GeometryError
-from cotangent_kahler.mtensor import CotangentPoint, FiberJets, energy_density, fiber_jets, frame_brackets
+from cotangent_kahler.mtensor import (
+    CotangentPoint,
+    FiberJets,
+    MetricBlocks,
+    _w_jet,
+    chart_frame,
+    energy_density,
+    fiber_jets,
+    frame_brackets,
+)
 from cotangent_kahler.structure import assemble_complex_structure, canonical_coordinate_form
 from cotangent_kahler.suites import RunConfig, _curvature_seed
 from stencils import frame_gradient
+
+
+def space_form_gamma(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``Gamma^k_{ij} = delta^k_i d_j phi + delta^k_j d_i phi - delta_ij d_k
+    phi`` at ``[k, i, j]``, three outer products of the identity."""
+    f = 1.0 + 0.25 * params.c * np.vecdot(x.conj(), x)
+    dphi = -0.5 * params.c * x / _scale(f, 1)
+    eye = np.eye(params.n)
+    return (
+        np.einsum("ki,...j->...kij", eye, dphi)
+        + np.einsum("kj,...i->...kij", eye, dphi)
+        - np.einsum("ij,...k->...kij", eye, dphi)
+    )
 
 
 def space_form_riemann(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -42,6 +71,99 @@ def space_form_riemann(x: np.ndarray, params: ModelParams) -> np.ndarray:
     eye = np.eye(params.n)
     g = eye / _scale(f**2, 2)
     return params.c * (np.einsum("hi,...jk->...hkij", eye, g) - np.einsum("hj,...ik->...hkij", eye, g))
+
+
+def jets_on(pt: CotangentPoint, params: ModelParams, profile, blocks: MetricBlocks) -> FiberJets:
+    """``mtensor._jets_on``: the first and second fiber jets on the kept
+    ``blocks``, each term of the product rule one einsum, with ``dpp`` and ``dpupu`` the fiber
+    derivatives of ``p p`` and ``p^ p^``."""
+    gh, gv = blocks
+    n, t, a = pt.n, pt.t, params.a_metric
+    st = np.sqrt(t)
+    g, g_inv, p, pu = pt.g, pt.g_inv, pt.p, pt.p_up
+    v, dv, d2v = profile.jet(t)
+    eye = np.eye(n)
+
+    pp = _outer(p, p)
+    dpp = np.einsum("ki,...j->...kij", eye, p) + np.einsum("kj,...i->...kij", eye, p)
+    dgh = (
+        _scale(0.5 * a / st, 3) * np.einsum("...k,...ij->...kij", pu, g)
+        + _scale(dv, 3) * np.einsum("...k,...ij->...kij", pu, pp)
+        + _scale(v, 3) * dpp
+    )
+    ddgh = (
+        a * np.einsum("...ij,...lk->...lkij", g, g_inv / _scale(2.0 * st, 2) - _outer(pu, pu) / _scale(4.0 * t * st, 2))
+        + _scale(d2v, 4) * np.einsum("...l,...k,...ij->...lkij", pu, pu, pp)
+        + _scale(dv, 4)
+        * (
+            np.einsum("...lk,...ij->...lkij", g_inv, pp)
+            + np.einsum("...k,...lij->...lkij", pu, dpp)
+            + np.einsum("...l,...kij->...lkij", pu, dpp)
+        )
+        + _scale(v, 4) * (np.einsum("ki,lj->lkij", eye, eye) + np.einsum("kj,li->lkij", eye, eye))
+    )
+
+    w, w1, w2 = _w_jet(t, a, v, dv, d2v)
+    pupu = _outer(pu, pu)
+    dpupu = np.einsum("...mk,...l->...mkl", g_inv, pu) + np.einsum("...ml,...k->...mkl", g_inv, pu)
+    dgv = (
+        -np.einsum("...kl,...m->...mkl", g_inv, pu) / _scale(2.0 * a * t * st, 3)
+        + _scale(w1, 3) * np.einsum("...m,...kl->...mkl", pu, pupu)
+        + _scale(w, 3) * dpupu
+    )
+    ddgv = (
+        np.einsum(
+            "...kl,...rm->...rmkl",
+            g_inv,
+            3.0 * pupu / _scale(4.0 * a * t * t * st, 2) - g_inv / _scale(2.0 * a * t * st, 2),
+        )
+        + _scale(w2, 4) * np.einsum("...r,...m,...kl->...rmkl", pu, pu, pupu)
+        + _scale(w1, 4)
+        * (
+            np.einsum("...mr,...kl->...rmkl", g_inv, pupu)
+            + np.einsum("...m,...rkl->...rmkl", pu, dpupu)
+            + np.einsum("...r,...mkl->...rmkl", pu, dpupu)
+        )
+        + _scale(w, 4)
+        * (np.einsum("...mk,...rl->...rmkl", g_inv, g_inv) + np.einsum("...ml,...rk->...rmkl", g_inv, g_inv))
+    )
+    return FiberJets(gh=gh, gv=gv, dgh=dgh, ddgh=ddgh, dgv=dgv, ddgv=ddgv)
+
+
+def connection_coefficients(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
+    """The fiber-jet route's ``Gamma[a, b, c]``, each contraction one einsum
+    in the math layout of the connection module docstring."""
+    gh, gv, dgh, dgv = jets.gh, jets.gv, jets.dgh, jets.dgv
+    pr = pt.p_riemann
+    sym = dgv + np.einsum("...jik->...ijk", dgv) - np.einsum("...kij->...ijk", dgv)
+    vv = 0.5 * np.einsum("...hk,...ijk->...ijh", gh, sym)
+    vh = 0.5 * np.einsum("...hk,...ijk->...hij", gv, dgh - np.einsum("...il,...ljk->...ijk", gv, pr))
+    hh = -0.5 * np.einsum("...hk,...kij->...hij", gh, dgh) + 0.5 * pr
+    return _assemble(pt.gamma, vv, vh, hh)
+
+
+def kahler_connection_coefficients(pt: CotangentPoint, params: ModelParams, profile) -> np.ndarray:
+    """The closed-form route's ``Gamma[a, b, c]`` at the integrable
+    coupling, each outer product one einsum."""
+    n, c, t = pt.n, params.c, pt.t
+    v, dv, _ = profile.jet(t)
+    sq = np.sqrt(2.0 * c * t)
+    eye = np.eye(n)
+    p, pu, g, g_inv = pt.p, pt.p_up, pt.g, pt.g_inv
+    vv = (
+        -_scale(1.0 / (4.0 * t), 3)
+        * (np.einsum("ih,...j->...ijh", eye, pu) + np.einsum("jh,...i->...ijh", eye, pu))
+        + _scale((c - sq * v) / (4.0 * c * t), 3) * np.einsum("...ij,...h->...ijh", g_inv, p)
+        + _scale((v * v - sq * dv) / (4.0 * t * (c + sq * v)), 3) * np.einsum("...i,...j,...h->...ijh", pu, pu, p)
+    )
+    hh = (
+        -_scale((c + sq * v) / 2.0, 3)
+        * (np.einsum("...ij,...h->...hij", g, p) + np.einsum("...hi,...j->...hij", g, p))
+        + _scale((c - sq * v) / 2.0, 3) * np.einsum("...hj,...i->...hij", g, p)
+        - _scale((2.0 * v * v + sq * dv + 2.0 * t * v * dv) / 2.0, 3)
+        * np.einsum("...h,...i,...j->...hij", p, p, p)
+    )
+    return _assemble(pt.gamma, vv, -np.einsum("...ihj->...hij", vv), hh)
 
 
 def connection_fiber_derivatives(
@@ -191,6 +313,31 @@ def nijenhuis_closed_form(pt: CotangentPoint, params: ModelParams, jets: FiberJe
 # ---- Leibniz terms of the finite-difference oracles ----
 
 
+def brackets(x, dx, y, dy) -> np.ndarray:
+    """Chart Lie brackets ``[X_a, Y_b]`` at ``[..., a, b, chart]``, each
+    term one einsum over the chart direction ``g``."""
+    return np.einsum("...gkb,...ga->...abk", dy, x) - np.einsum("...gka,...gb->...abk", dx, y)
+
+
+def nijenhuis_numeric(params: ModelParams, profile, stencil) -> np.ndarray:
+    """``structure.nijenhuis_numeric`` with this module's ``brackets`` and
+    each bracket's push to the frame as one einsum."""
+    pt, n = stencil.centers, stencil.centers.n
+
+    def frame_fields(rows):
+        frame = chart_frame(rows.points)
+        return np.stack([frame, frame @ assemble_complex_structure(rows.blocks_of(params, profile))], axis=-3)
+
+    x = chart_frame(pt)
+    j0 = assemble_complex_structure(stencil.center_jets(params, profile))
+    jx = x @ j0
+    dx, djx = np.moveaxis(stencil.chart_gradient(frame_fields), -3, 0)
+    to_frame = 2.0 * np.eye(2 * n) - x
+    return np.einsum(
+        "...ck,...abk->...abc", to_frame, brackets(jx, djx, jx, djx) - brackets(x, dx, x, dx)
+    ) - np.einsum("...ck,...abk->...abc", j0 @ to_frame, brackets(jx, djx, x, dx) + brackets(x, dx, jx, djx))
+
+
 def covariant_field_derivative(pt: CotangentPoint, conn: np.ndarray, field, value: np.ndarray) -> np.ndarray:
     """``out[..., a, c, ...]``, the ``c``-th component of ``nabla_{e_a} V``,
     with the frame rotation ``V^b Gamma[a, b, c]`` as one einsum."""
@@ -223,8 +370,8 @@ def _vector_field(build, params: ModelParams, profile):
 def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
     """``K(e_a, e_b)e_c`` from the definition, with the bracket term as one
     einsum."""
-    conn = connection_coefficients(pt, params, jets)
-    field = _vector_field(connection_coefficients, params, profile)
+    conn = package_connection_coefficients(pt, params, jets)
+    field = _vector_field(package_connection_coefficients, params, profile)
     value = np.moveaxis(conn, -1, -3)
     second = np.moveaxis(covariant_field_derivative(pt, conn, field, value), -3, -1)
     bracket_term = np.einsum("...abf,...fcd->...abcd", frame_brackets(pt), conn)
@@ -234,7 +381,7 @@ def curvature_fd(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJe
 def nabla_curvature(params: ModelParams, profile, pt: CotangentPoint, jets: FiberJets) -> np.ndarray:
     """``(nabla_{e_w} K)[..., w, a, b, c, d]``: one frame gradient of the
     assembled ``K`` field, and one einsum per connection term."""
-    conn = connection_coefficients(pt, params, jets)
+    conn = package_connection_coefficients(pt, params, jets)
     curv = package_curvature_blocks(pt, params, jets)
     field = _vector_field(package_curvature_blocks, params, profile)
     value = np.moveaxis(curv, -1, -4)

@@ -15,8 +15,8 @@ from cotangent_kahler.base import ModelParams
 from cotangent_kahler.connection import metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature, nabla_curvature_probe
 from cotangent_kahler.errors import StencilError
-from cotangent_kahler.fd import fd_gradient, fd_partial
-from cotangent_kahler.mtensor import CotangentPoint, chart_frame
+from cotangent_kahler.fd import Stencil, fd_gradient, fd_partial
+from cotangent_kahler.mtensor import CotangentPoint, Rows, chart_frame
 from cotangent_kahler.profiles import einstein_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
 from stencils import frame_gradient, stencil_at
@@ -219,7 +219,7 @@ class TestBatchedStencil:
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(1, n)), rng.normal(size=(1, n)), params)
         profile = einstein_profile(params)
         stencil = stencil_at(pt, params)
-        stencil.center_jets(params, profile)
+        stencil.base.jets_of(params, profile)
         original = cotangent_kahler.fd.fd_partial
         calls, builds = [], []
 
@@ -368,8 +368,8 @@ class TestFieldsBuildOnlyTheBlocks:
         ``nijenhuis_numeric`` read only the metric blocks: with every fiber-jets
         build (``mtensor._jets_on``, which ``fiber_jets`` and ``Rows.jets_of``
         call) raising on complex rows, the three oracles still run on two
-        centers and return the same arrays.  The Nijenhuis oracle reads its
-        centers' jets from the real base rows, which may still build them."""
+        centers and return the same arrays.  The Nijenhuis oracle builds its
+        centers' jets on the real centers, from the base rows' blocks."""
         params = ModelParams.kahler(n=n, c=1.4, k_a=0.7, k_b=0.4)
         profile = einstein_profile(params)
         pt = CotangentPoint.at(rng.uniform(-1.5, 1.5, size=(2, n)), rng.normal(size=(2, n)), params)
@@ -390,6 +390,38 @@ class TestFieldsBuildOnlyTheBlocks:
         monkeypatch.setattr(cotangent_kahler.mtensor, "_jets_on", forbidden)
         for name, oracle in oracles.items():
             assert np.array_equal(oracle(), expected[name]), name
+
+
+class TestCenterJets:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_jets_built_on_the_centers_are_the_rows_of_the_base_jets(self, rng, n, monkeypatch):
+        """A stencil whose real base keeps no jets of a member builds them
+        once, on its two centers, from the centers' rows of the base's
+        metric blocks, with no second blocks build, and they hold the bits
+        of the jets that the base builds on all five rows later; from then
+        on the stencil reads those rows."""
+        params = ModelParams(n=n, c=1.4, a_metric=1.9, k_a=0.7, k_b=0.4)
+        profile = einstein_profile(params)
+        q, p = rng.uniform(-1.5, 1.5, size=(5, n)), rng.normal(size=(5, n))
+        base = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
+        stencil = Stencil(base, 2)
+        builds = []
+        for module, name in ((cotangent_kahler.mtensor, "metric_blocks"), (cotangent_kahler.fd, "_jets_on")):
+
+            def counted(point, *args, original=getattr(module, name), name=name):
+                builds.append((name, len(point.q)))
+                return original(point, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        centers = stencil.center_jets(params, profile)
+        assert stencil.center_jets(params, profile) is centers
+        assert builds == [("metric_blocks", 5), ("_jets_on", 2)]
+        blocks = base.blocks_of(params, profile)
+        assert centers.gh.base is blocks.gh and centers.gv.base is blocks.gv
+        whole = base.jets_of(params, profile)
+        for field in ("gh", "gv", "dgh", "ddgh", "dgv", "ddgv"):
+            assert getattr(centers, field).tobytes() == getattr(whole, field)[:2].tobytes(), field
+        assert stencil.center_jets(params, profile).ddgh.base is whole.ddgh
 
 
 def _assert_every_oracle_field_matches_the_reference_stencil(rng, n, dtype, monkeypatch):

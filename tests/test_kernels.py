@@ -1,14 +1,22 @@
-"""The matmul kernels of the curvature path against their einsum reference
-(``tests/kernel_reference.py``): the connection's fiber derivatives,
+"""The broadcast and matmul kernels of every layer against their einsum
+reference (``tests/kernel_reference.py``): the fiber jets, both connection
+routes, the Nijenhuis closed form and the chart brackets of its oracle at
+n = 2..5, on real rows and on the complex-step rows of a stencil, within
+1e-13 of the largest entry of each part of the reference array; the
+connection's fiber derivatives,
 ``curvature_blocks``, ``pair_symmetry_residual`` and
 ``holomorphic_sectional_curvature`` on an 8-row batch, on the space forms and
 off them, each within 1e-13 of the largest entry of the reference array; the
 Leibniz terms of ``curvature_fd``, ``nabla_curvature`` and
 ``parallel_j_residual`` at two centers, on the Kahler and a detuned coupling,
-within 1e-12; the Nijenhuis closed form on both couplings, within 1e-14; and
-the space-form curvature and the sampled points, bit for bit."""
+within 1e-12; the Nijenhuis closed form on both couplings, within 1e-14; the space-form
+Christoffel symbols exactly; and the space-form curvature and the sampled
+points, bit for bit.  An AST guard keeps ``np.einsum`` in the package to permuting axes,
+but for the named contractions with one vector."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,9 +24,11 @@ import pytest
 
 import kernel_reference as reference
 from base_reference import bumped_geometry
+import cotangent_kahler
 from cotangent_kahler.base import ModelParams, space_form_metric
 from cotangent_kahler.connection import (
     connection_coefficients,
+    kahler_connection_coefficients,
     metric_gradient,
     parallel_j_residual,
 )
@@ -29,9 +39,10 @@ from cotangent_kahler.curvature import (
     nabla_curvature,
     pair_symmetry_residual,
 )
-from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
+from cotangent_kahler.fd import Stencil
+from cotangent_kahler.mtensor import CotangentPoint, Rows, _jets_on, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile, rational_profile
-from cotangent_kahler.structure import assemble_complex_structure, nijenhuis_closed_form
+from cotangent_kahler.structure import _brackets, assemble_complex_structure, nijenhuis_closed_form, nijenhuis_numeric
 from cotangent_kahler.suites import RunConfig, sample_points
 from stencils import stencil_at
 
@@ -173,6 +184,138 @@ def test_parallel_j_residual(n, coupling):
         reference.parallel_j_residual(conn, jets, grad),
         rel=1e-12,
     )
+
+
+ROWS = ("real", "stencil")
+
+
+def _rows(n, rows, base_name):
+    """Three real rows over the space form, at the integrable coupling, or
+    over the bumped base of ``_batch``, at its detuned coupling, or the 2n
+    complex-step rows per center of a stencil at them: the point, its
+    params and Einstein profile, and the member's metric blocks."""
+    rng = np.random.default_rng([n, ROWS.index(rows), BASES.index(base_name)])
+    q, p = rng.uniform(-1.0, 1.0, size=(3, n)), rng.normal(size=(3, n))
+    if base_name == "space_form":
+        params = ModelParams.kahler(n, C, k_a=0.7, k_b=0.4)
+        real = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
+    else:
+        params = ModelParams(n=n, c=C, a_metric=1.3, k_a=0.7, k_b=0.4)
+        real = Rows(q, p, lambda qq, pp: CotangentPoint.from_base(qq, pp, bumped_geometry(qq, C, 0.05)))
+    on = real if rows == "real" else Stencil(real)
+    profile = einstein_profile(params)
+    return on.points, params, profile, on.blocks_of(params, profile)
+
+
+def _assert_parts_match(actual, expected, rel=1e-13):
+    """Entry for entry within ``rel`` of the largest entry: the real parts,
+    and on complex-step rows the imaginary parts, of the size of the step
+    1e-30 times a derivative, on their own scale."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    parts = (np.real, np.imag) if np.iscomplexobj(expected) else (np.real,)
+    for part, floor in zip(parts, (1e-3, 1e-33)):
+        scale = np.max(np.abs(part(expected)))
+        assert scale > floor  # nothing trivial is being compared
+        npt.assert_allclose(part(actual), part(expected), rtol=0.0, atol=rel * scale)
+
+
+ROW_CASES = pytest.mark.parametrize(
+    "n, rows, base_name", [(n, rows, base_name) for n in (2, 3, 4, 5) for rows in ROWS for base_name in BASES]
+)
+
+
+@ROW_CASES
+def test_fiber_jets(n, rows, base_name):
+    pt, params, profile, blocks = _rows(n, rows, base_name)
+    actual, expected = _jets_on(pt, params, profile, blocks), reference.jets_on(pt, params, profile, blocks)
+    for name in ("dgh", "ddgh", "dgv", "ddgv"):
+        _assert_parts_match(getattr(actual, name), getattr(expected, name))
+
+
+@ROW_CASES
+def test_connection_coefficients(n, rows, base_name):
+    """Both forms on the same jets, the reference's."""
+    pt, params, profile, blocks = _rows(n, rows, base_name)
+    jets = reference.jets_on(pt, params, profile, blocks)
+    _assert_parts_match(connection_coefficients(pt, params, jets), reference.connection_coefficients(pt, params, jets))
+
+
+@pytest.mark.parametrize("n, rows", [(n, rows) for n in (2, 3, 4, 5) for rows in ROWS])
+def test_kahler_connection_coefficients(n, rows):
+    pt, params, profile, _ = _rows(n, rows, "space_form")
+    _assert_parts_match(
+        kahler_connection_coefficients(pt, params, profile),
+        reference.kahler_connection_coefficients(pt, params, profile),
+    )
+
+
+@pytest.mark.parametrize("n, rows", [(n, rows) for n in (2, 3, 4, 5) for rows in ROWS])
+def test_nijenhuis_closed_form_on_rows(n, rows):
+    """On the bumped base, whose detuned coupling keeps ``N`` away from
+    rounding residue; the closed form reads only the vertical block."""
+    pt, params, _, blocks = _rows(n, rows, "bumped")
+    _assert_parts_match(nijenhuis_closed_form(pt, params, blocks), reference.nijenhuis_closed_form(pt, params, blocks))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_brackets(n):
+    """On random fields and gradients at two centers: the package's layout
+    ``[a, chart, b]`` against the reference's ``[a, b, chart]``."""
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(2, 2, 2 * n, 2 * n))
+    dx, dy = rng.normal(size=(2, 2, 2 * n, 2 * n, 2 * n))
+    _assert_matches(np.swapaxes(_brackets(x, dx, y, dy), -1, -2), reference.brackets(x, dx, y, dy))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_nijenhuis_numeric(n):
+    """The bracket oracle at two centers on the detuned coupling, where ``N``
+    is not rounding residue."""
+    pt, params, profile, _, _ = _centers(n, "detuned")
+    _assert_matches(
+        nijenhuis_numeric(params, profile, stencil_at(pt, params)),
+        reference.nijenhuis_numeric(params, profile, stencil_at(pt, params)),
+        rel=1e-12,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_space_form_gamma_is_exact(n):
+    """The three broadcast products give the values of the three einsums
+    with the identity, every bit but the sign of a zero, on the rows of
+    ``test_space_form_riemann_is_bit_identical``."""
+    params = ModelParams.kahler(n, C)
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, size=(72, n))
+    step = x[:1].astype(complex)
+    step[0, -1] += 1e-30j
+    for rows in (x, x[0], x[:1], x.astype(complex), step):
+        actual, expected = space_form_metric(rows, params).gamma, reference.space_form_gamma(rows, params)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+
+
+# The one kind of two-operand einsum the package keeps: a contraction with
+# the momentum, a single vector, per module and subscripts.
+VECTOR_CONTRACTIONS = {
+    ("mtensor.py", "...k,...kih->...ih"),
+    ("mtensor.py", "...h,...hkij->...kij"),
+    ("structure.py", "...h,...hkij->...kij"),
+}
+
+
+def test_einsum_only_permutes_axes_but_for_vector_contractions():
+    """Every ``np.einsum`` call in the package has one array operand, but for
+    the contractions with the momentum of ``VECTOR_CONTRACTIONS``, each of
+    which is still there: an outer product is a broadcast multiply and a sum
+    over an index a batched ``@`` (``base``'s contraction rule)."""
+    found = set()
+    for path in sorted(Path(cotangent_kahler.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum":
+                key = (path.name, ast.literal_eval(node.args[0]))
+                assert len(node.args) == 2 or key in VECTOR_CONTRACTIONS, f"{key}, line {node.lineno}"
+                found.add(key)
+    assert VECTOR_CONTRACTIONS <= found
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

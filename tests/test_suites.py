@@ -321,9 +321,11 @@ class TestSharedSample:
         differentiated at the one center: the FD curvature's own member and
         the nabla-K probe's k_a = k_b = 1 member, one member on the Einstein
         profile.  On the real sampled rows it builds the point once and the
-        fiber jets three times: the own member, the detuned coupling, and
-        whichever of the witnesses' rational profile and k_a = k_b = 1 member
-        is not the own one.  It builds ``K`` in one pass per member, which
+        fiber jets twice: the own member, and whichever of the witnesses'
+        rational profile and k_a = k_b = 1 member is not the own one.  The
+        detuned coupling's jets are built on the one center alone, from its
+        metric blocks on all rows: the witnesses read only its center jets
+        and its vertical block.  It builds ``K`` in one pass per member, which
         also keeps it at the one center for the block oracle and the nabla-K
         probe: the own one, which the einstein suite reads, and whichever of
         the rational and the pinned member is not the own one.  That is two
@@ -337,7 +339,12 @@ class TestSharedSample:
             ("point", 4 * n),
             ("point", 2 * n),
         ] + [("jets", 2 * n)] * center_jets
-        assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * 3
+        assert [(kind, rows) for kind, rows, real in builds if real] == [
+            ("point", 3),
+            ("jets", 3),
+            ("jets", 1),
+            ("jets", 3),
+        ]
         assert calls == [3, 3]
 
     @pytest.mark.parametrize("profile, pinned", [("einstein", 0), ("rational", 1)], ids=["einstein", "rational"])
@@ -649,19 +656,22 @@ class TestKeepRule:
         second pass builds every chunk's ``K`` again, with the same values,
         and the sample's rows keep only the point and the member's metric
         blocks, jets and connection; the jets hold the very arrays of the
-        kept blocks.  Each stencil keeps only its centers' rows of the first
-        pass's ``K``, which hold two rows of it, whichever chunks they lie
-        in, and builds nothing on its complex rows."""
+        kept blocks.  The first pass, asked for no stencil, on a member that
+        is not the pinned one, keeps no ``K``.  The second, asked for
+        ``stencil(1)``, keeps its ``K`` at that stencil's one center alone,
+        whichever chunk it lies in, and builds nothing on its complex rows;
+        ``stencil(2)`` keeps nothing."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
         rng = np.random.default_rng(2)
         sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
-        stencils = [sample.stencil(1), sample.stencil(2)]
+        one, two = sample.stencil(1), sample.stencil(2)
         first, second = [], []
-        for seen in (first, second):
-            sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: seen.append(curv) or ())
+        sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: first.append(curv) or ())
+        assert not one._memo and not two._memo
+        sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: second.append(curv) or (), one)
         assert calls == [min(chunk_rows, 8 - start) for start in range(0, 8, chunk_rows)] * 2
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
         member = (params, profile)
@@ -669,11 +679,10 @@ class TestKeepRule:
         assert set(memo) == {"points", ("blocks", *member), ("jets", *member), ("connection", *member)}
         blocks, jets = memo[("blocks", *member)], memo[("jets", *member)]
         assert blocks.gh is jets.gh and blocks.gv is jets.gv
-        for centers, stencil in enumerate(stencils, start=1):
-            assert set(stencil._memo) == {("center curvature", *member)}
-            kept = stencil._memo[("center curvature", *member)]
-            assert np.array_equal(kept, np.concatenate(first)[:centers])
-            assert (kept if kept.base is None else kept.base).shape[0] == 2
+        assert set(one._memo) == {("center curvature", *member)} and not two._memo
+        kept = one._memo[("center curvature", *member)]
+        assert np.array_equal(kept, np.concatenate(second)[:1])
+        assert (kept if kept.base is None else kept.base).shape[0] == 1
 
     @pytest.mark.parametrize("chunk_rows", [3, 1], ids=["three_chunks", "one_row"])
     def test_no_blocks_k_outlives_its_block(self, chunk_rows, monkeypatch):
@@ -752,9 +761,10 @@ class TestSharedStencil:
         have built the point and the jets there, as on its own one-use
         stencil on the sample's first rows.  Through the sample the six calls
         build two complex points and one complex jet set.  When the
-        member's curvature pass ran first, in chunks of three rows, the
-        centers' ``K`` that nabla-K reads is the pass's, bit for bit the
-        ``K`` a one-use stencil builds on its centers."""
+        member's curvature pass ran first, in chunks of three rows, asked to
+        keep ``K`` at the centers of ``stencil(1)``, the centers' ``K`` that
+        nabla-K reads is the pass's, bit for bit the ``K`` a one-use stencil
+        builds on its centers."""
         n = 3
         params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
@@ -765,8 +775,8 @@ class TestSharedStencil:
         sample.rows.jets_of(params, profile)
         curvatures = _count_curvature_builds(monkeypatch)
         if pass_first:
-            sample.stencil(1), sample.stencil(2)
-            sample.curvature_rows(params, profile, lambda *_: ())
+            sample.stencil(2)
+            sample.curvature_rows(params, profile, lambda *_: (), sample.stencil(1))
         # In the order of the suites: 2-form, Nijenhuis, metric, curvature,
         # then the witnesses' detuned metric and nabla-K.
         oracles = [
