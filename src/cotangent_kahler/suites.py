@@ -293,7 +293,7 @@ class Sample:
         ``stencil`` among it."""
         jets, conn = self.rows.jets_of(params, profile), connection_on(self.rows, params, profile)
         pinned = self.witness is not None and self.witness[:2] == (params, profile)
-        sections, stencil = pinned and self._holomorphic is None, self._stencils.get(1) if pinned else stencil
+        sections, stencil = pinned and self._holomorphic is None, self._stencils.get(1, stencil) if pinned else stencil
         centers = 0 if stencil is None else len(stencil.centers.t)
         step = _chunk_rows(2 * self.rows.q.shape[-1])
         parts = []

@@ -658,9 +658,9 @@ class TestKeepRule:
         blocks, jets and connection; the jets hold the very arrays of the
         kept blocks.  The first pass, asked for no stencil, on a member that
         is not the pinned one, keeps no ``K``.  The second, asked for
-        ``stencil(1)``, keeps its ``K`` at that stencil's one center alone,
-        whichever chunk it lies in, and builds nothing on its complex rows;
-        ``stencil(2)`` keeps nothing."""
+        ``stencil(1)``, keeps its ``K`` at that stencil's one center alone
+        and builds nothing on its complex rows; ``stencil(2)`` keeps
+        nothing."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
