@@ -50,7 +50,8 @@ from pathlib import Path
 # ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
 # Einstein and witness paths cross a chunk boundary; ``witnesses_only``
 # takes 30 samples too, so that the witnesses' pass, each member's first
-# there, crosses one at n = 3.  ``overflow`` writes
+# there, crosses one at n = 3; ``einstein_witnesses`` runs the own member's
+# pass before any suite has built ``stencil(1)``.  ``overflow`` writes
 # "nan" values and a ``suite_error`` raised inside a suite;
 # ``huge_c`` fails sampling at c = 1e160 and 1e300, so each suite gets a
 # ``suite_error`` with 0 samples there.
@@ -76,6 +77,7 @@ FLAG_SETS = {
     "overflow": ["--t-min", "1e100", "--t-max", "1e140", "--samples", "4", "--dims", "3", "--curvatures", "1.0"],
     "huge_c": ["--curvatures", "1.0,1e160,1e300", "--samples", "5"],
     "witnesses_only": ["--suites", "witnesses", "--samples", "30"],
+    "einstein_witnesses": ["--suites", "einstein,witnesses", "--samples", "30"],
 }
 SEEDS = (0, 3)
 # Report keys left out of the comparison.

@@ -29,7 +29,9 @@ axis; the finite-difference oracles differentiate on a stencil
 
 ``K`` is built by ``curvature_from_connection`` from a given connection
 and the three fiber blocks of its fiber 1-jet
-(``connection._fiber_derivative_blocks``).
+(``connection._fiber_derivative_blocks``).  Nothing here keeps a ``K``:
+``nabla_curvature`` is handed the centers' ``K``, which the suites read
+from a curvature pass's record (``suites.Sample.kept``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "odd_slots",
     "curvature_from_connection",
     "curvature_blocks",
-    "center_curvature",
     "ricci_from_blocks",
     "ricci_closed_form",
     "ricci_trace_coefficient",
@@ -152,23 +153,6 @@ def curvature_from_connection(
 def curvature_blocks(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:
     """``curvature_from_connection`` on the connection built at ``pt``."""
     return curvature_from_connection(pt, params, jets, connection_coefficients(pt, params, jets))
-
-
-def center_curvature(params: ModelParams, profile, stencil: Stencil, head: np.ndarray | None = None) -> np.ndarray:
-    """``K`` of a member at the centers of ``stencil``, kept with the stencil
-    (``Rows.memo``) on first use, so the block oracle and ``nabla_curvature``
-    share it: the centers' rows of ``head``, the ``K`` a curvature pass built
-    on the first rows of the stencil's base (``suites.Sample``), as
-    ``center_connection`` takes rows of ``connection_on``; with no ``head``,
-    built on the centers from the member's ``center_connection``."""
-
-    def build():
-        if head is not None:
-            return head[stencil.index]
-        conn = center_connection(params, profile, stencil)
-        return curvature_from_connection(stencil.centers, params, stencil.center_jets(params, profile), conn)
-
-    return stencil.memo(("center curvature", params, profile), build)
 
 
 # ---- Ricci, two routes ----
@@ -300,17 +284,17 @@ def curvature_fd(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
 # ---- covariant derivative of the curvature ----
 
 
-def nabla_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+def nabla_curvature(params: ModelParams, profile, stencil: Stencil, curv: np.ndarray) -> np.ndarray:
     """``(nabla_{e_w} K)[..., w, a, b, c, d]`` at the centers of ``stencil``
-    by the Leibniz rule.
+    by the Leibniz rule, ``curv`` the member's ``K`` at those centers.
 
     The value term is one frame gradient of the field of the six stored
     blocks, assembled once, on the connection that ``curvature_fd``'s field
     keeps on the same rows; the four connection terms, one per slot of
-    ``K``, are each one batched ``@`` of the centers' ``center_curvature``
-    and ``center_connection``.
+    ``K``, are each one batched ``@`` of ``curv`` and the centers'
+    ``center_connection``.
     """
-    conn, curv = center_connection(params, profile, stencil), center_curvature(params, profile, stencil)
+    conn = center_connection(params, profile, stencil)
 
     def field(rows: Rows) -> np.ndarray:
         jets, rows_conn = rows.jets_of(params, profile), connection_on(rows, params, profile)
@@ -327,9 +311,10 @@ def nabla_curvature(params: ModelParams, profile, stencil: Stencil) -> np.ndarra
     return nabla
 
 
-def nabla_curvature_probe(params: ModelParams, profile, stencil: Stencil):
-    """Largest component of ``nabla K`` at each center of ``stencil``.
+def nabla_curvature_probe(params: ModelParams, profile, stencil: Stencil, curv: np.ndarray):
+    """Largest component of ``nabla K`` at each center of ``stencil``, as in
+    ``nabla_curvature``.
 
     A value above a small floor witnesses the failure of local symmetry.
     """
-    return _max_abs(nabla_curvature(params, profile, stencil), rank=5)
+    return _max_abs(nabla_curvature(params, profile, stencil, curv), rank=5)

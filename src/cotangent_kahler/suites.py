@@ -15,14 +15,12 @@ curvature computes it in one call over all rows.  Only the curvature pass
 member's ``K`` and its block parts, ``(2n)^4`` numbers per row, are built
 once per block and no value depends on the block size; no other code
 builds a member's ``K`` on the sampled rows.  The ``curvature`` suite
-consumes the own member's pass.  The pass keeps the member's Ricci trace,
-which ``einstein`` and the witnesses' rational profile read, its ``K`` at
-the one FD center, where the curvature suite's and the pinned member's
-oracles read it, and on the witnesses' pinned member the sectional values
-they read.  The finite-difference oracles differentiate on the sample's
-stencils at the first center or the first two (``Sample.stencil``).  What a
-config keeps is said once, in ``Sample``.  A check's value is the largest
-of its per-sample values; a NaN in any sample fails it.
+consumes the own member's pass; every other read of a pass's values goes
+through the one record each pass keeps (``Kept``).  The finite-difference
+oracles differentiate on the sample's stencils at the first center or the
+first two (``Sample.stencil``).  What a config keeps is said once, in
+``Sample``.  A check's value is the largest of its per-sample values; a
+NaN in any sample fails it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .connection import (
 )
 from .curvature import (
     RicciBlocks,
-    center_curvature,
     curvature_fd,
     curvature_from_connection,
     holomorphic_sectional_curvature,
@@ -216,24 +213,22 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     return np.stack([q, direction * np.sqrt(t_target / t0)[:, None]], axis=1)
 
 
-def _pin_witness(cfg: RunConfig, params: ModelParams, sample: "Sample") -> tuple:
-    """The sample's ``witness``, set on first use: the pinned member and one
-    random section per row, drawn from ``[seed, 11, n, round(c * 1e9)]``.
+@dataclass(frozen=True)
+class Kept:
+    """The record of a member's curvature pass: its Ricci trace on all rows,
+    its ``K`` at the first row, the one center of ``Sample.stencil(1)``, as
+    a one-row copy, and its holomorphic sectional curvature at the sample's
+    ``sections``, one per row, or ``None`` on a sample without them."""
 
-    Non-constancy witnesses probe a fixed generic family member: with
-    k_a = 0 some members (n = 2 in particular) are genuinely locally
-    symmetric, so the generic claim is pinned to k_a = k_b = 1."""
-    if sample.witness is None:
-        n, c = params.n, params.c
-        pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
-        rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
-        sample.witness = pinned, einstein_profile(pinned), rng.normal(size=(len(sample), 2 * n))
-    return sample.witness
+    ricci: RicciBlocks
+    center: np.ndarray
+    holomorphic: np.ndarray | None
 
 
 class Sample:
     """The sampled points of one ``(n, c)`` config, one batch shared by
-    every suite; each method takes the member ``(params, profile)``.
+    every suite; it holds no member, and each method takes the member
+    ``(params, profile)``.
 
     ``rows`` are the ``Rows`` of the ``(S, n)`` base points and momenta.
     They keep ``points``, one batched ``CotangentPoint`` that serves every
@@ -243,39 +238,30 @@ class Sample:
     keeps its stencils beside the rows that are their base, so no stencil
     refers back to the sample.  Each is built on first use; a build that
     raises is not kept, so every suite that needs it records the error.
-
-    ``witness`` is ``None`` or the witnesses' pinned member and its
-    sections, ``(params, profile, x)`` with one per row, set before any pass
-    when the run includes the witnesses suite.
+    ``sections`` is ``None`` or one random tangent vector per row, which the
+    run draws when it includes the witnesses suite.
 
     ``curvature_rows`` is the one place that builds a member's ``K`` on the
     rows: once per block of as many rows as keep ``(2n)^4`` float64 numbers
     per row within the byte budget of ``_chunk_rows``, from the block's
     rows of the member's ``connection_on`` the rows.  It returns one
     per-row array per check, whatever the budget.  A pass that runs to its
-    end keeps, keyed as in ``Rows``, the member's Ricci trace over all rows
-    for ``ricci_of``; its ``K`` at the centers of ``stencil(1)`` for
-    ``center_curvature``, where the block oracle and the nabla-K probe read
-    it, on the curvature suite's pass, which asks for them, and the pinned
-    member's; and, on the pinned member, the holomorphic sectional
-    curvature at the witness sections for ``holomorphic_of`` (once).
-    ``ricci_of`` and ``holomorphic_of`` run a pass if none has kept theirs;
-    a pass that raises keeps nothing.
+    end keeps the member's ``Kept``, keyed as in ``Rows``; ``kept`` reads
+    it and runs a pass if none has kept one.  A pass that raises keeps
+    nothing.
 
     The keep rule: a config keeps per-row values on all S rows (the point,
-    and each member's metric blocks, fiber jets, connection and Ricci
-    trace, and the pinned member's sectional values), so these grow with
-    S.  It keeps ``K`` only at the centers of ``stencil(1)``: no pass's
-    ``K`` or block part outlives its block, so what a pass adds is bounded
-    per block.
+    and each member's metric blocks, fiber jets, connection, Ricci trace
+    and sectional values), so these grow with S.  It keeps ``K`` only at
+    the first row: no pass's ``K`` or block part outlives its block, so
+    what a pass adds is bounded per block.
     """
 
-    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
+    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, sections=None) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
-        self.witness = None
+        self.sections = sections
         self._stencils: dict[int, Stencil] = {}
-        self._ricci: dict = {}
-        self._holomorphic = None
+        self._kept: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows.q)
@@ -285,16 +271,12 @@ class Sample:
             self._stencils[centers] = Stencil(self.rows, centers)
         return self._stencils[centers]
 
-    def curvature_rows(self, params: ModelParams, profile, fn, stencil: Stencil | None = None) -> tuple:
+    def curvature_rows(self, params: ModelParams, profile, fn) -> tuple:
         """``fn(points, jets, K, rows)`` of the member on each block of rows,
         in order, ``rows`` the block's slice and ``K`` the member's curvature
         on the block; the tuples of per-row arrays it returns, joined over all
-        rows.  Keeps what the class docstring says, ``K`` at the centers of
-        ``stencil`` among it."""
+        rows.  Keeps the member's ``Kept``."""
         jets, conn = self.rows.jets_of(params, profile), connection_on(self.rows, params, profile)
-        pinned = self.witness is not None and self.witness[:2] == (params, profile)
-        sections, stencil = pinned and self._holomorphic is None, self._stencils.get(1, stencil) if pinned else stencil
-        centers = 0 if stencil is None else len(stencil.centers.t)
         step = _chunk_rows(2 * self.rows.q.shape[-1])
         parts = []
         for start in range(0, len(self), step):
@@ -302,34 +284,22 @@ class Sample:
             pt, block_jets = take_rows(self.rows.points, rows), take_rows(jets, rows)
             curv = curvature_from_connection(pt, params, block_jets, conn[rows])
             ricci = ricci_from_blocks(curv)
-            # A copy, so that the kept centers do not hold the block's K.
-            kept = [ricci.hh, ricci.vv, curv[: max(0, centers - start)].copy()]
-            if sections:
+            # A copy, so that the kept first row does not hold the block's K.
+            kept = [ricci.hh, ricci.vv, curv[: int(start == 0)].copy()]
+            if self.sections is not None:
                 metric, j_op = assemble_metric(block_jets), assemble_complex_structure(block_jets)
-                kept.append(holomorphic_sectional_curvature(curv, metric, j_op, self.witness[2][rows]))
+                kept.append(holomorphic_sectional_curvature(curv, metric, j_op, self.sections[rows]))
             parts.append((*kept, *fn(pt, block_jets, curv, rows)))
-        hh, vv, head, *values = (np.concatenate(column) for column in zip(*parts))
-        self._ricci[params, profile] = RicciBlocks(hh, vv)
-        if stencil is not None:
-            center_curvature(params, profile, stencil, head)
-        if sections:
-            self._holomorphic, *values = values
+        hh, vv, center, *values = (np.concatenate(column) for column in zip(*parts))
+        holomorphic = None if self.sections is None else values.pop(0)
+        self._kept[params, profile] = Kept(RicciBlocks(hh, vv), center, holomorphic)
         return tuple(values)
 
-    def ricci_of(self, params: ModelParams, profile) -> RicciBlocks:
-        """The member's ``ricci_from_blocks(K)`` on all rows, from its last
-        full pass; runs one if none has."""
-        if (params, profile) not in self._ricci:
+    def kept(self, params: ModelParams, profile) -> Kept:
+        """The member's record from its last full pass; runs one if none has."""
+        if (params, profile) not in self._kept:
             self.curvature_rows(params, profile, lambda *_: ())
-        return self._ricci[params, profile]
-
-    def holomorphic_of(self) -> np.ndarray:
-        """The pinned member's holomorphic sectional curvature at the witness
-        sections, one per row, from its first full pass; runs one if none
-        has kept them."""
-        if self._holomorphic is None:
-            self.curvature_rows(*self.witness[:2], lambda *_: ())
-        return self._holomorphic
+        return self._kept[params, profile]
 
 
 def _check(name: str, values, tolerance: float, comparison: str = "le", note: str | None = None) -> dict:
@@ -421,9 +391,6 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
     n = params.n
     h, v = slice(None, n), slice(n, None)
 
-    # The stencil comes first, so that the pass keeps K at its center.
-    stencil = sample.stencil(1)
-
     # Four quadruples (X, Y, Z, W) per sample, the same at every coupling.
     rng = np.random.default_rng([cfg.seed, 7, n])
     quadruples = rng.normal(size=(len(sample), 4, 4, 2 * n))
@@ -439,12 +406,12 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
         )
         return symmetry, relations
 
-    symmetry, *relations = sample.curvature_rows(params, profile, per_block, stencil)
+    symmetry, *relations = sample.curvature_rows(params, profile, per_block)
 
     # One finite-difference curvature at the oracle point serves the block
     # oracle, the odd-slot complement and the mixed Ricci block.
-    fd = curvature_fd(params, profile, stencil)
-    diff = fd - center_curvature(params, profile, stencil)
+    fd = curvature_fd(params, profile, sample.stencil(1))
+    diff = fd - sample.kept(params, profile).center
     odd = odd_slots(n)
     checks = [
         _check("blocks_match_fd_oracle", _max_abs(diff[..., ~odd], rank=1), tol.fd_oracle),
@@ -459,7 +426,7 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
     checks.append(_check("pair_symmetry", symmetry, tol.closed_form))
     if params.is_integrable:
         checks.append(_check("kahler_block_relations", relations[0], tol.closed_form))
-        trace, closed = sample.ricci_of(params, profile), ricci_closed_form(sample.rows.points, params, profile)
+        trace, closed = sample.kept(params, profile).ricci, ricci_closed_form(sample.rows.points, params, profile)
         two_path = _max_abs(trace.hh - closed.hh, trace.vv - closed.vv, rank=2)
         checks.append(_check("ricci_two_path", two_path, tol.cross_check))
     mixed = np.einsum("...abca->...bc", fd)[..., :n, n:]
@@ -469,7 +436,7 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
 
 def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
-    pt, jets, ricci = sample.rows.points, sample.rows.jets_of(params, profile), sample.ricci_of(params, profile)
+    pt, jets, ricci = sample.rows.points, sample.rows.jets_of(params, profile), sample.kept(params, profile).ricci
     direct = einstein_difference(pt, params, profile, jets, ricci)
     closed = einstein_difference_closed_form(pt, params, profile)
     closed_vs_direct = _max_abs(direct[0] - closed[0], direct[1] - closed[1], rank=2)
@@ -483,8 +450,10 @@ def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]
 
 
 def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
+    if sample.sections is None:
+        raise ConfigError("the witnesses suite needs a sample with sections: Sample(q, p, params, sections)")
     tol = cfg.tolerances
-    c = params.c
+    n, c = params.n, params.c
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
@@ -507,7 +476,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
     # Off the family gamma does not vanish, so the rational profile's
     # defect also tests the closed-form difference; on the Einstein profile
     # both sides of einstein/difference_closed_form are zero.
-    pt, ricci = sample.rows.points, sample.ricci_of(params, generic)
+    pt, ricci = sample.rows.points, sample.kept(params, generic).ricci
     direct = einstein_difference(pt, params, generic, sample.rows.jets_of(params, generic), ricci)
     defect = _max_abs(*direct, rank=2)
     checks.append(_check("einstein_detects_profile", defect, tol.witness_floor, comparison="ge"))
@@ -523,8 +492,13 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
                 "on the rational profile"
             )
 
-    witness_params, witness_profile, _ = _pin_witness(cfg, params, sample)
-    values = sample.holomorphic_of()
+    # Non-constancy witnesses probe a fixed generic family member: with
+    # k_a = 0 some members (n = 2 in particular) are genuinely locally
+    # symmetric, so the generic claim is pinned to k_a = k_b = 1.
+    pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
+    pinned_profile = einstein_profile(pinned)
+    kept = sample.kept(pinned, pinned_profile)
+    values = kept.holomorphic
     low, high = np.min(values), np.max(values)
     checks.append(
         _check(
@@ -539,7 +513,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
         )
     )
 
-    probe = nabla_curvature_probe(witness_params, witness_profile, stencil)
+    probe = nabla_curvature_probe(pinned, pinned_profile, stencil, kept.center)
     checks.append(
         _check(
             "curvature_not_parallel",
@@ -624,9 +598,11 @@ def run_verification(cfg: RunConfig) -> dict:
                 for suite_name in cfg.suites:
                     configs[suite_name].append(_config_entry(params, 0, [_suite_error(exc)]))
                 continue
-            sample = Sample(points[:, 0], points[:, 1], params)
+            sections = None
             if "witnesses" in cfg.suites:
-                _pin_witness(cfg, params, sample)
+                rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
+                sections = rng.normal(size=(len(points), 2 * n))
+            sample = Sample(points[:, 0], points[:, 1], params, sections)
             for suite_name in cfg.suites:
                 started = time.perf_counter()
                 entry, suite_notes = run_suite(suite_name, cfg, params, profile, sample)

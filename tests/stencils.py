@@ -8,12 +8,15 @@ one per center set of a ``suites.Sample``; a test that holds a bare
 * ``stencil_at(pt, params)`` is the stencil at the centers ``pt`` over the
   space form of ``params``, for any oracle;
 * ``frame_gradient(field, pt)`` is the frame gradient of a field of a batch
-  of points ``Q, P`` of shape ``(m, n)``, at the centers ``pt``.
+  of points ``Q, P`` of shape ``(m, n)``, at the centers ``pt``;
+* ``center_k(params, profile, stencil)`` is a member's ``K`` at the
+  centers of a stencil, the ``curv`` that ``nabla_curvature`` takes.
 """
 
 import numpy as np
 
 from cotangent_kahler.base import ModelParams
+from cotangent_kahler.curvature import curvature_blocks
 from cotangent_kahler.fd import Stencil
 from cotangent_kahler.mtensor import CotangentPoint, Rows
 
@@ -30,3 +33,9 @@ def frame_gradient(field, pt: CotangentPoint) -> np.ndarray:
     which may lie over any base: the field reads only the rows' ``q`` and
     ``p``, so the base rows hand back ``pt`` as their point."""
     return Stencil(Rows(pt.q, pt.p, lambda q, p: pt)).frame_gradient(lambda rows: field(rows.q, rows.p))
+
+
+def center_k(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
+    """``curvature_blocks`` of the member at the centers of ``stencil``, on
+    their fiber jets."""
+    return curvature_blocks(stencil.centers, params, stencil.center_jets(params, profile))

@@ -43,7 +43,7 @@ from cotangent_kahler.structure import (
     nijenhuis_numeric,
 )
 from cotangent_kahler.suites import RunConfig, run_verification, sample_points
-from stencils import frame_gradient, stencil_at
+from stencils import center_k, frame_gradient, stencil_at
 
 GRID = [(n, c) for n in (2, 3) for c in (0.5, 1.0, 2.0)]
 
@@ -249,7 +249,8 @@ def test_nonconstancy_witnesses_reported():
     probe = 0.0
     for q, p in points[:2]:
         pt = CotangentPoint.at(q, p, params)
-        probe = max(probe, nabla_curvature_probe(params, profile, stencil_at(pt, params)))
+        stencil = stencil_at(pt, params)
+        probe = max(probe, nabla_curvature_probe(params, profile, stencil, center_k(params, profile, stencil)))
     print(f"nabla-K probe max: {probe!r}")
     assert probe > 1e-3, f"nabla-K probe max {probe!r}"
 

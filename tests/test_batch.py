@@ -32,7 +32,6 @@ from cotangent_kahler.connection import (
     torsion_residual,
 )
 from cotangent_kahler.curvature import (
-    center_curvature,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -239,22 +238,25 @@ class TestLongdoublePointsKeepTheirPrecision:
         scale = np.max(np.abs(wide))
         npt.assert_allclose(narrow, wide.astype(np.float64), rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
 
-    def test_memoised_center_connection_and_k_keep_longdouble(self):
+    def test_memoised_center_connection_and_kept_k_keep_longdouble(self):
         """On a sample of longdouble points the connection kept on the
         complex rows of ``stencil(1)`` is ``clongdouble``, the connection at
         its center is a longdouble view of the one kept on the sample's rows,
-        and the ``K`` kept at its center is longdouble and the same array on
-        a second request; both agree with the float64 ones to float64
-        rounding."""
+        and the ``K`` a pass keeps at the first row is longdouble and the same
+        array on a second request; both agree with the float64 ones to
+        float64 rounding."""
         params, profile = _setup(3, "einstein")
         q, p = _points(3)
-        wide = Sample(q.astype(np.longdouble), p.astype(np.longdouble), params).stencil(1)
-        narrow = Sample(q, p, params).stencil(1)
-        assert connection_on(wide, params, profile).dtype == np.clongdouble
-        assert center_connection(params, profile, wide).base is connection_on(wide.base, params, profile)
-        assert center_curvature(params, profile, wide) is center_curvature(params, profile, wide)
-        for center in (center_connection, center_curvature):
-            value, expected = center(params, profile, wide), center(params, profile, narrow)
+        wide = Sample(q.astype(np.longdouble), p.astype(np.longdouble), params)
+        narrow = Sample(q, p, params)
+        assert connection_on(wide.stencil(1), params, profile).dtype == np.clongdouble
+        assert center_connection(params, profile, wide.stencil(1)).base is connection_on(wide.rows, params, profile)
+        assert wide.kept(params, profile) is wide.kept(params, profile)
+        for center in (
+            lambda sample: center_connection(params, profile, sample.stencil(1)),
+            lambda sample: sample.kept(params, profile).center,
+        ):
+            value, expected = center(wide), center(narrow)
             assert value.dtype == np.longdouble
             scale = np.max(np.abs(expected))
             npt.assert_allclose(value.astype(np.float64), expected, rtol=0, atol=16 * np.finfo(np.float64).eps * scale)
@@ -361,6 +363,7 @@ def _oracle_values(q, p, params, profile):
     conn = connection_coefficients(pt, params, jets)
     stencil = stencil_at(pt, params)
     metric_grad = metric_gradient(params, profile, stencil)
+    curv = curvature_blocks(pt, params, jets)
     return {
         "dform_residual": dform_residual(params, profile, stencil),
         "nijenhuis_numeric": nijenhuis_numeric(params, profile, stencil),
@@ -369,7 +372,7 @@ def _oracle_values(q, p, params, profile):
         "metric_compatibility_residual": metric_compatibility_residual(conn, jets, metric_grad),
         "parallel_j_residual": parallel_j_residual(conn, jets, metric_grad),
         "curvature_fd": curvature_fd(params, profile, stencil),
-        "nabla_curvature_probe": nabla_curvature_probe(params, profile, stencil),
+        "nabla_curvature_probe": nabla_curvature_probe(params, profile, stencil, curv),
     }
 
 

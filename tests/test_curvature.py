@@ -20,7 +20,7 @@ from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, assemble_metric, fiber_jets
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import assemble_complex_structure
-from stencils import stencil_at
+from stencils import center_k, stencil_at
 
 # block name -> slots of K[a, b, c, d] (inputs a, b, c, output d) holding it
 H, V = slice(None, 3), slice(3, None)
@@ -210,7 +210,8 @@ class TestNablaCurvature:
         """cyclic_{W,A,B} (nabla_W K)(A, B)Z = 0 on every frame entry."""
         q, p = sample_qp
         pt = CotangentPoint.at(q, p, kahler_params)
-        nabla = nabla_curvature(kahler_params, kahler_profile, stencil_at(pt, kahler_params))
+        stencil = stencil_at(pt, kahler_params)
+        nabla = nabla_curvature(kahler_params, kahler_profile, stencil, center_k(kahler_params, kahler_profile, stencil))
         cyclic = nabla + np.einsum("abwcd->wabcd", nabla) + np.einsum("bwacd->wabcd", nabla)
         assert np.max(np.abs(cyclic)) < 1e-6
 
@@ -230,7 +231,8 @@ class TestNablaCurvature:
         def nabla_at(params, momentum):
             profile = einstein_profile(params)
             pt = CotangentPoint.at(q, momentum, params)
-            return nabla_curvature(params, profile, stencil_at(pt, params))
+            stencil = stencil_at(pt, params)
+            return nabla_curvature(params, profile, stencil, center_k(params, profile, stencil))
 
         out_up = nabla_at(params_up, lam * p)[H, H, H, H]
         out_dn = nabla_at(params_dn, p)[H, H, H, H]

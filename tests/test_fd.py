@@ -19,7 +19,7 @@ from cotangent_kahler.fd import Stencil, fd_gradient, fd_partial
 from cotangent_kahler.mtensor import CotangentPoint, Rows, chart_frame
 from cotangent_kahler.profiles import einstein_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
-from stencils import frame_gradient, stencil_at
+from stencils import center_k, frame_gradient, stencil_at
 
 # ---------------------------------------------------------------------------
 # Exactness
@@ -220,6 +220,7 @@ class TestBatchedStencil:
         profile = einstein_profile(params)
         stencil = stencil_at(pt, params)
         stencil.base.jets_of(params, profile)
+        curv = center_k(params, profile, stencil)
         original = cotangent_kahler.fd.fd_partial
         calls, builds = [], []
 
@@ -244,7 +245,7 @@ class TestBatchedStencil:
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         monkeypatch.setattr(CotangentPoint, "at", classmethod(at))
         monkeypatch.setattr(cotangent_kahler.mtensor, "_jets_on", counted_jets)
-        assert nabla_curvature(params, profile, stencil).shape == (1,) + (2 * n,) * 5
+        assert nabla_curvature(params, profile, stencil, curv).shape == (1,) + (2 * n,) * 5
         assert calls == [2 * n]
         assert builds == [("point", 2 * n), ("jets", 2 * n)]
 
@@ -337,10 +338,15 @@ class TestFrameCalculus:
 # ---------------------------------------------------------------------------
 
 
+def _nabla_probe(params, profile, stencil):
+    """``nabla_curvature_probe`` on the member's ``K`` at the centers."""
+    return nabla_curvature_probe(params, profile, stencil, center_k(params, profile, stencil))
+
+
 class TestOneGradientPerOracle:
     @pytest.mark.parametrize(
         "oracle",
-        [metric_gradient, curvature_fd, nabla_curvature_probe, nijenhuis_numeric],
+        [metric_gradient, curvature_fd, _nabla_probe, nijenhuis_numeric],
         ids=["metric_gradient", "curvature_fd", "nabla_curvature_probe", "_nijenhuis"],
     )
     def test_each_oracle_takes_one_gradient(
@@ -445,7 +451,7 @@ def _assert_every_oracle_field_matches_the_reference_stencil(rng, n, dtype, monk
         "2-form": lambda: dform_residual(params, profile, stencil_at(pt, params)),
         "nijenhuis": lambda: nijenhuis_numeric(params, profile, stencil_at(pt, params)),
         "connection": lambda: curvature_fd(params, profile, stencil_at(pt, params)),
-        "K": lambda: nabla_curvature(params, profile, stencil_at(pt, params)),
+        "K": lambda: _nabla_probe(params, profile, stencil_at(pt, params)),
     }
     for name, oracle in oracles.items():
         calls.clear()

@@ -44,7 +44,7 @@ from cotangent_kahler.mtensor import CotangentPoint, Rows, _jets_on, assemble_me
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import _brackets, assemble_complex_structure, nijenhuis_closed_form, nijenhuis_numeric
 from cotangent_kahler.suites import RunConfig, sample_points
-from stencils import stencil_at
+from stencils import center_k, stencil_at
 
 BATCH = 8
 C = 1.4
@@ -164,8 +164,9 @@ def test_nabla_curvature(n, coupling):
     """The gradient of the six stored blocks, assembled, against that of the
     assembled ``K``."""
     pt, params, profile, jets, _ = _centers(n, coupling)
+    stencil = stencil_at(pt, params)
     _assert_matches(
-        nabla_curvature(params, profile, stencil_at(pt, params)),
+        nabla_curvature(params, profile, stencil, center_k(params, profile, stencil)),
         reference.nabla_curvature(params, profile, pt, jets),
         rel=1e-12,
     )

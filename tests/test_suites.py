@@ -17,8 +17,8 @@ import cotangent_kahler.structure
 import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.connection import connection_coefficients, connection_on, metric_gradient
-from cotangent_kahler.curvature import center_curvature, curvature_fd, nabla_curvature
-from cotangent_kahler.errors import GeometryError
+from cotangent_kahler.curvature import curvature_fd, nabla_curvature
+from cotangent_kahler.errors import ConfigError, GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
@@ -31,7 +31,7 @@ from cotangent_kahler.suites import (
     run_verification,
     sample_points,
 )
-from stencils import stencil_at
+from stencils import center_k, stencil_at
 
 
 class TestCheckReduction:
@@ -71,17 +71,18 @@ class TestCheckReduction:
         assert all(check is entry for check, entry in zip(checks, returned))
 
     @pytest.mark.parametrize(
-        "suite, name, func",
+        "suite, name, func, passes",
         [
-            ("curvature", "pair_symmetry", "pair_symmetry_residual"),
-            ("witnesses", "holomorphic_curvature_spread", "holomorphic_sectional_curvature"),
+            ("curvature", "pair_symmetry", "pair_symmetry_residual", 1),
+            ("witnesses", "holomorphic_curvature_spread", "holomorphic_sectional_curvature", 2),
         ],
         ids=["le", "ge"],
     )
-    def test_nan_in_the_last_row_of_a_pass_fails(self, suite, name, func, monkeypatch):
+    def test_nan_in_the_last_row_of_a_pass_fails(self, suite, name, func, passes, monkeypatch):
         """Eight samples at n = 2 in chunks of 3, 3 and 2 rows: a NaN in the
-        last row of the last chunk of a curvature pass, the own member's
-        pair symmetry (``le``) or the pinned member's sections (``ge``),
+        last row of the last chunk of the last curvature pass, the own
+        member's pair symmetry (``le``) or the pinned member's sections
+        (``ge``, after the rational profile's pass, which keeps its own),
         makes the check's value NaN and fails it."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
         original = getattr(cotangent_kahler.suites, func)
@@ -90,14 +91,14 @@ class TestCheckReduction:
         def nan_in_the_last_row(*args):
             out = original(*args)
             rows.append(len(out))
-            if len(rows) == 3:
+            if len(rows) == 3 * passes:
                 out = out.copy()
                 out[-1] = np.nan
             return out
 
         monkeypatch.setattr(cotangent_kahler.suites, func, nan_in_the_last_row)
         (config,) = _configs_by_suite((suite,))[suite]
-        assert rows == [3, 3, 2]
+        assert rows == [3, 3, 2] * passes
         (check,) = [check for check in config["checks"] if check["name"] == name]
         assert check["value"] == "nan"
         assert check["passed"] is False
@@ -524,7 +525,7 @@ class TestSharedSample:
         rng = np.random.default_rng(3)
         q, p = rng.uniform(-1.0, 1.0, size=(samples, n)), rng.normal(size=(samples, n))
         sample = Sample(q, p, params)
-        kept = sample.ricci_of(params, einstein_profile(params))
+        kept = sample.kept(params, einstein_profile(params)).ricci
         blocks = [kept.hh, kept.vv]
         assert kept.hh.shape == kept.vv.shape == (samples, n, n)
         assert all(block.base is None and block.flags.c_contiguous for block in blocks)
@@ -578,16 +579,19 @@ class TestPinnedWitness:
     def test_witness_entries_do_not_depend_on_which_pass_serves_them(self, n, monkeypatch):
         """At 30 samples in chunks of seven rows, the pinned k_a = k_b = 1
         member's two witnesses are the same entries, bit for bit, whether
-        they read the curvature suite's pass on the own member (all six
-        suites, or curvature and witnesses), a pass of their own on the own
-        member (witnesses alone), or a pass on a pinned member that is not
-        the config's (k_a = 0.5, k_b = 2)."""
+        they read the record of the curvature suite's pass on the own member
+        (all six suites, or curvature and witnesses), of the einstein
+        suite's, which runs before any suite has built ``stencil(1)``
+        (einstein and witnesses), of a pass of their own on the own member
+        (witnesses alone), or of a pass on a pinned member that is not the
+        config's (k_a = 0.5, k_b = 2)."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 7)
         names = ("holomorphic_curvature_spread", "curvature_not_parallel")
         runs = [
             {},
             {"suites": ("witnesses",)},
             {"suites": ("curvature", "witnesses")},
+            {"suites": ("einstein", "witnesses")},
             {"k_a": 0.5, "k_b": 2.0},
         ]
         entries = []
@@ -598,57 +602,67 @@ class TestPinnedWitness:
         assert [check["name"] for check in entries[0]] == list(names)
         assert all(entry == entries[0] for entry in entries[1:])
 
+    def test_witnesses_need_a_sample_with_sections(self):
+        """The witnesses suite on a sample drawn without sections refuses to
+        run, with an error that names them, rather than reading a record
+        without sectional values."""
+        cfg = RunConfig(**SHARED_PASS, suites=("witnesses",))
+        params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
+        points = sample_points(cfg, 2, 1.0, params)
+        sample = Sample(points[:, 0], points[:, 1], params)
+        with pytest.raises(ConfigError, match="sections"):
+            run_suite("witnesses", cfg, params, einstein_profile(params), sample)
 
-class TestRicciPerMember:
-    """``Sample.ricci_of`` keeps one full pass's Ricci over all rows per
-    member, keyed like ``mtensor.Rows``, at eight samples in chunks of three
-    rows."""
+
+class TestKeptPerMember:
+    """``Sample.kept`` reads one full pass's record per member, keyed like
+    ``mtensor.Rows``, at eight samples in chunks of three rows."""
 
     def _setup(self, monkeypatch, fail_at=None):
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=8, k_a=0.5, k_b=2.0)
         params = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=0.5, k_b=2.0)
         points = sample_points(cfg, 2, 1.0, params)
+        sections = np.random.default_rng(4).normal(size=(8, 4))
         calls = _count_curvature_builds(monkeypatch, fail_at)
-        return cfg, params, Sample(points[:, 0], points[:, 1], params), calls
+        return cfg, params, Sample(points[:, 0], points[:, 1], params, sections), calls
 
-    def test_other_members_never_replace_the_own_entry(self, monkeypatch):
+    def test_other_members_never_replace_the_own_record(self, monkeypatch):
         """The witnesses suite takes one pass on its pinned k_a = k_b = 1
-        member and one on the rational profile.  Each keeps its own entry,
-        with other values; the own member's entry is the same list, with the
-        same values, and no later read builds ``K`` again.  The nabla-K
-        probe reads its center's ``K`` from the pinned pass."""
+        member and one on the rational profile.  Each keeps its own record,
+        with other values; the own member's record is the same object, with
+        the same values, and no later read builds ``K`` again.  The nabla-K
+        probe reads its center's ``K`` from the pinned record."""
         cfg, params, sample, calls = self._setup(monkeypatch)
         profile = einstein_profile(params)
-        own = sample.ricci_of(params, profile)
-        before = own.hh.copy(), own.vv.copy()
+        own = sample.kept(params, profile)
+        before = own.ricci.hh.copy(), own.ricci.vv.copy(), own.center.copy(), own.holomorphic.copy()
         run_suite("witnesses", cfg, params, profile, sample)
         witness = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
-        others = [
-            sample.ricci_of(witness, einstein_profile(witness)),
-            sample.ricci_of(params, rational_profile()),
-        ]
-        assert sample.ricci_of(params, profile) is own
+        others = [sample.kept(witness, einstein_profile(witness)), sample.kept(params, rational_profile())]
+        assert sample.kept(params, profile) is own
         # The own pass, then the rational and the pinned pass.
         assert calls == [3, 3, 2] * 3
-        assert np.array_equal(own.hh, before[0]) and np.array_equal(own.vv, before[1])
+        after = own.ricci.hh, own.ricci.vv, own.center, own.holomorphic
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
         for other in others:
-            assert other.hh.shape == (8, 2, 2) and not np.array_equal(other.hh, own.hh)
+            assert other.ricci.hh.shape == (8, 2, 2) and not np.array_equal(other.ricci.hh, own.ricci.hh)
+            assert other.holomorphic.shape == (8,) and not np.array_equal(other.center, own.center)
 
     def test_a_pass_that_raises_keeps_nothing(self, monkeypatch):
-        """A pass that fails at its second chunk keeps no entry, so the next
+        """A pass that fails at its second chunk keeps no record, so the next
         read runs a full pass of its own."""
         _, params, sample, calls = self._setup(monkeypatch, fail_at=2)
         profile = einstein_profile(params)
         with pytest.raises(GeometryError, match="injected"):
             sample.curvature_rows(params, profile, lambda *_: ())
-        assert sample.ricci_of(params, profile).hh.shape == (8, 2, 2)
+        assert sample.kept(params, profile).ricci.hh.shape == (8, 2, 2)
         assert calls == [3, 3, 3, 3, 2]
 
 
 class TestKeepRule:
-    """A config keeps per-row values, the Ricci trace among them, and no
-    pass's ``K`` outlives its chunk but at a stencil's centers, on a sample
-    of one chunk as on one of several."""
+    """A config keeps per-row values, the Ricci trace and the sectional
+    values among them, and no pass's ``K`` outlives its chunk but at the
+    first row, on a sample of one chunk as on one of several."""
 
     @pytest.mark.parametrize("chunk_rows", [8, 3, 1], ids=["one_chunk", "three_chunks", "one_row"])
     def test_a_second_pass_builds_every_k_again(self, chunk_rows, monkeypatch):
@@ -656,11 +670,9 @@ class TestKeepRule:
         second pass builds every chunk's ``K`` again, with the same values,
         and the sample's rows keep only the point and the member's metric
         blocks, jets and connection; the jets hold the very arrays of the
-        kept blocks.  The first pass, asked for no stencil, on a member that
-        is not the pinned one, keeps no ``K``.  The second, asked for
-        ``stencil(1)``, keeps its ``K`` at that stencil's one center alone
-        and builds nothing on its complex rows; ``stencil(2)`` keeps
-        nothing."""
+        kept blocks.  Each pass keeps a new record, whose ``K`` is a copy of
+        the first row alone, and a sample without sections keeps no
+        sectional values; no stencil keeps anything."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
@@ -670,8 +682,8 @@ class TestKeepRule:
         one, two = sample.stencil(1), sample.stencil(2)
         first, second = [], []
         sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: first.append(curv) or ())
-        assert not one._memo and not two._memo
-        sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: second.append(curv) or (), one)
+        kept = sample.kept(params, profile)
+        sample.curvature_rows(params, profile, lambda pt, jets, curv, rows: second.append(curv) or ())
         assert calls == [min(chunk_rows, 8 - start) for start in range(0, 8, chunk_rows)] * 2
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second, strict=True))
         member = (params, profile)
@@ -679,23 +691,23 @@ class TestKeepRule:
         assert set(memo) == {"points", ("blocks", *member), ("jets", *member), ("connection", *member)}
         blocks, jets = memo[("blocks", *member)], memo[("jets", *member)]
         assert blocks.gh is jets.gh and blocks.gv is jets.gv
-        assert set(one._memo) == {("center curvature", *member)} and not two._memo
-        kept = one._memo[("center curvature", *member)]
-        assert np.array_equal(kept, np.concatenate(second)[:1])
-        assert (kept if kept.base is None else kept.base).shape[0] == 1
+        assert not one._memo and not two._memo
+        record = sample.kept(params, profile)
+        assert record is not kept and record.holomorphic is None
+        assert np.array_equal(record.center, np.concatenate(second)[:1])
+        assert record.center.base is None and record.center.shape[0] == 1
 
     @pytest.mark.parametrize("chunk_rows", [3, 1], ids=["three_chunks", "one_row"])
     def test_no_blocks_k_outlives_its_block(self, chunk_rows, monkeypatch):
-        """Eight samples at n = 2 with stencils at one and two centers, the
-        pinned member's sections included: when a pass reaches a block,
-        nothing holds the ``K`` of an earlier one, not even the rows it
-        keeps at the centers."""
+        """Eight samples at n = 2 with stencils at one and two centers and
+        one section per row: when a pass reaches a block, nothing holds the
+        ``K`` of an earlier one, not even the first row it keeps."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
         rng = np.random.default_rng(2)
-        sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
-        sample.witness = params, profile, rng.normal(size=(8, 4))
+        q, p, sections = rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 4))
+        sample = Sample(q, p, params, sections)
         sample.stencil(1), sample.stencil(2)
         refs = []
 
@@ -706,7 +718,34 @@ class TestKeepRule:
 
         sample.curvature_rows(params, profile, record)
         assert len(refs) == -(-8 // chunk_rows)
-        assert sample.holomorphic_of().shape == (8,)
+        assert sample.kept(params, profile).holomorphic.shape == (8,)
+
+    @pytest.mark.parametrize("k_a, k_b", [(1.0, 1.0), (0.5, 2.0)], ids=["default", "ka0.5_kb2"])
+    @pytest.mark.parametrize(
+        "suites", [SUITE_NAMES, ("witnesses",), ("einstein", "witnesses")], ids=["all", "witnesses", "einstein_witnesses"]
+    )
+    def test_every_kept_center_is_curvature_blocks_at_the_first_row(self, suites, k_a, k_b, monkeypatch):
+        """Eight samples at n = 2 in chunks of three rows: every record a run
+        reads keeps at its first row, bit for bit, the ``K`` that
+        ``curvature_blocks`` builds on the one center of a one-use stencil
+        there, whichever suite's pass kept it; and the run builds ``K`` in
+        one pass per member read, with no build at the center."""
+        calls = _count_curvature_builds(monkeypatch)
+        original, read = Sample.kept, []
+
+        def kept(sample, params, profile):
+            read.append((sample, params, profile))
+            return original(sample, params, profile)
+
+        monkeypatch.setattr(Sample, "kept", kept)
+        run_verification(RunConfig(**SHARED_PASS, suites=suites, k_a=k_a, k_b=k_b))
+        pinned = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
+        assert (pinned, einstein_profile(pinned)) in {(params, profile) for _, params, profile in read}
+        assert calls == [3, 3, 2] * len({(id(sample), params, profile) for sample, params, profile in read})
+        for sample, params, profile in read:
+            center = original(sample, params, profile).center
+            alone = center_k(params, profile, stencil_at(take_rows(sample.rows.points, slice(1)), params))
+            assert center.dtype == alone.dtype and np.array_equal(center, alone)
 
 
 class TestOwnership:
@@ -754,29 +793,25 @@ class TestOffFamilyDifference:
 
 
 class TestSharedStencil:
-    @pytest.mark.parametrize("pass_first", [False, True], ids=["no_pass", "pass_first"])
-    def test_oracles_through_the_shared_stencil_match_standalone(self, pass_first, monkeypatch):
+    def test_oracles_through_the_shared_stencil_match_standalone(self, monkeypatch):
         """Each of the five FD oracles gives, bit for bit, the same array
         through the sample's stencil, after the other oracles at its centers
         have built the point and the jets there, as on its own one-use
         stencil on the sample's first rows.  Through the sample the six calls
-        build two complex points and one complex jet set.  When the
-        member's curvature pass ran first, in chunks of three rows, asked to
-        keep ``K`` at the centers of ``stencil(1)``, the centers' ``K`` that
-        nabla-K reads is the pass's, bit for bit the ``K`` a one-use stencil
-        builds on its centers."""
+        build two complex points and one complex jet set.  Nabla-K reads the
+        centers' ``K`` from the record of the member's pass, which ran in
+        chunks of three rows before any stencil was built and builds no
+        ``K`` at the center."""
         n = 3
         params = ModelParams.kahler(n, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
         off_params = ModelParams(n=n, c=1.0, a_metric=1.1 * params.a_metric, k_a=1.0, k_b=1.0)
         rng = np.random.default_rng(5)
         sample = Sample(rng.uniform(-1.0, 1.0, size=(4, n)), rng.normal(size=(4, n)), params)
-        # The real rows' point and own jets, built before counting as in a run.
-        sample.rows.jets_of(params, profile)
         curvatures = _count_curvature_builds(monkeypatch)
-        if pass_first:
-            sample.stencil(2)
-            sample.curvature_rows(params, profile, lambda *_: (), sample.stencil(1))
+        # The real rows' point and own jets, and the pass, before counting as in a run.
+        center = sample.kept(params, profile).center
+        assert curvatures == [3, 1]
         # In the order of the suites: 2-form, Nijenhuis, metric, curvature,
         # then the witnesses' detuned metric and nabla-K.
         oracles = [
@@ -785,16 +820,12 @@ class TestSharedStencil:
             (2, lambda stencil: metric_gradient(params, profile, stencil)),
             (1, lambda stencil: curvature_fd(params, profile, stencil)),
             (1, lambda stencil: metric_gradient(off_params, profile, stencil)),
-            (1, lambda stencil: nabla_curvature(params, profile, stencil)),
+            (1, lambda stencil: nabla_curvature(params, profile, stencil, center)),
         ]
         builds = _count_builds(monkeypatch)
         shared = [oracle(sample.stencil(centers)) for centers, oracle in oracles]
         assert [(kind, rows) for kind, rows, real in builds] == [("point", 12), ("point", 6), ("jets", 6)]
-        # The pass's two chunks, or nabla-K's one build at the center.
-        assert curvatures == ([3, 1] if pass_first else [1])
+        assert curvatures == [3, 1]
         for (centers, oracle), value in zip(oracles, shared):
             alone = oracle(stencil_at(take_rows(sample.rows.points, slice(centers)), params))
             assert value.dtype == alone.dtype and np.array_equal(value, alone)
-        kept = center_curvature(params, profile, sample.stencil(1))
-        alone = center_curvature(params, profile, stencil_at(take_rows(sample.rows.points, slice(1)), params))
-        assert kept.dtype == alone.dtype and np.array_equal(kept, alone)
