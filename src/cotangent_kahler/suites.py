@@ -464,8 +464,12 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
         metric_gradient(off_params, profile, stencil),
     )
     nij = _nijenhuis_rows(sample, off_params, profile)
+    # Detuned, the mixed block of N is nonzero, so the oracle tests its sign.
+    closed = nijenhuis_closed_form(stencil.centers, off_params, off_jets)
+    oracle = _max_abs(nijenhuis_numeric(off_params, profile, stencil) - closed, rank=3)
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
+        _check("nijenhuis_matches_bracket_oracle_detuned", oracle, tol.cross_check),
         _check("complex_structure_parallel_detects_coupling", parallel, tol.witness_floor, comparison="ge"),
     ]
 

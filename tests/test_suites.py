@@ -164,6 +164,7 @@ class TestCheckReduction:
 FD_CENTERS = {
     "fundamental_form_closed": 2,
     "nijenhuis_matches_bracket_oracle": 1,
+    "nijenhuis_matches_bracket_oracle_detuned": 1,
     "koszul_oracle": 2,
     "torsion_free": 2,
     "metric_parallel": 2,
@@ -433,9 +434,9 @@ class TestSharedSample:
         computes the checks that need no curvature in one call over all
         rows: on real rows the closed-form Nijenhuis tensor runs on all 4
         rows once per member, the own one and the detuned coupling, besides
-        the integrability oracle's one center, and the closed-form Kahler
-        connection runs once, on all 4 rows.  Every curvature pass still
-        builds ``K`` once per chunk, and keeps it at the centers."""
+        the one center of each member's bracket oracle, and the closed-form
+        Kahler connection runs once, on all 4 rows.  Every curvature pass
+        still builds ``K`` once per chunk, and keeps it at the first row."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
         closed = {}
@@ -454,15 +455,17 @@ class TestSharedSample:
         report = run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=4))
         assert report["passed"] is True
         a_metric = integrable_coupling(1.0)
-        assert closed["nijenhuis_closed_form"] == [(1, a_metric), (4, a_metric), (4, 1.1 * a_metric)]
+        detuned = 1.1 * a_metric
+        assert closed["nijenhuis_closed_form"] == [(1, a_metric), (4, a_metric), (4, detuned), (1, detuned)]
         assert closed["kahler_connection_coefficients"] == [(4, a_metric)]
         # The own pass, which the pinned witness reads, and the rational one.
         assert calls == [1] * 8
 
     def test_field_calls_per_config(self, monkeypatch):
-        """At n = 2 with 2 samples one config of all six suites makes 6 field
-        calls: six oracle fields (the 2-form, the Nijenhuis frames, the
-        metric, the connection, and the witnesses' detuned metric and K),
+        """At n = 2 with 2 samples one config of all six suites makes 7 field
+        calls: seven oracle fields (the 2-form, the Nijenhuis frames, the
+        metric, the connection, and the witnesses' detuned metric, detuned
+        Nijenhuis frames and K),
         each differentiated once over its centers, with the rows of all 2n
         chart coordinates in one call of 2n rows per center; parallel J
         reuses the metric gradients."""
@@ -478,8 +481,8 @@ class TestSharedSample:
 
         monkeypatch.setattr(cotangent_kahler.fd, "fd_partial", counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=2))
-        assert len(calls) == 6
-        assert sorted(calls) == [4] * 4 + [8] * 2
+        assert len(calls) == 7
+        assert sorted(calls) == [4] * 5 + [8] * 2
 
     def test_curvature_and_einstein_build_each_chunks_k_once(self, monkeypatch):
         """One ``K`` per chunk, whose first row the curvature oracle reads at
