@@ -73,8 +73,8 @@ CATALOG = (
     (
         "connection_vv_sym_sign",
         "connection.py",
-        'np.einsum("...ijk->...kij", dgv) - dgv',
-        'np.einsum("...ijk->...kij", dgv) + dgv',
+        '_permute(dgv, "ijk->kij") - dgv',
+        '_permute(dgv, "ijk->kij") + dgv',
     ),
     ("kahler_connection_vv", "connection.py", "(c - sq * v) / (4.0 * c * t)", "(c + sq * v) / (4.0 * c * t)"),
     ("fiber_derivative_dhh_sign", "connection.py", "+ 0.5 * riem", "- 0.5 * riem"),
@@ -83,20 +83,10 @@ CATALOG = (
     ("block_hhv", "curvature.py", "- pr_vv", "+ pr_vv"),
     ("block_vvh", "curvature.py", "+ skew(vh_vh)", "- skew(vh_vh)"),
     ("block_vvv", "curvature.py", "+ skew(vv_vv)", "- skew(vv_vv)"),
-    ("block_vhh", "curvature.py", "vhh = dhh + np.einsum", "vhh = dhh - np.einsum"),
-    ("block_vhv", "curvature.py", "np.swapaxes(dvh - vv_vh, -3, -2)", "np.swapaxes(dvh + vv_vh, -3, -2)"),
-    (
-        "assembly_hvhv_sign",
-        "curvature.py",
-        "out[..., h, v, h, v] = -np.swapaxes",
-        "out[..., h, v, h, v] = np.swapaxes",
-    ),
-    (
-        "assembly_hvvh_sign",
-        "curvature.py",
-        "out[..., h, v, v, h] = -np.swapaxes",
-        "out[..., h, v, v, h] = np.swapaxes",
-    ),
+    ("block_vhh", "curvature.py", '"idjk->ijkd") + _permute(hh_vv', '"idjk->ijkd") - _permute(hh_vv'),
+    ("block_vhv", "curvature.py", "- _permute(vv_vh", "+ _permute(vv_vh"),
+    ("assembly_hvhv_sign", "curvature.py", "vhv, -vhh, -vhv)", "vhv, vhh, -vhv)"),
+    ("assembly_hvvh_sign", "curvature.py", "vhv, -vhh, -vhv)", "vhv, -vhh, vhv)"),
     # a_tr, alpha, beta, gamma and the Euler residual
     ("ricci_a_tr", "curvature.py", "(n + 1.0) * s2c * np.sqrt(t) * v", "(n + 2.0) * s2c * np.sqrt(t) * v"),
     ("ricci_alpha_tvv", "curvature.py", "- (2.0 * n + 2.0) * t * v * v", "- (2.0 * n + 4.0) * t * v * v"),
@@ -123,7 +113,7 @@ CATALOG = (
         "out[..., n:, :n] = blocks.gh",
         "out[..., n:, :n] = -blocks.gh",
     ),
-    ("nijenhuis_core", "structure.py", "0.5 * params.a_metric**2 * flat", "0.25 * params.a_metric**2 * flat"),
+    ("nijenhuis_core", "structure.py", "0.5 * params.a_metric**2 * (pg", "0.25 * params.a_metric**2 * (pg"),
     (
         "nijenhuis_mixed_sign",
         "structure.py",

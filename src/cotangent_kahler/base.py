@@ -35,9 +35,18 @@ sums over an index is one batched ``@`` on reshaped or permuted views
 (``_contract``), and ``np.einsum`` only permutes axes.  A two-operand
 ``einsum`` runs in numpy's own loops, several times slower than either at
 these sizes.  The one exception is a contraction with a single vector, the
-momentum in ``mtensor.CotangentPoint`` and in the Nijenhuis core, where
-``einsum`` is the faster form; ``tests/test_kernels.py`` names these and
-fails on any other.
+momentum in ``mtensor.CotangentPoint``, where ``einsum`` is the faster form;
+``tests/test_kernels.py`` names these and fails on any other.
+
+The permutation rule beside it: in the per-row kernels (the second fiber
+jets, both fiber blocks of the connection, the curvature blocks and their
+assembly) an axis permutation that feeds arithmetic is one ``_permute``
+gather, a contiguous copy by a cached flat index.  A strided permuted view
+fed into an add or a subtraction runs 2-10x slower than contiguous operands
+when the innermost axis has length n = 2..5.  A permutation that only lays
+out a result, scaled once or written into a slice, stays a view.  Each
+gather was kept where a timing of its kernel showed a gain, and it gives
+the bits of the einsum view, which ``tests/test_kernels.py`` pins.
 """
 
 from __future__ import annotations
@@ -149,8 +158,9 @@ def _pair_outer4(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``x[l, i] m[k, j]`` at ``[..., l, k, i, j]``, one broadcast product,
     symmetrized in ``(i, j)`` and then in ``(l, k)``: four terms."""
     out = x[..., :, None, :, None] * m[..., None, :, None, :]
-    out = out + np.swapaxes(out, -2, -1)
-    return out + np.swapaxes(out, -4, -3)
+    out += _permute(out, "lkij->lkji")
+    out += _permute(out, "lkij->klij")
+    return out
 
 
 def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
@@ -163,6 +173,27 @@ def _contract(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
     k = y.shape[lead]
     out = x.reshape(x.shape[:lead] + (-1, k)) @ y.reshape(y.shape[:lead] + (k, -1))
     return out.reshape(out.shape[:-2] + x.shape[lead:-1] + y.shape[lead + 1 :])
+
+
+@functools.cache
+def _permutation_index(n: int, spec: str) -> np.ndarray:
+    """The flat gather index of ``spec`` over trailing axes of size ``n``;
+    read-only, as it is shared."""
+    inputs, outputs = spec.split("->")
+    axes = [inputs.index(label) for label in outputs]
+    index = np.arange(n ** len(inputs)).reshape((n,) * len(inputs)).transpose(axes).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _permute(x: np.ndarray, spec: str) -> np.ndarray:
+    """The permutation ``spec`` of the trailing axes of ``x``, all of one
+    size, as one contiguous gather: for ``"ijk->kij"``, the values of
+    ``np.einsum("...ijk->...kij", x)`` in a new array.  A strided permuted
+    view fed into arithmetic runs several times slower than contiguous
+    operands at these sizes."""
+    index = _permutation_index(x.shape[-1], spec)
+    return x.reshape(x.shape[: -spec.index("-")] + (-1,)).take(index, axis=-1).reshape(x.shape)
 
 
 @functools.cache

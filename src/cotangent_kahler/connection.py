@@ -17,7 +17,9 @@ three fiber blocks, which feed the curvature, and ``parallel_j_residual``,
 the connection terms of the parallel-J oracle, keep the contraction rule of
 ``base``: each outer product is one broadcast multiply, each sum one batched
 ``@`` (``base._contract`` or a transposed ``Gamma``), and ``np.einsum``
-only permutes axes.  Their einsum forms are the test-side reference,
+only permutes axes.  The fiber-jet route and the fiber derivatives keep its
+permutation rule too: an axis permutation that feeds arithmetic is one
+``base._permute`` gather.  Their einsum forms are the test-side reference,
 ``tests/kernel_reference.py``.
 
 ``connection_on`` keeps a member's coefficients with the rows they are
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelParams, _contract, _max_abs, _outer, _pair_outer, _scale
+from .base import ModelParams, _contract, _max_abs, _outer, _pair_outer, _permute, _scale
 from .errors import GeometryError
 from .fd import Stencil
 from .mtensor import CotangentPoint, FiberJets, MetricBlocks, Rows, assemble_metric, frame_brackets
@@ -74,10 +76,10 @@ def connection_coefficients(
     pr = pt.p_riemann
     # The factors that the blocks contract with put the summed index k first,
     # sym[k, i, j] and inner[k, i, j], as in _fiber_derivative_blocks.
-    sym = np.einsum("...jik->...kij", dgv) + np.einsum("...ijk->...kij", dgv) - dgv
+    sym = _permute(dgv, "jik->kij") + _permute(dgv, "ijk->kij") - dgv
     vv = 0.5 * np.einsum("...hij->...ijh", _contract(gh, sym, 3))
 
-    inner = np.einsum("...ijk->...kij", dgh - _contract(gv, pr, 3))
+    inner = _permute(dgh - _contract(gv, pr, 3), "ijk->kij")
     vh = 0.5 * _contract(gv, inner, 3)
 
     hh = -0.5 * _contract(gh, dgh, 3) + 0.5 * pr
@@ -152,16 +154,14 @@ def _fiber_derivative_blocks(pt: CotangentPoint, params: ModelParams, jets: Fibe
     # and dinner[m, k, i, j].  gh_m and gv_m broadcast over that m.
     gh_m, gv_m = gh[..., None, :, :], gv[..., None, :, :]
 
-    sym = np.einsum("...ijk->...kij", dgv) + np.einsum("...jik->...kij", dgv) - dgv
-    dsym = np.einsum("...mijk->...mkij", ddgv) + np.einsum("...mjik->...mkij", ddgv) - ddgv
+    sym = _permute(dgv, "ijk->kij") + _permute(dgv, "jik->kij") - dgv
+    dsym = _permute(ddgv, "mijk->mkij") + _permute(ddgv, "mjik->mkij") - ddgv
     dvv = 0.5 * np.einsum(
         "...mhij->...mijh", _contract(dgh, sym, 3) + _contract(gh_m, dsym, 3)
     )
 
-    inner = np.einsum("...ijk->...kij", dgh - _contract(gv, pr, 3))
-    dinner = np.einsum(
-        "...mijk->...mkij", ddgh - _contract(dgv, pr, 3) - _contract(gv_m, riem, 3)
-    )
+    inner = _permute(dgh - _contract(gv, pr, 3), "ijk->kij")
+    dinner = _permute(ddgh - _contract(dgv, pr, 3) - _contract(gv_m, riem, 3), "mijk->mkij")
     dvh = 0.5 * (_contract(dgv, inner, 3) + _contract(gv_m, dinner, 3))
 
     dhh = -0.5 * (_contract(dgh, dgh, 3) + _contract(gh_m, ddgh, 3)) + 0.5 * riem

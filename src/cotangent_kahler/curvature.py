@@ -18,8 +18,10 @@ term is one batched ``@`` (``base._contract``, a lowered matrix or a
 reshaped ``K``), and ``np.einsum`` only permutes axes or takes a trace.
 That covers the Leibniz terms of the finite-difference oracles too: the
 connection terms of ``curvature_fd`` and ``nabla_curvature`` and the
-bracket term of ``curvature_fd``.  Their einsum and ``matvec`` forms are
-the test-side reference, ``tests/kernel_reference.py``.
+bracket term of ``curvature_fd``.  The six blocks keep its permutation
+rule: an axis permutation that feeds arithmetic is one ``base._permute``
+gather, and ``K`` is one gather from the six blocks.  Their einsum and
+``matvec`` forms are the test-side reference, ``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
@@ -36,11 +38,12 @@ from a curvature pass's record (``suites.Sample.kept``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelParams, _contract, _max_abs, _outer, _scale
+from .base import ModelParams, _contract, _max_abs, _outer, _permute, _scale
 from .connection import _fiber_derivative_blocks, center_connection, connection_coefficients, connection_on
 from .errors import GeometryError
 from .fd import Stencil
@@ -91,15 +94,16 @@ def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJ
     """
     n = pt.n
     h, v = slice(None, n), slice(n, None)
-    # The connection blocks and their fiber derivatives in frame layout,
-    # output last: vh[i, j, d] = Gamma[n+i, j, d], hh[i, j, d] = Gamma[i, j,
-    # n+d], dvh[m, i, j, d] = d vh[i, j, d] / dp_m, and so on.  The *_l
-    # views put the summed index first.
-    vv, vh, hh = conn[..., v, v, v], conn[..., v, h, h], conn[..., h, h, v]
+    # The connection blocks in frame layout, output last, as contiguous
+    # copies: vh[i, j, d] = Gamma[n+i, j, d], hh[i, j, d] = Gamma[i, j, n+d]
+    # and so on.  The *_l gathers put the summed index first.  The fiber
+    # derivatives dvh[m, d, i, j] = d vh[i, j, d] / dp_m and dhh keep the
+    # math layout, output second, and each use below gathers them.
+    blocks = conn[..., v, v, v], conn[..., v, h, h], conn[..., h, h, v]
+    vv, vh, hh = (np.ascontiguousarray(x) for x in blocks)
     dvv, dvh, dhh = _fiber_derivative_blocks(pt, params, jets)
-    dvh, dhh = (np.einsum("...mdij->...mijd", x) for x in (dvh, dhh))
-    vv_l, vh_l, hh_l = (np.swapaxes(x, -3, -2) for x in (vv, vh, hh))
-    pr_l = np.einsum("...lij->...ijl", pt.p_riemann)
+    vv_l, vh_l, hh_l = (_permute(x, "ild->lid") for x in (vv, vh, hh))
+    pr_l = _permute(pt.p_riemann, "lij->ijl")
     riem = pt.riemann
 
     # The eight products, each [x, y, z, d] = sum_l a[x, y, l] b[l, z, d].
@@ -111,35 +115,49 @@ def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJ
     def skew(x):
         """``x[j, k, i, d] - x[i, k, j, d]`` at ``[i, j, k, d]``: a product
         antisymmetrized in the first two inputs, as in a commutator."""
-        return np.einsum("...jkid->...ijkd", x) - np.einsum("...ikjd->...ijkd", x)
+        return _permute(x, "jkid->ijkd") - _permute(x, "ikjd->ijkd")
 
     # Each block holds component d of K(e_i, e_j) e_k at [i, j, k, d], with
     # e_i, e_j, e_k of the frame kinds its name spells.
-    hhh = np.einsum("...dkij->...ijkd", riem) - pr_vh + skew(hh_vh)
-    hhv = -np.einsum("...kdij->...ijkd", riem) + skew(np.swapaxes(vh_hh, -4, -3)) - pr_vv
-    vvh = dvh - np.swapaxes(dvh, -4, -3) + skew(vh_vh)
-    vvv = dvv - np.swapaxes(dvv, -4, -3) + skew(vv_vv)
-    vhh = dhh + np.einsum("...jkid->...ijkd", hh_vv) - np.swapaxes(vh_hh, -3, -2)
-    vhv = np.swapaxes(dvh - vv_vh, -3, -2) + np.einsum("...kjid->...ijkd", vh_vh)
+    hhh = _permute(riem, "dkij->ijkd") - pr_vh + skew(hh_vh)
+    hhv = _permute(vh_hh, "kjid->ijkd") - _permute(vh_hh, "kijd->ijkd") - _permute(riem, "kdij->ijkd") - pr_vv
+    vvh = _permute(dvh, "idjk->ijkd") - _permute(dvh, "jdik->ijkd") + skew(vh_vh)
+    vvv = dvv - _permute(dvv, "jikd->ijkd") + skew(vv_vv)
+    vhh = _permute(dhh, "idjk->ijkd") + _permute(hh_vv, "jkid->ijkd") - _permute(vh_hh, "ikjd->ijkd")
+    vhv = _permute(dvh, "idkj->ijkd") - _permute(vv_vh, "ikjd->ijkd") + _permute(vh_vh, "kjid->ijkd")
     return hhh, hhv, vvh, vvv, vhh, vhv
+
+
+@functools.cache
+def _assembly_index(n: int) -> np.ndarray:
+    """The flat gather index of ``K`` from the eight parts of
+    ``_assemble_curvature`` laid end to end, then one zero; read-only, as it
+    is shared."""
+    size = n**4
+    block = np.arange(size).reshape((n,) * 4)
+    h, v = slice(None, n), slice(n, None)
+    index = np.full((2 * n,) * 4, 8 * size)
+    slots = (h, h, h, h), (h, h, v, v), (v, v, h, h), (v, v, v, v), (v, h, h, v), (v, h, v, h)
+    for part, slot in enumerate(slots):
+        index[slot] = block + part * size
+    # Antisymmetry in the first two slots: -vhh and -vhv, those slots swapped.
+    index[h, v, h, v] = np.swapaxes(block, 0, 1) + 6 * size
+    index[h, v, v, h] = np.swapaxes(block, 0, 1) + 7 * size
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
 
 
 def _assemble_curvature(hhh, hhv, vvh, vvv, vhh, vhv) -> np.ndarray:
     """``K[..., a, b, c, d]`` from its six stored blocks, leading axes
-    carried through; linear in the blocks, so it also assembles their
+    carried through, as one gather (``_assembly_index``) from the blocks,
+    ``-vhh`` and ``-vhv``; linear in the blocks, so it also assembles their
     derivatives."""
-    n = hhh.shape[-1]
-    h, v = slice(None, n), slice(n, None)
-    out = np.zeros(hhh.shape[:-4] + (2 * n,) * 4, np.result_type(hhh, hhv, vvh, vvv, vhh, vhv))
-    out[..., h, h, h, h] = hhh
-    out[..., h, h, v, v] = hhv
-    out[..., v, v, h, h] = vvh
-    out[..., v, v, v, v] = vvv
-    out[..., v, h, h, v] = vhh
-    out[..., h, v, h, v] = -np.swapaxes(vhh, -4, -3)
-    out[..., v, h, v, h] = vhv
-    out[..., h, v, v, h] = -np.swapaxes(vhv, -4, -3)
-    return out
+    n, lead = hhh.shape[-1], hhh.shape[:-4]
+    parts = (hhh, hhv, vvh, vvv, vhh, vhv, -vhh, -vhv)
+    zero = np.zeros(lead + (1,), np.result_type(*parts))
+    flat = np.concatenate([x.reshape(lead + (-1,)) for x in parts] + [zero], axis=-1)
+    return flat.take(_assembly_index(n), axis=-1).reshape(lead + (2 * n,) * 4)
 
 
 def curvature_from_connection(

@@ -11,8 +11,10 @@ blocks alone come from ``metric_blocks``, which ``fiber_jets`` builds on;
 a finite-difference field builds only what it differentiates, so the
 metric, 2-form and Nijenhuis fields skip the ``n^4`` second jets.  The jets
 keep ``base``'s contraction rule: each term is a broadcast product, with
-its scalar coefficients folded into ``n^2`` factors first; their einsum
-forms are the test-side reference, ``tests/kernel_reference.py``.
+its scalar coefficients folded into ``n^2`` factors first, and its
+permutation rule: a second jet is symmetrized by two ``_permute`` gathers.
+Their einsum forms are the test-side reference,
+``tests/kernel_reference.py``.
 
 The adapted frame is indexed ``0..2n-1``: ``e_i = delta_i = d/dq^i +
 p_k Gamma^k_{ih} d/dp_h`` for ``i < n`` (horizontal), ``e_{n+i} = d/dp_i``

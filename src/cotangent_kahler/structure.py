@@ -129,10 +129,10 @@ def nijenhuis_closed_form(
     gv[j, r]``.
     """
     n = pt.n
-    # delta^h_i g_jk at [h, k, i, j], one broadcast product, less its (i, j) swap.
-    flat = np.eye(n)[:, None, :, None] * pt.g[..., None, :, None, :]
-    flat = flat - np.swapaxes(flat, -2, -1)
-    core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
+    # p_i g_jk at [k, i, j], one broadcast product, less its (i, j) swap, and
+    # the point's own p_h R^h_{kij}.
+    pg = pt.p[..., None, :, None] * pt.g[..., :, None, :]
+    core0 = 0.5 * params.a_metric**2 * (pg - np.swapaxes(pg, -2, -1)) - pt.p_riemann
     gv = blocks.gv[..., None, :, :]
     gv_t = np.swapaxes(gv, -1, -2)
     shared = core0 @ gv_t

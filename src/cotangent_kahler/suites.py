@@ -198,13 +198,21 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
     batches of base points and momenta.
 
     The draw contract, which fixes every sampled bit: per sample, in order,
-    ``n`` uniforms on ``[0, 1)``, ``n`` standard normals and one uniform.  All
+    ``n`` uniforms on ``[0, 1)``, ``n`` standard normals and one uniform.
+    The loop makes two generator calls per sample, each into a preallocated
+    row: the normals, then one draw of the sample's energy uniform and the
+    next sample's ``n`` uniforms (the last such ``n`` go unused).  All
     arithmetic runs on the stacked draws after the loop, with the bits of
     ``Generator.uniform`` and ``np.linalg.norm`` per sample.
     """
     rng = np.random.default_rng([cfg.seed, n, _curvature_seed(c)])
-    draws = [(rng.random(n), rng.standard_normal(n), rng.random()) for _ in range(cfg.samples)]
-    u, normal, u_t = (np.array(column) for column in zip(*draws))
+    # Row s holds the energy uniform of sample s - 1 and the uniforms of s.
+    uniforms, normal = np.empty((cfg.samples + 1, n + 1)), np.empty((cfg.samples, n))
+    rng.random(out=uniforms[0, 1:])
+    for s in range(cfg.samples):
+        rng.standard_normal(out=normal[s])
+        rng.random(out=uniforms[s + 1])
+    u, u_t = uniforms[:-1, 1:], uniforms[1:, 0]
     q = -2.0 + 4.0 * u
     direction = normal / np.sqrt(np.vecdot(normal, normal))[:, None]
     t_target = cfg.t_min + (cfg.t_max - cfg.t_min) * u_t

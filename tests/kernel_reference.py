@@ -297,9 +297,8 @@ def nijenhuis_closed_form(pt: CotangentPoint, params: ModelParams, jets: FiberJe
     """``N[a, b, c]`` with each routing of the core through two copies of the
     vertical block as one three-operand einsum."""
     n = pt.n
-    eye = np.eye(n)
-    flat = np.einsum("hi,...jk->...hkij", eye, pt.g) - np.einsum("hj,...ik->...hkij", eye, pt.g)
-    core0 = np.einsum("...h,...hkij->...kij", pt.p, 0.5 * params.a_metric**2 * flat - pt.riemann)
+    flat = np.einsum("...i,...jk->...kij", pt.p, pt.g) - np.einsum("...j,...ik->...kij", pt.p, pt.g)
+    core0 = 0.5 * params.a_metric**2 * flat - np.einsum("...h,...hkij->...kij", pt.p, pt.riemann)
     gv = jets.gv
     mixed = np.einsum("...kl,...jr,...lir->...ijk", gv, gv, core0)
     out = np.zeros(pt.p.shape[:-1] + (2 * n,) * 3, np.result_type(core0, gv))

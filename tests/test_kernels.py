@@ -12,7 +12,10 @@ Leibniz terms of ``curvature_fd``, ``nabla_curvature`` and
 within 1e-12; the Nijenhuis closed form on both couplings, within 1e-14; the space-form
 Christoffel symbols exactly; and the space-form curvature and the sampled
 points, bit for bit.  An AST guard keeps ``np.einsum`` in the package to permuting axes,
-but for the named contractions with one vector."""
+but for the named contractions with one vector.  ``base._permute`` gives the
+einsum view's bits at every spec the package passes, found by the AST, on
+real, one-row, strided, complex-step, longdouble and object rows, and its
+cached indices are read-only."""
 
 import ast
 import itertools
@@ -25,7 +28,7 @@ import pytest
 import kernel_reference as reference
 from base_reference import bumped_geometry
 import cotangent_kahler
-from cotangent_kahler.base import ModelParams, space_form_metric
+from cotangent_kahler.base import ModelParams, _permutation_index, _permute, space_form_metric
 from cotangent_kahler.connection import (
     connection_coefficients,
     kahler_connection_coefficients,
@@ -33,6 +36,7 @@ from cotangent_kahler.connection import (
     parallel_j_residual,
 )
 from cotangent_kahler.curvature import (
+    _assembly_index,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -300,7 +304,6 @@ def test_space_form_gamma_is_exact(n):
 VECTOR_CONTRACTIONS = {
     ("mtensor.py", "...k,...kih->...ih"),
     ("mtensor.py", "...h,...hkij->...kij"),
-    ("structure.py", "...h,...hkij->...kij"),
 }
 
 
@@ -317,6 +320,68 @@ def test_einsum_only_permutes_axes_but_for_vector_contractions():
                 assert len(node.args) == 2 or key in VECTOR_CONTRACTIONS, f"{key}, line {node.lineno}"
                 found.add(key)
     assert VECTOR_CONTRACTIONS <= found
+
+
+def _permute_specs():
+    """Every spec the package passes to ``base._permute``, read from its AST."""
+    specs = set()
+    for path in sorted(Path(cotangent_kahler.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_permute":
+                specs.add(ast.literal_eval(node.args[1]))
+    return sorted(specs)
+
+
+PERMUTE_SPECS = _permute_specs()
+
+
+def _permute_inputs(n, rank):
+    """Arrays with ``rank`` trailing axes of size ``n``: real rows, one row
+    (a ``()`` batch), a non-contiguous slice of a connection (rank 3) or of
+    ``K`` (rank 4), complex-step rows, longdouble rows and object rows."""
+    pt, params, jets, rng = _batch(n, "einstein", "space_form")
+    if rank == 3:
+        view = connection_coefficients(pt, params, jets)[..., n:, :n, n:]
+    else:
+        view = curvature_blocks(pt, params, jets)[..., :n, n:, :n, n:]
+    assert not view.flags.c_contiguous
+    real = rng.normal(size=(3,) + (n,) * rank)
+    return {
+        "real": real,
+        "one": real[0],
+        "view": view,
+        "step": real + 1e-30j * rng.normal(size=real.shape),
+        "longdouble": real.astype(np.longdouble),
+        "object": real.astype(object),
+    }
+
+
+def test_permute_covers_the_package():
+    assert len(PERMUTE_SPECS) >= 10
+    assert all(sorted(spec.split("->")[0]) == sorted(spec.split("->")[1]) for spec in PERMUTE_SPECS)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", PERMUTE_SPECS)
+def test_permute_is_the_einsum_view(spec, n):
+    """The gather gives the einsum view's bits, or for object rows its very
+    objects, in a new array that shares no memory with its input."""
+    for name, x in _permute_inputs(n, spec.index("-")).items():
+        actual, expected = _permute(x, spec), np.einsum("..." + spec.replace("->", "->..."), x)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
+        assert actual.flags.c_contiguous and not np.shares_memory(actual, x), name
+        if name == "object":
+            assert all(a is b for a, b in zip(actual.ravel(), expected.ravel()))
+        else:
+            assert actual.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gather_indices_are_read_only(n):
+    for index in [_permutation_index(n, spec) for spec in PERMUTE_SPECS] + [_assembly_index(n)]:
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
