@@ -85,8 +85,18 @@ CATALOG = (
     ("block_vvv", "curvature.py", "+ skew(vv_vv)", "- skew(vv_vv)"),
     ("block_vhh", "curvature.py", '"idjk->ijkd") + _permute(hh_vv', '"idjk->ijkd") - _permute(hh_vv'),
     ("block_vhv", "curvature.py", "- _permute(vv_vh", "+ _permute(vv_vh"),
-    ("assembly_hvhv_sign", "curvature.py", "vhv, -vhh, -vhv)", "vhv, vhh, -vhv)"),
-    ("assembly_hvvh_sign", "curvature.py", "vhv, -vhh, -vhv)", "vhv, -vhh, vhv)"),
+    (
+        "assembly_hvhv_sign",
+        "curvature.py",
+        "out[..., h, v, h, v] = -np.swapaxes",
+        "out[..., h, v, h, v] = np.swapaxes",
+    ),
+    (
+        "assembly_hvvh_sign",
+        "curvature.py",
+        "out[..., h, v, v, h] = -np.swapaxes",
+        "out[..., h, v, v, h] = np.swapaxes",
+    ),
     # a_tr, alpha, beta, gamma and the Euler residual
     ("ricci_a_tr", "curvature.py", "(n + 1.0) * s2c * np.sqrt(t) * v", "(n + 2.0) * s2c * np.sqrt(t) * v"),
     ("ricci_alpha_tvv", "curvature.py", "- (2.0 * n + 2.0) * t * v * v", "- (2.0 * n + 4.0) * t * v * v"),

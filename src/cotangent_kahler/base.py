@@ -38,15 +38,11 @@ these sizes.  The one exception is a contraction with a single vector, the
 momentum in ``mtensor.CotangentPoint``, where ``einsum`` is the faster form;
 ``tests/test_kernels.py`` names these and fails on any other.
 
-The permutation rule beside it: in the per-row kernels (the second fiber
-jets, both fiber blocks of the connection, the curvature blocks and their
-assembly) an axis permutation that feeds arithmetic is one ``_permute``
-gather, a contiguous copy by a cached flat index.  A strided permuted view
-fed into an add or a subtraction runs 2-10x slower than contiguous operands
-when the innermost axis has length n = 2..5.  A permutation that only lays
-out a result, scaled once or written into a slice, stays a view.  Each
-gather was kept where a timing of its kernel showed a gain, and it gives
-the bits of the einsum view, which ``tests/test_kernels.py`` pins.
+The permutation rule beside it: in the per-row kernels an axis permutation
+that feeds arithmetic is one ``_permute`` gather, with the bits of the
+einsum view, since a strided view fed into an add runs 2-10x slower than
+contiguous operands when the innermost axis has length 2..5.  A
+permutation that only lays out a result stays a view.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ That covers the Leibniz terms of the finite-difference oracles too: the
 connection terms of ``curvature_fd`` and ``nabla_curvature`` and the
 bracket term of ``curvature_fd``.  The six blocks keep its permutation
 rule: an axis permutation that feeds arithmetic is one ``base._permute``
-gather, and ``K`` is one gather from the six blocks.  Their einsum and
-``matvec`` forms are the test-side reference, ``tests/kernel_reference.py``.
+gather.  Their einsum and ``matvec`` forms are the test-side reference,
+``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
@@ -38,7 +38,6 @@ from a curvature pass's record (``suites.Sample.kept``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +110,8 @@ def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJ
     hh_vh, vh_hh = _contract(hh, vh, 3), _contract(vh, hh_l, 3)
     vh_vh, vv_vv = _contract(vh, vh_l, 3), _contract(vv, vv_l, 3)
     hh_vv, vv_vh = _contract(hh, vv_l, 3), _contract(vv, vh, 3)
+    # Drop the copies: the blocks below are where this function's memory peaks.
+    del vv, vh, hh, vv_l, vh_l, hh_l, pr_l
 
     def skew(x):
         """``x[j, k, i, d] - x[i, k, j, d]`` at ``[i, j, k, d]``: a product
@@ -128,36 +129,22 @@ def _curvature_block_parts(pt: CotangentPoint, params: ModelParams, jets: FiberJ
     return hhh, hhv, vvh, vvv, vhh, vhv
 
 
-@functools.cache
-def _assembly_index(n: int) -> np.ndarray:
-    """The flat gather index of ``K`` from the eight parts of
-    ``_assemble_curvature`` laid end to end, then one zero; read-only, as it
-    is shared."""
-    size = n**4
-    block = np.arange(size).reshape((n,) * 4)
-    h, v = slice(None, n), slice(n, None)
-    index = np.full((2 * n,) * 4, 8 * size)
-    slots = (h, h, h, h), (h, h, v, v), (v, v, h, h), (v, v, v, v), (v, h, h, v), (v, h, v, h)
-    for part, slot in enumerate(slots):
-        index[slot] = block + part * size
-    # Antisymmetry in the first two slots: -vhh and -vhv, those slots swapped.
-    index[h, v, h, v] = np.swapaxes(block, 0, 1) + 6 * size
-    index[h, v, v, h] = np.swapaxes(block, 0, 1) + 7 * size
-    index = index.ravel()
-    index.setflags(write=False)
-    return index
-
-
 def _assemble_curvature(hhh, hhv, vvh, vvv, vhh, vhv) -> np.ndarray:
     """``K[..., a, b, c, d]`` from its six stored blocks, leading axes
-    carried through, as one gather (``_assembly_index``) from the blocks,
-    ``-vhh`` and ``-vhv``; linear in the blocks, so it also assembles their
+    carried through; linear in the blocks, so it also assembles their
     derivatives."""
-    n, lead = hhh.shape[-1], hhh.shape[:-4]
-    parts = (hhh, hhv, vvh, vvv, vhh, vhv, -vhh, -vhv)
-    zero = np.zeros(lead + (1,), np.result_type(*parts))
-    flat = np.concatenate([x.reshape(lead + (-1,)) for x in parts] + [zero], axis=-1)
-    return flat.take(_assembly_index(n), axis=-1).reshape(lead + (2 * n,) * 4)
+    n = hhh.shape[-1]
+    h, v = slice(None, n), slice(n, None)
+    out = np.zeros(hhh.shape[:-4] + (2 * n,) * 4, np.result_type(hhh, hhv, vvh, vvv, vhh, vhv))
+    out[..., h, h, h, h] = hhh
+    out[..., h, h, v, v] = hhv
+    out[..., v, v, h, h] = vvh
+    out[..., v, v, v, v] = vvv
+    out[..., v, h, h, v] = vhh
+    out[..., h, v, h, v] = -np.swapaxes(vhh, -4, -3)
+    out[..., v, h, v, h] = vhv
+    out[..., h, v, v, h] = -np.swapaxes(vhv, -4, -3)
+    return out
 
 
 def curvature_from_connection(

@@ -36,7 +36,6 @@ from cotangent_kahler.connection import (
     parallel_j_residual,
 )
 from cotangent_kahler.curvature import (
-    _assembly_index,
     curvature_blocks,
     curvature_fd,
     holomorphic_sectional_curvature,
@@ -378,7 +377,7 @@ def test_permute_is_the_einsum_view(spec, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gather_indices_are_read_only(n):
-    for index in [_permutation_index(n, spec) for spec in PERMUTE_SPECS] + [_assembly_index(n)]:
+    for index in [_permutation_index(n, spec) for spec in PERMUTE_SPECS]:
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[0] = 1
