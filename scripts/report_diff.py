@@ -51,7 +51,9 @@ from pathlib import Path
 # Einstein and witness paths cross a chunk boundary; ``witnesses_only``
 # takes 30 samples too, so that the witnesses' pass, each member's first
 # there, crosses one at n = 3; ``einstein_witnesses`` runs the own member's
-# pass before any suite has built ``stencil(1)``.  ``overflow`` writes
+# pass before any suite has built ``stencil(1)``; ``integrability_connection``
+# reads the own member at both stencils' centers before any suite has built
+# its jets on all rows.  ``overflow`` writes
 # "nan" values and a ``suite_error`` raised inside a suite;
 # ``huge_c`` fails sampling at c = 1e160 and 1e300, so each suite gets a
 # ``suite_error`` with 0 samples there.
@@ -78,6 +80,7 @@ FLAG_SETS = {
     "huge_c": ["--curvatures", "1.0,1e160,1e300", "--samples", "5"],
     "witnesses_only": ["--suites", "witnesses", "--samples", "30"],
     "einstein_witnesses": ["--suites", "einstein,witnesses", "--samples", "30"],
+    "integrability_connection": ["--suites", "integrability,connection", "--samples", "5"],
 }
 SEEDS = (0, 3)
 # Report keys left out of the comparison.

@@ -12,63 +12,54 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError
 from .profiles import PROFILES
-from .suites import SUITE_NAMES, RunConfig, Tolerances, run_verification
+from .suites import RunConfig, Tolerances, run_verification
 
 __all__ = ["build_parser", "config_from_args", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; every default is ``RunConfig()``'s, shown in the
+    help by ``%(default)s``."""
+    cfg = RunConfig()
     parser = argparse.ArgumentParser(
         prog="cotangent-kahler",
         description=(
             "Verify the Kahler-Einstein structure on the punctured cotangent "
             "bundle of a positively curved space form, suite by suite."
         ),
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    parser.add_argument(
-        "--dims", default="2,3", help="comma-separated base dimensions (default: 2,3)"
-    )
+    parser.add_argument("--dims", default=",".join(map(str, cfg.dims)), help="comma-separated base dimensions")
     parser.add_argument(
         "--curvatures",
-        default="0.5,1.0,2.0",
-        help="comma-separated base sectional curvatures, all positive (default: 0.5,1.0,2.0)",
+        default=",".join(map(str, cfg.curvatures)),
+        help="comma-separated base sectional curvatures, all positive",
     )
-    parser.add_argument("--ka", type=float, default=1.0, help="decaying-mode weight k_a >= 0")
-    parser.add_argument("--kb", type=float, default=1.0, help="constant-mode weight k_b >= 0")
+    parser.add_argument("--ka", type=float, default=cfg.k_a, help="decaying-mode weight k_a >= 0")
+    parser.add_argument("--kb", type=float, default=cfg.k_b, help="constant-mode weight k_b >= 0")
     parser.add_argument(
-        "--profile",
-        choices=tuple(PROFILES),
-        default="einstein",
-        help="radial profile of the metric (default: einstein)",
+        "--profile", choices=tuple(PROFILES), default=cfg.profile, help="radial profile of the metric"
     )
-    parser.add_argument("--samples", type=int, default=100, help="points per configuration")
-    parser.add_argument("--t-min", type=float, default=0.1, help="lower energy bound")
-    parser.add_argument("--t-max", type=float, default=10.0, help="upper energy bound")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--tol-closed-form", type=float, default=1e-9)
-    parser.add_argument("--tol-cross-check", type=float, default=1e-5)
-    parser.add_argument("--tol-fd-oracle", type=float, default=1e-4)
-    parser.add_argument("--tol-witness-floor", type=float, default=1e-3)
-    parser.add_argument(
-        "--suites",
-        default=",".join(SUITE_NAMES),
-        help=f"comma-separated subset of {', '.join(SUITE_NAMES)}",
-    )
+    parser.add_argument("--samples", type=int, default=cfg.samples, help="points per configuration")
+    parser.add_argument("--t-min", type=float, default=cfg.t_min, help="lower energy bound")
+    parser.add_argument("--t-max", type=float, default=cfg.t_max, help="upper energy bound")
+    parser.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
+    for name in (f.name for f in fields(Tolerances)):
+        flag, default = f"--tol-{name.replace('_', '-')}", getattr(cfg.tolerances, name)
+        parser.add_argument(flag, type=float, default=default, help="tolerance tier")
+    parser.add_argument("--suites", default=",".join(cfg.suites), help="comma-separated suites to run")
     parser.add_argument(
         "--a-metric-offset",
         type=float,
-        default=0.0,
-        help=(
-            "relative detuning of the metric coupling away from its integrable "
-            "value, for falsification runs (default: 0)"
-        ),
+        default=cfg.a_metric_offset,
+        help="relative detuning of the metric coupling away from its integrable value, for falsification runs",
     )
     parser.add_argument(
         "--report",
-        default=None,
         metavar="PATH",
         help="write the JSON report here ('-' prints it to stdout instead of the summary)",
     )
@@ -91,12 +82,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         t_min=args.t_min,
         t_max=args.t_max,
         seed=args.seed,
-        tolerances=Tolerances(
-            closed_form=args.tol_closed_form,
-            cross_check=args.tol_cross_check,
-            fd_oracle=args.tol_fd_oracle,
-            witness_floor=args.tol_witness_floor,
-        ),
+        tolerances=Tolerances(**{f.name: getattr(args, f"tol_{f.name}") for f in fields(Tolerances)}),
         suites=_parse_list(args.suites, str),
         a_metric_offset=args.a_metric_offset,
     )

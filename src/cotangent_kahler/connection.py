@@ -12,14 +12,10 @@ formulas here, and a finite-difference Koszul evaluation that never sees
 them.  Everything here keeps the point's leading batch axis; the
 finite-difference oracle differentiates on a stencil (``fd.Stencil``).
 
-Both routes, ``_fiber_derivative_blocks``, the fiber derivatives of the
-three fiber blocks, which feed the curvature, and ``parallel_j_residual``,
-the connection terms of the parallel-J oracle, keep the contraction rule of
-``base``: each outer product is one broadcast multiply, each sum one batched
-``@`` (``base._contract`` or a transposed ``Gamma``), and ``np.einsum``
-only permutes axes.  The fiber-jet route and the fiber derivatives keep its
-permutation rule too: an axis permutation that feeds arithmetic is one
-``base._permute`` gather.  Their einsum forms are the test-side reference,
+Both routes, ``_fiber_derivative_blocks`` (the fiber derivatives of the
+three fiber blocks, which feed the curvature) and ``parallel_j_residual``
+keep the contraction rule of ``base``, and the fiber-jet route and the
+fiber derivatives its permutation rule, with their einsum forms in
 ``tests/kernel_reference.py``.
 
 ``connection_on`` keeps a member's coefficients with the rows they are
@@ -98,7 +94,8 @@ def connection_on(rows: Rows, params: ModelParams, profile) -> np.ndarray:
 
 def center_connection(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
     """The member's connection at the centers of ``stencil``: the centers'
-    rows of its ``connection_on`` the stencil's base, as ``center_jets``."""
+    rows of its ``connection_on`` the stencil's base, as
+    ``Stencil.center_blocks``."""
     return connection_on(stencil.base, params, profile)[stencil.index]
 
 
@@ -171,16 +168,16 @@ def _fiber_derivative_blocks(pt: CotangentPoint, params: ModelParams, jets: Fibe
 # ---- covariant derivatives of fields ----
 
 
-def parallel_j_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
+def parallel_j_residual(conn: np.ndarray, blocks: MetricBlocks | FiberJets, metric_grad: np.ndarray):
     """``max |nabla_a (J e_b) - J nabla_a e_b|`` over all frame pairs, per
-    center; ``jets`` are the fiber jets at the centers.
+    center; ``blocks`` are the metric blocks at the centers.
 
     ``J = M G`` with the constant ``M = [[0, -I], [I, 0]]``, the matrix of
     ``canonical_coordinate_form``, so the frame gradient of the ``J`` field
     is ``M`` times ``metric_grad`` (see ``metric_gradient``), entry for
     entry.
     """
-    j_op = assemble_complex_structure(jets)
+    j_op = assemble_complex_structure(blocks)
     grad_j = canonical_coordinate_form(j_op.shape[-1] // 2) @ metric_grad
     # [a, c, b]: sum_b' Gamma[a, b', c] J[b', b] and sum_d J[c, d] Gamma[a, b, d].
     conn_t = np.swapaxes(conn, -2, -1)
@@ -199,15 +196,15 @@ def metric_gradient(params: ModelParams, profile, stencil: Stencil) -> np.ndarra
     return stencil.frame_gradient(lambda rows: assemble_metric(rows.blocks_of(params, profile)))
 
 
-def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -> np.ndarray:
+def koszul_nabla(pt: CotangentPoint, blocks: MetricBlocks | FiberJets, metric_grad: np.ndarray) -> np.ndarray:
     """``Gamma[..., a, b, c]`` from the Koszul formula with finite differences.
 
     ``2 G(nabla_a b, c) = a<b,c> + b<a,c> - c<a,b> + <[a,b],c> - <[a,c],b>
     - <[b,c],a>``; derivative terms come from ``metric_grad`` (see
     ``metric_gradient``), bracket terms from the closed-form structure
-    constants, and ``jets`` give the metric at ``pt``.
+    constants, and ``blocks`` give the metric at ``pt``.
     """
-    lowered = frame_brackets(pt) @ assemble_metric(jets)[..., None, :, :]
+    lowered = frame_brackets(pt) @ assemble_metric(blocks)[..., None, :, :]
     rhs = (
         metric_grad
         + np.einsum("...bac->...abc", metric_grad)
@@ -216,7 +213,7 @@ def koszul_nabla(pt: CotangentPoint, jets: FiberJets, metric_grad: np.ndarray) -
         - np.einsum("...acb->...abc", lowered)
         - np.einsum("...bca->...abc", lowered)
     )
-    inverse = assemble_metric(MetricBlocks(gh=jets.gv, gv=jets.gh))
+    inverse = assemble_metric(MetricBlocks(gh=blocks.gv, gv=blocks.gh))
     return 0.5 * rhs @ inverse[..., None, :, :]
 
 
@@ -228,8 +225,8 @@ def torsion_residual(pt: CotangentPoint, conn: np.ndarray):
     return _max_abs(conn - np.swapaxes(conn, -3, -2) - frame_brackets(pt), rank=3)
 
 
-def metric_compatibility_residual(conn: np.ndarray, jets: FiberJets, metric_grad: np.ndarray):
+def metric_compatibility_residual(conn: np.ndarray, blocks: MetricBlocks | FiberJets, metric_grad: np.ndarray):
     """``max |e_a<b,c> - <nabla_a b, c> - <b, nabla_a c>|`` over frame
     triples, with ``e_a<b,c>`` from ``metric_grad`` (see ``metric_gradient``)."""
-    lowered = conn @ assemble_metric(jets)[..., None, :, :]
+    lowered = conn @ assemble_metric(blocks)[..., None, :, :]
     return _max_abs(metric_grad - lowered - np.swapaxes(lowered, -2, -1), rank=3)

@@ -13,14 +13,9 @@ entries, against the 16 n^4 of the assembled array, and the assembly is
 linear: ``nabla_curvature`` differentiates the field of the six blocks,
 stacked on one axis, and assembles their gradient once.
 
-Every function here keeps the contraction rule of ``base``: each product
-term is one batched ``@`` (``base._contract``, a lowered matrix or a
-reshaped ``K``), and ``np.einsum`` only permutes axes or takes a trace.
-That covers the Leibniz terms of the finite-difference oracles too: the
-connection terms of ``curvature_fd`` and ``nabla_curvature`` and the
-bracket term of ``curvature_fd``.  The six blocks keep its permutation
-rule: an axis permutation that feeds arithmetic is one ``base._permute``
-gather.  Their einsum and ``matvec`` forms are the test-side reference,
+Every function here, the Leibniz terms of the finite-difference oracles
+included, keeps the contraction rule of ``base``, and the six blocks its
+permutation rule, with their einsum and ``matvec`` forms in
 ``tests/kernel_reference.py``.
 
 The Ricci tensor is produced twice: by tracing ``K``, and from closed

@@ -35,8 +35,9 @@ coordinates at the first centers of a real ``mtensor.Rows``, its base.  A
 stencil is sized by its centers: the point and each member's metric blocks,
 fiber jets and connection are built on its rows once, and every oracle at
 the same centers shares them (``suites.Sample`` keeps one stencil per
-center set for the config's lifetime).  The centers' own values are the
-base's first rows.  Each gradient is one ``fd_partial`` call on all its
+center set for the config's lifetime).  A member's values at the centers
+are the centers' rows of its values on the base, so nothing is built on
+the centers alone.  Each gradient is one ``fd_partial`` call on all its
 rows.
 
 Frame derivatives on the punctured cotangent bundle (the adapted frame
@@ -53,7 +54,7 @@ import numpy as np
 
 from .base import ModelParams
 from .errors import StencilError
-from .mtensor import FiberJets, MetricBlocks, Rows, _jets_on, take_rows
+from .mtensor import MetricBlocks, Rows, take_rows
 
 __all__ = ["fd_partial", "fd_gradient", "Stencil"]
 
@@ -124,11 +125,12 @@ class Stencil(Rows):
     by coordinate, then center, as ``Rows`` on the base's ``point_at``.
 
     ``centers`` is the centers' batched ``CotangentPoint`` and
-    ``center_jets`` their fiber jets, the rows ``index`` of the base's, so
-    an oracle reads its centers from its stencil alone.  A field takes the
-    ``Rows`` it is handed and returns ``(m, ...)``: the stencil itself in its
-    gradients, and rows of their own anywhere else, such as in a reference
-    stencil, so a field is a function of its rows alone."""
+    ``center_blocks`` a member's metric blocks there, the rows ``index`` of
+    the base's, so an oracle reads its centers from its stencil alone.  A
+    field takes the ``Rows`` it is handed and returns ``(m, ...)``: the
+    stencil itself in its gradients, and rows of their own anywhere else,
+    such as in a reference stencil, so a field is a function of its rows
+    alone."""
 
     def __init__(self, base: Rows, centers: int | None = None) -> None:
         self.base = base
@@ -141,14 +143,10 @@ class Stencil(Rows):
         self._z = _step_rows(self._x.reshape(-1, 2 * n), np.arange(2 * n)).reshape(-1, 2 * n)
         super().__init__(self._z[:, :n], self._z[:, n:], base._point_at)
 
-    def center_jets(self, params: ModelParams, profile) -> FiberJets:
-        """The fiber jets of a member at the centers: the rows ``index`` of
-        the base's if it keeps them, else built once on the centers from those
-        rows of its metric blocks, with the same bits (a jet reads its row)."""
-        if ("jets", params, profile) in self.base._memo:
-            return take_rows(self.base.jets_of(params, profile), self.index)
-        blocks = MetricBlocks(*(block[self.index] for block in self.base.blocks_of(params, profile)))
-        return self.memo(("center jets", params, profile), lambda: _jets_on(self.centers, params, profile, blocks))
+    def center_blocks(self, params: ModelParams, profile) -> MetricBlocks:
+        """The metric blocks of a member at the centers: the rows ``index``
+        of the base's ``blocks_of``."""
+        return MetricBlocks(*(block[self.index] for block in self.base.blocks_of(params, profile)))
 
     def chart_gradient(self, field) -> np.ndarray:
         """The 2n chart partials of ``field`` at the centers."""

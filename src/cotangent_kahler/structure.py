@@ -175,7 +175,7 @@ def nijenhuis_numeric(params: ModelParams, profile, stencil: Stencil) -> np.ndar
         return np.stack([frame, frame @ assemble_complex_structure(rows.blocks_of(params, profile))], axis=-3)
 
     x = chart_frame(pt)
-    j0 = assemble_complex_structure(stencil.center_jets(params, profile))
+    j0 = assemble_complex_structure(stencil.center_blocks(params, profile))
     jx = x @ j0
     dx, djx = np.moveaxis(stencil.chart_gradient(frame_fields), -3, 0)
     # Each bracket's chart components go to the frame by one @, giving [a, c, b].

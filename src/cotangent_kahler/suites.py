@@ -33,7 +33,6 @@ import numpy as np
 from .base import ModelParams, _max_abs, integrable_coupling, space_form_metric
 from .connection import (
     center_connection,
-    connection_coefficients,
     connection_on,
     kahler_connection_coefficients,
     koszul_nabla,
@@ -242,10 +241,12 @@ class Sample:
     They keep ``points``, one batched ``CotangentPoint`` that serves every
     member, as a point reads only ``n`` and ``c``, and each member's values
     per row.  ``stencil(centers)`` is the ``fd.Stencil`` on the first
-    ``centers`` rows, shared by every oracle at those centers.  The sample
-    keeps its stencils beside the rows that are their base, so no stencil
-    refers back to the sample.  Each is built on first use; a build that
-    raises is not kept, so every suite that needs it records the error.
+    ``centers`` rows, shared by every oracle at those centers.  A member's
+    values at the centers are the centers' rows of its values on all rows:
+    no member is built on the centers alone.  The sample keeps its stencils
+    beside the rows that are their base, so no stencil refers back to the
+    sample.  Each is built on first use; a build that raises is not kept,
+    so every suite that needs it records the error.
     ``sections`` is ``None`` or one random tangent vector per row, which the
     run draws when it includes the witnesses suite.
 
@@ -352,21 +353,22 @@ def _suite_almost_kahler(cfg, params, profile, sample) -> tuple[list[dict], list
     return checks, []
 
 
-def _nijenhuis_rows(sample, params, profile) -> np.ndarray:
-    """The member's closed-form Nijenhuis tensor, largest entry per row."""
-    rows = sample.rows
-    return _max_abs(nijenhuis_closed_form(rows.points, params, rows.blocks_of(params, profile)), rank=3)
+def _nijenhuis(sample, params, profile) -> tuple[np.ndarray, np.ndarray]:
+    """The member's closed-form Nijenhuis tensor on all rows, largest entry
+    per row, and its bracket oracle's residual against the tensor's row at
+    the one center of ``Sample.stencil(1)``."""
+    rows, stencil = sample.rows, sample.stencil(1)
+    nij = nijenhuis_closed_form(rows.points, params, rows.blocks_of(params, profile))
+    oracle = nijenhuis_numeric(params, profile, stencil) - nij[stencil.index]
+    return _max_abs(nij, rank=3), _max_abs(oracle, rank=3)
 
 
 def _suite_integrability(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     tol = cfg.tolerances
-    stencil = sample.stencil(1)
-    oracle = nijenhuis_numeric(params, profile, stencil) - nijenhuis_closed_form(
-        stencil.centers, params, stencil.center_jets(params, profile)
-    )
+    nij, oracle = _nijenhuis(sample, params, profile)
     checks = [
-        _check("nijenhuis_vanishes", _nijenhuis_rows(sample, params, profile), tol.closed_form),
-        _check("nijenhuis_matches_bracket_oracle", _max_abs(oracle, rank=3), tol.cross_check),
+        _check("nijenhuis_vanishes", nij, tol.closed_form),
+        _check("nijenhuis_matches_bracket_oracle", oracle, tol.cross_check),
     ]
     return checks, []
 
@@ -380,16 +382,16 @@ def _suite_connection(cfg, params, profile, sample) -> tuple[list[dict], list[st
         checks.append(_check("coefficients_two_path", two_path, tol.closed_form))
 
     stencil = sample.stencil(2)
-    pt, jets = stencil.centers, stencil.center_jets(params, profile)
+    pt, blocks = stencil.centers, stencil.center_blocks(params, profile)
     conn = center_connection(params, profile, stencil)
     metric_grad = metric_gradient(params, profile, stencil)
-    koszul = _max_abs(koszul_nabla(pt, jets, metric_grad) - conn, rank=3)
+    koszul = _max_abs(koszul_nabla(pt, blocks, metric_grad) - conn, rank=3)
     checks.append(_check("koszul_oracle", koszul, tol.cross_check))
     checks.append(_check("torsion_free", torsion_residual(pt, conn), tol.closed_form))
-    compat = metric_compatibility_residual(conn, jets, metric_grad)
+    compat = metric_compatibility_residual(conn, blocks, metric_grad)
     checks.append(_check("metric_parallel", compat, tol.cross_check))
     if params.is_integrable:
-        parallel_j = parallel_j_residual(conn, jets, metric_grad)
+        parallel_j = parallel_j_residual(conn, blocks, metric_grad)
         checks.append(_check("complex_structure_parallel", parallel_j, tol.cross_check))
     return checks, []
 
@@ -465,16 +467,13 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
-    off_jets = stencil.center_jets(off_params, profile)
     parallel = parallel_j_residual(
-        connection_coefficients(stencil.centers, off_params, off_jets),
-        off_jets,
+        center_connection(off_params, profile, stencil),
+        stencil.center_blocks(off_params, profile),
         metric_gradient(off_params, profile, stencil),
     )
-    nij = _nijenhuis_rows(sample, off_params, profile)
     # Detuned, the mixed block of N is nonzero, so the oracle tests its sign.
-    closed = nijenhuis_closed_form(stencil.centers, off_params, off_jets)
-    oracle = _max_abs(nijenhuis_numeric(off_params, profile, stencil) - closed, rank=3)
+    nij, oracle = _nijenhuis(sample, off_params, profile)
     checks = [
         _check("nijenhuis_detects_coupling", nij, tol.witness_floor, comparison="ge"),
         _check("nijenhuis_matches_bracket_oracle_detuned", oracle, tol.cross_check),

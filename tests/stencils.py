@@ -18,7 +18,7 @@ import numpy as np
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.curvature import curvature_blocks
 from cotangent_kahler.fd import Stencil
-from cotangent_kahler.mtensor import CotangentPoint, Rows
+from cotangent_kahler.mtensor import CotangentPoint, Rows, take_rows
 
 
 def stencil_at(pt: CotangentPoint, params: ModelParams) -> Stencil:
@@ -37,5 +37,6 @@ def frame_gradient(field, pt: CotangentPoint) -> np.ndarray:
 
 def center_k(params: ModelParams, profile, stencil: Stencil) -> np.ndarray:
     """``curvature_blocks`` of the member at the centers of ``stencil``, on
-    their fiber jets."""
-    return curvature_blocks(stencil.centers, params, stencil.center_jets(params, profile))
+    the centers' rows of the base's fiber jets."""
+    jets = take_rows(stencil.base.jets_of(params, profile), stencil.index)
+    return curvature_blocks(stencil.centers, params, jets)

@@ -98,6 +98,11 @@ class TestRunConfig:
         assert cfg.tolerances.fd_oracle == pytest.approx(1e-3)
         assert cfg.a_metric_offset == pytest.approx(0.1)
 
+    def test_parser_defaults_are_the_run_configs(self):
+        """Every CLI default is read from ``RunConfig()``, so the two cannot
+        drift apart."""
+        assert config_from_args(build_parser().parse_args([])) == RunConfig()
+
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):

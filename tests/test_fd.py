@@ -2,6 +2,8 @@
 calculus, and agreement with the real reference stencil of ``fd_reference``
 on every oracle field."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,14 +13,14 @@ from hypothesis import strategies as st
 import cotangent_kahler.fd
 import cotangent_kahler.mtensor
 import fd_reference
-from cotangent_kahler.base import ModelParams
-from cotangent_kahler.connection import metric_gradient
+from cotangent_kahler.base import ModelParams, integrable_coupling
+from cotangent_kahler.connection import center_connection, connection_coefficients, connection_on, metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature, nabla_curvature_probe
 from cotangent_kahler.errors import StencilError
 from cotangent_kahler.fd import Stencil, fd_gradient, fd_partial
-from cotangent_kahler.mtensor import CotangentPoint, Rows, chart_frame
-from cotangent_kahler.profiles import einstein_profile
-from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
+from cotangent_kahler.mtensor import CotangentPoint, Rows, chart_frame, fiber_jets, metric_blocks
+from cotangent_kahler.profiles import einstein_profile, rational_profile
+from cotangent_kahler.structure import dform_residual, nijenhuis_closed_form, nijenhuis_numeric
 from stencils import center_k, frame_gradient, stencil_at
 
 # ---------------------------------------------------------------------------
@@ -398,36 +400,40 @@ class TestFieldsBuildOnlyTheBlocks:
             assert np.array_equal(oracle(), expected[name]), name
 
 
-class TestCenterJets:
+class TestCenterRows:
+    @pytest.mark.parametrize("centers", [1, 2])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_jets_built_on_the_centers_are_the_rows_of_the_base_jets(self, rng, n, monkeypatch):
-        """A stencil whose real base keeps no jets of a member builds them
-        once, on its two centers, from the centers' rows of the base's
-        metric blocks, with no second blocks build, and they hold the bits
-        of the jets that the base builds on all five rows later; from then
-        on the stencil reads those rows."""
-        params = ModelParams(n=n, c=1.4, a_metric=1.9, k_a=0.7, k_b=0.4)
-        profile = einstein_profile(params)
+    def test_center_values_are_the_rows_of_the_all_row_values(self, rng, n, centers):
+        """For each member a config checks -- its own, the witnesses' detuned
+        coupling, the rational profile and the pinned k_a = k_b = 1 member --
+        a stencil's metric blocks and connection at its centers, and the
+        centers' rows of the closed-form Nijenhuis tensor on all five base
+        rows, are views of the member's values on all rows, and hold the bits
+        of a build on the centers alone: no value depends on the rows built
+        beside it.  The stencil keeps nothing for rows it does not hold."""
+        c = 1.4
+        own = ModelParams(n=n, c=c, a_metric=integrable_coupling(c), k_a=0.7, k_b=0.4)
+        pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
+        members = [
+            (own, einstein_profile(own)),
+            (replace(own, a_metric=1.1 * own.a_metric), einstein_profile(own)),
+            (own, rational_profile()),
+            (pinned, einstein_profile(pinned)),
+        ]
         q, p = rng.uniform(-1.5, 1.5, size=(5, n)), rng.normal(size=(5, n))
-        base = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
-        stencil = Stencil(base, 2)
-        builds = []
-        for module, name in ((cotangent_kahler.mtensor, "metric_blocks"), (cotangent_kahler.fd, "_jets_on")):
-
-            def counted(point, *args, original=getattr(module, name), name=name):
-                builds.append((name, len(point.q)))
-                return original(point, *args)
-
-            monkeypatch.setattr(module, name, counted)
-        centers = stencil.center_jets(params, profile)
-        assert stencil.center_jets(params, profile) is centers
-        assert builds == [("metric_blocks", 5), ("_jets_on", 2)]
-        blocks = base.blocks_of(params, profile)
-        assert centers.gh.base is blocks.gh and centers.gv.base is blocks.gv
-        whole = base.jets_of(params, profile)
-        for field in ("gh", "gv", "dgh", "ddgh", "dgv", "ddgv"):
-            assert getattr(centers, field).tobytes() == getattr(whole, field)[:2].tobytes(), field
-        assert stencil.center_jets(params, profile).ddgh.base is whole.ddgh
+        base = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, own))
+        stencil = Stencil(base, centers)
+        pt = stencil.centers
+        for params, profile in members:
+            whole, alone = base.blocks_of(params, profile), metric_blocks(pt, params, profile)
+            for block, all_rows, built in zip(stencil.center_blocks(params, profile), whole, alone):
+                assert np.shares_memory(block, all_rows) and block.tobytes() == built.tobytes()
+            conn = center_connection(params, profile, stencil)
+            assert np.shares_memory(conn, connection_on(base, params, profile))
+            assert conn.tobytes() == connection_coefficients(pt, params, fiber_jets(pt, params, profile)).tobytes()
+            nij = nijenhuis_closed_form(base.points, params, whole)[stencil.index]
+            assert nij.tobytes() == nijenhuis_closed_form(pt, params, alone).tobytes()
+        assert stencil._memo == {}
 
 
 def _assert_every_oracle_field_matches_the_reference_stencil(rng, n, dtype, monkeypatch):

@@ -323,14 +323,14 @@ class TestSharedSample:
         differentiated at the one center: the FD curvature's own member and
         the nabla-K probe's k_a = k_b = 1 member, one member on the Einstein
         profile.  On the real sampled rows it builds the point once and the
-        fiber jets twice: the own member, and whichever of the witnesses'
-        rational profile and k_a = k_b = 1 member is not the own one.  The
-        detuned coupling's jets are built on the one center alone, from its
-        metric blocks on all rows: the witnesses read only its center jets
-        and its vertical block.  It builds ``K`` in one pass per member, which
-        also keeps it at the one center for the block oracle and the nabla-K
-        probe: the own one, which the einstein suite reads, and whichever of
-        the rational and the pinned member is not the own one.  That is two
+        fiber jets three times: the own member, the witnesses' detuned
+        coupling, whose connection the parallel-J witness reads at the
+        center, and whichever of the witnesses' rational profile and
+        k_a = k_b = 1 member is not the own one; none on the centers alone.
+        It builds ``K`` in one pass per member, which also keeps it at the
+        one center for the block oracle and the nabla-K probe: the own one,
+        which the einstein suite reads, and whichever of the rational and the
+        pinned member is not the own one.  That is two
         builds on either profile: on the Einstein profile the witnesses read
         the pinned member's sections from the own pass, and on the rational
         profile the rational member's Ricci."""
@@ -344,7 +344,7 @@ class TestSharedSample:
         assert [(kind, rows) for kind, rows, real in builds if real] == [
             ("point", 3),
             ("jets", 3),
-            ("jets", 1),
+            ("jets", 3),
             ("jets", 3),
         ]
         assert calls == [3, 3]
@@ -407,14 +407,13 @@ class TestSharedSample:
     @pytest.mark.parametrize("profile", ["einstein", "rational"])
     def test_each_members_connection_on_real_points_is_built_once(self, profile, monkeypatch):
         """One config of all six suites at 3 samples in chunks of one row
-        builds the connection on real points once per member: on all three
-        sampled rows for the own member and for the rational profile (on the
-        Einstein profile) or the pinned k_a = k_b = 1 member (on the rational
-        profile), and on the one center of ``stencil(1)`` for the witnesses'
-        detuned coupling, the only rows of it that are read.  The two-path
-        check, every chunk of every curvature pass and every stencil's
-        centers read their rows of a member's connection on all rows, and
-        never build one of their own."""
+        builds the connection on real points once per member, on all three
+        sampled rows: the own member, the witnesses' detuned coupling, and the
+        rational profile (on the Einstein profile) or the pinned
+        k_a = k_b = 1 member (on the rational profile).  The two-path check,
+        every chunk of every curvature pass and every stencil's centers read
+        their rows of a member's connection on all rows, and never build one
+        of their own."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 1)
         original = cotangent_kahler.connection.connection_coefficients
         real = []
@@ -426,15 +425,15 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, profile=profile))
-        assert [rows for rows, _ in real] == [3, 1, 3]
+        assert [rows for rows, _ in real] == [3, 3, 3]
         assert len({gh for _, gh in real}) == 3
 
     def test_only_the_curvature_pass_splits_rows(self, monkeypatch):
         """One config of all six suites at 4 samples in chunks of one row
         computes the checks that need no curvature in one call over all
         rows: on real rows the closed-form Nijenhuis tensor runs on all 4
-        rows once per member, the own one and the detuned coupling, besides
-        the one center of each member's bracket oracle, and the closed-form
+        rows once per member, the own one and the detuned coupling, and each
+        member's bracket oracle reads its row at the center; the closed-form
         Kahler connection runs once, on all 4 rows.  Every curvature pass
         still builds ``K`` once per chunk, and keeps it at the first row."""
         calls = _count_curvature_builds(monkeypatch)
@@ -456,7 +455,7 @@ class TestSharedSample:
         assert report["passed"] is True
         a_metric = integrable_coupling(1.0)
         detuned = 1.1 * a_metric
-        assert closed["nijenhuis_closed_form"] == [(1, a_metric), (4, a_metric), (4, detuned), (1, detuned)]
+        assert closed["nijenhuis_closed_form"] == [(4, a_metric), (4, detuned)]
         assert closed["kahler_connection_coefficients"] == [(4, a_metric)]
         # The own pass, which the pinned witness reads, and the rational one.
         assert calls == [1] * 8
