@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-min", type=float, default=cfg.t_min, help="lower energy bound")
     parser.add_argument("--t-max", type=float, default=cfg.t_max, help="upper energy bound")
     parser.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
-    for name in (f.name for f in fields(Tolerances)):
-        flag, default = f"--tol-{name.replace('_', '-')}", getattr(cfg.tolerances, name)
-        parser.add_argument(flag, type=float, default=default, help="tolerance tier")
+    for f in fields(Tolerances):
+        flag = f"--tol-{f.name.replace('_', '-')}"
+        parser.add_argument(flag, type=float, default=getattr(cfg.tolerances, f.name), help="tolerance tier")
     parser.add_argument("--suites", default=",".join(cfg.suites), help="comma-separated suites to run")
     parser.add_argument(
         "--a-metric-offset",
