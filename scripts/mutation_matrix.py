@@ -4,8 +4,8 @@
 ``CATALOG`` is a fixed list of one-token mutations ``(id, file, old, new)``
 of the closed forms the report certifies, ``file`` relative to
 ``src/cotangent_kahler``; each ``old`` must occur exactly once in its file.
-The probes that only read a closed form (pair symmetry, holomorphic
-sectional curvature, the residual helpers) are not mutated.
+The probes that only read a closed form (pair symmetry, the G-inner product
+of two curvature tensors, the residual helpers) are not mutated.
 
 ``run_matrix`` copies the tree's ``src`` to a temporary directory for the
 unmutated runs and again for each mutation, applies the mutation there and
@@ -97,6 +97,11 @@ CATALOG = (
         "out[..., h, v, v, h] = -np.swapaxes",
         "out[..., h, v, v, h] = np.swapaxes",
     ),
+    # the constant-H tensor and the closed form of |K + k_b T|^2
+    ("constant_h_skew_sign", "curvature.py", "pair - np.swapaxes(pair", "pair + np.swapaxes(pair"),
+    ("constant_h_jz_factor", "curvature.py", "+ 2.0 * twice", "+ 1.0 * twice"),
+    ("constant_h_a_coefficient", "curvature.py", "(n - 2) * (n * n - 1)", "(n - 2) * (n * n + 1)"),
+    ("constant_h_b_coefficient", "curvature.py", "(n + 1) * (n + 2) * params.k_a", "(n + 1) * (n + 1) * params.k_a"),
     # a_tr, alpha, beta, gamma and the Euler residual
     ("ricci_a_tr", "curvature.py", "(n + 1.0) * s2c * np.sqrt(t) * v", "(n + 2.0) * s2c * np.sqrt(t) * v"),
     ("ricci_alpha_tvv", "curvature.py", "- (2.0 * n + 2.0) * t * v * v", "- (2.0 * n + 4.0) * t * v * v"),

@@ -44,9 +44,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# The default battery, the three benchmark workloads, three off-default
+# The default battery, the three benchmark workloads, four off-default
 # members, the four windows outside the default one, and two sets whose
-# reports hold every other form of a check entry.
+# reports hold every other form of a check entry.  ``ka0_kb0`` runs the flat
+# n = 2 member, where the negative-claim witnesses certify their exception.
 # ``rational`` takes 30 samples, so that at n = 3 (25 rows per chunk) its
 # Einstein and witness paths cross a chunk boundary; ``witnesses_only``
 # takes 30 samples too, so that the witnesses' pass, each member's first
@@ -71,6 +72,7 @@ FLAG_SETS = {
     "rational": ["--profile", "rational", "--samples", "30"],
     "ka0": ["--ka", "0", "--samples", "20"],
     "kb0": ["--kb", "0", "--samples", "20"],
+    "ka0_kb0": ["--ka", "0", "--kb", "0", "--samples", "20"],
     "offset": ["--a-metric-offset", "0.1", "--samples", "20"],
     "small_t": ["--t-min", "1e-4", "--t-max", "1e-2", "--samples", "5"],
     "large_t": ["--t-min", "1e2", "--t-max", "1e4", "--samples", "20"],

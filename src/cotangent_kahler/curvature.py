@@ -22,7 +22,10 @@ The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
 axis; the finite-difference oracles differentiate on a stencil
-(``fd.Stencil``).  Probes give one value per point of the batch.
+(``fd.Stencil``).  Probes give one value per point of the batch.  The
+distance of ``K`` from constant holomorphic sectional curvature,
+``|K + k_b T|^2`` under ``curvature_inner``, has a closed form in ``t``
+(``constant_h_tensor``), which the witnesses compare with ``K``.
 
 ``K`` is built by ``curvature_from_connection`` from a given connection
 and the three fiber blocks of its fiber 1-jet
@@ -52,6 +55,9 @@ __all__ = [
     "ricci_closed_form",
     "ricci_trace_coefficient",
     "pair_symmetry_residual",
+    "constant_h_tensor",
+    "curvature_inner",
+    "constant_h_coefficients",
     "holomorphic_sectional_curvature",
     "curvature_fd",
     "nabla_curvature",
@@ -242,6 +248,53 @@ def pair_symmetry_residual(curvature: np.ndarray, metric: np.ndarray, vectors):
     xy = _outer(x, y).reshape(x.shape[:-1] + (dim * dim,))
     zw = _outer(z, w).reshape(z.shape[:-1] + (dim * dim,))
     return _max_abs(np.vecdot(xy @ lowered, zw) - np.vecdot(zw @ lowered, xy), rank=1)
+
+
+def constant_h_tensor(metric: np.ndarray, j_op: np.ndarray) -> np.ndarray:
+    """The curvature of constant holomorphic sectional curvature 1 for the
+    metric G and complex structure J, laid out as ``K``:
+
+        T(X, Y)Z = [g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY + 2 g(X,JY)JZ] / 4.
+
+    ``|T|^2 = 2n(n+1)`` under ``curvature_inner``.  On the Einstein family at
+    the integrable coupling, by the decomposition of Tricerri and Vanhecke
+    (Trans. AMS 267 (1981) 365-398),
+
+        |K + k_b T|^2 = A / t + B t^-(n+1),  <K + k_b T, T> = 0,
+
+    with ``(A, B)`` of ``constant_h_coefficients``, so the holomorphic
+    sectional curvature is constant (``-k_b``) exactly when n = 2 and
+    k_a = 0.  No coefficient is fitted.  The formula holds exactly at four
+    rational orbit points (sympy, at n = 2 and 3), to 50 digits on the
+    package's own ``K`` at 7 random points of n = 2..5, and at every
+    config's center in ``witnesses/constant_h_distance_closed_form``."""
+    eye = np.eye(metric.shape[-1])
+    j_out = np.swapaxes(j_op, -2, -1)  # (J e_a)^d at [a, d]
+    # g(Y, Z) X + g(JY, Z) JX at [X, Y, Z, output], then skewed in (X, Y).
+    pair = metric[..., None, :, :, None] * eye[:, None, None, :]
+    pair = pair + (j_out @ metric)[..., None, :, :, None] * j_out[..., :, None, None, :]
+    twice = (metric @ j_op)[..., :, :, None, None] * j_out[..., None, None, :, :]
+    return 0.25 * (pair - np.swapaxes(pair, -4, -3) + 2.0 * twice)
+
+
+def curvature_inner(x: np.ndarray, y: np.ndarray, metric: np.ndarray):
+    """The G-inner product of two tensors laid out as ``K``: ``G^-1`` on the
+    three input slots and G on the output.  With each tensor one ``(2n)^2 x
+    (2n)^2`` matrix, rows ``ab`` and columns ``cd``, the raised ``y`` is one
+    ``@`` on each side by the Kronecker products of ``G^-1`` and G, each
+    one broadcast product."""
+    dim, inverse = metric.shape[-1], np.linalg.inv(metric)
+    square = lambda z: z.reshape(z.shape[:-4] + (dim * dim,) * 2)
+    kron = lambda u, w: square(u[..., :, None, :, None] * w[..., None, :, None, :])
+    raised = kron(inverse, inverse) @ square(y) @ kron(inverse, metric)
+    return np.vecdot(x.reshape(x.shape[:-4] + (-1,)), raised.reshape(raised.shape[:-2] + (-1,)))
+
+
+def constant_h_coefficients(params: ModelParams) -> tuple[float, float]:
+    """``A = 2(n-2)(n^2-1)c/n`` and ``B = (n-1)n(n+1)(n+2) k_a^2`` of the
+    distance ``|K + k_b T|^2 = A/t + B t^-(n+1)`` (``constant_h_tensor``)."""
+    n = params.n
+    return 2.0 * (n - 2) * (n * n - 1) * params.c / n, (n - 1) * n * (n + 1) * (n + 2) * params.k_a**2
 
 
 def holomorphic_sectional_curvature(

@@ -43,9 +43,11 @@ from .connection import (
 )
 from .curvature import (
     RicciBlocks,
+    constant_h_coefficients,
+    constant_h_tensor,
     curvature_fd,
     curvature_from_connection,
-    holomorphic_sectional_curvature,
+    curvature_inner,
     nabla_curvature_probe,
     odd_slots,
     pair_symmetry_residual,
@@ -62,7 +64,7 @@ from .einstein import (
 from .errors import ConfigError, GeometryError
 from .fd import Stencil
 from .mtensor import CotangentPoint, Rows, assemble_metric, energy_density, take_rows
-from .profiles import PROFILES, einstein_profile, profile_from_name, rational_profile
+from .profiles import PROFILES, profile_from_name, rational_profile
 from .structure import (
     assemble_complex_structure,
     canonical_coordinate_form,
@@ -168,11 +170,6 @@ class RunConfig:
         for name in ("dims", "curvatures", "suites"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} must not repeat a value")
-        if self.samples < 2 and "witnesses" in self.suites:
-            raise ConfigError(
-                "samples must be >= 2 with the witnesses suite: "
-                "holomorphic_curvature_spread compares sections at two or more points"
-            )
         if not -1.0 < self.a_metric_offset < math.inf:
             raise ConfigError("a_metric_offset must be finite and keep the coupling positive (> -1)")
 
@@ -222,14 +219,12 @@ def sample_points(cfg: RunConfig, n: int, c: float, params: ModelParams) -> np.n
 
 @dataclass(frozen=True)
 class Kept:
-    """The record of a member's curvature pass: its Ricci trace on all rows,
-    its ``K`` at the first row, the one center of ``Sample.stencil(1)``, as
-    a one-row copy, and its holomorphic sectional curvature at the sample's
-    ``sections``, one per row, or ``None`` on a sample without them."""
+    """The record of a member's curvature pass: its Ricci trace on all rows
+    and its ``K`` at the first row, the one center of ``Sample.stencil(1)``,
+    as a one-row copy."""
 
     ricci: RicciBlocks
     center: np.ndarray
-    holomorphic: np.ndarray | None
 
 
 class Sample:
@@ -247,8 +242,6 @@ class Sample:
     beside the rows that are their base, so no stencil refers back to the
     sample.  Each is built on first use; a build that raises is not kept,
     so every suite that needs it records the error.
-    ``sections`` is ``None`` or one random tangent vector per row, which the
-    run draws when it includes the witnesses suite.
 
     ``curvature_rows`` is the one place that builds a member's ``K`` on the
     rows: once per block of as many rows as keep ``(2n)^4`` float64 numbers
@@ -260,15 +253,14 @@ class Sample:
     nothing.
 
     The keep rule: a config keeps per-row values on all S rows (the point,
-    and each member's metric blocks, fiber jets, connection, Ricci trace
-    and sectional values), so these grow with S.  It keeps ``K`` only at
-    the first row: no pass's ``K`` or block part outlives its block, so
-    what a pass adds is bounded per block.
+    and each member's metric blocks, fiber jets, connection and Ricci
+    trace), so these grow with S.  It keeps ``K`` only at the first row: no
+    pass's ``K`` or block part outlives its block, so what a pass adds is
+    bounded per block.
     """
 
-    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams, sections=None) -> None:
+    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams) -> None:
         self.rows = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, params))
-        self.sections = sections
         self._stencils: dict[int, Stencil] = {}
         self._kept: dict = {}
 
@@ -294,14 +286,9 @@ class Sample:
             curv = curvature_from_connection(pt, params, block_jets, conn[rows])
             ricci = ricci_from_blocks(curv)
             # A copy, so that the kept first row does not hold the block's K.
-            kept = [ricci.hh, ricci.vv, curv[: int(start == 0)].copy()]
-            if self.sections is not None:
-                metric, j_op = assemble_metric(block_jets), assemble_complex_structure(block_jets)
-                kept.append(holomorphic_sectional_curvature(curv, metric, j_op, self.sections[rows]))
-            parts.append((*kept, *fn(pt, block_jets, curv, rows)))
+            parts.append((ricci.hh, ricci.vv, curv[: int(start == 0)].copy(), *fn(pt, block_jets, curv, rows)))
         hh, vv, center, *values = (np.concatenate(column) for column in zip(*parts))
-        holomorphic = None if self.sections is None else values.pop(0)
-        self._kept[params, profile] = Kept(RicciBlocks(hh, vv), center, holomorphic)
+        self._kept[params, profile] = Kept(RicciBlocks(hh, vv), center)
         return tuple(values)
 
     def kept(self, params: ModelParams, profile) -> Kept:
@@ -460,13 +447,19 @@ def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]
 
 
 def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    if sample.sections is None:
-        raise ConfigError("the witnesses suite needs a sample with sections: Sample(q, p, params, sections)")
+    """Detectors that must fire off the theorem's hypotheses (a detuned
+    coupling, a profile off the Einstein family), and the paper's two
+    negative claims on the config's own member where it makes them, on the
+    Einstein profile at the integrable coupling: at the first center, the
+    closed form of ``|K + k_b T|^2`` (``curvature.constant_h_tensor``), over
+    a scale that does not vanish on the flat member, then "not of constant
+    holomorphic sectional curvature" and "not locally symmetric".  At their
+    exception, n = 2 and k_a = 0, both witnesses certify the opposite as
+    ``le`` checks whose notes name it."""
     tol = cfg.tolerances
-    n, c = params.n, params.c
     stencil = sample.stencil(1)
 
-    off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(c))
+    off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(params.c))
     parallel = parallel_j_residual(
         center_connection(off_params, profile, stencil),
         stencil.center_blocks(off_params, profile),
@@ -503,37 +496,30 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
                 "on the rational profile"
             )
 
-    # Non-constancy witnesses probe a fixed generic family member: with
-    # k_a = 0 some members (n = 2 in particular) are genuinely locally
-    # symmetric, so the generic claim is pinned to k_a = k_b = 1.
-    pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
-    pinned_profile = einstein_profile(pinned)
-    kept = sample.kept(pinned, pinned_profile)
-    values = kept.holomorphic
-    low, high = np.min(values), np.max(values)
-    checks.append(
-        _check(
-            "holomorphic_curvature_spread",
-            high - low,
-            tol.witness_floor,
-            comparison="ge",
-            note=(
-                f"sectional values in [{low:.6g}, {high:.6g}] over "
-                f"{len(values)} random sections of the k_a=1, k_b=1 member"
-            ),
-        )
-    )
-
-    probe = nabla_curvature_probe(pinned, pinned_profile, stencil, kept.center)
-    checks.append(
-        _check(
-            "curvature_not_parallel",
-            probe,
-            tol.witness_floor,
-            comparison="ge",
-            note=f"max nabla-K component {probe[0]:.6g} on the k_a=1, k_b=1 member",
-        )
-    )
+    if cfg.profile != "einstein" or not params.is_integrable:
+        return checks, notes
+    n, k_b, t = params.n, params.k_b, stencil.centers.t
+    curv, blocks = sample.kept(params, profile).center, stencil.center_blocks(params, profile)
+    metric = assemble_metric(blocks)
+    t_h = constant_h_tensor(metric, assemble_complex_structure(blocks))
+    distance = curv + k_b * t_h
+    distance_sq = curvature_inner(distance, distance, metric)
+    scale = curvature_inner(curv, curv, metric) + 2 * n * (n + 1) * k_b**2 + 1.0
+    a, b = constant_h_coefficients(params)
+    residual = np.abs(distance_sq - a / t - b * t ** -(n + 1.0)) / scale
+    closed = np.maximum(residual, np.abs(curvature_inner(distance, t_h, metric)) / np.sqrt(scale))
+    checks.append(_check("constant_h_distance_closed_form", closed, tol.closed_form))
+    probe = nabla_curvature_probe(params, profile, stencil, curv)
+    if n == 2 and params.k_a == 0.0:
+        exception = "the n = 2, k_a = 0 exception: H = -k_b is constant and nabla K = 0"
+        flat_h, ratio = distance_sq / scale, probe / np.maximum(1.0, _max_abs(curv, rank=4)) ** 1.5
+        checks.append(_check("holomorphic_curvature_not_constant", flat_h, tol.closed_form, note=exception))
+        checks.append(_check("curvature_not_parallel", ratio, tol.fd_oracle, note=exception))
+    else:
+        formula = f"|K + k_b T|^2 = {a:.6g}/t + {b:.6g} t^-{n + 1} > 0 at every t > 0"
+        note = f"max nabla-K component {probe[0]:.6g}"
+        checks.append(_check("holomorphic_curvature_not_constant", max(a, b), tol.witness_floor, "ge", formula))
+        checks.append(_check("curvature_not_parallel", probe, tol.witness_floor, "ge", note))
     return checks, notes
 
 
@@ -609,11 +595,7 @@ def run_verification(cfg: RunConfig) -> dict:
                 for suite_name in cfg.suites:
                     configs[suite_name].append(_config_entry(params, 0, [_suite_error(exc)]))
                 continue
-            sections = None
-            if "witnesses" in cfg.suites:
-                rng = np.random.default_rng([cfg.seed, 11, n, _curvature_seed(c)])
-                sections = rng.normal(size=(len(points), 2 * n))
-            sample = Sample(points[:, 0], points[:, 1], params, sections)
+            sample = Sample(points[:, 0], points[:, 1], params)
             for suite_name in cfg.suites:
                 started = time.perf_counter()
                 entry, suite_notes = run_suite(suite_name, cfg, params, profile, sample)

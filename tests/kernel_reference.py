@@ -6,7 +6,8 @@ jets ``mtensor._jets_on``, both connection routes
 ``connection.kahler_connection_coefficients``),
 ``connection._fiber_derivative_blocks``, ``curvature.curvature_blocks``,
 ``curvature.pair_symmetry_residual``,
-``curvature.holomorphic_sectional_curvature`` and the Nijenhuis closed form
+``curvature.holomorphic_sectional_curvature``, ``curvature.constant_h_tensor``,
+``curvature.curvature_inner`` and the Nijenhuis closed form
 ``structure.nijenhuis_closed_form`` build each outer product as one
 broadcast multiply and contract their arrays with one batched ``@`` per
 term, and so do the Leibniz terms of the finite-difference oracles
@@ -291,6 +292,29 @@ def holomorphic_sectional_curvature(
         raise GeometryError("holomorphic sectional curvature needs a nonnull vector")
     k_jx_jx = np.matvec(np.matvec(curvature, gx[..., None, None, :]), jx[..., None, :])
     return np.vecdot(x, np.matvec(k_jx_jx, jx)) / norm_sq**2
+
+
+def constant_h_tensor(metric: np.ndarray, j_op: np.ndarray) -> np.ndarray:
+    """``T[a, b, c, d]``, the five terms of ``[g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX -
+    g(JX,Z)JY + 2 g(X,JY)JZ] / 4`` at ``X, Y, Z = e_a, e_b, e_c`` as einsums,
+    with ``(J e_b)^d = J[d, b]``."""
+    eye = np.eye(metric.shape[-1])
+    jg = np.einsum("...eb,...ec->...bc", j_op, metric)
+    gj = np.einsum("...ae,...eb->...ab", metric, j_op)
+    return 0.25 * (
+        np.einsum("...bc,ad->...abcd", metric, eye)
+        - np.einsum("...ac,bd->...abcd", metric, eye)
+        + np.einsum("...bc,...da->...abcd", jg, j_op)
+        - np.einsum("...ac,...db->...abcd", jg, j_op)
+        + 2.0 * np.einsum("...ab,...dc->...abcd", gj, j_op)
+    )
+
+
+def curvature_inner(x: np.ndarray, y: np.ndarray, metric: np.ndarray):
+    """``G^aa' G^bb' G^cc' G_dd' x[a, b, c, d] y[a', b', c', d']``, one einsum."""
+    inverse = np.linalg.inv(metric)
+    operands = (x, inverse, inverse, inverse, metric, y)
+    return np.einsum("...abcd,...ae,...bf,...cg,...dh,...efgh->...", *operands, optimize=True)
 
 
 def nijenhuis_closed_form(pt: CotangentPoint, params: ModelParams, jets: FiberJets) -> np.ndarray:

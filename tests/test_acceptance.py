@@ -255,6 +255,34 @@ def test_nonconstancy_witnesses_reported():
     assert probe > 1e-3, f"nabla-K probe max {probe!r}"
 
 
+NEGATIVE_CLAIMS = ("constant_h_distance_closed_form", "holomorphic_curvature_not_constant", "curvature_not_parallel")
+
+
+@pytest.mark.parametrize("k_b", [0.0, 1.0])
+@pytest.mark.parametrize("k_a", [0.0, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_negative_claims_on_the_own_member(n, k_a, k_b):
+    """The witnesses suite on one sample at each energy from 0.1 to 1e4 (a
+    window of relative width 1e-9): the closed form of ``|K + k_b T|^2``
+    holds, and so do the two witnesses, ``ge`` where the claims hold and
+    ``le`` at their exception, n = 2 and k_a = 0.  ``curvature_not_parallel``
+    off the exception is pinned at t <= 10 only: its raw frame component
+    falls below the floor at larger t (n = 2, k_a = 1, k_b = 0 reads about
+    2.5e-4 near t = 4e3)."""
+    exception = n == 2 and k_a == 0.0
+    member = dict(dims=(n,), curvatures=(1.0,), k_a=k_a, k_b=k_b, samples=1, suites=("witnesses",))
+    for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
+        report = run_verification(RunConfig(**member, t_min=t, t_max=t * (1.0 + 1e-9)))
+        checks = {check["name"]: check for check in report["suites"][0]["configs"][0]["checks"]}
+        print(f"n={n} k_a={k_a} k_b={k_b} t={t:g}:", *(f"{name}={checks[name]['value']!r}" for name in NEGATIVE_CLAIMS))
+        assert [checks[name]["comparison"] for name in NEGATIVE_CLAIMS] == ["le"] + ["le" if exception else "ge"] * 2
+        for name in NEGATIVE_CLAIMS:
+            if name != "curvature_not_parallel" or exception or t <= 10.0:
+                assert checks[name]["passed"], (name, t, checks[name]["value"])
+            if exception and name != "constant_h_distance_closed_form":
+                assert "n = 2, k_a = 0 exception" in checks[name]["note"]
+
+
 # ---------------------------------------------------------------------------
 # 7. oracle health
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@ determinism, and process exit codes."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cotangent_kahler
 from cotangent_kahler.base import ModelParams
 from cotangent_kahler.cli import _summarize, build_parser, config_from_args, main
 from cotangent_kahler.errors import ConfigError
@@ -70,11 +75,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
-    def test_single_sample_needs_no_witnesses(self):
-        """The spread witness compares sections at two or more points."""
-        with pytest.raises(ConfigError, match="holomorphic_curvature_spread"):
-            RunConfig(samples=1, suites=("almost_kahler", "witnesses"))
-        assert RunConfig(samples=1, suites=("almost_kahler",)).samples == 1
+    def test_single_sample_is_accepted_with_every_suite(self):
+        """No check compares two samples: one sample runs with every suite,
+        the witnesses included."""
+        assert RunConfig(samples=1).samples == 1
+        assert RunConfig(samples=1, suites=("almost_kahler", "witnesses")).suites == ("almost_kahler", "witnesses")
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,10 +185,17 @@ class TestReport:
             check["name"]: check
             for check in report["suites"][0]["configs"][0]["checks"]
         }
-        for name in ("holomorphic_curvature_spread", "curvature_not_parallel"):
+        assert checks["constant_h_distance_closed_form"]["comparison"] == "le"
+        assert checks["constant_h_distance_closed_form"]["value"] < 1e-12
+        for name in ("holomorphic_curvature_not_constant", "curvature_not_parallel"):
             assert checks[name]["comparison"] == "ge"
             assert checks[name]["value"] > 1e-3
-            assert "k_a=1, k_b=1" in checks[name]["note"]
+        # At n = 2 and k_a = 1: A = 0 and B = 24.
+        assert checks["holomorphic_curvature_not_constant"]["value"] == 24.0
+        assert checks["holomorphic_curvature_not_constant"]["note"] == (
+            "|K + k_b T|^2 = 0/t + 24 t^-3 > 0 at every t > 0"
+        )
+        assert checks["curvature_not_parallel"]["note"].startswith("max nabla-K component ")
 
     def test_detuned_coupling_fails_integrability(self):
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=2,
@@ -253,9 +265,16 @@ class TestMain:
         assert main(["--dims", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_single_sample_with_default_suites_exits_two(self, capsys):
-        assert main(["--samples", "1"]) == 2
-        assert "holomorphic_curvature_spread" in capsys.readouterr().err
+    def test_single_sample_with_default_suites_exits_zero(self):
+        """``python -m cotangent_kahler --samples 1`` exits 0 at seed 0 and
+        passes all six suites: no check compares two samples."""
+        src = str(Path(cotangent_kahler.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-m", "cotangent_kahler", "--samples", "1", "--seed", "0"]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        verdicts = [line.split() for line in done.stdout.splitlines() if line.startswith("[")]
+        assert verdicts == [["[PASS]", name] for name in SUITE_NAMES]
 
     def test_single_sample_without_witnesses_exits_zero(self, capsys):
         assert main(["--samples", "1", "--suites", "almost_kahler"]) == 0

@@ -405,7 +405,7 @@ class TestCenterRows:
     @pytest.mark.parametrize("n", [2, 5])
     def test_center_values_are_the_rows_of_the_all_row_values(self, rng, n, centers):
         """For each member a config checks -- its own, the witnesses' detuned
-        coupling, the rational profile and the pinned k_a = k_b = 1 member --
+        coupling and the rational profile --
         a stencil's metric blocks and connection at its centers, and the
         centers' rows of the closed-form Nijenhuis tensor on all five base
         rows, are views of the member's values on all rows, and hold the bits
@@ -413,12 +413,10 @@ class TestCenterRows:
         beside it.  The stencil keeps nothing for rows it does not hold."""
         c = 1.4
         own = ModelParams(n=n, c=c, a_metric=integrable_coupling(c), k_a=0.7, k_b=0.4)
-        pinned = ModelParams.kahler(n, c, k_a=1.0, k_b=1.0)
         members = [
             (own, einstein_profile(own)),
             (replace(own, a_metric=1.1 * own.a_metric), einstein_profile(own)),
             (own, rational_profile()),
-            (pinned, einstein_profile(pinned)),
         ]
         q, p = rng.uniform(-1.5, 1.5, size=(5, n)), rng.normal(size=(5, n))
         base = Rows(q, p, lambda qq, pp: CotangentPoint.at(qq, pp, own))

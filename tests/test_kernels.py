@@ -4,9 +4,10 @@ routes, the Nijenhuis closed form and the chart brackets of its oracle at
 n = 2..5, on real rows and on the complex-step rows of a stencil, within
 1e-13 of the largest entry of each part of the reference array; the
 connection's fiber derivatives,
-``curvature_blocks``, ``pair_symmetry_residual`` and
-``holomorphic_sectional_curvature`` on an 8-row batch, on the space forms and
-off them, each within 1e-13 of the largest entry of the reference array; the
+``curvature_blocks``, ``pair_symmetry_residual``,
+``holomorphic_sectional_curvature``, ``constant_h_tensor`` and
+``curvature_inner`` on an 8-row batch, on the space forms and off them, each
+within 1e-13 of the largest entry of the reference array; the
 Leibniz terms of ``curvature_fd``, ``nabla_curvature`` and
 ``parallel_j_residual`` at two centers, on the Kahler and a detuned coupling,
 within 1e-12; the Nijenhuis closed form on both couplings, within 1e-14; the space-form
@@ -36,8 +37,10 @@ from cotangent_kahler.connection import (
     parallel_j_residual,
 )
 from cotangent_kahler.curvature import (
+    constant_h_tensor,
     curvature_blocks,
     curvature_fd,
+    curvature_inner,
     holomorphic_sectional_curvature,
     nabla_curvature,
     pair_symmetry_residual,
@@ -118,6 +121,22 @@ def test_pair_symmetry_residual(n, profile_name, base_name):
         pair_symmetry_residual(curv, metric, vectors),
         reference.pair_symmetry_residual(curv, metric, vectors),
     )
+
+
+@CASES
+def test_constant_h_tensor_and_curvature_inner(n, profile_name, base_name):
+    """``T`` of the batch's G and J, and its G-inner products with itself,
+    ``2n(n+1)`` as G is J-Hermitian at any coupling, and with ``K`` plus a
+    random tensor of its size, as for the pair symmetry."""
+    pt, params, jets, rng = _batch(n, profile_name, base_name)
+    metric, j_op = assemble_metric(jets), assemble_complex_structure(jets)
+    t_h = constant_h_tensor(metric, j_op)
+    _assert_matches(t_h, reference.constant_h_tensor(metric, j_op))
+    npt.assert_allclose(curvature_inner(t_h, t_h, metric), 2 * n * (n + 1), rtol=1e-13)
+    curv = reference.curvature_blocks(pt, params, jets)
+    curv = curv + np.max(np.abs(curv)) * rng.normal(size=curv.shape)
+    for other in (t_h, curv):
+        _assert_matches(curvature_inner(curv, other, metric), reference.curvature_inner(curv, other, metric))
 
 
 @CASES

@@ -74,16 +74,17 @@ class TestCheckReduction:
         "suite, name, func, passes",
         [
             ("curvature", "pair_symmetry", "pair_symmetry_residual", 1),
-            ("witnesses", "holomorphic_curvature_spread", "holomorphic_sectional_curvature", 2),
+            ("witnesses", "einstein_detects_profile", "curvature_from_connection", 2),
         ],
         ids=["le", "ge"],
     )
     def test_nan_in_the_last_row_of_a_pass_fails(self, suite, name, func, passes, monkeypatch):
         """Eight samples at n = 2 in chunks of 3, 3 and 2 rows: a NaN in the
-        last row of the last chunk of the last curvature pass, the own
-        member's pair symmetry (``le``) or the pinned member's sections
-        (``ge``, after the rational profile's pass, which keeps its own),
-        makes the check's value NaN and fails it."""
+        last row of the last chunk of a curvature pass, the own member's pair
+        symmetry (``le``) or the rational profile's ``K`` (``ge``, in the
+        witnesses' first pass, whose kept Ricci the Einstein defect reads;
+        the own member's pass follows), makes the check's value NaN and
+        fails it."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 3)
         original = getattr(cotangent_kahler.suites, func)
         rows = []
@@ -91,7 +92,7 @@ class TestCheckReduction:
         def nan_in_the_last_row(*args):
             out = original(*args)
             rows.append(len(out))
-            if len(rows) == 3 * passes:
+            if len(rows) == 3:
                 out = out.copy()
                 out[-1] = np.nan
             return out
@@ -126,10 +127,9 @@ class TestCheckReduction:
         suites' reports are the same, bit for bit: every check reads one
         per-row array, whatever the chunk.  At seed 1 a fit that summed the
         Ricci chunk by chunk would move the fitted Einstein constant by
-        2.2e-16.  On the default member the witnesses read the sections of
-        their pinned k_a = k_b = 1 member from the own member's pass; on the
-        other the pinned member takes a pass of its own.  Every center's
-        ``K`` is a pass's."""
+        2.2e-16.  The witnesses read the own member's ``K`` at the center
+        from the own member's pass, on either member.  Every center's ``K``
+        is a pass's."""
         cfg = RunConfig(dims=(3,), curvatures=(1.0,), samples=20, k_a=k_a, k_b=k_b, seed=seed)
         params = ModelParams(n=3, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
         default_chunk_rows = cotangent_kahler.suites._chunk_rows
@@ -146,9 +146,9 @@ class TestCheckReduction:
         assert same.shape == (20,) and same.all()
         assert calls == [3] * 6 + [2]
         calls.clear()
-        passes = 2 if (k_a, k_b) == (1.0, 1.0) else 3
+        passes = 2
         chunked = run_verification(cfg)
-        # The own and the rational pass, then the pinned one if it is not own.
+        # The own and the rational pass.
         assert calls == ([3] * 6 + [2]) * passes
         calls.clear()
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", default_chunk_rows)
@@ -173,9 +173,10 @@ FD_CENTERS = {
     "complement_outputs_vanish": 1,
     "mixed_ricci_vanishes": 1,
     "complex_structure_parallel_detects_coupling": 1,
+    "constant_h_distance_closed_form": 1,
     "curvature_not_parallel": 1,
 }
-SCALAR = ("metric_positive_definite", "holomorphic_curvature_spread")
+SCALAR = ("metric_positive_definite", "holomorphic_curvature_not_constant")
 PER_ENERGY = ("family_solves_ode", "gamma_detects_profile")
 
 
@@ -314,52 +315,44 @@ class TestSharedSample:
         assert rows == [8]
         assert [m for kind, m, real in builds if kind == "point" and not real] == [8]
 
-    @pytest.mark.parametrize("profile, center_jets", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
+    @pytest.mark.parametrize("profile, passes", [("einstein", 2), ("rational", 1)], ids=["einstein", "rational"])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_builds_per_config(self, n, profile, center_jets, monkeypatch):
+    def test_builds_per_config(self, n, profile, passes, monkeypatch):
         """One config of all six suites at 3 samples builds the point on
         complex rows twice, once per center set (the first two centers, then
-        the first one), and the fiber jets on complex rows once per member
-        differentiated at the one center: the FD curvature's own member and
-        the nabla-K probe's k_a = k_b = 1 member, one member on the Einstein
-        profile.  On the real sampled rows it builds the point once and the
-        fiber jets three times: the own member, the witnesses' detuned
-        coupling, whose connection the parallel-J witness reads at the
-        center, and whichever of the witnesses' rational profile and
-        k_a = k_b = 1 member is not the own one; none on the centers alone.
-        It builds ``K`` in one pass per member, which also keeps it at the
-        one center for the block oracle and the nabla-K probe: the own one,
-        which the einstein suite reads, and whichever of the rational and the
-        pinned member is not the own one.  That is two
-        builds on either profile: on the Einstein profile the witnesses read
-        the pinned member's sections from the own pass, and on the rational
-        profile the rational member's Ricci."""
+        the first one), and the fiber jets on complex rows once, for the own
+        member, which the FD curvature and, on the Einstein profile, the
+        nabla-K probe differentiate at the one center.  On the real sampled
+        rows it builds the point once and the fiber jets once per member: the
+        own one, the witnesses' detuned coupling, whose connection the
+        parallel-J witness reads at the center, and, on the Einstein profile,
+        the witnesses' rational profile; none on the centers alone.  It
+        builds ``K`` in one pass per member, which also keeps it at the one
+        center for the block oracle and the witnesses: the own one, which the
+        einstein suite reads, and, on the Einstein profile, the rational one,
+        whose Ricci the witnesses read.  Off the Einstein profile the
+        witnesses read no own ``K``, as the negative claims do not apply."""
         calls = _count_curvature_builds(monkeypatch)
         builds = _count_builds(monkeypatch)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
         assert [(kind, rows) for kind, rows, real in builds if not real] == [
             ("point", 4 * n),
             ("point", 2 * n),
-        ] + [("jets", 2 * n)] * center_jets
-        assert [(kind, rows) for kind, rows, real in builds if real] == [
-            ("point", 3),
-            ("jets", 3),
-            ("jets", 3),
-            ("jets", 3),
+            ("jets", 2 * n),
         ]
-        assert calls == [3, 3]
+        assert [(kind, rows) for kind, rows, real in builds if real] == [("point", 3)] + [("jets", 3)] * (passes + 1)
+        assert calls == [3] * passes
 
-    @pytest.mark.parametrize("profile, pinned", [("einstein", 0), ("rational", 1)], ids=["einstein", "rational"])
+    @pytest.mark.parametrize("profile, rational", [("einstein", 1), ("rational", 0)], ids=["einstein", "rational"])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_metric_blocks_once_per_member_and_row_set(self, n, profile, pinned, monkeypatch):
+    def test_metric_blocks_once_per_member_and_row_set(self, n, profile, rational, monkeypatch):
         """One config of all six suites at 3 samples builds no member's
         metric blocks twice on the same rows.  On the real rows: the own
-        member, the detuned coupling and the witnesses' other member.  On
-        complex rows: the own member on ``stencil(2)``, then on
-        ``stencil(1)``, where the Nijenhuis oracle reads the blocks and the FD
-        curvature and nabla-K read the jets built on them; the detuned
-        coupling on ``stencil(1)``; and, on the rational profile, the pinned
-        k_a = k_b = 1 member there for nabla-K."""
+        member, the detuned coupling and, on the Einstein profile, the
+        witnesses' rational profile.  On complex rows: the own member on
+        ``stencil(2)``, then on ``stencil(1)``, where the Nijenhuis oracle
+        reads the blocks and the FD curvature and nabla-K read the jets built
+        on them; and the detuned coupling on ``stencil(1)``."""
         original = cotangent_kahler.mtensor.metric_blocks
         seen = []
 
@@ -377,19 +370,18 @@ class TestSharedSample:
             (2 * n, False),
             (3, True),
             (2 * n, False),
-            (3, True),
-        ] + [(2 * n, False)] * pinned
+        ] + [(3, True)] * rational
 
-    @pytest.mark.parametrize("profile, members", [("einstein", 1), ("rational", 2)], ids=["einstein", "rational"])
-    def test_stencil_connections_once_per_member_and_center_k_from_the_pass(self, profile, members, monkeypatch):
+    @pytest.mark.parametrize("profile, passes", [("einstein", [3, 3]), ("rational", [3])], ids=["einstein", "rational"])
+    def test_stencil_connections_once_per_member_and_center_k_from_the_pass(self, profile, passes, monkeypatch):
         """One config of all six suites at 3 samples builds the connection on
-        the 2n complex rows of ``stencil(1)`` once per member it
-        differentiates there (``curvature_fd`` and the nabla-K field share
-        it): the own member and the pinned k_a = k_b = 1 one, which on the
-        Einstein profile is the own one.  A member is told by its metric
-        block.  ``K`` at the one center, which the block oracle and nabla-K
-        share, is no build of its own: each member's pass keeps it.  Nor is
-        the centers' connection (see the next test)."""
+        the 2n complex rows of ``stencil(1)`` once, for the one member it
+        differentiates there, the own one (``curvature_fd`` and, on the
+        Einstein profile, the nabla-K field share it).  A member is told by
+        its metric block.  ``K`` at the one center, which the block oracle
+        and the witnesses share, is no build of its own: the own member's
+        pass keeps it, beside the rational member's pass on the Einstein
+        profile.  Nor is the centers' connection (see the next test)."""
         n = 2
         original = cotangent_kahler.connection.connection_coefficients
         connections, curvatures = [], _count_curvature_builds(monkeypatch)
@@ -401,16 +393,15 @@ class TestSharedSample:
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=3, profile=profile))
         on_rows = [gh for rows, complex_rows, gh in connections if complex_rows and rows == 2 * n]
-        assert len(on_rows) == len(set(on_rows)) == members
-        assert curvatures == [3, 3]
+        assert len(on_rows) == len(set(on_rows)) == 1
+        assert curvatures == passes
 
-    @pytest.mark.parametrize("profile", ["einstein", "rational"])
-    def test_each_members_connection_on_real_points_is_built_once(self, profile, monkeypatch):
+    @pytest.mark.parametrize("profile, members", [("einstein", 3), ("rational", 2)], ids=["einstein", "rational"])
+    def test_each_members_connection_on_real_points_is_built_once(self, profile, members, monkeypatch):
         """One config of all six suites at 3 samples in chunks of one row
         builds the connection on real points once per member, on all three
-        sampled rows: the own member, the witnesses' detuned coupling, and the
-        rational profile (on the Einstein profile) or the pinned
-        k_a = k_b = 1 member (on the rational profile).  The two-path check,
+        sampled rows: the own member, the witnesses' detuned coupling, and,
+        on the Einstein profile, the rational profile.  The two-path check,
         every chunk of every curvature pass and every stencil's centers read
         their rows of a member's connection on all rows, and never build one
         of their own."""
@@ -425,8 +416,8 @@ class TestSharedSample:
 
         _patch_everywhere(monkeypatch, original, counted)
         run_verification(RunConfig(dims=(2,), curvatures=(1.0,), samples=3, profile=profile))
-        assert [rows for rows, _ in real] == [3, 3, 3]
-        assert len({gh for _, gh in real}) == 3
+        assert [rows for rows, _ in real] == [3] * members
+        assert len({gh for _, gh in real}) == members
 
     def test_only_the_curvature_pass_splits_rows(self, monkeypatch):
         """One config of all six suites at 4 samples in chunks of one row
@@ -457,7 +448,7 @@ class TestSharedSample:
         detuned = 1.1 * a_metric
         assert closed["nijenhuis_closed_form"] == [(4, a_metric), (4, detuned)]
         assert closed["kahler_connection_coefficients"] == [(4, a_metric)]
-        # The own pass, which the pinned witness reads, and the rational one.
+        # The own pass, whose K the witnesses read at the center, and the rational one.
         assert calls == [1] * 8
 
     def test_field_calls_per_config(self, monkeypatch):
@@ -576,44 +567,45 @@ class TestSharedSample:
         assert [b for b in jet_builds if b is not None] == ["stack"]
 
 
-class TestPinnedWitness:
+NEGATIVE_CLAIMS = ("constant_h_distance_closed_form", "holomorphic_curvature_not_constant", "curvature_not_parallel")
+
+
+class TestOwnWitness:
     @pytest.mark.parametrize("n", [2, 3])
     def test_witness_entries_do_not_depend_on_which_pass_serves_them(self, n, monkeypatch):
-        """At 30 samples in chunks of seven rows, the pinned k_a = k_b = 1
-        member's two witnesses are the same entries, bit for bit, whether
-        they read the record of the curvature suite's pass on the own member
-        (all six suites, or curvature and witnesses), of the einstein
-        suite's, which runs before any suite has built ``stencil(1)``
-        (einstein and witnesses), of a pass of their own on the own member
-        (witnesses alone), or of a pass on a pinned member that is not the
-        config's (k_a = 0.5, k_b = 2)."""
+        """At 30 samples in chunks of seven rows, the own member's three
+        negative-claim entries are the same, bit for bit, whether they read
+        the record of the curvature suite's pass (all six suites, or
+        curvature and witnesses), of the einstein suite's, which runs before
+        any suite has built ``stencil(1)`` (einstein and witnesses), or of a
+        pass of their own (witnesses alone)."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: 7)
-        names = ("holomorphic_curvature_spread", "curvature_not_parallel")
         runs = [
             {},
             {"suites": ("witnesses",)},
             {"suites": ("curvature", "witnesses")},
             {"suites": ("einstein", "witnesses")},
-            {"k_a": 0.5, "k_b": 2.0},
         ]
         entries = []
         for flags in runs:
             report = run_verification(RunConfig(dims=(n,), curvatures=(1.0,), samples=30, **flags))
             (witnesses,) = [suite for suite in report["suites"] if suite["name"] == "witnesses"]
-            entries.append([check for check in witnesses["configs"][0]["checks"] if check["name"] in names])
-        assert [check["name"] for check in entries[0]] == list(names)
+            entries.append([check for check in witnesses["configs"][0]["checks"] if check["name"] in NEGATIVE_CLAIMS])
+        assert [check["name"] for check in entries[0]] == list(NEGATIVE_CLAIMS)
         assert all(entry == entries[0] for entry in entries[1:])
 
-    def test_witnesses_need_a_sample_with_sections(self):
-        """The witnesses suite on a sample drawn without sections refuses to
-        run, with an error that names them, rather than reading a record
-        without sectional values."""
-        cfg = RunConfig(**SHARED_PASS, suites=("witnesses",))
-        params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
-        points = sample_points(cfg, 2, 1.0, params)
-        sample = Sample(points[:, 0], points[:, 1], params)
-        with pytest.raises(ConfigError, match="sections"):
-            run_suite("witnesses", cfg, params, einstein_profile(params), sample)
+    @pytest.mark.parametrize("flags", [{"profile": "rational"}, {"a_metric_offset": 0.1}], ids=["rational", "offset"])
+    def test_negative_claims_are_absent_where_they_do_not_apply(self, flags, monkeypatch):
+        """Off the Einstein profile or off the integrable coupling the paper
+        makes no negative claim: the witnesses suite has none of the three
+        entries and takes one curvature pass, on the rational profile, whose
+        Ricci the Einstein defect reads."""
+        calls = _count_curvature_builds(monkeypatch)
+        report = run_verification(RunConfig(**SHARED_PASS, suites=("witnesses",), **flags))
+        names = {check["name"] for check in report["suites"][0]["configs"][0]["checks"]}
+        assert "einstein_detects_profile" in names
+        assert not names & set(NEGATIVE_CLAIMS)
+        assert calls == [3, 3, 2]
 
 
 class TestKeptPerMember:
@@ -624,31 +616,28 @@ class TestKeptPerMember:
         cfg = RunConfig(dims=(2,), curvatures=(1.0,), samples=8, k_a=0.5, k_b=2.0)
         params = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=0.5, k_b=2.0)
         points = sample_points(cfg, 2, 1.0, params)
-        sections = np.random.default_rng(4).normal(size=(8, 4))
         calls = _count_curvature_builds(monkeypatch, fail_at)
-        return cfg, params, Sample(points[:, 0], points[:, 1], params, sections), calls
+        return cfg, params, Sample(points[:, 0], points[:, 1], params), calls
 
     def test_other_members_never_replace_the_own_record(self, monkeypatch):
-        """The witnesses suite takes one pass on its pinned k_a = k_b = 1
-        member and one on the rational profile.  Each keeps its own record,
-        with other values; the own member's record is the same object, with
-        the same values, and no later read builds ``K`` again.  The nabla-K
-        probe reads its center's ``K`` from the pinned record."""
+        """The witnesses suite takes one pass on the rational profile, which
+        keeps its own record, with other values; the own member's record is
+        the same object, with the same values, and no later read builds
+        ``K`` again.  The negative-claim witnesses read their center's ``K``
+        from the own record."""
         cfg, params, sample, calls = self._setup(monkeypatch)
         profile = einstein_profile(params)
         own = sample.kept(params, profile)
-        before = own.ricci.hh.copy(), own.ricci.vv.copy(), own.center.copy(), own.holomorphic.copy()
+        before = own.ricci.hh.copy(), own.ricci.vv.copy(), own.center.copy()
         run_suite("witnesses", cfg, params, profile, sample)
-        witness = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
-        others = [sample.kept(witness, einstein_profile(witness)), sample.kept(params, rational_profile())]
+        other = sample.kept(params, rational_profile())
         assert sample.kept(params, profile) is own
-        # The own pass, then the rational and the pinned pass.
-        assert calls == [3, 3, 2] * 3
-        after = own.ricci.hh, own.ricci.vv, own.center, own.holomorphic
+        # The own pass, then the rational one.
+        assert calls == [3, 3, 2] * 2
+        after = own.ricci.hh, own.ricci.vv, own.center
         assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
-        for other in others:
-            assert other.ricci.hh.shape == (8, 2, 2) and not np.array_equal(other.ricci.hh, own.ricci.hh)
-            assert other.holomorphic.shape == (8,) and not np.array_equal(other.center, own.center)
+        assert other.ricci.hh.shape == (8, 2, 2) and not np.array_equal(other.ricci.hh, own.ricci.hh)
+        assert other.center.shape == own.center.shape and not np.array_equal(other.center, own.center)
 
     def test_a_pass_that_raises_keeps_nothing(self, monkeypatch):
         """A pass that fails at its second chunk keeps no record, so the next
@@ -662,9 +651,9 @@ class TestKeptPerMember:
 
 
 class TestKeepRule:
-    """A config keeps per-row values, the Ricci trace and the sectional
-    values among them, and no pass's ``K`` outlives its chunk but at the
-    first row, on a sample of one chunk as on one of several."""
+    """A config keeps per-row values, the Ricci trace among them, and no
+    pass's ``K`` outlives its chunk but at the first row, on a sample of one
+    chunk as on one of several."""
 
     @pytest.mark.parametrize("chunk_rows", [8, 3, 1], ids=["one_chunk", "three_chunks", "one_row"])
     def test_a_second_pass_builds_every_k_again(self, chunk_rows, monkeypatch):
@@ -673,8 +662,7 @@ class TestKeepRule:
         and the sample's rows keep only the point and the member's metric
         blocks, jets and connection; the jets hold the very arrays of the
         kept blocks.  Each pass keeps a new record, whose ``K`` is a copy of
-        the first row alone, and a sample without sections keeps no
-        sectional values; no stencil keeps anything."""
+        the first row alone; no stencil keeps anything."""
         calls = _count_curvature_builds(monkeypatch)
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
@@ -695,21 +683,20 @@ class TestKeepRule:
         assert blocks.gh is jets.gh and blocks.gv is jets.gv
         assert not one._memo and not two._memo
         record = sample.kept(params, profile)
-        assert record is not kept and record.holomorphic is None
+        assert record is not kept
         assert np.array_equal(record.center, np.concatenate(second)[:1])
         assert record.center.base is None and record.center.shape[0] == 1
 
     @pytest.mark.parametrize("chunk_rows", [3, 1], ids=["three_chunks", "one_row"])
     def test_no_blocks_k_outlives_its_block(self, chunk_rows, monkeypatch):
-        """Eight samples at n = 2 with stencils at one and two centers and
-        one section per row: when a pass reaches a block, nothing holds the
-        ``K`` of an earlier one, not even the first row it keeps."""
+        """Eight samples at n = 2 with stencils at one and two centers: when
+        a pass reaches a block, nothing holds the ``K`` of an earlier one,
+        not even the first row it keeps."""
         monkeypatch.setattr(cotangent_kahler.suites, "_chunk_rows", lambda dim: chunk_rows)
         params = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
         profile = einstein_profile(params)
         rng = np.random.default_rng(2)
-        q, p, sections = rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 4))
-        sample = Sample(q, p, params, sections)
+        sample = Sample(rng.uniform(-1.0, 1.0, size=(8, 2)), rng.normal(size=(8, 2)), params)
         sample.stencil(1), sample.stencil(2)
         refs = []
 
@@ -720,7 +707,7 @@ class TestKeepRule:
 
         sample.curvature_rows(params, profile, record)
         assert len(refs) == -(-8 // chunk_rows)
-        assert sample.kept(params, profile).holomorphic.shape == (8,)
+        assert sample.kept(params, profile).ricci.hh.shape == (8, 2, 2)
 
     @pytest.mark.parametrize("k_a, k_b", [(1.0, 1.0), (0.5, 2.0)], ids=["default", "ka0.5_kb2"])
     @pytest.mark.parametrize(
@@ -731,7 +718,8 @@ class TestKeepRule:
         reads keeps at its first row, bit for bit, the ``K`` that
         ``curvature_blocks`` builds on the one center of a one-use stencil
         there, whichever suite's pass kept it; and the run builds ``K`` in
-        one pass per member read, with no build at the center."""
+        one pass per member read, the own member among them, with no build
+        at the center."""
         calls = _count_curvature_builds(monkeypatch)
         original, read = Sample.kept, []
 
@@ -741,8 +729,8 @@ class TestKeepRule:
 
         monkeypatch.setattr(Sample, "kept", kept)
         run_verification(RunConfig(**SHARED_PASS, suites=suites, k_a=k_a, k_b=k_b))
-        pinned = ModelParams.kahler(2, 1.0, k_a=1.0, k_b=1.0)
-        assert (pinned, einstein_profile(pinned)) in {(params, profile) for _, params, profile in read}
+        own = ModelParams(n=2, c=1.0, a_metric=integrable_coupling(1.0), k_a=k_a, k_b=k_b)
+        assert (own, einstein_profile(own)) in {(params, profile) for _, params, profile in read}
         assert calls == [3, 3, 2] * len({(id(sample), params, profile) for sample, params, profile in read})
         for sample, params, profile in read:
             center = original(sample, params, profile).center
