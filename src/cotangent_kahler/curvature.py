@@ -22,10 +22,7 @@ The Ricci tensor is produced twice: by tracing ``K``, and from closed
 forms in ``(c, t, v, v', v'')`` valid at the integrable coupling.  The two
 routes share no code.  Everything here keeps the point's leading batch
 axis; the finite-difference oracles differentiate on a stencil
-(``fd.Stencil``).  Probes give one value per point of the batch.  The
-distance of ``K`` from constant holomorphic sectional curvature,
-``|K + k_b T|^2`` under ``curvature_inner``, has a closed form in ``t``
-(``constant_h_tensor``), which the witnesses compare with ``K``.
+(``fd.Stencil``).  Probes give one value per point of the batch.
 
 ``K`` is built by ``curvature_from_connection`` from a given connection
 and the three fiber blocks of its fiber 1-jet

@@ -448,14 +448,11 @@ def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]
 
 def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
     """Detectors that must fire off the theorem's hypotheses (a detuned
-    coupling, a profile off the Einstein family), and the paper's two
-    negative claims on the config's own member where it makes them, on the
-    Einstein profile at the integrable coupling: at the first center, the
-    closed form of ``|K + k_b T|^2`` (``curvature.constant_h_tensor``), over
-    a scale that does not vanish on the flat member, then "not of constant
-    holomorphic sectional curvature" and "not locally symmetric".  At their
-    exception, n = 2 and k_a = 0, both witnesses certify the opposite as
-    ``le`` checks whose notes name it."""
+    coupling, a profile off the Einstein family) and, on the Einstein
+    profile at the integrable coupling, the paper's two negative claims on
+    the own member at the first center: the closed form of ``|K + k_b T|^2``
+    (``curvature.constant_h_tensor``), then two witnesses, which at the
+    claims' exception, n = 2 and k_a = 0, certify the opposite as ``le``."""
     tol = cfg.tolerances
     stencil = sample.stencil(1)
 
@@ -504,6 +501,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
     t_h = constant_h_tensor(metric, assemble_complex_structure(blocks))
     distance = curv + k_b * t_h
     distance_sq = curvature_inner(distance, distance, metric)
+    # |K|^2 + |k_b T|^2 + 1, a scale that does not vanish on the flat member.
     scale = curvature_inner(curv, curv, metric) + 2 * n * (n + 1) * k_b**2 + 1.0
     a, b = constant_h_coefficients(params)
     residual = np.abs(distance_sq - a / t - b * t ** -(n + 1.0)) / scale

@@ -18,7 +18,7 @@ import cotangent_kahler.suites
 from cotangent_kahler.base import ModelParams, integrable_coupling
 from cotangent_kahler.connection import connection_coefficients, connection_on, metric_gradient
 from cotangent_kahler.curvature import curvature_fd, nabla_curvature
-from cotangent_kahler.errors import ConfigError, GeometryError
+from cotangent_kahler.errors import GeometryError
 from cotangent_kahler.mtensor import CotangentPoint, take_rows
 from cotangent_kahler.profiles import einstein_profile, rational_profile
 from cotangent_kahler.structure import dform_residual, nijenhuis_numeric
