@@ -1,9 +1,10 @@
 """Command-line driver: configure a verification run, emit a JSON report.
 
-Exit status is 0 when every requested suite passes, 1 when any check
-fails, and 2 for unusable arguments.  Reports are deterministic for a
-fixed configuration up to the ``timings`` key, and strict JSON: a
-non-finite check value is written as a string (see ``suites._check``).
+Exit status is 0 when every check of the requested suites passes at the
+fixed tolerance tiers (``suites.TOLERANCES``), 1 when any check fails, and
+2 for unusable arguments.  Reports are deterministic for a fixed
+configuration up to the ``timings`` key, and strict JSON: a non-finite
+check value is written as a string (see ``suites._check``).
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import fields
 
 from .errors import ConfigError
 from .profiles import PROFILES
-from .suites import RunConfig, Tolerances, run_verification
+from .suites import RunConfig, run_verification
 
 __all__ = ["build_parser", "config_from_args", "main"]
 
@@ -48,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-min", type=float, default=cfg.t_min, help="lower energy bound")
     parser.add_argument("--t-max", type=float, default=cfg.t_max, help="upper energy bound")
     parser.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
-    for f in fields(Tolerances):
-        flag = f"--tol-{f.name.replace('_', '-')}"
-        parser.add_argument(flag, type=float, default=getattr(cfg.tolerances, f.name), help="tolerance tier")
     parser.add_argument("--suites", default=",".join(cfg.suites), help="comma-separated suites to run")
     parser.add_argument(
         "--a-metric-offset",
@@ -82,7 +79,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         t_min=args.t_min,
         t_max=args.t_max,
         seed=args.seed,
-        tolerances=Tolerances(**{f.name: getattr(args, f"tol_{f.name}") for f in fields(Tolerances)}),
         suites=_parse_list(args.suites, str),
         a_metric_offset=args.a_metric_offset,
     )

@@ -80,21 +80,13 @@ from .structure import (
 __all__ = [
     "SUITE_NAMES",
     "Tolerances",
+    "TOLERANCES",
     "RunConfig",
     "sample_points",
     "Sample",
     "run_suite",
     "run_verification",
 ]
-
-SUITE_NAMES = (
-    "almost_kahler",
-    "integrability",
-    "connection",
-    "curvature",
-    "einstein",
-    "witnesses",
-)
 
 # Relative coupling detuning used by the witness checks that must see the
 # integrability and parallel-structure detectors fire.
@@ -116,18 +108,17 @@ def _chunk_rows(dim: int) -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance tiers: exact algebra, analytic cross-checks, finite
-    differences, and the floor a witness must exceed."""
+    """The tiers every run judges at, fixed as ``TOLERANCES`` and echoed as
+    the report's ``config.tolerances``: exact algebra, analytic cross-checks,
+    finite differences, and the floor a witness must exceed."""
 
     closed_form: float = 1e-9
     cross_check: float = 1e-5
     fd_oracle: float = 1e-4
     witness_floor: float = 1e-3
 
-    def __post_init__(self) -> None:
-        for name in ("closed_form", "cross_check", "fd_oracle", "witness_floor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"tolerance {name} must be positive and finite")
+
+TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,7 @@ class RunConfig:
     t_min: float = 0.1
     t_max: float = 10.0
     seed: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    suites: tuple[str, ...] = SUITE_NAMES
+    suites: tuple[str, ...] = field(default_factory=lambda: SUITE_NAMES)
     a_metric_offset: float = 0.0
 
     def __post_init__(self) -> None:
@@ -322,7 +312,7 @@ def _check(name: str, values, tolerance: float, comparison: str = "le", note: st
 
 
 def _suite_almost_kahler(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    tol = cfg.tolerances
+    tol = TOLERANCES
     jets = sample.rows.jets_of(params, profile)
     j_op = assemble_complex_structure(jets)
     metric = assemble_metric(jets)
@@ -351,7 +341,7 @@ def _nijenhuis(sample, params, profile) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _suite_integrability(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    tol = cfg.tolerances
+    tol = TOLERANCES
     nij, oracle = _nijenhuis(sample, params, profile)
     checks = [
         _check("nijenhuis_vanishes", nij, tol.closed_form),
@@ -361,7 +351,7 @@ def _suite_integrability(cfg, params, profile, sample) -> tuple[list[dict], list
 
 
 def _suite_connection(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    tol = cfg.tolerances
+    tol = TOLERANCES
     checks = []
     if params.is_integrable:
         conn = connection_on(sample.rows, params, profile)
@@ -384,7 +374,7 @@ def _suite_connection(cfg, params, profile, sample) -> tuple[list[dict], list[st
 
 
 def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    tol = cfg.tolerances
+    tol = TOLERANCES
     n = params.n
     h, v = slice(None, n), slice(n, None)
 
@@ -432,7 +422,7 @@ def _suite_curvature(cfg, params, profile, sample) -> tuple[list[dict], list[str
 
 
 def _suite_einstein(cfg, params, profile, sample) -> tuple[list[dict], list[str]]:
-    tol = cfg.tolerances
+    tol = TOLERANCES
     pt, jets, ricci = sample.rows.points, sample.rows.jets_of(params, profile), sample.kept(params, profile).ricci
     direct = einstein_difference(pt, params, profile, jets, ricci)
     closed = einstein_difference_closed_form(pt, params, profile)
@@ -453,7 +443,7 @@ def _suite_witnesses(cfg, params, profile, sample) -> tuple[list[dict], list[str
     the own member at the first center: the closed form of ``|K + k_b T|^2``
     (``curvature.constant_h_tensor``), then two witnesses, which at the
     claims' exception, n = 2 and k_a = 0, certify the opposite as ``le``."""
-    tol = cfg.tolerances
+    tol = TOLERANCES
     stencil = sample.stencil(1)
 
     off_params = replace(params, a_metric=(1.0 + _WITNESS_DETUNE) * integrable_coupling(params.c))
@@ -529,6 +519,7 @@ _SUITE_FUNCS = {
     "einstein": _suite_einstein,
     "witnesses": _suite_witnesses,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def _suite_error(exc: Exception) -> dict:
@@ -607,6 +598,7 @@ def run_verification(cfg: RunConfig) -> dict:
     ]
     config = asdict(cfg)
     config.update((key, list(config[key])) for key in ("dims", "curvatures", "suites"))
+    config["tolerances"] = asdict(TOLERANCES)
     return {
         "schema_version": 3,
         "config": config,

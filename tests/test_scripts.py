@@ -1,10 +1,12 @@
 """The scripts under scripts/: a smoke test of the exploration script
 profile_sweep.py, the summary, Tier-1 entry and layer entry of
-bench_pairs.py on fixed numbers, report_diff.py on fixed reports, on
-one tiny flag set run twice on this tree, and rewriting the golden of a
-temporary tree, and mutation_matrix.py on one mutation and one tiny flag
-set, on fixed catches, and against the committed MUTATIONS.json."""
+bench_pairs.py on fixed numbers, report_diff.py on fixed reports, against
+the benchmark's workloads, on one tiny flag set run twice on this tree,
+and rewriting the golden of a temporary tree, and mutation_matrix.py on
+one mutation and one tiny flag set, on fixed catches, and against the
+committed MUTATIONS.json."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -295,6 +297,21 @@ def test_report_diff_classifies_each_check():
     assert note["changed"][label]["status"] == "note"
     rest = compare((0, _report()), (0, _report(discrepancy="suite: new")))
     assert rest["counts"]["identical"] == 1 and rest["rest_identical"] is False
+
+
+def test_report_diff_runs_the_benchmark_workloads():
+    """``report_diff.py``'s ``sweep``, ``oracles`` and ``high_dim`` flag sets
+    are the workloads of ``bench/run.py``.  The literal ``WORKLOADS`` is read
+    from the source, as importing ``run.py`` sets the BLAS thread variables
+    for the rest of the process."""
+    tree = ast.parse((SCRIPTS.parent / "bench" / "run.py").read_text(encoding="utf-8"))
+    (workloads,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["WORKLOADS"]
+    )
+    flag_sets = _load_script("report_diff").FLAG_SETS
+    assert {name: flag_sets[name] for name in workloads} == workloads
 
 
 def test_report_diff_on_the_same_tree_is_identical(tmp_path, monkeypatch, capsys):
