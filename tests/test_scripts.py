@@ -308,7 +308,7 @@ def test_report_diff_runs_the_benchmark_workloads():
     (workloads,) = (
         ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["WORKLOADS"]
+        if isinstance(node, ast.Assign) and [ast.unparse(name) for name in node.targets] == ["WORKLOADS"]
     )
     flag_sets = _load_script("report_diff").FLAG_SETS
     assert {name: flag_sets[name] for name in workloads} == workloads
